@@ -756,53 +756,3 @@ def conditional_expectation(
         func = la.vec(n @ dagger(phi.density))
         mat += np.outer(la.vec(n), np.conj(func))
     return CondExpectation(matrix=mat, domain=big, target=small, preserving_state=phi)
-
-
-def expectation_by_solve(
-    big: MMAlgebra, small: MMAlgebra, phi: StateData
-) -> CondExpectation:
-    """Independent construction of the φ-preserving expectation by least squares.
-
-    Solves for the linear map directly from its defining constraints (range
-    in the subalgebra, restriction to it the identity, bimodularity over a
-    basis, φ∘E = φ), with no reference to orthogonal projections — used to
-    cross-check uniqueness against :func:`conditional_expectation`.
-    """
-    d = big.ambient_dim
-    dd = d * d
-    n_onb = small.onb()
-    m_onb = big.onb()
-    p_small = la.span_projector(n_onb)
-    eye = np.eye(dd, dtype=complex)
-    blocks: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-
-    def constrain(left: np.ndarray, x: np.ndarray, target: np.ndarray):
-        """Impose left · W · vec(x) = target as rows on vec(W)."""
-        blocks.append(np.kron(left, la.vec(x)[None, :]))
-        targets.append(np.atleast_1d(target))
-
-    for x in m_onb:
-        constrain(eye - p_small, x, np.zeros(dd, dtype=complex))
-    for n in n_onb:
-        constrain(eye, n, la.vec(n))
-    for a in n_onb:
-        for x in m_onb:
-            for b in n_onb:
-                lm = np.kron(a, b.T)  # vec(a y b) = (a ⊗ bᵀ) vec(y)
-                blocks.append(
-                    np.kron(eye, la.vec(a @ x @ b)[None, :])
-                    - np.kron(lm, la.vec(x)[None, :])
-                )
-                targets.append(np.zeros(dd, dtype=complex))
-    # φ(y) = ⟨vec(D†), vec(y)⟩ as a row functional.
-    wrow = np.conj(la.vec(dagger(phi.density)))[None, :]
-    for x in m_onb:
-        constrain(wrow, x, np.array([phi.value(x)], dtype=complex))
-
-    a_mat = np.vstack(blocks)
-    b_vec = np.concatenate(targets)
-    sol, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
-    return CondExpectation(
-        matrix=sol.reshape(dd, dd), domain=big, target=small, preserving_state=phi
-    )

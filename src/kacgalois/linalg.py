@@ -113,11 +113,6 @@ def project_span(x: np.ndarray, onb: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def in_span(x: np.ndarray, onb: list[np.ndarray], tol: float = DEFAULT_TOL) -> bool:
-    """Membership x ∈ span(onb) up to ``tol`` relative to max(1, ‖x‖)."""
-    return span_residual(x, onb) < tol * max(1.0, frob(x))
-
-
 def span_residual(x: np.ndarray, onb: list[np.ndarray]) -> float:
     """Frobenius distance from ``x`` to an orthonormal span."""
     return frob(x - project_span(x, onb))
@@ -216,36 +211,6 @@ def embed_leg(x: np.ndarray, dims: list[int], leg: int) -> np.ndarray:
     for i, d in enumerate(dims):
         mats.append(x if i == leg else np.eye(d, dtype=complex))
     return kron_chain(*mats)
-
-
-def embed_two_legs(x: np.ndarray, dims: list[int], lega: int, legb: int) -> np.ndarray:
-    """Embed an operator on ℂ^{da}⊗ℂ^{db} into legs (lega, legb) of a chain.
-
-    ``x`` is indexed with ``lega`` as its first tensor factor.  Implemented
-    by reshaping to one index pair per leg and einsum-contracting, so it is
-    correct for any leg order.
-    """
-    n = len(dims)
-    full = int(np.prod(dims))
-    t = x.reshape(dims[lega], dims[legb], dims[lega], dims[legb])
-    eye_ops = [np.eye(d, dtype=complex) for d in dims]
-    # Build by summing matrix units is wasteful; use tensordot-style reshape:
-    # result[(i_0..i_{n-1}),(j_0..j_{n-1})] = t[i_a,i_b,j_a,j_b] Π_{k∉{a,b}} δ_{i_k j_k}
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    in_idx = [letters[i] for i in range(n)]
-    out_idx = [letters[n + i] for i in range(n)]
-    operands = []
-    subscripts = []
-    subscripts.append(in_idx[lega] + in_idx[legb] + out_idx[lega] + out_idx[legb])
-    operands.append(t)
-    for k in range(n):
-        if k in (lega, legb):
-            continue
-        subscripts.append(in_idx[k] + out_idx[k])
-        operands.append(eye_ops[k])
-    expr = ",".join(subscripts) + "->" + "".join(in_idx) + "".join(out_idx)
-    res = np.einsum(expr, *operands, optimize=True)
-    return res.reshape(full, full)
 
 
 def flip_operator(n: int, m: int | None = None) -> np.ndarray:

@@ -24,6 +24,42 @@ def test_fundamental_unitary_pentagon_on_bundled_algebra(kp8):
     assert v.residuals["unitary"] < 1e-10
 
 
+def dense_pentagon_opnorm(v, n):
+    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖₂ from explicit n³×n³ Kronecker operators."""
+    eye = np.eye(n, dtype=complex)
+    v12 = np.kron(v, eye)
+    v23 = np.kron(eye, v)
+    swap23 = np.kron(eye, la.flip_operator(n))
+    v13 = swap23 @ v12 @ swap23
+    return la.opnorm(v12 @ v13 @ v23 - v23 @ v12)
+
+
+def test_pentagon_residual_bounds_the_operator_norm_from_above(kp8):
+    n = kp8.dim
+    v = du.multiplicative_unitary(kp8).matrix
+    rng = np.random.default_rng(0)
+    w = v + 1e-3 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+    dense = dense_pentagon_opnorm(w, n)
+    assert dense > 1e-4
+    assert dense <= du.pentagon_residual(w, n) <= np.sqrt(n**3) * dense
+
+
+def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
+    v = du.multiplicative_unitary(kp8).matrix
+    v[3, 5] += 1e-6
+    assert du.pentagon_residual(v, kp8.dim) > 1e-10
+
+
+def test_sampled_pentagon_on_cyclic_group_of_order_13():
+    kac = kc.group_algebra(kc.cyclic_group(13))
+    assert kac.dim**3 > 2048  # beyond the exact Frobenius branch
+    v = du.multiplicative_unitary(kac)
+    assert v.residuals["pentagon"] < 1e-10
+    corrupted = v.matrix.copy()
+    corrupted[3, 5] += 1e-6
+    assert du.pentagon_residual(corrupted, kac.dim) > 1e-10
+
+
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_slice_algebra_and_integrals(algebras, dual_of, name):
     dd = dual_of(algebras[name])
