@@ -107,10 +107,10 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     if not val["passed"]:
         raise SubalgebraError(f"span is not a unital *-subalgebra: {val}")
     a_mm = kac.as_mm()
-    memb = max(a_mm.residual(b) for b in mm.onb())
+    memb = a_mm.residual(mm.onb())
     if memb > DEFAULT_TOL * kac.dim:
         raise SubalgebraError(f"span is not inside A (residual {memb:.2e})")
-    cert = _delta_containment(kac, list(mm.onb()), side)
+    cert = _delta_containment(kac, mm.onb(), side)
     if cert > DEFAULT_TOL * kac.dim:
         raise ValueError(
             f"not a {side} coideal: coproduct containment residual {cert:.2e}"
@@ -141,7 +141,7 @@ def coideal_closure(kac: KacAlgebra, elements, side: str = "left") -> Coideal:
     mm = ag.mm_from_generators(mats, kac.dim)
     for _ in range(kac.dim + 2):
         grown = ag.mm_from_generators(
-            _slice_closure(kac, list(mm.onb()), side), kac.dim
+            _slice_closure(kac, mm.onb(), side), kac.dim
         )
         if grown.dim == mm.dim:
             break
@@ -184,9 +184,7 @@ def subspace_system_from_coideal(
             mat = cr.fourier_coefficients(kac, [c], b)[0]
             rows.extend(mat[i] for i in range(c.dim))
         vecs = la.orthonormalize([r[None, :] for r in rows])
-        spaces.append(
-            np.vstack([v[0] for v in vecs]) if vecs else np.zeros((0, c.dim))
-        )
+        spaces.append(vecs.reshape(-1, c.dim))
     return SubspaceSystem(
         spaces=tuple(spaces), corep_dims=tuple(c.dim for c in coreps)
     )
@@ -469,7 +467,7 @@ def tilde(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> Coideal:
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
-    cert = _dual_delta_containment(kac, dd, list(mm.onb()), "left")
+    cert = _dual_delta_containment(kac, dd, mm.onb(), "left")
     return Coideal(home="dual", side="left", mm=mm, certificate=cert)
 
 
@@ -477,7 +475,7 @@ def _dual_delta_containment(
     kac: KacAlgebra, dd: du.DualKac, mats: list[np.ndarray], side: str
 ) -> float:
     """Distance of δ̂(y) from Â⊗span (left) or span⊗Â (right), y ∈ mats."""
-    amb = list(dd.hat.onb)
+    amb = dd.hat.onb
     sub = la.orthonormalize(mats)
     if side == "left":
         prod_onb = [np.kron(a, b) for a in amb for b in sub]
@@ -513,7 +511,7 @@ def tilde_via_commutant(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> dict:
     :func:`tilde` (computed by the caller for cross-validation).
     """
     bcomm = ag.commutant(coid.mm)
-    inter = la.intersect_spans(list(bcomm.onb()), list(dd.hat.onb))
+    inter = la.intersect_spans(bcomm.onb(), dd.hat.onb)
     right_cert = _dual_delta_containment(kac, dd, inter, "right")
     mapped = [du.kappa_hat(kac, z) for z in inter]
     mm = ag.from_span(mapped, kac.dim)
@@ -526,17 +524,17 @@ def tilde_via_commutant(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> dict:
 
 def span_projector_distance(mm1: ag.MMAlgebra, mm2: ag.MMAlgebra) -> float:
     """Frobenius distance between the HS projectors of two operator spans."""
-    p1 = la.span_projector(list(mm1.onb()))
-    p2 = la.span_projector(list(mm2.onb()))
+    p1 = la.span_projector(mm1.onb())
+    p2 = la.span_projector(mm2.onb())
     return float(np.abs(p1 - p2).max())
 
 
 def bicommutant_check(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> dict:
     """(B′ ∩ Â)′ ∩ A = B, as a projector distance."""
     bcomm = ag.commutant(coid.mm)
-    inter = la.intersect_spans(list(bcomm.onb()), list(dd.hat.onb))
+    inter = la.intersect_spans(bcomm.onb(), dd.hat.onb)
     outer = ag.commutant(ag.from_span(inter, kac.dim))
-    back = la.intersect_spans(list(outer.onb()), list(kac.as_mm().onb()))
+    back = la.intersect_spans(outer.onb(), kac.as_mm().onb())
     mm = ag.from_span(back, kac.dim)
     return {
         "distance": span_projector_distance(mm, coid.mm),
@@ -557,7 +555,7 @@ def jones_projection_coideal(
     e_b = jones_projection(kac, coid.mm)
     res = {"idempotent": frob(e_b @ e_b - e_b), "self_adjoint": frob(e_b - dagger(e_b))}
     res["dual_haar_value"] = float(abs(np.trace(e_b) / n - coid.dim / n))
-    res["dual_membership"] = la.span_residual(e_b, list(dd.hat.onb))
+    res["dual_membership"] = la.span_residual(e_b, dd.hat.onb)
 
     onb = coid.mm.onb()
     gram = np.array([[kac.haar_of(dagger(a) @ b) for b in onb] for a in onb])

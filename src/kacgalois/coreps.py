@@ -103,11 +103,31 @@ def irreducible_coreps(
     in A, the block matrix is unitary, the coproduct acts matricially, the
     counit is the Kronecker delta, the antipode is the transposed adjoint,
     and V expands exactly over units ⊗ entries).
+
+    Raises
+    ------
+    ValueError
+        If ``v`` was built from an algebra with other structure tensors than
+        ``kac``, or ``hat`` does not act on the GNS space of ``kac``.
     """
     if v is None:
         v = du.multiplicative_unitary(kac)
     if hat is None:
         hat = du.hat_algebra(kac, v)
+    same = v.kac is kac or all(
+        np.shape(getattr(v.kac, t)) == np.shape(getattr(kac, t))
+        and np.allclose(getattr(v.kac, t), getattr(kac, t), rtol=0.0, atol=1e-12)
+        for t in ("mult", "delta", "counit", "antipode", "star")
+    )
+    if not same:
+        raise ValueError(
+            "the multiplicative unitary was built from a different Kac algebra"
+        )
+    if hat.mm.ambient_dim != kac.dim:
+        raise ValueError(
+            f"the dual algebra acts on dimension {hat.mm.ambient_dim}, "
+            f"not on the algebra's {kac.dim}"
+        )
     n = kac.dim
     v4 = v.matrix.reshape(n, n, n, n)
     blocks = matrix_units(hat.mm)

@@ -121,7 +121,7 @@ class HatAlgebra:
     """
 
     mm: ag.MMAlgebra
-    onb: tuple
+    onb: np.ndarray
     residuals: dict
 
 
@@ -153,7 +153,7 @@ def hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     for a in a_comm.onb():
         memb = max(memb, frob(v.matrix @ np.kron(eye, a) - np.kron(eye, a) @ v.matrix))
     res["v_in_hat_tensor_a"] = memb
-    return HatAlgebra(mm=mm, onb=tuple(mm.onb()), residuals=res)
+    return HatAlgebra(mm=mm, onb=mm.onb(), residuals=res)
 
 
 def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ def integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
     res["absorbing"] = absorb
 
     e_hat = np.outer(kac.omega, np.conj(kac.omega))
-    res["e_hat_membership"] = la.span_residual(e_hat, list(hat.onb))
+    res["e_hat_membership"] = la.span_residual(e_hat, hat.onb)
     fix = 0.0
     absorb_hat = 0.0
     for y in hat.onb:

@@ -89,21 +89,12 @@ class Inclusion:
 
     def validate(self, tol: float = DEFAULT_TOL) -> dict:
         """Structural residuals: containment, expectation laws, faithfulness."""
-        big_onb = self.big.onb()
-        contain = max(la.span_residual(b, big_onb) for b in self.small.onb())
+        small_onb = self.small.onb()
+        contain = self.big.residual(small_onb)
         exp = self.expectation.validate(tol)
-        ranged = max(self.small.residual(self.expectation.apply(x)) for x in big_onb)
-        fixes = max(
-            frob(self.expectation.apply(n) - n) for n in self.small.onb()
-        )
-        gram = np.array(
-            [
-                [self.phi.value(dagger(a) @ b) for b in big_onb]
-                for a in big_onb
-            ]
-        )
-        gram = (gram + dagger(gram)) / 2.0
-        phi_min = float(np.linalg.eigvalsh(gram).min())
+        ranged = self.small.residual(self.expectation.apply(self.big.onb()))
+        fixes = la.frob_max(self.expectation.apply(small_onb) - small_onb)
+        phi_min = float(np.linalg.eigvalsh(self.phi.gram(self.big.onb())).min())
         rep = {
             "containment": contain,
             "expectation_range": ranged,
@@ -130,11 +121,10 @@ def state_through_expectation(
     basis of M, hence an element of M; positivity follows from positivity
     of the functional on M.
     """
-    d = big.ambient_dim
-    out = np.zeros((d, d), dtype=complex)
-    for m in big.onb():
-        value = complex(np.trace(omega_density @ la.unvec(expectation_matrix @ la.vec(m), (d, d))))
-        out += value * dagger(m)
+    onb = big.onb()
+    images = (onb.reshape(len(onb), -1) @ expectation_matrix.T).reshape(onb.shape)
+    values = np.einsum("ij,kji->k", omega_density, images)
+    out = np.tensordot(values, dagger(onb), axes=1)
     return StateData(density=(out + dagger(out)) / 2.0, faithful=True)
 
 
@@ -163,9 +153,8 @@ def make_inclusion(
             target=small,
         )
     check_tol = max(tol, 1e-8)
-    for b in small.onb():
-        if la.span_residual(b, big.onb()) > check_tol:
-            raise InclusionError("the small algebra is not contained in the big one")
+    if big.residual(small.onb()) > check_tol:
+        raise InclusionError("the small algebra is not contained in the big one")
     unit_res = frob(expectation.apply(big.unit) - big.unit)
     if unit_res > check_tol:
         raise InclusionError(f"expectation is not unital (residual {unit_res:.3e})")
@@ -463,7 +452,8 @@ class BasicExtension:
 
     ``m1`` is the mirror image of the commutant of N (an algebra by
     construction); the residuals record its projector distance to the span
-    of M·e·M and to the algebra generated by M and e.
+    of M·e·M and to the algebra generated by M and e.  Each distance is the
+    projector gap max(‖(I−Q)P‖, ‖(I−P)Q‖), which equals ‖P − Q‖.
     """
 
     inclusion: Inclusion
@@ -480,8 +470,8 @@ class BasicExtension:
         return self.gns.rep(x)
 
     def mirror(self, x: np.ndarray) -> np.ndarray:
-        """The map x ↦ J x* J (a linear *-antiautomorphism)."""
-        return self.gns.mj @ x.T @ np.conj(self.gns.mj)
+        """The map x ↦ J x* J (a linear *-antiautomorphism), also on a stack."""
+        return self.gns.mj @ np.swapaxes(x, -1, -2) @ np.conj(self.gns.mj)
 
 
 def basic_extension(inc: Inclusion, tol: float = DEFAULT_TOL) -> BasicExtension:
@@ -493,46 +483,39 @@ def basic_extension(inc: Inclusion, tol: float = DEFAULT_TOL) -> BasicExtension:
     """
     g = ag.gns(inc.big, inc.phi)
     k = g.space_dim
+    big_onb = inc.big.onb()
 
-    small_cols = np.stack([g.lam(b) for b in inc.small.onb()], axis=1)
-    q, _ = np.linalg.qr(small_cols)
+    q, _ = np.linalg.qr(g.lam(inc.small.onb()).T)
     e_n = q @ dagger(q)
     e_n = (e_n + dagger(e_n)) / 2.0
 
-    big_ops = [g.rep(b) for b in inc.big.onb()]
-    small_ops = [g.rep(b) for b in inc.small.onb()]
+    big_ops = g.rep(big_onb)
+    small_ops = g.rep(inc.small.onb())
     big_rep = ag.from_span(big_ops, k)
     small_rep = ag.from_span(small_ops, k)
     small_comm = ag.commutant(small_rep)
 
-    m1 = ag.from_span([g.adj_j(x) for x in small_comm.onb()], k)
+    m1 = ag.from_span(g.adj_j(small_comm.onb()), k)
 
-    sandwich = [x @ e_n @ y for x in big_ops for y in big_ops]
+    sandwich = _sandwich(big_ops, e_n)
     span_m1 = ag.from_span(sandwich, k)
-    generated = ag.from_span(big_ops + sandwich, k)
+    generated = ag.from_span(np.concatenate([big_ops, sandwich]), k)
 
     res = {}
-    res["e_vector"] = max(
-        float(np.linalg.norm(e_n @ g.lam(x) - g.lam(inc.expectation.apply(x))))
-        for x in inc.big.onb()
+    e_big = inc.expectation.apply(big_onb)
+    res["e_vector"] = float(
+        np.linalg.norm(g.lam(big_onb) @ e_n.T - g.lam(e_big), axis=1).max()
     )
-    res["e_compress"] = max(
-        opnorm(e_n @ g.rep(x) @ e_n - g.rep(inc.expectation.apply(x)) @ e_n)
-        for x in inc.big.onb()
-    )
-    res["e_commutes_small"] = max(opnorm(e_n @ s - s @ e_n) for s in small_ops)
+    res["e_compress"] = opnorm(e_n @ big_ops @ e_n - g.rep(e_big) @ e_n)
+    res["e_commutes_small"] = opnorm(e_n @ small_ops - small_ops @ e_n)
     res["j_fixes_e"] = opnorm(g.adj_j(e_n) - e_n)
-    res["mirror_vs_span"] = float(opnorm(_span_proj(m1) - _span_proj(span_m1)))
-    res["mirror_vs_generated"] = float(opnorm(_span_proj(m1) - _span_proj(generated)))
-    res["span_vs_generated"] = float(
-        opnorm(_span_proj(span_m1) - _span_proj(generated))
-    )
+    res["mirror_vs_span"] = la.span_distance(m1.onb(), span_m1.onb())
+    res["mirror_vs_generated"] = la.span_distance(m1.onb(), generated.onb())
+    res["span_vs_generated"] = la.span_distance(span_m1.onb(), generated.onb())
     res["three_way_max"] = max(
         res["mirror_vs_span"], res["mirror_vs_generated"], res["span_vs_generated"]
     )
-    res["unit_in_sandwich_span"] = la.span_residual(
-        np.eye(k, dtype=complex), span_m1.onb()
-    )
+    res["unit_in_sandwich_span"] = span_m1.residual(np.eye(k, dtype=complex))
 
     return BasicExtension(
         inclusion=inc,
@@ -546,8 +529,9 @@ def basic_extension(inc: Inclusion, tol: float = DEFAULT_TOL) -> BasicExtension:
     )
 
 
-def _span_proj(alg: MMAlgebra) -> np.ndarray:
-    return la.span_projector(alg.onb())
+def _sandwich(ops: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The stack of all x·e·y over x, y in ``ops``, x-major."""
+    return ((ops @ e)[:, None] @ ops[None]).reshape(-1, *e.shape)
 
 
 def gns_intertwiner(g1: ag.GnsData, g2: ag.GnsData) -> tuple[np.ndarray, dict]:
@@ -561,9 +545,8 @@ def gns_intertwiner(g1: ag.GnsData, g2: ag.GnsData) -> tuple[np.ndarray, dict]:
     v0 = g2.coord @ np.linalg.inv(g1.coord)
     w, s, vt = np.linalg.svd(v0)
     u = w @ vt
-    inter = max(
-        opnorm(u @ g1.rep(b) - g2.rep(b) @ u) for b in g1.algebra.onb()
-    )
+    onb = g1.algebra.onb()
+    inter = opnorm(u @ g1.rep(onb) - g2.rep(onb) @ u)
     return u, {"intertwining": inter, "unitary": opnorm(dagger(u) @ u - np.eye(u.shape[0]))}
 
 
@@ -587,12 +570,19 @@ class DualWeight:
     residuals: dict
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        k = self.extension.gns.space_dim
-        return la.unvec(self.matrix @ la.vec(x), (k, k))
+        """Ê(x), for one operator or each of a stack."""
+        flat = np.reshape(x, (*np.shape(x)[:-2], -1))
+        return (flat @ self.matrix.T).reshape(np.shape(x))
 
 
 def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
     """Solve for the weight pinned by x e y ↦ xy on the extension algebra.
+
+    The pin is solved in M₁ coordinates: with R the orthonormal rows of M₁
+    (vectorized), the map is tgt · pinv(conj(R)·src) · conj(R), where the
+    columns of src and tgt are x·e·y and x·y.  Since src lies in M₁ this is
+    tgt · pinv(src), but the pseudo-inverse is of an r×n² matrix
+    (r = dim M₁) instead of the k²×n² one.
 
     Raises
     ------
@@ -600,18 +590,13 @@ def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
         If the pin is inconsistent (the defining relations of the span of
         M·e·M would be violated) beyond tolerance.
     """
-    inc = bc.inclusion
     g = bc.gns
-    big_ops = [g.rep(b) for b in inc.big.onb()]
-    sources = []
-    targets = []
-    for x in big_ops:
-        for y in big_ops:
-            sources.append(la.vec(x @ bc.e_n @ y))
-            targets.append(la.vec(x @ y))
-    src = np.stack(sources, axis=1)
-    tgt = np.stack(targets, axis=1)
-    w = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
+    k = g.space_dim
+    big_ops = g.rep(bc.inclusion.big.onb())
+    src = _sandwich(big_ops, bc.e_n).reshape(-1, k * k).T
+    tgt = (big_ops[:, None] @ big_ops[None]).reshape(-1, k * k).T
+    r_conj = bc.m1.onb().reshape(bc.m1.dim, -1).conj()
+    w = (tgt @ np.linalg.pinv(r_conj @ src, rcond=la.RANK_RTOL)) @ r_conj
     consistency = float(
         np.linalg.norm(w @ src - tgt) / max(1.0, np.linalg.norm(tgt))
     )
@@ -620,7 +605,6 @@ def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
             f"the weight pin x·e·y ↦ xy is inconsistent (residual {consistency:.3e})"
         )
 
-    k = g.space_dim
     eye = np.eye(k, dtype=complex)
     index_el = la.unvec(w @ la.vec(eye), (k, k))
     index_el = (index_el + dagger(index_el)) / 2.0
@@ -629,16 +613,13 @@ def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
     res = {"pin_consistency": consistency}
     res["unit_from_e"] = frob(dw.apply(bc.e_n) - eye)
     res["index_in_big"] = bc.big_rep.residual(index_el)
-    res["index_central"] = max(opnorm(index_el @ x - x @ index_el) for x in big_ops)
+    res["index_central"] = opnorm(index_el @ big_ops - big_ops @ index_el)
 
     m1_onb = bc.m1.onb()
-    res["push_down"] = max(
-        frob(bc.e_n @ dw.apply(bc.e_n @ z) - bc.e_n @ z) for z in m1_onb
-    )
-    res["range_in_big"] = max(bc.big_rep.residual(dw.apply(z)) for z in m1_onb)
-    res["adjoint_compatible"] = max(
-        frob(dw.apply(dagger(z)) - dagger(dw.apply(z))) for z in m1_onb
-    )
+    res["push_down"] = push_down_check(bc, dw)
+    images = dw.apply(m1_onb)
+    res["range_in_big"] = bc.big_rep.residual(images)
+    res["adjoint_compatible"] = la.frob_max(dw.apply(dagger(m1_onb)) - dagger(images))
 
     rng = np.random.default_rng(2)
     pos_min = 0.0
@@ -661,9 +642,8 @@ def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
 
 def push_down_check(bc: BasicExtension, dw: DualWeight) -> float:
     """max over a basis of M₁ of ‖e·Ê(e·x) − e·x‖."""
-    return max(
-        frob(bc.e_n @ dw.apply(bc.e_n @ z) - bc.e_n @ z) for z in bc.m1.onb()
-    )
+    ez = bc.e_n @ bc.m1.onb()
+    return la.frob_max(bc.e_n @ dw.apply(ez) - ez)
 
 
 # ---------------------------------------------------------------------------
@@ -671,12 +651,15 @@ def push_down_check(bc: BasicExtension, dw: DualWeight) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _riesz_density(onb: list[np.ndarray], values: list[complex]) -> np.ndarray:
+def _riesz_density(onb: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The matrix R in the span with Tr(R·x) = value(x) on the given basis."""
-    out = np.zeros_like(onb[0])
-    for v, m in zip(values, onb):
-        out += v * dagger(m)
+    out = np.tensordot(values, dagger(onb), axes=1)
     return (out + dagger(out)) / 2.0
+
+
+def _traces(x: np.ndarray) -> np.ndarray:
+    """The trace of each matrix of a stack."""
+    return np.trace(x, axis1=-2, axis2=-1)
 
 
 def _support_eigs(mat: np.ndarray, rank: int) -> np.ndarray:
@@ -733,31 +716,24 @@ def relcomm_report(
     g = bc.gns
     rc = ag.intersect(bc.m1, bc.small_commutant)
     projs, blocks = rc.central_decomposition()
-
-    def mirror(x: np.ndarray) -> np.ndarray:
-        return g.mj @ x.T @ np.conj(g.mj)
+    mirror = bc.mirror
 
     rc_onb = rc.onb()
     res = {}
-    res["mirror_preserves"] = max(
-        la.span_residual(mirror(x), rc_onb) for x in rc_onb
-    )
-    res["mirror_involution"] = max(frob(mirror(mirror(x)) - x) for x in rc_onb)
-    res["mirror_antimultiplicative"] = max(
-        frob(mirror(x @ y) - mirror(y) @ mirror(x))
-        for x in rc_onb[: min(4, len(rc_onb))]
-        for y in rc_onb[: min(4, len(rc_onb))]
+    res["mirror_preserves"] = rc.residual(mirror(rc_onb))
+    res["mirror_involution"] = la.frob_max(mirror(mirror(rc_onb)) - rc_onb)
+    head = rc_onb[:4]
+    res["mirror_antimultiplicative"] = la.frob_max(
+        mirror(head[:, None] @ head[None]) - mirror(head)[None] @ mirror(head)[:, None]
     )
 
     # Functional densities per summand.
     corners = []
     for z, (size, mult) in zip(projs, blocks):
-        conb = la.orthonormalize([z @ b @ z for b in rc_onb])
+        conb = la.orthonormalize(z @ rc_onb @ z)
         rank = int(round(float(np.trace(z).real)))
-        vals1 = [complex(np.trace(dw.apply(m))) for m in conb]
-        vals2 = [complex(np.trace(dw.apply(mirror(m)))) for m in conb]
-        r1 = _riesz_density(conb, vals1)
-        r2 = _riesz_density(conb, vals2)
+        r1 = _riesz_density(conb, _traces(dw.apply(conb)))
+        r2 = _riesz_density(conb, _traces(dw.apply(mirror(conb))))
         eigs1 = _support_eigs(r1, rank)
         if eigs1.min() <= tol * max(1.0, eigs1.max()):
             raise RuntimeError(
@@ -869,17 +845,8 @@ def relcomm_report(
     # cross-checking scalarness of the generators: the composite restricts
     # to a trace exactly when every summand's generator is a scalar
     # multiple of its unit.
-    trace_defect = 0.0
-    for i, x in enumerate(rc_onb):
-        for y in rc_onb[i + 1 :]:
-            trace_defect = max(
-                trace_defect,
-                abs(
-                    complex(np.trace(dw.apply(x @ y)))
-                    - complex(np.trace(dw.apply(y @ x)))
-                ),
-            )
-    res["weight_trace_defect"] = trace_defect
+    pair_traces = _traces(dw.apply(rc_onb[:, None] @ rc_onb[None]))
+    res["weight_trace_defect"] = float(np.abs(pair_traces - pair_traces.T).max())
     res["generator_scalar_defect"] = max(
         opnorm(
             s["generator"]
@@ -897,8 +864,7 @@ def relcomm_report(
     m1_onb = bc.m1.onb()
     omega_vec = g.cyclic
     d1 = _riesz_density(
-        m1_onb,
-        [complex(np.vdot(omega_vec, dw.apply(m) @ omega_vec)) for m in m1_onb],
+        m1_onb, np.conj(omega_vec) @ dw.apply(m1_onb) @ omega_vec
     )
     res["flow_density_min_eig"] = float(np.linalg.eigvalsh(d1).min())
     flow_res = 0.0
@@ -909,11 +875,12 @@ def relcomm_report(
         uti = la.herm_power(d1, -1j * t)
         at = la.herm_power(flow_gen, 1j * t)
         ati = la.herm_power(flow_gen, -1j * t)
-        for x in rc_onb:
-            orbit = ut @ x @ uti
-            flow_res = max(flow_res, frob(orbit - at @ x @ ati))
-            flow_id = max(flow_id, frob(orbit - x))
-            mirror_flow = max(mirror_flow, frob(orbit - mirror(ut @ mirror(x) @ uti)))
+        orbit = ut @ rc_onb @ uti
+        flow_res = max(flow_res, la.frob_max(orbit - at @ rc_onb @ ati))
+        flow_id = max(flow_id, la.frob_max(orbit - rc_onb))
+        mirror_flow = max(
+            mirror_flow, la.frob_max(orbit - mirror(ut @ mirror(rc_onb) @ uti))
+        )
     res["flow_match"] = flow_res
     res["mirror_commutes_with_flow"] = mirror_flow
     res["flow_identity_defect"] = flow_id
@@ -957,18 +924,21 @@ def extremality(
     every inclusion this library constructs; the agreement flag is
     computed from the measurements, reported, and never raised.
 
-    The raw operator-valued comparison max‖applied mirror − applied‖ over
-    a basis is also reported, but it is not a usable criterion in either
-    direction: on the scaled-pair fixture it vanishes although the
+    The raw operator-valued comparison is also reported, as
+    ``mirror_map_residual``: the operator norm of the linear map
+    x ↦ Ê(J x* J) − Ê(x) on M₁∩N′ (Frobenius norms on both sides), which
+    does not depend on a choice of basis.  It is not a usable criterion in
+    either direction: on the scaled-pair fixture it vanishes although the
     generators are non-trivial, and on reducible inclusions the values on
     mirror-paired summands sit in different central slots of the small
     algebra's relative commutant, so it can be large although every
     generator is the unit.
     """
     flag_generator = bool(report.extremal_margin < tol)
-    map_residual = max(
-        frob(dw.apply(bc.mirror(x)) - dw.apply(x)) for x in report.algebra.onb()
-    )
+    onb = report.algebra.onb()
+    defect = dw.apply(bc.mirror(onb)) - dw.apply(onb)
+    # Columns: the map applied to an orthonormal basis of its domain.
+    map_residual = opnorm(defect.reshape(len(onb), -1).T)
     direct = max(
         report.residuals["mirror_functional_defect"],
         report.residuals["weight_trace_defect"],
@@ -1033,17 +1003,17 @@ def verify_extension_model(
     inc = bc.inclusion
     g = bc.gns
     k = g.space_dim
-    big_ops = [g.rep(b) for b in inc.big.onb()]
+    big_ops = g.rep(inc.big.onb())
 
     hyp = {}
-    hyp["compression"] = max(
-        opnorm(e_model @ x @ e_model - g.rep(inc.expectation.apply(b)) @ e_model)
-        for b, x in zip(inc.big.onb(), big_ops)
+    hyp["compression"] = opnorm(
+        e_model @ big_ops @ e_model
+        - g.rep(inc.expectation.apply(inc.big.onb())) @ e_model
     )
     generated = ag.from_span(
-        big_ops + [x @ e_model @ y for x in big_ops for y in big_ops], k
+        np.concatenate([big_ops, _sandwich(big_ops, e_model)]), k
     )
-    hyp["generated"] = float(opnorm(_span_proj(generated) - _span_proj(model)))
+    hyp["generated"] = la.span_distance(generated.onb(), model.onb())
     tm = weight_model
     hyp["unit_from_e"] = frob(tm(e_model) - np.eye(k, dtype=complex))
     rng = np.random.default_rng(5)
@@ -1084,14 +1054,8 @@ def verify_extension_model(
     coord1, _ = _functional_coords(m1_onb, phi_weight)
     coord2, _ = _functional_coords(model_onb, psi_weight)
 
-    sources = []
-    targets = []
-    for x in big_ops:
-        for y in big_ops:
-            sources.append(coord1 @ bc.m1.coeffs(x @ bc.e_n @ y))
-            targets.append(coord2 @ model.coeffs(x @ e_model @ y))
-    src = np.stack(sources, axis=1)
-    tgt = np.stack(targets, axis=1)
+    src = coord1 @ bc.m1.coeffs(_sandwich(big_ops, bc.e_n)).T
+    tgt = coord2 @ model.coeffs(_sandwich(big_ops, e_model)).T
     u = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
     well_defined = float(
         np.linalg.norm(u @ src - tgt) / max(1.0, np.linalg.norm(tgt))
@@ -1099,16 +1063,14 @@ def verify_extension_model(
     unitary = opnorm(dagger(u) @ u - np.eye(u.shape[0]))
 
     # Recover the isomorphism through coefficient transport.
-    rep2_basis = [
-        coord2 @ np.stack([model.coeffs(z @ m) for m in model_onb], axis=1) @ np.linalg.inv(coord2)
-        for z in model_onb
-    ]
-    rep2_mat = np.stack([la.vec(r) for r in rep2_basis], axis=1)
+    inv2 = np.linalg.inv(coord2)
+    rep2_basis = np.stack(
+        [coord2 @ model.coeffs(z @ model_onb).T @ inv2 for z in model_onb]
+    )
+    rep2_mat = rep2_basis.reshape(len(model_onb), -1).T
 
     def transport(z: np.ndarray) -> tuple[np.ndarray, float]:
-        r1 = coord1 @ np.stack(
-            [bc.m1.coeffs(z @ m) for m in m1_onb], axis=1
-        ) @ np.linalg.inv(coord1)
+        r1 = coord1 @ bc.m1.coeffs(z @ m1_onb).T @ np.linalg.inv(coord1)
         moved = u @ r1 @ dagger(u)
         coeffs, *_ = np.linalg.lstsq(rep2_mat, la.vec(moved), rcond=None)
         out = model.element(coeffs)

@@ -2,9 +2,9 @@
 
 Everything here works on plain ``numpy`` arrays of complex128.  Operator
 spans are handled as subspaces of the Frobenius Hilbert space of matrices:
-a span is a list of matrices, its geometry is delegated to SVD/eigh, and
-span comparisons go through orthogonal projectors so that no basis choice
-ever matters.
+an orthonormal span is one (k, d, d) array (a list of matrices is accepted
+too), its geometry is delegated to SVD/eigh, and span comparisons are
+projector distances, so that no basis choice ever matters.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ RANK_RTOL = 1e-8
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
+    """Conjugate transpose (of each matrix, for a stack of matrices)."""
+    return a.conj().swapaxes(-1, -2) if a.ndim > 1 else a.conj()
 
 
 def frob(a: np.ndarray) -> float:
@@ -29,10 +29,15 @@ def frob(a: np.ndarray) -> float:
 
 
 def opnorm(a: np.ndarray) -> float:
-    """Operator (spectral) norm."""
+    """Operator (spectral) norm; for a stack of matrices, the largest one."""
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+
+
+def frob_max(a: np.ndarray) -> float:
+    """The largest Frobenius norm over a stack of matrices (0 if empty)."""
+    return float(np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0))
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -50,9 +55,13 @@ def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(shape)
 
 
-def orthonormalize(
-    mats: list[np.ndarray], rtol: float = RANK_RTOL, atol: float = 1e-12
-) -> list[np.ndarray]:
+def _flat_rows(mats) -> np.ndarray:
+    """A span's matrices as the rows of one (k, d²) array."""
+    mats = np.asarray(mats, dtype=complex)
+    return mats.reshape(len(mats), -1)
+
+
+def orthonormalize(mats, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
     """Frobenius-orthonormal basis of the span of ``mats``.
 
     Deterministic: rows are stacked in input order and reduced by SVD;
@@ -62,7 +71,7 @@ def orthonormalize(
 
     Parameters
     ----------
-    mats : list of ndarray
+    mats : (k, d, d) array or list of ndarray
         Matrices of a common shape (an empty list yields an empty basis).
     rtol : float
         Relative rank cutoff.
@@ -71,56 +80,55 @@ def orthonormalize(
 
     Returns
     -------
-    list of ndarray
-        Pairwise Frobenius-orthonormal matrices spanning the same space.
+    ndarray
+        Pairwise Frobenius-orthonormal matrices spanning the same space,
+        stacked along the first axis.
     """
-    if not mats:
-        return []
-    shape = mats[0].shape
-    rows = np.stack([vec(m) for m in mats])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return []
+    if len(mats) == 0:
+        return np.zeros((0,), dtype=complex)
+    shape = np.shape(mats[0])
+    _, s, vh = np.linalg.svd(_flat_rows(mats), full_matrices=False)
     keep = s > max(rtol * s[0], atol)
-    return [unvec(row, shape) for row in vh[keep]]
+    return vh[keep].reshape(-1, *shape)
 
 
-def span_projector(onb: list[np.ndarray]) -> np.ndarray:
+def span_projector(onb) -> np.ndarray:
     """Orthogonal projector (on vectorized matrices) onto an orthonormal span."""
-    if not onb:
-        n = 0
-        return np.zeros((n, n), dtype=complex)
-    rows = np.stack([vec(m) for m in onb])
+    if len(onb) == 0:
+        return np.zeros((0, 0), dtype=complex)
+    rows = _flat_rows(onb)
     return dagger(rows) @ rows
 
 
-def span_distance(onb1: list[np.ndarray], onb2: list[np.ndarray]) -> float:
-    """Operator-norm distance between the projectors onto two spans."""
-    if not onb1 and not onb2:
-        return 0.0
-    ref = onb1 if onb1 else onb2
-    d2 = ref[0].size
-    p1 = span_projector(onb1) if onb1 else np.zeros((d2, d2), dtype=complex)
-    p2 = span_projector(onb2) if onb2 else np.zeros((d2, d2), dtype=complex)
-    return opnorm(p1 - p2)
+def span_distance(onb1, onb2) -> float:
+    """Operator-norm distance ‖P₁ − P₂‖ between the projectors onto two spans.
+
+    Computed as the gap max(‖(I−P₂)P₁‖, ‖(I−P₁)P₂‖), which equals ‖P₁ − P₂‖
+    for any two orthogonal projectors.  With orthonormal rows A and B,
+    ‖(I−P₂)P₁‖ = ‖A − (AB†)B‖, so only k×d² matrices are formed, never the
+    d²×d² projectors.  Spans of unequal dimension are at distance 1.
+    """
+    if len(onb1) == 0 or len(onb2) == 0:
+        return float(len(onb1) != len(onb2))
+    a, b = _flat_rows(onb1), _flat_rows(onb2)
+    ab = a @ dagger(b)
+    return max(opnorm(a - ab @ b), opnorm(b - dagger(ab) @ a))
 
 
-def project_span(x: np.ndarray, onb: list[np.ndarray]) -> np.ndarray:
+def project_span(x: np.ndarray, onb) -> np.ndarray:
     """Orthogonal projection of ``x`` onto an orthonormal matrix span."""
-    out = np.zeros_like(x, dtype=complex)
-    for b in onb:
-        out += hs_inner(b, x) * b
-    return out
+    if len(onb) == 0:
+        return np.zeros_like(x, dtype=complex)
+    rows = _flat_rows(onb)
+    return (rows.T @ (rows.conj() @ vec(x))).reshape(np.shape(x))
 
 
-def span_residual(x: np.ndarray, onb: list[np.ndarray]) -> float:
+def span_residual(x: np.ndarray, onb) -> float:
     """Frobenius distance from ``x`` to an orthonormal span."""
     return frob(x - project_span(x, onb))
 
 
-def intersect_spans(
-    onb1: list[np.ndarray], onb2: list[np.ndarray], cut: float = 0.5
-) -> list[np.ndarray]:
+def intersect_spans(onb1, onb2, cut: float = 0.5) -> np.ndarray:
     """Intersection of two matrix spans.
 
     Computed from the Hermitian operator P₁P₂P₁ on vectorized matrices:
@@ -128,20 +136,18 @@ def intersect_spans(
     intersection, which is robust to tolerance-level misalignment of the
     two spans.
     """
-    if not onb1 or not onb2:
-        return []
-    shape = onb1[0].shape
-    r1 = np.stack([vec(m) for m in onb1])  # k1 × D, orthonormal rows
-    r2 = np.stack([vec(m) for m in onb2])
+    if len(onb1) == 0 or len(onb2) == 0:
+        return np.zeros((0,), dtype=complex)
+    shape = np.shape(onb1[0])
+    r1 = _flat_rows(onb1)  # k1 × D, orthonormal rows
     # Compress P1 P2 P1 to the coordinates of span1: M = C C† with C = r1 r2†.
-    c = r1 @ dagger(r2)
-    m = c @ dagger(c)
-    w, u = np.linalg.eigh(m)
+    c = r1 @ dagger(_flat_rows(onb2))
+    w, u = np.linalg.eigh(c @ dagger(c))
     keep = w > cut
     if not np.any(keep):
-        return []
+        return np.zeros((0,), dtype=complex)
     basis = dagger(u[:, keep]) @ r1  # rows: intersection vectors in ambient coords
-    return orthonormalize([unvec(row, shape) for row in basis])
+    return orthonormalize(basis.reshape(-1, *shape))
 
 
 def null_space(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
@@ -177,9 +183,8 @@ def solve_gram(basis: list[np.ndarray], target: np.ndarray) -> np.ndarray:
 
     The basis need not be orthonormal, only linearly independent.
     """
-    g = np.array([[hs_inner(a, b) for b in basis] for a in basis])
-    rhs = np.array([hs_inner(a, target) for a in basis])
-    return np.linalg.solve(g, rhs)
+    rows = _flat_rows(basis)
+    return np.linalg.solve(rows.conj() @ rows.T, rows.conj() @ vec(target))
 
 
 def herm_power(a: np.ndarray, p: complex) -> np.ndarray:

@@ -63,31 +63,34 @@ def tensor_algebras(algebras):
     }
 
 
-@pytest.fixture(scope="session")
-def dual_of():
+def _cache_by_object(build):
+    """Memoise ``build`` per argument object.
+
+    Entries keep the argument alive next to the value, so its id cannot be
+    reused by a new object after the old one is garbage-collected.
+    """
     cache = {}
 
-    def get(kac):
-        key = id(kac)
-        if key not in cache:
-            cache[key] = du.dual_kac(kac)
-        return cache[key]
+    def get(obj):
+        if id(obj) not in cache:
+            cache[id(obj)] = (obj, build(obj))
+        return cache[id(obj)][1]
 
     return get
+
+
+@pytest.fixture(scope="session")
+def dual_of():
+    return _cache_by_object(du.dual_kac)
 
 
 @pytest.fixture(scope="session")
 def coreps_of(dual_of):
-    cache = {}
+    def build(kac):
+        dd = dual_of(kac)
+        return cr.irreducible_coreps(kac, dd.v, dd.hat)
 
-    def get(kac):
-        key = id(kac)
-        if key not in cache:
-            dd = dual_of(kac)
-            cache[key] = cr.irreducible_coreps(kac, dd.v, dd.hat)
-        return cache[key]
-
-    return get
+    return _cache_by_object(build)
 
 
 @pytest.fixture(scope="session")

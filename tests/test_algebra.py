@@ -169,3 +169,46 @@ def test_intersect_of_algebras():
     assert meet.dim == 3
     scalars = ag.from_span([np.eye(3, dtype=complex)], 3)
     assert ag.intersect(diag, scalars).dim == 1
+
+
+def test_stored_basis_is_read_only(sample_multimatrix):
+    alg = sample_multimatrix
+    before = alg.project(np.eye(7, dtype=complex))
+    with pytest.raises(ValueError):
+        alg.onb()[0][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        alg.onb()[1] *= 2.0
+    np.testing.assert_array_equal(alg.project(np.eye(7, dtype=complex)), before)
+    # The normalized-HS view is a fresh array, so writing into it is harmless.
+    alg.basis[0][0, 0] = 5.0
+    np.testing.assert_array_equal(alg.project(np.eye(7, dtype=complex)), before)
+
+
+def _rep_multiplicative_by_loop(g: ag.GnsData) -> float:
+    """The spot check written out entry by entry over the first 6×6 pairs."""
+    onb = list(g.algebra.onb())
+    spot = range(min(len(onb), 6))
+    worst = 0.0
+    for i in spot:
+        for j in spot:
+            prod_cols = np.stack(
+                [np.array([la.hs_inner(a, onb[i] @ onb[j] @ b) for a in onb]) for b in onb],
+                axis=1,
+            )
+            lhs = g.rep_basis[i] @ g.rep_basis[j]
+            worst = max(worst, la.opnorm(lhs - g.coord @ prod_cols @ g.coord_inv))
+    return worst
+
+
+def test_rep_multiplicative_matches_entrywise_loop(kp8):
+    from kacgalois import jones as jn
+
+    inc = jn.random_inclusion(11)
+    for g in (
+        ag.gns(kp8.as_mm(), ag.trace_state(kp8.dim)),
+        ag.gns(inc.big, inc.phi),
+    ):
+        assert g.space_dim > 6
+        value = g.residuals["rep_multiplicative"]
+        assert abs(value - _rep_multiplicative_by_loop(g)) < 1e-13
+        assert value < 1e-10

@@ -131,3 +131,14 @@ def test_fourier_coefficients_of_character_elements(algebras, coreps_of):
                 np.testing.assert_allclose(m, expect, atol=1e-9)
             else:
                 np.testing.assert_allclose(m, 0.0 * m, atol=1e-9)
+
+
+def test_mismatched_unitary_or_dual_is_rejected(algebras, dual_of):
+    # S3's group algebra is not self-dual: its dual is the function algebra,
+    # so pairing the dual with A's unitary must not pass as corepresentations.
+    dd = dual_of(algebras["s3_group"])
+    with pytest.raises(ValueError, match="different Kac algebra"):
+        cr.irreducible_coreps(dd.kac, dd.v, dd.hat)
+    z2, z3 = algebras["z2_group"], algebras["z3_group"]
+    with pytest.raises(ValueError, match="dual algebra acts on dimension 3"):
+        cr.irreducible_coreps(z2, dual_of(z2).v, dual_of(z3).hat)

@@ -310,3 +310,31 @@ def test_dual_integral_generates_full_extension_with_algebra():
         )
     generated = ag.mm_from_generators(list(mm.basis) + [e_hat], kac.dim)
     assert generated.dim == kac.dim**2
+
+
+@pytest.mark.parametrize("make", [jn.fixture_pinch, lambda: jn.random_inclusion(4)])
+def test_dual_weight_matches_full_pseudo_inverse(make):
+    bc = jn.basic_extension(make())
+    dw = jn.dual_weight(bc)
+    ops = [bc.gns.rep(b) for b in bc.inclusion.big.onb()]
+    src = np.stack([(x @ bc.e_n @ y).reshape(-1) for x in ops for y in ops], axis=1)
+    tgt = np.stack([(x @ y).reshape(-1) for x in ops for y in ops], axis=1)
+    full = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
+    m1 = bc.m1.onb().reshape(bc.m1.dim, -1).T
+    assert np.abs(dw.matrix @ m1 - full @ m1).max() < 1e-12
+
+
+def test_mirror_map_residual_is_basis_independent():
+    import dataclasses
+
+    inc = jn.random_inclusion(15)
+    bc = jn.basic_extension(inc)
+    dw = jn.dual_weight(bc)
+    report = jn.relcomm_report(bc, dw)
+    rc = report.algebra
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((rc.dim, rc.dim)) + 1j * rng.standard_normal((rc.dim, rc.dim)))
+    turned = ag.MMAlgebra(rc.ambient_dim, np.tensordot(q.T, rc.basis, axes=1), rc.unit)
+    value = jn.extremality(bc, dw, report)["mirror_map_residual"]
+    again = jn.extremality(bc, dw, dataclasses.replace(report, algebra=turned))
+    assert again["mirror_map_residual"] == pytest.approx(value, rel=1e-10, abs=1e-13)

@@ -89,6 +89,45 @@ def test_span_projector_and_distance():
         assert abs(la.hs_inner(b, x - proj)) < 1e-10
 
 
+def _rotated_span(rng, onb, angle):
+    """An orthonormal span at distance about ``angle`` from span(onb)."""
+    return la.orthonormalize([b + angle * random_complex(rng, *b.shape) for b in onb])
+
+
+@pytest.mark.parametrize(
+    "case, seed", [("equal", 21), ("rotated", 22), ("unequal", 23)]
+)
+def test_span_distance_matches_dense_projector_difference(case, seed):
+    rng = np.random.default_rng(seed)
+    a = la.orthonormalize([random_complex(rng, 4, 4) for _ in range(5)])
+    if case == "equal":  # same span, another basis of it
+        mix = random_complex(rng, 5, 5)
+        b = la.orthonormalize(np.tensordot(mix, a, axes=1))
+    elif case == "rotated":
+        b = _rotated_span(rng, a, 1e-7)
+    else:
+        b = a[:3]
+    dense = la.opnorm(la.span_projector(a) - la.span_projector(b))
+    gap = la.span_distance(a, b)
+    assert gap == pytest.approx(la.span_distance(b, a), abs=1e-15)
+    if case == "equal":
+        assert dense < 1e-14 and gap < 1e-14
+    elif case == "rotated":
+        assert 1e-8 < dense < 1e-5
+        assert gap == pytest.approx(dense, rel=1e-6)
+    else:
+        assert dense == pytest.approx(1.0, abs=1e-12)
+        assert gap == pytest.approx(1.0, abs=1e-12)
+
+
+def test_span_distance_of_empty_spans():
+    rng = np.random.default_rng(24)
+    a = la.orthonormalize([random_complex(rng, 3, 3)])
+    assert la.span_distance([], []) == 0.0
+    assert la.span_distance(a, []) == 1.0
+    assert la.span_distance([], a) == 1.0
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_herm_power_laws(seed):
     rng = np.random.default_rng(seed)
