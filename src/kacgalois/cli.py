@@ -142,6 +142,16 @@ def check_true(flag: bool) -> dict:
     return {"value": bool(flag), "ok": bool(flag)}
 
 
+# The limit tiers of every check: exact structural identities (axioms,
+# pentagon) are held to "tight", composed pipelines to "mid" or "loose".
+TOLERANCES = {"tight": 1e-10, "mid": 1e-9, "loose": 1e-8}
+
+
+def limits(tol: float | None) -> dict:
+    """The limit of each tier; ``--tolerance`` replaces every one of them."""
+    return {tier: tol if tol is not None else lim for tier, lim in TOLERANCES.items()}
+
+
 def _all_ok(checks: dict) -> bool:
     return all(c["ok"] for c in checks.values())
 
@@ -173,14 +183,19 @@ def parse_complex_matrix(doc, name: str) -> np.ndarray:
 
 def parse_inclusion(doc: dict) -> jn.Inclusion:
     """Build and validate an inclusion from its JSON document."""
-    d = int(doc["ambient_dim"])
-    m_mats = [parse_complex_matrix(m, "M_basis") for m in doc["M_basis"]]
-    n_mats = [parse_complex_matrix(m, "N_basis") for m in doc["N_basis"]]
+    try:
+        d = int(doc["ambient_dim"])
+        m_doc, n_doc = doc["M_basis"], doc["N_basis"]
+        e_doc, omega_doc = doc["E_matrix"], doc["omega_density"]
+    except KeyError as exc:
+        raise InclusionError(f"missing required field {exc}") from exc
+    m_mats = [parse_complex_matrix(m, "M_basis") for m in m_doc]
+    n_mats = [parse_complex_matrix(m, "N_basis") for m in n_doc]
     for mats, nm in ((m_mats, "M_basis"), (n_mats, "N_basis")):
         for m in mats:
             if m.shape != (d, d):
                 raise ValueError(f"'{nm}' entries must be {d}x{d}")
-    e_arr = np.asarray(doc["E_matrix"], dtype=float)
+    e_arr = np.asarray(e_doc, dtype=float)
     if e_arr.shape == (d * d, d * d):
         e_mat = e_arr.astype(complex)
     elif e_arr.shape == (d * d, d * d, 2):
@@ -189,7 +204,7 @@ def parse_inclusion(doc: dict) -> jn.Inclusion:
         raise ValueError(
             f"'E_matrix' must be {d * d}x{d * d} (real or [re, im]), got {e_arr.shape}"
         )
-    omega = parse_complex_matrix(doc["omega_density"], "omega_density")
+    omega = parse_complex_matrix(omega_doc, "omega_density")
     big = ag.from_span(m_mats, d)
     small = ag.from_span(n_mats, d)
     return jn.make_inclusion(big, small, e_mat, omega, label="cli_input")
@@ -201,7 +216,7 @@ def parse_inclusion(doc: dict) -> jn.Inclusion:
 
 
 def run_validate(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
-    lim = tol if tol is not None else 1e-10
+    lim = limits(tol)["tight"]
     rep = kc.validate_kac(kac, tol=lim)
     residuals = {
         k: v for k, v in rep.items() if isinstance(v, float) and k != "max_residual"
@@ -219,34 +234,30 @@ def run_validate(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
 
 
 def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
-    lim_tight = tol if tol is not None else 1e-10
-    lim_loose = tol if tol is not None else 1e-8
-    v = du.multiplicative_unitary(kac)
-    hat = du.hat_algebra(kac, v)
-    ints = du.integrals(kac, hat)
-    hu = du.hat_unitaries(kac, v, hat)
+    lim = limits(tol)
     dd = du.dual_kac(kac)
-    bid = du.bidual_check(kac)
-    heis = du.heisenberg_identities(kac)
+    hu = du.hat_unitaries(kac, dd.v, dd.hat)
+    bid = du.bidual_check(dd)
+    heis = du.heisenberg_identities(dd, cr.irreducible_coreps(kac, dd.v, dd.hat))
 
     checks = {
-        "pentagon": check(_max_float(v.residuals), lim_tight),
-        "integrals": check(_max_float(ints.residuals), lim_tight),
-        "hat_unitaries": check(_max_float(hu.residuals), lim_tight),
-        "dual_reconstruction": check(_max_float(dd.residuals), lim_tight),
-        "dual_axioms": check(dd.axiom_report["max_residual"], lim_tight),
-        "biduality": check(bid["max_residual"], lim_loose),
+        "pentagon": check(_max_float(dd.v.residuals), lim["tight"]),
+        "integrals": check(_max_float(dd.ints.residuals), lim["tight"]),
+        "hat_unitaries": check(_max_float(hu.residuals), lim["tight"]),
+        "dual_reconstruction": check(_max_float(dd.residuals), lim["tight"]),
+        "dual_axioms": check(dd.axiom_report["max_residual"], lim["tight"]),
+        "biduality": check(bid["max_residual"], lim["loose"]),
         "dual_pairing_identities": check(
-            heis["compressed_product"], lim_tight
+            heis["compressed_product"], lim["tight"]
         ),
         "dual_pairing_contracted": check(
-            heis["coproduct_contracted"], lim_tight
+            heis["coproduct_contracted"], lim["tight"]
         ),
     }
     report = {
         "dim": kac.dim,
-        "pentagon": v.residuals,
-        "integrals": ints.residuals,
+        "pentagon": dd.v.residuals,
+        "integrals": dd.ints.residuals,
         "hat_unitaries": hu.residuals,
         "dual_reconstruction": dd.residuals,
         "dual_axioms_max": dd.axiom_report["max_residual"],
@@ -254,10 +265,10 @@ def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
         "commutation_cells": heis,
     }
     if kac.origin == "group_algebra" and kac.group is not None:
-        gd = du.group_dual_check(kac)
+        gd = du.group_dual_check(dd)
         report["group_dual"] = gd
         checks["group_dual_is_function_algebra"] = check(
-            gd["max_residual"], lim_tight
+            gd["max_residual"], lim["tight"]
         )
     report["checks"] = checks
     report["passed"] = _all_ok(checks)
@@ -267,8 +278,7 @@ def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
 def run_coreps(
     kac: kc.KacAlgebra, tol: float | None, seed: int, trials: int = 100
 ) -> tuple[dict, bool]:
-    lim_tight = tol if tol is not None else 1e-10
-    lim_mid = tol if tol is not None else 1e-9
+    lim = limits(tol)
     v = du.multiplicative_unitary(kac)
     hat = du.hat_algebra(kac, v)
     ints = du.integrals(kac, hat)
@@ -280,13 +290,13 @@ def run_coreps(
 
     checks = {
         "corep_certificates": check(
-            max(_max_float(c.residuals) for c in coreps), lim_tight
+            max(_max_float(c.residuals) for c in coreps), lim["tight"]
         ),
         "dimension_sum_exact": check_true(dims["exact"]),
-        "orthogonality": check(orth["orthogonality"], lim_tight),
-        "fourier_round_trip": check(four["round_trip"], lim_mid),
+        "orthogonality": check(orth["orthogonality"], lim["tight"]),
+        "fourier_round_trip": check(four["round_trip"], lim["mid"]),
         "fourier_basis_cardinality": check_true(four["basis_cardinality_exact"]),
-        "peter_weyl": check(pw["residual"], lim_mid),
+        "peter_weyl": check(pw["residual"], lim["mid"]),
     }
     report = {
         "dim": kac.dim,
@@ -304,8 +314,8 @@ def run_coreps(
 def run_galois(
     kac: kc.KacAlgebra, tol: float | None, seed: int
 ) -> tuple[dict, bool]:
-    lim = tol if tol is not None else 1e-8
-    rep = ci.galois_lattice_report(kac, side="left", seed=seed)
+    lim = limits(tol)["loose"]
+    rep = ci.galois_lattice_report(du.dual_kac(kac), seed=seed)
     coideal_docs = [
         {"dim": row["dim"], "projector_fingerprint": row["fingerprint"]}
         for row in rep["rows"]
@@ -353,8 +363,7 @@ def run_galois(
 def _jones_pipeline(
     inc: jn.Inclusion, tol: float | None
 ) -> tuple[dict, bool]:
-    lim8 = tol if tol is not None else 1e-8
-    lim9 = tol if tol is not None else 1e-9
+    lim = limits(tol)
     bc = jn.basic_extension(inc)
     dw = jn.dual_weight(bc)
     rep = jn.relcomm_report(bc, dw)
@@ -363,29 +372,29 @@ def _jones_pipeline(
     index_eigs = np.sort(np.linalg.eigvalsh(dw.index_element))
     r = rep.residuals
     checks = {
-        "three_way_extension": check(bc.residuals["three_way_max"], lim8),
-        "e_implements_expectation": check(bc.residuals["e_vector"], lim9),
-        "e_compression": check(bc.residuals["e_compress"], lim9),
-        "e_commutes_with_small": check(bc.residuals["e_commutes_small"], lim9),
-        "conjugation_fixes_e": check(bc.residuals["j_fixes_e"], lim9),
-        "weight_pin_consistent": check(dw.residuals["pin_consistency"], lim9),
-        "weight_unit_from_e": check(dw.residuals["unit_from_e"], lim9),
-        "index_in_big": check(dw.residuals["index_in_big"], lim9),
-        "index_central": check(dw.residuals["index_central"], lim9),
-        "push_down": check(dw.residuals["push_down"], lim9),
-        "weight_range_in_big": check(dw.residuals["range_in_big"], lim9),
+        "three_way_extension": check(bc.residuals["three_way_max"], lim["loose"]),
+        "e_implements_expectation": check(bc.residuals["e_vector"], lim["mid"]),
+        "e_compression": check(bc.residuals["e_compress"], lim["mid"]),
+        "e_commutes_with_small": check(bc.residuals["e_commutes_small"], lim["mid"]),
+        "conjugation_fixes_e": check(bc.residuals["j_fixes_e"], lim["mid"]),
+        "weight_pin_consistent": check(dw.residuals["pin_consistency"], lim["mid"]),
+        "weight_unit_from_e": check(dw.residuals["unit_from_e"], lim["mid"]),
+        "index_in_big": check(dw.residuals["index_in_big"], lim["mid"]),
+        "index_central": check(dw.residuals["index_central"], lim["mid"]),
+        "push_down": check(dw.residuals["push_down"], lim["mid"]),
+        "weight_range_in_big": check(dw.residuals["range_in_big"], lim["mid"]),
         "weight_adjoint_compatible": check(
-            dw.residuals["adjoint_compatible"], lim9
+            dw.residuals["adjoint_compatible"], lim["mid"]
         ),
-        "weight_bimodule": check(dw.residuals["bimodule"], lim9),
-        "weight_positive": check(-dw.residuals["min_positivity_eig"], lim9),
-        "mirror_preserves_relcomm": check(r["mirror_preserves"], lim8),
-        "mirror_involutive": check(r["mirror_involution"], lim8),
-        "mirror_antimultiplicative": check(r["mirror_antimultiplicative"], lim8),
-        "mirror_pairing": check(r["mirror_pair_match"], lim8),
-        "mirror_pairing_involutive": check(r["mirror_pairing_involutive"], lim8),
-        "generator_trace_balance": check(r["trace_transport"], lim8),
-        "generator_positive": check(-r["generator_min_eig"], lim9),
+        "weight_bimodule": check(dw.residuals["bimodule"], lim["mid"]),
+        "weight_positive": check(-dw.residuals["min_positivity_eig"], lim["mid"]),
+        "mirror_preserves_relcomm": check(r["mirror_preserves"], lim["loose"]),
+        "mirror_involutive": check(r["mirror_involution"], lim["loose"]),
+        "mirror_antimultiplicative": check(r["mirror_antimultiplicative"], lim["loose"]),
+        "mirror_pairing": check(r["mirror_pair_match"], lim["loose"]),
+        "mirror_pairing_involutive": check(r["mirror_pairing_involutive"], lim["loose"]),
+        "generator_trace_balance": check(r["trace_transport"], lim["loose"]),
+        "generator_positive": check(-r["generator_min_eig"], lim["mid"]),
         "extremality_criteria_agree": check_true(ext["criteria_agree"]),
     }
     report = {
@@ -458,33 +467,27 @@ def _selftest_algebra(
     kac: kc.KacAlgebra, tol: float | None, seed: int
 ) -> tuple[dict, bool]:
     """The per-algebra slice of the built-in suite (duality + coreps + galois)."""
-    lim_tight = tol if tol is not None else 1e-10
-    lim_mid = tol if tol is not None else 1e-9
-    lim_loose = tol if tol is not None else 1e-8
-
-    vrep = kc.validate_kac(kac, tol=lim_tight)
-    v = du.multiplicative_unitary(kac)
-    hat = du.hat_algebra(kac, v)
-    ints = du.integrals(kac, hat)
+    lim = limits(tol)
+    vrep = kc.validate_kac(kac, tol=lim["tight"])
     dd = du.dual_kac(kac)
-    bid = du.bidual_check(kac)
-    coreps = cr.irreducible_coreps(kac, v, hat)
+    bid = du.bidual_check(dd)
+    coreps = cr.irreducible_coreps(kac, dd.v, dd.hat)
     dims = cr.dimension_count(kac, coreps)
     orth = cr.orthogonality_check(kac, coreps)
     four = cr.fourier_round_trip(kac, coreps, count=10, seed=seed)
-    pw = cr.peter_weyl_resolution(kac, coreps, ints.e_hat)
-    gal = ci.galois_lattice_report(kac, side="left", seed=seed)
+    pw = cr.peter_weyl_resolution(kac, coreps, dd.ints.e_hat)
+    gal = ci.galois_lattice_report(dd, seed=seed)
 
     checks = {
-        "axioms": check(vrep["max_residual"], lim_tight),
-        "pentagon": check(_max_float(v.residuals), lim_tight),
-        "dual_axioms": check(dd.axiom_report["max_residual"], lim_tight),
-        "biduality": check(bid["max_residual"], lim_loose),
+        "axioms": check(vrep["max_residual"], lim["tight"]),
+        "pentagon": check(_max_float(dd.v.residuals), lim["tight"]),
+        "dual_axioms": check(dd.axiom_report["max_residual"], lim["tight"]),
+        "biduality": check(bid["max_residual"], lim["loose"]),
         "corep_dims_exact": check_true(dims["exact"]),
-        "orthogonality": check(orth["orthogonality"], lim_tight),
-        "fourier_round_trip": check(four["round_trip"], lim_mid),
-        "peter_weyl": check(pw["residual"], lim_mid),
-        "galois_lattice": check(gal["max_residual"], lim_loose),
+        "orthogonality": check(orth["orthogonality"], lim["tight"]),
+        "fourier_round_trip": check(four["round_trip"], lim["mid"]),
+        "peter_weyl": check(pw["residual"], lim["mid"]),
+        "galois_lattice": check(gal["max_residual"], lim["loose"]),
         "galois_structure": check_true(
             gal["order_reversal_ok"]
             and gal["tilde_injective"]
@@ -492,9 +495,9 @@ def _selftest_algebra(
         ),
     }
     if kac.origin == "group_algebra" and kac.group is not None:
-        gd = du.group_dual_check(kac)
+        gd = du.group_dual_check(dd)
         checks["group_dual_is_function_algebra"] = check(
-            gd["max_residual"], lim_mid
+            gd["max_residual"], lim["mid"]
         )
     doc = {
         "dim": kac.dim,
@@ -512,18 +515,18 @@ def _selftest_fixture_inclusion(
     expect: dict,
 ) -> tuple[dict, bool]:
     doc, ok = _jones_pipeline(inc, tol)
-    lim = tol if tol is not None else 1e-9
+    lim = limits(tol)
     checks = doc["checks"]
     if "index_trace" in expect:
         checks["index_trace_expected"] = check(
-            abs(doc["dual_weight"]["index_trace"] - expect["index_trace"]), lim
+            abs(doc["dual_weight"]["index_trace"] - expect["index_trace"]), lim["mid"]
         )
     if "index_eigenvalues" in expect:
         got = np.asarray(doc["dual_weight"]["index_eigenvalues"])
         want = np.asarray(expect["index_eigenvalues"], dtype=float)
         checks["index_eigenvalues_expected"] = check(
             float(np.abs(got - want).max()) if got.shape == want.shape else 1.0,
-            lim,
+            lim["mid"],
         )
     if "squared_spectrum" in expect:
         got = np.sort(
@@ -537,7 +540,7 @@ def _selftest_fixture_inclusion(
         want = np.sort(np.asarray(expect["squared_spectrum"], dtype=float))
         checks["generator_squared_spectrum_expected"] = check(
             float(np.abs(got - want).max()) if got.shape == want.shape else 1.0,
-            lim,
+            lim["mid"],
         )
     if "extremal" in expect:
         checks["extremal_expected"] = check_true(
@@ -547,8 +550,7 @@ def _selftest_fixture_inclusion(
         oracle = jn.bratteli_norm_sq(inc.bratteli)
         eigs = np.asarray(doc["dual_weight"]["index_eigenvalues"])
         checks["markov_index_oracle"] = check(
-            float(np.abs(eigs - oracle).max()),
-            tol if tol is not None else 1e-8,
+            float(np.abs(eigs - oracle).max()), lim["loose"]
         )
     doc["checks"] = checks
     doc["passed"] = _all_ok(checks)
@@ -573,14 +575,14 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
         resources.files("kacgalois").joinpath("fixtures/kp8.json").read_text()
     )
     kp = kc.load_kac(kp_doc, validate=False)
-    lim_tight = tol if tol is not None else 1e-10
-    kp_val = kc.validate_kac(kp, tol=lim_tight)
+    lim = limits(tol)
+    kp_val = kc.validate_kac(kp, tol=lim["tight"])
     v = du.multiplicative_unitary(kp)
     hat = du.hat_algebra(kp, v)
     coreps = cr.irreducible_coreps(kp, v, hat)
     kp_checks = {
-        "axioms": check(kp_val["max_residual"], lim_tight),
-        "pentagon": check(_max_float(v.residuals), lim_tight),
+        "axioms": check(kp_val["max_residual"], lim["tight"]),
+        "pentagon": check(_max_float(v.residuals), lim["tight"]),
         "corep_dims_exact": check_true(
             sorted(c.dim for c in coreps) == [1, 1, 1, 1, 2]
         ),
@@ -626,12 +628,11 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
         report["inclusion_fixtures"][name] = doc
         ok = ok and f_ok
 
-    lim8 = tol if tol is not None else 1e-8
     for draw in (2 * seed, 2 * seed + 1):
         inc = jn.random_inclusion(draw)
         doc, r_ok = _jones_pipeline(inc, tol)
         doc["checks"]["flow_matches_generator_orbit"] = check(
-            doc["flow_generators"]["flow_match"], lim8
+            doc["flow_generators"]["flow_match"], lim["loose"]
         )
         var = jn.omega_variation(inc, draw + 1)
         bc2 = jn.basic_extension(var)
@@ -643,9 +644,9 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
                 - np.asarray(doc["flow_generators"]["assembled_spectrum"])
             ).max()
         )
-        doc["checks"]["state_independent_spectrum"] = check(spec_dist, lim8)
+        doc["checks"]["state_independent_spectrum"] = check(spec_dist, lim["loose"])
         doc["checks"]["state_independent_flow"] = check(
-            rep2.residuals["flow_match"], lim8
+            rep2.residuals["flow_match"], lim["loose"]
         )
         doc["passed"] = _all_ok(doc["checks"])
         report["random_inclusions"][f"seed_{draw}"] = doc
@@ -757,6 +758,10 @@ def main(argv: list[str] | None = None) -> int:
             envelope["input_sha256"] = _sha256_file(args.input)
             with open(args.input) as fh:
                 doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError(
+                    f"the input document must be a JSON object, not {type(doc).__name__}"
+                )
             if command == "jones":
                 report, passed = run_jones(doc, args.tolerance)
             else:

@@ -440,39 +440,39 @@ def subgroup_from_system(
 # ---------------------------------------------------------------------------
 
 
-def _pair_rows(kac: KacAlgebra, dd: du.DualKac, ops: list[np.ndarray]) -> np.ndarray:
+def _pair_rows(dd: du.DualKac, ops: list[np.ndarray]) -> np.ndarray:
     """Rows of pairing values ⟨op, y_α⟩ against the dual orthonormal basis."""
-    ystack = np.stack(dd.hat.onb)
-    w = np.einsum("aqp,q->ap", ystack, np.conj(dd.ints.omega_hat))
+    kac = dd.v.kac
+    w = np.einsum("aqp,q->ap", dd.hat.onb, np.conj(dd.ints.omega_hat))
     vecs = np.stack([op @ kac.omega for op in ops])
     return np.sqrt(kac.dim) * np.einsum("ip,ap->ia", vecs, w)
 
 
-def tilde(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> Coideal:
+def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     """B̃ = {y ∈ Â : ⟨x·b, y⟩ = ε(b)·⟨x, y⟩ for all x ∈ A, b ∈ B}.
 
-    Solved as the null space of the pairing constraints over the dual basis;
-    returned as a certified coideal of Â (operators on the same GNS space,
-    ``home='dual'``).
+    B is a coideal of A = ``dd.v.kac``.  Solved as the null space of the
+    pairing constraints over the dual basis; returned as a certified coideal
+    of Â (operators on the same GNS space, ``home='dual'``).
     """
-    rows = []
-    for b in coid.mm.onb():
-        eps_b = kac.counit_of(b)
-        ops = [lm @ b for lm in kac.lmats]
-        rows.append(_pair_rows(kac, dd, ops) - eps_b * _pair_rows(kac, dd, list(kac.lmats)))
+    kac = dd.v.kac
+    base = _pair_rows(dd, list(kac.lmats))
+    rows = [
+        _pair_rows(dd, [lm @ b for lm in kac.lmats]) - kac.counit_of(b) * base
+        for b in coid.mm.onb()
+    ]
     ns = la.null_space(np.vstack(rows))
-    ystack = np.stack(dd.hat.onb)
-    mats = [np.einsum("a,apq->pq", ns[:, k], ystack) for k in range(ns.shape[1])]
+    mats = [np.einsum("a,apq->pq", ns[:, k], dd.hat.onb) for k in range(ns.shape[1])]
     mm = ag.from_span(mats, kac.dim)
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
-    cert = _dual_delta_containment(kac, dd, mm.onb(), "left")
+    cert = _dual_delta_containment(dd, mm.onb(), "left")
     return Coideal(home="dual", side="left", mm=mm, certificate=cert)
 
 
 def _dual_delta_containment(
-    kac: KacAlgebra, dd: du.DualKac, mats: list[np.ndarray], side: str
+    dd: du.DualKac, mats: list[np.ndarray], side: str
 ) -> float:
     """Distance of δ̂(y) from Â⊗span (left) or span⊗Â (right), y ∈ mats."""
     amb = dd.hat.onb
@@ -486,10 +486,9 @@ def _dual_delta_containment(
     )
 
 
-def tilde_back(kac: KacAlgebra, dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
+def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
     """The reverse Galois map: {x ∈ A : ⟨x, y·c⟩ = ε̂(c)·⟨x, y⟩ ∀y ∈ Â, c ∈ B̃}."""
-    ystack = np.stack(dd.hat.onb)
-    w = np.einsum("aqp,q->ap", ystack, np.conj(dd.ints.omega_hat))
+    kac = dd.v.kac
     sq = np.sqrt(kac.dim)
     rows = []
     for c in dual_coid.mm.onb():
@@ -503,54 +502,50 @@ def tilde_back(kac: KacAlgebra, dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlge
     return ag.from_span(mats, kac.dim)
 
 
-def tilde_via_commutant(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> dict:
+def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     """B̃ the structural way: κ̂(B′ ∩ Â), with its own certificates.
 
-    Returns the resulting span, the certification that B′∩Â is itself a
-    right coideal of Â, and the projector distance to the pairing-defined
-    :func:`tilde` (computed by the caller for cross-validation).
+    Returns the resulting span, the orthonormal basis of B′∩Â (which
+    :func:`bicommutant_check` takes), and the certification that B′∩Â is
+    itself a right coideal of Â.  The caller compares the span with the
+    pairing-defined :func:`tilde`.
     """
-    bcomm = ag.commutant(coid.mm)
-    inter = la.intersect_spans(bcomm.onb(), dd.hat.onb)
-    right_cert = _dual_delta_containment(kac, dd, inter, "right")
+    kac = dd.v.kac
+    inter = la.intersect_spans(ag.commutant(coid.mm).onb(), dd.hat.onb)
+    right_cert = _dual_delta_containment(dd, inter, "right")
     mapped = [du.kappa_hat(kac, z) for z in inter]
-    mm = ag.from_span(mapped, kac.dim)
     return {
-        "mm": mm,
-        "intersection_dim": len(inter),
+        "mm": ag.from_span(mapped, kac.dim),
+        "intersection": inter,
         "intersection_right_coideal": right_cert,
     }
 
 
-def span_projector_distance(mm1: ag.MMAlgebra, mm2: ag.MMAlgebra) -> float:
-    """Frobenius distance between the HS projectors of two operator spans."""
-    p1 = la.span_projector(mm1.onb())
-    p2 = la.span_projector(mm2.onb())
-    return float(np.abs(p1 - p2).max())
+def bicommutant_check(coid: Coideal, inter: np.ndarray, dd: du.DualKac) -> dict:
+    """(B′ ∩ Â)′ ∩ A = B, as an operator-norm projector gap.
 
-
-def bicommutant_check(kac: KacAlgebra, coid: Coideal, dd: du.DualKac) -> dict:
-    """(B′ ∩ Â)′ ∩ A = B, as a projector distance."""
-    bcomm = ag.commutant(coid.mm)
-    inter = la.intersect_spans(bcomm.onb(), dd.hat.onb)
+    ``inter`` is the orthonormal basis of B′ ∩ Â that
+    :func:`tilde_via_commutant` returns.
+    """
+    kac = dd.v.kac
     outer = ag.commutant(ag.from_span(inter, kac.dim))
     back = la.intersect_spans(outer.onb(), kac.as_mm().onb())
     mm = ag.from_span(back, kac.dim)
     return {
-        "distance": span_projector_distance(mm, coid.mm),
+        "distance": la.span_distance(mm.onb(), coid.mm.onb()),
         "dim": mm.dim,
     }
 
 
-def jones_projection_coideal(
-    kac: KacAlgebra, coid: Coideal, dd: du.DualKac
-) -> dict:
+def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> dict:
     """The Jones projection e_B of a coideal, with its weight identities.
 
-    Verifies: ĥ(e_B) = dim B / n; ε(E_B(e)) = dim B / n for the Haar
-    expectation E_B and the integral e of A; e_B = dim B · E_B̃(ê) for the
-    dual-trace expectation onto B̃; and the membership e_B ∈ Â.
+    ``btilde`` is B's partner :func:`tilde` ``(coid, dd)``.  Verifies:
+    ĥ(e_B) = dim B / n; ε(E_B(e)) = dim B / n for the Haar expectation E_B
+    and the integral e of A; e_B = dim B · E_B̃(ê) for the dual-trace
+    expectation onto B̃; and the membership e_B ∈ Â.
     """
+    kac = dd.v.kac
     n = kac.dim
     e_b = jones_projection(kac, coid.mm)
     res = {"idempotent": frob(e_b @ e_b - e_b), "self_adjoint": frob(e_b - dagger(e_b))}
@@ -570,7 +565,6 @@ def jones_projection_coideal(
         abs(kac.counit_of(exp_e) - coid.dim / n)
     )
 
-    btilde = tilde(kac, coid, dd)
     exp_ehat = sum(
         o * np.trace(dagger(o) @ dd.ints.e_hat) for o in btilde.mm.onb()
     )
@@ -579,28 +573,30 @@ def jones_projection_coideal(
     return res
 
 
-def galois_lattice_report(kac: KacAlgebra, side: str = "left", seed: int = 23) -> dict:
+def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
     """Full Galois anti-isomorphism audit over an enumerated lattice.
 
-    For every enumerated coideal: the tilde partner with both computation
-    routes compared, the dimension product, the involution, the bicommutant
-    identity, and the Jones projection identities; plus the full
-    order-reversal table over all containment pairs.
+    For every enumerated left coideal of A = ``dd.v.kac``: the tilde partner
+    with both computation routes compared, the dimension product, the
+    involution, the bicommutant identity, and the Jones projection
+    identities; plus the full order-reversal table over all containment
+    pairs.  The projector distances are operator-norm gaps
+    (:func:`linalg.span_distance`).
     """
-    enum = enumerate_coideals_group_case(kac, side=side, seed=seed)
+    kac = dd.v.kac
+    enum = enumerate_coideals_group_case(kac, seed=seed)
     coideals = enum["coideals"]
-    dd = du.dual_kac(kac)
     n = kac.dim
 
     rows = []
     partners = []
     for coid in coideals:
-        bt = tilde(kac, coid, dd)
+        bt = tilde(coid, dd)
         partners.append(bt)
-        via = tilde_via_commutant(kac, coid, dd)
-        back = tilde_back(kac, bt, dd)
-        bic = bicommutant_check(kac, coid, dd)
-        jp = jones_projection_coideal(kac, coid, dd)
+        via = tilde_via_commutant(coid, dd)
+        back = tilde_back(bt, dd)
+        bic = bicommutant_check(coid, via["intersection"], dd)
+        jp = jones_projection_coideal(coid, bt, dd)
         rows.append(
             {
                 "dim": coid.dim,
@@ -609,9 +605,9 @@ def galois_lattice_report(kac: KacAlgebra, side: str = "left", seed: int = 23) -
                 "fingerprint": coideal_digest(kac, coid.mm),
                 "coideal_certificate": coid.certificate,
                 "tilde_certificate": bt.certificate,
-                "tilde_route_distance": span_projector_distance(bt.mm, via["mm"]),
+                "tilde_route_distance": la.span_distance(bt.mm.onb(), via["mm"].onb()),
                 "intersection_right_coideal": via["intersection_right_coideal"],
-                "tilde_involution": span_projector_distance(back, coid.mm),
+                "tilde_involution": la.span_distance(back.onb(), coid.mm.onb()),
                 "bicommutant": bic["distance"],
                 "jones_projection": {
                     k: v for k, v in jp.items() if k != "max_residual"
@@ -640,7 +636,7 @@ def galois_lattice_report(kac: KacAlgebra, side: str = "left", seed: int = 23) -
     injective = True
     for i in range(len(partners)):
         for j in range(i + 1, len(partners)):
-            if span_projector_distance(partners[i].mm, partners[j].mm) < 1e-8:
+            if la.span_distance(partners[i].mm.onb(), partners[j].mm.onb()) < 1e-8:
                 injective = False
 
     worst = max(

@@ -92,9 +92,7 @@ def _entry_residuals(kac: KacAlgebra, dim: int, entries: list) -> dict:
 
 
 def irreducible_coreps(
-    kac: KacAlgebra,
-    v: du.MultiplicativeUnitary | None = None,
-    hat: du.HatAlgebra | None = None,
+    kac: KacAlgebra, v: du.MultiplicativeUnitary, hat: du.HatAlgebra
 ) -> list[Corepresentation]:
     """All irreducible corepresentations, from the central blocks of Â.
 
@@ -110,10 +108,6 @@ def irreducible_coreps(
         If ``v`` was built from an algebra with other structure tensors than
         ``kac``, or ``hat`` does not act on the GNS space of ``kac``.
     """
-    if v is None:
-        v = du.multiplicative_unitary(kac)
-    if hat is None:
-        hat = du.hat_algebra(kac, v)
     same = v.kac is kac or all(
         np.shape(getattr(v.kac, t)) == np.shape(getattr(kac, t))
         and np.allclose(getattr(v.kac, t), getattr(kac, t), rtol=0.0, atol=1e-12)

@@ -358,13 +358,23 @@ class PairingForm:
 
 
 def pairing(
-    kac: KacAlgebra, v: MultiplicativeUnitary, hat: HatAlgebra, ints: Integrals
+    kac: KacAlgebra,
+    hat: HatAlgebra,
+    ints: Integrals,
+    delta: np.ndarray,
+    counit: np.ndarray,
+    delta_membership: float,
 ) -> PairingForm:
-    """Build the duality pairing and verify its structural laws."""
+    """Build the duality pairing and verify its structural laws.
+
+    ``delta`` and ``counit`` are Â's coproduct coefficients and counit over
+    ``hat.onb``, and ``delta_membership`` the residual of δ̂(Â) ⊆ Â⊗Â, as
+    :func:`dual_kac` extracts them.
+    """
     n = kac.dim
     sq = np.sqrt(n)
     stack = np.stack(kac.lmats)
-    ystack = np.stack(hat.onb)
+    ystack = hat.onb
     om_bar = np.conj(ints.omega_hat)
 
     # ⟨x, y⟩ = √n Σ_p (xΩ)_p (yᵀ Ω̂̄)_p  — bilinear in (x, y) by construction.
@@ -376,27 +386,15 @@ def pairing(
     res["nondegenerate"] = float(max(0.0, DEFAULT_TOL - sv.min() / sv.max()))
 
     unit_row = sq * np.einsum("p,ap->a", kac.omega, w)
-    eps_hat = np.array([np.vdot(kac.omega, y @ kac.omega) for y in hat.onb])
-    res["unit_pairs_to_dual_counit"] = float(np.abs(unit_row - eps_hat).max())
+    res["unit_pairs_to_dual_counit"] = float(np.abs(unit_row - counit).max())
     eye_col = sq * np.einsum("pi,p->i", kac.coord, om_bar)
     res["dual_unit_pairs_to_counit"] = float(np.abs(eye_col - kac.counit).max())
+    res["dual_coproduct_membership"] = delta_membership
 
     # Law 1: ⟨x·x', y⟩ = ⟨x⊗x', δ̂(y)⟩.
     pv = np.einsum("iac,cj->ija", stack, kac.coord, optimize=True)  # (bᵢbⱼ)Ω
     lhs1 = sq * np.einsum("ijp,ap->ija", pv, w, optimize=True)
-    dc = np.empty((n, n, n), dtype=complex)
-    for a_idx in range(n):
-        dh = delta_hat(v, hat.onb[a_idx]).reshape(n, n, n, n)
-        coeff = np.einsum(
-            "apr,bqs,pqrs->ab", np.conj(ystack), np.conj(ystack), dh, optimize=True
-        )
-        dc[a_idx] = coeff
-        back = np.einsum("ab,apr,bqs->pqrs", coeff, ystack, ystack, optimize=True)
-        res.setdefault("dual_coproduct_membership", 0.0)
-        res["dual_coproduct_membership"] = max(
-            res["dual_coproduct_membership"], float(np.abs(back - dh).max())
-        )
-    rhs1 = np.einsum("cab,ia,jb->ijc", dc, p_mat, p_mat, optimize=True)
+    rhs1 = np.einsum("cab,ia,jb->ijc", delta, p_mat, p_mat, optimize=True)
     res["pairing_product_vs_dual_coproduct"] = float(np.abs(lhs1 - rhs1).max())
 
     # Law 2: ⟨x, y·y'⟩ = ⟨δ(x), y⊗y'⟩.
@@ -447,8 +445,7 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     v = multiplicative_unitary(kac)
     hat = hat_algebra(kac, v)
     ints = integrals(kac, hat)
-    pf = pairing(kac, v, hat, ints)
-    ystack = np.stack(hat.onb)
+    ystack = hat.onb
 
     mult = np.einsum(
         "apq,bqr,cpr->abc", ystack, ystack, np.conj(ystack), optimize=True
@@ -477,6 +474,7 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
             eps_res, float(np.linalg.norm(y @ kac.omega - counit[i] * kac.omega))
         )
     res["counit_action"] = eps_res
+    pf = pairing(kac, hat, ints, delta, counit, res["coproduct_membership"])
 
     antipode = np.empty((n, n), dtype=complex)
     memb = 0.0
@@ -502,16 +500,16 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     )
 
 
-def bidual_check(kac: KacAlgebra) -> dict:
-    """Residuals for the canonical isomorphism A ≅ (Â)̂.
+def bidual_check(dd: DualKac) -> dict:
+    """Residuals for the canonical isomorphism A ≅ (Â)̂, A being ``dd.v.kac``.
 
     The identification is transported through the two pairings: T is the
     matrix solving P₂·T = P₁ᵀ, and all structure tensors are compared after
     transport.  Returns per-structure residuals and their maximum.
     """
-    d1 = dual_kac(kac)
-    d2 = dual_kac(d1.kac)
-    p1 = d1.pairing_form.matrix
+    kac = dd.v.kac
+    d2 = dual_kac(dd.kac)
+    p1 = dd.pairing_form.matrix
     p2 = d2.pairing_form.matrix
     t = np.linalg.solve(p2, p1.T)
 
@@ -548,21 +546,18 @@ def bidual_check(kac: KacAlgebra) -> dict:
     return res
 
 
-def group_dual_check(kac: KacAlgebra) -> dict:
-    """For a group algebra ℂ[G]: the dual is commutative and is C(G).
+def group_dual_check(dd: DualKac) -> dict:
+    """For a group algebra ℂ[G] = ``dd.v.kac``: the dual is commutative and is C(G).
 
     The identification sends the point indicator of g to the element of Â
     that pairs to δ_{g,·} against the group basis (the pairing-dual basis),
     and every C(G) structure relation is then checked concretely.
     """
+    kac, v, hat = dd.v.kac, dd.v, dd.hat
     if kac.origin != "group_algebra" or kac.group is None:
         raise ValueError("group_dual_check requires a group_algebra-origin Kac algebra")
     g = kac.group
     n = kac.dim
-    v = multiplicative_unitary(kac)
-    hat = hat_algebra(kac, v)
-    ints = integrals(kac, hat)
-    pf = pairing(kac, v, hat, ints)
 
     res = {}
     comm = 0.0
@@ -571,8 +566,8 @@ def group_dual_check(kac: KacAlgebra) -> dict:
             comm = max(comm, frob(a @ b - b @ a))
     res["dual_commutative"] = comm
 
-    pinv = np.linalg.inv(pf.matrix)
-    wg = np.einsum("ag,apq->gpq", pinv, np.stack(hat.onb), optimize=True)
+    pinv = np.linalg.inv(dd.pairing_form.matrix)
+    wg = np.einsum("ag,apq->gpq", pinv, hat.onb, optimize=True)
 
     idem = 0.0
     for x in range(n):
@@ -608,10 +603,11 @@ def group_dual_check(kac: KacAlgebra) -> dict:
     return res
 
 
-def heisenberg_identities(kac: KacAlgebra) -> dict:
-    """Commutation cells between the algebra and its dual through ê.
+def heisenberg_identities(dd: DualKac, coreps: list) -> dict:
+    """Commutation cells between the algebra A = ``dd.v.kac`` and its dual through ê.
 
-    For every irreducible corepresentation π with matrix units e(π) in Â and
+    For every irreducible corepresentation π in ``coreps`` (from
+    ``irreducible_coreps(A, dd.v, dd.hat)``) with matrix units e(π) in Â and
     corepresentation entries u(π) in A, checks, for each column pair (i, j)
     of π (d(π)² matrix-unit cells per block):
 
@@ -626,15 +622,9 @@ def heisenberg_identities(kac: KacAlgebra) -> dict:
     theorem once d(π) > 1; the contracted form is, and reduces to the
     compressed form through the unitarity of the entry matrix.
     """
-    from .coreps import irreducible_coreps
-
+    kac = dd.v.kac
     n = kac.dim
-    v = multiplicative_unitary(kac)
-    hat = hat_algebra(kac, v)
-    ints = integrals(kac, hat)
-    coreps = irreducible_coreps(kac, v=v, hat=hat)
-
-    e_hat = ints.e_hat
+    e_hat = dd.ints.e_hat
     eye = np.eye(n, dtype=complex)
     res = {"compressed_product": 0.0, "coproduct_contracted": 0.0}
     cells = []

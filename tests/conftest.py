@@ -94,12 +94,12 @@ def coreps_of(dual_of):
 
 
 @pytest.fixture(scope="session")
-def lattice_of(algebras):
+def lattice_of(algebras, dual_of):
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = ci.galois_lattice_report(algebras[name])
+            cache[name] = ci.galois_lattice_report(dual_of(algebras[name]))
         return cache[name]
 
     return get

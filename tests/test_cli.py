@@ -1,11 +1,15 @@
 """Command-line interface: reports, exit codes, determinism, error documents."""
 
+import collections
 import json
 import subprocess
 import sys
 from importlib import resources
 
 import pytest
+
+from kacgalois import cli
+from kacgalois import duality as du
 
 FIXTURES = resources.files("kacgalois") / "fixtures"
 
@@ -115,6 +119,22 @@ def test_malformed_document_is_an_input_error(tmp_path):
     assert "error" in doc
 
 
+def test_non_object_document_is_an_input_error(tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text(json.dumps([1, 2, 3]))
+    out = run_cli("validate", str(bad))
+    assert out.returncode == 2
+    doc = json.loads(out.stdout)
+    assert doc["error"]["message"] == "the input document must be a JSON object, not list"
+
+
+def test_jones_document_missing_a_field_is_an_input_error():
+    out = run_cli("jones", str(FIXTURES / "z2_group.json"))
+    assert out.returncode == 2
+    doc = json.loads(out.stdout)
+    assert doc["error"]["message"] == "missing required field 'ambient_dim'"
+
+
 def test_non_group_input_to_galois_is_an_input_error():
     out = run_cli("galois", str(FIXTURES / "kp8.json"))
     assert out.returncode == 2
@@ -146,3 +166,26 @@ def test_seed_changes_nothing_structural_for_validate():
     b = run_cli("validate", str(FIXTURES / "q8_group.json"), "--seed", "4")
     da, db = json.loads(a.stdout), json.loads(b.stdout)
     assert da["report"] == db["report"]
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda kac: cli.run_dual(kac, None),
+        lambda kac: cli._selftest_algebra(kac, None, 7),
+    ],
+    ids=["run_dual", "selftest_algebra"],
+)
+def test_each_duality_object_is_built_once(monkeypatch, algebras, run):
+    # One dual of A and one of its dual (for the bidual), each with its own V.
+    calls = collections.Counter()
+    for name in ("multiplicative_unitary", "dual_kac"):
+        real = getattr(du, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(du, name, counted)
+    run(algebras["s3_group"])
+    assert calls == {"multiplicative_unitary": 2, "dual_kac": 2}

@@ -110,8 +110,8 @@ def test_pairing_intertwines_both_structures(algebras, dual_of, name):
 
 
 @pytest.mark.parametrize("name", GROUP_NAMES)
-def test_dual_of_group_algebra_is_the_function_algebra(algebras, name):
-    report = du.group_dual_check(algebras[f"{name}_group"])
+def test_dual_of_group_algebra_is_the_function_algebra(algebras, dual_of, name):
+    report = du.group_dual_check(dual_of(algebras[f"{name}_group"]))
     assert report["dual_commutative"] < 1e-9
     assert report["coproduct_is_group_convolution"] < 1e-9
     assert report["antipode_is_inversion"] < 1e-9
@@ -120,25 +120,28 @@ def test_dual_of_group_algebra_is_the_function_algebra(algebras, name):
     assert report["max_residual"] < 1e-9
 
 
-def test_group_dual_check_requires_group_origin(kp8):
+def test_group_dual_check_requires_group_origin(kp8, dual_of):
     with pytest.raises(ValueError):
-        du.group_dual_check(kp8)
+        du.group_dual_check(dual_of(kp8))
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_bidual_recovers_the_algebra(algebras, name):
-    report = du.bidual_check(algebras[name])
+def test_bidual_recovers_the_algebra(algebras, dual_of, name):
+    report = du.bidual_check(dual_of(algebras[name]))
     assert report["max_residual"] < 1e-8
 
 
-def test_bidual_on_bundled_algebra(kp8):
-    report = du.bidual_check(kp8)
+def test_bidual_on_bundled_algebra(kp8, dual_of):
+    report = du.bidual_check(dual_of(kp8))
     assert report["max_residual"] < 1e-8
 
 
 @pytest.mark.parametrize("name", ["z3_group", "s3_function", "q8_group"])
-def test_algebra_and_dual_satisfy_compression_identities(algebras, name):
-    report = du.heisenberg_identities(algebras[name])
+def test_algebra_and_dual_satisfy_compression_identities(
+    algebras, dual_of, coreps_of, name
+):
+    kac = algebras[name]
+    report = du.heisenberg_identities(dual_of(kac), coreps_of(kac))
     assert report["compressed_product"] < 1e-9
     assert report["coproduct_contracted"] < 1e-9
     assert report["v_expansion"] < 1e-9

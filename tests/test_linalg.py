@@ -95,7 +95,7 @@ def _rotated_span(rng, onb, angle):
 
 
 @pytest.mark.parametrize(
-    "case, seed", [("equal", 21), ("rotated", 22), ("unequal", 23)]
+    "case, seed", [("equal", 21), ("rotated", 22), ("unequal", 23), ("shared", 25)]
 )
 def test_span_distance_matches_dense_projector_difference(case, seed):
     rng = np.random.default_rng(seed)
@@ -105,8 +105,11 @@ def test_span_distance_matches_dense_projector_difference(case, seed):
         b = la.orthonormalize(np.tensordot(mix, a, axes=1))
     elif case == "rotated":
         b = _rotated_span(rng, a, 1e-7)
-    else:
+    elif case == "unequal":
         b = a[:3]
+    else:  # two 3-dim spans in M₄ sharing two basis elements
+        a = a[:3]
+        b = la.orthonormalize([a[0], a[1], random_complex(rng, 4, 4)])
     dense = la.opnorm(la.span_projector(a) - la.span_projector(b))
     gap = la.span_distance(a, b)
     assert gap == pytest.approx(la.span_distance(b, a), abs=1e-15)
@@ -115,9 +118,12 @@ def test_span_distance_matches_dense_projector_difference(case, seed):
     elif case == "rotated":
         assert 1e-8 < dense < 1e-5
         assert gap == pytest.approx(dense, rel=1e-6)
-    else:
+    elif case == "unequal":
         assert dense == pytest.approx(1.0, abs=1e-12)
         assert gap == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert dense > 0.9
+        assert gap == pytest.approx(dense, rel=1e-12)
 
 
 def test_span_distance_of_empty_spans():
