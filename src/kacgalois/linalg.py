@@ -221,11 +221,9 @@ def embed_leg(x: np.ndarray, dims: list[int], leg: int) -> np.ndarray:
 def flip_operator(n: int, m: int | None = None) -> np.ndarray:
     """The tensor flip ℂⁿ⊗ℂᵐ → ℂᵐ⊗ℂⁿ as a permutation matrix."""
     m = n if m is None else m
-    f = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(m):
-            f[j * n + i, i * m + j] = 1.0
-    return f
+    # Row (j, i) of the flip is row (i, j) of the identity on ℂⁿ⊗ℂᵐ.
+    eye = np.eye(n * m, dtype=complex).reshape(n, m, n * m)
+    return eye.transpose(1, 0, 2).reshape(n * m, n * m)
 
 
 def mat_to_json(a: np.ndarray) -> list:

@@ -24,24 +24,62 @@ def test_fundamental_unitary_pentagon_on_bundled_algebra(kp8):
     assert v.residuals["unitary"] < 1e-10
 
 
-def dense_pentagon_opnorm(v, n):
-    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖₂ from explicit n³×n³ Kronecker operators."""
+def dense_pentagon_defect(v, n):
+    """Reference V₁₂V₁₃V₂₃ − V₂₃V₁₂ as an explicit n³×n³ Kronecker operator."""
     eye = np.eye(n, dtype=complex)
     v12 = np.kron(v, eye)
     v23 = np.kron(eye, v)
     swap23 = np.kron(eye, la.flip_operator(n))
     v13 = swap23 @ v12 @ swap23
-    return la.opnorm(v12 @ v13 @ v23 - v23 @ v12)
+    return v12 @ v13 @ v23 - v23 @ v12
+
+
+def dense_pentagon_opnorm(v, n):
+    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖₂."""
+    return la.opnorm(dense_pentagon_defect(v, n))
+
+
+def dense_pentagon_frobenius(v, n):
+    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F."""
+    return la.frob(dense_pentagon_defect(v, n))
+
+
+def leg_sweep_pentagon_frobenius(v, n):
+    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F: the three leg actions on every basis vector."""
+    v4 = v.reshape(n, n, n, n)
+    cols = np.eye(n * n, dtype=complex).reshape(n, n, n * n)
+    total = 0.0
+    for i in range(n):
+        psi = np.zeros((n, n, n, n * n), dtype=complex)
+        psi[i] = cols
+        total += la.frob(du._pentagon_defect(v4, psi)) ** 2
+    return np.sqrt(total)
+
+
+def perturbed(v, seed=0, size=1e-3):
+    rng = np.random.default_rng(seed)
+    return v + size * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
 
 
 def test_pentagon_residual_bounds_the_operator_norm_from_above(kp8):
     n = kp8.dim
-    v = du.multiplicative_unitary(kp8).matrix
-    rng = np.random.default_rng(0)
-    w = v + 1e-3 * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+    w = perturbed(du.multiplicative_unitary(kp8).matrix)
     dense = dense_pentagon_opnorm(w, n)
     assert dense > 1e-4
     assert dense <= du.pentagon_residual(w, n) <= np.sqrt(n**3) * dense
+
+
+@pytest.mark.parametrize("which", ["kp8", "z3_group*z3_function"])
+def test_pentagon_residual_is_the_dense_frobenius_norm(kp8, algebras, which):
+    if which == "kp8":
+        kac = kp8
+    else:
+        kac = kc.tensor_kac(algebras["z3_group"], algebras["z3_function"])
+    n = kac.dim
+    w = perturbed(du.multiplicative_unitary(kac).matrix, seed=n)
+    dense = dense_pentagon_frobenius(w, n)
+    assert dense > 1e-4
+    assert abs(du.pentagon_residual(w, n) - dense) <= 1e-12 * dense
 
 
 def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
@@ -50,14 +88,34 @@ def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
     assert du.pentagon_residual(v, kp8.dim) > 1e-10
 
 
-def test_sampled_pentagon_on_cyclic_group_of_order_13():
-    kac = kc.group_algebra(kc.cyclic_group(13))
-    assert kac.dim**3 > 2048  # beyond the exact Frobenius branch
+@pytest.mark.parametrize("order, exact", [(13, True), (15, False)], ids=["z13_exact", "z15_sampled"])
+def test_pentagon_on_cyclic_groups_either_side_of_the_exact_branch(order, exact):
+    kac = kc.group_algebra(kc.cyclic_group(order))
+    assert (kac.dim**3 <= 2744) == exact  # 2744 = 14³ ends the exact Frobenius branch
     v = du.multiplicative_unitary(kac)
     assert v.residuals["pentagon"] < 1e-10
     corrupted = v.matrix.copy()
     corrupted[3, 5] += 1e-6
-    assert du.pentagon_residual(corrupted, kac.dim) > 1e-10
+    value = du.pentagon_residual(corrupted, kac.dim)
+    assert value > 1e-10
+    if exact:
+        assert abs(value - leg_sweep_pentagon_frobenius(corrupted, order)) <= 1e-12 * value
+
+
+def test_leg_commutators_match_the_kronecker_reference():
+    rng = np.random.default_rng(3)
+    n = 3
+    v = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    first = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    second = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    eye = np.eye(n)
+    want1 = max(la.frob(v @ np.kron(x, eye) - np.kron(x, eye) @ v) for x in first)
+    want2 = max(la.frob(v @ np.kron(eye, y) - np.kron(eye, y) @ v) for y in second)
+    assert want1 > 1 and want2 > 1
+    got1 = du._leg_commutator_max(v, first, second[:0])
+    got2 = du._leg_commutator_max(v, first[:0], second)
+    assert abs(got1 - want1) <= 1e-12 * want1
+    assert abs(got2 - want2) <= 1e-12 * want2
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
