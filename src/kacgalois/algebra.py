@@ -55,7 +55,7 @@ class MMAlgebra:
     basis : (k, d, d) ndarray
         Orthonormal basis under the normalized Hilbert–Schmidt inner
         product Tr(a†b)/d (so each element has Frobenius norm √d), as the
-        constructor and the JSON form take it.
+        constructor takes it.
     unit : ndarray
         The unit of the algebra (the ambient identity unless the algebra
         is a corner).
@@ -153,22 +153,6 @@ class MMAlgebra:
         }
         report["passed"] = all(v < tol * self.ambient_dim for v in report.values())
         return report
-
-    def to_json(self) -> dict:
-        """JSON document ``{"ambient_dim": d, "basis": [...]}``."""
-        return {
-            "ambient_dim": self.ambient_dim,
-            "basis": [la.mat_to_json(b) for b in self.basis],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "MMAlgebra":
-        d = int(doc["ambient_dim"])
-        mats = [la.json_to_mat(m) for m in doc["basis"]]
-        for m in mats:
-            if m.shape != (d, d):
-                raise ShapeError(f"basis matrix has shape {m.shape}, expected ({d},{d})")
-        return from_span(mats, d)
 
 
 def from_span(mats: list[np.ndarray], ambient_dim: int, unit=None) -> MMAlgebra:

@@ -279,14 +279,12 @@ def run_coreps(
     kac: kc.KacAlgebra, tol: float | None, seed: int, trials: int = 100
 ) -> tuple[dict, bool]:
     lim = limits(tol)
-    v = du.multiplicative_unitary(kac)
-    hat = du.hat_algebra(kac, v)
-    ints = du.integrals(kac, hat)
-    coreps = cr.irreducible_coreps(kac, v, hat)
+    dd = du.dual_kac(kac)
+    coreps = cr.irreducible_coreps(kac, dd.v, dd.hat)
     dims = cr.dimension_count(kac, coreps)
     orth = cr.orthogonality_check(kac, coreps)
     four = cr.fourier_round_trip(kac, coreps, count=trials, seed=seed)
-    pw = cr.peter_weyl_resolution(kac, coreps, ints.e_hat)
+    pw = cr.peter_weyl_resolution(kac, coreps, dd.ints.e_hat)
 
     checks = {
         "corep_certificates": check(
@@ -497,7 +495,7 @@ def _selftest_algebra(
     if kac.origin == "group_algebra" and kac.group is not None:
         gd = du.group_dual_check(dd)
         checks["group_dual_is_function_algebra"] = check(
-            gd["max_residual"], lim["mid"]
+            gd["max_residual"], lim["tight"]
         )
     doc = {
         "dim": kac.dim,
@@ -577,12 +575,11 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
     kp = kc.load_kac(kp_doc, validate=False)
     lim = limits(tol)
     kp_val = kc.validate_kac(kp, tol=lim["tight"])
-    v = du.multiplicative_unitary(kp)
-    hat = du.hat_algebra(kp, v)
-    coreps = cr.irreducible_coreps(kp, v, hat)
+    dd = du.dual_kac(kp)
+    coreps = cr.irreducible_coreps(kp, dd.v, dd.hat)
     kp_checks = {
         "axioms": check(kp_val["max_residual"], lim["tight"]),
-        "pentagon": check(_max_float(v.residuals), lim["tight"]),
+        "pentagon": check(_max_float(dd.v.residuals), lim["tight"]),
         "corep_dims_exact": check_true(
             sorted(c.dim for c in coreps) == [1, 1, 1, 1, 2]
         ),

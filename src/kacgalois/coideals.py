@@ -552,22 +552,19 @@ def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> 
     res["dual_haar_value"] = float(abs(np.trace(e_b) / n - coid.dim / n))
     res["dual_membership"] = la.span_residual(e_b, dd.hat.onb)
 
+    # Haar-orthonormal basis of B, with the Haar state as the density |Ω⟩⟨Ω|.
     onb = coid.mm.onb()
-    gram = np.array([[kac.haar_of(dagger(a) @ b) for b in onb] for a in onb])
-    w, vecs = np.linalg.eigh((gram + dagger(gram)) / 2.0)
-    h_onb = [
-        sum(vecs[k, i] * onb[k] for k in range(len(onb))) / np.sqrt(w[i])
-        for i in range(len(onb))
-    ]
-    e_int = dd.ints.e_op
-    exp_e = sum(m * kac.haar_of(dagger(m) @ e_int) for m in h_onb)
+    haar = ag.StateData(density=np.outer(kac.omega, np.conj(kac.omega)))
+    w, vecs = np.linalg.eigh(haar.gram(onb))
+    h_onb = np.tensordot(vecs / np.sqrt(w), onb, axes=(0, 0))
+    # E_B(e) = Σ m·h(m†e) with h(m†e) = ⟨mΩ, eΩ⟩.
+    h_vecs = h_onb @ kac.omega
+    exp_e = np.tensordot(np.conj(h_vecs) @ (dd.ints.e_op @ kac.omega), h_onb, axes=1)
     res["counit_of_projected_integral"] = float(
         abs(kac.counit_of(exp_e) - coid.dim / n)
     )
 
-    exp_ehat = sum(
-        o * np.trace(dagger(o) @ dd.ints.e_hat) for o in btilde.mm.onb()
-    )
+    exp_ehat = btilde.mm.project(dd.ints.e_hat)
     res["scaled_dual_expectation"] = frob(coid.dim * exp_ehat - e_b)
     res["max_residual"] = max(v for v in res.values())
     return res

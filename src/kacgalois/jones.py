@@ -347,10 +347,8 @@ def fixture_scaled_pair(weight: float = 1.0 / 3.0) -> Inclusion:
     """ℂ ⊆ ℂ² with E(x₁, x₂) = weight·x₁ + (1−weight)·x₂."""
     if not 0.0 < weight < 1.0:
         raise InclusionError("weight must lie strictly between 0 and 1")
-    big = ag.from_span(
-        [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)], 2
-    )
-    small = ag.from_span([np.eye(2, dtype=complex)], 2)
+    bratteli = ((1,), (1,))
+    big, small = _embedded_pair([1], bratteli)
     k = np.diag([2.0 * weight, 2.0 * (1.0 - weight)]).astype(complex)
     expectation, _ = skewed_expectation(big, small, k)
     omega = np.eye(2, dtype=complex) / 2.0
@@ -360,35 +358,29 @@ def fixture_scaled_pair(weight: float = 1.0 / 3.0) -> Inclusion:
         expectation,
         omega,
         label=f"scaled_pair(weight={weight})",
-        bratteli=((1,), (1,)),
+        bratteli=bratteli,
     )
 
 
 def fixture_point_in_full() -> Inclusion:
     """ℂ ⊆ M₂ with the trace expectation (index 4)."""
-    units = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
-    for idx, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        units[idx][i, j] = 1.0
-    big = ag.from_span(units, 2)
-    small = ag.from_span([np.eye(2, dtype=complex)], 2)
+    bratteli = ((2,),)
+    big, small = _embedded_pair([1], bratteli)
     expectation = trace_expectation(big, small)
     omega = np.eye(2, dtype=complex) / 2.0
     return make_inclusion(
-        big, small, expectation, omega, label="point_in_full", bratteli=((2,),)
+        big, small, expectation, omega, label="point_in_full", bratteli=bratteli
     )
 
 
 def fixture_pinch() -> Inclusion:
     """Diagonals ⊆ M₂ with the pinching expectation (index 2)."""
-    units = [np.zeros((2, 2), dtype=complex) for _ in range(4)]
-    for idx, (i, j) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
-        units[idx][i, j] = 1.0
-    big = ag.from_span(units, 2)
-    small = ag.from_span([units[0], units[3]], 2)
+    bratteli = ((1, 1),)
+    big, small = _embedded_pair([1, 1], bratteli)
     expectation = trace_expectation(big, small)
     omega = np.eye(2, dtype=complex) / 2.0
     return make_inclusion(
-        big, small, expectation, omega, label="pinch", bratteli=((1, 1),)
+        big, small, expectation, omega, label="pinch", bratteli=bratteli
     )
 
 
@@ -401,19 +393,15 @@ def fixture_markov_chain() -> Inclusion:
     matrix — here 1² + 2² = 5.
     """
     d = 3
-    mats = [np.zeros((d, d), dtype=complex) for _ in range(5)]
-    mats[0][0, 0] = 1.0
-    for idx, (i, j) in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)], start=1):
-        mats[idx][i, j] = 1.0
-    big = ag.from_span(mats, d)
-    small = ag.from_span([np.eye(d, dtype=complex)], d)
+    bratteli = ((1,), (2,))
+    big, small = _embedded_pair([1], bratteli)
     rho = np.diag([1.0 / 5.0, 2.0 / 5.0, 2.0 / 5.0]).astype(complex)
     eye = np.eye(d, dtype=complex)
     matrix = np.outer(la.vec(eye), la.vec(rho.T))
     expectation = CondExpectation(matrix=matrix, domain=big, target=small)
     omega = eye / d
     return make_inclusion(
-        big, small, expectation, omega, label="markov_chain", bratteli=((1,), (2,))
+        big, small, expectation, omega, label="markov_chain", bratteli=bratteli
     )
 
 
@@ -766,42 +754,17 @@ def relcomm_report(
         pairs[pairs[i]] == i for i in range(len(pairs))
     ) else 1.0
 
-    # Balancing constants (shared across mirror pairs).
-    transport = 0.0
-    summands = []
-    for idx, c in enumerate(corners):
-        mate = pairs[idx]
-        if mate == idx:
-            s = float(np.sqrt(c["trace_inv"] / c["trace"]))
-        else:
-            cm = corners[mate]
-            s = float(
-                ((c["trace_inv"] * cm["trace_inv"]) / (c["trace"] * cm["trace"]))
-                ** 0.25
-            )
+    # Balancing constants, shared by each summand and its mirror mate (a
+    # self-mated summand is its own mate): s = ((Tr R⁻¹·Tr R_m⁻¹)/(Tr R·Tr R_m))^¼.
+    summands, spectra = [], []
+    for c, mate in zip(corners, pairs):
+        cm = corners[mate]
+        s = float(
+            ((c["trace_inv"] * cm["trace_inv"]) / (c["trace"] * cm["trace"])) ** 0.25
+        )
         gen = s * c["density"]
         gen_eigs = _support_eigs(gen, c["rank"])
-        if mate != idx:
-            mate_gen = (
-                float(
-                    (
-                        (corners[mate]["trace_inv"] * c["trace_inv"])
-                        / (corners[mate]["trace"] * c["trace"])
-                    )
-                    ** 0.25
-                )
-                * corners[mate]["density"]
-            )
-            mate_eigs = _support_eigs(mate_gen, corners[mate]["rank"])
-            transport = max(
-                transport,
-                abs(float(np.sum(mate_eigs)) - float(np.sum(1.0 / gen_eigs))),
-            )
-        else:
-            transport = max(
-                transport,
-                abs(float(np.sum(gen_eigs)) - float(np.sum(1.0 / gen_eigs))),
-            )
+        spectra.append(gen_eigs)
         summands.append(
             {
                 "projection": c["projection"],
@@ -815,7 +778,11 @@ def relcomm_report(
                 "mate": mate,
             }
         )
-    res["trace_transport"] = transport
+    # The mate's generator carries the trace of this one's inverse.
+    res["trace_transport"] = max(
+        abs(float(np.sum(spectra[mate])) - float(np.sum(1.0 / eigs)))
+        for eigs, mate in zip(spectra, pairs)
+    )
 
     flow_gen = np.zeros_like(corners[0]["density"])
     for s in summands:

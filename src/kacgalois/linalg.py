@@ -92,14 +92,6 @@ def orthonormalize(mats, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.nda
     return vh[keep].reshape(-1, *shape)
 
 
-def span_projector(onb) -> np.ndarray:
-    """Orthogonal projector (on vectorized matrices) onto an orthonormal span."""
-    if len(onb) == 0:
-        return np.zeros((0, 0), dtype=complex)
-    rows = _flat_rows(onb)
-    return dagger(rows) @ rows
-
-
 def span_distance(onb1, onb2) -> float:
     """Operator-norm distance ‖P₁ − P₂‖ between the projectors onto two spans.
 
@@ -178,15 +170,6 @@ def null_space(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> n
         return v[:, keep]
 
 
-def solve_gram(basis: list[np.ndarray], target: np.ndarray) -> np.ndarray:
-    """Coefficients c with Σ cᵢ basisᵢ ≈ target, via the Gram system.
-
-    The basis need not be orthonormal, only linearly independent.
-    """
-    rows = _flat_rows(basis)
-    return np.linalg.solve(rows.conj() @ rows.T, rows.conj() @ vec(target))
-
-
 def herm_power(a: np.ndarray, p: complex) -> np.ndarray:
     """Power a^p of a positive-semidefinite Hermitian matrix via eigh.
 
@@ -202,48 +185,9 @@ def herm_power(a: np.ndarray, p: complex) -> np.ndarray:
     return (u * vals) @ dagger(u)
 
 
-def kron_chain(*mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of several matrices, left to right."""
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
-def embed_leg(x: np.ndarray, dims: list[int], leg: int) -> np.ndarray:
-    """Embed ``x`` acting on tensor factor ``leg`` of ⊗ᵢ ℂ^{dims[i]}."""
-    mats = []
-    for i, d in enumerate(dims):
-        mats.append(x if i == leg else np.eye(d, dtype=complex))
-    return kron_chain(*mats)
-
-
 def flip_operator(n: int, m: int | None = None) -> np.ndarray:
     """The tensor flip ℂⁿ⊗ℂᵐ → ℂᵐ⊗ℂⁿ as a permutation matrix."""
     m = n if m is None else m
     # Row (j, i) of the flip is row (i, j) of the identity on ℂⁿ⊗ℂᵐ.
     eye = np.eye(n * m, dtype=complex).reshape(n, m, n * m)
     return eye.transpose(1, 0, 2).reshape(n * m, n * m)
-
-
-def mat_to_json(a: np.ndarray) -> list:
-    """Encode a complex matrix as nested lists of [re, im] pairs."""
-    a = np.asarray(a, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in a]
-
-
-def json_to_mat(data: list) -> np.ndarray:
-    """Decode the [re, im] nested-list matrix encoding."""
-    return np.array(
-        [[complex(cell[0], cell[1]) for cell in row] for row in data], dtype=complex
-    )
-
-
-def vec_to_json(v: np.ndarray) -> list:
-    """Encode a complex vector as a list of [re, im] pairs."""
-    return [[float(x.real), float(x.imag)] for x in np.asarray(v, dtype=complex)]
-
-
-def json_to_vec(data: list) -> np.ndarray:
-    """Decode a [re, im] pair list into a complex vector."""
-    return np.array([complex(c[0], c[1]) for c in data], dtype=complex)

@@ -169,15 +169,17 @@ def test_seed_changes_nothing_structural_for_validate():
 
 
 @pytest.mark.parametrize(
-    "run",
+    "run, builds",
     [
-        lambda kac: cli.run_dual(kac, None),
-        lambda kac: cli._selftest_algebra(kac, None, 7),
+        (lambda kac: cli.run_dual(kac, None), 2),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), 2),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), 1),
     ],
-    ids=["run_dual", "selftest_algebra"],
+    ids=["run_dual", "selftest_algebra", "run_coreps"],
 )
-def test_each_duality_object_is_built_once(monkeypatch, algebras, run):
-    # One dual of A and one of its dual (for the bidual), each with its own V.
+def test_each_duality_object_is_built_once(monkeypatch, algebras, run, builds):
+    # One dual of A, plus one of its dual where the bidual is checked, each
+    # with its own V; coreps reads V, Â and the integrals from A's dual.
     calls = collections.Counter()
     for name in ("multiplicative_unitary", "dual_kac"):
         real = getattr(du, name)
@@ -188,4 +190,4 @@ def test_each_duality_object_is_built_once(monkeypatch, algebras, run):
 
         monkeypatch.setattr(du, name, counted)
     run(algebras["s3_group"])
-    assert calls == {"multiplicative_unitary": 2, "dual_kac": 2}
+    assert calls == {"multiplicative_unitary": builds, "dual_kac": builds}

@@ -182,6 +182,34 @@ def test_markov_fixtures_match_multiplicity_norm(label, build):
     assert abs(jn.bratteli_norm_sq(inc.bratteli) - oracle) < 1e-10
 
 
+def matrix_unit(d, i, j):
+    out = np.zeros((d, d), dtype=complex)
+    out[i, j] = 1.0
+    return out
+
+
+# M and N of each fixture written out one matrix unit at a time, independent
+# of the Bratteli data the library builds them from.
+FULL_M2 = [matrix_unit(2, i, j) for i in range(2) for j in range(2)]
+HAND_WRITTEN_PAIRS = {
+    "scaled_third": ([E00, E11], [np.eye(2)]),
+    "point_in_full": (FULL_M2, [np.eye(2)]),
+    "pinch": (FULL_M2, [E00, E11]),
+    "markov_chain": (
+        [matrix_unit(3, 0, 0)] + [matrix_unit(3, i, j) for i in (1, 2) for j in (1, 2)],
+        [np.eye(3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(HAND_WRITTEN_PAIRS))
+def test_fixture_pairs_match_hand_written_matrix_units(label):
+    inc = {c[0]: c[1] for c in FIXTURE_CASES}[label]()
+    big, small = HAND_WRITTEN_PAIRS[label]
+    assert la.span_distance(inc.big.onb(), la.orthonormalize(big)) < 1e-12
+    assert la.span_distance(inc.small.onb(), la.orthonormalize(small)) < 1e-12
+
+
 def test_bratteli_norm_matches_power_oracle():
     rows_cases = [((1,), (1,)), ((2,),), ((1, 1),), ((1,), (2,)), ((1, 2), (2, 1)), ((1, 0, 2), (0, 1, 1))]
     for rows in rows_cases:

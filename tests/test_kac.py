@@ -1,5 +1,7 @@
 """Kac algebra constructors, the axiom validator, and JSON round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,43 @@ def test_validator_flags_broken_coassociativity(algebras):
         return  # rejected at construction: acceptable
     report = kc.validate_kac(broken)
     assert not report["passed"]
+
+
+def loop_coproduct_multiplicative(kac):
+    """Reference: max |Δ(bᵢbⱼ) − Δ(bᵢ)Δ(bⱼ)| contracted one index i at a time."""
+    m, d = kac.mult, kac.delta
+    hom = 0.0
+    for i in range(kac.dim):
+        lhs = np.einsum("jk,kef->jef", m[i], d)
+        t1 = np.einsum("ab,ace->bce", d[i], m)
+        mid = np.einsum("bce,jcq->bejq", t1, d)
+        rhs = np.einsum("bejq,bqf->jef", mid, m)
+        hom = max(hom, float(np.abs(lhs - rhs).max()))
+    return hom
+
+
+def perturbed_structure(kac, seed, size):
+    """``kac`` with seeded complex noise of scale ``size`` on mult and delta."""
+    rng = np.random.default_rng(seed)
+
+    def noise(shape):
+        return size * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    return dataclasses.replace(
+        kac, mult=kac.mult + noise(kac.mult.shape), delta=kac.delta + noise(kac.delta.shape)
+    )
+
+
+@pytest.mark.parametrize("which", ["kp8", "s3_function*z2_group"])
+def test_coproduct_multiplicative_matches_the_per_index_loop(kp8, tensor_algebras, which):
+    kac = kp8 if which == "kp8" else tensor_algebras[which]
+    assert kc.validate_kac(kac)["coproduct_multiplicative"] < 1e-12
+    broken = perturbed_structure(kac, seed=5, size=1e-3)
+    got = kc.validate_kac(broken)
+    assert got["coproduct_multiplicative"] == pytest.approx(
+        loop_coproduct_multiplicative(broken), rel=1e-12
+    )
+    assert got["coproduct_multiplicative"] > 1e-4
 
 
 def test_group_table_validation(groups):

@@ -1,4 +1,4 @@
-"""Dense linear-algebra helpers: kernels, spans, powers, tensor-leg maps."""
+"""Dense linear-algebra helpers: kernels, spans, powers, the tensor flip."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,12 @@ from kacgalois import linalg as la
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def span_projector(onb) -> np.ndarray:
+    """Dense oracle: the d²×d² projector onto an orthonormal matrix span."""
+    rows = np.asarray(onb, dtype=complex).reshape(len(onb), -1)
+    return la.dagger(rows) @ rows
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -78,7 +84,7 @@ def test_intersect_spans_recovers_common_subspace(seed):
 def test_span_projector_and_distance():
     rng = np.random.default_rng(7)
     onb = la.orthonormalize([random_complex(rng, 3, 3) for _ in range(2)])
-    p = la.span_projector(onb)
+    p = span_projector(onb)
     np.testing.assert_allclose(p @ p, p, atol=1e-10)
     np.testing.assert_allclose(p, la.dagger(p), atol=1e-10)
     assert la.span_distance(onb, onb) < 1e-12
@@ -110,7 +116,7 @@ def test_span_distance_matches_dense_projector_difference(case, seed):
     else:  # two 3-dim spans in M₄ sharing two basis elements
         a = a[:3]
         b = la.orthonormalize([a[0], a[1], random_complex(rng, 4, 4)])
-    dense = la.opnorm(la.span_projector(a) - la.span_projector(b))
+    dense = la.opnorm(span_projector(a) - span_projector(b))
     gap = la.span_distance(a, b)
     assert gap == pytest.approx(la.span_distance(b, a), abs=1e-15)
     if case == "equal":
@@ -161,30 +167,3 @@ def test_flip_operator_swaps_tensor_legs():
     np.testing.assert_allclose(f @ np.kron(a, b), np.kron(b, a) @ f, atol=1e-12)
     f_sq = la.flip_operator(3)
     np.testing.assert_allclose(f_sq @ f_sq, np.eye(9), atol=1e-12)
-
-
-def test_embed_leg_places_factor():
-    rng = np.random.default_rng(9)
-    x = random_complex(rng, 2, 2)
-    dims = [3, 2, 2]
-    emb = la.embed_leg(x, dims, 1)
-    expect = np.kron(np.kron(np.eye(3), x), np.eye(2))
-    np.testing.assert_allclose(emb, expect, atol=1e-12)
-
-
-def test_solve_gram_reconstructs_coefficients():
-    rng = np.random.default_rng(12)
-    basis = [random_complex(rng, 3, 3) for _ in range(4)]
-    coeffs = random_complex(rng, 4)
-    target = sum(c * b for c, b in zip(coeffs, basis))
-    solved = la.solve_gram(basis, target)
-    recon = sum(c * b for c, b in zip(solved, basis))
-    np.testing.assert_allclose(recon, target, atol=1e-9)
-
-
-def test_matrix_json_round_trip():
-    rng = np.random.default_rng(3)
-    x = random_complex(rng, 4, 4)
-    np.testing.assert_allclose(la.json_to_mat(la.mat_to_json(x)), x)
-    v = random_complex(rng, 6)
-    np.testing.assert_allclose(la.json_to_vec(la.vec_to_json(v)), v)

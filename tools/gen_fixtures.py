@@ -224,7 +224,8 @@ def write_inclusion_fixture(out: str) -> None:
     print(f"wrote {path}")
 
 
-def main() -> None:
+def write_kp8(out: str) -> None:
+    """The Kac–Paljutkin algebra, checked as the module docstring describes."""
     mult = build_mult()
     delta = build_delta(mult)
     antipode = build_antipode(mult)
@@ -254,12 +255,15 @@ def main() -> None:
     if sorted(m for m, _ in blocks) != [1, 1, 1, 1, 2]:
         raise SystemExit(f"unexpected block structure {blocks}")
 
-    out = os.path.join(os.path.dirname(__file__), "..", "src", "kacgalois", "fixtures")
-    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "kp8.json")
     kc.save_kac(kac, path)
     print(f"wrote {path}  (max axiom residual {report['max_residual']:.2e})")
 
+
+def main() -> None:
+    out = os.path.join(os.path.dirname(__file__), "..", "src", "kacgalois", "fixtures")
+    os.makedirs(out, exist_ok=True)
+    write_kp8(out)
     write_group_fixtures(out)
     write_inclusion_fixture(out)
 
