@@ -209,56 +209,94 @@ def _generic_pair(mats) -> np.ndarray:
     return np.tensordot(coeff, np.asarray(mats), axes=1)
 
 
-def _commute(mats: np.ndarray, others) -> bool:
+def _commute(mats, others) -> bool:
     """Whether each x in ``mats`` commutes with every element of ``others``.
 
-    The tolerance is 1e-10 relative to max(1, ‖x‖); an empty ``mats`` fails.
+    One stacked commutator over all pairs; the tolerance is 1e-10 relative
+    to max(1, ‖x‖), and an empty ``mats`` fails.
     """
+    mats, others = np.asarray(mats), np.asarray(others)
+    if len(mats) == 0:
+        return False
+    comm = mats[:, None] @ others[None]
+    comm -= others[None] @ mats[:, None]
     scale = 1e-10 * np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
-    return len(mats) > 0 and all(
-        np.all(np.linalg.norm(mats @ b - b @ mats, axis=(-2, -1)) < scale)
-        for b in others
-    )
+    return bool(np.all(np.linalg.norm(comm, axis=(-2, -1)) < scale[:, None]))
 
 
 def commutant(alg: MMAlgebra) -> MMAlgebra:
-    """Relative commutant of ``alg`` inside the full ambient matrix algebra.
+    """Commutant of a unital ``alg`` inside the full ambient matrix algebra.
 
-    Solves the linear system [x, b] = 0 by a null-space computation on
-    vectorized matrices.  The solve runs against two generic combinations
-    of the basis first and is verified against every basis element; on
-    verification failure it reruns against the full stacked system.
+    Read off the matrix units (Goodman–de la Harpe–Jones, *Coxeter Graphs
+    and Towers of Algebras*, ch. 2): with W an orthonormal basis of the
+    range of e₁₁ and v_a = e_a1·W, a summand of size m and multiplicity μ
+    contributes the μ² elements Σ_a v_a[:, p] v_a[:, q]† / √m.  These are
+    Frobenius-orthonormal by construction, so no SVD follows; the result is
+    certified by :func:`_certify_commutant`.
+
+    Raises
+    ------
+    SubalgebraError
+        If the ambient identity is not in the span, or a certificate fails.
     """
     d = alg.ambient_dim
     eye = np.eye(d, dtype=complex)
-    onb = alg.onb()
-
-    def solve(mats: np.ndarray) -> np.ndarray:
-        # Row block of b: the matrix of x ↦ xb − bx on row-major vec(x).
-        rows = np.einsum("ik,bjl->bijkl", eye, mats.swapaxes(1, 2)) - np.einsum(
-            "bik,jl->bijkl", mats, eye
+    missing = alg.residual(eye)
+    if missing >= DEFAULT_TOL * d:
+        raise SubalgebraError(
+            f"the unit of the {d}x{d} matrices is not in the span (distance "
+            f"{missing:.3e}); the commutant is built for unital algebras only"
         )
-        return la.null_space(rows.reshape(-1, d * d)).T.reshape(-1, d, d)
+    blocks = matrix_units(alg)
+    parts = []
+    for block in blocks:
+        w = _range_onb(block.units[0][0])
+        # cols[p][:, a] = v_a[:, p], so cols[p] @ cols[q]† = Σ_a v_a[:, p] v_a[:, q]†.
+        cols = (np.stack([row[0] for row in block.units]) @ w).transpose(2, 1, 0)
+        units = (cols[:, None] @ dagger(cols)[None]).reshape(-1, d, d)
+        parts.append(units / np.sqrt(block.size))
+    comm = MMAlgebra(ambient_dim=d, basis=np.concatenate(parts) * np.sqrt(d), unit=eye)
+    _certify_commutant(alg, blocks, comm)
+    return comm
 
-    if len(onb) > 2:
-        mats = solve(_generic_pair(onb))
-        # Soundness: every solution must commute with the whole basis.
-        # Completeness (necessary condition): the identity always commutes,
-        # so a span missing it was under-computed — rerun the full system.
-        good = _commute(mats, onb) and (
-            la.span_residual(eye, la.orthonormalize(mats)) < 1e-8
+
+def _certify_commutant(
+    alg: MMAlgebra, blocks: list[MatrixUnitBlock], comm: MMAlgebra
+) -> None:
+    """Raise :class:`SubalgebraError` unless ``comm`` is the commutant of ``alg``.
+
+    Checks the counts Σ m·μ = d, Σ m² = dim alg and dim comm = Σ μ² of the
+    reported summands, then that ``comm`` commutes with ``alg``'s basis.
+    """
+    d = alg.ambient_dim
+    covered = sum(b.size * b.multiplicity for b in blocks)
+    if covered != d:
+        raise SubalgebraError(
+            f"matrix units cover Σ m·μ = {covered} dimensions of an ambient "
+            f"dimension {d}"
         )
-        if good:
-            return from_span(mats, d)
-    return from_span(solve(onb), d)
+    block_dim = sum(b.size**2 for b in blocks)
+    if block_dim != alg.dim:
+        raise SubalgebraError(
+            f"matrix units give Σ m² = {block_dim} for an algebra of dimension {alg.dim}"
+        )
+    comm_dim = sum(b.multiplicity**2 for b in blocks)
+    if comm.dim != comm_dim:
+        raise SubalgebraError(
+            f"commutant has dimension {comm.dim}, not Σ μ² = {comm_dim}"
+        )
+    if not _commute(comm.onb(), alg.onb()):
+        raise SubalgebraError(
+            "the commutant built from matrix units does not commute with the algebra"
+        )
 
 
 def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlgebra:
     """Elements of ``alg`` commuting with every matrix in ``constraint_mats``.
 
-    Cheaper than an ambient commutant: the unknowns are coefficients in
-    ``alg``'s basis.  Uses the same generic-pair shortcut as
-    :func:`commutant`, verified and with full-system fallback.
+    The unknowns are coefficients in ``alg``'s basis.  The null space is
+    solved against two generic combinations of the constraints first and
+    verified; on verification failure it reruns against the full system.
     """
     onb = alg.onb()
 
@@ -269,8 +307,9 @@ def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlg
 
     if len(constraint_mats) > 2:
         mats = solve(_generic_pair(constraint_mats))
-        # Soundness + completeness checks as in :func:`commutant`; the
-        # algebra's own unit commutes with everything it contains.
+        # Soundness: every solution commutes with every constraint.
+        # Completeness (necessary condition): the algebra's own unit commutes
+        # with everything it contains, so a span missing it was under-computed.
         good = _commute(mats, constraint_mats) and (
             la.span_residual(alg.unit, la.orthonormalize(mats)) < 1e-8
         )

@@ -411,7 +411,7 @@ def validate_kac(kac: KacAlgebra, tol: float = 1e-10) -> dict:
     res["coproduct_star"] = float(
         np.abs(
             np.einsum("ip,pab->iab", st, d)
-            - np.einsum("iab,ap,bq->ipq", np.conj(d), st, st)
+            - np.einsum("iab,ap,bq->ipq", np.conj(d), st, st, optimize=True)
         ).max()
     )
 
@@ -423,14 +423,15 @@ def validate_kac(kac: KacAlgebra, tol: float = 1e-10) -> dict:
 
     eps_u = np.outer(eps, u)
     res["antipode_left"] = float(
-        np.abs(np.einsum("kab,ap,pbr->kr", d, s, m) - eps_u).max()
+        np.abs(np.einsum("kab,ap,pbr->kr", d, s, m, optimize=True) - eps_u).max()
     )
     res["antipode_right"] = float(
-        np.abs(np.einsum("kab,bp,apr->kr", d, s, m) - eps_u).max()
+        np.abs(np.einsum("kab,bp,apr->kr", d, s, m, optimize=True) - eps_u).max()
     )
     res["antipode_antimultiplicative"] = float(
         np.abs(
-            np.einsum("ijk,kr->ijr", m, s) - np.einsum("ja,ib,abr->ijr", s, s, m)
+            np.einsum("ijk,kr->ijr", m, s)
+            - np.einsum("ja,ib,abr->ijr", s, s, m, optimize=True)
         ).max()
     )
     res["antipode_involutive"] = float(np.abs(s @ s - np.eye(n)).max())
@@ -453,7 +454,7 @@ def validate_kac(kac: KacAlgebra, tol: float = 1e-10) -> dict:
 
     res["star_involutive"] = float(np.abs(np.conj(st) @ st - np.eye(n)).max())
     star_anti = np.einsum("ijk,kr->ijr", np.conj(m), st) - np.einsum(
-        "jq,ip,qpr->ijr", st, st, m
+        "jq,ip,qpr->ijr", st, st, m, optimize=True
     )
     res["star_antimultiplicative"] = float(np.abs(star_anti).max())
 

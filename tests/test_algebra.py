@@ -1,10 +1,19 @@
 """Multimatrix algebras: commutants, central structure, states, expectations."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kacgalois import algebra as ag
+from kacgalois import jones as jn
 from kacgalois import linalg as la
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inclusion_pool.json"
 
 
 def random_complex(rng, *shape):
@@ -69,6 +78,129 @@ def test_commutant_always_contains_unit(sample_multimatrix):
     comm = ag.commutant(sample_multimatrix)
     assert comm.contains_unit
     assert comm.dim == 2 * 2 + 3 * 3  # M₂(ℂ)′ ∩ ... = 1₂⊗M₂ ⊕ M₃
+
+
+def null_space_commutant(mats):
+    """Dense oracle: the matrices x with [x, b] = 0 for every b in ``mats``.
+
+    The SVD null space of the stacked system of the maps x ↦ xb − bx on
+    row-major vec(x).
+    """
+    d = mats.shape[-1]
+    eye = np.eye(d, dtype=complex)
+    rows = np.einsum("ik,bjl->bijkl", eye, mats.swapaxes(1, 2)) - np.einsum(
+        "bik,jl->bijkl", mats, eye
+    )
+    return la.null_space(rows.reshape(-1, d * d)).T.reshape(-1, d, d)
+
+
+def commutes_by_loop(mats, others):
+    """Reference for ``ag._commute``: one commutator norm per pair."""
+    return len(mats) > 0 and all(
+        np.linalg.norm(x @ b - b @ x) < 1e-10 * max(1.0, np.linalg.norm(x))
+        for x in mats
+        for b in others
+    )
+
+
+def pool_shapes():
+    """One ``random_inclusion`` seed per shape of the benchmark's inclusion pool."""
+    by_shape = json.loads(POOL.read_text())["by_shape"]
+    return [pytest.param(seeds[0], id=shape) for shape, seeds in sorted(by_shape.items())]
+
+
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_commutant_matches_the_null_space_oracle(seed):
+    small = jn.basic_extension(jn.random_inclusion(seed)).small_rep
+    comm = ag.commutant(small)
+    # Two generic elements of a *-algebra generate it, so the oracle solves
+    # against them; it is the commutant once it commutes with the whole basis.
+    rng = np.random.default_rng(seed)
+    pair = np.tensordot(
+        rng.standard_normal((2, small.dim)) + 1j * rng.standard_normal((2, small.dim)),
+        small.onb(),
+        axes=1,
+    )
+    oracle = null_space_commutant(pair)
+    assert commutes_by_loop(oracle, small.onb())
+    assert comm.dim == len(oracle)
+    assert comm.dim == sum(mult * mult for _, mult in small.block_dims)
+    assert la.span_distance(comm.onb(), oracle) < 1e-12
+    flat = comm.onb().reshape(comm.dim, -1)
+    assert np.abs(flat.conj() @ flat.T - np.eye(comm.dim)).max() < 1e-12
+
+
+@st.composite
+def bratteli_pairs(draw):
+    """Block sizes of N and an inclusion matrix into M, ambient dimension ≤ 8."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    na = draw(st.integers(1, 3))
+    mult = np.array(
+        draw(
+            st.lists(
+                st.lists(st.integers(0, 2), min_size=len(sizes), max_size=len(sizes)),
+                min_size=na,
+                max_size=na,
+            )
+        )
+    )
+    per_big = mult @ np.array(sizes)
+    assume(mult.sum(axis=0).min() > 0 and per_big.min() > 0 and per_big.sum() <= 8)
+    return sizes, mult, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(bratteli_pairs())
+def test_commutant_of_a_rotated_bratteli_pair(data):
+    sizes, mult, seed = data
+    _, small = jn._embedded_pair(sizes, mult)
+    d = small.ambient_dim
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    small = ag.from_span(u @ small.onb() @ la.dagger(u), d)
+    comm = ag.commutant(small)
+    # N-block β sits in the ambient space with multiplicity Σ_α mult[α, β].
+    assert comm.dim == int((mult.sum(axis=0) ** 2).sum())
+    assert commutes_by_loop(comm.onb(), small.onb())
+    bicomm = ag.commutant(comm)
+    assert la.span_distance(bicomm.onb(), small.onb()) < 1e-9
+
+
+def test_commutant_refuses_a_span_without_the_unit():
+    corner = np.zeros((3, 3), dtype=complex)
+    corner[0, 0] = 1.0
+    with pytest.raises(ag.SubalgebraError, match="unit .* is not in the span"):
+        ag.commutant(ag.from_span([corner], 3))
+
+
+def test_commutant_certifies_the_reported_multiplicities(sample_multimatrix, monkeypatch):
+    real = ag.matrix_units
+
+    def miscounted(alg):
+        first, *rest = real(alg)
+        return [dataclasses.replace(first, multiplicity=first.multiplicity + 1), *rest]
+
+    monkeypatch.setattr(ag, "matrix_units", miscounted)
+    with pytest.raises(ag.SubalgebraError, match="Σ m·μ = 8 .* ambient dimension 7"):
+        ag.commutant(sample_multimatrix)
+
+
+def test_stacked_commute_check_agrees_with_the_loop(sample_multimatrix):
+    alg = sample_multimatrix
+    comm = ag.commutant(alg).onb()
+    rng = np.random.default_rng(3)
+    noise = random_complex(rng, *comm.shape)
+    cases = [
+        (comm, alg.onb()),
+        (comm + 1e-13 * noise, alg.onb()),
+        (comm + 1e-8 * noise, alg.onb()),
+        (10.0 * comm + 1e-12 * noise, alg.onb()),
+        (alg.onb(), alg.onb()),
+        (comm[:0], alg.onb()),
+    ]
+    want = [True, True, False, True, False, False]
+    for (mats, others), expected in zip(cases, want):
+        assert ag._commute(mats, others) == commutes_by_loop(mats, others) == expected
 
 
 def test_central_decomposition_block_structure(sample_multimatrix):

@@ -169,6 +169,37 @@ def test_coproduct_multiplicative_matches_the_per_index_loop(kp8, tensor_algebra
     assert got["coproduct_multiplicative"] > 1e-4
 
 
+def unoptimised_three_operand_residuals(kac):
+    """Reference: ``validate_kac``'s three-operand residuals as plain einsums."""
+    m, d, s, st = kac.mult, kac.delta, kac.antipode, kac.star
+    eps_u = np.outer(kac.counit, kac.unit_coeffs)
+    return {
+        "coproduct_star": np.abs(
+            np.einsum("ip,pab->iab", st, d)
+            - np.einsum("iab,ap,bq->ipq", np.conj(d), st, st)
+        ).max(),
+        "antipode_left": np.abs(np.einsum("kab,ap,pbr->kr", d, s, m) - eps_u).max(),
+        "antipode_right": np.abs(np.einsum("kab,bp,apr->kr", d, s, m) - eps_u).max(),
+        "antipode_antimultiplicative": np.abs(
+            np.einsum("ijk,kr->ijr", m, s) - np.einsum("ja,ib,abr->ijr", s, s, m)
+        ).max(),
+        "star_antimultiplicative": np.abs(
+            np.einsum("ijk,kr->ijr", np.conj(m), st)
+            - np.einsum("jq,ip,qpr->ijr", st, st, m)
+        ).max(),
+    }
+
+
+@pytest.mark.parametrize("which", ["kp8", "s3_function*z2_group"])
+def test_three_operand_residuals_match_the_unoptimised_einsums(kp8, tensor_algebras, which):
+    kac = kp8 if which == "kp8" else tensor_algebras[which]
+    broken = perturbed_structure(kac, seed=5, size=1e-3)
+    got = kc.validate_kac(broken)
+    for name, want in unoptimised_three_operand_residuals(broken).items():
+        assert want > 1e-5, name
+        assert got[name] == pytest.approx(want, rel=1e-12), name
+
+
 def test_group_table_validation(groups):
     for g in groups.values():
         rep = g.validate()
