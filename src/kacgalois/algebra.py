@@ -119,6 +119,10 @@ class MMAlgebra:
         Computed lazily and cached.  Blocks are deterministically ordered by
         block size, then by a rounded fingerprint of the projection.
         """
+        return self._blocks()[:2]
+
+    def _blocks(self) -> tuple:
+        """The cached (projections, dims, corners) of the central decomposition."""
         if not self._central:
             self._central.append(_central_decomposition(self))
         return self._central[0]
@@ -378,7 +382,8 @@ def _eigensplit_projections(
 
 
 def _central_decomposition(alg: MMAlgebra):
-    """Minimal central projections with (block size, multiplicity) data."""
+    """Minimal central projections, (block size, multiplicity) data, and the
+    orthonormal bases of the corners z·A·z."""
     onb = alg.onb()
     center = commutant_within(alg, onb)
     if center.dim == 0:
@@ -402,18 +407,16 @@ def _central_decomposition(alg: MMAlgebra):
                 "the input span is not an algebra"
             )
         mult = int(round(np.real(np.trace(z)) / m))
-        blocks.append((z, m, mult))
+        blocks.append((z, (m, mult), corner))
     blocks.sort(
         key=lambda t: (
-            t[1],
+            t[1][0],
             round(float(np.real(np.trace(t[0]))), 6),
             tuple(np.round(np.real(np.diag(t[0])), 6)),
             tuple(np.round(np.imag(np.diag(t[0])), 6)),
         )
     )
-    projs = [z for z, _, _ in blocks]
-    dims = [(m, mult) for _, m, mult in blocks]
-    return projs, dims
+    return tuple(list(t) for t in zip(*blocks))
 
 
 @dataclass(frozen=True)
@@ -438,10 +441,8 @@ def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
     connecting partial isometries e₁ⱼ are rescalings of e₁₁·b·fⱼ for the
     basis element b of maximal norm.
     """
-    onb = alg.onb()
     out = []
-    for z, (m, mult) in zip(*alg.central_decomposition()):
-        corner = la.orthonormalize(z @ onb @ z)
+    for z, (m, mult), corner in zip(*alg._blocks()):
         mins = _eigensplit_projections(z, corner, m)
         if len(mins) != m:
             raise SubalgebraError(

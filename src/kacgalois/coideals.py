@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from . import duality as du
 from . import linalg as la
 from .algebra import SubalgebraError
 from .kac import KacAlgebra
-from .linalg import DEFAULT_TOL, dagger, frob
+from .linalg import DEFAULT_TOL, dagger, frob, opnorm
 
 
 @dataclass(frozen=True)
@@ -77,19 +78,43 @@ def coideal_digest(kac: KacAlgebra, mm: ag.MMAlgebra) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _delta_containment(
-    kac: KacAlgebra, mats: list[np.ndarray], side: str
-) -> float:
-    """Max distance of δ(b), b ∈ mats, from A⊗span (left) or span⊗A (right)."""
-    amb = kac.as_mm().onb()
-    sub = la.orthonormalize(mats)
+def _slices(delta, home: np.ndarray, y: np.ndarray, side: str):
+    """Leg slices of δ(y) against the home algebra's orthonormal basis a_i.
+
+    Writes δ(y) = Σ a_i⊗s_i + R (left) or Σ s_i⊗a_i + R (right), with R
+    orthogonal to a⊗B(H), from one matmul on the reshaped n²×n² operator.
+    Returns the (k, n²) rows of the s_i and ‖R‖, taken as the norm of the
+    residual itself so that it keeps full relative precision.
+    """
+    n = y.shape[-1]
+    x = delta(y).reshape(n, n, n, n)
     if side == "left":
-        prod_onb = [np.kron(a, b) for a in amb for b in sub]
+        x = x.transpose(0, 2, 1, 3)
     elif side == "right":
-        prod_onb = [np.kron(b, a) for a in amb for b in sub]
+        x = x.transpose(1, 3, 0, 2)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return max(la.span_residual(kac.delta_op(b), prod_onb) for b in sub)
+    x = x.reshape(n * n, n * n)
+    a = home.reshape(len(home), -1)
+    s = a.conj() @ x
+    return s, frob(x - a.T @ s)
+
+
+def _containment(delta, home: np.ndarray, mats, side: str) -> float:
+    """Max Frobenius distance of δ(b) from home⊗span (left) or span⊗home (right).
+
+    ``delta`` maps an operator to its n²×n² coproduct and ``home`` is the
+    orthonormal basis of the algebra the span lives in; b runs over the
+    span's orthonormal basis.  dist(δ(b), a⊗B)² = ‖R‖² + Σ_i ‖s_i − P_B s_i‖²
+    for the slices s_i of :func:`_slices`.
+    """
+    sub = la.orthonormalize(mats)
+    rows = sub.reshape(len(sub), -1)
+    worst = 0.0
+    for b in sub:
+        s, r = _slices(delta, home, b, side)
+        worst = max(worst, float(np.hypot(r, frob(s - (s @ dagger(rows)) @ rows))))
+    return worst
 
 
 def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
@@ -110,7 +135,7 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     memb = a_mm.residual(mm.onb())
     if memb > DEFAULT_TOL * kac.dim:
         raise SubalgebraError(f"span is not inside A (residual {memb:.2e})")
-    cert = _delta_containment(kac, mm.onb(), side)
+    cert = _containment(kac.delta_op, a_mm.onb(), mm.onb(), side)
     if cert > DEFAULT_TOL * kac.dim:
         raise ValueError(
             f"not a {side} coideal: coproduct containment residual {cert:.2e}"
@@ -118,31 +143,19 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     return Coideal(home="algebra", side=side, mm=mm, certificate=cert)
 
 
-def _slice_closure(kac: KacAlgebra, mats: list[np.ndarray], side: str):
-    """Adjoin all coproduct slices: (ω⊗id)δ(b) for left, (id⊗ω)δ(b) for right."""
-    out = list(mats)
-    for b in mats:
-        w = np.tensordot(kac.coeffs_of(b), kac.delta, axes=(0, 0))
-        rows = w if side == "left" else w.T
-        for r in rows:
-            out.append(kac.op(r))
-    return out
-
-
 def coideal_closure(kac: KacAlgebra, elements, side: str = "left") -> Coideal:
     """Smallest coideal of A containing ``elements``.
 
-    Alternates *-algebra closure with coproduct-slice closure until the
-    dimension stabilizes; certifies the result.
+    Alternates *-algebra closure with adjoining the coproduct slices
+    (ω⊗id)δ(b) (left) or (id⊗ω)δ(b) (right) until the dimension stabilizes;
+    certifies the result.
     """
-    mats = [np.eye(kac.dim, dtype=complex)] + [
-        np.asarray(x, dtype=complex) for x in elements
-    ]
-    mm = ag.mm_from_generators(mats, kac.dim)
-    for _ in range(kac.dim + 2):
-        grown = ag.mm_from_generators(
-            _slice_closure(kac, mm.onb(), side), kac.dim
-        )
+    n = kac.dim
+    home = kac.as_mm().onb()
+    mm = ag.mm_from_generators(list(elements), n)
+    for _ in range(n + 2):
+        sl = [_slices(kac.delta_op, home, b, side)[0].reshape(-1, n, n) for b in mm.onb()]
+        grown = ag.mm_from_generators(np.concatenate([mm.onb(), *sl]), n)
         if grown.dim == mm.dim:
             break
         mm = grown
@@ -231,7 +244,7 @@ def check_system_closure(
                     worst = 0.0
                     for va in ka:
                         for vb in kb:
-                            w = dagger(isom) @ np.kron(va, vb)
+                            w = dagger(isom) @ np.outer(va, vb).ravel()
                             worst = max(worst, _vec_residual(w, sys.spaces[tau]))
                     if worst > 1e-8:
                         res["failures"].append((a, b, tau, worst))
@@ -425,7 +438,7 @@ def subgroup_from_system(
         if m:
             p1 = rows.T @ np.conj(rows)
             p2 = fixed_basis.T @ np.conj(fixed_basis)
-            redrive = max(redrive, float(np.abs(p1 - p2).max()))
+            redrive = max(redrive, opnorm(p1 - p2))
     return {
         "subgroup": h,
         "is_subgroup": closed,
@@ -467,23 +480,8 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
-    cert = _dual_delta_containment(dd, mm.onb(), "left")
+    cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, mm.onb(), "left")
     return Coideal(home="dual", side="left", mm=mm, certificate=cert)
-
-
-def _dual_delta_containment(
-    dd: du.DualKac, mats: list[np.ndarray], side: str
-) -> float:
-    """Distance of δ̂(y) from Â⊗span (left) or span⊗Â (right), y ∈ mats."""
-    amb = dd.hat.onb
-    sub = la.orthonormalize(mats)
-    if side == "left":
-        prod_onb = [np.kron(a, b) for a in amb for b in sub]
-    else:
-        prod_onb = [np.kron(b, a) for a in amb for b in sub]
-    return max(
-        la.span_residual(du.delta_hat(dd.v, y), prod_onb) for y in sub
-    )
 
 
 def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
@@ -512,7 +510,7 @@ def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     """
     kac = dd.v.kac
     inter = la.intersect_spans(ag.commutant(coid.mm).onb(), dd.hat.onb)
-    right_cert = _dual_delta_containment(dd, inter, "right")
+    right_cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, inter, "right")
     mapped = [du.kappa_hat(kac, z) for z in inter]
     return {
         "mm": ag.from_span(mapped, kac.dim),

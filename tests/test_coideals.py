@@ -1,12 +1,14 @@
 """Coideal subalgebras, the subspace-system bijection, and the Galois lattice."""
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 
 from kacgalois import algebra as ag
 from kacgalois import coideals as ci
+from kacgalois import duality as du
 from kacgalois import linalg as la
 
 from conftest import ALGEBRA_NAMES
@@ -189,3 +191,130 @@ def test_subgroup_recovery_from_subspace_system(algebras, coreps_of):
         assert sorted(recovered["subgroup"]) == sorted(sub)
         assert recovered["system_rederivation"] < 1e-8
         assert recovered["representation_residual"] < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Coproduct containment: the leg-slice routine against the Kronecker form
+# ---------------------------------------------------------------------------
+
+
+def kron_containment(kac, mats, side):
+    """Reference: max distance of δ(b) from A⊗span (left) or span⊗A (right).
+
+    Builds the n²×n² products a⊗b of the two orthonormal bases and projects
+    onto their span, with no leg slicing.
+    """
+    amb = kac.as_mm().onb()
+    sub = la.orthonormalize(mats)
+    if side == "left":
+        prod_onb = [np.kron(a, b) for a in amb for b in sub]
+    else:
+        prod_onb = [np.kron(b, a) for a in amb for b in sub]
+    return max(la.span_residual(kac.delta_op(b), prod_onb) for b in sub)
+
+
+def kron_dual_containment(dd, mats, side):
+    """Reference: the same distance for δ̂ and Â⊗span (left) or span⊗Â (right)."""
+    amb = dd.hat.onb
+    sub = la.orthonormalize(mats)
+    if side == "left":
+        prod_onb = [np.kron(a, b) for a in amb for b in sub]
+    else:
+        prod_onb = [np.kron(b, a) for a in amb for b in sub]
+    return max(la.span_residual(du.delta_hat(dd.v, y), prod_onb) for y in sub)
+
+
+def slice_containment(kac, mats, side):
+    return ci._containment(kac.delta_op, kac.as_mm().onb(), mats, side)
+
+
+def slice_dual_containment(dd, mats, side):
+    return ci._containment(partial(du.delta_hat, dd.v), dd.hat.onb, mats, side)
+
+
+@pytest.mark.parametrize("name", ["s3_function", "s3_group", "q8_group"])
+def test_slice_containment_matches_kronecker_on_the_lattice(algebras, dual_of, name):
+    kac = algebras[name]
+    dd = dual_of(kac)
+    for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+        partner = ci.tilde(coid, dd).mm.onb()
+        for side in ("left", "right"):
+            got = slice_containment(kac, coid.mm.onb(), side)
+            assert abs(got - kron_containment(kac, coid.mm.onb(), side)) <= 1e-14
+            got = slice_dual_containment(dd, partner, side)
+            assert abs(got - kron_dual_containment(dd, partner, side)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["s3_function", "s3_group", "q8_group"])
+def test_slice_containment_matches_kronecker_off_coideals(algebras, dual_of, name):
+    kac = algebras[name]
+    dd = dual_of(kac)
+    rng = np.random.default_rng(11)
+    homes = (
+        (kac.as_mm().onb(), partial(slice_containment, kac), partial(kron_containment, kac)),
+        (dd.hat.onb, partial(slice_dual_containment, dd), partial(kron_dual_containment, dd)),
+    )
+    for home, fast, oracle in homes:
+        for k in (2, 3):
+            coeffs = rng.normal(size=(k, len(home))) + 1j * rng.normal(size=(k, len(home)))
+            mats = np.tensordot(coeffs, home, axes=1)
+            for side in ("left", "right"):
+                want = oracle(mats, side)
+                assert want > 0.1
+                assert abs(fast(mats, side) - want) <= 1e-12 * want
+
+
+def _right_coset_span(kac, subgroup):
+    """Indicators of the right cosets Hg, a basis of C(H\\G)."""
+    g = kac.group
+    cosets = {frozenset(int(g.table[h, x]) for h in subgroup) for x in range(g.order)}
+    mats = []
+    for coset in sorted(sorted(c) for c in cosets):
+        c = np.zeros(kac.dim, dtype=complex)
+        c[coset] = 1.0
+        mats.append(kac.op(c))
+    return mats
+
+
+def test_right_cosets_of_a_non_normal_subgroup_give_a_right_coideal_only(
+    algebras, dual_of
+):
+    kac = algebras["s3_function"]
+    dd = dual_of(kac)
+    halves = [h for h in kac.group.subgroups() if len(h) == 2]
+    assert len(halves) == 3
+    for sub in halves:
+        mats = _right_coset_span(kac, sub)
+        left = slice_containment(kac, mats, "left")
+        assert left > 1.0
+        assert abs(left - kron_containment(kac, mats, "left")) <= 1e-12 * left
+        with pytest.raises(ValueError, match="not a left coideal"):
+            ci.is_coideal(kac, mats, "left")
+        right = ci.is_coideal(kac, mats, "right")
+        assert right.certificate < 1e-9
+        assert right.dim == 3
+        with pytest.raises(ValueError, match="side must be"):
+            ci.is_coideal(kac, mats, "up")
+        with pytest.raises(ValueError, match="side must be"):
+            slice_dual_containment(dd, dd.hat.onb, "up")
+
+
+def test_system_rederivation_is_the_projector_norm(algebras, coreps_of):
+    kac = algebras["s3_function"]
+    coreps = coreps_of(kac)
+    out = ci.enumerate_coideals_group_case(kac)
+    theta = 1e-9
+    halves = [(s, c) for s, c in zip(out["subgroups"], out["coideals"]) if len(s) == 2]
+    assert len(halves) == 3
+    for sub, coid in halves:
+        sys = ci.subspace_system_from_coideal(kac, coid, coreps)
+        spaces = list(sys.spaces)
+        # the 2-dim corepresentation carries a 1-dim K_π; turn it by θ in ℂ²
+        (p,) = [i for i, k in enumerate(spaces) if k.shape == (1, 2)]
+        w = spaces[p][0]
+        w_perp = np.array([-np.conj(w[1]), np.conj(w[0])])
+        spaces[p] = (np.cos(theta) * w + np.sin(theta) * w_perp)[None, :]
+        turned = ci.SubspaceSystem(spaces=tuple(spaces), corep_dims=sys.corep_dims)
+        recovered = ci.subgroup_from_system(kac, coreps, turned)
+        assert sorted(recovered["subgroup"]) == sorted(sub)
+        assert abs(recovered["system_rederivation"] - theta) <= 1e-4 * theta
