@@ -165,7 +165,12 @@ def from_span(mats: list[np.ndarray], ambient_dim: int, unit=None) -> MMAlgebra:
     The span is orthonormalized but *not* closed; closure is the caller's
     responsibility (use :func:`mm_from_generators` otherwise).
     """
-    basis = la.orthonormalize(mats) * np.sqrt(ambient_dim)
+    return from_onb(la.orthonormalize(mats), ambient_dim, unit)
+
+
+def from_onb(onb, ambient_dim: int, unit=None) -> MMAlgebra:
+    """Wrap a Frobenius-orthonormal basis of an already-closed span."""
+    basis = onb * np.sqrt(ambient_dim)
     if unit is None:
         unit = np.eye(ambient_dim, dtype=complex)
     return MMAlgebra(ambient_dim=ambient_dim, basis=basis, unit=unit)

@@ -120,9 +120,8 @@ def _leg_commutator_max(v: np.ndarray, first: np.ndarray, second: np.ndarray) ->
 def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
     """Construct V from the coproduct and verify its defining properties."""
     n = kac.dim
-    stack = np.stack(kac.lmats)
     # t4[i, a, b, q] = (δ(bᵢ)(Ω ⊗ e_q))[(a, b)]
-    t4 = np.einsum("ijk,aj,kbq->iabq", kac.delta, kac.coord, stack, optimize=True)
+    t4 = np.einsum("ijk,aj,kbq->iabq", kac.delta, kac.coord, kac.lmats, optimize=True)
     t_mat = t4.transpose(1, 2, 0, 3).reshape(n * n, n * n)
     eye = np.eye(n, dtype=complex)
     v = t_mat @ np.kron(kac.coord_inv, eye)
@@ -313,17 +312,14 @@ def hat_unitaries(
     res["v_hat_in_a_tensor_hatcomm"] = _leg_commutator_max(v_hat, a_comm.onb(), hat.onb)
     # Ṽ ∈ A′⊗Â ⟺ commutes with A⊗1 and 1⊗Â′
     res["v_tilde_in_acomm_tensor_hat"] = _leg_commutator_max(
-        v_tilde, np.stack(kac.lmats), hat_comm.onb()
+        v_tilde, kac.lmats, hat_comm.onb()
     )
 
     # V̂†(ξ ⊗ xΩ) = δ(x)(ξ ⊗ Ω) over basis x and coordinate vectors ξ.
     act = 0.0
     vh_dag = dagger(v_hat)
     for i in range(n):
-        d_i = np.einsum(
-            "jk,jac,kbe->abce", kac.delta[i], np.stack(kac.lmats), np.stack(kac.lmats),
-            optimize=True,
-        ).reshape(n * n, n * n)
+        d_i = kac.tensor_op(kac.delta[i])
         for q in range(n):
             lhs = vh_dag @ np.kron(eye[:, q], kac.coord[:, i])
             rhs = d_i @ np.kron(eye[:, q], kac.omega)
@@ -383,7 +379,6 @@ def pairing(
     """
     n = kac.dim
     sq = np.sqrt(n)
-    stack = np.stack(kac.lmats)
     ystack = hat.onb
     om_bar = np.conj(ints.omega_hat)
 
@@ -402,7 +397,7 @@ def pairing(
     res["dual_coproduct_membership"] = delta_membership
 
     # Law 1: ⟨x·x', y⟩ = ⟨x⊗x', δ̂(y)⟩.
-    pv = np.einsum("iac,cj->ija", stack, kac.coord, optimize=True)  # (bᵢbⱼ)Ω
+    pv = np.einsum("iac,cj->ija", kac.lmats, kac.coord, optimize=True)  # (bᵢbⱼ)Ω
     lhs1 = sq * np.einsum("ijp,ap->ija", pv, w, optimize=True)
     rhs1 = np.einsum("cab,ia,jb->ijc", delta, p_mat, p_mat, optimize=True)
     res["pairing_product_vs_dual_coproduct"] = float(np.abs(lhs1 - rhs1).max())

@@ -485,9 +485,9 @@ def basic_extension(inc: Inclusion, tol: float = DEFAULT_TOL) -> BasicExtension:
 
     m1 = ag.from_span(g.adj_j(small_comm.onb()), k)
 
-    sandwich = _sandwich(big_ops, e_n)
-    span_m1 = ag.from_span(sandwich, k)
-    generated = ag.from_span(np.concatenate([big_ops, sandwich]), k)
+    sandwich_factor, generated_factor = _extension_factors(big_ops, e_n)
+    span_m1 = ag.from_onb(la.factor_onb(sandwich_factor), k)
+    generated = ag.from_onb(la.factor_onb(generated_factor), k)
 
     res = {}
     e_big = inc.expectation.apply(big_onb)
@@ -515,6 +515,20 @@ def basic_extension(inc: Inclusion, tol: float = DEFAULT_TOL) -> BasicExtension:
         small_commutant=small_comm,
         residuals=res,
     )
+
+
+def _extension_factors(big_ops: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Span factors (:func:`~kacgalois.linalg.span_factor`) of M·e·M and of M ∪ M·e·M.
+
+    M·e·M is folded into one running factor an x-block {x·e·y : y} at a
+    time, so no SVD of the full D²-row stack is made; the algebra generated
+    by M and e is that factor with M's basis folded in.
+    """
+    d, k = len(big_ops), e.shape[0]
+    factor = None
+    for block in _sandwich(big_ops, e).reshape(-1, d, k, k):
+        factor = la.span_factor(block, prior=factor)
+    return factor, la.span_factor(big_ops, prior=factor)
 
 
 def _sandwich(ops: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -191,10 +191,11 @@ class KacAlgebra:
     """A Kac algebra with structure tensors and its Haar-GNS materialization.
 
     The concrete side lives on ℂⁿ (the GNS space of the Haar state): ``lmats``
-    are the left-multiplication operators of the basis, ``omega`` the cyclic
-    vector, ``coord`` the coefficient-to-GNS coordinate map, and ``mj`` the
-    linear part of the modular conjugation (x Ω ↦ x* Ω, which is already
-    antiunitary because the Haar state is a trace).
+    is the read-only (n, n, n) stack of the basis's left-multiplication
+    operators, ``omega`` the cyclic vector, ``coord`` the coefficient-to-GNS
+    coordinate map, and ``mj`` the linear part of the modular conjugation
+    (x Ω ↦ x* Ω, which is already antiunitary because the Haar state is a
+    trace).
     """
 
     dim: int
@@ -206,7 +207,7 @@ class KacAlgebra:
     star: np.ndarray
     haar: np.ndarray
     unit_coeffs: np.ndarray
-    lmats: tuple
+    lmats: np.ndarray
     omega: np.ndarray
     coord: np.ndarray
     coord_inv: np.ndarray
@@ -218,7 +219,7 @@ class KacAlgebra:
 
     def op(self, coeffs: np.ndarray) -> np.ndarray:
         """The operator Σ cᵢ·L(bᵢ) on the GNS space."""
-        return np.tensordot(np.asarray(coeffs, dtype=complex), np.stack(self.lmats), axes=(0, 0))
+        return np.tensordot(np.asarray(coeffs, dtype=complex), self.lmats, axes=(0, 0))
 
     def coeffs_of(self, x: np.ndarray) -> np.ndarray:
         """Basis coefficients of an operator in the algebra (via x·Ω)."""
@@ -229,11 +230,15 @@ class KacAlgebra:
     def delta_op(self, x: np.ndarray) -> np.ndarray:
         """Coproduct of an algebra operator, as an n²×n² matrix."""
         c = self.coeffs_of(x)
-        w = np.tensordot(c, self.delta, axes=(0, 0))  # (n, n) weights over bᵢ⊗bⱼ
-        stack = np.stack(self.lmats)
-        out = np.einsum("ij,iac,jbe->abce", w, stack, stack, optimize=True)
+        return self.tensor_op(np.tensordot(c, self.delta, axes=(0, 0)))
+
+    def tensor_op(self, w: np.ndarray) -> np.ndarray:
+        """The n²×n² operator Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ)."""
         n = self.dim
-        return out.reshape(n * n, n * n)
+        flat = self.lmats.reshape(n, n * n)
+        # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ L(bⱼ)[b, e], then contract i against L(bᵢ)[a, c].
+        out = flat.T @ (w @ flat)
+        return out.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
     def kappa_op(self, x: np.ndarray) -> np.ndarray:
         """Antipode of an algebra operator."""
@@ -250,7 +255,7 @@ class KacAlgebra:
         """The materialized algebra as an :class:`~kacgalois.algebra.MMAlgebra`."""
         from . import algebra as ag
 
-        return ag.from_span(list(self.lmats), self.dim)
+        return ag.from_span(self.lmats, self.dim)
 
     # -- serialization ------------------------------------------------------
 
@@ -346,7 +351,8 @@ def kac_from_structure(
     coord = (u * np.sqrt(w)) @ dagger(u)
     coord_inv = (u / np.sqrt(w)) @ dagger(u)
 
-    lmats = tuple(coord @ mult[i].T @ coord_inv for i in range(n))
+    lmats = np.array([coord @ mult[i].T @ coord_inv for i in range(n)])
+    lmats.flags.writeable = False
     omega = coord @ unit_coeffs
     ms = coord @ star.T @ np.conj(coord_inv)
 

@@ -4,8 +4,11 @@ The dual construction, corepresentation extraction, and Galois lattice are
 the expensive steps, so each is computed once per algebra for the whole run.
 """
 
-import pytest
+import json
 from importlib import resources
+from pathlib import Path
+
+import pytest
 
 from kacgalois import coideals as ci
 from kacgalois import coreps as cr
@@ -21,10 +24,18 @@ GROUP_BUILDERS = (
     ("q8", kc.quaternion_group),
 )
 
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inclusion_pool.json"
+
 GROUP_NAMES = tuple(name for name, _ in GROUP_BUILDERS)
 ALGEBRA_NAMES = tuple(
     f"{name}_{kind}" for name, _ in GROUP_BUILDERS for kind in ("group", "function")
 )
+
+
+def pool_shapes():
+    """One ``random_inclusion`` seed per shape of the benchmark's inclusion pool."""
+    by_shape = json.loads(POOL.read_text())["by_shape"]
+    return [pytest.param(seeds[0], id=shape) for shape, seeds in sorted(by_shape.items())]
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,6 @@
 """Multimatrix algebras: commutants, central structure, states, expectations."""
 
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +11,7 @@ from kacgalois import algebra as ag
 from kacgalois import jones as jn
 from kacgalois import linalg as la
 
-POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inclusion_pool.json"
+from conftest import pool_shapes
 
 
 def random_complex(rng, *shape):
@@ -101,12 +99,6 @@ def commutes_by_loop(mats, others):
         for x in mats
         for b in others
     )
-
-
-def pool_shapes():
-    """One ``random_inclusion`` seed per shape of the benchmark's inclusion pool."""
-    by_shape = json.loads(POOL.read_text())["by_shape"]
-    return [pytest.param(seeds[0], id=shape) for shape, seeds in sorted(by_shape.items())]
 
 
 @pytest.mark.parametrize("seed", pool_shapes())

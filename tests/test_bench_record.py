@@ -1,0 +1,61 @@
+"""tools/bench_record.py: folding perfbench parent/change runs into a BENCH file."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_record)
+
+METRICS = ("setup_s", "run_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
+
+
+def write_run(path, workload, seed, run_s, failed=0):
+    """Two lines shaped like ``perfbench/run.py --trace 0`` output."""
+    metrics = {name: {"value": 1.0, "unit": "s"} for name in METRICS}
+    metrics["run_s"]["value"] = run_s
+    full = {
+        "workload": workload, "seed": seed, "trace": 0, "attempted": 4, "failed": failed,
+        "environment": {"python": "3.11", "numpy": "2.4", "seed": seed, "git_commit": None},
+        "metrics": metrics,
+    }
+    last = {"correct": failed == 0, "attempted": 4, "failed": failed, "metrics": metrics}
+    path.write_text("progress\n" + json.dumps(full) + "\n" + json.dumps(last) + "\n")
+    return str(path)
+
+
+def test_pairs_fold_into_medians_quartiles_and_wins(tmp_path):
+    parent = [write_run(tmp_path / f"p{s}", "jones_family", s, t) for s, t in zip(range(5), (4, 5, 6, 7, 8))]
+    change = [write_run(tmp_path / f"c{s}", "jones_family", s, t) for s, t in zip(range(5), (3, 4, 5, 7, 9))]
+    change.append(write_run(tmp_path / "cx", "selftest", 9, 2.0, failed=1))
+    parent.append(write_run(tmp_path / "px", "selftest", 9, 2.5))
+    out = tmp_path / "BENCH.json"
+    bench_record.main([
+        "--parent", *parent, "--change", *change, "--parent-rev", "abc",
+        "--benchmark", str(ROOT / "BENCHMARK.json"), "--out", str(out),
+    ])
+    doc = json.loads(out.read_text())
+    assert doc["commits"] == {"parent": "abc", "change": None}
+    assert "seed" not in doc["environment"]
+    jf = doc["workloads"]["jones_family"]
+    assert jf["pairs"] == 5 and jf["seeds"] == [0, 1, 2, 3, 4]
+    run = jf["metrics"]["run_s"]
+    assert run["parent"] == {"median": 6.0, "q1": 5.0, "q3": 7.0}
+    assert run["change"] == {"median": 5.0, "q1": 4.0, "q3": 7.0}
+    assert (run["change_better_pairs"], run["ties"]) == (3, 1)
+    assert jf["metrics"]["peak_rss_mb"]["ties"] == 5
+    assert doc["workloads"]["selftest"]["failed"] == {"parent": 0, "change": 1}
+
+
+def test_a_run_without_its_partner_is_refused(tmp_path):
+    parent = [write_run(tmp_path / "p", "selftest", 1, 2.0)]
+    change = [write_run(tmp_path / "c", "selftest", 2, 2.0)]
+    with pytest.raises(SystemExit, match="without a partner"):
+        bench_record.main([
+            "--parent", *parent, "--change", *change,
+            "--benchmark", str(ROOT / "BENCHMARK.json"), "--out", str(tmp_path / "o.json"),
+        ])

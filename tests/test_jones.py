@@ -12,6 +12,8 @@ from kacgalois import algebra as ag
 from kacgalois import jones as jn
 from kacgalois import linalg as la
 
+from conftest import pool_shapes
+
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -366,3 +368,36 @@ def test_mirror_map_residual_is_basis_independent():
     value = jn.extremality(bc, dw, report)["mirror_map_residual"]
     again = jn.extremality(bc, dw, dataclasses.replace(report, algebra=turned))
     assert again["mirror_map_residual"] == pytest.approx(value, rel=1e-10, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_streamed_extension_spans_match_the_one_shot_svd(seed):
+    inc = jn.random_inclusion(seed)
+    bc = jn.basic_extension(inc)
+    big_ops = bc.gns.rep(inc.big.onb())
+    sandwich = jn._sandwich(big_ops, bc.e_n)
+    stacks = (sandwich, np.concatenate([big_ops, sandwich]))
+    for factor, stack in zip(jn._extension_factors(big_ops, bc.e_n), stacks):
+        reference = la.orthonormalize(stack)  # the one-shot SVD of the full stack
+        onb = la.factor_onb(factor)
+        dim = len(reference)
+        assert len(onb) == dim
+        assert la.span_distance(onb, reference.reshape(dim, -1)) < 1e-12
+        s = np.linalg.svd(stack.reshape(len(stack), -1), compute_uv=False)
+        np.testing.assert_allclose(np.linalg.norm(factor, axis=1)[:dim], s[:dim], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make", [jn.fixture_markov_chain, jn.fixture_pinch, lambda: jn.random_inclusion(2)]
+)
+def test_streamed_certificate_trips_on_a_dropped_block(monkeypatch, make):
+    # Dropping the block of x₀ leaves S·e·M with S = span of the other basis
+    # elements; that is all of M·e·M when S·N = M, so these inclusions are
+    # ones where S·N ≠ M and the span really shrinks.
+    inc = make()
+    assert jn.basic_extension(inc).residuals["three_way_max"] < 1e-12
+    real = jn._sandwich
+    monkeypatch.setattr(jn, "_sandwich", lambda ops, e: real(ops, e)[len(ops):])
+    res = jn.basic_extension(inc).residuals
+    assert res["mirror_vs_span"] > 1e-8
+    assert res["three_way_max"] > 1e-8
