@@ -101,10 +101,6 @@ class MMAlgebra:
         """Frobenius distance from ``x`` to the span; for a stack, the largest."""
         return la.frob_max(x - self.project(x))
 
-    def contains(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        """Span membership up to ``tol``, relative to max(1, ‖x‖)."""
-        return self.residual(x) < tol * max(1.0, frob(x))
-
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of ``x`` (shape (..., d, d)) in the orthonormal basis."""
         return np.tensordot(x, self._onb.conj(), axes=([-2, -1], [1, 2]))
@@ -259,9 +255,9 @@ def commutant(alg: MMAlgebra) -> MMAlgebra:
     blocks = matrix_units(alg)
     parts = []
     for block in blocks:
-        w = _range_onb(block.units[0][0])
+        w = _range_onb(block.units[0, 0])
         # cols[p][:, a] = v_a[:, p], so cols[p] @ cols[q]† = Σ_a v_a[:, p] v_a[:, q]†.
-        cols = (np.stack([row[0] for row in block.units]) @ w).transpose(2, 1, 0)
+        cols = (block.units[:, 0] @ w).transpose(2, 1, 0)
         units = (cols[:, None] @ dagger(cols)[None]).reshape(-1, d, d)
         parts.append(units / np.sqrt(block.size))
     comm = MMAlgebra(ambient_dim=d, basis=np.concatenate(parts) * np.sqrt(d), unit=eye)
@@ -428,14 +424,15 @@ def _central_decomposition(alg: MMAlgebra):
 class MatrixUnitBlock:
     """A full system of matrix units for one central summand.
 
-    ``units[i][j]`` is eᵢⱼ with eᵢⱼ e_{kl} = δⱼₖ e_{il}, eᵢⱼ† = eⱼᵢ, and
-    Σᵢ eᵢᵢ equal to the central projection of the summand.
+    ``units[i, j]`` is eᵢⱼ with eᵢⱼ e_{kl} = δⱼₖ e_{il}, eᵢⱼ† = eⱼᵢ, and
+    Σᵢ eᵢᵢ equal to the central projection of the summand; ``units`` is a
+    read-only (size, size, d, d) array.
     """
 
     projection: np.ndarray
     size: int
     multiplicity: int
-    units: tuple  # size × size nested tuple of ndarray
+    units: np.ndarray
 
 
 def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
@@ -467,15 +464,10 @@ def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
             # f[j] is minimal, so best†·best is a scalar multiple of f[j].
             scale = np.real(np.trace(dagger(best) @ best)) / np.real(np.trace(f[j]))
             row.append(best / np.sqrt(scale))
-        units = [[dagger(row[i]) @ row[j] for j in range(m)] for i in range(m)]
-        out.append(
-            MatrixUnitBlock(
-                projection=z,
-                size=m,
-                multiplicity=mult,
-                units=tuple(tuple(r) for r in units),
-            )
-        )
+        row = np.stack(row)
+        units = dagger(row)[:, None] @ row[None]
+        units.flags.writeable = False
+        out.append(MatrixUnitBlock(projection=z, size=m, multiplicity=mult, units=units))
     return out
 
 

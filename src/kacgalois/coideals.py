@@ -37,6 +37,10 @@ from .algebra import SubalgebraError
 from .kac import KacAlgebra
 from .linalg import DEFAULT_TOL, dagger, frob, opnorm
 
+# Largest residual at which a subspace system counts as closed, and a vector
+# as fixed by a group element.
+CLOSURE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Coideal:
@@ -190,24 +194,19 @@ def subspace_system_from_coideal(
     kac: KacAlgebra, coid: Coideal, coreps: list[cr.Corepresentation]
 ) -> SubspaceSystem:
     """K_π = row space of the Fourier coefficient matrices of B's basis."""
-    spaces = []
-    for c in coreps:
-        rows = []
-        for b in coid.mm.onb():
-            mat = cr.fourier_coefficients(kac, [c], b)[0]
-            rows.extend(mat[i] for i in range(c.dim))
-        vecs = la.orthonormalize([r[None, :] for r in rows])
-        spaces.append(vecs.reshape(-1, c.dim))
+    coeffs = cr.fourier_coefficients(kac, coreps, coid.mm.onb())
+    spaces = [
+        la.orthonormalize(m.reshape(-1, 1, c.dim)).reshape(-1, c.dim)
+        for c, m in zip(coreps, coeffs)
+    ]
     return SubspaceSystem(
         spaces=tuple(spaces), corep_dims=tuple(c.dim for c in coreps)
     )
 
 
-def _vec_residual(vec: np.ndarray, rows: np.ndarray) -> float:
-    """Distance from a vector to the row space of ``rows`` (orthonormal)."""
-    if rows.shape[0] == 0:
-        return float(np.linalg.norm(vec))
-    return float(np.linalg.norm(vec - rows.T @ (np.conj(rows) @ vec)))
+def _row_residuals(vecs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Distance of each row of ``vecs`` from the span of the orthonormal ``rows``."""
+    return np.linalg.norm(vecs - (vecs @ dagger(rows)) @ rows, axis=-1)
 
 
 def check_system_closure(
@@ -222,56 +221,45 @@ def check_system_closure(
        intertwiner T of each π.
 
     Returns per-condition residuals and a ``passed`` flag; failures list the
-    offending pairs.
+    offending pairs (π, σ, τ) and conjugates (π, "conj", π̄) with their
+    worst residual.
     """
     res = {"trivial": 1.0, "fusion": 0.0, "conjugation": 0.0, "failures": []}
     for idx, c in enumerate(coreps):
         if c.is_trivial:
             res["trivial"] = 0.0 if sys.spaces[idx].shape[0] == 1 else 1.0
 
-    for a in range(len(coreps)):
-        ka = sys.spaces[a]
+    for a, ka in enumerate(sys.spaces):
         if ka.shape[0] == 0:
             continue
-        for b in range(len(coreps)):
-            kb = sys.spaces[b]
+        for b, kb in enumerate(sys.spaces):
             if kb.shape[0] == 0:
                 continue
+            # Rows of kron(K_π, K_σ) are the vectors va⊗vb; S†v is v·conj(S) as a row.
+            pairs = np.kron(ka, kb)
             fus = cr.decompose_tensor_product(kac, coreps, a, b)
             for summand in fus["summands"]:
                 tau = summand["index"]
                 for isom in summand["isometries"]:
-                    worst = 0.0
-                    for va in ka:
-                        for vb in kb:
-                            w = dagger(isom) @ np.outer(va, vb).ravel()
-                            worst = max(worst, _vec_residual(w, sys.spaces[tau]))
-                    if worst > 1e-8:
+                    worst = float(_row_residuals(pairs @ isom.conj(), sys.spaces[tau]).max())
+                    if worst > CLOSURE_TOL:
                         res["failures"].append((a, b, tau, worst))
                     res["fusion"] = max(res["fusion"], worst)
 
     conj = cr.conjugation_involution(kac, coreps)
-    for idx, c in enumerate(coreps):
-        ka = sys.spaces[idx]
+    for idx, ka in enumerate(sys.spaces):
         if ka.shape[0] == 0:
             continue
         bar = conj["pairs"][idx]
-        cbar = coreps[bar]
-        basis = cr._intertwiner_space(
-            [[dagger(c.entries[i][j]) for j in range(c.dim)] for i in range(c.dim)],
-            [list(r) for r in cbar.entries],
-            kac.dim,
-        )
-        t = basis[:, 0].reshape(c.dim, cbar.dim)
-        tinv = np.linalg.inv(t)
-        for va in ka:
-            w = tinv @ np.conj(va)
-            r = _vec_residual(w / np.linalg.norm(w), sys.spaces[bar])
-            if r > 1e-8:
-                res["failures"].append((idx, "conj", bar, r))
-            res["conjugation"] = max(res["conjugation"], r)
+        # Rows: (T⁻¹·conj(v))ᵀ = conj(v)·T⁻ᵀ, each normalized.
+        w = np.conj(ka) @ np.linalg.inv(conj["intertwiners"][idx]).T
+        w /= np.linalg.norm(w, axis=1, keepdims=True)
+        worst = float(_row_residuals(w, sys.spaces[bar]).max())
+        if worst > CLOSURE_TOL:
+            res["failures"].append((idx, "conj", bar, worst))
+        res["conjugation"] = max(res["conjugation"], worst)
     res["passed"] = (
-        res["trivial"] == 0.0 and max(res["fusion"], res["conjugation"]) < 1e-8
+        res["trivial"] == 0.0 and max(res["fusion"], res["conjugation"]) < CLOSURE_TOL
     )
     return res
 
@@ -290,12 +278,12 @@ def coideal_from_subspace_system(
     closure = check_system_closure(kac, coreps, sys)
     if not closure["passed"]:
         raise ValueError(f"subspace system violates closure conditions: {closure}")
-    mats = [np.eye(kac.dim, dtype=complex)]
-    for c, rows in zip(coreps, sys.spaces):
-        for w in rows:
-            for i in range(c.dim):
-                mats.append(sum(w[l] * c.entries[i][l] for l in range(c.dim)))
-    return is_coideal(kac, ag.from_span(mats, kac.dim), side)
+    n = kac.dim
+    mats = [np.eye(n, dtype=complex)[None]] + [
+        np.tensordot(rows, c.entries, axes=(1, 1)).reshape(-1, n, n)
+        for c, rows in zip(coreps, sys.spaces)
+    ]
+    return is_coideal(kac, ag.from_span(np.concatenate(mats), n), side)
 
 
 # ---------------------------------------------------------------------------
@@ -393,38 +381,25 @@ def subgroup_from_system(
         raise ValueError("requires a function-algebra Kac algebra")
     g = kac.group
     n = g.order
-    pis = []
-    diag_res = 0.0
-    for c in coreps:
-        mats = np.empty((n, c.dim, c.dim), dtype=complex)
-        for i in range(c.dim):
-            for j in range(c.dim):
-                op = c.entries[i][j]
-                diag_res = max(diag_res, float(np.abs(op - np.diag(np.diag(op))).max()))
-                mats[:, i, j] = np.diag(op)
-        pis.append(mats)
-    rep_res = 0.0
-    for mats in pis:
-        for x in range(n):
-            for y in range(n):
-                rep_res = max(
-                    rep_res, float(np.abs(mats[g.table[x, y]] - mats[x] @ mats[y]).max())
-                )
+    diags = [np.diagonal(c.entries, axis1=-2, axis2=-1) for c in coreps]
+    diag_res = max(
+        float(np.abs(c.entries - dg[..., None] * np.eye(n)).max())
+        for c, dg in zip(coreps, diags)
+    )
+    # π(g)ᵢⱼ is the g-th diagonal entry of u(π)ᵢⱼ; pis[π][g] = π(g).
+    pis = [dg.transpose(2, 0, 1) for dg in diags]
+    rep_res = max(
+        float(np.abs(mats[g.table] - mats[:, None] @ mats[None]).max()) for mats in pis
+    )
 
-    members = []
-    for x in range(n):
-        fixed = True
-        for mats, rows in zip(pis, sys.spaces):
-            for w in rows:
-                if np.linalg.norm(mats[x] @ w - w) > 1e-8:
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
-            members.append(x)
-    h = tuple(members)
-    closed = all(int(g.table[a, b]) in members for a in members for b in members)
+    # g ∈ H when π(g) fixes every row of K_π, for every π.
+    fixed = np.ones(n, dtype=bool)
+    for mats, rows in zip(pis, sys.spaces):
+        moved = np.linalg.norm(mats @ rows.T - rows.T, axis=1)
+        fixed &= np.all(moved <= CLOSURE_TOL, axis=1)
+    members = np.flatnonzero(fixed)
+    h = tuple(members.tolist())
+    closed = bool(np.isin(g.table[np.ix_(members, members)], members).all())
 
     redrive = 0.0
     for mats, rows, c in zip(pis, sys.spaces, coreps):

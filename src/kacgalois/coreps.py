@@ -39,54 +39,57 @@ from .linalg import dagger, frob
 class Corepresentation:
     """One irreducible corepresentation of A, with its dual matrix units.
 
-    ``units[i][j]`` are the matrix units e(π)ᵢⱼ of the corresponding central
-    block of Â; ``entries[i][j]`` are the corepresentation entries
-    u(π)ᵢⱼ ∈ A, both on the Haar GNS space of A.
+    ``units[i, j]`` are the matrix units e(π)ᵢⱼ of the corresponding central
+    block of Â; ``entries[i, j]`` are the corepresentation entries
+    u(π)ᵢⱼ ∈ A, both on the Haar GNS space of A.  Both are read-only
+    (d, d, n, n) arrays.
     """
 
     index: int
     dim: int
     central_projection: np.ndarray
-    units: tuple
-    entries: tuple
+    units: np.ndarray
+    entries: np.ndarray
     is_trivial: bool
     residuals: dict
 
 
-def _entry_residuals(kac: KacAlgebra, dim: int, entries: list) -> dict:
-    """Structural checks for one corepresentation's entry matrix."""
-    n = kac.dim
-    res = {}
-    memb = 0.0
-    for row in entries:
-        for x in row:
-            memb = max(memb, frob(kac.op(kac.coeffs_of(x)) - x))
-    res["entries_in_algebra"] = memb
+def _coproduct_residual(kac: KacAlgebra, entries: np.ndarray, coeffs: np.ndarray) -> float:
+    """max over (i, j) of ‖δ(u_ij) − Σ_k u_ik⊗u_kj‖_F, from (n+d)-square factors.
 
-    big = np.zeros((dim * n, dim * n), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = entries[i][j]
-    res["block_matrix_unitary"] = la.opnorm(dagger(big) @ big - np.eye(dim * n))
+    With the rows of L the vectorized L(b_p) and w_ij = Σ_a c(u_ij)_a·Δ_a, the
+    difference is, up to a permutation of its entries, A_i·diag(w_ij, −1)·B_jᵀ
+    for A_i = [Lᵀ | vec(u_i·)ᵀ] and B_j = [Lᵀ | vec(u_·j)ᵀ].  Its Frobenius
+    norm is that of R_i·diag(w_ij, −1)·R_jᵀ for the thin QR factors of A_i
+    and B_j, so no n²×n² operator is formed.
+    """
+    d, n = entries.shape[0], kac.dim
+    lt = np.broadcast_to(kac.lmats.reshape(n, n * n).T, (d, n * n, n))
+    vecs = entries.reshape(d, d, n * n)
+    r_rows = np.linalg.qr(np.concatenate([lt, vecs.transpose(0, 2, 1)], axis=2), mode="r")
+    r_cols = np.linalg.qr(np.concatenate([lt, vecs.transpose(1, 2, 0)], axis=2), mode="r")
+    core = np.zeros((d, d, n + d, n + d), dtype=complex)
+    core[..., :n, :n] = np.tensordot(coeffs, kac.delta, axes=(-1, 0))
+    core[..., n:, n:] = -np.eye(d)
+    return la.frob_max(r_rows[:, None] @ core @ r_cols[None].swapaxes(-1, -2))
 
-    cop = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            target = np.zeros((n * n, n * n), dtype=complex)
-            for k in range(dim):
-                target += np.kron(entries[i][k], entries[k][j])
-            cop = max(cop, frob(kac.delta_op(entries[i][j]) - target))
-    res["coproduct_matricial"] = cop
 
-    res["counit_is_kronecker"] = max(
-        abs(kac.counit_of(entries[i][j]) - (1.0 if i == j else 0.0))
-        for i in range(dim)
-        for j in range(dim)
-    )
-    res["antipode_flips_adjoint"] = max(
-        frob(kac.kappa_op(entries[i][j]) - dagger(entries[j][i]))
-        for i in range(dim)
-        for j in range(dim)
+def _entry_residuals(kac: KacAlgebra, entries: np.ndarray) -> dict:
+    """Structural checks for one corepresentation's (d, d, n, n) entry array."""
+    d, n = entries.shape[0], kac.dim
+    coeffs = (entries @ kac.omega) @ kac.coord_inv.T
+    res = {
+        "entries_in_algebra": la.frob_max(
+            np.tensordot(coeffs, kac.lmats, axes=(-1, 0)) - entries
+        )
+    }
+    big = entries.transpose(0, 2, 1, 3).reshape(d * n, d * n)
+    res["block_matrix_unitary"] = la.opnorm(dagger(big) @ big - np.eye(d * n))
+    res["coproduct_matricial"] = _coproduct_residual(kac, entries, coeffs)
+    res["counit_is_kronecker"] = float(np.abs(coeffs @ kac.counit - np.eye(d)).max())
+    res["antipode_flips_adjoint"] = la.frob_max(
+        np.tensordot(coeffs @ kac.antipode, kac.lmats, axes=(-1, 0))
+        - dagger(entries).swapaxes(0, 1)
     )
     return res
 
@@ -124,41 +127,38 @@ def irreducible_coreps(
         )
     n = kac.dim
     v4 = v.matrix.reshape(n, n, n, n)
-    blocks = matrix_units(hat.mm)
+    # u(π)ᵢⱼ[b, q] = Σ_{p,a} e(π)ⱼᵢ[p, a]·V[(a, b), (p, q)] / d(π).
+    v_slices = v4.transpose(2, 0, 1, 3).reshape(n * n, n * n)
 
     coreps = []
-    expansion = np.zeros_like(v.matrix)
-    for idx, block in enumerate(blocks):
+    for idx, block in enumerate(matrix_units(hat.mm)):
         d = block.size
+        units = block.units
+        entries = (units.swapaxes(0, 1).reshape(d * d, n * n) @ v_slices) / d
+        entries = entries.reshape(d, d, n, n)
+        entries.flags.writeable = False
         res = {
             "square_block": 0.0 if block.multiplicity == block.size else 1.0,
         }
-        entries = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                e_ji = block.units[j][i]
-                row.append(
-                    np.einsum("pa,abpq->bq", e_ji, v4, optimize=True) / d
-                )
-            entries.append(row)
-        res.update(_entry_residuals(kac, d, entries))
-        for i in range(d):
-            for j in range(d):
-                expansion += np.kron(block.units[i][j], entries[i][j])
-        trivial = d == 1 and frob(entries[0][0] - np.eye(n)) < 1e-8
+        res.update(_entry_residuals(kac, entries))
+        trivial = d == 1 and frob(entries[0, 0] - np.eye(n)) < 1e-8
         coreps.append(
             Corepresentation(
                 index=idx,
                 dim=d,
                 central_projection=block.projection,
-                units=tuple(tuple(r) for r in block.units),
-                entries=tuple(tuple(r) for r in entries),
+                units=units,
+                entries=entries,
                 is_trivial=trivial,
                 residuals=res,
             )
         )
-    exp_res = frob(expansion - v.matrix)
+    # V = Σ e(π)ᵢⱼ ⊗ u(π)ᵢⱼ; a Kronecker product a⊗b is vec(a)·vec(b)ᵀ with
+    # the legs' row and column indices regrouped.
+    units = np.concatenate([c.units.reshape(-1, n * n) for c in coreps])
+    entries = np.concatenate([c.entries.reshape(-1, n * n) for c in coreps])
+    target = v4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    exp_res = frob(units.T @ entries - target)
     for c in coreps:
         c.residuals["v_expansion"] = exp_res
     return coreps
@@ -177,50 +177,44 @@ def dimension_count(kac: KacAlgebra, coreps: list[Corepresentation]) -> dict:
 
 
 def orthogonality_check(kac: KacAlgebra, coreps: list[Corepresentation]) -> dict:
-    """Schur orthogonality: h(u(π)ᵢⱼ* u(σ)ₖₗ) = δ_{πσ}δᵢₖδⱼₗ / d(π)."""
-    worst = 0.0
-    for a in coreps:
-        for b in coreps:
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    x = dagger(a.entries[i][j])
-                    for k in range(b.dim):
-                        for l_ in range(b.dim):
-                            val = kac.haar_of(x @ b.entries[k][l_])
-                            want = (
-                                1.0 / a.dim
-                                if (a.index == b.index and i == k and j == l_)
-                                else 0.0
-                            )
-                            worst = max(worst, abs(val - want))
-    return {"orthogonality": worst}
+    """Schur orthogonality: h(u(π)ᵢⱼ* u(σ)ₖₗ) = δ_{πσ}δᵢₖδⱼₗ / d(π).
+
+    With h(x*y) = ⟨xΩ, yΩ⟩ this is one Gram matrix of the vectors u(π)ᵢⱼΩ,
+    compared with diag(1/d(π)).
+    """
+    vecs = np.concatenate([c.entries.reshape(-1, kac.dim, kac.dim) @ kac.omega for c in coreps])
+    want = np.concatenate([np.full(c.dim * c.dim, 1.0 / c.dim) for c in coreps])
+    gram = vecs.conj() @ vecs.T
+    return {"orthogonality": float(np.abs(gram - np.diag(want)).max())}
 
 
 def fourier_coefficients(
     kac: KacAlgebra, coreps: list[Corepresentation], x: np.ndarray
 ) -> list[np.ndarray]:
-    """Matrix-valued Fourier coefficients x̂(π)ᵢⱼ = d(π)·h(u(π)ᵢⱼ*·x)."""
-    out = []
-    for c in coreps:
-        mat = np.empty((c.dim, c.dim), dtype=complex)
-        for i in range(c.dim):
-            for j in range(c.dim):
-                mat[i, j] = c.dim * kac.haar_of(dagger(c.entries[i][j]) @ x)
-        out.append(mat)
-    return out
+    """Matrix-valued Fourier coefficients x̂(π)ᵢⱼ = d(π)·h(u(π)ᵢⱼ*·x).
+
+    ``x`` is one operator or a stack (..., n, n); each coefficient array then
+    has shape (..., d(π), d(π)).
+    """
+    xo = np.asarray(x) @ kac.omega
+    return [
+        c.dim * np.tensordot(xo, (c.entries @ kac.omega).conj(), axes=(-1, -1))
+        for c in coreps
+    ]
 
 
 def fourier_inverse(
     kac: KacAlgebra, coreps: list[Corepresentation], coeffs: list[np.ndarray]
 ) -> np.ndarray:
-    """Reassemble Σ_π Σ_{ij} x̂(π)ᵢⱼ·u(π)ᵢⱼ (exact inverse of the transform)."""
-    n = kac.dim
-    out = np.zeros((n, n), dtype=complex)
-    for c, mat in zip(coreps, coeffs):
-        for i in range(c.dim):
-            for j in range(c.dim):
-                out += mat[i, j] * c.entries[i][j]
-    return out
+    """Reassemble Σ_π Σ_{ij} x̂(π)ᵢⱼ·u(π)ᵢⱼ (exact inverse of the transform).
+
+    Each coefficient array may carry leading stack axes, as
+    :func:`fourier_coefficients` returns them for a stack.
+    """
+    return sum(
+        np.tensordot(mat, c.entries, axes=([-2, -1], [0, 1]))
+        for c, mat in zip(coreps, coeffs)
+    )
 
 
 def fourier_round_trip(
@@ -231,20 +225,21 @@ def fourier_round_trip(
 ) -> dict:
     """Max reconstruction error over seeded random algebra elements.
 
-    Also certifies that the rescaled entries √d(π)·u(π)ᵢⱼ form a
-    Haar-orthonormal family of the right cardinality (they are a basis).
+    Also reports whether Σ d(π)² = dim A, the cardinality a basis of rescaled
+    entries √d(π)·u(π)ᵢⱼ needs.  That those entries are Haar-orthonormal is
+    certified by :func:`orthogonality_check`, not here.
     """
     rng = np.random.default_rng(seed)
     n = kac.dim
-    worst = 0.0
-    for _ in range(count):
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = kac.op(c)
-        back = fourier_inverse(kac, coreps, fourier_coefficients(kac, coreps, x))
-        worst = max(worst, frob(back - x) / max(1.0, frob(x)))
+    # Real and imaginary parts alternate per element, as n-draws in turn.
+    z = rng.standard_normal((count, 2, n))
+    xs = np.tensordot(z[:, 0] + 1j * z[:, 1], kac.lmats, axes=(-1, 0))
+    back = fourier_inverse(kac, coreps, fourier_coefficients(kac, coreps, xs))
+    err = np.linalg.norm(back - xs, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(xs, axis=(-2, -1)))
     card = sum(c.dim * c.dim for c in coreps)
     return {
-        "round_trip": worst,
+        "round_trip": float((err / scale).max(initial=0.0)),
         "basis_cardinality_exact": card == n,
     }
 
@@ -259,11 +254,10 @@ def peter_weyl_resolution(
     constant are reported.
     """
     n = kac.dim
-    acc = np.zeros((n, n), dtype=complex)
-    for c in coreps:
-        for i in range(c.dim):
-            for j in range(c.dim):
-                acc += c.dim * dagger(c.entries[i][j]) @ e_hat @ c.entries[i][j]
+    acc = sum(
+        c.dim * np.sum(dagger(c.entries) @ e_hat @ c.entries, axis=(0, 1))
+        for c in coreps
+    )
     const = complex(np.trace(acc) / n)
     return {
         "residual": frob(acc - np.eye(n)),
@@ -277,31 +271,25 @@ def peter_weyl_resolution(
 # ---------------------------------------------------------------------------
 
 
-def _intertwiner_space(
-    left: list, right: list, n: int
-) -> np.ndarray:
-    """Solutions T of Σ_k left[i][k]·T[k,j] = Σ_k T[i,k]·right[k][j].
+def _intertwiner_space(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Solutions T of Σ_k left[i, k]·T[k, j] = Σ_k T[i, k]·right[k, j].
 
-    ``left``/``right`` are nested lists of n×n operators (corep entry
-    matrices); returns an orthonormal basis of the solution space, each
-    column a vectorized T.
+    ``left`` and ``right`` are (dl, dl, n, n) and (dr, dr, n, n) stacks of
+    corepresentation entries.  The linear system has rows in (i, j, p, q)
+    order and columns in (k, l) order; returns an orthonormal basis of its
+    null space, each column a vectorized T.
     """
-    dl, dr = len(left), len(right)
-    cols = []
-    for k in range(dl):
-        for l_ in range(dr):
-            block = np.zeros((dl * dr, n * n), dtype=complex)
-            for i in range(dl):
-                for j in range(dr):
-                    acc = np.zeros((n, n), dtype=complex)
-                    if l_ == j:
-                        acc += left[i][k]
-                    if i == k:
-                        acc -= right[l_][j]
-                    block[i * dr + j] = acc.reshape(-1)
-            cols.append(block.reshape(-1))
-    a = np.stack(cols, axis=1)
-    return la.null_space(a)
+    dl, dr, n = left.shape[0], right.shape[0], left.shape[-1]
+    a = np.einsum("ikpq,lj->ijpqkl", left, np.eye(dr)) - np.einsum(
+        "ljpq,ik->ijpqkl", right, np.eye(dl)
+    )
+    return la.null_space(a.reshape(dl * dr * n * n, dl * dr))
+
+
+def _intertwining_residual(left: np.ndarray, ts: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """‖Σ_k left[i, k]·T[k, j] − Σ_k T[i, k]·right[k, j]‖_F, max over (i, j), per T in ``ts``."""
+    diff = np.einsum("ikpq,mkj->mijpq", left, ts) - np.einsum("mik,kjpq->mijpq", ts, right)
+    return np.linalg.norm(diff, axis=(-2, -1)).max(axis=(1, 2))
 
 
 def conjugation_involution(
@@ -313,47 +301,38 @@ def conjugation_involution(
     projection of π to that of π̄ — and certified by solving for an explicit
     invertible intertwiner between the entrywise-adjoint corepresentation of
     π and π̄ (Schur: the intertwiner space must be exactly one-dimensional).
-    Returns the pairing, the involution check, and the worst residuals.
+    Returns the pairing, the involution check, the worst residuals, and the
+    intertwiners T (one d(π)×d(π̄) matrix per π, ``None`` when the space is
+    empty).
     """
-    n = kac.dim
-    pairs = []
-    proj_res = 0.0
-    for c in coreps:
-        kz = du.kappa_hat(kac, c.central_projection)
-        best, dist = None, np.inf
-        for other in coreps:
-            d = frob(kz - other.central_projection)
-            if d < dist:
-                best, dist = other.index, d
-        proj_res = max(proj_res, dist)
-        pairs.append(best)
+    projs = np.stack([c.central_projection for c in coreps])
+    moved = np.stack([du.kappa_hat(kac, z) for z in projs])
+    dist = np.linalg.norm(moved[:, None] - projs[None], axis=(-2, -1))
+    pairs = [int(p) for p in dist.argmin(axis=1)]
 
     schur = 0.0
     inter_res = 0.0
+    intertwiners = []
     for c in coreps:
         cbar = coreps[pairs[c.index]]
-        conj_entries = [
-            [dagger(c.entries[i][j]) for j in range(c.dim)] for i in range(c.dim)
-        ]
-        basis = _intertwiner_space(conj_entries, [list(r) for r in cbar.entries], n)
+        conj_entries = dagger(c.entries)
+        basis = _intertwiner_space(conj_entries, cbar.entries)
         schur = max(schur, abs(basis.shape[1] - 1))
+        t = None
         if basis.shape[1] >= 1:
             t = basis[:, 0].reshape(c.dim, cbar.dim)
-            worst = 0.0
-            for i in range(c.dim):
-                for j in range(cbar.dim):
-                    lhs = sum(conj_entries[i][k] * t[k, j] for k in range(c.dim))
-                    rhs = sum(t[i, k] * cbar.entries[k][j] for k in range(cbar.dim))
-                    worst = max(worst, frob(lhs - rhs))
+            worst = _intertwining_residual(conj_entries, t[None], cbar.entries)[0]
             inter_res = max(inter_res, worst / max(1.0, float(np.abs(t).max())))
+        intertwiners.append(t)
 
     involution_ok = all(pairs[pairs[i]] == i for i in range(len(coreps)))
     return {
         "pairs": pairs,
         "involution_exact": involution_ok,
-        "central_projection_transport": proj_res,
+        "central_projection_transport": float(dist.min(axis=1).max()),
         "schur_dimension_defect": float(schur),
-        "intertwiner_residual": inter_res,
+        "intertwiner_residual": float(inter_res),
+        "intertwiners": intertwiners,
     }
 
 
@@ -367,57 +346,40 @@ def decompose_tensor_product(
 
     The product corepresentation has entries u(π_a)ᵢⱼ·u(π_b)ₖₗ on the index
     set (i,k)×(j,l).  For each irreducible τ, the intertwiner space gives
-    m_τ orthogonal isometries; the decomposition is certified by isometry,
-    mutual orthogonality, completeness Σ S·S† = 1, the exact dimension count
+    m_τ orthogonal isometries (stacked (m_τ, d_a·d_b, d(τ)) per summand); the
+    decomposition is certified by isometry, mutual orthogonality,
+    completeness Σ S·S† = 1, the exact dimension count
     Σ m_τ·d(τ) = d(π_a)·d(π_b), and the intertwining equations themselves.
     """
     n = kac.dim
     ca, cb = coreps[a], coreps[b]
-    da, db = ca.dim, cb.dim
-    big_dim = da * db
-    prod = [
-        [
-            ca.entries[i][j] @ cb.entries[k][l_]
-            for j in range(da)
-            for l_ in range(db)
-        ]
-        for i in range(da)
-        for k in range(db)
-    ]
+    big_dim = ca.dim * cb.dim
+    prod = (ca.entries[:, None, :, None] @ cb.entries[None, :, None, :]).reshape(
+        big_dim, big_dim, n, n
+    )
 
     res = {"intertwining": 0.0, "isometry": 0.0}
     summands = []
-    gram_blocks = []
     total = 0
     for c in coreps:
-        basis = _intertwiner_space(prod, [list(r) for r in c.entries], n)
+        basis = _intertwiner_space(prod, c.entries)
         mult = basis.shape[1]
         if mult == 0:
             continue
-        isoms = []
-        for idx in range(mult):
-            t = basis[:, idx].reshape(big_dim, c.dim) * np.sqrt(c.dim)
-            res["isometry"] = max(res["isometry"], frob(dagger(t) @ t - np.eye(c.dim)))
-            worst = 0.0
-            for i in range(big_dim):
-                for j in range(c.dim):
-                    lhs = sum(prod[i][k] * t[k, j] for k in range(big_dim))
-                    rhs = sum(t[i, k] * c.entries[k][j] for k in range(c.dim))
-                    worst = max(worst, frob(lhs - rhs))
-            res["intertwining"] = max(res["intertwining"], worst)
-            isoms.append(t)
-            gram_blocks.append(t)
-        summands.append({"index": c.index, "multiplicity": mult, "isometries": isoms})
+        ts = basis.T.reshape(mult, big_dim, c.dim) * np.sqrt(c.dim)
+        res["isometry"] = max(res["isometry"], la.frob_max(dagger(ts) @ ts - np.eye(c.dim)))
+        res["intertwining"] = max(
+            res["intertwining"], float(_intertwining_residual(prod, ts, c.entries).max())
+        )
+        summands.append({"index": c.index, "multiplicity": mult, "isometries": ts})
         total += mult * c.dim
 
-    comp = sum(t @ dagger(t) for t in gram_blocks)
-    res["completeness"] = frob(comp - np.eye(big_dim))
+    # All isometries side by side: S†S holds every tᵤ†tᵥ as a block.
+    blocks = [t for summand in summands for t in summand["isometries"]]
+    isoms = np.concatenate(blocks, axis=1)
+    res["completeness"] = frob(isoms @ dagger(isoms) - np.eye(big_dim))
     res["dimension_count_exact"] = total == big_dim
-    ortho = 0.0
-    for x in range(len(gram_blocks)):
-        for y in range(x + 1, len(gram_blocks)):
-            ortho = max(
-                ortho, float(np.abs(dagger(gram_blocks[x]) @ gram_blocks[y]).max())
-            )
-    res["isometry_orthogonality"] = ortho
+    owner = np.repeat(np.arange(len(blocks)), [t.shape[1] for t in blocks])
+    cross = np.abs(dagger(isoms) @ isoms)[owner[:, None] != owner[None]]
+    res["isometry_orthogonality"] = float(cross.max(initial=0.0))
     return {"summands": summands, "residuals": res}

@@ -626,33 +626,41 @@ def heisenberg_identities(dd: DualKac, coreps: list) -> dict:
     The identity at a *fixed* row k, without the contraction, is not a
     theorem once d(π) > 1; the contracted form is, and reduces to the
     compressed form through the unitarity of the entry matrix.
+
+    ê = ΩΩ† (:func:`integrals`), so 1⊗ê = (1⊗Ω)(1⊗Ω)† and the contracted
+    sum is F_i†·F_j for the (d·n)×n² stacks F_j = [(1⊗Ω†)·δ(u(π)ₖⱼ)]ₖ, built
+    from the coordinates of δ without its n²×n² operators.  Each cell's
+    residual is an n²×n² operator, so the cells are taken one at a time.
     """
     kac = dd.v.kac
     n = kac.dim
     e_hat = dd.ints.e_hat
     eye = np.eye(n, dtype=complex)
+    # r[q] = Ω†·L(b_q), so (1⊗Ω†)(L(b_p)⊗L(b_q)) = L(b_p)⊗r[q].
+    r = np.conj(kac.omega) @ kac.lmats
     res = {"compressed_product": 0.0, "coproduct_contracted": 0.0}
     cells = []
     for corep in coreps:
         d = corep.dim
         cells.append(d * d)
-        dops = [
-            [kac.delta_op(corep.entries[k][i]) for i in range(d)] for k in range(d)
-        ]
-        for i in range(d):
-            for j in range(d):
-                rhs = kappa_hat(kac, corep.units[j][i])
-                acc = np.zeros((n, n), dtype=complex)
-                acc2 = np.zeros((n * n, n * n), dtype=complex)
-                for k in range(d):
-                    acc += dagger(corep.entries[k][i]) @ e_hat @ corep.entries[k][j]
-                    acc2 += dagger(dops[k][i]) @ np.kron(eye, e_hat) @ dops[k][j]
-                res["compressed_product"] = max(
-                    res["compressed_product"], frob(d * acc - rhs)
-                )
-                res["coproduct_contracted"] = max(
-                    res["coproduct_contracted"], frob(d * acc2 - np.kron(eye, rhs))
-                )
+        ent = corep.entries
+        # rhs[i, j] = κ̂(e(π)ⱼᵢ)
+        rhs = kac.mj @ corep.units.swapaxes(0, 1).swapaxes(-1, -2) @ np.conj(kac.mj)
+        comp = np.einsum("kiab,kjbc->ijac", dagger(ent) @ e_hat, ent)
+        res["compressed_product"] = max(
+            res["compressed_product"], la.frob_max(d * comp - rhs)
+        )
+        # δ(u) = Σ_pq w_pq L(b_p)⊗L(b_q) with w = Σ_a c(u)_a Δ_a, as in KacAlgebra.delta_op.
+        w = np.tensordot((ent @ kac.omega) @ kac.coord_inv.T, kac.delta, axes=(-1, 0))
+        f = np.tensordot(w @ r, kac.lmats, axes=(2, 0)).transpose(1, 0, 3, 4, 2)
+        f = f.reshape(d, d * n, n * n)
+        res["coproduct_contracted"] = max(
+            res["coproduct_contracted"],
+            *(
+                frob(d * dagger(f[i]) @ f[j] - np.kron(eye, rhs[i, j]))
+                for i, j in np.ndindex(d, d)
+            ),
+        )
     res["v_expansion"] = coreps[0].residuals["v_expansion"] if coreps else 0.0
     res["cells_per_block"] = cells
     return res

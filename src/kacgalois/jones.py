@@ -49,6 +49,11 @@ __all__ = [
 ]
 
 FLOW_TIMES = (0.3, 1.0, float(np.sqrt(2.0)))
+# Largest relative residual of the weight pin x·e·y ↦ xy.
+PIN_TOL = 1e-7
+# Relative floor for a corner density's support eigenvalues, and the margin
+# under which an inclusion counts as extremal.
+EXTREMAL_TOL = 1e-8
 
 
 class InclusionError(ValueError):
@@ -462,7 +467,7 @@ class BasicExtension:
         return self.gns.mj @ np.swapaxes(x, -1, -2) @ np.conj(self.gns.mj)
 
 
-def basic_extension(inc: Inclusion, tol: float = DEFAULT_TOL) -> BasicExtension:
+def basic_extension(inc: Inclusion) -> BasicExtension:
     """Build the extension algebra of an inclusion on the GNS space of φ.
 
     Certifies: e compresses M to E, e commutes with N, J fixes e, and the
@@ -577,7 +582,7 @@ class DualWeight:
         return (flat @ self.matrix.T).reshape(np.shape(x))
 
 
-def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
+def dual_weight(bc: BasicExtension) -> DualWeight:
     """Solve for the weight pinned by x e y ↦ xy on the extension algebra.
 
     The pin is solved in M₁ coordinates: with R the orthonormal rows of M₁
@@ -602,7 +607,7 @@ def dual_weight(bc: BasicExtension, tol: float = DEFAULT_TOL) -> DualWeight:
     consistency = float(
         np.linalg.norm(w @ src - tgt) / max(1.0, np.linalg.norm(tgt))
     )
-    if consistency > max(tol, 1e-7):
+    if consistency > PIN_TOL:
         raise RuntimeError(
             f"the weight pin x·e·y ↦ xy is inconsistent (residual {consistency:.3e})"
         )
@@ -699,8 +704,6 @@ class RelativeCommutantReport:
 def relcomm_report(
     bc: BasicExtension,
     dw: DualWeight,
-    times: tuple = FLOW_TIMES,
-    tol: float = 1e-8,
 ) -> RelativeCommutantReport:
     """Decompose M₁∩N′ and extract the balanced density generators.
 
@@ -737,7 +740,7 @@ def relcomm_report(
         r1 = _riesz_density(conb, _traces(dw.apply(conb)))
         r2 = _riesz_density(conb, _traces(dw.apply(mirror(conb))))
         eigs1 = _support_eigs(r1, rank)
-        if eigs1.min() <= tol * max(1.0, eigs1.max()):
+        if eigs1.min() <= EXTREMAL_TOL * max(1.0, eigs1.max()):
             raise RuntimeError(
                 "corner density of the weight is singular "
                 f"(support eigenvalue {eigs1.min():.3e}); inconsistent weight"
@@ -807,7 +810,7 @@ def relcomm_report(
     margin = max(
         opnorm(s["generator"] - s["projection"]) for s in summands
     )
-    extremal_flag = bool(margin < tol)
+    extremal_flag = bool(margin < EXTREMAL_TOL)
 
     # Normalized comparison of the two functional densities (mirror defect).
     mirror_defect = 0.0
@@ -851,7 +854,7 @@ def relcomm_report(
     flow_res = 0.0
     mirror_flow = 0.0
     flow_id = 0.0
-    for t in times:
+    for t in FLOW_TIMES:
         ut = la.herm_power(d1, 1j * t)
         uti = la.herm_power(d1, -1j * t)
         at = la.herm_power(flow_gen, 1j * t)
@@ -883,13 +886,13 @@ def relcomm_report(
         extremal_margin=float(margin),
         mirror_defect=float(mirror_defect),
         four_part=four_part,
-        flow_times=tuple(times),
+        flow_times=FLOW_TIMES,
         residuals=res,
     )
 
 
 def extremality(
-    bc: BasicExtension, dw: DualWeight, report: RelativeCommutantReport, tol: float = 1e-8
+    bc: BasicExtension, dw: DualWeight, report: RelativeCommutantReport
 ) -> dict:
     """The two extremality criteria and their agreement flag.
 
@@ -915,7 +918,7 @@ def extremality(
     algebra's relative commutant, so it can be large although every
     generator is the unit.
     """
-    flag_generator = bool(report.extremal_margin < tol)
+    flag_generator = bool(report.extremal_margin < EXTREMAL_TOL)
     onb = report.algebra.onb()
     defect = dw.apply(bc.mirror(onb)) - dw.apply(onb)
     # Columns: the map applied to an orthonormal basis of its domain.
@@ -924,8 +927,8 @@ def extremality(
         report.residuals["mirror_functional_defect"],
         report.residuals["weight_trace_defect"],
     )
-    flag_densities = bool(report.mirror_defect < tol)
-    flag_direct = bool(direct < tol)
+    flag_densities = bool(report.mirror_defect < EXTREMAL_TOL)
+    flag_direct = bool(direct < EXTREMAL_TOL)
     return {
         "extremal": flag_generator,
         "generator_margin": report.extremal_margin,

@@ -116,6 +116,48 @@ def test_subspace_system_closure_certificate(algebras, coreps_of, dual_of):
         ) < 1e-8, closure
 
 
+def unclosed_system(coreps, kept):
+    """K_π = ℂ^{d(π)}'s first ``kept[π]`` rows of the identity, by corep index."""
+    return ci.SubspaceSystem(
+        spaces=tuple(np.eye(c.dim, dtype=complex)[: kept[c.index]] for c in coreps),
+        corep_dims=tuple(c.dim for c in coreps),
+    )
+
+
+def test_one_character_of_cyclic_three_is_not_closed(algebras, coreps_of):
+    # χ⊗χ = χ̄ and the conjugate χ̄ is left out, so both conditions fail fully.
+    kac = algebras["z3_function"]
+    coreps = coreps_of(kac)
+    chi = next(c.index for c in coreps if not c.is_trivial)
+    kept = {c.index: int(c.is_trivial or c.index == chi) for c in coreps}
+    sys_ = unclosed_system(coreps, kept)
+    with pytest.raises(ValueError, match="violates closure conditions"):
+        ci.coideal_from_subspace_system(kac, coreps, sys_)
+    closure = ci.check_system_closure(kac, coreps, sys_)
+    assert closure["trivial"] == 0.0
+    assert abs(closure["fusion"] - 1.0) <= 1e-12
+    assert abs(closure["conjugation"] - 1.0) <= 1e-12
+    bar = 3 - chi - next(c.index for c in coreps if c.is_trivial)
+    assert [f[:3] for f in closure["failures"]] == [(chi, chi, bar), (chi, "conj", bar)]
+
+
+def test_one_line_of_the_two_dimensional_corep_is_not_closed(algebras, coreps_of):
+    # K = span{(1, 0)} in the two-dimensional corepresentation, sign character
+    # left out; the residuals are those of the per-vector loops they replace.
+    kac = algebras["s3_function"]
+    coreps = coreps_of(kac)
+    two = next(c.index for c in coreps if c.dim == 2)
+    kept = {c.index: int(c.is_trivial or c.dim == 2) for c in coreps}
+    sys_ = unclosed_system(coreps, kept)
+    with pytest.raises(ValueError, match="violates closure conditions"):
+        ci.coideal_from_subspace_system(kac, coreps, sys_)
+    closure = ci.check_system_closure(kac, coreps, sys_)
+    assert closure["trivial"] == 0.0
+    assert abs(closure["fusion"] - 0.8957614579496376) <= 1e-12
+    assert abs(closure["conjugation"] - 0.8378885227773064) <= 1e-12
+    assert [f[:3] for f in closure["failures"]] == [(two, two, two), (two, "conj", two)]
+
+
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_galois_lattice_report(algebras, lattice_of, name):
     report = lattice_of(name)

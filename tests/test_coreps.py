@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from kacgalois import coreps as cr
+from kacgalois import duality as du
+from kacgalois.linalg import dagger, frob
 
-from conftest import ALGEBRA_NAMES
+from conftest import ALGEBRA_NAMES, TENSOR_COMBOS
+
+POOL_NAMES = ALGEBRA_NAMES + tuple(f"{a}*{b}" for a, b in TENSOR_COMBOS) + ("kp8",)
 
 EXPECTED_DIMS = {
     "z2_group": [1, 1],
@@ -142,3 +146,220 @@ def test_mismatched_unitary_or_dual_is_rejected(algebras, dual_of):
     z2, z3 = algebras["z2_group"], algebras["z3_group"]
     with pytest.raises(ValueError, match="dual algebra acts on dimension 3"):
         cr.irreducible_coreps(z2, dual_of(z2).v, dual_of(z3).hat)
+
+
+# ---------------------------------------------------------------------------
+# The stacked contractions against their per-entry loop forms
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def pool_algebra(algebras, tensor_algebras, kp8):
+    def get(name):
+        return kp8 if name == "kp8" else {**algebras, **tensor_algebras}[name]
+
+    return get
+
+
+def loop_orthogonality(kac, coreps):
+    worst = 0.0
+    for a in coreps:
+        for b in coreps:
+            for i in range(a.dim):
+                for j in range(a.dim):
+                    x = dagger(a.entries[i][j])
+                    for k in range(b.dim):
+                        for l_ in range(b.dim):
+                            val = kac.haar_of(x @ b.entries[k][l_])
+                            want = (
+                                1.0 / a.dim
+                                if (a.index == b.index and i == k and j == l_)
+                                else 0.0
+                            )
+                            worst = max(worst, abs(val - want))
+    return worst
+
+
+def loop_intertwiner_system(left, right, n):
+    dl, dr = len(left), len(right)
+    cols = []
+    for k in range(dl):
+        for l_ in range(dr):
+            block = np.zeros((dl * dr, n * n), dtype=complex)
+            for i in range(dl):
+                for j in range(dr):
+                    acc = np.zeros((n, n), dtype=complex)
+                    if l_ == j:
+                        acc += left[i][k]
+                    if i == k:
+                        acc -= right[l_][j]
+                    block[i * dr + j] = acc.reshape(-1)
+            cols.append(block.reshape(-1))
+    return np.stack(cols, axis=1)
+
+
+def loop_intertwining(left, t, right):
+    worst = 0.0
+    for i in range(t.shape[0]):
+        for j in range(t.shape[1]):
+            lhs = sum(left[i][k] * t[k, j] for k in range(t.shape[0]))
+            rhs = sum(t[i, k] * right[k][j] for k in range(t.shape[1]))
+            worst = max(worst, frob(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_orthogonality_gram_matches_the_six_loops(pool_algebra, coreps_of, name):
+    kac = pool_algebra(name)
+    coreps = coreps_of(kac)
+    got = cr.orthogonality_check(kac, coreps)["orthogonality"]
+    assert abs(got - loop_orthogonality(kac, coreps)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_intertwiner_system_is_the_loop_built_matrix(
+    pool_algebra, coreps_of, monkeypatch, name
+):
+    kac = pool_algebra(name)
+    coreps = coreps_of(kac)
+    seen = []
+    real = cr.la.null_space
+    monkeypatch.setattr(cr.la, "null_space", lambda a: seen.append(a) or real(a))
+    for c in coreps:
+        for other in coreps:
+            cr._intertwiner_space(dagger(c.entries), other.entries)
+            want = loop_intertwiner_system(
+                [[dagger(c.entries[i][j]) for j in range(c.dim)] for i in range(c.dim)],
+                other.entries,
+                kac.dim,
+            )
+            got = seen.pop()
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_fourier_contractions_match_per_entry_sums(pool_algebra, coreps_of, monkeypatch, name):
+    kac = pool_algebra(name)
+    coreps = coreps_of(kac)
+    n = kac.dim
+    xs = kac.lmats[:3] + 0.5j * kac.lmats[-3:]
+    stacked = cr.fourier_coefficients(kac, coreps, xs)
+    for c, mats in zip(coreps, stacked):
+        assert mats.shape == (len(xs), c.dim, c.dim)
+        for x, mat in zip(xs, mats):
+            for i in range(c.dim):
+                for j in range(c.dim):
+                    want = c.dim * kac.haar_of(dagger(c.entries[i][j]) @ x)
+                    assert abs(mat[i, j] - want) <= 1e-13
+    back = cr.fourier_inverse(kac, coreps, stacked)
+    for x, b in zip(xs, back):
+        want = sum(
+            m[i, j] * c.entries[i][j]
+            for c, m in zip(coreps, cr.fourier_coefficients(kac, coreps, x))
+            for i in range(c.dim)
+            for j in range(c.dim)
+        )
+        assert frob(b - want) <= 1e-13
+
+    # The round trip draws its elements in one call, in the per-element order.
+    drawn = []
+    real = cr.fourier_coefficients
+    monkeypatch.setattr(
+        cr, "fourier_coefficients", lambda k, cs, x: drawn.append(x) or real(k, cs, x)
+    )
+    cr.fourier_round_trip(kac, coreps, count=4, seed=5)
+    rng = np.random.default_rng(5)
+    for x in drawn[0]:
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        assert frob(x - kac.op(c)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_fusion_and_conjugation_residuals_match_the_intertwining_sums(
+    pool_algebra, coreps_of, name
+):
+    kac = pool_algebra(name)
+    coreps = coreps_of(kac)
+    big = max(coreps, key=lambda c: c.dim)
+    for a, b in {(big.index, big.index), (big.index, 0), (0, len(coreps) - 1)}:
+        ca, cb = coreps[a], coreps[b]
+        prod = [
+            [ca.entries[i][j] @ cb.entries[k][l_] for j in range(ca.dim) for l_ in range(cb.dim)]
+            for i in range(ca.dim)
+            for k in range(cb.dim)
+        ]
+        out = cr.decompose_tensor_product(kac, coreps, a, b)
+        worst = max(
+            loop_intertwining(prod, t, coreps[s["index"]].entries)
+            for s in out["summands"]
+            for t in s["isometries"]
+        )
+        assert abs(out["residuals"]["intertwining"] - worst) <= 1e-13
+    conj = cr.conjugation_involution(kac, coreps)
+    worst = 0.0
+    for c, t in zip(coreps, conj["intertwiners"]):
+        left = [[dagger(c.entries[i][j]) for j in range(c.dim)] for i in range(c.dim)]
+        bar = coreps[conj["pairs"][c.index]].entries
+        worst = max(worst, loop_intertwining(left, t, bar) / max(1.0, float(np.abs(t).max())))
+    assert abs(conj["intertwiner_residual"] - worst) <= 1e-13
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_entry_certificates_match_the_kronecker_forms(pool_algebra, coreps_of, dual_of, name):
+    kac = pool_algebra(name)
+    coreps = coreps_of(kac)
+    n = kac.dim
+    v = dual_of(kac).v
+    expansion = np.zeros_like(v.matrix)
+    for c in coreps:
+        d = c.dim
+        cop = 0.0
+        for i in range(d):
+            for j in range(d):
+                target = sum(np.kron(c.entries[i][k], c.entries[k][j]) for k in range(d))
+                cop = max(cop, frob(kac.delta_op(c.entries[i][j]) - target))
+                expansion += np.kron(c.units[i][j], c.entries[i][j])
+                want = np.einsum(
+                    "pa,abpq->bq", c.units[j][i], v.matrix.reshape(n, n, n, n)
+                ) / d
+                assert frob(c.entries[i][j] - want) <= 1e-13
+        assert abs(c.residuals["coproduct_matricial"] - cop) <= 1e-13
+    assert abs(coreps[0].residuals["v_expansion"] - frob(expansion - v.matrix)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", POOL_NAMES)
+def test_heisenberg_cells_match_the_operator_sums(pool_algebra, coreps_of, dual_of, name):
+    kac = pool_algebra(name)
+    dd = dual_of(kac)
+    coreps = coreps_of(kac)
+    n = kac.dim
+    eye = np.eye(n, dtype=complex)
+    comp = cont = 0.0
+    for c in coreps:
+        d = c.dim
+        dops = [[kac.delta_op(c.entries[k][i]) for i in range(d)] for k in range(d)]
+        for i in range(d):
+            for j in range(d):
+                rhs = du.kappa_hat(kac, c.units[j][i])
+                acc = sum(
+                    dagger(c.entries[k][i]) @ dd.ints.e_hat @ c.entries[k][j]
+                    for k in range(d)
+                )
+                acc2 = sum(
+                    dagger(dops[k][i]) @ np.kron(eye, dd.ints.e_hat) @ dops[k][j]
+                    for k in range(d)
+                )
+                comp = max(comp, frob(d * acc - rhs))
+                cont = max(cont, frob(d * acc2 - np.kron(eye, rhs)))
+    report = du.heisenberg_identities(dd, coreps)
+    assert abs(report["compressed_product"] - comp) <= 1e-13
+    assert abs(report["coproduct_contracted"] - cont) <= 1e-13
+
+
+def test_corepresentation_arrays_are_read_only(algebras, coreps_of):
+    c = max(coreps_of(algebras["s3_function"]), key=lambda c: c.dim)
+    assert c.entries.shape == c.units.shape == (2, 2, 6, 6)
+    for arr in (c.entries, c.units):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0, 0] = 1.0
