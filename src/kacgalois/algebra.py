@@ -103,11 +103,17 @@ class MMAlgebra:
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coefficients of ``x`` (shape (..., d, d)) in the orthonormal basis."""
-        return np.tensordot(x, self._onb.conj(), axes=([-2, -1], [1, 2]))
+        lead, rows = np.shape(x)[:-2], self._rows()
+        return (np.reshape(x, (-1, rows.shape[1])) @ rows.conj().T).reshape(*lead, self.dim)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         """Linear combination(s) of the Frobenius-orthonormal basis."""
-        return np.tensordot(coeffs, self._onb, axes=(-1, 0))
+        d = self.ambient_dim
+        return (np.asarray(coeffs) @ self._rows()).reshape(*np.shape(coeffs)[:-1], d, d)
+
+    def _rows(self) -> np.ndarray:
+        """The orthonormal basis as the rows of a (k, d²) view."""
+        return self._onb.reshape(self.dim, self.ambient_dim**2)
 
     def central_decomposition(self) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
         """Minimal central projections and (block size, multiplicity) pairs.
@@ -302,13 +308,18 @@ def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlg
     The unknowns are coefficients in ``alg``'s basis.  The null space is
     solved against two generic combinations of the constraints first and
     verified; on verification failure it reruns against the full system.
+    The absolute rank floor of that solve is 1e-12·‖basis‖·‖constraints‖
+    (Frobenius norms of the stacks), the scale of the commutators: a system
+    that is zero up to float noise in its inputs, as for a commutative
+    algebra, then keeps its full null space.
     """
     onb = alg.onb()
 
     def solve(cons) -> np.ndarray:
         rows = [(onb @ c - c @ onb).reshape(len(onb), -1).T for c in cons]
         stacked = np.vstack(rows) if rows else np.zeros((0, len(onb)), dtype=complex)
-        return alg.element(la.null_space(stacked).T)
+        floor = 1e-12 * frob(onb) * frob(np.asarray(cons))
+        return alg.element(la.null_space(stacked, atol=floor).T)
 
     if len(constraint_mats) > 2:
         mats = solve(_generic_pair(constraint_mats))
@@ -634,22 +645,6 @@ def gns(alg: MMAlgebra, phi: StateData, tol: float = DEFAULT_TOL) -> GnsData:
         algebra=alg,
         residuals=res,
     )
-
-
-def modular_flow(phi: StateData, alg: MMAlgebra, t: float):
-    """The automorphism x ↦ ρ^{it} x ρ^{-it}, ρ the density of φ in alg.
-
-    Returns a callable on ambient matrices; composing flows adds the time
-    parameters, and tracial states give the identity for every t.
-    """
-    rho = density_in(alg, phi)
-    u = la.herm_power(rho, 1j * t)
-    u_inv = la.herm_power(rho, -1j * t)
-
-    def flow(x: np.ndarray) -> np.ndarray:
-        return u @ x @ u_inv
-
-    return flow
 
 
 # ---------------------------------------------------------------------------

@@ -362,10 +362,7 @@ def _jones_pipeline(
     inc: jn.Inclusion, tol: float | None
 ) -> tuple[dict, bool]:
     lim = limits(tol)
-    bc = jn.basic_extension(inc)
-    dw = jn.dual_weight(bc)
-    rep = jn.relcomm_report(bc, dw)
-    ext = jn.extremality(bc, dw, rep)
+    bc, dw, rep, ext = jn.jones_chain(inc)
 
     index_eigs = np.sort(np.linalg.eigvalsh(dw.index_element))
     r = rep.residuals
@@ -631,10 +628,7 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
         doc["checks"]["flow_matches_generator_orbit"] = check(
             doc["flow_generators"]["flow_match"], lim["loose"]
         )
-        var = jn.omega_variation(inc, draw + 1)
-        bc2 = jn.basic_extension(var)
-        dw2 = jn.dual_weight(bc2)
-        rep2 = jn.relcomm_report(bc2, dw2)
+        rep2 = jn.jones_chain(jn.omega_variation(inc, draw + 1)).report
         spec_dist = float(
             np.abs(
                 jn.flow_spectrum(rep2)

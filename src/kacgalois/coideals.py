@@ -209,9 +209,47 @@ def _row_residuals(vecs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.linalg.norm(vecs - (vecs @ dagger(rows)) @ rows, axis=-1)
 
 
-def check_system_closure(
-    kac: KacAlgebra, coreps: list[cr.Corepresentation], sys: SubspaceSystem
-) -> dict:
+@dataclass(frozen=True)
+class FusionData:
+    """The fusion and conjugation data of one list of irreducible corepresentations.
+
+    ``isometries[a][b]`` lists the pairs (τ, S), one per isometry S onto a
+    summand τ of π_a ⊗ π_b (:func:`~kacgalois.coreps.decompose_tensor_product`);
+    ``conjugates[π]`` is π̄ and ``intertwiners[π]`` the conjugation
+    intertwiner T (:func:`~kacgalois.coreps.conjugation_involution`).  It
+    depends only on the corepresentations, so it is built once per list and
+    passed to every closure check.
+    """
+
+    coreps: tuple
+    isometries: tuple
+    conjugates: tuple
+    intertwiners: tuple
+
+
+def fusion_data(kac: KacAlgebra, coreps: list[cr.Corepresentation]) -> FusionData:
+    """Decompose every product π_a ⊗ π_b and solve the conjugation once."""
+    isometries = tuple(
+        tuple(
+            tuple(
+                (summand["index"], isom)
+                for summand in cr.decompose_tensor_product(kac, coreps, a, b)["summands"]
+                for isom in summand["isometries"]
+            )
+            for b in range(len(coreps))
+        )
+        for a in range(len(coreps))
+    )
+    conj = cr.conjugation_involution(kac, coreps)
+    return FusionData(
+        coreps=tuple(coreps),
+        isometries=isometries,
+        conjugates=tuple(conj["pairs"]),
+        intertwiners=tuple(conj["intertwiners"]),
+    )
+
+
+def check_system_closure(fusion: FusionData, sys: SubspaceSystem) -> dict:
     """The three closure conditions a subspace system must satisfy.
 
     1. The trivial corepresentation's subspace is all of ℂ (the unit).
@@ -225,7 +263,7 @@ def check_system_closure(
     worst residual.
     """
     res = {"trivial": 1.0, "fusion": 0.0, "conjugation": 0.0, "failures": []}
-    for idx, c in enumerate(coreps):
+    for idx, c in enumerate(fusion.coreps):
         if c.is_trivial:
             res["trivial"] = 0.0 if sys.spaces[idx].shape[0] == 1 else 1.0
 
@@ -237,22 +275,18 @@ def check_system_closure(
                 continue
             # Rows of kron(K_π, K_σ) are the vectors va⊗vb; S†v is v·conj(S) as a row.
             pairs = np.kron(ka, kb)
-            fus = cr.decompose_tensor_product(kac, coreps, a, b)
-            for summand in fus["summands"]:
-                tau = summand["index"]
-                for isom in summand["isometries"]:
-                    worst = float(_row_residuals(pairs @ isom.conj(), sys.spaces[tau]).max())
-                    if worst > CLOSURE_TOL:
-                        res["failures"].append((a, b, tau, worst))
-                    res["fusion"] = max(res["fusion"], worst)
+            for tau, isom in fusion.isometries[a][b]:
+                worst = float(_row_residuals(pairs @ isom.conj(), sys.spaces[tau]).max())
+                if worst > CLOSURE_TOL:
+                    res["failures"].append((a, b, tau, worst))
+                res["fusion"] = max(res["fusion"], worst)
 
-    conj = cr.conjugation_involution(kac, coreps)
     for idx, ka in enumerate(sys.spaces):
         if ka.shape[0] == 0:
             continue
-        bar = conj["pairs"][idx]
+        bar = fusion.conjugates[idx]
         # Rows: (T⁻¹·conj(v))ᵀ = conj(v)·T⁻ᵀ, each normalized.
-        w = np.conj(ka) @ np.linalg.inv(conj["intertwiners"][idx]).T
+        w = np.conj(ka) @ np.linalg.inv(fusion.intertwiners[idx]).T
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         worst = float(_row_residuals(w, sys.spaces[bar]).max())
         if worst > CLOSURE_TOL:
@@ -266,22 +300,23 @@ def check_system_closure(
 
 def coideal_from_subspace_system(
     kac: KacAlgebra,
-    coreps: list[cr.Corepresentation],
+    fusion: FusionData,
     sys: SubspaceSystem,
     side: str = "left",
 ) -> Coideal:
     """Span{Σ_l w_l·u(π)ᵢl : w ∈ K_π, i ≤ d(π)}, certified as a coideal.
 
-    The closure conditions are checked first; a violation is reported with
-    the failing pairs.
+    ``fusion`` is the :func:`fusion_data` of the corepresentations the
+    system is indexed by.  The closure conditions are checked first; a
+    violation is reported with the failing pairs.
     """
-    closure = check_system_closure(kac, coreps, sys)
+    closure = check_system_closure(fusion, sys)
     if not closure["passed"]:
         raise ValueError(f"subspace system violates closure conditions: {closure}")
     n = kac.dim
     mats = [np.eye(n, dtype=complex)[None]] + [
         np.tensordot(rows, c.entries, axes=(1, 1)).reshape(-1, n, n)
-        for c, rows in zip(coreps, sys.spaces)
+        for c, rows in zip(fusion.coreps, sys.spaces)
     ]
     return is_coideal(kac, ag.from_span(np.concatenate(mats), n), side)
 

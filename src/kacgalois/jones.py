@@ -13,6 +13,7 @@ x ↦ J x* J, extremality flags, and the modular-flow comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "bratteli_norm_sq",
     "BasicExtension",
     "basic_extension",
-    "gns_intertwiner",
     "DualWeight",
     "dual_weight",
     "push_down_check",
@@ -45,7 +45,8 @@ __all__ = [
     "relcomm_report",
     "extremality",
     "flow_spectrum",
-    "verify_extension_model",
+    "JonesChain",
+    "jones_chain",
 ]
 
 FLOW_TIMES = (0.3, 1.0, float(np.sqrt(2.0)))
@@ -452,6 +453,7 @@ class BasicExtension:
     inclusion: Inclusion
     gns: ag.GnsData
     e_n: np.ndarray
+    e_range: np.ndarray  # columns: an orthonormal basis of the range of e_n
     m1: MMAlgebra
     big_rep: MMAlgebra
     small_rep: MMAlgebra
@@ -514,6 +516,7 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
         inclusion=inc,
         gns=g,
         e_n=e_n,
+        e_range=q,
         m1=m1,
         big_rep=big_rep,
         small_rep=small_rep,
@@ -541,22 +544,6 @@ def _sandwich(ops: np.ndarray, e: np.ndarray) -> np.ndarray:
     return ((ops @ e)[:, None] @ ops[None]).reshape(-1, *e.shape)
 
 
-def gns_intertwiner(g1: ag.GnsData, g2: ag.GnsData) -> tuple[np.ndarray, dict]:
-    """Canonical unitary between two GNS spaces of the same algebra.
-
-    The coefficient-identity map Λ₁(x) ↦ Λ₂(x) intertwines the left
-    actions; its polar part is the canonical unitary.  Its defect from
-    the identity measures how far the two states are apart, while the
-    intertwining residual certifies equivalence of the representations.
-    """
-    v0 = g2.coord @ np.linalg.inv(g1.coord)
-    w, s, vt = np.linalg.svd(v0)
-    u = w @ vt
-    onb = g1.algebra.onb()
-    inter = opnorm(u @ g1.rep(onb) - g2.rep(onb) @ u)
-    return u, {"intertwining": inter, "unitary": opnorm(dagger(u) @ u - np.eye(u.shape[0]))}
-
-
 # ---------------------------------------------------------------------------
 # Dual weight
 # ---------------------------------------------------------------------------
@@ -564,32 +551,51 @@ def gns_intertwiner(g1: ag.GnsData, g2: ag.GnsData) -> tuple[np.ndarray, dict]:
 
 @dataclass(frozen=True)
 class DualWeight:
-    """The map M₁ → M with x e y ↦ xy, as a matrix on vectorized operators.
+    """The map Ê: M₁ → M with x e y ↦ xy, in orthonormal coordinates.
 
-    ``index_element`` is the image of 1 (a central element of M); the
-    residuals certify well-definedness of the pin, the unit image of e,
-    positivity, and bimodularity.
+    Row j of the r×D matrix ``coords`` holds the coordinates, in ``big``'s
+    orthonormal basis, of Ê applied to the j-th orthonormal basis element of
+    ``m1`` (r = dim M₁, D = dim M); no operator on the k²-dim space of GNS
+    matrices is formed.  ``index_element`` is the image of 1 (a central
+    element of M); the residuals certify well-definedness of the pin, the
+    unit image of e, positivity, and bimodularity.
     """
 
-    matrix: np.ndarray
-    extension: BasicExtension
+    coords: np.ndarray
+    m1: MMAlgebra
+    big: MMAlgebra
     index_element: np.ndarray
     residuals: dict
 
+    def coeffs(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of Ê(x) in M's orthonormal basis, for one operator or a stack."""
+        return self.m1.coeffs(x) @ self.coords
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Ê(x), for one operator or each of a stack."""
-        flat = np.reshape(x, (*np.shape(x)[:-2], -1))
-        return (flat @ self.matrix.T).reshape(np.shape(x))
+        """Ê(x), for one operator or each of a stack (x is projected onto M₁ first)."""
+        return self.big.element(self.coeffs(x))
+
+    def composite(self, f, x: np.ndarray) -> np.ndarray:
+        """f(Ê(x)) for a linear functional f on M, for one operator or a stack.
+
+        ``f`` maps a stack of operators to their values; it is evaluated on
+        M's basis only, so Ê(x) itself is never formed.
+        """
+        return self.m1.coeffs(x) @ (self.coords @ f(self.big.onb()))
 
 
 def dual_weight(bc: BasicExtension) -> DualWeight:
     """Solve for the weight pinned by x e y ↦ xy on the extension algebra.
 
-    The pin is solved in M₁ coordinates: with R the orthonormal rows of M₁
-    (vectorized), the map is tgt · pinv(conj(R)·src) · conj(R), where the
-    columns of src and tgt are x·e·y and x·y.  Since src lies in M₁ this is
-    tgt · pinv(src), but the pseudo-inverse is of an r×n² matrix
-    (r = dim M₁) instead of the k²×n² one.
+    With x, y over the represented basis of M, let C be the D²×r coordinates
+    of the x·e·y in M₁'s orthonormal basis and T the D²×D coordinates of the
+    x·y in M's; the map is W = pinv(C)·T.  C is contracted through
+    e = q·q†, Tr(m†·x·q·q†·y) = Tr((m†·x·q)·(q†·y)), one x at a time, so
+    neither the D²-row stack of x·e·y nor an operator on the k²-dim space is
+    formed: memory is O((r + D)·k² + D²·r).  The pin residual of the full
+    coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs, splits by Pythagoras into
+    its part in M, ‖C·W − T‖, and its part orthogonal to M, ‖x·y − T·b‖
+    with b M's basis.
 
     Raises
     ------
@@ -600,12 +606,29 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     g = bc.gns
     k = g.space_dim
     big_ops = g.rep(bc.inclusion.big.onb())
-    src = _sandwich(big_ops, bc.e_n).reshape(-1, k * k).T
-    tgt = (big_ops[:, None] @ big_ops[None]).reshape(-1, k * k).T
-    r_conj = bc.m1.onb().reshape(bc.m1.dim, -1).conj()
-    w = (tgt @ np.linalg.pinv(r_conj @ src, rcond=la.RANK_RTOL)) @ r_conj
+    m1, big = bc.m1, bc.big_rep
+    q = bc.e_range
+    d, r, s = len(big_ops), m1.dim, q.shape[1]
+    # Rows (j, t) of m_j†, and right[b][(t, u)] = (q†·y_b)[u, t].
+    m1_adj = dagger(m1.onb()).reshape(r * k, k)
+    right = np.swapaxes(dagger(q) @ big_ops, 1, 2).reshape(d, k * s)
+    left = big_ops @ q
+    big_rows = big.onb().reshape(d, k * k)
+    big_cols = big_rows.conj().T
+    c = np.empty((d, d, r), dtype=complex)
+    t = np.empty((d, d, d), dtype=complex)
+    off_sq = norm_sq = 0.0
+    for a in range(d):
+        c[a] = right @ (m1_adj @ left[a]).reshape(r, k * s).T
+        prod = (big_ops[a] @ big_ops).reshape(d, k * k)
+        t[a] = prod @ big_cols
+        off = prod - t[a] @ big_rows
+        off_sq += np.vdot(off, off).real
+        norm_sq += np.vdot(prod, prod).real
+    c, t = c.reshape(d * d, r), t.reshape(d * d, d)
+    w = np.linalg.pinv(c, rcond=la.RANK_RTOL) @ t
     consistency = float(
-        np.linalg.norm(w @ src - tgt) / max(1.0, np.linalg.norm(tgt))
+        np.hypot(frob(c @ w - t), np.sqrt(off_sq)) / max(1.0, np.sqrt(norm_sq))
     )
     if consistency > PIN_TOL:
         raise RuntimeError(
@@ -613,38 +636,36 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
         )
 
     eye = np.eye(k, dtype=complex)
-    index_el = la.unvec(w @ la.vec(eye), (k, k))
+    dw = DualWeight(coords=w, m1=m1, big=big, index_element=eye, residuals={})
+    index_el = dw.apply(eye)
     index_el = (index_el + dagger(index_el)) / 2.0
 
-    dw = DualWeight(matrix=w, extension=bc, index_element=index_el, residuals={})
     res = {"pin_consistency": consistency}
     res["unit_from_e"] = frob(dw.apply(bc.e_n) - eye)
-    res["index_in_big"] = bc.big_rep.residual(index_el)
+    res["index_in_big"] = big.residual(index_el)
     res["index_central"] = opnorm(index_el @ big_ops - big_ops @ index_el)
 
-    m1_onb = bc.m1.onb()
+    m1_onb = m1.onb()
     res["push_down"] = push_down_check(bc, dw)
     images = dw.apply(m1_onb)
-    res["range_in_big"] = bc.big_rep.residual(images)
+    res["range_in_big"] = big.residual(images)
     res["adjoint_compatible"] = la.frob_max(dw.apply(dagger(m1_onb)) - dagger(images))
 
     rng = np.random.default_rng(2)
     pos_min = 0.0
     bimod = 0.0
     for _ in range(6):
-        coeffs = rng.standard_normal(len(m1_onb)) + 1j * rng.standard_normal(len(m1_onb))
-        z = bc.m1.element(coeffs)
+        coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        z = m1.element(coeffs)
         y = dw.apply(dagger(z) @ z)
         pos_min = min(pos_min, float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()))
-        a = big_ops[int(rng.integers(len(big_ops)))]
-        b = big_ops[int(rng.integers(len(big_ops)))]
+        a = big_ops[int(rng.integers(d))]
+        b = big_ops[int(rng.integers(d))]
         bimod = max(bimod, frob(dw.apply(a @ z @ b) - a @ dw.apply(z) @ b))
     res["min_positivity_eig"] = pos_min
     res["bimodule"] = bimod
 
-    return DualWeight(
-        matrix=w, extension=bc, index_element=index_el, residuals=res
-    )
+    return DualWeight(coords=w, m1=m1, big=big, index_element=index_el, residuals=res)
 
 
 def push_down_check(bc: BasicExtension, dw: DualWeight) -> float:
@@ -737,8 +758,8 @@ def relcomm_report(
     for z, (size, mult) in zip(projs, blocks):
         conb = la.orthonormalize(z @ rc_onb @ z)
         rank = int(round(float(np.trace(z).real)))
-        r1 = _riesz_density(conb, _traces(dw.apply(conb)))
-        r2 = _riesz_density(conb, _traces(dw.apply(mirror(conb))))
+        r1 = _riesz_density(conb, dw.composite(_traces, conb))
+        r2 = _riesz_density(conb, dw.composite(_traces, mirror(conb)))
         eigs1 = _support_eigs(r1, rank)
         if eigs1.min() <= EXTREMAL_TOL * max(1.0, eigs1.max()):
             raise RuntimeError(
@@ -829,7 +850,7 @@ def relcomm_report(
     # cross-checking scalarness of the generators: the composite restricts
     # to a trace exactly when every summand's generator is a scalar
     # multiple of its unit.
-    pair_traces = _traces(dw.apply(rc_onb[:, None] @ rc_onb[None]))
+    pair_traces = dw.composite(_traces, rc_onb[:, None] @ rc_onb[None])
     res["weight_trace_defect"] = float(np.abs(pair_traces - pair_traces.T).max())
     res["generator_scalar_defect"] = max(
         opnorm(
@@ -848,17 +869,18 @@ def relcomm_report(
     m1_onb = bc.m1.onb()
     omega_vec = g.cyclic
     d1 = _riesz_density(
-        m1_onb, np.conj(omega_vec) @ dw.apply(m1_onb) @ omega_vec
+        m1_onb, dw.composite(lambda y: np.conj(omega_vec) @ y @ omega_vec, m1_onb)
     )
     res["flow_density_min_eig"] = float(np.linalg.eigvalsh(d1).min())
     flow_res = 0.0
     mirror_flow = 0.0
     flow_id = 0.0
-    for t in FLOW_TIMES:
-        ut = la.herm_power(d1, 1j * t)
-        uti = la.herm_power(d1, -1j * t)
-        at = la.herm_power(flow_gen, 1j * t)
-        ati = la.herm_power(flow_gen, -1j * t)
+    powers = [sign * 1j * t for t in FLOW_TIMES for sign in (1, -1)]
+    d1_powers = la.herm_powers(d1, powers)
+    gen_powers = la.herm_powers(flow_gen, powers)
+    for i in range(len(FLOW_TIMES)):
+        ut, uti = d1_powers[2 * i : 2 * i + 2]
+        at, ati = gen_powers[2 * i : 2 * i + 2]
         orbit = ut @ rc_onb @ uti
         flow_res = max(flow_res, la.frob_max(orbit - at @ rc_onb @ ati))
         flow_id = max(flow_id, la.frob_max(orbit - rc_onb))
@@ -920,9 +942,9 @@ def extremality(
     """
     flag_generator = bool(report.extremal_margin < EXTREMAL_TOL)
     onb = report.algebra.onb()
-    defect = dw.apply(bc.mirror(onb)) - dw.apply(onb)
-    # Columns: the map applied to an orthonormal basis of its domain.
-    map_residual = opnorm(defect.reshape(len(onb), -1).T)
+    # Rows: the map applied to an orthonormal basis of its domain, in M's
+    # orthonormal coordinates, which keep Frobenius norms.
+    map_residual = opnorm(dw.coeffs(bc.mirror(onb)) - dw.coeffs(onb))
     direct = max(
         report.residuals["mirror_functional_defect"],
         report.residuals["weight_trace_defect"],
@@ -946,146 +968,18 @@ def flow_spectrum(report: RelativeCommutantReport) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(report.flow_generator))
 
 
-# ---------------------------------------------------------------------------
-# Model verification (abstract extension recognition)
-# ---------------------------------------------------------------------------
+class JonesChain(NamedTuple):
+    """The basic construction of one inclusion, read down to extremality."""
+
+    extension: BasicExtension
+    weight: DualWeight
+    report: RelativeCommutantReport
+    extremality: dict
 
 
-def _functional_coords(
-    onb: list[np.ndarray], value, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate maps of the inner product value(a†b) on a spanning basis."""
-    gram = np.array([[value(dagger(a) @ b) for b in onb] for a in onb])
-    gram = (gram + dagger(gram)) / 2.0
-    w, u = np.linalg.eigh(gram)
-    if w.min() < tol:
-        raise ValueError(
-            f"functional is not faithful on the algebra (Gram eigenvalue {w.min():.3e})"
-        )
-    coord = (u * np.sqrt(w)) @ dagger(u)
-    coord_inv = (u / np.sqrt(w)) @ dagger(u)
-    return coord, coord_inv
-
-
-def verify_extension_model(
-    bc: BasicExtension,
-    dw: DualWeight,
-    model: MMAlgebra,
-    e_model: np.ndarray,
-    weight_model,
-    tol: float = DEFAULT_TOL,
-) -> dict:
-    """Recognize an abstract model (R, e, T) of the basic extension.
-
-    Hypotheses checked: e compresses M through E, R is generated by M and
-    e, T(e) = 1 with T bimodular and positive, and e is invariant under
-    the modular flow of φ∘T.  The intertwining unitary is built column by
-    column from x·e·y ↦ x·e_N·y in the two weighted GNS coordinate systems,
-    and conjugation by it is verified to fix M pointwise, send e_N to e,
-    and carry M₁ onto R.
-    """
-    inc = bc.inclusion
-    g = bc.gns
-    k = g.space_dim
-    big_ops = g.rep(inc.big.onb())
-
-    hyp = {}
-    hyp["compression"] = opnorm(
-        e_model @ big_ops @ e_model
-        - g.rep(inc.expectation.apply(inc.big.onb())) @ e_model
-    )
-    generated = ag.from_span(
-        np.concatenate([big_ops, _sandwich(big_ops, e_model)]), k
-    )
-    hyp["generated"] = la.span_distance(generated.onb(), model.onb())
-    tm = weight_model
-    hyp["unit_from_e"] = frob(tm(e_model) - np.eye(k, dtype=complex))
-    rng = np.random.default_rng(5)
-    bimod = 0.0
-    pos_min = 0.0
-    model_onb = model.onb()
-    for _ in range(5):
-        coeffs = rng.standard_normal(len(model_onb)) + 1j * rng.standard_normal(
-            len(model_onb)
-        )
-        z = model.element(coeffs)
-        a = big_ops[int(rng.integers(len(big_ops)))]
-        b = big_ops[int(rng.integers(len(big_ops)))]
-        bimod = max(bimod, frob(tm(a @ z @ b) - a @ tm(z) @ b))
-        y = tm(dagger(z) @ z)
-        pos_min = min(pos_min, float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()))
-    hyp["bimodule"] = bimod
-    hyp["min_positivity_eig"] = pos_min
-
-    omega_vec = g.cyclic
-
-    def phi_weight(z: np.ndarray) -> complex:
-        return complex(np.vdot(omega_vec, dw.apply(z) @ omega_vec))
-
-    def psi_weight(z: np.ndarray) -> complex:
-        return complex(np.vdot(omega_vec, tm(z) @ omega_vec))
-
-    d_model = _riesz_density(model_onb, [psi_weight(m) for m in model_onb])
-    hyp["e_flow_invariant"] = opnorm(d_model @ e_model - e_model @ d_model)
-
-    m1_onb = bc.m1.onb()
-    if len(m1_onb) != len(model_onb):
-        raise RuntimeError(
-            f"model dimension {len(model_onb)} differs from the extension "
-            f"dimension {len(m1_onb)}; hypotheses cannot hold"
-        )
-
-    coord1, _ = _functional_coords(m1_onb, phi_weight)
-    coord2, _ = _functional_coords(model_onb, psi_weight)
-
-    src = coord1 @ bc.m1.coeffs(_sandwich(big_ops, bc.e_n)).T
-    tgt = coord2 @ model.coeffs(_sandwich(big_ops, e_model)).T
-    u = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
-    well_defined = float(
-        np.linalg.norm(u @ src - tgt) / max(1.0, np.linalg.norm(tgt))
-    )
-    unitary = opnorm(dagger(u) @ u - np.eye(u.shape[0]))
-
-    # Recover the isomorphism through coefficient transport.
-    inv2 = np.linalg.inv(coord2)
-    rep2_basis = np.stack(
-        [coord2 @ model.coeffs(z @ model_onb).T @ inv2 for z in model_onb]
-    )
-    rep2_mat = rep2_basis.reshape(len(model_onb), -1).T
-
-    def transport(z: np.ndarray) -> tuple[np.ndarray, float]:
-        r1 = coord1 @ bc.m1.coeffs(z @ m1_onb).T @ np.linalg.inv(coord1)
-        moved = u @ r1 @ dagger(u)
-        coeffs, *_ = np.linalg.lstsq(rep2_mat, la.vec(moved), rcond=None)
-        out = model.element(coeffs)
-        residual = float(np.linalg.norm(rep2_mat @ coeffs - la.vec(moved)))
-        return out, residual
-
-    fixes_big = 0.0
-    membership = 0.0
-    for x in big_ops:
-        img, mem = transport(x)
-        membership = max(membership, mem)
-        fixes_big = max(fixes_big, frob(img - x))
-    img_e, mem_e = transport(bc.e_n)
-    membership = max(membership, mem_e)
-    maps_projection = frob(img_e - e_model)
-
-    report = {
-        **{f"hypothesis_{n}": v for n, v in hyp.items()},
-        "well_defined": well_defined,
-        "unitary": unitary,
-        "fixes_big": fixes_big,
-        "maps_projection": maps_projection,
-        "image_membership": membership,
-    }
-    report["passed"] = (
-        max(
-            v
-            for n, v in report.items()
-            if n not in ("passed", "hypothesis_min_positivity_eig")
-        )
-        < max(tol * 100, 1e-7)
-        and hyp["min_positivity_eig"] > -1e-9
-    )
-    return {"unitary_matrix": u, "report": report}
+def jones_chain(inc: Inclusion) -> JonesChain:
+    """basic_extension → dual_weight → relcomm_report → extremality on ``inc``."""
+    bc = basic_extension(inc)
+    dw = dual_weight(bc)
+    report = relcomm_report(bc, dw)
+    return JonesChain(bc, dw, report, extremality(bc, dw, report))

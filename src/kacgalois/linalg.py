@@ -223,13 +223,21 @@ def herm_power(a: np.ndarray, p: complex) -> np.ndarray:
     ``p`` may be complex (used for imaginary powers a^{it}); eigenvalues
     are clipped at 0 before powering.
     """
+    return herm_powers(a, (p,))[0]
+
+
+def herm_powers(a: np.ndarray, powers) -> list[np.ndarray]:
+    """:func:`herm_power` of ``a`` for each of ``powers``, from one eigh."""
     w, u = np.linalg.eigh((a + dagger(a)) / 2.0)
     w = np.clip(w.real, 0.0, None)
-    if np.iscomplexobj(np.asarray(p)) or not float(np.real(p)).is_integer():
-        if np.any(w <= 0) and (np.real(p) < 0 or np.imag(p) != 0):
-            raise np.linalg.LinAlgError("non-invertible positive matrix power")
-    vals = np.array([v**p if v > 0 else 0.0 for v in w], dtype=complex)
-    return (u * vals) @ dagger(u)
+    out = []
+    for p in powers:
+        if np.iscomplexobj(np.asarray(p)) or not float(np.real(p)).is_integer():
+            if np.any(w <= 0) and (np.real(p) < 0 or np.imag(p) != 0):
+                raise np.linalg.LinAlgError("non-invertible positive matrix power")
+        vals = np.array([v**p if v > 0 else 0.0 for v in w], dtype=complex)
+        out.append((u * vals) @ dagger(u))
+    return out
 
 
 def flip_operator(n: int, m: int | None = None) -> np.ndarray:

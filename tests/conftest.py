@@ -105,6 +105,11 @@ def coreps_of(dual_of):
 
 
 @pytest.fixture(scope="session")
+def fusion_of(coreps_of):
+    return _cache_by_object(lambda kac: ci.fusion_data(kac, coreps_of(kac)))
+
+
+@pytest.fixture(scope="session")
 def lattice_of(algebras, dual_of):
     cache = {}
 

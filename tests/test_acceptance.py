@@ -38,15 +38,8 @@ def family():
     rows = []
     for seed in FAMILY_SEEDS:
         inc = jn.random_inclusion(seed)
-        bc = jn.basic_extension(inc)
-        dw = jn.dual_weight(bc)
-        rep = jn.relcomm_report(bc, dw)
-        ext = jn.extremality(bc, dw, rep)
-
-        var = jn.omega_variation(inc, seed + 1000)
-        bc_v = jn.basic_extension(var)
-        dw_v = jn.dual_weight(bc_v)
-        rep_v = jn.relcomm_report(bc_v, dw_v)
+        bc, dw, rep, ext = jn.jones_chain(inc)
+        rep_v = jn.jones_chain(jn.omega_variation(inc, seed + 1000)).report
 
         spectrum = np.sort(jn.flow_spectrum(rep))
         spectrum_v = np.sort(jn.flow_spectrum(rep_v))
@@ -133,14 +126,14 @@ def test_criterion_04_fourier(algebras, tensor_algebras, kp8, coreps_of, dual_of
     )
 
 
-def test_criterion_05_subspace_system_round_trip(algebras, coreps_of):
+def test_criterion_05_subspace_system_round_trip(algebras, coreps_of, fusion_of):
     total = 0
     for name in ALGEBRA_NAMES:
         kac = algebras[name]
         coreps = coreps_of(kac)
         for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
             sys_ = ci.subspace_system_from_coideal(kac, coid, coreps)
-            back = ci.coideal_from_subspace_system(kac, coreps, sys_)
+            back = ci.coideal_from_subspace_system(kac, fusion_of(kac), sys_)
             assert la.span_distance(coid.mm.onb(), back.mm.onb()) < 1e-9, name
             total += 1
     report_line(5, f"coideal <-> subspace-system round trip < 1e-9 on {total} coideals")

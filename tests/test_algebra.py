@@ -205,6 +205,37 @@ def test_central_decomposition_block_structure(sample_multimatrix):
         np.testing.assert_allclose(p, la.dagger(p), atol=1e-9)
 
 
+def noisy_diagonal_algebra(blocks, noise, seed=0, rank=2):
+    """ℂ^blocks as rank-2 projections summing to 1, in a random unitary frame.
+
+    Each spanning projection carries complex noise of the given size, so the
+    span is an algebra only up to float noise; that is what closed subspace
+    systems of a larger Kac algebra look like.
+    """
+    d = blocks * rank
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(random_complex(rng, d, d))
+    mats = []
+    for b in range(blocks):
+        p = np.zeros((d, d), dtype=complex)
+        p[b * rank : (b + 1) * rank, b * rank : (b + 1) * rank] = np.eye(rank)
+        mats.append(u @ p @ la.dagger(u) + noise * random_complex(rng, d, d))
+    return ag.from_span(mats, d)
+
+
+@pytest.mark.parametrize("blocks,noise", [(8, 1e-13), (4, 3e-13)])
+def test_center_survives_float_noise(blocks, noise):
+    # The commutator system of a commutative algebra is noise; with an
+    # absolute rank floor of 1e-12 its singular values (about 2e-12 here)
+    # counted as rank, and the center came out empty.
+    alg = noisy_diagonal_algebra(blocks, noise)
+    onb = alg.onb()
+    assert 1e-13 < alg.residual(onb[:, None] @ onb[None]) < 5e-12
+    report = alg.validate()
+    assert report["passed"], report
+    assert alg.block_dims == [(1, 2)] * blocks
+
+
 def test_central_decomposition_rejects_non_unital_span():
     # span{e01, e00-e11} has no commuting element at all, so no center exists
     e01 = np.zeros((2, 2), dtype=complex)
@@ -257,13 +288,21 @@ def test_gns_representation_is_star_homomorphism(sample_multimatrix):
     np.testing.assert_allclose(np.linalg.norm(g.conj_j(v)), np.linalg.norm(v), atol=1e-9)
 
 
+def modular_flow(phi: ag.StateData, alg: ag.MMAlgebra, t: float):
+    """The automorphism x ↦ ρ^{it} x ρ^{-it}, ρ the density of φ in alg."""
+    rho = ag.density_in(alg, phi)
+    u = la.herm_power(rho, 1j * t)
+    u_inv = la.herm_power(rho, -1j * t)
+    return lambda x: u @ x @ u_inv
+
+
 def test_modular_flow_is_state_preserving_automorphism(sample_multimatrix):
     alg = sample_multimatrix
     rng = np.random.default_rng(1)
     rho = alg.project(np.diag(np.linspace(1.0, 2.0, 7)).astype(complex))
     rho = (rho + la.dagger(rho)) / 2.0
     phi = ag.StateData(density=rho / np.trace(rho).real)
-    flow = ag.modular_flow(phi, alg, 0.7)
+    flow = modular_flow(phi, alg, 0.7)
     x = alg.element(random_complex(rng, alg.dim))
     y = alg.element(random_complex(rng, alg.dim))
     np.testing.assert_allclose(flow(x @ y), flow(x) @ flow(y), atol=1e-8)

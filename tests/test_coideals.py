@@ -92,25 +92,25 @@ def test_coideal_closure_of_group_element(algebras):
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_subspace_system_round_trip(algebras, coreps_of, name):
+def test_subspace_system_round_trip(algebras, coreps_of, fusion_of, name):
     kac = algebras[name]
     coreps = coreps_of(kac)
     out = ci.enumerate_coideals_group_case(kac)
     for coid in out["coideals"]:
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
         assert sys.weighted_dim() == coid.dim
-        back = ci.coideal_from_subspace_system(kac, coreps, sys)
+        back = ci.coideal_from_subspace_system(kac, fusion_of(kac), sys)
         assert la.span_distance(coid.mm.onb(), back.mm.onb()) < 1e-9
         assert back.certificate < 1e-9
 
 
-def test_subspace_system_closure_certificate(algebras, coreps_of, dual_of):
+def test_subspace_system_closure_certificate(algebras, coreps_of, fusion_of):
     kac = algebras["s3_function"]
     coreps = coreps_of(kac)
     out = ci.enumerate_coideals_group_case(kac)
     for coid in out["coideals"]:
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
-        closure = ci.check_system_closure(kac, coreps, sys)
+        closure = ci.check_system_closure(fusion_of(kac), sys)
         assert max(
             v for k, v in closure.items() if isinstance(v, float)
         ) < 1e-8, closure
@@ -124,7 +124,7 @@ def unclosed_system(coreps, kept):
     )
 
 
-def test_one_character_of_cyclic_three_is_not_closed(algebras, coreps_of):
+def test_one_character_of_cyclic_three_is_not_closed(algebras, coreps_of, fusion_of):
     # χ⊗χ = χ̄ and the conjugate χ̄ is left out, so both conditions fail fully.
     kac = algebras["z3_function"]
     coreps = coreps_of(kac)
@@ -132,8 +132,8 @@ def test_one_character_of_cyclic_three_is_not_closed(algebras, coreps_of):
     kept = {c.index: int(c.is_trivial or c.index == chi) for c in coreps}
     sys_ = unclosed_system(coreps, kept)
     with pytest.raises(ValueError, match="violates closure conditions"):
-        ci.coideal_from_subspace_system(kac, coreps, sys_)
-    closure = ci.check_system_closure(kac, coreps, sys_)
+        ci.coideal_from_subspace_system(kac, fusion_of(kac), sys_)
+    closure = ci.check_system_closure(fusion_of(kac), sys_)
     assert closure["trivial"] == 0.0
     assert abs(closure["fusion"] - 1.0) <= 1e-12
     assert abs(closure["conjugation"] - 1.0) <= 1e-12
@@ -141,7 +141,7 @@ def test_one_character_of_cyclic_three_is_not_closed(algebras, coreps_of):
     assert [f[:3] for f in closure["failures"]] == [(chi, chi, bar), (chi, "conj", bar)]
 
 
-def test_one_line_of_the_two_dimensional_corep_is_not_closed(algebras, coreps_of):
+def test_one_line_of_the_two_dimensional_corep_is_not_closed(algebras, coreps_of, fusion_of):
     # K = span{(1, 0)} in the two-dimensional corepresentation, sign character
     # left out; the residuals are those of the per-vector loops they replace.
     kac = algebras["s3_function"]
@@ -150,8 +150,8 @@ def test_one_line_of_the_two_dimensional_corep_is_not_closed(algebras, coreps_of
     kept = {c.index: int(c.is_trivial or c.dim == 2) for c in coreps}
     sys_ = unclosed_system(coreps, kept)
     with pytest.raises(ValueError, match="violates closure conditions"):
-        ci.coideal_from_subspace_system(kac, coreps, sys_)
-    closure = ci.check_system_closure(kac, coreps, sys_)
+        ci.coideal_from_subspace_system(kac, fusion_of(kac), sys_)
+    closure = ci.check_system_closure(fusion_of(kac), sys_)
     assert closure["trivial"] == 0.0
     assert abs(closure["fusion"] - 0.8957614579496376) <= 1e-12
     assert abs(closure["conjugation"] - 0.8378885227773064) <= 1e-12

@@ -281,11 +281,172 @@ def test_inclusion_rejections():
         jn.make_inclusion(diag, diag, half, np.eye(2) / 2.0)
 
 
+# Library-level checks that only these tests use: the canonical unitary
+# between two GNS spaces, and the recognition of an abstract model of the
+# basic extension (the uniqueness of the basic construction).
+
+
+def gns_intertwiner(g1: ag.GnsData, g2: ag.GnsData) -> tuple[np.ndarray, dict]:
+    """Canonical unitary between two GNS spaces of the same algebra.
+
+    The coefficient-identity map Λ₁(x) ↦ Λ₂(x) intertwines the left
+    actions; its polar part is the canonical unitary.  Its defect from
+    the identity measures how far the two states are apart, while the
+    intertwining residual certifies equivalence of the representations.
+    """
+    v0 = g2.coord @ np.linalg.inv(g1.coord)
+    w, s, vt = np.linalg.svd(v0)
+    u = w @ vt
+    onb = g1.algebra.onb()
+    inter = la.opnorm(u @ g1.rep(onb) - g2.rep(onb) @ u)
+    return u, {"intertwining": inter, "unitary": la.opnorm(la.dagger(u) @ u - np.eye(u.shape[0]))}
+
+
+def _functional_coords(
+    onb: list[np.ndarray], value, tol: float = la.DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinate maps of the inner product value(a†b) on a spanning basis."""
+    gram = np.array([[value(la.dagger(a) @ b) for b in onb] for a in onb])
+    gram = (gram + la.dagger(gram)) / 2.0
+    w, u = np.linalg.eigh(gram)
+    if w.min() < tol:
+        raise ValueError(
+            f"functional is not faithful on the algebra (Gram eigenvalue {w.min():.3e})"
+        )
+    coord = (u * np.sqrt(w)) @ la.dagger(u)
+    coord_inv = (u / np.sqrt(w)) @ la.dagger(u)
+    return coord, coord_inv
+
+
+def verify_extension_model(
+    bc: jn.BasicExtension,
+    dw: jn.DualWeight,
+    model: ag.MMAlgebra,
+    e_model: np.ndarray,
+    weight_model,
+    tol: float = la.DEFAULT_TOL,
+) -> dict:
+    """Recognize an abstract model (R, e, T) of the basic extension.
+
+    Hypotheses checked: e compresses M through E, R is generated by M and
+    e, T(e) = 1 with T bimodular and positive, and e is invariant under
+    the modular flow of φ∘T.  The intertwining unitary is built column by
+    column from x·e·y ↦ x·e_N·y in the two weighted GNS coordinate systems,
+    and conjugation by it is verified to fix M pointwise, send e_N to e,
+    and carry M₁ onto R.
+    """
+    inc = bc.inclusion
+    g = bc.gns
+    k = g.space_dim
+    big_ops = g.rep(inc.big.onb())
+
+    hyp = {}
+    hyp["compression"] = la.opnorm(
+        e_model @ big_ops @ e_model
+        - g.rep(inc.expectation.apply(inc.big.onb())) @ e_model
+    )
+    generated = ag.from_span(
+        np.concatenate([big_ops, jn._sandwich(big_ops, e_model)]), k
+    )
+    hyp["generated"] = la.span_distance(generated.onb(), model.onb())
+    tm = weight_model
+    hyp["unit_from_e"] = la.frob(tm(e_model) - np.eye(k, dtype=complex))
+    rng = np.random.default_rng(5)
+    bimod = 0.0
+    pos_min = 0.0
+    model_onb = model.onb()
+    for _ in range(5):
+        coeffs = rng.standard_normal(len(model_onb)) + 1j * rng.standard_normal(
+            len(model_onb)
+        )
+        z = model.element(coeffs)
+        a = big_ops[int(rng.integers(len(big_ops)))]
+        b = big_ops[int(rng.integers(len(big_ops)))]
+        bimod = max(bimod, la.frob(tm(a @ z @ b) - a @ tm(z) @ b))
+        y = tm(la.dagger(z) @ z)
+        pos_min = min(pos_min, float(np.linalg.eigvalsh((y + la.dagger(y)) / 2.0).min()))
+    hyp["bimodule"] = bimod
+    hyp["min_positivity_eig"] = pos_min
+
+    omega_vec = g.cyclic
+
+    def phi_weight(z: np.ndarray) -> complex:
+        return complex(np.vdot(omega_vec, dw.apply(z) @ omega_vec))
+
+    def psi_weight(z: np.ndarray) -> complex:
+        return complex(np.vdot(omega_vec, tm(z) @ omega_vec))
+
+    d_model = jn._riesz_density(model_onb, [psi_weight(m) for m in model_onb])
+    hyp["e_flow_invariant"] = la.opnorm(d_model @ e_model - e_model @ d_model)
+
+    m1_onb = bc.m1.onb()
+    if len(m1_onb) != len(model_onb):
+        raise RuntimeError(
+            f"model dimension {len(model_onb)} differs from the extension "
+            f"dimension {len(m1_onb)}; hypotheses cannot hold"
+        )
+
+    coord1, _ = _functional_coords(m1_onb, phi_weight)
+    coord2, _ = _functional_coords(model_onb, psi_weight)
+
+    src = coord1 @ bc.m1.coeffs(jn._sandwich(big_ops, bc.e_n)).T
+    tgt = coord2 @ model.coeffs(jn._sandwich(big_ops, e_model)).T
+    u = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
+    well_defined = float(
+        np.linalg.norm(u @ src - tgt) / max(1.0, np.linalg.norm(tgt))
+    )
+    unitary = la.opnorm(la.dagger(u) @ u - np.eye(u.shape[0]))
+
+    # Recover the isomorphism through coefficient transport.
+    inv2 = np.linalg.inv(coord2)
+    rep2_basis = np.stack(
+        [coord2 @ model.coeffs(z @ model_onb).T @ inv2 for z in model_onb]
+    )
+    rep2_mat = rep2_basis.reshape(len(model_onb), -1).T
+
+    def transport(z: np.ndarray) -> tuple[np.ndarray, float]:
+        r1 = coord1 @ bc.m1.coeffs(z @ m1_onb).T @ np.linalg.inv(coord1)
+        moved = u @ r1 @ la.dagger(u)
+        coeffs, *_ = np.linalg.lstsq(rep2_mat, la.vec(moved), rcond=None)
+        out = model.element(coeffs)
+        residual = float(np.linalg.norm(rep2_mat @ coeffs - la.vec(moved)))
+        return out, residual
+
+    fixes_big = 0.0
+    membership = 0.0
+    for x in big_ops:
+        img, mem = transport(x)
+        membership = max(membership, mem)
+        fixes_big = max(fixes_big, la.frob(img - x))
+    img_e, mem_e = transport(bc.e_n)
+    membership = max(membership, mem_e)
+    maps_projection = la.frob(img_e - e_model)
+
+    report = {
+        **{f"hypothesis_{n}": v for n, v in hyp.items()},
+        "well_defined": well_defined,
+        "unitary": unitary,
+        "fixes_big": fixes_big,
+        "maps_projection": maps_projection,
+        "image_membership": membership,
+    }
+    report["passed"] = (
+        max(
+            v
+            for n, v in report.items()
+            if n not in ("passed", "hypothesis_min_positivity_eig")
+        )
+        < max(tol * 100, 1e-7)
+        and hyp["min_positivity_eig"] > -1e-9
+    )
+    return {"unitary_matrix": u, "report": report}
+
+
 def test_gns_intertwiner_between_two_states():
     diag = ag.from_span([E00, E11], 2)
     g1 = ag.gns(diag, ag.StateData(density=np.diag([0.5, 0.5]).astype(complex)))
     g2 = ag.gns(diag, ag.StateData(density=np.diag([0.25, 0.75]).astype(complex)))
-    u, res = jn.gns_intertwiner(g1, g2)
+    u, res = gns_intertwiner(g1, g2)
     assert res["unitary"] < 1e-10
     assert res["intertwining"] < 1e-9
 
@@ -294,7 +455,7 @@ def test_extension_model_recognition_identity_and_rotated():
     inc = jn.fixture_point_in_full()
     bc = jn.basic_extension(inc)
     dw = jn.dual_weight(bc)
-    out = jn.verify_extension_model(bc, dw, bc.m1, bc.e_n, dw.apply)
+    out = verify_extension_model(bc, dw, bc.m1, bc.e_n, dw.apply)
     assert out["report"]["passed"], out["report"]
 
     # rotate the model by a unitary that commutes with the represented M,
@@ -308,7 +469,7 @@ def test_extension_model_recognition_identity_and_rotated():
     u_rot = v @ np.diag(np.exp(1j * w)) @ la.dagger(v)
     model = ag.from_span([u_rot @ m @ la.dagger(u_rot) for m in bc.m1.onb()], k)
     e_rot = u_rot @ bc.e_n @ la.dagger(u_rot)
-    out2 = jn.verify_extension_model(
+    out2 = verify_extension_model(
         bc, dw, model, e_rot, lambda z: dw.apply(la.dagger(u_rot) @ z @ u_rot)
     )
     assert out2["report"]["passed"], out2["report"]
@@ -320,7 +481,7 @@ def test_extension_model_rejects_wrong_dimension():
     dw = jn.dual_weight(bc)
     small_model = ag.from_span([np.eye(bc.gns.space_dim, dtype=complex)], bc.gns.space_dim)
     with pytest.raises(RuntimeError):
-        jn.verify_extension_model(bc, dw, small_model, bc.e_n, dw.apply)
+        verify_extension_model(bc, dw, small_model, bc.e_n, dw.apply)
 
 
 def test_dual_integral_generates_full_extension_with_algebra():
@@ -342,6 +503,74 @@ def test_dual_integral_generates_full_extension_with_algebra():
     assert generated.dim == kac.dim**2
 
 
+class DenseDualWeight:
+    """The oracle: Ê as the dense k²×k² matrix tgt·pinv(r̄·src)·r̄.
+
+    The columns of src and tgt are every x·e·y and x·y over the represented
+    basis of M, and r̄ holds the conjugated orthonormal rows of M₁.  It offers
+    the readers' interface through the dense ``apply`` alone, so the
+    relative-commutant report and extremality can be run through it.
+    """
+
+    def __init__(self, bc):
+        k = bc.gns.space_dim
+        ops = bc.gns.rep(bc.inclusion.big.onb())
+        self.src = jn._sandwich(ops, bc.e_n).reshape(-1, k * k).T
+        self.tgt = (ops[:, None] @ ops[None]).reshape(-1, k * k).T
+        r_conj = bc.m1.onb().reshape(bc.m1.dim, -1).conj()
+        self.matrix = (self.tgt @ np.linalg.pinv(r_conj @ self.src, rcond=la.RANK_RTOL)) @ r_conj
+        self.big = bc.big_rep
+        index_el = self.apply(np.eye(k, dtype=complex))
+        self.index_element = (index_el + la.dagger(index_el)) / 2.0
+
+    def apply(self, x):
+        flat = np.reshape(x, (*np.shape(x)[:-2], -1))
+        return (flat @ self.matrix.T).reshape(np.shape(x))
+
+    def coeffs(self, x):
+        return self.big.coeffs(self.apply(x))
+
+    def composite(self, f, x):
+        return f(self.apply(x))
+
+
+def dense_dual_weight(bc):
+    """The dense oracle with the residuals computed as from the dense matrix."""
+    dw = DenseDualWeight(bc)
+    k = bc.gns.space_dim
+    eye = np.eye(k, dtype=complex)
+    big_ops = bc.gns.rep(bc.inclusion.big.onb())
+    index_el = dw.index_element
+    res = {
+        "pin_consistency": float(
+            np.linalg.norm(dw.matrix @ dw.src - dw.tgt) / max(1.0, np.linalg.norm(dw.tgt))
+        )
+    }
+    res["unit_from_e"] = la.frob(dw.apply(bc.e_n) - eye)
+    res["index_in_big"] = bc.big_rep.residual(index_el)
+    res["index_central"] = la.opnorm(index_el @ big_ops - big_ops @ index_el)
+    m1_onb = bc.m1.onb()
+    ez = bc.e_n @ m1_onb
+    res["push_down"] = la.frob_max(bc.e_n @ dw.apply(ez) - ez)
+    images = dw.apply(m1_onb)
+    res["range_in_big"] = bc.big_rep.residual(images)
+    res["adjoint_compatible"] = la.frob_max(dw.apply(la.dagger(m1_onb)) - la.dagger(images))
+    rng = np.random.default_rng(2)
+    pos_min = bimod = 0.0
+    for _ in range(6):
+        coeffs = rng.standard_normal(len(m1_onb)) + 1j * rng.standard_normal(len(m1_onb))
+        z = bc.m1.element(coeffs)
+        y = dw.apply(la.dagger(z) @ z)
+        pos_min = min(pos_min, float(np.linalg.eigvalsh((y + la.dagger(y)) / 2.0).min()))
+        a = big_ops[int(rng.integers(len(big_ops)))]
+        b = big_ops[int(rng.integers(len(big_ops)))]
+        bimod = max(bimod, la.frob(dw.apply(a @ z @ b) - a @ dw.apply(z) @ b))
+    res["min_positivity_eig"] = pos_min
+    res["bimodule"] = bimod
+    dw.residuals = res
+    return dw
+
+
 @pytest.mark.parametrize("make", [jn.fixture_pinch, lambda: jn.random_inclusion(4)])
 def test_dual_weight_matches_full_pseudo_inverse(make):
     bc = jn.basic_extension(make())
@@ -350,8 +579,45 @@ def test_dual_weight_matches_full_pseudo_inverse(make):
     src = np.stack([(x @ bc.e_n @ y).reshape(-1) for x in ops for y in ops], axis=1)
     tgt = np.stack([(x @ y).reshape(-1) for x in ops for y in ops], axis=1)
     full = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
-    m1 = bc.m1.onb().reshape(bc.m1.dim, -1).T
-    assert np.abs(dw.matrix @ m1 - full @ m1).max() < 1e-12
+    m1 = bc.m1.onb()
+    expected = (m1.reshape(len(m1), -1) @ full.T).reshape(m1.shape)
+    assert np.abs(dw.apply(m1) - expected).max() < 1e-12
+
+
+def assert_close_values(got, want, bound=1e-12):
+    """Equal keys; equal flags and integers; floats within ``bound``."""
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        if isinstance(value, (bool, np.bool_)):
+            assert value == want[key], key
+        else:
+            assert abs(value - want[key]) <= bound, (key, value, want[key])
+
+
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_coordinate_weight_matches_the_dense_oracle(seed):
+    inc = jn.random_inclusion(seed)
+    for case in (inc, jn.omega_variation(inc, seed + 1000)):
+        bc = jn.basic_extension(case)
+        dw, dense = jn.dual_weight(bc), dense_dual_weight(bc)
+        assert dw.coords.shape == (bc.m1.dim, case.big.dim)
+        assert_close_values(dw.residuals, dense.residuals)
+        assert np.abs(dw.index_element - dense.index_element).max() <= 1e-12
+
+        rep, rep_dense = jn.relcomm_report(bc, dw), jn.relcomm_report(bc, dense)
+        assert_close_values(rep.residuals, rep_dense.residuals)
+        assert rep.mirror_pairs == rep_dense.mirror_pairs
+        for s, s_dense in zip(rep.summands, rep_dense.summands, strict=True):
+            np.testing.assert_allclose(s["spectrum"], s_dense["spectrum"], rtol=0, atol=1e-12)
+            assert np.abs(s["mirror_density"] - s_dense["mirror_density"]).max() <= 1e-12
+        assert np.abs(rep.flow_generator - rep_dense.flow_generator).max() <= 1e-12
+
+        ext = jn.extremality(bc, dw, rep)
+        assert_close_values(ext, jn.extremality(bc, dense, rep_dense))
+        onb = rep.algebra.onb()
+        defect = dense.apply(bc.mirror(onb)) - dense.apply(onb)
+        dense_map = la.opnorm(defect.reshape(len(onb), -1).T)
+        assert abs(ext["mirror_map_residual"] - dense_map) <= 1e-12
 
 
 def test_mirror_map_residual_is_basis_independent():
