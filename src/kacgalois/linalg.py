@@ -230,14 +230,12 @@ def herm_powers(a: np.ndarray, powers) -> list[np.ndarray]:
     """:func:`herm_power` of ``a`` for each of ``powers``, from one eigh."""
     w, u = np.linalg.eigh((a + dagger(a)) / 2.0)
     w = np.clip(w.real, 0.0, None)
-    pos = w > 0
     out = []
     for p in powers:
         if np.iscomplexobj(np.asarray(p)) or not float(np.real(p)).is_integer():
-            if not np.all(pos) and (np.real(p) < 0 or np.imag(p) != 0):
+            if np.any(w <= 0) and (np.real(p) < 0 or np.imag(p) != 0):
                 raise np.linalg.LinAlgError("non-invertible positive matrix power")
-        vals = np.zeros(len(w), dtype=complex)
-        vals[pos] = w[pos] ** p
+        vals = np.array([v**p if v > 0 else 0.0 for v in w], dtype=complex)
         out.append((u * vals) @ dagger(u))
     return out
 
