@@ -102,9 +102,13 @@ class MMAlgebra:
         return la.frob_max(x - self.project(x))
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of ``x`` (shape (..., d, d)) in the orthonormal basis."""
+        """Coefficients of ``x`` (shape (..., d, d)) in the orthonormal basis.
+
+        x·b̄ᵀ is taken as the conjugate of x̄·bᵀ, so the basis is never copied.
+        """
         lead, rows = np.shape(x)[:-2], self._rows()
-        return (np.reshape(x, (-1, rows.shape[1])) @ rows.conj().T).reshape(*lead, self.dim)
+        flat = np.conj(np.reshape(x, (-1, rows.shape[1])))
+        return np.conj(flat @ rows.T).reshape(*lead, self.dim)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         """Linear combination(s) of the Frobenius-orthonormal basis."""

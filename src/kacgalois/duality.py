@@ -63,34 +63,37 @@ def _pentagon_defect(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return lhs - _apply_leg23(v4, _apply_leg12(v4, psi))
 
 
+# The blocked exact pentagon costs n⁸ complex multiply-adds; one term of the
+# sparse one (its products, the merge sort, two bincounts) costs about as much
+# as 400 of them (about 140 ns against 0.35 ns on a Xeon core, BLAS on one
+# thread, at n = 8 and 12).
+_TERM_COST = 400
+# Terms expanded at once by the sparse pentagon, which bounds its scratch memory.
+_TERM_BLOCK = 1 << 18
+
+
 def pentagon_residual(v: np.ndarray, n: int, seed: int = 11) -> float:
     """Size of V₁₂V₁₃V₂₃ − V₂₃V₁₂ on H⊗H⊗H.
 
-    When n³ ≤ 2744 (n ≤ 14) this is the exact Frobenius norm, an upper bound
-    on the operator norm, summed over n column blocks without forming any
-    n³×n³ operator.  Block a″ holds the columns e_{a″}⊗e_{b″}⊗e_{c″}, on
-    which the leg structure of V gives
-
-        V₁₃V₂₃ e = X[a,b,c; b″,c″] = Σₖ V[(a,c),(a″,k)]·V[(b,k),(b″,c″)],
-        V₂₃V₁₂ e = Y[a,b,c; b″,c″] = Σₖ V[(b,c),(k,c″)]·V[(a,k),(a″,b″)],
-
-    each a batch of n×n products (O(n⁶) per block) that lands in row order
-    (a, b, c), so the block's defect is V₁₂X − Y with one n²×n² by n²×n³
-    matmul.  Above that it is the maximum over 32 seeded random unit
-    vectors, a lower bound on the operator norm.
+    The exact Frobenius norm, an upper bound on the operator norm, whenever
+    one of two exact paths is affordable; neither forms an n³×n³ operator.
+    The sparse path expands both sides over V's exact nonzeros
+    (:func:`_pentagon_sparse`); its term count comes from V's pattern before
+    any product is formed.  The blocked path (:func:`_pentagon_blocked`)
+    takes n⁸ multiply-adds whatever V is.  For n ≤ 14 (n³ ≤ 2744) the
+    cheaper of the two runs.  Above that the blocked path is out of reach
+    and the sparse one runs while its terms number fewer than n⁸.  Otherwise
+    (a dense V above n = 14) the result is the maximum over 32 seeded random
+    unit vectors, a lower bound on the operator norm.
     """
+    nz = v != 0
+    terms = _pentagon_terms(nz, n)
+    work = terms.sum()
+    if n ** 3 <= 2744 and _TERM_COST * work >= n ** 8:
+        return _pentagon_blocked(v, n)
+    if work < n ** 8:
+        return _pentagon_sparse(v, n, nz, terms)
     v4 = v.reshape(n, n, n, n)
-    if n ** 3 <= 2744:
-        rows = v.reshape(n, n, n * n)  # rows[b, k] = V[(b, k), :]
-        total = 0.0
-        for i in range(n):
-            w = v4[:, :, i, :]  # w[a, s, k] = V[(a, s), (a″, k)]
-            x = np.matmul(w[:, None], rows[None])
-            y = np.matmul(w.transpose(0, 2, 1)[:, None, None], v4[None])
-            defect = v @ x.reshape(n * n, -1)
-            defect -= y.reshape(n * n, -1)
-            total += frob(defect) ** 2
-        return float(np.sqrt(total))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(32):
@@ -98,6 +101,111 @@ def pentagon_residual(v: np.ndarray, n: int, seed: int = 11) -> float:
         psi /= np.linalg.norm(psi)
         worst = max(worst, frob(_pentagon_defect(v4, psi)))
     return worst
+
+
+def _pentagon_blocked(v: np.ndarray, n: int) -> float:
+    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F summed over n column blocks, n⁸ multiply-adds.
+
+    Block a″ holds the columns e_{a″}⊗e_{b″}⊗e_{c″}, on which the leg
+    structure of V gives
+
+        V₁₃V₂₃ e = X[a,b,c; b″,c″] = Σₖ V[(a,c),(a″,k)]·V[(b,k),(b″,c″)],
+        V₂₃V₁₂ e = Y[a,b,c; b″,c″] = Σₖ V[(b,c),(k,c″)]·V[(a,k),(a″,b″)],
+
+    each a batch of n×n products (O(n⁶) per block) that lands in row order
+    (a, b, c), so the block's defect is V₁₂X − Y with one n²×n² by n²×n³
+    matmul.
+    """
+    v4 = v.reshape(n, n, n, n)
+    rows = v.reshape(n, n, n * n)  # rows[b, k] = V[(b, k), :]
+    total = 0.0
+    for i in range(n):
+        w = v4[:, :, i, :]  # w[a, s, k] = V[(a, s), (a″, k)]
+        x = np.matmul(w[:, None], rows[None])
+        y = np.matmul(w.transpose(0, 2, 1)[:, None, None], v4[None])
+        defect = v @ x.reshape(n * n, -1)
+        defect -= y.reshape(n * n, -1)
+        total += frob(defect) ** 2
+    return float(np.sqrt(total))
+
+
+def _pentagon_terms(nz: np.ndarray, n: int) -> np.ndarray:
+    """Products the sparse pentagon forms for each column pair (a, b), flattened.
+
+    With M = V's nonzero pattern and C its column counts, the column
+    e_a⊗e_b⊗e_c of V₁₂V₁₃V₂₃ expands to Σ M[(b′,c′),(b,c)]·M[(a″,c″),(a,c′)]·
+    C[a″,b′] terms and that of V₂₃V₁₂ to Σ M[(a′,b′),(a,b)]·C[b′,c]; summed
+    over c, both are products of n²×n-sized count arrays.
+    """
+    m = nz.reshape(n, n, n, n).astype(float)  # m[row₁, row₂, col₁, col₂]
+    c = m.sum((0, 1))
+    g = m.sum(1).reshape(n, n * n).T @ c  # g[(a, c′), b′] = Σ M[(a″,·),(a,c′)]·C[a″,b′]
+    lhs = g.reshape(n, n, n).transpose(0, 2, 1).reshape(n, n * n) @ m.sum(3).reshape(n * n, n)
+    rhs = np.tile(c.sum(1), n) @ m.reshape(n * n, n * n)
+    return lhs.reshape(-1) + rhs
+
+
+def _pentagon_sparse(v: np.ndarray, n: int, nz: np.ndarray, terms: np.ndarray) -> float:
+    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F from V's exact nonzeros, column pair by column pair.
+
+    Only entries that are exactly zero are skipped, so the sum is the blocked
+    path's in another order.  ``nz`` is V's nonzero pattern and ``terms`` the
+    per-column-pair term counts of :func:`_pentagon_terms`; the pairs are
+    taken in runs of about ``_TERM_BLOCK`` terms.
+    """
+    cols, rows = np.nonzero(nz.T)
+    starts = np.zeros(n * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n * n), out=starts[1:])
+    csc = (starts, rows, v[rows, cols])
+    cuts = np.flatnonzero(np.diff(np.cumsum(terms) // _TERM_BLOCK)) + 1
+    total = 0.0
+    for pairs in np.split(np.arange(n * n), cuts):
+        total += _sparse_defect_squared(csc, n, pairs)
+    return float(np.sqrt(total))
+
+
+def _times_v(csc: tuple, col: np.ndarray, coef: np.ndarray) -> tuple:
+    """Multiply terms (V column index ``col``, coefficient ``coef``) by V's column.
+
+    Returns, for each product, the index of its term, V's row index and the
+    product's coefficient.
+    """
+    starts, rows, vals = csc
+    count = starts[col + 1] - starts[col]
+    parent = np.repeat(np.arange(len(col)), count)
+    pos = np.arange(len(parent)) + np.repeat(starts[col] - (np.cumsum(count) - count), count)
+    return parent, rows[pos], coef[parent] * vals[pos]
+
+
+def _sparse_defect_squared(csc: tuple, n: int, pairs: np.ndarray) -> float:
+    """Σ|V₁₂V₁₃V₂₃ − V₂₃V₁₂|² over the columns e_a⊗e_b⊗e_c with a·n + b in ``pairs``.
+
+    Each side is expanded column by column into (row, column, value) terms;
+    terms at the same position are merged with one ``np.unique`` and two
+    ``np.bincount`` calls.
+    """
+    nn = n * n
+    col = (pairs[:, None] * n + np.arange(n)).reshape(-1)  # (a, b, c) as a·n² + b·n + c
+    one = np.ones(len(col), dtype=complex)
+    # V₁₂V₁₃V₂₃ e_abc: V₂₃ takes (b, c) to (b′, c′), V₁₃ takes (a, c′) to
+    # (a″, c″), and V₁₂ takes (a″, b′) to the first two legs of the row.
+    t, r, w = _times_v(csc, col % nn, one)
+    src, b1, c1 = col[t], r // n, r % n
+    t, r, w = _times_v(csc, src // nn * n + c1, w)
+    src, b1, c2 = src[t], b1[t], r % n
+    t, r, w_lhs = _times_v(csc, r // n * n + b1, w)
+    key_lhs = src[t] * nn * n + r * n + c2[t]
+    # V₂₃V₁₂ e_abc: V₁₂ takes (a, b) to (a′, b′), V₂₃ takes (b′, c) to the
+    # last two legs of the row.
+    t, r, w = _times_v(csc, col // n, one)
+    src, a1 = col[t], r // n
+    t, r, w_rhs = _times_v(csc, r % n * n + src % n, w)
+    key_rhs = src[t] * nn * n + a1[t] * nn + r
+    _, pos = np.unique(np.concatenate((key_lhs, key_rhs)), return_inverse=True)
+    diff = np.concatenate((w_lhs, -w_rhs))
+    re = np.bincount(pos, diff.real)
+    im = np.bincount(pos, diff.imag)
+    return float(re @ re + im @ im)
 
 
 def _leg_commutator_max(v: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:

@@ -50,11 +50,6 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex).reshape(-1)
 
 
-def unvec(v: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape(shape)
-
-
 def _flat_rows(mats) -> np.ndarray:
     """A span's matrices as the rows of one (k, d²) array."""
     mats = np.asarray(mats, dtype=complex)

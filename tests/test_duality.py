@@ -1,5 +1,7 @@
 """Regular multiplicative unitaries, integrals, pairing, and biduality."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,36 @@ def perturbed(v, seed=0, size=1e-3):
     return v + size * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
 
 
+def perturbed_nonzeros(v, seed=0, size=1e-4):
+    """``v`` with each exact nonzero moved by a seeded amount; the zero pattern is kept."""
+    rng = np.random.default_rng(seed)
+    w = v.copy()
+    nz = w != 0
+    w[nz] += size * (rng.standard_normal(nz.sum()) + 1j * rng.standard_normal(nz.sum()))
+    return w
+
+
+def rotated(v, n, seed=0):
+    """(Q⊗Q)V(Q⊗Q)† for a seeded random unitary Q: dense, with the same pentagon defect norm."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    qq = np.kron(q, q)
+    return qq @ v @ la.dagger(qq)
+
+
+@pytest.fixture
+def pentagon_paths(monkeypatch):
+    """The exact pentagon paths that run, in call order; empty for the sampled bound."""
+    ran = []
+    for name in ("_pentagon_blocked", "_pentagon_sparse"):
+        def spy(*args, fn=getattr(du, name), name=name):
+            ran.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(du, name, spy)
+    return ran
+
+
 def test_pentagon_residual_bounds_the_operator_norm_from_above(kp8):
     n = kp8.dim
     w = perturbed(du.multiplicative_unitary(kp8).matrix)
@@ -88,18 +120,115 @@ def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
     assert du.pentagon_residual(v, kp8.dim) > 1e-10
 
 
-@pytest.mark.parametrize("order, exact", [(13, True), (15, False)], ids=["z13_exact", "z15_sampled"])
-def test_pentagon_on_cyclic_groups_either_side_of_the_exact_branch(order, exact):
-    kac = kc.group_algebra(kc.cyclic_group(order))
-    assert (kac.dim**3 <= 2744) == exact  # 2744 = 14³ ends the exact Frobenius branch
-    v = du.multiplicative_unitary(kac)
-    assert v.residuals["pentagon"] < 1e-10
+@functools.cache
+def corrupted_cyclic_pentagon(order):
+    """ℤ_order's pentagon residual as built, its V with one entry moved by 1e-6,
+    and that V's defect norm from the leg-sweep oracle."""
+    v = du.multiplicative_unitary(kc.group_algebra(kc.cyclic_group(order)))
     corrupted = v.matrix.copy()
     corrupted[3, 5] += 1e-6
-    value = du.pentagon_residual(corrupted, kac.dim)
+    return v.residuals["pentagon"], corrupted, leg_sweep_pentagon_frobenius(corrupted, order)
+
+
+@pytest.mark.parametrize(
+    "order, rotate, path",
+    [(13, False, ["_pentagon_sparse"]), (15, False, ["_pentagon_sparse"]), (15, True, [])],
+    ids=["z13_sparse", "z15_sparse", "z15_rotated_sampled"],
+)
+def test_pentagon_on_cyclic_groups_either_side_of_the_exact_branch(
+    order, rotate, path, pentagon_paths
+):
+    built, corrupted, exact = corrupted_cyclic_pentagon(order)
+    assert built < 1e-10
+    if rotate:  # dense above n = 14: the sampled lower bound
+        corrupted = rotated(corrupted, order)
+    pentagon_paths.clear()
+    value = du.pentagon_residual(corrupted, order)
+    assert pentagon_paths == path
     assert value > 1e-10
-    if exact:
-        assert abs(value - leg_sweep_pentagon_frobenius(corrupted, order)) <= 1e-12 * value
+    if rotate:
+        assert value <= exact * (1 + 1e-12)
+    else:
+        assert abs(value - exact) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("which", ["kp8", "s3_function*z2_group"])
+def test_rotation_carries_the_sparse_pentagon_onto_the_blocked_one(
+    kp8, tensor_algebras, pentagon_paths, which
+):
+    kac = kp8 if which == "kp8" else tensor_algebras[which]
+    n = kac.dim
+    v = perturbed_nonzeros(du.multiplicative_unitary(kac).matrix, seed=n)
+    pentagon_paths.clear()
+    sparse = du.pentagon_residual(v, n)
+    blocked = du.pentagon_residual(rotated(v, n, seed=n), n)
+    assert pentagon_paths == ["_pentagon_sparse", "_pentagon_blocked"]
+    assert sparse > 1e-6
+    assert abs(sparse - blocked) <= 1e-12 * sparse
+
+
+LADDER_PRODUCTS = (
+    ("z3_group", "z3_function"),
+    ("z2_group", "z5_function"),
+    ("s3_function", "z2_group"),
+)
+PENTAGON_NAMES = ALGEBRA_NAMES + ("kp8",) + tuple(f"{a}*{b}" for a, b in LADDER_PRODUCTS)
+
+
+@pytest.fixture(scope="module")
+def three_unitaries(algebras, kp8):
+    """V, V̂ and Ṽ of the 12 group fixtures, kp8 and the three dual_ladder products."""
+    named = dict(algebras, kp8=kp8)
+    factors = dict(algebras, z5_function=kc.function_algebra(kc.cyclic_group(5)))
+    for left, right in LADDER_PRODUCTS:
+        named[f"{left}*{right}"] = kc.tensor_kac(factors[left], factors[right])
+    out = {}
+    for name, kac in named.items():
+        v = du.multiplicative_unitary(kac)
+        hu = du.hat_unitaries(kac, v, du.hat_algebra(kac, v))
+        out[name] = (kac.dim, (v.matrix, hu.v_hat, hu.v_tilde))
+    return out
+
+
+def sparse_pentagon(v, n):
+    nz = v != 0
+    return du._pentagon_sparse(v, n, nz, du._pentagon_terms(nz, n))
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_sparse_pentagon_is_the_blocked_one(three_unitaries, name):
+    n, unitaries = three_unitaries[name]
+    for v in unitaries:
+        for w in (v, perturbed_nonzeros(v, seed=n)):
+            blocked = du._pentagon_blocked(w, n)
+            assert abs(sparse_pentagon(w, n) - blocked) <= 1e-12 * blocked
+
+
+def test_pentagon_term_count_is_the_number_of_products():
+    """Brute force over every column e_a⊗e_b⊗e_c and V's nonzero lists."""
+    rng = np.random.default_rng(5)
+    n = 3
+    v = rng.standard_normal((n * n, n * n)) * (rng.random((n * n, n * n)) < 0.3)
+    col = [np.flatnonzero(v[:, j]) for j in range(n * n)]
+    want = np.zeros(n * n)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for r in col[b * n + c]:  # V₂₃, then V₁₃, then V₁₂
+                    bp, cp = divmod(r, n)
+                    want[a * n + b] += sum(len(col[r2 // n * n + bp]) for r2 in col[a * n + cp])
+                for r in col[a * n + b]:  # V₁₂, then V₂₃
+                    want[a * n + b] += len(col[r % n * n + c])
+    assert want.sum() > 0
+    np.testing.assert_array_equal(du._pentagon_terms(v != 0, n), want)
+
+
+def test_sparse_pentagon_sum_does_not_depend_on_its_runs(kp8, monkeypatch):
+    n = kp8.dim
+    v = perturbed_nonzeros(du.multiplicative_unitary(kp8).matrix)
+    whole = sparse_pentagon(v, n)
+    monkeypatch.setattr(du, "_TERM_BLOCK", 100)
+    assert abs(sparse_pentagon(v, n) - whole) <= 1e-12 * whole
 
 
 def test_leg_commutators_match_the_kronecker_reference():

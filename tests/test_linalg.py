@@ -194,10 +194,13 @@ def test_herm_power_laws(seed):
     np.testing.assert_allclose(la.dagger(u) @ u, np.eye(4), atol=1e-9)
 
 
-def test_vec_unvec_round_trip():
+def test_vec_is_the_row_major_flattening():
     rng = np.random.default_rng(2)
     x = random_complex(rng, 3, 5)
-    np.testing.assert_allclose(la.unvec(la.vec(x), (3, 5)), x)
+    v = la.vec(x)
+    assert v.shape == (15,) and v.dtype == complex
+    assert all(v[5 * i + j] == x[i, j] for i in range(3) for j in range(5))
+    assert la.vec(np.eye(2, dtype=int)).dtype == complex
 
 
 def test_flip_operator_swaps_tensor_legs():
