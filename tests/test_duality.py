@@ -127,6 +127,7 @@ def corrupted_cyclic_pentagon(order):
     v = du.multiplicative_unitary(kc.group_algebra(kc.cyclic_group(order)))
     corrupted = v.matrix.copy()
     corrupted[3, 5] += 1e-6
+    corrupted.flags.writeable = False  # shared by the cached callers
     return v.residuals["pentagon"], corrupted, leg_sweep_pentagon_frobenius(corrupted, order)
 
 
