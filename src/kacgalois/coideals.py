@@ -4,14 +4,14 @@ A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
 δ(B) ⊆ A⊗B.  This module provides:
 
 * recognition and certification of coideals (:func:`is_coideal`),
-* the constructive envelope :func:`coideal_closure` (alternating *-algebra
-  closure with coproduct-slice closure),
+* the constructive envelope :func:`coideal_closure`, the *-algebra generated
+  by the given elements and their coproduct slices in one step,
 * the equivalence between coideals and closed systems of subspaces, one
   subspace K_π ⊆ ℂ^{d(π)} per irreducible corepresentation
   (:func:`subspace_system_from_coideal`, :func:`coideal_from_subspace_system`),
-* for group-derived algebras, complete lattice enumeration with a
-  certificate, and the subgroup dictionary (C(G/H) on the function side,
-  ℂ[H] on the group side, :func:`subgroup_from_system`),
+* for group-derived algebras, lattice enumeration with a completeness audit,
+  every coideal the closure of a subgroup's indicator (C(G/H) on the
+  function side, ℂ[H] on the group side),
 * the Galois map into the dual, B ↦ B̃ = {y ∈ Â : ⟨xb, y⟩ = ε(b)⟨x, y⟩},
   its commutant form κ̂(B′∩Â), the dimension identity
   dim B · dim B̃ = dim A, the involution B̃̃ = B, and the bicommutant
@@ -35,7 +35,7 @@ from . import duality as du
 from . import linalg as la
 from .algebra import SubalgebraError
 from .kac import KacAlgebra
-from .linalg import DEFAULT_TOL, dagger, frob, opnorm
+from .linalg import DEFAULT_TOL, dagger, frob
 
 # Largest residual at which a subspace system counts as closed, and a vector
 # as fixed by a group element.
@@ -148,21 +148,23 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
 
 
 def coideal_closure(kac: KacAlgebra, elements, side: str = "left") -> Coideal:
-    """Smallest coideal of A containing ``elements``.
+    """Smallest coideal of A containing ``elements``, in one slice step.
 
-    Alternates *-algebra closure with adjoining the coproduct slices
-    (ω⊗id)δ(b) (left) or (id⊗ω)δ(b) (right) until the dimension stabilizes;
-    certifies the result.
+    The *-algebra generated by the elements and their coproduct slices
+    (ω⊗id)δ(x) (left) or (id⊗ω)δ(x) (right), certified.  No second round is
+    needed: by coassociativity the slice span S of x already has
+    δ(S) ⊆ A⊗S (left; S⊗A right), since δ((ω⊗id)δ(x)) =
+    (ω⊗id⊗id)(δ⊗id)δ(x) = Σᵢ (ω⊗id)δ(aᵢ) ⊗ sᵢ for δ(x) = Σᵢ aᵢ⊗sᵢ.  δ is a
+    *-homomorphism, so the *-algebra S generates is a coideal too, and it
+    contains x = (ε⊗id)δ(x).  The elements stay among the generators because δ
+    only sees an operator's part in A: an element outside A then fails the
+    certification with :class:`SubalgebraError` instead of being projected.
     """
     n = kac.dim
     home = kac.as_mm().onb()
-    mm = ag.mm_from_generators(list(elements), n)
-    for _ in range(n + 2):
-        sl = [_slices(kac.delta_op, home, b, side)[0].reshape(-1, n, n) for b in mm.onb()]
-        grown = ag.mm_from_generators(np.concatenate([mm.onb(), *sl]), n)
-        if grown.dim == mm.dim:
-            break
-        mm = grown
+    gens = list(elements)
+    rows = [s for x in gens for s in _slices(kac.delta_op, home, x, side)[0]]
+    mm = ag.mm_from_generators(gens + [s.reshape(n, n) for s in rows], n)
     return is_coideal(kac, mm, side)
 
 
@@ -322,35 +324,8 @@ def coideal_from_subspace_system(
 
 
 # ---------------------------------------------------------------------------
-# Group dictionaries
+# Group-derived lattices
 # ---------------------------------------------------------------------------
-
-
-def _coset_coideal(kac: KacAlgebra, subgroup: tuple) -> list[np.ndarray]:
-    """Basis of C(G/H): indicator operators of the left cosets gH."""
-    g = kac.group
-    seen = set()
-    mats = []
-    for x in range(g.order):
-        coset = frozenset(int(g.table[x, h]) for h in subgroup)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        c = np.zeros(kac.dim, dtype=complex)
-        for y in coset:
-            c[y] = 1.0
-        mats.append(kac.op(c))
-    return mats
-
-
-def _subgroup_span(kac: KacAlgebra, subgroup: tuple) -> list[np.ndarray]:
-    """Basis of ℂ[H] inside the group algebra."""
-    mats = []
-    for h in subgroup:
-        c = np.zeros(kac.dim, dtype=complex)
-        c[h] = 1.0
-        mats.append(kac.op(c))
-    return mats
 
 
 def enumerate_coideals_group_case(
@@ -358,20 +333,22 @@ def enumerate_coideals_group_case(
 ) -> dict:
     """All coideals of a group-derived Kac algebra, with a completeness audit.
 
-    One coideal per subgroup H ⊆ G: C(G/H) for the function algebra, ℂ[H]
-    for the group algebra.  Each is certified by :func:`is_coideal`.  The
-    completeness certificate closes every basis singleton and a seeded
+    One coideal per subgroup H ⊆ G, the :func:`coideal_closure` of the
+    indicator 1_H = Σ_{h∈H} b_h.  On the function side its slices are the
+    indicators of the cosets gH (left) or Hg (right), so the closure is
+    C(G/H) or C(H\\G); on the group side δ(b_h) = b_h⊗b_h, so it is ℂ[H].
+    The completeness audit closes every basis singleton and a seeded
     collection of two-element generator sets and verifies the result is
     already in the list (projector distance).
     """
     if kac.group is None or kac.origin not in ("group_algebra", "function_algebra"):
         raise ValueError("requires a Kac algebra tagged with its group origin")
-    subgroups = kac.group.subgroups()
-    build = _coset_coideal if kac.origin == "function_algebra" else _subgroup_span
+    n = kac.dim
+    unit = np.eye(n)
     items = []
-    for sub in subgroups:
-        coid = is_coideal(kac, build(kac, sub), side)
-        items.append((sub, coid))
+    for sub in kac.group.subgroups():
+        indicator = kac.op(unit[list(sub)].sum(axis=0))
+        items.append((sub, coideal_closure(kac, [indicator], side)))
     items.sort(key=lambda it: coideal_fingerprint(kac, it[1].mm))
 
     projs = [jones_projection(kac, coid.mm) for _, coid in items]
@@ -381,80 +358,19 @@ def enumerate_coideals_group_case(
         return min(frob(p - q) for q in projs)
 
     worst = 0.0
-    n = kac.dim
     for i in range(n):
-        c = np.zeros(n, dtype=complex)
-        c[i] = 1.0
-        worst = max(worst, audit(coideal_closure(kac, [kac.op(c)], side)))
+        worst = max(worst, audit(coideal_closure(kac, [kac.op(unit[i])], side)))
     rng = np.random.default_rng(seed)
     for _ in range(8):
         i, j = rng.integers(0, n, size=2)
-        ci = np.zeros(n, dtype=complex)
-        cj = np.zeros(n, dtype=complex)
-        ci[i] = 1.0
-        cj[j] = 1.0
-        worst = max(worst, audit(coideal_closure(kac, [kac.op(ci), kac.op(cj)], side)))
+        pair = [kac.op(unit[i]), kac.op(unit[j])]
+        worst = max(worst, audit(coideal_closure(kac, pair, side)))
     return {
         "coideals": [coid for _, coid in items],
         "subgroups": [sub for sub, _ in items],
         "dims": [coid.dim for _, coid in items],
         "completeness_residual": worst,
         "complete": worst < 1e-8,
-    }
-
-
-def subgroup_from_system(
-    kac: KacAlgebra, coreps: list[cr.Corepresentation], sys: SubspaceSystem
-) -> dict:
-    """Recover H = {g : π(g)ξ = ξ for all ξ ∈ K_π, all π} for C(G) algebras.
-
-    The corepresentation entries of a function algebra act diagonally on the
-    Haar GNS space, so π(g) is read off the diagonals.  The fixed-vector
-    system of the recovered H is re-derived and compared with ``sys``.
-    """
-    if kac.origin != "function_algebra" or kac.group is None:
-        raise ValueError("requires a function-algebra Kac algebra")
-    g = kac.group
-    n = g.order
-    diags = [np.diagonal(c.entries, axis1=-2, axis2=-1) for c in coreps]
-    diag_res = max(
-        float(np.abs(c.entries - dg[..., None] * np.eye(n)).max())
-        for c, dg in zip(coreps, diags)
-    )
-    # π(g)ᵢⱼ is the g-th diagonal entry of u(π)ᵢⱼ; pis[π][g] = π(g).
-    pis = [dg.transpose(2, 0, 1) for dg in diags]
-    rep_res = max(
-        float(np.abs(mats[g.table] - mats[:, None] @ mats[None]).max()) for mats in pis
-    )
-
-    # g ∈ H when π(g) fixes every row of K_π, for every π.
-    fixed = np.ones(n, dtype=bool)
-    for mats, rows in zip(pis, sys.spaces):
-        moved = np.linalg.norm(mats @ rows.T - rows.T, axis=1)
-        fixed &= np.all(moved <= CLOSURE_TOL, axis=1)
-    members = np.flatnonzero(fixed)
-    h = tuple(members.tolist())
-    closed = bool(np.isin(g.table[np.ix_(members, members)], members).all())
-
-    redrive = 0.0
-    for mats, rows, c in zip(pis, sys.spaces, coreps):
-        avg = mats[list(h)].mean(axis=0)
-        w, vecs = np.linalg.eigh((avg + dagger(avg)) / 2.0)
-        fixed_basis = vecs[:, w > 0.5].T
-        m = fixed_basis.shape[0]
-        if m != rows.shape[0]:
-            redrive = max(redrive, 1.0)
-            continue
-        if m:
-            p1 = rows.T @ np.conj(rows)
-            p2 = fixed_basis.T @ np.conj(fixed_basis)
-            redrive = max(redrive, opnorm(p1 - p2))
-    return {
-        "subgroup": h,
-        "is_subgroup": closed,
-        "diagonal_residual": diag_res,
-        "representation_residual": rep_res,
-        "system_rederivation": redrive,
     }
 
 
@@ -623,17 +539,10 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
 
     order_ok = True
     order_worst = 0.0
-    contain = np.zeros((len(coideals), len(coideals)), dtype=bool)
     for i, bi in enumerate(coideals):
         for j, bj in enumerate(coideals):
-            r = max(bj.mm.residual(x) for x in bi.mm.onb())
-            contain[i, j] = r < 1e-8
-    for i in range(len(coideals)):
-        for j in range(len(coideals)):
-            if contain[i, j]:
-                r = max(
-                    partners[i].mm.residual(x) for x in partners[j].mm.onb()
-                )
+            if bj.mm.residual(bi.mm.onb()) < 1e-8:
+                r = partners[i].mm.residual(partners[j].mm.onb())
                 order_worst = max(order_worst, r)
                 if r > 1e-8:
                     order_ok = False

@@ -240,10 +240,6 @@ class KacAlgebra:
         out = flat.T @ (w @ flat)
         return out.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
 
-    def kappa_op(self, x: np.ndarray) -> np.ndarray:
-        """Antipode of an algebra operator."""
-        return self.op(self.antipode.T @ self.coeffs_of(x))
-
     def counit_of(self, x: np.ndarray) -> complex:
         return complex(self.counit @ self.coeffs_of(x))
 

@@ -74,6 +74,24 @@ def tensor_algebras(algebras):
     }
 
 
+LADDER_PRODUCTS = (
+    ("z3_group", "z3_function"),
+    ("z2_group", "z5_function"),
+    ("s3_function", "z2_group"),
+)
+LADDER_NAMES = tuple(f"{left}*{right}" for left, right in LADDER_PRODUCTS)
+
+
+@pytest.fixture(scope="session")
+def ladder_algebras(algebras):
+    """The tensor products of the benchmark's dual ladder, n = 9, 10, 12."""
+    factors = dict(algebras, z5_function=kc.function_algebra(kc.cyclic_group(5)))
+    return {
+        f"{left}*{right}": kc.tensor_kac(factors[left], factors[right])
+        for left, right in LADDER_PRODUCTS
+    }
+
+
 def _cache_by_object(build):
     """Memoise ``build`` per argument object.
 

@@ -10,8 +10,9 @@ from kacgalois import algebra as ag
 from kacgalois import coideals as ci
 from kacgalois import duality as du
 from kacgalois import linalg as la
+from kacgalois.algebra import SubalgebraError
 
-from conftest import ALGEBRA_NAMES
+from conftest import ALGEBRA_NAMES, LADDER_NAMES
 
 
 def brute_force_s3_subgroup_orders():
@@ -35,6 +36,104 @@ def brute_force_s3_subgroup_orders():
             if all(compose(a, b) in s for a in s for b in s):
                 subgroups.add(frozenset(s))
     return sorted(len(s) for s in subgroups)
+
+
+def coset_span(kac, subgroup, side="left"):
+    """Indicators of the left cosets gH (a basis of C(G/H)) or the right cosets Hg."""
+    g = kac.group
+    table = g.table if side == "left" else g.table.T
+    cosets = {frozenset(int(table[x, h]) for h in subgroup) for x in range(g.order)}
+    mats = []
+    for coset in sorted(sorted(c) for c in cosets):
+        c = np.zeros(kac.dim, dtype=complex)
+        c[coset] = 1.0
+        mats.append(kac.op(c))
+    return mats
+
+
+def subgroup_span(kac, subgroup):
+    """Basis of ℂ[H] inside the group algebra."""
+    mats = []
+    for h in subgroup:
+        c = np.zeros(kac.dim, dtype=complex)
+        c[h] = 1.0
+        mats.append(kac.op(c))
+    return mats
+
+
+def dictionary_span(kac, subgroup, side):
+    """The subgroup dictionary: cosets on the function side, ℂ[H] on the group side."""
+    if kac.origin == "function_algebra":
+        return coset_span(kac, subgroup, side)
+    return subgroup_span(kac, subgroup)
+
+
+def alternating_closure(kac, elements, side="left"):
+    """Reference: alternate *-algebra closure with adjoining every basis element's
+    coproduct slices until the dimension stops growing, then certify."""
+    n = kac.dim
+    home = kac.as_mm().onb()
+    mm = ag.mm_from_generators(list(elements), n)
+    for _ in range(n + 2):
+        sl = [ci._slices(kac.delta_op, home, b, side)[0].reshape(-1, n, n) for b in mm.onb()]
+        grown = ag.mm_from_generators(np.concatenate([mm.onb(), *sl]), n)
+        if grown.dim == mm.dim:
+            break
+        mm = grown
+    return ci.is_coideal(kac, mm, side)
+
+
+def subgroup_from_system(kac, coreps, sys):
+    """Recover H = {g : π(g)ξ = ξ for all ξ ∈ K_π, all π} for C(G) algebras.
+
+    The corepresentation entries of a function algebra act diagonally on the
+    Haar GNS space, so π(g) is read off the diagonals.  The fixed-vector
+    system of the recovered H is re-derived and compared with ``sys``.
+    """
+    if kac.origin != "function_algebra" or kac.group is None:
+        raise ValueError("requires a function-algebra Kac algebra")
+    g = kac.group
+    n = g.order
+    diags = [np.diagonal(c.entries, axis1=-2, axis2=-1) for c in coreps]
+    diag_res = max(
+        float(np.abs(c.entries - dg[..., None] * np.eye(n)).max())
+        for c, dg in zip(coreps, diags)
+    )
+    # π(g)ᵢⱼ is the g-th diagonal entry of u(π)ᵢⱼ; pis[π][g] = π(g).
+    pis = [dg.transpose(2, 0, 1) for dg in diags]
+    rep_res = max(
+        float(np.abs(mats[g.table] - mats[:, None] @ mats[None]).max()) for mats in pis
+    )
+
+    # g ∈ H when π(g) fixes every row of K_π, for every π.
+    fixed = np.ones(n, dtype=bool)
+    for mats, rows in zip(pis, sys.spaces):
+        moved = np.linalg.norm(mats @ rows.T - rows.T, axis=1)
+        fixed &= np.all(moved <= ci.CLOSURE_TOL, axis=1)
+    members = np.flatnonzero(fixed)
+    h = tuple(members.tolist())
+    closed = bool(np.isin(g.table[np.ix_(members, members)], members).all())
+
+    redrive = 0.0
+    for mats, rows, c in zip(pis, sys.spaces, coreps):
+        avg = mats[list(h)].mean(axis=0)
+        w, vecs = np.linalg.eigh((avg + la.dagger(avg)) / 2.0)
+        fixed_basis = vecs[:, w > 0.5].T
+        m = fixed_basis.shape[0]
+        if m != rows.shape[0]:
+            redrive = max(redrive, 1.0)
+            continue
+        if m:
+            p1 = rows.T @ np.conj(rows)
+            p2 = fixed_basis.T @ np.conj(fixed_basis)
+            redrive = max(redrive, la.opnorm(p1 - p2))
+    return {
+        "subgroup": h,
+        "is_subgroup": closed,
+        "diagonal_residual": diag_res,
+        "representation_residual": rep_res,
+        "system_rederivation": redrive,
+    }
 
 
 def test_s3_function_algebra_has_exactly_the_coset_coideals(algebras):
@@ -89,6 +188,70 @@ def test_coideal_closure_of_group_element(algebras):
     closed = ci.coideal_closure(kac, [kac.op(c)], side="left")
     assert closed.certificate < 1e-9
     assert closed.dim in (2, 4, 8)
+
+
+@pytest.fixture(scope="module")
+def closure_algebras(algebras, kp8, ladder_algebras):
+    return dict(algebras, kp8=kp8, **ladder_algebras)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES)
+def test_one_slice_step_is_the_alternating_closure(closure_algebras, name):
+    kac = closure_algebras[name]
+    n = kac.dim
+    rng = np.random.default_rng(n)
+    sets = [[kac.lmats[i]] for i in rng.choice(n, size=min(n, 4), replace=False)]
+    sets += [[kac.lmats[i], kac.lmats[j]] for i, j in rng.integers(0, n, size=(2, 2))]
+    sets.append([kac.op(rng.normal(size=n) + 1j * rng.normal(size=n))])
+    if kac.group is not None:
+        unit = np.eye(n)
+        sets += [[kac.op(unit[list(h)].sum(axis=0))] for h in kac.group.subgroups()]
+    for side in ("left", "right"):
+        for gens in sets:
+            got = ci.coideal_closure(kac, gens, side)
+            want = alternating_closure(kac, gens, side)
+            assert got.dim == want.dim
+            assert la.span_distance(got.mm.onb(), want.mm.onb()) < 1e-12
+            assert got.certificate < 1e-9
+
+
+@pytest.mark.parametrize("name", ["s3_function", "kp8"])
+def test_closure_of_an_operator_outside_the_algebra_is_refused(closure_algebras, name):
+    # δ sees only the part in A, whose slices generate all of A; the operator
+    # itself must stay a generator so that the span leaves A.
+    kac = closure_algebras[name]
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(kac.dim, kac.dim)) + 1j * rng.normal(size=(kac.dim, kac.dim))
+    assert kac.as_mm().residual(x) > 1.0
+    for side in ("left", "right"):
+        with pytest.raises(SubalgebraError, match="not inside A"):
+            ci.coideal_closure(kac, [x], side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_enumerated_coideals_are_the_subgroup_dictionary(algebras, name, side):
+    kac = algebras[name]
+    out = ci.enumerate_coideals_group_case(kac, side=side)
+    assert out["complete"]
+    assert sorted(out["subgroups"]) == sorted(kac.group.subgroups())
+    for sub, coid in zip(out["subgroups"], out["coideals"]):
+        want = ag.from_span(dictionary_span(kac, sub, side), kac.dim)
+        assert coid.dim == want.dim
+        assert la.span_distance(coid.mm.onb(), want.onb()) < 1e-12
+
+
+def test_right_coideals_of_s3_functions_are_the_right_cosets(algebras):
+    kac = algebras["s3_function"]
+    out = ci.enumerate_coideals_group_case(kac, side="right")
+    assert out["dims"] == [1, 2, 3, 3, 3, 6]
+    assert out["complete"]
+    assert out["completeness_residual"] < 1e-8
+    for sub, coid in zip(out["subgroups"], out["coideals"]):
+        assert coid.side == "right"
+        assert coid.certificate < 1e-9
+        want = ag.from_span(coset_span(kac, sub, "right"), kac.dim)
+        assert la.span_distance(coid.mm.onb(), want.onb()) < 1e-12
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -228,7 +391,7 @@ def test_subgroup_recovery_from_subspace_system(algebras, coreps_of):
     out = ci.enumerate_coideals_group_case(kac)
     for sub, coid in zip(out["subgroups"], out["coideals"]):
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
-        recovered = ci.subgroup_from_system(kac, coreps, sys)
+        recovered = subgroup_from_system(kac, coreps, sys)
         assert recovered["is_subgroup"]
         assert sorted(recovered["subgroup"]) == sorted(sub)
         assert recovered["system_rederivation"] < 1e-8
@@ -306,18 +469,6 @@ def test_slice_containment_matches_kronecker_off_coideals(algebras, dual_of, nam
                 assert abs(fast(mats, side) - want) <= 1e-12 * want
 
 
-def _right_coset_span(kac, subgroup):
-    """Indicators of the right cosets Hg, a basis of C(H\\G)."""
-    g = kac.group
-    cosets = {frozenset(int(g.table[h, x]) for h in subgroup) for x in range(g.order)}
-    mats = []
-    for coset in sorted(sorted(c) for c in cosets):
-        c = np.zeros(kac.dim, dtype=complex)
-        c[coset] = 1.0
-        mats.append(kac.op(c))
-    return mats
-
-
 def test_right_cosets_of_a_non_normal_subgroup_give_a_right_coideal_only(
     algebras, dual_of
 ):
@@ -326,7 +477,7 @@ def test_right_cosets_of_a_non_normal_subgroup_give_a_right_coideal_only(
     halves = [h for h in kac.group.subgroups() if len(h) == 2]
     assert len(halves) == 3
     for sub in halves:
-        mats = _right_coset_span(kac, sub)
+        mats = coset_span(kac, sub, "right")
         left = slice_containment(kac, mats, "left")
         assert left > 1.0
         assert abs(left - kron_containment(kac, mats, "left")) <= 1e-12 * left
@@ -357,6 +508,6 @@ def test_system_rederivation_is_the_projector_norm(algebras, coreps_of):
         w_perp = np.array([-np.conj(w[1]), np.conj(w[0])])
         spaces[p] = (np.cos(theta) * w + np.sin(theta) * w_perp)[None, :]
         turned = ci.SubspaceSystem(spaces=tuple(spaces), corep_dims=sys.corep_dims)
-        recovered = ci.subgroup_from_system(kac, coreps, turned)
+        recovered = subgroup_from_system(kac, coreps, turned)
         assert sorted(recovered["subgroup"]) == sorted(sub)
         assert abs(recovered["system_rederivation"] - theta) <= 1e-4 * theta

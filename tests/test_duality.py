@@ -9,7 +9,7 @@ from kacgalois import duality as du
 from kacgalois import kac as kc
 from kacgalois import linalg as la
 
-from conftest import ALGEBRA_NAMES, GROUP_NAMES
+from conftest import ALGEBRA_NAMES, GROUP_NAMES, LADDER_NAMES
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -168,21 +168,13 @@ def test_rotation_carries_the_sparse_pentagon_onto_the_blocked_one(
     assert abs(sparse - blocked) <= 1e-12 * sparse
 
 
-LADDER_PRODUCTS = (
-    ("z3_group", "z3_function"),
-    ("z2_group", "z5_function"),
-    ("s3_function", "z2_group"),
-)
-PENTAGON_NAMES = ALGEBRA_NAMES + ("kp8",) + tuple(f"{a}*{b}" for a, b in LADDER_PRODUCTS)
+PENTAGON_NAMES = ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES
 
 
 @pytest.fixture(scope="module")
-def three_unitaries(algebras, kp8):
+def three_unitaries(algebras, kp8, ladder_algebras):
     """V, V̂ and Ṽ of the 12 group fixtures, kp8 and the three dual_ladder products."""
-    named = dict(algebras, kp8=kp8)
-    factors = dict(algebras, z5_function=kc.function_algebra(kc.cyclic_group(5)))
-    for left, right in LADDER_PRODUCTS:
-        named[f"{left}*{right}"] = kc.tensor_kac(factors[left], factors[right])
+    named = dict(algebras, kp8=kp8, **ladder_algebras)
     out = {}
     for name, kac in named.items():
         v = du.multiplicative_unitary(kac)
