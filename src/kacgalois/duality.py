@@ -560,12 +560,12 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     ints = integrals(kac, hat)
     ystack = hat.onb
 
-    mult = np.einsum(
-        "apq,bqr,cpr->abc", ystack, ystack, np.conj(ystack), optimize=True
-    )  # coeff of y_c in y_a y_b
+    prods = ystack[:, None] @ ystack[None]  # prods[a, b] = y_a y_b
+    # mult[a, b, c] = coeff of y_c in y_a y_b = ⟨y_c, y_a y_b⟩
+    rows = np.conj(ystack).reshape(n, n * n)
+    mult = (prods.reshape(n * n, n * n) @ rows.T).reshape(n, n, n)
     res = {"product_membership": 0.0}
     recon = np.einsum("abc,cpr->abpr", mult, ystack, optimize=True)
-    prods = np.einsum("apq,bqr->abpr", ystack, ystack, optimize=True)
     res["product_membership"] = float(np.abs(recon - prods).max())
 
     delta = np.empty((n, n, n), dtype=complex)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -248,7 +249,15 @@ class KacAlgebra:
         return complex(np.vdot(self.omega, x @ self.omega))
 
     def as_mm(self):
-        """The materialized algebra as an :class:`~kacgalois.algebra.MMAlgebra`."""
+        """The materialized algebra as an :class:`~kacgalois.algebra.MMAlgebra`.
+
+        Built once per instance, so its basis and central decomposition are
+        shared by every caller.
+        """
+        return self._mm
+
+    @cached_property
+    def _mm(self):
         from . import algebra as ag
 
         return ag.from_span(self.lmats, self.dim)

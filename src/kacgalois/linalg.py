@@ -40,11 +40,6 @@ def frob_max(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0))
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Frobenius inner product Tr(a† b), conjugate-linear in ``a``."""
-    return complex(np.vdot(a, b))
-
-
 def vec(a: np.ndarray) -> np.ndarray:
     """Row-major flattening of a matrix to a vector."""
     return np.asarray(a, dtype=complex).reshape(-1)

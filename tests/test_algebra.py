@@ -355,7 +355,7 @@ def _rep_multiplicative_by_loop(g: ag.GnsData) -> float:
     for i in spot:
         for j in spot:
             prod_cols = np.stack(
-                [np.array([la.hs_inner(a, onb[i] @ onb[j] @ b) for a in onb]) for b in onb],
+                [np.array([complex(np.vdot(a, onb[i] @ onb[j] @ b)) for a in onb]) for b in onb],
                 axis=1,
             )
             lhs = g.rep_basis[i] @ g.rep_basis[j]

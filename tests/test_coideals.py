@@ -9,6 +9,7 @@ import pytest
 from kacgalois import algebra as ag
 from kacgalois import coideals as ci
 from kacgalois import duality as du
+from kacgalois import kac as kc
 from kacgalois import linalg as la
 from kacgalois.algebra import SubalgebraError
 
@@ -252,6 +253,99 @@ def test_right_coideals_of_s3_functions_are_the_right_cosets(algebras):
         assert coid.certificate < 1e-9
         want = ag.from_span(coset_span(kac, sub, "right"), kac.dim)
         assert la.span_distance(coid.mm.onb(), want.onb()) < 1e-12
+
+
+def certified_audit(kac, side="left", seed=23):
+    """Reference: the enumeration with every audit closure certified.
+
+    Each subgroup's coideal and each audit seed's closure goes through
+    :func:`coideal_closure`, so every closure gets the full certificate.
+    """
+    n = kac.dim
+    unit = np.eye(n)
+    coideals = sorted(
+        (ci.coideal_closure(kac, [kac.op(unit[list(h)].sum(axis=0))], side)
+         for h in kac.group.subgroups()),
+        key=lambda c: ci.coideal_fingerprint(kac, c.mm),
+    )
+    projs = [ci.jones_projection(kac, c.mm) for c in coideals]
+    rng = np.random.default_rng(seed)
+    seeds = [[i] for i in range(n)] + [rng.integers(0, n, size=2) for _ in range(8)]
+    worst = 0.0
+    for idx in seeds:
+        closure = ci.coideal_closure(kac, [kac.op(unit[i]) for i in idx], side)
+        p = ci.jones_projection(kac, closure.mm)
+        worst = max(worst, min(la.frob(p - q) for q in projs))
+    return {
+        "dims": [c.dim for c in coideals],
+        "completeness_residual": worst,
+        "complete": worst < 1e-8,
+    }
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_matched_audit_is_the_certified_audit(algebras, name, side, seed):
+    kac = algebras[name]
+    got = ci.enumerate_coideals_group_case(kac, side=side, seed=seed)
+    want = certified_audit(kac, side, seed)
+    assert got["dims"] == want["dims"]
+    assert got["complete"] is want["complete"] is True
+    assert got["completeness_residual"] == want["completeness_residual"]
+
+
+def certification_spy(monkeypatch):
+    """Wrap ``is_coideal``; returns the list of dims it is called on."""
+    dims = []
+    certify = ci.is_coideal
+
+    def spy(kac, mats, side="left"):
+        coid = certify(kac, mats, side)
+        dims.append(coid.dim)
+        return coid
+
+    monkeypatch.setattr(ci, "is_coideal", spy)
+    return dims
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_each_listed_coideal_is_certified_once(algebras, monkeypatch, name, side):
+    dims = certification_spy(monkeypatch)
+    out = ci.enumerate_coideals_group_case(algebras[name], side=side)
+    assert out["complete"]
+    assert sorted(dims) == sorted(out["dims"])
+
+
+@pytest.mark.parametrize(
+    "dropped,dims,residual",
+    [((0, 1), [1, 4, 4, 4, 8], 1.0), ((0, 1, 4, 5), [1, 2, 4, 4, 8], np.sqrt(2))],
+    ids=["centre", "j"],
+)
+def test_audit_certifies_and_reports_a_closure_missing_from_the_list(
+    algebras, monkeypatch, dropped, dims, residual
+):
+    # Without H, ℂ[H] is missing from q8's list.  The closure of H's generator
+    # b_h is ℂ[H]; it matches no listed span, even one of its dimension (⟨j⟩
+    # against ⟨i⟩ and ⟨k⟩), so it must be certified and reported.  The residual
+    # is ‖e_B − e_B′‖ = √(dim B − dim B′) for the largest listed B′ ⊂ ℂ[H].
+    kac = algebras["q8_group"]
+    every = kc.GroupTable.subgroups
+    monkeypatch.setattr(
+        kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != dropped]
+    )
+    certified = certification_spy(monkeypatch)
+    out = ci.enumerate_coideals_group_case(kac)
+    assert out["dims"] == dims
+    assert not out["complete"]
+    assert abs(out["completeness_residual"] - residual) <= 1e-12
+    assert len(dropped) in certified[len(dims):]
+
+
+def test_the_algebra_is_materialized_once(algebras):
+    kac = algebras["s3_function"]
+    assert kac.as_mm() is kac.as_mm()
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)

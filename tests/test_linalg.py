@@ -63,7 +63,7 @@ def test_orthonormalize_spans_the_same_space(seed):
     mats.append(mats[0] + 2.0 * mats[1])  # dependent
     onb = la.orthonormalize(mats)
     assert len(onb) == 3
-    gram = np.array([[la.hs_inner(x, y) for y in onb] for x in onb])
+    gram = np.array([[np.vdot(x, y) for y in onb] for x in onb])
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
     for m in mats:
         assert la.span_residual(m, onb) < 1e-9
@@ -133,7 +133,7 @@ def test_span_projector_and_distance():
     proj = la.project_span(x, onb)
     # The projection is the closest span element: the residual is orthogonal.
     for b in onb:
-        assert abs(la.hs_inner(b, x - proj)) < 1e-10
+        assert abs(np.vdot(b, x - proj)) < 1e-10
 
 
 def _rotated_span(rng, onb, angle):
