@@ -343,9 +343,14 @@ def enumerate_coideals_group_case(
     indicator 1_H = Σ_{h∈H} b_h.  On the function side its slices are the
     indicators of the cosets gH (left) or Hg (right), so the closure is
     C(G/H) or C(H\\G); on the group side δ(b_h) = b_h⊗b_h, so it is ℂ[H].
-    The completeness audit closes every basis singleton and a seeded
+    The completeness audit closes b_e + b_g for every g and a seeded
     collection of two-element generator sets and verifies the result is
-    already in the list (Jones-projection distance).  A closure whose span
+    already in the list (Jones-projection distance).  A lone b_g would test
+    nothing on the function side, where every point mass closes to all of
+    C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when g² = e (its slices are
+    the indicators of the cosets of ⟨g⟩) and C(G) otherwise.  On the group
+    side δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the closure is ℂ[⟨g⟩], as
+    for b_g alone.  A closure whose span
     lies within 1e-8 of a listed coideal of the same dimension is that
     certified coideal and is not certified again; any other closure goes
     through :func:`is_coideal`, so a non-coideal still raises and a coideal
@@ -375,7 +380,7 @@ def enumerate_coideals_group_case(
 
     worst = 0.0
     for i in range(n):
-        worst = max(worst, audit([kac.op(unit[i])]))
+        worst = max(worst, audit([kac.op(unit[0] + unit[i])]))
     rng = np.random.default_rng(seed)
     for _ in range(8):
         i, j = rng.integers(0, n, size=2)

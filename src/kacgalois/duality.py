@@ -16,12 +16,18 @@ From a Kac algebra A materialized on H = L²(A) this module builds:
   transported through the pairing.
 
 Everything returns residual dictionaries; nothing is assumed that is not
-checked.
+checked.  V is built and certified once per :class:`KacAlgebra` instance,
+and Â once per V built from that same instance; later callers (the dual,
+the corepresentations, the auxiliary unitaries) get the same objects, whose
+arrays are read-only.  The pentagon and the commutation-cell memberships are
+exact Frobenius norms, computed on V's exact nonzero pattern when the work
+counted on that pattern is the smaller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,11 +44,19 @@ from .linalg import DEFAULT_TOL, dagger, frob, opnorm
 
 @dataclass(frozen=True)
 class MultiplicativeUnitary:
-    """V on H⊗H with V(xΩ⊗ξ) = δ(x)(Ω⊗ξ), plus residuals."""
+    """V on H⊗H with V(xΩ⊗ξ) = δ(x)(Ω⊗ξ), plus residuals.
+
+    ``matrix`` is read-only: one instance per algebra is shared by every
+    caller of :func:`multiplicative_unitary`.
+    """
 
     matrix: np.ndarray
     kac: KacAlgebra
     residuals: dict
+
+    @cached_property
+    def _hat(self) -> HatAlgebra:
+        return _hat_algebra(self.kac, self)
 
 
 def _apply_leg12(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -70,6 +84,11 @@ def _pentagon_defect(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
 _TERM_COST = 400
 # Terms expanded at once by the sparse pentagon, which bounds its scratch memory.
 _TERM_BLOCK = 1 << 18
+# One term of the sparse leg commutator (its product, its share of the merge
+# sort, two bincounts) costs about as much as 20 multiply-adds of the einsum
+# one: the two meet at 5 % nonzeros at n = 8 and 3.5 % at n = 12 (BLAS on one
+# thread, a Xeon core).  Below n = 5 both take about 0.1 ms.
+_LEG_TERM_COST = 20
 
 
 def pentagon_residual(v: np.ndarray, n: int, seed: int = 11) -> float:
@@ -211,10 +230,24 @@ def _sparse_defect_squared(csc: tuple, n: int, pairs: np.ndarray) -> float:
 def _leg_commutator_max(v: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
     """Largest ‖[V, x⊗1]‖_F over the stack ``first`` and ‖[V, 1⊗y]‖_F over ``second``.
 
-    The commutators are leg actions on the (k, n, n) stacks, so no n²×n²
-    Kronecker operator is formed per element.
+    The exact Frobenius norms, by one of two paths; neither forms an n²×n²
+    Kronecker operator per element.  Every entry of [V, x⊗1] is a sum of 2n
+    products, so the einsum path (:func:`_leg_commutator_einsum`) takes
+    2·n⁵ multiply-adds per element x, whatever V is.  The sparse path
+    (:func:`_leg_commutator_sparse`) forms 2·n terms per nonzero of V per
+    element.  The path is chosen by counting that work on V's nonzero
+    pattern, a sparse term counted as ``_LEG_TERM_COST`` multiply-adds: the
+    sparse path runs when V has fewer than n⁴/``_LEG_TERM_COST`` nonzeros.
     """
     n = first.shape[-1]
+    nz = v != 0
+    if _LEG_TERM_COST * 2 * n * np.count_nonzero(nz) < 2 * n ** 5:
+        return _leg_commutator_sparse(v, n, nz, first, second)
+    return _leg_commutator_einsum(v, n, first, second)
+
+
+def _leg_commutator_einsum(v: np.ndarray, n: int, first: np.ndarray, second: np.ndarray) -> float:
+    """:func:`_leg_commutator_max` as four leg einsums over the (k, n, n) stacks."""
     v4 = v.reshape(n, n, n, n)
     c1 = np.einsum("pqts,ktr->kpqrs", v4, first, optimize=True)
     c1 -= np.einsum("kpt,tqrs->kpqrs", first, v4, optimize=True)
@@ -225,7 +258,59 @@ def _leg_commutator_max(v: np.ndarray, first: np.ndarray, second: np.ndarray) ->
     )
 
 
+def _leg_commutator_sparse(
+    v: np.ndarray, n: int, nz: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> float:
+    """:func:`_leg_commutator_max` from V's exact nonzeros.
+
+    A nonzero V[(p,q),(r,s)] = w gives, for every free index m, the terms
+    w·x[r,m] of V(x⊗1) at (p,q,m,s), x[m,p]·w of (x⊗1)V at (m,q,r,s),
+    w·y[s,m] of V(1⊗y) at (p,q,r,m) and y[m,q]·w of (1⊗y)V at (p,m,r,s).
+    The positions do not depend on the stack element, so the terms at equal
+    positions are merged once for the whole stack (:func:`_merged_frob`).
+    """
+    p, q, r, s = np.unravel_index(np.flatnonzero(nz), (n,) * 4)
+    w = v[nz]
+    m = np.arange(n)[:, None]
+    c1 = _merged_frob(
+        np.concatenate(((((p * n + q) * n + m) * n + s), (((m * n + q) * n + r) * n + s))),
+        np.concatenate((first[:, r].swapaxes(1, 2) * w, -first[:, :, p] * w), axis=1),
+    )
+    c2 = _merged_frob(
+        np.concatenate(((((p * n + q) * n + r) * n + m), (((p * n + m) * n + r) * n + s))),
+        np.concatenate((second[:, s].swapaxes(1, 2) * w, -second[:, :, q] * w), axis=1),
+    )
+    return max(c1, c2)
+
+
+def _merged_frob(keys: np.ndarray, vals: np.ndarray) -> float:
+    """Largest Frobenius norm over k of the sums of ``vals[k]`` at equal ``keys``.
+
+    ``keys`` holds one position per term and ``vals`` the (k, terms) values;
+    one ``np.unique`` numbers the positions, and two ``np.bincount`` calls
+    with an offset per k merge every element's terms at once.
+    """
+    k = len(vals)
+    if k == 0:
+        return 0.0
+    uniq, pos = np.unique(keys.reshape(-1), return_inverse=True)
+    idx = (pos + len(uniq) * np.arange(k)[:, None]).reshape(-1)
+    vals = vals.reshape(-1)
+    re = np.bincount(idx, vals.real, minlength=k * len(uniq)).reshape(k, -1)
+    im = np.bincount(idx, vals.imag, minlength=k * len(uniq)).reshape(k, -1)
+    return float(np.sqrt((re * re + im * im).sum(1).max()))
+
+
 def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
+    """V from the coproduct, with its defining properties verified.
+
+    Built and certified once per ``kac`` instance (the cached ``KacAlgebra._v``)
+    and shared by every later caller, so its matrix is read-only.
+    """
+    return kac._v
+
+
+def _multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
     """Construct V from the coproduct and verify its defining properties."""
     n = kac.dim
     # t4[i, a, b, q] = (δ(bᵢ)(Ω ⊗ e_q))[(a, b)]
@@ -238,6 +323,7 @@ def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
     res["unitary"] = opnorm(dagger(v) @ v - np.eye(n * n))
     res["pentagon"] = pentagon_residual(v, n)
     res["defining_action"] = opnorm(v @ np.kron(kac.coord, eye) - t_mat)
+    v.flags.writeable = False
     return MultiplicativeUnitary(matrix=v, kac=kac, residuals=res)
 
 
@@ -264,8 +350,14 @@ def hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
 
     Residual checks: the slice span has dimension n, it is closed as a
     *-algebra, and V lies in Â⊗A (commutation with the generators of the
-    commutant cell Â′⊗A′).
+    commutant cell Â′⊗A′, :func:`_leg_commutator_max`).  Built once per
+    ``v`` when ``v.kac is kac`` and shared by every later caller (its basis
+    is read-only); any other pair is built afresh.
     """
+    return v._hat if v.kac is kac else _hat_algebra(kac, v)
+
+
+def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     n = kac.dim
     v4 = v.matrix.reshape(n, n, n, n)
     slices = [v4[:, p, :, q] for p in range(n) for q in range(n)]

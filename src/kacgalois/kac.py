@@ -262,6 +262,14 @@ class KacAlgebra:
 
         return ag.from_span(self.lmats, self.dim)
 
+    @cached_property
+    def _v(self):
+        """The multiplicative unitary, built once per instance (see
+        :func:`kacgalois.duality.multiplicative_unitary`)."""
+        from . import duality
+
+        return duality._multiplicative_unitary(self)
+
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -270,10 +270,11 @@ def certified_audit(kac, side="left", seed=23):
     )
     projs = [ci.jones_projection(kac, c.mm) for c in coideals]
     rng = np.random.default_rng(seed)
-    seeds = [[i] for i in range(n)] + [rng.integers(0, n, size=2) for _ in range(8)]
+    seeds = [[unit[0] + unit[i]] for i in range(n)]
+    seeds += [unit[rng.integers(0, n, size=2)] for _ in range(8)]
     worst = 0.0
-    for idx in seeds:
-        closure = ci.coideal_closure(kac, [kac.op(unit[i]) for i in idx], side)
+    for gens in seeds:
+        closure = ci.coideal_closure(kac, [kac.op(c) for c in gens], side)
         p = ci.jones_projection(kac, closure.mm)
         worst = max(worst, min(la.frob(p - q) for q in projs))
     return {
@@ -341,6 +342,24 @@ def test_audit_certifies_and_reports_a_closure_missing_from_the_list(
     assert not out["complete"]
     assert abs(out["completeness_residual"] - residual) <= 1e-12
     assert len(dropped) in certified[len(dims):]
+
+
+@pytest.mark.parametrize("dropped", [(0, 1), (0, 2), (0, 3)], ids=["12", "13", "23"])
+def test_audit_reaches_the_function_side_below_the_top(algebras, monkeypatch, dropped):
+    # On C(S₃) every point mass closes to all of C(S₃), so an audit seeded
+    # with them passes whatever the list.  The closure of δ_e + δ_g with
+    # g² = e is C(G/⟨g⟩); without ⟨g⟩ in the list it matches nothing listed.
+    kac = algebras["s3_function"]
+    every = kc.GroupTable.subgroups
+    monkeypatch.setattr(
+        kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != dropped]
+    )
+    certified = certification_spy(monkeypatch)
+    out = ci.enumerate_coideals_group_case(kac)
+    assert out["dims"] == [1, 2, 3, 3, 6]
+    assert not out["complete"]
+    assert abs(out["completeness_residual"] - np.sqrt(2)) <= 1e-12
+    assert 3 in certified[len(out["dims"]):]
 
 
 def test_the_algebra_is_materialized_once(algebras):

@@ -1,10 +1,13 @@
 """Regular multiplicative unitaries, integrals, pairing, and biduality."""
 
 import functools
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from kacgalois import algebra as ag
+from kacgalois import coreps as cr
 from kacgalois import duality as du
 from kacgalois import kac as kc
 from kacgalois import linalg as la
@@ -115,7 +118,7 @@ def test_pentagon_residual_is_the_dense_frobenius_norm(kp8, algebras, which):
 
 
 def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
-    v = du.multiplicative_unitary(kp8).matrix
+    v = du.multiplicative_unitary(kp8).matrix.copy()
     v[3, 5] += 1e-6
     assert du.pentagon_residual(v, kp8.dim) > 1e-10
 
@@ -173,13 +176,21 @@ PENTAGON_NAMES = ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES
 
 @pytest.fixture(scope="module")
 def three_unitaries(algebras, kp8, ladder_algebras):
-    """V, V̂ and Ṽ of the 12 group fixtures, kp8 and the three dual_ladder products."""
+    """V, V̂ and Ṽ of the 12 group fixtures, kp8 and the three dual_ladder products,
+    each with the two stacks its leg-commutator membership is checked against."""
     named = dict(algebras, kp8=kp8, **ladder_algebras)
     out = {}
     for name, kac in named.items():
         v = du.multiplicative_unitary(kac)
-        hu = du.hat_unitaries(kac, v, du.hat_algebra(kac, v))
-        out[name] = (kac.dim, (v.matrix, hu.v_hat, hu.v_tilde))
+        hat = du.hat_algebra(kac, v)
+        hu = du.hat_unitaries(kac, v, hat)
+        a_comm = ag.commutant(kac.as_mm()).onb()
+        hat_comm = ag.commutant(hat.mm).onb()
+        out[name] = (kac.dim, (
+            (v.matrix, hat_comm, a_comm),
+            (hu.v_hat, a_comm, hat.onb),
+            (hu.v_tilde, kac.lmats, hat_comm),
+        ))
     return out
 
 
@@ -191,7 +202,7 @@ def sparse_pentagon(v, n):
 @pytest.mark.parametrize("name", PENTAGON_NAMES)
 def test_sparse_pentagon_is_the_blocked_one(three_unitaries, name):
     n, unitaries = three_unitaries[name]
-    for v in unitaries:
+    for v, *_ in unitaries:
         for w in (v, perturbed_nonzeros(v, seed=n)):
             blocked = du._pentagon_blocked(w, n)
             assert abs(sparse_pentagon(w, n) - blocked) <= 1e-12 * blocked
@@ -238,6 +249,154 @@ def test_leg_commutators_match_the_kronecker_reference():
     got2 = du._leg_commutator_max(v, first[:0], second)
     assert abs(got1 - want1) <= 1e-12 * want1
     assert abs(got2 - want2) <= 1e-12 * want2
+
+
+@pytest.fixture
+def leg_paths(monkeypatch):
+    """The leg-commutator paths that run, in call order."""
+    ran = []
+    for name in ("_leg_commutator_einsum", "_leg_commutator_sparse"):
+        def spy(*args, fn=getattr(du, name), name=name):
+            ran.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(du, name, spy)
+    return ran
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_sparse_leg_commutator_is_the_einsum_one(three_unitaries, name):
+    n, unitaries = three_unitaries[name]
+    for v, first, second in unitaries:
+        sparse = du._leg_commutator_sparse(v, n, v != 0, first, second)
+        dense = du._leg_commutator_einsum(v, n, first, second)
+        # As built both are rounding noise: they agree at the scale of V.
+        assert sparse < 1e-12 * la.frob(v) and dense < 1e-12 * la.frob(v)
+        assert abs(sparse - dense) <= 1e-12 * la.frob(v)
+        w = perturbed_nonzeros(v, seed=n, size=1e-3)
+        sparse = du._leg_commutator_sparse(w, n, w != 0, first, second)
+        dense = du._leg_commutator_einsum(w, n, first, second)
+        assert sparse > 1e-5
+        assert abs(sparse - dense) <= 1e-12 * dense
+
+
+def test_sparse_leg_commutator_keeps_the_two_stacks_apart():
+    """Each stack on its own, against the Kronecker reference, on a sparse V."""
+    rng = np.random.default_rng(4)
+    n = 3
+    v = (rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n)))
+    v *= rng.random((n * n, n * n)) < 0.2
+    first = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    second = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    eye = np.eye(n)
+    want1 = max(la.frob(v @ np.kron(x, eye) - np.kron(x, eye) @ v) for x in first)
+    want2 = max(la.frob(v @ np.kron(eye, y) - np.kron(eye, y) @ v) for y in second)
+    assert want1 > 1 and want2 > 1
+    got1 = du._leg_commutator_sparse(v, n, v != 0, first, second[:0])
+    got2 = du._leg_commutator_sparse(v, n, v != 0, first[:0], second)
+    assert abs(got1 - want1) <= 1e-12 * want1
+    assert abs(got2 - want2) <= 1e-12 * want2
+
+
+# With 1/n² of its entries nonzero, V takes the sparse path from n = 5 on:
+# the group fixtures of order 6 and 8, kp8 and the dual_ladder products.
+SPARSE_LEG_NAMES = (
+    tuple(name for name in ALGEBRA_NAMES if name.startswith(("s3_", "q8_")))
+    + ("kp8",)
+    + LADDER_NAMES
+)
+
+
+@pytest.mark.parametrize("name", SPARSE_LEG_NAMES)
+def test_rotation_carries_the_sparse_leg_commutator_onto_the_einsum_one(
+    three_unitaries, leg_paths, name
+):
+    # [(Q⊗Q)V(Q⊗Q)†, QxQ†⊗1] = (Q⊗Q)[V, x⊗1](Q⊗Q)†, so the norms are unchanged.
+    n, unitaries = three_unitaries[name]
+    rng = np.random.default_rng(n)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    qq = np.kron(q, q)
+    for v, first, second in unitaries:
+        w = perturbed_nonzeros(v, seed=n, size=1e-3)
+        leg_paths.clear()
+        sparse = du._leg_commutator_max(w, first, second)
+        dense = du._leg_commutator_max(
+            qq @ w @ la.dagger(qq), q @ first @ la.dagger(q), q @ second @ la.dagger(q)
+        )
+        assert leg_paths == ["_leg_commutator_sparse", "_leg_commutator_einsum"]
+        assert sparse > 1e-5
+        assert abs(sparse - dense) <= 1e-12 * sparse
+
+
+def test_the_leg_commutator_path_follows_the_nonzero_count(three_unitaries, leg_paths):
+    for name, (n, unitaries) in three_unitaries.items():
+        for v, first, second in unitaries:
+            leg_paths.clear()
+            du._leg_commutator_max(v, first, second)
+            sparse = bool(du._LEG_TERM_COST * np.count_nonzero(v) < n**4)
+            assert sparse is (name in SPARSE_LEG_NAMES)
+            assert leg_paths == ["_leg_commutator_sparse" if sparse else "_leg_commutator_einsum"]
+
+
+def test_the_biduals_leg_commutator_takes_the_einsum_path(kp8, dual_of, leg_paths):
+    dual = dual_of(kp8).kac
+    v = du.multiplicative_unitary(dual)
+    hat = du.hat_algebra(dual, v)
+    assert np.count_nonzero(v.matrix) > kp8.dim**4 // 2
+    leg_paths.clear()
+    value = du._leg_commutator_max(
+        v.matrix, ag.commutant(hat.mm).onb(), ag.commutant(dual.as_mm()).onb()
+    )
+    assert leg_paths == ["_leg_commutator_einsum"]
+    assert value == hat.residuals["v_in_hat_tensor_a"] < 1e-10
+
+
+def fresh_kp8():
+    """kp8 loaded anew, so nothing built on the session's copy is reused."""
+    return kc.load_kac(str(resources.files("kacgalois").joinpath("fixtures/kp8.json")))
+
+
+def test_v_and_hat_are_built_once_per_algebra():
+    kac = fresh_kp8()
+    v = du.multiplicative_unitary(kac)
+    assert du.multiplicative_unitary(kac) is v
+    hat = du.hat_algebra(kac, v)
+    assert du.hat_algebra(kac, v) is hat
+    dd = du.dual_kac(kac)
+    assert dd.v is v and dd.hat is hat
+    with pytest.raises(ValueError):
+        v.matrix[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        hat.onb[0, 0, 0] = 0.0
+
+
+def test_a_mismatched_pair_is_built_afresh():
+    kac, other = fresh_kp8(), fresh_kp8()
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    foreign = du.hat_algebra(other, v)
+    assert foreign is not hat and du.hat_algebra(other, v) is not foreign
+    assert du.multiplicative_unitary(other) is not v
+    assert du.hat_algebra(kac, v) is hat
+
+
+def test_the_dual_chain_certifies_v_once(monkeypatch):
+    # The sequence of the benchmark's dual chain: V, Â, the corepresentations
+    # and then the dual, which reuses the V and Â built before it.
+    kac = fresh_kp8()
+    seen = []
+    real = du.pentagon_residual
+
+    def spy(v, n, *args):
+        seen.append(v)
+        return real(v, n, *args)
+
+    monkeypatch.setattr(du, "pentagon_residual", spy)
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    cr.irreducible_coreps(kac, v, hat)
+    du.dual_kac(kac)
+    assert len(seen) == 1 and seen[0] is v.matrix
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
