@@ -242,13 +242,19 @@ def test_leg_commutators_match_the_kronecker_reference():
     first = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
     second = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
     eye = np.eye(n)
-    want1 = max(la.frob(v @ np.kron(x, eye) - np.kron(x, eye) @ v) for x in first)
-    want2 = max(la.frob(v @ np.kron(eye, y) - np.kron(eye, y) @ v) for y in second)
-    assert want1 > 1 and want2 > 1
-    got1 = du._leg_commutator_max(v, first, second[:0])
-    got2 = du._leg_commutator_max(v, first[:0], second)
-    assert abs(got1 - want1) <= 1e-12 * want1
-    assert abs(got2 - want2) <= 1e-12 * want2
+    paths = (
+        du._leg_commutator_max,
+        lambda w, f, s: du._leg_commutator_sparse(w, n, w != 0, f, s),
+    )
+    for w in (v, v * (rng.random(v.shape) < 0.2)):  # dense, then mostly zero
+        want1 = max(la.frob(w @ np.kron(x, eye) - np.kron(x, eye) @ w) for x in first)
+        want2 = max(la.frob(w @ np.kron(eye, y) - np.kron(eye, y) @ w) for y in second)
+        assert want1 > 1 and want2 > 1
+        for path in paths:
+            got1 = path(w, first, second[:0])
+            got2 = path(w, first[:0], second)
+            assert abs(got1 - want1) <= 1e-12 * want1
+            assert abs(got2 - want2) <= 1e-12 * want2
 
 
 @pytest.fixture
@@ -264,10 +270,24 @@ def leg_paths(monkeypatch):
     return ran
 
 
+# With 1/n² of its entries nonzero, V takes the sparse path from n = 5 on:
+# the group fixtures of order 6 and 8, kp8 and the dual_ladder products.
+SPARSE_LEG_NAMES = (
+    tuple(name for name in ALGEBRA_NAMES if name.startswith(("s3_", "q8_")))
+    + ("kp8",)
+    + LADDER_NAMES
+)
+
+
 @pytest.mark.parametrize("name", PENTAGON_NAMES)
-def test_sparse_leg_commutator_is_the_einsum_one(three_unitaries, name):
+def test_sparse_leg_commutator_is_the_einsum_one(three_unitaries, leg_paths, name):
     n, unitaries = three_unitaries[name]
     for v, first, second in unitaries:
+        leg_paths.clear()
+        du._leg_commutator_max(v, first, second)
+        sparse = bool(du._LEG_TERM_COST * np.count_nonzero(v) < n**4)
+        assert sparse is (name in SPARSE_LEG_NAMES)
+        assert leg_paths == ["_leg_commutator_sparse" if sparse else "_leg_commutator_einsum"]
         sparse = du._leg_commutator_sparse(v, n, v != 0, first, second)
         dense = du._leg_commutator_einsum(v, n, first, second)
         # As built both are rounding noise: they agree at the scale of V.
@@ -278,33 +298,6 @@ def test_sparse_leg_commutator_is_the_einsum_one(three_unitaries, name):
         dense = du._leg_commutator_einsum(w, n, first, second)
         assert sparse > 1e-5
         assert abs(sparse - dense) <= 1e-12 * dense
-
-
-def test_sparse_leg_commutator_keeps_the_two_stacks_apart():
-    """Each stack on its own, against the Kronecker reference, on a sparse V."""
-    rng = np.random.default_rng(4)
-    n = 3
-    v = (rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n)))
-    v *= rng.random((n * n, n * n)) < 0.2
-    first = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    second = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
-    eye = np.eye(n)
-    want1 = max(la.frob(v @ np.kron(x, eye) - np.kron(x, eye) @ v) for x in first)
-    want2 = max(la.frob(v @ np.kron(eye, y) - np.kron(eye, y) @ v) for y in second)
-    assert want1 > 1 and want2 > 1
-    got1 = du._leg_commutator_sparse(v, n, v != 0, first, second[:0])
-    got2 = du._leg_commutator_sparse(v, n, v != 0, first[:0], second)
-    assert abs(got1 - want1) <= 1e-12 * want1
-    assert abs(got2 - want2) <= 1e-12 * want2
-
-
-# With 1/n² of its entries nonzero, V takes the sparse path from n = 5 on:
-# the group fixtures of order 6 and 8, kp8 and the dual_ladder products.
-SPARSE_LEG_NAMES = (
-    tuple(name for name in ALGEBRA_NAMES if name.startswith(("s3_", "q8_")))
-    + ("kp8",)
-    + LADDER_NAMES
-)
 
 
 @pytest.mark.parametrize("name", SPARSE_LEG_NAMES)
@@ -326,16 +319,6 @@ def test_rotation_carries_the_sparse_leg_commutator_onto_the_einsum_one(
         assert leg_paths == ["_leg_commutator_sparse", "_leg_commutator_einsum"]
         assert sparse > 1e-5
         assert abs(sparse - dense) <= 1e-12 * sparse
-
-
-def test_the_leg_commutator_path_follows_the_nonzero_count(three_unitaries, leg_paths):
-    for name, (n, unitaries) in three_unitaries.items():
-        for v, first, second in unitaries:
-            leg_paths.clear()
-            du._leg_commutator_max(v, first, second)
-            sparse = bool(du._LEG_TERM_COST * np.count_nonzero(v) < n**4)
-            assert sparse is (name in SPARSE_LEG_NAMES)
-            assert leg_paths == ["_leg_commutator_sparse" if sparse else "_leg_commutator_einsum"]
 
 
 def test_the_biduals_leg_commutator_takes_the_einsum_path(kp8, dual_of, leg_paths):
