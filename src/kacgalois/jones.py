@@ -2,9 +2,9 @@
 
 Given an inclusion N ⊆ M with a faithful conditional expectation E: M → N
 and a faithful state ω on N, the module builds the GNS space of φ = ω∘E,
-the projection e onto the closure of N, the extension algebra M₁ (as the
-span of M·e·M, as the mirror image of the commutant of N, and as the
-algebra generated by M and e — all three compared), the dual weight
+the projection e onto the closure of N, the extension algebra M₁ (the
+mirror image of the commutant of N, certified to be the span of M·e·M and
+the algebra generated by M and e), the dual weight
 pinned by x e y ↦ xy, the index element, and the spectral analysis of the
 relative commutant M₁∩N′: per-summand balanced densities, the mirror map
 x ↦ J x* J, extremality flags, and the modular-flow comparison.
@@ -445,9 +445,16 @@ class BasicExtension:
     """GNS data of (M, φ) together with e, M₁ and the comparison residuals.
 
     ``m1`` is the mirror image of the commutant of N (an algebra by
-    construction); the residuals record its projector distance to the span
-    of M·e·M and to the algebra generated by M and e.  Each distance is the
-    projector gap max(‖(I−Q)P‖, ‖(I−P)Q‖), which equals ‖P − Q‖.
+    construction) with orthonormal rows B, and ``sandwich_coords`` the D²×r
+    coordinates C in B of every x·e·y, x-major, over the represented basis
+    of M (D = dim M, r = dim M₁).  The stack X of the x·e·y is C·B + E with
+    E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and (I−P_{M₁})·V_r = E†·U_r·Σ_r⁻¹ for X's
+    top singular vectors (Wedin, BIT 12 (1972)).  The residuals are thus
+    certified upper bounds on projector distances, not computed gaps:
+    ``mirror_vs_span`` = min(1, ‖E‖_F/σ_r(C)); ``mirror_vs_generated`` adds
+    M's own residual E_M = M − (M·B†)·B to ‖E‖ in quadrature; both read 1
+    when σ_r(C) ≤ RANK_RTOL·σ₀(C).  ``span_vs_generated`` is their sum and
+    ``unit_in_sandwich_span`` is ‖1 − P_{M₁}(1)‖ + √k·``mirror_vs_span``.
     """
 
     inclusion: Inclusion
@@ -458,6 +465,7 @@ class BasicExtension:
     big_rep: MMAlgebra
     small_rep: MMAlgebra
     small_commutant: MMAlgebra
+    sandwich_coords: np.ndarray
     residuals: dict
 
     def rep(self, x: np.ndarray) -> np.ndarray:
@@ -474,7 +482,9 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
 
     Certifies: e compresses M to E, e commutes with N, J fixes e, and the
     three descriptions of M₁ (mirror of N-commutant, span of M·e·M, algebra
-    generated by M and e) coincide as projectors.
+    generated by M and e) coincide as projectors, by the bounds of
+    :class:`BasicExtension` from one pass over the x·e·y, an x-block at a
+    time.
     """
     g = ag.gns(inc.big, inc.phi)
     k = g.space_dim
@@ -492,9 +502,10 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
 
     m1 = ag.from_span(g.adj_j(small_comm.onb()), k)
 
-    sandwich_factor, generated_factor = _extension_factors(big_ops, e_n)
-    span_m1 = ag.from_onb(la.factor_onb(sandwich_factor), k)
-    generated = ag.from_onb(la.factor_onb(generated_factor), k)
+    coords, err_sq = _sandwich_coordinates(big_ops, q, m1.onb())
+    coords = coords.reshape(-1, m1.dim)
+    sigma = np.linalg.svd(coords, compute_uv=False)
+    big_err = big_ops - m1.project(big_ops)
 
     res = {}
     e_big = inc.expectation.apply(big_onb)
@@ -504,13 +515,18 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
     res["e_compress"] = opnorm(e_n @ big_ops @ e_n - g.rep(e_big) @ e_n)
     res["e_commutes_small"] = opnorm(e_n @ small_ops - small_ops @ e_n)
     res["j_fixes_e"] = opnorm(g.adj_j(e_n) - e_n)
-    res["mirror_vs_span"] = la.span_distance(m1.onb(), span_m1.onb())
-    res["mirror_vs_generated"] = la.span_distance(m1.onb(), generated.onb())
-    res["span_vs_generated"] = la.span_distance(span_m1.onb(), generated.onb())
+    span_sq = err_sq.sum()
+    res["mirror_vs_span"] = _gap_bound(span_sq, sigma, m1.dim)
+    res["mirror_vs_generated"] = _gap_bound(
+        span_sq + np.vdot(big_err, big_err).real, sigma, m1.dim
+    )
+    res["span_vs_generated"] = res["mirror_vs_span"] + res["mirror_vs_generated"]
     res["three_way_max"] = max(
         res["mirror_vs_span"], res["mirror_vs_generated"], res["span_vs_generated"]
     )
-    res["unit_in_sandwich_span"] = span_m1.residual(np.eye(k, dtype=complex))
+    res["unit_in_sandwich_span"] = (
+        m1.residual(np.eye(k, dtype=complex)) + k**0.5 * res["mirror_vs_span"]
+    )
 
     return BasicExtension(
         inclusion=inc,
@@ -521,27 +537,43 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
         big_rep=big_rep,
         small_rep=small_rep,
         small_commutant=small_comm,
+        sandwich_coords=coords,
         residuals=res,
     )
 
 
-def _extension_factors(big_ops: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Span factors (:func:`~kacgalois.linalg.span_factor`) of M·e·M and of M ∪ M·e·M.
+def _sandwich_coordinates(
+    ops: np.ndarray, q: np.ndarray, onb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of every x·e·y in an orthonormal span, and what they miss.
 
-    M·e·M is folded into one running factor an x-block {x·e·y : y} at a
-    time, so no SVD of the full D²-row stack is made; the algebra generated
-    by M and e is that factor with M's basis folded in.
+    With e = q·q† and x, y over ``ops``, returns the (D, D, r) array C with
+    C[a, b, j] = Tr(m_j†·x_a·e·y_b) = Tr((m_j†·x_a·q)·(q†·y_b)) for the basis
+    m_j of ``onb``, and for each x_a the squared Frobenius norm of the
+    residual x_a·e·Y − C[a]·m of its block, which is orthogonal to the span.
+    One x-block is held at a time; the D²-row stack is never formed.
     """
-    d, k = len(big_ops), e.shape[0]
-    factor = None
-    for block in _sandwich(big_ops, e).reshape(-1, d, k, k):
-        factor = la.span_factor(block, prior=factor)
-    return factor, la.span_factor(big_ops, prior=factor)
+    d, k = ops.shape[:2]
+    r, s = len(onb), q.shape[1]
+    rows = onb.reshape(r, k * k)
+    # Rows (j, t) of m_j†, and right[b][(t, u)] = (q†·y_b)[u, t].
+    m_adj = dagger(onb).reshape(r * k, k)
+    q_ops = dagger(q) @ ops
+    right = np.swapaxes(q_ops, 1, 2).reshape(d, k * s)
+    coords = np.empty((d, d, r), dtype=complex)
+    err_sq = np.empty(d)
+    for a, xq in enumerate(ops @ q):
+        coords[a] = right @ (m_adj @ xq).reshape(r, k * s).T
+        err = (xq @ q_ops).reshape(d, k * k) - coords[a] @ rows
+        err_sq[a] = np.vdot(err, err).real
+    return coords, err_sq
 
 
-def _sandwich(ops: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The stack of all x·e·y over x, y in ``ops``, x-major."""
-    return ((ops @ e)[:, None] @ ops[None]).reshape(-1, *e.shape)
+def _gap_bound(err_sq: float, sigma: np.ndarray, r: int) -> float:
+    """min(1, ‖E‖_F/σ_r(C)) from ‖E‖²_F and the singular values of C; 1 if rank C < r."""
+    if len(sigma) < r or sigma[r - 1] <= la.RANK_RTOL * sigma[0]:
+        return 1.0
+    return min(1.0, float(np.sqrt(err_sq) / sigma[r - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +620,13 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     """Solve for the weight pinned by x e y ↦ xy on the extension algebra.
 
     With x, y over the represented basis of M, let C be the D²×r coordinates
-    of the x·e·y in M₁'s orthonormal basis and T the D²×D coordinates of the
-    x·y in M's; the map is W = pinv(C)·T.  C is contracted through
-    e = q·q†, Tr(m†·x·q·q†·y) = Tr((m†·x·q)·(q†·y)), one x at a time, so
-    neither the D²-row stack of x·e·y nor an operator on the k²-dim space is
-    formed: memory is O((r + D)·k² + D²·r).  The pin residual of the full
-    coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs, splits by Pythagoras into
-    its part in M, ‖C·W − T‖, and its part orthogonal to M, ‖x·y − T·b‖
-    with b M's basis.
+    of the x·e·y in M₁'s orthonormal basis (``bc.sandwich_coords``, made by
+    :func:`basic_extension`) and T the D²×D coordinates of the x·y in M's;
+    the map is W = pinv(C)·T.  T is formed one x at a time, so no operator
+    on the k²-dim space is formed: memory is O(D·k² + D²·r) beside C.  The
+    pin residual of the full coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs,
+    splits by Pythagoras into its part in M, ‖C·W − T‖, and its part
+    orthogonal to M, ‖x·y − T·b‖ with b M's basis.
 
     Raises
     ------
@@ -607,25 +638,18 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     k = g.space_dim
     big_ops = g.rep(bc.inclusion.big.onb())
     m1, big = bc.m1, bc.big_rep
-    q = bc.e_range
-    d, r, s = len(big_ops), m1.dim, q.shape[1]
-    # Rows (j, t) of m_j†, and right[b][(t, u)] = (q†·y_b)[u, t].
-    m1_adj = dagger(m1.onb()).reshape(r * k, k)
-    right = np.swapaxes(dagger(q) @ big_ops, 1, 2).reshape(d, k * s)
-    left = big_ops @ q
+    d, r = len(big_ops), m1.dim
     big_rows = big.onb().reshape(d, k * k)
     big_cols = big_rows.conj().T
-    c = np.empty((d, d, r), dtype=complex)
     t = np.empty((d, d, d), dtype=complex)
     off_sq = norm_sq = 0.0
     for a in range(d):
-        c[a] = right @ (m1_adj @ left[a]).reshape(r, k * s).T
         prod = (big_ops[a] @ big_ops).reshape(d, k * k)
         t[a] = prod @ big_cols
         off = prod - t[a] @ big_rows
         off_sq += np.vdot(off, off).real
         norm_sq += np.vdot(prod, prod).real
-    c, t = c.reshape(d * d, r), t.reshape(d * d, d)
+    c, t = bc.sandwich_coords, t.reshape(d * d, d)
     w = np.linalg.pinv(c, rcond=la.RANK_RTOL) @ t
     consistency = float(
         np.hypot(frob(c @ w - t), np.sqrt(off_sq)) / max(1.0, np.sqrt(norm_sq))

@@ -78,55 +78,7 @@ def orthonormalize(mats, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.nda
         return np.zeros((0,), dtype=complex)
     shape = np.shape(mats[0])
     _, s, vh = np.linalg.svd(_flat_rows(mats), full_matrices=False)
-    return vh[_rank_mask(s, rtol, atol)].reshape(-1, *shape)
-
-
-def _rank_mask(s: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
-    """Which of the singular values ``s`` (largest first) count toward the rank."""
-    return s > max(rtol * s.max(initial=0.0), atol)
-
-
-def span_factor(mats, prior: np.ndarray | None = None) -> np.ndarray:
-    """Running thin-SVD factor of a span, with ``mats`` folded into ``prior``.
-
-    Returns the rows σᵢ·vᵢ of the thin SVD of [prior; rows of ``mats``]
-    (one flattened matrix per row), largest first.  [A; B] and [Σ_A·Vh_A; B]
-    have the same singular values and row space, so folding blocks one at a
-    time gives the factor of the whole stack without ever forming it
-    (Brand, LAA 415 (2006)).  Rows at or below the SVD's own noise floor
-    ε·max(m, n)·σ₀ of the m×n stack are dropped, so the factor never
-    outgrows the span's numerical rank; all-zero input gives an empty (0, n)
-    factor.  When the new rows lie in the prior's row space to within that
-    floor, [Σ_A·Vh_A; B] = [Σ_A; B·Vh_A†]·Vh_A up to that residual, which is
-    dropped, and only the small left factor is decomposed.  Pass the result
-    to :func:`factor_onb` for an orthonormal basis.
-    """
-    rows = _flat_rows(mats)
-    shape = (len(rows) + (0 if prior is None else len(prior)), rows.shape[1])
-    if prior is not None and len(prior):
-        sigma = np.linalg.norm(prior, axis=1)
-        basis = prior / sigma[:, None]
-        coords = rows @ dagger(basis)
-        if frob(rows - coords @ basis) <= _noise_floor(sigma, shape):
-            _, s, w = np.linalg.svd(np.concatenate([np.diag(sigma), coords]), full_matrices=False)
-            keep = s > _noise_floor(s, shape)
-            return s[keep, None] * (w[keep] @ basis)
-        rows = np.concatenate([prior, rows])
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > _noise_floor(s, shape)
-    return s[keep, None] * vh[keep]
-
-
-def _noise_floor(s: np.ndarray, shape: tuple[int, int]) -> float:
-    """ε·max(m, n)·σ₀: below it, an m×n SVD cannot tell a singular value from zero."""
-    return np.finfo(float).eps * max(shape) * s.max(initial=0.0)
-
-
-def factor_onb(factor: np.ndarray) -> np.ndarray:
-    """Orthonormal rows of a :func:`span_factor`, under :func:`orthonormalize`'s rank rule."""
-    s = np.linalg.norm(factor, axis=1)
-    keep = _rank_mask(s)
-    return factor[keep] / s[keep, None]
+    return vh[s > max(rtol * s.max(initial=0.0), atol)].reshape(-1, *shape)
 
 
 def span_distance(onb1, onb2) -> float:

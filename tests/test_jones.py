@@ -346,7 +346,7 @@ def verify_extension_model(
         - g.rep(inc.expectation.apply(inc.big.onb())) @ e_model
     )
     generated = ag.from_span(
-        np.concatenate([big_ops, jn._sandwich(big_ops, e_model)]), k
+        np.concatenate([big_ops, sandwich(big_ops, e_model)]), k
     )
     hyp["generated"] = la.span_distance(generated.onb(), model.onb())
     tm = weight_model
@@ -389,8 +389,8 @@ def verify_extension_model(
     coord1, _ = _functional_coords(m1_onb, phi_weight)
     coord2, _ = _functional_coords(model_onb, psi_weight)
 
-    src = coord1 @ bc.m1.coeffs(jn._sandwich(big_ops, bc.e_n)).T
-    tgt = coord2 @ model.coeffs(jn._sandwich(big_ops, e_model)).T
+    src = coord1 @ bc.m1.coeffs(sandwich(big_ops, bc.e_n)).T
+    tgt = coord2 @ model.coeffs(sandwich(big_ops, e_model)).T
     u = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
     well_defined = float(
         np.linalg.norm(u @ src - tgt) / max(1.0, np.linalg.norm(tgt))
@@ -503,6 +503,11 @@ def test_dual_integral_generates_full_extension_with_algebra():
     assert generated.dim == kac.dim**2
 
 
+def sandwich(ops, e):
+    """The stack of all x·e·y over x, y in ``ops``, x-major."""
+    return ((ops @ e)[:, None] @ ops[None]).reshape(-1, *e.shape)
+
+
 class DenseDualWeight:
     """The oracle: Ê as the dense k²×k² matrix tgt·pinv(r̄·src)·r̄.
 
@@ -515,7 +520,7 @@ class DenseDualWeight:
     def __init__(self, bc):
         k = bc.gns.space_dim
         ops = bc.gns.rep(bc.inclusion.big.onb())
-        self.src = jn._sandwich(ops, bc.e_n).reshape(-1, k * k).T
+        self.src = sandwich(ops, bc.e_n).reshape(-1, k * k).T
         self.tgt = (ops[:, None] @ ops[None]).reshape(-1, k * k).T
         r_conj = bc.m1.onb().reshape(bc.m1.dim, -1).conj()
         self.matrix = (self.tgt @ np.linalg.pinv(r_conj @ self.src, rcond=la.RANK_RTOL)) @ r_conj
@@ -636,21 +641,72 @@ def test_mirror_map_residual_is_basis_independent():
     assert again["mirror_map_residual"] == pytest.approx(value, rel=1e-10, abs=1e-13)
 
 
-@pytest.mark.parametrize("seed", pool_shapes())
-def test_streamed_extension_spans_match_the_one_shot_svd(seed):
-    inc = jn.random_inclusion(seed)
+def svd_noise(stack, r):
+    """ε·max(m, n)·σ₀/σ_r: how far the one-shot SVD's rank-r span can sit from the exact one."""
+    rows = stack.reshape(len(stack), -1)
+    s = np.linalg.svd(rows, compute_uv=False)
+    return np.finfo(float).eps * max(rows.shape) * s[0] / s[r - 1]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        *pool_shapes(),
+        jn.fixture_scaled_pair,
+        jn.fixture_point_in_full,
+        jn.fixture_pinch,
+        jn.fixture_markov_chain,
+    ],
+)
+def test_streamed_extension_spans_match_the_one_shot_svd(case):
+    # The certificate bounds the projector gaps of the one-shot SVD of the
+    # full stacks from above, up to that SVD's own rounding (it reads up to
+    # 1e-14 where X = C·B holds exactly and the bound is 0), and stays far
+    # below the loose limit.
+    if callable(case):
+        incs = [case()]
+    else:
+        inc = jn.random_inclusion(case)
+        incs = [inc, jn.omega_variation(inc, case + 1000)]
+    for inc in incs:
+        bc = jn.basic_extension(inc)
+        m1, r = bc.m1.onb(), bc.m1.dim
+        big_ops = bc.gns.rep(inc.big.onb())
+        stack = sandwich(big_ops, bc.e_n)
+        with_big = np.concatenate([big_ops, stack])
+        span, generated = la.orthonormalize(stack), la.orthonormalize(with_big)
+        noise_span, noise_gen = svd_noise(stack, r), svd_noise(with_big, r)
+        gaps = {
+            "mirror_vs_span": (la.span_distance(m1, span), noise_span),
+            "mirror_vs_generated": (la.span_distance(m1, generated), noise_gen),
+            "span_vs_generated": (la.span_distance(span, generated), noise_span + noise_gen),
+        }
+        for key, (gap, noise) in gaps.items():
+            bound = bc.residuals[key]
+            assert gap - noise - 1e-15 <= bound <= 1e-11, (inc.label, key, gap, bound)
+
+
+@pytest.mark.parametrize(
+    "make", [jn.fixture_pinch, lambda: jn.random_inclusion(2), lambda: jn.random_inclusion(5)]
+)
+def test_coordinate_bound_covers_a_resolvable_gap(make):
+    # Tilting M₁'s basis by δ opens a gap to the span of M·e·M of order δ
+    # (dim M₁ < k² on these inclusions), far above the one-shot SVD's
+    # rounding; the bound must lie above it.
+    inc = make()
     bc = jn.basic_extension(inc)
     big_ops = bc.gns.rep(inc.big.onb())
-    sandwich = jn._sandwich(big_ops, bc.e_n)
-    stacks = (sandwich, np.concatenate([big_ops, sandwich]))
-    for factor, stack in zip(jn._extension_factors(big_ops, bc.e_n), stacks):
-        reference = la.orthonormalize(stack)  # the one-shot SVD of the full stack
-        onb = la.factor_onb(factor)
-        dim = len(reference)
-        assert len(onb) == dim
-        assert la.span_distance(onb, reference.reshape(dim, -1)) < 1e-12
-        s = np.linalg.svd(stack.reshape(len(stack), -1), compute_uv=False)
-        np.testing.assert_allclose(np.linalg.norm(factor, axis=1)[:dim], s[:dim], rtol=1e-12)
+    span = la.orthonormalize(sandwich(big_ops, bc.e_n))
+    m1, r = bc.m1.onb(), bc.m1.dim
+    rng = np.random.default_rng(r)
+    for delta in (1e-9, 1e-6, 1e-3):
+        tilt = rng.standard_normal(m1.shape) + 1j * rng.standard_normal(m1.shape)
+        tilted = la.orthonormalize(m1 + delta * tilt)
+        coords, err_sq = jn._sandwich_coordinates(big_ops, bc.e_range, tilted)
+        sigma = np.linalg.svd(coords.reshape(-1, r), compute_uv=False)
+        gap = la.span_distance(tilted, span)
+        bound = jn._gap_bound(err_sq.sum(), sigma, r)
+        assert delta / 100 < gap <= bound < 1
 
 
 @pytest.mark.parametrize(
@@ -662,8 +718,12 @@ def test_streamed_certificate_trips_on_a_dropped_block(monkeypatch, make):
     # ones where S·N ≠ M and the span really shrinks.
     inc = make()
     assert jn.basic_extension(inc).residuals["three_way_max"] < 1e-12
-    real = jn._sandwich
-    monkeypatch.setattr(jn, "_sandwich", lambda ops, e: real(ops, e)[len(ops):])
+    real = jn._sandwich_coordinates
+    monkeypatch.setattr(
+        jn, "_sandwich_coordinates", lambda *args: tuple(v[1:] for v in real(*args))
+    )
     res = jn.basic_extension(inc).residuals
     assert res["mirror_vs_span"] > 1e-8
     assert res["three_way_max"] > 1e-8
+    # The coordinates of the shrunken span have rank below dim M₁.
+    assert res["mirror_vs_span"] == 1.0

@@ -69,47 +69,6 @@ def test_orthonormalize_spans_the_same_space(seed):
         assert la.span_residual(m, onb) < 1e-9
 
 
-def test_span_factor_of_zero_blocks_is_empty():
-    zeros = np.zeros((3, 2, 2), dtype=complex)
-    empty = la.span_factor(zeros)
-    assert empty.shape == (0, 4)
-    assert la.span_factor(zeros, prior=empty).shape == (0, 4)
-    assert la.factor_onb(empty).shape == (0, 4)
-    rng = np.random.default_rng(8)
-    one = la.span_factor(random_complex(rng, 1, 2, 2))
-    assert len(la.span_factor(zeros, prior=one)) == 1
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_span_factor_rows_are_orthogonal_with_the_singular_values_as_norms(seed):
-    rng = np.random.default_rng(seed)
-    mats = np.tensordot(random_complex(rng, 7, 3), random_complex(rng, 3, 4, 4), axes=1)
-    factor = la.span_factor(mats[:4], prior=la.span_factor(mats[4:]))
-    s = np.linalg.svd(mats.reshape(7, -1), compute_uv=False)
-    assert factor.shape == (3, 16)
-    gram = factor @ la.dagger(factor)
-    np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-12 * s[0] ** 2)
-    np.testing.assert_allclose(np.linalg.norm(factor, axis=1), s[:3], rtol=1e-12)
-    onb = la.factor_onb(factor)
-    assert la.span_distance(onb, la.orthonormalize(mats).reshape(3, -1)) < 1e-12
-
-
-@pytest.mark.parametrize("block", [1, 4, 7])
-def test_folded_span_factor_keeps_the_one_shot_rank(block):
-    # Planted singular values 10^(-3k/8) run from 1 to 1e-9; none sits near
-    # the 1e-8 rank cutoff (10^-7.875 is kept, 10^-8.25 is not).
-    rng = np.random.default_rng(block)
-    s = 10.0 ** (-0.375 * np.arange(25))
-    u, _ = np.linalg.qr(random_complex(rng, 30, 25))
-    v, _ = np.linalg.qr(random_complex(rng, 64, 25))
-    mats = ((u * s) @ la.dagger(v)).reshape(30, 8, 8)
-    factor = None
-    for start in range(0, len(mats), block):
-        factor = la.span_factor(mats[start:start + block], prior=factor)
-    assert len(la.factor_onb(factor)) == len(la.orthonormalize(mats)) == 22
-    np.testing.assert_allclose(np.linalg.norm(factor, axis=1)[:22], s[:22], rtol=1e-6)
-
-
 @pytest.mark.parametrize("seed", [3, 4])
 def test_intersect_spans_recovers_common_subspace(seed):
     rng = np.random.default_rng(seed)
