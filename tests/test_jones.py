@@ -661,7 +661,7 @@ def svd_noise(stack, r):
 def test_streamed_extension_spans_match_the_one_shot_svd(case):
     # The certificate bounds the projector gaps of the one-shot SVD of the
     # full stacks from above, up to that SVD's own rounding (it reads up to
-    # 1e-14 where X = C·B holds exactly and the bound is 0), and stays far
+    # 7e-15 where X = C·B holds exactly and the bound is 0), and stays far
     # below the loose limit.
     if callable(case):
         incs = [case()]
