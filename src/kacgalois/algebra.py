@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .linalg import DEFAULT_TOL, RANK_RTOL, dagger, frob, opnorm
+from .linalg import COMMUTE_RTOL, DEFAULT_TOL, PROJ_CUT, RANK_RTOL, SPAN_TOL, ZERO_FLOOR
+from .linalg import dagger, frob, opnorm
 
 
 class ShapeError(ValueError):
@@ -141,7 +142,7 @@ class MMAlgebra:
     def block_dims(self) -> list[tuple[int, int]]:
         return self.central_decomposition()[1]
 
-    def validate(self, tol: float = DEFAULT_TOL) -> dict:
+    def validate(self) -> dict:
         """Residuals for the structural invariants of the algebra.
 
         Checks product/adjoint closure, unit membership, that the central
@@ -161,7 +162,7 @@ class MMAlgebra:
             "central_sum": psum,
             "block_dimension_count": dim_ok,
         }
-        report["passed"] = all(v < tol * self.ambient_dim for v in report.values())
+        report["passed"] = all(v < DEFAULT_TOL * self.ambient_dim for v in report.values())
         return report
 
 
@@ -224,19 +225,29 @@ def _generic_pair(mats) -> np.ndarray:
     return np.tensordot(coeff, np.asarray(mats), axes=1)
 
 
+# Commutator entries :func:`_commute` forms at once, which bounds its scratch memory.
+_COMMUTE_BLOCK = 1 << 20
+
+
 def _commute(mats, others) -> bool:
     """Whether each x in ``mats`` commutes with every element of ``others``.
 
-    One stacked commutator over all pairs; the tolerance is 1e-10 relative
-    to max(1, ‖x‖), and an empty ``mats`` fails.
+    Stacked commutators over all pairs, a block of ``mats`` at a time with at
+    most ``_COMMUTE_BLOCK`` entries; the tolerance is ``COMMUTE_RTOL``
+    relative to max(1, ‖x‖), and an empty ``mats`` fails.
     """
     mats, others = np.asarray(mats), np.asarray(others)
     if len(mats) == 0:
         return False
-    comm = mats[:, None] @ others[None]
-    comm -= others[None] @ mats[:, None]
-    scale = 1e-10 * np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
-    return bool(np.all(np.linalg.norm(comm, axis=(-2, -1)) < scale[:, None]))
+    scale = COMMUTE_RTOL * np.maximum(1.0, np.linalg.norm(mats, axis=(-2, -1)))
+    step = max(1, _COMMUTE_BLOCK // max(1, others.size))
+    for lo in range(0, len(mats), step):
+        block = mats[lo : lo + step, None]
+        comm = block @ others[None]
+        comm -= others[None] @ block
+        if not np.all(np.linalg.norm(comm, axis=(-2, -1)) < scale[lo : lo + step, None]):
+            return False
+    return True
 
 
 def commutant(alg: MMAlgebra) -> MMAlgebra:
@@ -312,7 +323,7 @@ def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlg
     The unknowns are coefficients in ``alg``'s basis.  The null space is
     solved against two generic combinations of the constraints first and
     verified; on verification failure it reruns against the full system.
-    The absolute rank floor of that solve is 1e-12·‖basis‖·‖constraints‖
+    The absolute rank floor of that solve is ZERO_FLOOR·‖basis‖·‖constraints‖
     (Frobenius norms of the stacks), the scale of the commutators: a system
     that is zero up to float noise in its inputs, as for a commutative
     algebra, then keeps its full null space.
@@ -322,7 +333,7 @@ def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlg
     def solve(cons) -> np.ndarray:
         rows = [(onb @ c - c @ onb).reshape(len(onb), -1).T for c in cons]
         stacked = np.vstack(rows) if rows else np.zeros((0, len(onb)), dtype=complex)
-        floor = 1e-12 * frob(onb) * frob(np.asarray(cons))
+        floor = ZERO_FLOOR * frob(onb) * frob(np.asarray(cons))
         return alg.element(la.null_space(stacked, atol=floor).T)
 
     if len(constraint_mats) > 2:
@@ -331,7 +342,7 @@ def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlg
         # Completeness (necessary condition): the algebra's own unit commutes
         # with everything it contains, so a span missing it was under-computed.
         good = _commute(mats, constraint_mats) and (
-            la.span_residual(alg.unit, la.orthonormalize(mats)) < 1e-8
+            la.span_residual(alg.unit, la.orthonormalize(mats)) < SPAN_TOL
         )
         if good:
             return from_span(mats, alg.ambient_dim, unit=alg.unit)
@@ -352,12 +363,10 @@ def intersect(a: MMAlgebra, b: MMAlgebra) -> MMAlgebra:
 def _range_onb(p: np.ndarray) -> np.ndarray:
     """Columns: orthonormal basis of the range of a projection."""
     w, u = np.linalg.eigh((p + dagger(p)) / 2.0)
-    return u[:, w > 0.5]
+    return u[:, w > PROJ_CUT]
 
 
-def _eigensplit_projections(
-    unit: np.ndarray, onb: list[np.ndarray], k: int, tol: float = DEFAULT_TOL * 10
-) -> list[np.ndarray]:
+def _eigensplit_projections(unit: np.ndarray, onb: list[np.ndarray], k: int) -> list[np.ndarray]:
     """Split ``unit`` into the k minimal orthogonal projections of span(onb).
 
     The count k is known in advance (the span is an algebra whose minimal
@@ -387,7 +396,8 @@ def _eigensplit_projections(
             sub = cols @ u[:, lo:hi]
             pieces.append(sub @ dagger(sub))
         ok = all(
-            frob(p @ p - p) < tol and la.span_residual(p, onb) < tol
+            frob(p @ p - p) < DEFAULT_TOL * 10
+            and la.span_residual(p, onb) < DEFAULT_TOL * 10
             for p in pieces
         )
         if ok:
@@ -472,7 +482,7 @@ def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
             for b in corner:
                 v = f[0] @ b @ f[j]
                 nv = frob(v)
-                if nv > best_norm + 1e-12:
+                if nv > best_norm + ZERO_FLOOR:
                     best, best_norm = v, nv
             if best is None or best_norm < DEFAULT_TOL:
                 raise SubalgebraError("disconnected matrix-unit chain in a factor block")
@@ -495,12 +505,11 @@ def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
 class StateData:
     """A positive functional x ↦ Tr(density·x) on an ambient matrix algebra.
 
-    ``faithful`` records whether the restriction to the algebra of interest
-    has trivial kernel (checked where it matters).
+    Faithfulness on the algebra of interest is checked where it matters
+    (:func:`gns`, :func:`conditional_expectation`, ``make_inclusion``).
     """
 
     density: np.ndarray
-    faithful: bool = True
 
     def value(self, x: np.ndarray) -> complex:
         return complex(np.trace(self.density @ x))
@@ -512,20 +521,10 @@ class StateData:
         )
         return (gram + dagger(gram)) / 2.0
 
-    def validate(self, tol: float = DEFAULT_TOL) -> dict:
-        d = self.density
-        herm = frob(d - dagger(d))
-        eigs = np.linalg.eigvalsh((d + dagger(d)) / 2.0)
-        return {
-            "hermitian": herm,
-            "min_eig": float(eigs.min()),
-            "passed": herm < tol and eigs.min() > -tol,
-        }
-
 
 def trace_state(d: int) -> StateData:
     """The normalized trace on the d×d matrices."""
-    return StateData(density=np.eye(d, dtype=complex) / d, faithful=True)
+    return StateData(density=np.eye(d, dtype=complex) / d)
 
 
 def density_in(alg: MMAlgebra, phi: StateData) -> np.ndarray:
@@ -576,7 +575,7 @@ class GnsData:
         return self.mj @ np.conj(x) @ np.conj(self.mj)
 
 
-def gns(alg: MMAlgebra, phi: StateData, tol: float = DEFAULT_TOL) -> GnsData:
+def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     """GNS construction for a faithful state on a multimatrix algebra.
 
     Raises
@@ -589,7 +588,7 @@ def gns(alg: MMAlgebra, phi: StateData, tol: float = DEFAULT_TOL) -> GnsData:
 
     # Gram matrix φ(a† b) and the coordinate map C with C†C = Gram.
     w, u = np.linalg.eigh(phi.gram(stack))
-    if w.min() < tol:
+    if w.min() < DEFAULT_TOL:
         raise ValueError(
             f"state is not faithful on the algebra (Gram eigenvalue {w.min():.3e})"
         )
@@ -675,7 +674,7 @@ class CondExpectation:
         flat = np.reshape(x, (*np.shape(x)[:-2], -1))
         return (flat @ self.matrix.T).reshape(np.shape(x))
 
-    def validate(self, tol: float = DEFAULT_TOL, rng: np.random.Generator | None = None) -> dict:
+    def validate(self) -> dict:
         """Residuals: idempotence, unit, bimodularity, positivity, state."""
         m_onb = self.domain.onb()
         n_onb = self.target.onb()
@@ -686,7 +685,7 @@ class CondExpectation:
             la.frob_max(self.apply(a @ m_onb[:, None] @ n_onb) - a @ e_m[:, None] @ n_onb)
             for a in n_onb
         )
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         pos = 0.0
         d = self.domain.ambient_dim
         for _ in range(5):
@@ -706,25 +705,23 @@ class CondExpectation:
                 np.abs(np.einsum("ij,kji->k", dens, e_m - m_onb)).max()
             )
         rep["passed"] = all(
-            (v > -tol * 10 if key == "min_positivity_eig" else v < tol * 10)
+            (v > -DEFAULT_TOL * 10 if key == "min_positivity_eig" else v < DEFAULT_TOL * 10)
             for key, v in rep.items()
             if key != "passed"
         )
         return rep
 
 
-def _phi_onb(basis: np.ndarray, phi: StateData, tol: float) -> np.ndarray:
+def _phi_onb(basis: np.ndarray, phi: StateData) -> np.ndarray:
     """Orthonormalize a stack of matrices under the inner product φ(a†b)."""
     w, u = np.linalg.eigh(phi.gram(basis))
-    if w.min() < tol:
+    if w.min() < DEFAULT_TOL:
         raise ValueError("state is not faithful on the subalgebra")
     t = u / np.sqrt(w)  # columns: φ-orthonormal coefficient vectors
     return np.tensordot(t.T, basis, axes=1)
 
 
-def conditional_expectation(
-    big: MMAlgebra, small: MMAlgebra, phi: StateData, tol: float = DEFAULT_TOL
-) -> CondExpectation:
+def conditional_expectation(big: MMAlgebra, small: MMAlgebra, phi: StateData) -> CondExpectation:
     """The unique φ-preserving conditional expectation of ``big`` onto ``small``.
 
     Exists precisely when the subalgebra is invariant under the modular flow
@@ -739,19 +736,19 @@ def conditional_expectation(
     NoExpectationError
         If the modular-invariance criterion fails; carries the residual.
     """
-    if big.residual(small.onb()) >= tol * 100:
+    if big.residual(small.onb()) >= DEFAULT_TOL * 100:
         raise SubalgebraError("claimed subalgebra is not contained in the algebra")
     rho = density_in(big, phi)
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < tol:
+    if eigs.min() < DEFAULT_TOL:
         raise ValueError(f"state not faithful on the algebra (eig {eigs.min():.3e})")
     rho_inv = np.linalg.inv(rho)
     small_onb = small.onb()
     inv_res = small.residual(rho @ small_onb @ rho_inv)
-    if inv_res > tol * 100 * max(1.0, float(np.linalg.norm(rho_inv, 2))):
+    if inv_res > DEFAULT_TOL * 100 * max(1.0, float(np.linalg.norm(rho_inv, 2))):
         raise NoExpectationError(inv_res)
 
-    phi_basis = _phi_onb(small_onb, phi, tol)
+    phi_basis = _phi_onb(small_onb, phi)
     # E = Σₙ vec(n) ⊗ φ(n† ·), and φ(n† x) = ⟨vec(n·D†), vec(x)⟩ with D the density of φ.
     k = len(phi_basis)
     funcs = (phi_basis @ dagger(phi.density)).reshape(k, -1)

@@ -44,6 +44,7 @@ from . import kac as kc
 from .algebra import SubalgebraError
 from .jones import InclusionError
 from .kac import AxiomError
+from .linalg import LOOSE_TOL, MID_TOL, TIGHT_TOL
 
 GROUP_BUILDERS = (
     ("Z2", lambda: kc.cyclic_group(2)),
@@ -144,7 +145,7 @@ def check_true(flag: bool) -> dict:
 
 # The limit tiers of every check: exact structural identities (axioms,
 # pentagon) are held to "tight", composed pipelines to "mid" or "loose".
-TOLERANCES = {"tight": 1e-10, "mid": 1e-9, "loose": 1e-8}
+TOLERANCES = {"tight": TIGHT_TOL, "mid": MID_TOL, "loose": LOOSE_TOL}
 
 
 def limits(tol: float | None) -> dict:

@@ -37,11 +37,7 @@ from . import duality as du
 from . import linalg as la
 from .algebra import SubalgebraError
 from .kac import KacAlgebra
-from .linalg import DEFAULT_TOL, dagger, frob
-
-# Largest residual at which a subspace system counts as closed, and a vector
-# as fixed by a group element.
-CLOSURE_TOL = 1e-8
+from .linalg import DEFAULT_TOL, SPAN_TOL, dagger, frob
 
 
 @dataclass(frozen=True)
@@ -285,7 +281,7 @@ def check_system_closure(fusion: FusionData, sys: SubspaceSystem) -> dict:
             pairs = np.kron(ka, kb)
             for tau, isom in fusion.isometries[a][b]:
                 worst = float(_row_residuals(pairs @ isom.conj(), sys.spaces[tau]).max())
-                if worst > CLOSURE_TOL:
+                if worst > SPAN_TOL:
                     res["failures"].append((a, b, tau, worst))
                 res["fusion"] = max(res["fusion"], worst)
 
@@ -297,11 +293,11 @@ def check_system_closure(fusion: FusionData, sys: SubspaceSystem) -> dict:
         w = np.conj(ka) @ np.linalg.inv(fusion.intertwiners[idx]).T
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         worst = float(_row_residuals(w, sys.spaces[bar]).max())
-        if worst > CLOSURE_TOL:
+        if worst > SPAN_TOL:
             res["failures"].append((idx, "conj", bar, worst))
         res["conjugation"] = max(res["conjugation"], worst)
     res["passed"] = (
-        res["trivial"] == 0.0 and max(res["fusion"], res["conjugation"]) < CLOSURE_TOL
+        res["trivial"] == 0.0 and max(res["fusion"], res["conjugation"]) < SPAN_TOL
     )
     return res
 
@@ -351,7 +347,7 @@ def enumerate_coideals_group_case(
     the indicators of the cosets of ⟨g⟩) and C(G) otherwise.  On the group
     side δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the closure is ℂ[⟨g⟩], as
     for b_g alone.  A closure whose span
-    lies within 1e-8 of a listed coideal of the same dimension is that
+    lies within ``SPAN_TOL`` of a listed coideal of the same dimension is that
     certified coideal and is not certified again; any other closure goes
     through :func:`is_coideal`, so a non-coideal still raises and a coideal
     missing from the list reads as incomplete.
@@ -371,7 +367,7 @@ def enumerate_coideals_group_case(
     def audit(gens) -> float:
         mm = _closure_algebra(kac, gens, side)
         if not any(
-            c.dim == mm.dim and la.span_distance(mm.onb(), c.mm.onb()) < 1e-8
+            c.dim == mm.dim and la.span_distance(mm.onb(), c.mm.onb()) < SPAN_TOL
             for c in coideals
         ):
             is_coideal(kac, mm, side)
@@ -390,7 +386,7 @@ def enumerate_coideals_group_case(
         "subgroups": [sub for sub, _ in items],
         "dims": [coid.dim for coid in coideals],
         "completeness_residual": worst,
-        "complete": worst < 1e-8,
+        "complete": worst < SPAN_TOL,
     }
 
 
@@ -561,16 +557,16 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
     order_worst = 0.0
     for i, bi in enumerate(coideals):
         for j, bj in enumerate(coideals):
-            if bj.mm.residual(bi.mm.onb()) < 1e-8:
+            if bj.mm.residual(bi.mm.onb()) < SPAN_TOL:
                 r = partners[i].mm.residual(partners[j].mm.onb())
                 order_worst = max(order_worst, r)
-                if r > 1e-8:
+                if r > SPAN_TOL:
                     order_ok = False
 
     injective = True
     for i in range(len(partners)):
         for j in range(i + 1, len(partners)):
-            if la.span_distance(partners[i].mm.onb(), partners[j].mm.onb()) < 1e-8:
+            if la.span_distance(partners[i].mm.onb(), partners[j].mm.onb()) < SPAN_TOL:
                 injective = False
 
     worst = max(
@@ -599,7 +595,7 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
             order_ok
             and injective
             and all(r["dim_product_exact"] for r in rows)
-            and worst < 1e-8
+            and worst < SPAN_TOL
             and enum["complete"]
         ),
     }

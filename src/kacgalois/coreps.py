@@ -32,7 +32,7 @@ from . import duality as du
 from . import linalg as la
 from .algebra import matrix_units
 from .kac import KacAlgebra
-from .linalg import dagger, frob
+from .linalg import SPAN_TOL, ZERO_FLOOR, dagger, frob
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def irreducible_coreps(
     """
     same = v.kac is kac or all(
         np.shape(getattr(v.kac, t)) == np.shape(getattr(kac, t))
-        and np.allclose(getattr(v.kac, t), getattr(kac, t), rtol=0.0, atol=1e-12)
+        and np.allclose(getattr(v.kac, t), getattr(kac, t), rtol=0.0, atol=ZERO_FLOOR)
         for t in ("mult", "delta", "counit", "antipode", "star")
     )
     if not same:
@@ -141,7 +141,7 @@ def irreducible_coreps(
             "square_block": 0.0 if block.multiplicity == block.size else 1.0,
         }
         res.update(_entry_residuals(kac, entries))
-        trivial = d == 1 and frob(entries[0, 0] - np.eye(n)) < 1e-8
+        trivial = d == 1 and frob(entries[0, 0] - np.eye(n)) < SPAN_TOL
         coreps.append(
             Corepresentation(
                 index=idx,

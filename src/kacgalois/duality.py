@@ -91,7 +91,7 @@ _TERM_BLOCK = 1 << 18
 _LEG_TERM_COST = 20
 
 
-def pentagon_residual(v: np.ndarray, n: int, seed: int = 11) -> float:
+def pentagon_residual(v: np.ndarray, n: int) -> float:
     """Size of V₁₂V₁₃V₂₃ − V₂₃V₁₂ on H⊗H⊗H.
 
     The exact Frobenius norm, an upper bound on the operator norm, whenever
@@ -102,8 +102,8 @@ def pentagon_residual(v: np.ndarray, n: int, seed: int = 11) -> float:
     takes n⁸ multiply-adds whatever V is.  For n ≤ 14 (n³ ≤ 2744) the
     cheaper of the two runs.  Above that the blocked path is out of reach
     and the sparse one runs while its terms number fewer than n⁸.  Otherwise
-    (a dense V above n = 14) the result is the maximum over 32 seeded random
-    unit vectors, a lower bound on the operator norm.
+    (a dense V above n = 14) the result is the maximum over 32 random unit
+    vectors of the fixed seed 11, a lower bound on the operator norm.
     """
     nz = v != 0
     terms = _pentagon_terms(nz, n)
@@ -113,7 +113,7 @@ def pentagon_residual(v: np.ndarray, n: int, seed: int = 11) -> float:
     if work < n ** 8:
         return _pentagon_sparse(v, n, nz, terms)
     v4 = v.reshape(n, n, n, n)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(32):
         psi = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))

@@ -20,7 +20,7 @@ import numpy as np
 from . import algebra as ag
 from . import linalg as la
 from .algebra import CondExpectation, MMAlgebra, StateData
-from .linalg import DEFAULT_TOL, dagger, frob, opnorm
+from .linalg import DEFAULT_TOL, EXTREMAL_TOL, PIN_TOL, SPAN_TOL, dagger, frob, opnorm
 
 __all__ = [
     "Inclusion",
@@ -50,11 +50,6 @@ __all__ = [
 ]
 
 FLOW_TIMES = (0.3, 1.0, float(np.sqrt(2.0)))
-# Largest relative residual of the weight pin x·e·y ↦ xy.
-PIN_TOL = 1e-7
-# Relative floor for a corner density's support eigenvalues, and the margin
-# under which an inclusion counts as extremal.
-EXTREMAL_TOL = 1e-8
 
 
 class InclusionError(ValueError):
@@ -80,6 +75,8 @@ class Inclusion:
         A faithful state on N (its density is an element of N).
     phi : StateData
         The composite state φ = ω∘E on M, stored as a density in M.
+    label : str
+        A name for reports; a random draw's label carries its seed.
     bratteli : tuple | None
         Rows of the inclusion multiplicity matrix when known (fixtures).
     """
@@ -91,13 +88,12 @@ class Inclusion:
     phi: StateData
     label: str = ""
     bratteli: tuple | None = None
-    seed: int | None = None
 
-    def validate(self, tol: float = DEFAULT_TOL) -> dict:
-        """Structural residuals: containment, expectation laws, faithfulness."""
+    def validate(self) -> dict:
+        """Structural residuals (containment, expectation laws, faithfulness) at DEFAULT_TOL."""
         small_onb = self.small.onb()
         contain = self.big.residual(small_onb)
-        exp = self.expectation.validate(tol)
+        exp = self.expectation.validate()
         ranged = self.small.residual(self.expectation.apply(self.big.onb()))
         fixes = la.frob_max(self.expectation.apply(small_onb) - small_onb)
         phi_min = float(np.linalg.eigvalsh(self.phi.gram(self.big.onb())).min())
@@ -109,10 +105,10 @@ class Inclusion:
             **{f"expectation_{k}": v for k, v in exp.items() if k != "passed"},
         }
         rep["passed"] = (
-            contain < tol
-            and ranged < tol
-            and fixes < tol
-            and phi_min > tol
+            contain < DEFAULT_TOL
+            and ranged < DEFAULT_TOL
+            and fixes < DEFAULT_TOL
+            and phi_min > DEFAULT_TOL
             and exp["passed"]
         )
         return rep
@@ -131,7 +127,7 @@ def state_through_expectation(
     images = (onb.reshape(len(onb), -1) @ expectation_matrix.T).reshape(onb.shape)
     values = np.einsum("ij,kji->k", omega_density, images)
     out = np.tensordot(values, dagger(onb), axes=1)
-    return StateData(density=(out + dagger(out)) / 2.0, faithful=True)
+    return StateData(density=(out + dagger(out)) / 2.0)
 
 
 def make_inclusion(
@@ -141,8 +137,6 @@ def make_inclusion(
     omega_density: np.ndarray,
     label: str = "",
     bratteli: tuple | None = None,
-    seed: int | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> Inclusion:
     """Assemble and validate an :class:`Inclusion`.
 
@@ -158,13 +152,12 @@ def make_inclusion(
             domain=big,
             target=small,
         )
-    check_tol = max(tol, 1e-8)
-    if big.residual(small.onb()) > check_tol:
+    if big.residual(small.onb()) > SPAN_TOL:
         raise InclusionError("the small algebra is not contained in the big one")
     unit_res = frob(expectation.apply(big.unit) - big.unit)
-    if unit_res > check_tol:
+    if unit_res > SPAN_TOL:
         raise InclusionError(f"expectation is not unital (residual {unit_res:.3e})")
-    omega = StateData(density=np.asarray(omega_density, dtype=complex), faithful=True)
+    omega = StateData(density=np.asarray(omega_density, dtype=complex))
     phi = state_through_expectation(big, expectation.matrix, omega.density)
     expectation = CondExpectation(
         matrix=expectation.matrix,
@@ -180,9 +173,8 @@ def make_inclusion(
         phi=phi,
         label=label,
         bratteli=bratteli,
-        seed=seed,
     )
-    rep = inc.validate(tol)
+    rep = inc.validate()
     if not rep["passed"]:
         bad = {k: v for k, v in rep.items() if k != "passed"}
         raise InclusionError(f"inclusion data failed validation: {bad}")
@@ -274,7 +266,7 @@ def _random_positive_in(alg: MMAlgebra, rng: np.random.Generator) -> np.ndarray:
     return (out + dagger(out)) / 2.0
 
 
-def random_inclusion(seed: int, skewed: bool | None = None) -> Inclusion:
+def random_inclusion(seed: int) -> Inclusion:
     """Seeded random multimatrix inclusion with a faithful expectation.
 
     The small algebra's blocks are partitioned among the big algebra's
@@ -285,13 +277,12 @@ def random_inclusion(seed: int, skewed: bool | None = None) -> Inclusion:
     which is the regime where the modular-flow comparison is exact; the
     mirror pairing between those summands still carries unequal weights,
     so non-extremal draws occur.  The ambient dimension is capped at 6.
-    With ``skewed=None`` odd seeds take a non-trace-preserving
-    expectation E₀(k'^{1/2}·k'^{1/2}) for random positive k ∈ N′∩M; it
-    equals the trace-preserving E₀ exactly when k is the unit.
+    Odd seeds take a non-trace-preserving expectation E₀(k'^{1/2}·k'^{1/2})
+    for random positive k ∈ N′∩M, and even seeds the trace-preserving E₀
+    itself (the case k = 1).
     """
     rng = np.random.default_rng(seed)
-    if skewed is None:
-        skewed = bool(seed % 2)
+    skewed = bool(seed % 2)
     while True:
         nb = int(rng.integers(2, 5))
         small_sizes = [int(rng.integers(1, 4)) for _ in range(nb)]
@@ -329,7 +320,6 @@ def random_inclusion(seed: int, skewed: bool | None = None) -> Inclusion:
         omega,
         label=f"random(seed={seed}, skewed={skewed})",
         bratteli=tuple(tuple(int(v) for v in row) for row in mult),
-        seed=seed,
     )
 
 
@@ -345,7 +335,6 @@ def omega_variation(inc: Inclusion, seed: int) -> Inclusion:
         omega,
         label=f"{inc.label}+omega(seed={seed})",
         bratteli=inc.bratteli,
-        seed=inc.seed,
     )
 
 
@@ -411,25 +400,26 @@ def fixture_markov_chain() -> Inclusion:
     )
 
 
-def bratteli_norm_sq(rows: tuple, tol: float = 1e-10, max_iter: int = 10000) -> float:
+def bratteli_norm_sq(rows: tuple) -> float:
     """Squared spectral norm of a multiplicity matrix, by power iteration.
 
     Independent cross-oracle for the index of trace/spectral-weight
-    expectations on connected inclusions.
+    expectations on connected inclusions.  Stops when two estimates differ
+    by less than ``POWER_TOL``, or after ``POWER_MAX_ITER`` steps.
     """
     lam = np.array(rows, dtype=float)
     sym = lam @ lam.T
     v = np.ones(sym.shape[0])
     v /= np.linalg.norm(v)
     value = 0.0
-    for _ in range(max_iter):
+    for _ in range(la.POWER_MAX_ITER):
         w = sym @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         v = w / nw
         new_value = float(v @ sym @ v)
-        if abs(new_value - value) < tol:
+        if abs(new_value - value) < la.POWER_TOL:
             return new_value
         value = new_value
     return value
@@ -765,7 +755,6 @@ def relcomm_report(
     """
     g = bc.gns
     rc = ag.intersect(bc.m1, bc.small_commutant)
-    projs, blocks = rc.central_decomposition()
     mirror = bc.mirror
 
     rc_onb = rc.onb()
@@ -779,8 +768,7 @@ def relcomm_report(
 
     # Functional densities per summand.
     corners = []
-    for z, (size, mult) in zip(projs, blocks):
-        conb = la.orthonormalize(z @ rc_onb @ z)
+    for z, (size, mult), conb in zip(*rc._blocks()):
         rank = int(round(float(np.trace(z).real)))
         r1 = _riesz_density(conb, dw.composite(_traces, conb))
         r2 = _riesz_density(conb, dw.composite(_traces, mirror(conb)))
@@ -864,7 +852,7 @@ def relcomm_report(
         r2 = s["mirror_density"]
         t1 = float(np.trace(r1).real)
         t2 = float(np.trace(r2).real)
-        if abs(t2) < 1e-14:
+        if abs(t2) < la.TRACE_FLOOR:
             mirror_defect = np.inf
             continue
         mirror_defect = max(mirror_defect, frob(r1 / t1 - r2 / t2))
@@ -876,13 +864,6 @@ def relcomm_report(
     # multiple of its unit.
     pair_traces = dw.composite(_traces, rc_onb[:, None] @ rc_onb[None])
     res["weight_trace_defect"] = float(np.abs(pair_traces - pair_traces.T).max())
-    res["generator_scalar_defect"] = max(
-        opnorm(
-            s["generator"]
-            - (float(np.sum(s["spectrum"])) / s["rank"]) * s["projection"]
-        )
-        for s in summands
-    )
     # Unnormalized mirror comparison of the per-summand densities: nonzero
     # exactly when mirror-paired summands carry unequal weight mass.
     res["mirror_functional_defect"] = max(

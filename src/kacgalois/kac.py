@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, frob
+from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob
 
 
 class AxiomError(ValueError):
@@ -316,7 +316,6 @@ def kac_from_structure(
     haar,
     origin: str = "custom",
     group: GroupTable | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> KacAlgebra:
     """Build a :class:`KacAlgebra` from structure tensors.
 
@@ -350,14 +349,14 @@ def kac_from_structure(
     rhs = np.concatenate([eye.reshape(-1), eye.reshape(-1)])
     unit_coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     unit_res = float(np.linalg.norm(lhs @ unit_coeffs - rhs))
-    if unit_res > tol * n:
+    if unit_res > DEFAULT_TOL * n:
         raise AxiomError(f"no two-sided unit in the span (residual {unit_res:.3e})")
 
     # Haar Gram matrix h(bᵢ* bⱼ) and GNS coordinates.
     gram = np.einsum("ip,pjk,k->ij", star, mult, haar, optimize=True)
     gram = (gram + dagger(gram)) / 2.0
     w, u = np.linalg.eigh(gram)
-    if w.min() < tol:
+    if w.min() < DEFAULT_TOL:
         raise AxiomError(
             f"haar functional is not faithful and positive (Gram eigenvalue {w.min():.3e})"
         )
@@ -394,7 +393,7 @@ def kac_from_structure(
 # ---------------------------------------------------------------------------
 
 
-def validate_kac(kac: KacAlgebra, tol: float = 1e-10) -> dict:
+def validate_kac(kac: KacAlgebra, tol: float = TIGHT_TOL) -> dict:
     """Residuals for every defining axiom, at the coefficient-tensor level.
 
     Returns a dict mapping axiom names to non-negative residuals (operator
@@ -568,11 +567,11 @@ def save_kac(kac: KacAlgebra, path: str) -> None:
         fh.write("\n")
 
 
-def load_kac(source, validate: bool = True, tol: float = 1e-10) -> KacAlgebra:
+def load_kac(source, validate: bool = True) -> KacAlgebra:
     """Load a Kac algebra from a JSON path or an already-parsed document.
 
-    Runs the full axiom validator by default and raises :class:`AxiomError`
-    with the residual report if any axiom fails.
+    Runs the full axiom validator by default, at ``TIGHT_TOL``, and raises
+    :class:`AxiomError` with the residual report if any axiom fails.
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -610,9 +609,9 @@ def load_kac(source, validate: bool = True, tol: float = 1e-10) -> KacAlgebra:
         origin=origin, group=group,
     )
     if validate:
-        report = validate_kac(kac, tol=tol)
+        report = validate_kac(kac)
         if not report["passed"]:
             bad = {k: v for k, v in report.items()
-                   if isinstance(v, float) and v >= tol}
+                   if isinstance(v, float) and v >= TIGHT_TOL}
             raise AxiomError(f"axiom violations: {sorted(bad)}", report)
     return kac

@@ -11,11 +11,39 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Default tolerance on operator-norm-normalized residuals.
-DEFAULT_TOL = 1e-9
+# The tolerance table: every numerical threshold of the package, named once.
 
-#: Relative singular-value threshold for rank decisions.
+# Report tiers, read by ``cli.TOLERANCES``; ``--tolerance`` replaces only these.
+#: Limit of exact structural identities (Kac axioms, pentagons).
+TIGHT_TOL = 1e-10
+#: Limit of composed pipelines with a few layers of rounding.
+MID_TOL = 1e-9
+#: Limit of long composed pipelines (biduality, Fourier round trips, flows).
+LOOSE_TOL = 1e-8
+
+# Numerical decisions, taken inside a construction or a certificate.
+#: Relative singular-value cut for rank decisions.
 RANK_RTOL = 1e-8
+#: Absolute floor below which a singular value, norm gain or entry gap is zero.
+ZERO_FLOOR = 1e-12
+#: Cut of structural checks: membership, validation, faithfulness eigenvalues.
+DEFAULT_TOL = 1e-9
+#: Commutator norm, relative to max(1, ‖x‖), below which x commutes with y.
+COMMUTE_RTOL = 1e-10
+#: Residual below which two spans match, a system is closed, a vector is fixed.
+SPAN_TOL = 1e-8
+#: Largest relative residual of the weight pin x·e·y ↦ xy.
+PIN_TOL = 1e-7
+#: Relative floor of a corner density's support, and the extremality margin.
+EXTREMAL_TOL = 1e-8
+#: Eigenvalue cut that reads the range of a (near-)projection.
+PROJ_CUT = 0.5
+#: Trace below which a mirror density counts as zero.
+TRACE_FLOOR = 1e-14
+#: Step between power-iteration estimates that counts as converged.
+POWER_TOL = 1e-10
+#: Iteration cap of the power iteration.
+POWER_MAX_ITER = 10000
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -51,22 +79,18 @@ def _flat_rows(mats) -> np.ndarray:
     return mats.reshape(len(mats), -1)
 
 
-def orthonormalize(mats, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
+def orthonormalize(mats) -> np.ndarray:
     """Frobenius-orthonormal basis of the span of ``mats``.
 
     Deterministic: rows are stacked in input order and reduced by SVD;
-    singular vectors with singular value below ``rtol`` times the largest
-    (or below the absolute floor ``atol``, so numerically-zero inputs yield
-    an empty basis) are dropped.
+    singular vectors with singular value below ``RANK_RTOL`` times the
+    largest (or below ``ZERO_FLOOR``, so numerically-zero inputs yield an
+    empty basis) are dropped.
 
     Parameters
     ----------
     mats : (k, d, d) array or list of ndarray
         Matrices of a common shape (an empty list yields an empty basis).
-    rtol : float
-        Relative rank cutoff.
-    atol : float
-        Absolute rank floor.
 
     Returns
     -------
@@ -78,7 +102,7 @@ def orthonormalize(mats, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.nda
         return np.zeros((0,), dtype=complex)
     shape = np.shape(mats[0])
     _, s, vh = np.linalg.svd(_flat_rows(mats), full_matrices=False)
-    return vh[s > max(rtol * s.max(initial=0.0), atol)].reshape(-1, *shape)
+    return vh[s > max(RANK_RTOL * s.max(initial=0.0), ZERO_FLOOR)].reshape(-1, *shape)
 
 
 def span_distance(onb1, onb2) -> float:
@@ -109,11 +133,11 @@ def span_residual(x: np.ndarray, onb) -> float:
     return frob(x - project_span(x, onb))
 
 
-def intersect_spans(onb1, onb2, cut: float = 0.5) -> np.ndarray:
+def intersect_spans(onb1, onb2) -> np.ndarray:
     """Intersection of two matrix spans.
 
     Computed from the Hermitian operator P₁P₂P₁ on vectorized matrices:
-    eigenvectors with eigenvalue above ``cut`` (default 1/2) span the
+    eigenvectors with eigenvalue above ``PROJ_CUT`` (1/2) span the
     intersection, which is robust to tolerance-level misalignment of the
     two spans.
     """
@@ -124,18 +148,19 @@ def intersect_spans(onb1, onb2, cut: float = 0.5) -> np.ndarray:
     # Compress P1 P2 P1 to the coordinates of span1: M = C C† with C = r1 r2†.
     c = r1 @ dagger(_flat_rows(onb2))
     w, u = np.linalg.eigh(c @ dagger(c))
-    keep = w > cut
+    keep = w > PROJ_CUT
     if not np.any(keep):
         return np.zeros((0,), dtype=complex)
     basis = dagger(u[:, keep]) @ r1  # rows: intersection vectors in ambient coords
     return orthonormalize(basis.reshape(-1, *shape))
 
 
-def null_space(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> np.ndarray:
+def null_space(a: np.ndarray, atol: float = ZERO_FLOOR) -> np.ndarray:
     """Orthonormal basis (columns) of the null space of ``a`` via SVD.
 
-    The rank cutoff is relative to the largest singular value, with an
-    absolute floor so that a numerically zero matrix has full null space.
+    The rank cutoff is ``RANK_RTOL`` relative to the largest singular value,
+    with the absolute floor ``atol`` so that a numerically zero matrix has
+    full null space.
     """
     a = np.asarray(a, dtype=complex)
     if a.shape[0] == 0:
@@ -144,7 +169,7 @@ def null_space(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> n
         # Economy SVD suffices when rows ≥ cols (vh is already square).
         _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
         scale = s[0] if s.size else 0.0
-        rank = int(np.sum(s > max(rtol * scale, atol)))
+        rank = int(np.sum(s > max(RANK_RTOL * scale, atol)))
         return dagger(vh[rank:])
     except np.linalg.LinAlgError:
         # Rare SVD non-convergence: the Gram matrix route always converges,
@@ -155,7 +180,7 @@ def null_space(a: np.ndarray, rtol: float = RANK_RTOL, atol: float = 1e-12) -> n
         w, v = np.linalg.eigh((gram + dagger(gram)) / 2.0)
         scale = float(w.max()) if w.size else 0.0
         eps_floor = np.finfo(float).eps * scale * max(a.shape)
-        keep = w <= max(rtol * rtol * scale, atol * atol, eps_floor)
+        keep = w <= max(RANK_RTOL * RANK_RTOL * scale, atol * atol, eps_floor)
         return v[:, keep]
 
 

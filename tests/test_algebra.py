@@ -195,6 +195,19 @@ def test_stacked_commute_check_agrees_with_the_loop(sample_multimatrix):
         assert ag._commute(mats, others) == commutes_by_loop(mats, others) == expected
 
 
+def test_blocked_commute_check_reads_every_block(sample_multimatrix, monkeypatch):
+    alg = sample_multimatrix
+    comm, others = ag.commutant(alg).onb(), alg.onb()
+    # Four elements of ``comm`` per block: 13 elements run in 4 blocks.
+    monkeypatch.setattr(ag, "_COMMUTE_BLOCK", 4 * others.size)
+    assert len(comm) > 2 * 4
+    assert ag._commute(comm, others)
+    bad = comm.copy()
+    bad[-1] = random_complex(np.random.default_rng(4), *comm.shape[1:])
+    assert not ag._commute(bad, others)
+    assert not ag._commute(comm[:0], others)
+
+
 def test_central_decomposition_block_structure(sample_multimatrix):
     projs, blocks = sample_multimatrix.central_decomposition()
     assert sorted(blocks) == [(1, 3), (2, 2)]

@@ -110,7 +110,7 @@ def subgroup_from_system(kac, coreps, sys):
     fixed = np.ones(n, dtype=bool)
     for mats, rows in zip(pis, sys.spaces):
         moved = np.linalg.norm(mats @ rows.T - rows.T, axis=1)
-        fixed &= np.all(moved <= ci.CLOSURE_TOL, axis=1)
+        fixed &= np.all(moved <= la.SPAN_TOL, axis=1)
     members = np.flatnonzero(fixed)
     h = tuple(members.tolist())
     closed = bool(np.isin(g.table[np.ix_(members, members)], members).all())

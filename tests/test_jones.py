@@ -253,7 +253,7 @@ def test_flow_is_state_independent():
 
 
 def test_skewed_expectation_is_valid_and_state_preserving():
-    inc = jn.random_inclusion(3, skewed=True)
+    inc = jn.random_inclusion(3)
     rep = inc.validate()
     assert rep["passed"]
     assert rep["expectation_state_preserving"] < 1e-9

@@ -191,7 +191,7 @@ def write_group_fixtures(out: str) -> None:
                 raise SystemExit(f"{name} {kind} algebra failed validation")
             path = os.path.join(out, f"{name}_{kind}.json")
             kc.save_kac(kac, path)
-            back = kc.load_kac(path, validate=True, tol=1e-10)
+            back = kc.load_kac(path)
             if back.origin != kac.origin or back.group is None:
                 raise SystemExit(f"{path} did not round-trip its group origin")
             print(f"wrote {path}")
