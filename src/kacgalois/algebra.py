@@ -516,9 +516,8 @@ class StateData:
 
     def gram(self, mats: np.ndarray) -> np.ndarray:
         """The Hermitian part of the Gram matrix φ(a†b) over a stack of matrices."""
-        gram = np.einsum(
-            "ij,akj,bki->ab", self.density, np.conj(mats), mats, optimize=True
-        )
+        k = len(mats)
+        gram = np.conj(mats).reshape(k, -1) @ (mats @ self.density).reshape(k, -1).T
         return (gram + dagger(gram)) / 2.0
 
 
@@ -595,32 +594,33 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     coord = (u * np.sqrt(w)) @ dagger(u)
     coord_inv = (u / np.sqrt(w)) @ dagger(u)
 
+    # Each contraction below is ⟨a, X_b⟩ = Σ conj(a)·X_b over a stack X, one matmul
+    # against the rows of the basis.
+    rows = np.conj(stack).reshape(k, -1)
+
     # Left multiplication in coefficient coordinates, then GNS coordinates.
-    left = np.einsum("aqp,iqr,brp->iab", np.conj(stack), stack, stack, optimize=True)
+    left = ((stack[:, None] @ stack[None]).reshape(k * k, -1) @ rows.T).reshape(k, k, k)
+    left = left.swapaxes(1, 2)  # left[i, a, b] = ⟨a, bᵢ·b⟩
     rep_basis = coord @ left @ coord_inv
     cyclic = coord @ alg.coeffs(alg.unit)
 
     # Modular operator from the density of φ inside the algebra.
     rho = density_in(alg, phi)
     rho_inv = np.linalg.pinv(rho, rcond=RANK_RTOL, hermitian=True)
-    mod_cols = np.einsum(
-        "aqp,qr,brs,sp->ab", np.conj(stack), rho, stack, rho_inv, optimize=True
-    )
+    mod_cols = rows @ (rho @ stack @ rho_inv).reshape(k, -1).T
     modular = coord @ mod_cols @ coord_inv
     modular = (modular + dagger(modular)) / 2.0
 
     # S(xΩ) = x*Ω as conj-linear map v ↦ ms·conj(v); then J = S·Δ^{-1/2}.
-    star_cols = np.einsum("aqp,bpq->ab", np.conj(stack), np.conj(stack), optimize=True)
+    star_cols = rows @ np.conj(stack).swapaxes(1, 2).reshape(k, -1).T
     ms = coord @ star_cols @ np.conj(coord_inv)
     mj = ms @ np.conj(la.herm_power(modular, -0.5))
 
     res = {}
     # Spot check on the first 6×6 basis pairs: ⟨a, bᵢbⱼb⟩ against rep(bᵢ)rep(bⱼ).
     spot = stack[: min(k, 6)]
-    prod_cols = np.einsum(
-        "apq,ijpr,brq->ijab", np.conj(stack), spot[:, None] @ spot[None], stack,
-        optimize=True,
-    )
+    prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
+    prod_cols = (prods.reshape(len(spot), len(spot), k, -1) @ rows.T).swapaxes(2, 3)
     rep_spot = rep_basis[: len(spot)]
     res["rep_multiplicative"] = opnorm(
         rep_spot[:, None] @ rep_spot[None] - coord @ prod_cols @ coord_inv

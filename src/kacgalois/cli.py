@@ -243,7 +243,9 @@ def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
 
     checks = {
         "pentagon": check(_max_float(dd.v.residuals), lim["tight"]),
+        "hat_algebra": check(_max_float(dd.hat.residuals), lim["tight"]),
         "integrals": check(_max_float(dd.ints.residuals), lim["tight"]),
+        "pairing": check(_max_float(dd.pairing_form.residuals), lim["mid"]),
         "hat_unitaries": check(_max_float(hu.residuals), lim["tight"]),
         "dual_reconstruction": check(_max_float(dd.residuals), lim["tight"]),
         "dual_axioms": check(dd.axiom_report["max_residual"], lim["tight"]),
@@ -258,7 +260,9 @@ def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
     report = {
         "dim": kac.dim,
         "pentagon": dd.v.residuals,
+        "hat_algebra": dd.hat.residuals,
         "integrals": dd.ints.residuals,
+        "pairing": dd.pairing_form.residuals,
         "hat_unitaries": hu.residuals,
         "dual_reconstruction": dd.residuals,
         "dual_axioms_max": dd.axiom_report["max_residual"],

@@ -58,6 +58,10 @@ class MultiplicativeUnitary:
     def _hat(self) -> HatAlgebra:
         return _hat_algebra(self.kac, self)
 
+    @cached_property
+    def _delta_hat_index(self) -> tuple | None:
+        return _sandwich_index(self.matrix, self.kac.dim)
+
 
 def _apply_leg12(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return np.einsum("pqrs,rsk...->pqk...", v4, psi, optimize=True)
@@ -89,6 +93,12 @@ _TERM_BLOCK = 1 << 18
 # one: the two meet at 5 % nonzeros at n = 8 and 3.5 % at n = 12 (BLAS on one
 # thread, a Xeon core).  Below n = 5 both take about 0.1 ms.
 _LEG_TERM_COST = 20
+# One term of the sparse dual coproduct (its gather, its product, its share of
+# two bincounts) costs about as much as 50 multiply-adds of the dense
+# W†((1⊗y)W), which takes n⁶ of them: about 15 ns against 0.25–0.3 ns on a
+# Xeon core, BLAS on one thread.  The two meet at about 8 000 terms at n = 8,
+# 55 000 at n = 12 and 250 000 at n = 16.
+_DELTA_TERM_COST = 50
 
 
 def pentagon_residual(v: np.ndarray, n: int) -> float:
@@ -220,10 +230,8 @@ def _sparse_defect_squared(csc: tuple, n: int, pairs: np.ndarray) -> float:
     src, a1 = col[t], r // n
     t, r, w_rhs = _times_v(csc, r % n * n + src % n, w)
     key_rhs = src[t] * nn * n + a1[t] * nn + r
-    _, pos = np.unique(np.concatenate((key_lhs, key_rhs)), return_inverse=True)
-    diff = np.concatenate((w_lhs, -w_rhs))
-    re = np.bincount(pos, diff.real)
-    im = np.bincount(pos, diff.imag)
+    uniq, pos = np.unique(np.concatenate((key_lhs, key_rhs)), return_inverse=True)
+    re, im = _merge(pos, np.concatenate((w_lhs, -w_rhs)), len(uniq))
     return float(re @ re + im @ im)
 
 
@@ -295,10 +303,17 @@ def _merged_frob(keys: np.ndarray, vals: np.ndarray) -> float:
         return 0.0
     uniq, pos = np.unique(keys.reshape(-1), return_inverse=True)
     idx = (pos + len(uniq) * np.arange(k)[:, None]).reshape(-1)
-    vals = vals.reshape(-1)
-    re = np.bincount(idx, vals.real, minlength=k * len(uniq)).reshape(k, -1)
-    im = np.bincount(idx, vals.imag, minlength=k * len(uniq)).reshape(k, -1)
+    re, im = _merge(idx, vals.reshape(-1), k * len(uniq))
+    re, im = re.reshape(k, -1), im.reshape(k, -1)
     return float(np.sqrt((re * re + im * im).sum(1).max()))
+
+
+def _merge(pos: np.ndarray, vals: np.ndarray, size: int) -> tuple:
+    """Real and imaginary sums of the complex ``vals`` at equal ``pos`` (< ``size``)."""
+    return (
+        np.bincount(pos, vals.real, minlength=size),
+        np.bincount(pos, vals.imag, minlength=size),
+    )
 
 
 def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
@@ -313,9 +328,9 @@ def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
 def _multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
     """Construct V from the coproduct and verify its defining properties."""
     n = kac.dim
-    # t4[i, a, b, q] = (δ(bᵢ)(Ω ⊗ e_q))[(a, b)]
-    t4 = np.einsum("ijk,aj,kbq->iabq", kac.delta, kac.coord, kac.lmats, optimize=True)
-    t_mat = t4.transpose(1, 2, 0, 3).reshape(n * n, n * n)
+    # t4[i, a, b, q] = (δ(bᵢ)(Ω ⊗ e_q))[(a, b)] = Σⱼₖ Δ[i,j,k]·coord[a,j]·L(b_k)[b,q]
+    t4 = (kac.coord @ kac.delta).reshape(n * n, n) @ kac.lmats.reshape(n, n * n)
+    t_mat = t4.reshape((n,) * 4).transpose(1, 2, 0, 3).reshape(n * n, n * n)
     eye = np.eye(n, dtype=complex)
     v = t_mat @ np.kron(kac.coord_inv, eye)
 
@@ -377,9 +392,56 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
 
 
 def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
-    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H."""
-    n = v.kac.dim
-    return dagger(v.matrix) @ np.kron(np.eye(n, dtype=complex), y) @ v.matrix
+    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H.
+
+    Summed over V's exact nonzeros when that is the cheaper path, by the
+    index built once per ``v`` (:func:`_sandwich`).
+    """
+    return _sandwich(v.matrix, v._delta_hat_index, y)
+
+
+def _sandwich_index(w: np.ndarray, n: int) -> tuple | None:
+    """The terms of W†(1⊗y)W over W's exact nonzeros, or None when dense is cheaper.
+
+    Two nonzeros W[(p,q),i] and W[(p,t),j] with the same first row leg p give
+    the term conj(W[(p,q),i])·y[q,t]·W[(p,t),j] at (i, j), so with N_p the
+    nonzeros in the rows (p, ·) there are Σ_p N_p² terms, counted before any
+    is formed.  They are kept when ``_DELTA_TERM_COST`` times that count is
+    below the dense path's n⁶ multiply-adds.  Returns the distinct positions,
+    each term's position among them, its entry (q, t) of y and its
+    coefficient conj(W[(p,q),i])·W[(p,t),j].
+    """
+    rows, cols = np.nonzero(w)  # row-major, so each row block p is one run
+    p = rows // n
+    counts = np.bincount(p, minlength=n)
+    if _DELTA_TERM_COST * int(counts @ counts) >= n ** 6:
+        return None
+    # Nonzero a is paired with each of the counts[p] nonzeros b of its block.
+    first = np.cumsum(counts) - counts
+    per = counts[p]
+    a = np.repeat(np.arange(len(rows)), per)
+    b = np.arange(len(a)) + np.repeat(first[p] - (np.cumsum(per) - per), per)
+    uniq, pos = np.unique(cols[a] * n * n + cols[b], return_inverse=True)
+    vals = w[rows, cols]
+    return uniq, pos, rows[a] % n * n + rows[b] % n, np.conj(vals[a]) * vals[b]
+
+
+def _sandwich(w: np.ndarray, index: tuple | None, y: np.ndarray) -> np.ndarray:
+    """W†(1⊗y)W as an n²×n² matrix, from :func:`_sandwich_index`'s ``index`` of W.
+
+    The sparse path merges the index's terms, scaled by y, with two
+    bincounts; the dense one forms (1⊗y)W as one matmul over W's first row
+    leg (n⁵ multiply-adds) and then W†·((1⊗y)W) (n⁶).
+    """
+    n = len(y)
+    if index is None:
+        return dagger(w) @ (y @ w.reshape(n, n, -1)).reshape(n * n, -1)
+    uniq, pos, yidx, coef = index
+    re, im = _merge(pos, coef * y.reshape(-1)[yidx], len(uniq))
+    out = np.zeros(n ** 4, dtype=complex)
+    out.real[uniq] = re
+    out.imag[uniq] = im
+    return out.reshape(n * n, n * n)
 
 
 def kappa_hat(kac: KacAlgebra, y: np.ndarray) -> np.ndarray:
@@ -526,11 +588,12 @@ def hat_unitaries(
             act = max(act, float(np.linalg.norm(lhs - rhs)))
     res["v_hat_defining_action"] = act
 
+    # Ṽ(y⊗1)Ṽ† = W†(1⊗y)W with W = FṼ†, since F(y⊗1)F = 1⊗y.
+    w = dagger(v_tilde).reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
+    index = _sandwich_index(w, n)
     cop = 0.0
-    vt_dag = dagger(v_tilde)
     for y in hat.onb:
-        lhs = v_tilde @ np.kron(y, eye) @ vt_dag
-        cop = max(cop, frob(lhs - delta_hat(v, y)))
+        cop = max(cop, frob(_sandwich(w, index, y) - delta_hat(v, y)))
     res["v_tilde_implements_dual_coproduct"] = cop
     return HatUnitaries(u=u, v_hat=v_hat, v_tilde=v_tilde, residuals=res)
 
@@ -583,29 +646,27 @@ def pairing(
     om_bar = np.conj(ints.omega_hat)
 
     # ⟨x, y⟩ = √n Σ_p (xΩ)_p (yᵀ Ω̂̄)_p  — bilinear in (x, y) by construction.
-    w = np.einsum("aqp,q->ap", ystack, om_bar)  # w[α] = y_αᵀ Ω̂̄
-    p_mat = sq * np.einsum("pi,ap->ia", kac.coord, w)
+    w = om_bar @ ystack  # w[α] = y_αᵀ Ω̂̄
+    p_mat = sq * (w @ kac.coord).T
 
     res = {}
     sv = np.linalg.svd(p_mat, compute_uv=False)
     res["nondegenerate"] = float(max(0.0, DEFAULT_TOL - sv.min() / sv.max()))
 
-    unit_row = sq * np.einsum("p,ap->a", kac.omega, w)
+    unit_row = sq * (w @ kac.omega)
     res["unit_pairs_to_dual_counit"] = float(np.abs(unit_row - counit).max())
-    eye_col = sq * np.einsum("pi,p->i", kac.coord, om_bar)
+    eye_col = sq * (om_bar @ kac.coord)
     res["dual_unit_pairs_to_counit"] = float(np.abs(eye_col - kac.counit).max())
     res["dual_coproduct_membership"] = delta_membership
 
-    # Law 1: ⟨x·x', y⟩ = ⟨x⊗x', δ̂(y)⟩.
-    pv = np.einsum("iac,cj->ija", kac.lmats, kac.coord, optimize=True)  # (bᵢbⱼ)Ω
-    lhs1 = sq * np.einsum("ijp,ap->ija", pv, w, optimize=True)
-    rhs1 = np.einsum("cab,ia,jb->ijc", delta, p_mat, p_mat, optimize=True)
+    # Law 1: ⟨x·x', y⟩ = ⟨x⊗x', δ̂(y)⟩, both sides at [c, i, j].
+    lhs1 = sq * (w @ kac.lmats @ kac.coord).swapaxes(0, 1)  # (bᵢbⱼ)Ω paired with y_c
+    rhs1 = p_mat @ delta @ p_mat.T
     res["pairing_product_vs_dual_coproduct"] = float(np.abs(lhs1 - rhs1).max())
 
-    # Law 2: ⟨x, y·y'⟩ = ⟨δ(x), y⊗y'⟩.
-    yp = np.einsum("bqp,aq->abp", ystack, w, optimize=True)  # (y_a y_b)ᵀ Ω̂̄
-    lhs2 = sq * np.einsum("pi,abp->iab", kac.coord, yp, optimize=True)
-    rhs2 = np.einsum("kij,ia,jb->kab", kac.delta, p_mat, p_mat, optimize=True)
+    # Law 2: ⟨x, y·y'⟩ = ⟨δ(x), y⊗y'⟩, both sides at [k, a, b].
+    lhs2 = sq * (w @ ystack @ kac.coord).transpose(2, 1, 0)  # (y_a y_b)ᵀ Ω̂̄ paired with b_k
+    rhs2 = p_mat.T @ kac.delta @ p_mat
     res["pairing_coproduct_vs_dual_product"] = float(np.abs(lhs2 - rhs2).max())
 
     return PairingForm(
@@ -657,19 +718,18 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     rows = np.conj(ystack).reshape(n, n * n)
     mult = (prods.reshape(n * n, n * n) @ rows.T).reshape(n, n, n)
     res = {"product_membership": 0.0}
-    recon = np.einsum("abc,cpr->abpr", mult, ystack, optimize=True)
-    res["product_membership"] = float(np.abs(recon - prods).max())
+    flat = ystack.reshape(n, n * n)
+    recon = mult.reshape(n * n, n) @ flat
+    res["product_membership"] = float(np.abs(recon - prods.reshape(n * n, n * n)).max())
 
+    # With δ̂(y_c) regrouped as D[(p,r),(q,s)], its coefficients over y_a⊗y_b
+    # are conj(Y)·D·conj(Y)ᵀ and its expansion back is Yᵀ·coeff·Y.
     delta = np.empty((n, n, n), dtype=complex)
     memb = 0.0
     for c in range(n):
-        dh = delta_hat(v, hat.onb[c]).reshape(n, n, n, n)
-        coeff = np.einsum(
-            "apr,bqs,pqrs->ab", np.conj(ystack), np.conj(ystack), dh, optimize=True
-        )
-        delta[c] = coeff
-        back = np.einsum("ab,apr,bqs->pqrs", coeff, ystack, ystack, optimize=True)
-        memb = max(memb, float(np.abs(back - dh).max()))
+        dh = delta_hat(v, ystack[c]).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, n * n)
+        delta[c] = rows @ dh @ rows.T
+        memb = max(memb, float(np.abs(flat.T @ (delta[c] @ flat) - dh).max()))
     res["coproduct_membership"] = memb
 
     counit = np.array([np.vdot(kac.omega, y @ kac.omega) for y in hat.onb])
@@ -685,13 +745,12 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     memb = 0.0
     for i, y in enumerate(hat.onb):
         ky = kappa_hat(kac, y)
-        antipode[i] = np.einsum("bpq,pq->b", np.conj(ystack), ky)
-        back = np.einsum("b,bpq->pq", antipode[i], ystack)
-        memb = max(memb, frob(back - ky))
+        antipode[i] = rows @ ky.reshape(-1)
+        memb = max(memb, frob(antipode[i] @ flat - ky.reshape(-1)))
     res["antipode_membership"] = memb
 
-    star = np.einsum("bpq,apq->ab", np.conj(ystack), np.conj(ystack).transpose(0, 2, 1))
     # star[a, b] = coeff of y_b in y_a† = ⟨y_b, y_a†⟩
+    star = np.conj(ystack).swapaxes(1, 2).reshape(n, n * n) @ rows.T
     haar = np.array([np.trace(y) / n for y in hat.onb])
 
     labels = [f"dual_{i}" for i in range(n)]
@@ -713,6 +772,7 @@ def bidual_check(dd: DualKac) -> dict:
     transport.  Returns per-structure residuals and their maximum.
     """
     kac = dd.v.kac
+    n = kac.dim
     d2 = dual_kac(dd.kac)
     p1 = dd.pairing_form.matrix
     p2 = d2.pairing_form.matrix
@@ -722,30 +782,16 @@ def bidual_check(dd: DualKac) -> dict:
     dd1, dd2 = kac.delta, d2.kac.delta
     res = {}
     res["unit"] = float(np.abs(t @ kac.unit_coeffs - d2.kac.unit_coeffs).max())
+    # The product compared at [c, i, j], the coproduct at [k, a, b].
     res["product"] = float(
-        np.abs(
-            np.einsum("ai,bj,abc->ijc", t, t, m2, optimize=True)
-            - np.einsum("ijk,ck->ijc", m1, t, optimize=True)
-        ).max()
+        np.abs(t.T @ m2.transpose(2, 0, 1) @ t - (m1 @ t.T).transpose(2, 0, 1)).max()
     )
     res["coproduct"] = float(
-        np.abs(
-            np.einsum("ck,cab->kab", t, dd2, optimize=True)
-            - np.einsum("kij,ai,bj->kab", dd1, t, t, optimize=True)
-        ).max()
+        np.abs((t.T @ dd2.reshape(n, n * n)).reshape(n, n, n) - t @ dd1 @ t.T).max()
     )
     res["counit"] = float(np.abs(d2.kac.counit @ t - kac.counit).max())
-    res["antipode"] = float(
-        np.abs(
-            np.einsum("ai,ab->ib", t, d2.kac.antipode)
-            - kac.antipode @ t.T
-        ).max()
-    )
-    res["star"] = float(
-        np.abs(
-            np.einsum("ai,ab->ib", np.conj(t), d2.kac.star) - kac.star @ t.T
-        ).max()
-    )
+    res["antipode"] = float(np.abs(t.T @ d2.kac.antipode - kac.antipode @ t.T).max())
+    res["star"] = float(np.abs(np.conj(t).T @ d2.kac.star - kac.star @ t.T).max())
     res["haar"] = float(np.abs(d2.kac.haar @ t - kac.haar).max())
     res["max_residual"] = max(res.values())
     return res
@@ -772,7 +818,7 @@ def group_dual_check(dd: DualKac) -> dict:
     res["dual_commutative"] = comm
 
     pinv = np.linalg.inv(dd.pairing_form.matrix)
-    wg = np.einsum("ag,apq->gpq", pinv, hat.onb, optimize=True)
+    wg = np.tensordot(pinv, hat.onb, axes=(0, 0))
 
     idem = 0.0
     for x in range(n):

@@ -388,3 +388,39 @@ def test_rep_multiplicative_matches_entrywise_loop(kp8):
         value = g.residuals["rep_multiplicative"]
         assert abs(value - _rep_multiplicative_by_loop(g)) < 1e-13
         assert value < 1e-10
+
+
+def einsum_gns_parts(alg: ag.MMAlgebra, phi: ag.StateData) -> dict:
+    """Reference: the Gram matrix and the three coefficient contractions of ``gns``
+    in their einsum form."""
+    s = alg.onb()
+    c = np.conj(s)
+    rho = ag.density_in(alg, phi)
+    rho_inv = np.linalg.pinv(rho, rcond=la.RANK_RTOL, hermitian=True)
+    gram = np.einsum("ij,akj,bki->ab", phi.density, c, s, optimize=True)
+    return {
+        "gram": (gram + la.dagger(gram)) / 2.0,
+        "left": np.einsum("aqp,iqr,brp->iab", c, s, s, optimize=True),
+        "modular": np.einsum("aqp,qr,brs,sp->ab", c, rho, s, rho_inv, optimize=True),
+        "star": np.einsum("aqp,bpq->ab", c, c, optimize=True),
+    }
+
+
+def test_gns_contractions_match_the_einsum_oracle(kp8):
+    inc = jn.random_inclusion(11)
+    for alg, phi in ((kp8.as_mm(), ag.trace_state(kp8.dim)), (inc.big, inc.phi)):
+        want = einsum_gns_parts(alg, phi)
+        g = ag.gns(alg, phi)
+        c, ci = g.coord, g.coord_inv
+        modular = c @ want["modular"] @ ci
+        got = {
+            "gram": phi.gram(alg.onb()),
+            "left": g.rep_basis,
+            "modular": g.modular,
+            "star": g.mj @ np.conj(la.herm_power(g.modular, 0.5)),
+        }
+        want["left"] = c @ want["left"] @ ci
+        want["modular"] = (modular + la.dagger(modular)) / 2.0
+        want["star"] = c @ want["star"] @ np.conj(ci)
+        for key, value in got.items():
+            assert np.abs(value - want[key]).max() <= 1e-12 * max(1.0, np.abs(want[key]).max()), key

@@ -1,6 +1,7 @@
 """Regular multiplicative unitaries, integrals, pairing, and biduality."""
 
 import functools
+import inspect
 from importlib import resources
 
 import numpy as np
@@ -332,6 +333,126 @@ def test_the_biduals_leg_commutator_takes_the_einsum_path(kp8, dual_of, leg_path
     )
     assert leg_paths == ["_leg_commutator_einsum"]
     assert value == hat.residuals["v_in_hat_tensor_a"] < 1e-10
+
+
+def kronecker_sandwich(w, y):
+    """Reference W†(1⊗y)W with an explicit Kronecker operator."""
+    return la.dagger(w) @ np.kron(np.eye(len(y)), y) @ w
+
+
+def sandwich_paths(w, n, monkeypatch):
+    """:func:`du._sandwich`'s sparse index of ``w``, whatever its cost, and the dense path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(du, "_DELTA_TERM_COST", 0)
+        return du._sandwich_index(w, n), None
+
+
+def random_square(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_sparse_dual_coproduct_is_the_kronecker_one(three_unitaries, monkeypatch, name):
+    n, unitaries = three_unitaries[name]
+    y = random_square(n, seed=n)
+    for v, *_ in unitaries:
+        for w in (v, perturbed_nonzeros(v, seed=n, size=1e-3)):
+            want = kronecker_sandwich(w, y)
+            for index in sandwich_paths(w, n, monkeypatch):
+                got = du._sandwich(w, index, y)
+                assert np.abs(got - want).max() <= 1e-13 * la.frob(y)
+
+
+@pytest.fixture
+def delta_paths(monkeypatch):
+    """The dual-coproduct paths that run, in call order."""
+    ran = []
+
+    def spy(w, index, y, fn=du._sandwich):
+        ran.append("dense" if index is None else "sparse")
+        return fn(w, index, y)
+
+    monkeypatch.setattr(du, "_sandwich", spy)
+    return ran
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_dual_coproduct_path_follows_the_term_count(
+    algebras, kp8, ladder_algebras, delta_paths, name
+):
+    kac = dict(algebras, kp8=kp8, **ladder_algebras)[name]
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    y = random_square(n, seed=1)
+    got = du.delta_hat(v, y)
+    # Σ_p N_p² pairs, N_p the nonzeros in V's rows (p, ·); with one nonzero
+    # per column N_p = n, so n³ of them.
+    blocks = np.bincount(np.flatnonzero(v.matrix) // n**3, minlength=n)
+    terms = blocks @ blocks
+    assert terms == (4352 if name == "kp8" else n**3)
+    sparse = bool(du._DELTA_TERM_COST * terms < n**6)
+    assert sparse is (n >= 4)
+    assert delta_paths == ["sparse" if sparse else "dense"]
+    if sparse:
+        assert len(v._delta_hat_index[1]) == terms
+    assert np.abs(got - kronecker_sandwich(v.matrix, y)).max() <= 1e-13 * la.frob(y)
+
+
+def test_the_biduals_dual_coproduct_takes_the_dense_path(kp8, dual_of, delta_paths, monkeypatch):
+    n = kp8.dim
+    v = du.multiplicative_unitary(dual_of(kp8).kac)
+    delta_paths.clear()
+    blocks = np.bincount(np.flatnonzero(v.matrix) // n**3, minlength=n)
+    assert np.count_nonzero(v.matrix) > n**4 // 2
+    assert du._DELTA_TERM_COST * (blocks @ blocks) >= n**6
+    y = random_square(n, seed=2)
+    want = kronecker_sandwich(v.matrix, y)
+    assert np.abs(du.delta_hat(v, y) - want).max() <= 1e-13 * la.frob(y)
+    assert delta_paths == ["dense"] and v._delta_hat_index is None
+    index, _ = sandwich_paths(v.matrix, n, monkeypatch)
+    assert len(index[1]) == blocks @ blocks
+    assert np.abs(du._sandwich(v.matrix, index, y) - want).max() <= 1e-13 * la.frob(y)
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_dual_coproduct_coefficients_match_the_einsum_oracle(
+    algebras, kp8, ladder_algebras, dual_of, name
+):
+    dd = dual_of(dict(algebras, kp8=kp8, **ladder_algebras)[name])
+    n, ys = dd.kac.dim, dd.hat.onb
+    for c in range(n):
+        dh = kronecker_sandwich(dd.v.matrix, ys[c]).reshape(n, n, n, n)
+        want = np.einsum("apr,bqs,pqrs->ab", np.conj(ys), np.conj(ys), dh, optimize=True)
+        assert np.abs(dd.kac.delta[c] - want).max() <= 1e-13
+
+
+@pytest.fixture
+def einsum_plans(monkeypatch):
+    """The subscripts of every einsum planned (``optimize`` set), in call order."""
+    plans = []
+    # np.einsum looks the planner up in its own module's globals.
+    namespace = inspect.unwrap(np.einsum).__globals__
+    real = namespace["einsum_path"]
+
+    def spy(*args, **kwargs):
+        plans.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(namespace, "einsum_path", spy)
+    return plans
+
+
+def test_the_einsum_plan_spy_sees_a_plan(einsum_plans):
+    np.einsum("ij,jk,kl->il", *np.ones((3, 2, 2)), optimize=True)
+    assert einsum_plans == ["ij,jk,kl->il"]
+
+
+def test_validation_and_the_dual_plan_no_einsum(einsum_plans):
+    kac = fresh_kp8()
+    kc.validate_kac(kac)
+    du.dual_kac(kac)
+    assert einsum_plans == []
 
 
 def fresh_kp8():

@@ -234,3 +234,79 @@ def test_coefficient_operator_round_trip(algebras):
     rng = np.random.default_rng(3)
     c = rng.standard_normal(kac.dim) + 1j * rng.standard_normal(kac.dim)
     np.testing.assert_allclose(kac.coeffs_of(kac.op(c)), c, atol=1e-9)
+
+
+def einsum_validate_kac(kac):
+    """Reference: every tensor-level residual of ``validate_kac`` in its einsum form."""
+    m, d = kac.mult, kac.delta
+    eps, s, st, h, u = kac.counit, kac.antipode, kac.star, kac.haar, kac.unit_coeffs
+    n = kac.dim
+    eps_u = np.outer(eps, u)
+    hm = np.einsum("ijk,k->ij", m, h)
+    gram = np.einsum("ip,pjk,k->ij", st, m, h, optimize=True)
+    gram = (gram + gram.conj().T) / 2.0
+
+    def top(x):
+        return float(np.abs(x).max())
+
+    return {
+        "product_associative": top(
+            np.einsum("ijk,klr->ijlr", m, m) - np.einsum("jlk,ikr->ijlr", m, m)
+        ),
+        "coproduct_coassociative": top(
+            np.einsum("kac,aef->kefc", d, d) - np.einsum("kea,afc->kefc", d, d)
+        ),
+        "counit_left": top(np.einsum("kij,i->kj", d, eps) - np.eye(n)),
+        "counit_right": top(np.einsum("kij,j->ki", d, eps) - np.eye(n)),
+        "coproduct_multiplicative": top(
+            np.einsum("ijk,kef->ijef", m, d)
+            - np.einsum("iab,ace,jcq,bqf->ijef", d, m, d, m, optimize=True)
+        ),
+        "coproduct_unital": top(np.einsum("k,kij->ij", u, d) - np.outer(u, u)),
+        "coproduct_star": top(
+            np.einsum("ip,pab->iab", st, d)
+            - np.einsum("iab,ap,bq->ipq", np.conj(d), st, st, optimize=True)
+        ),
+        "counit_multiplicative": top(np.einsum("ijk,k->ij", m, eps) - np.outer(eps, eps)),
+        "antipode_left": top(np.einsum("kab,ap,pbr->kr", d, s, m, optimize=True) - eps_u),
+        "antipode_right": top(np.einsum("kab,bp,apr->kr", d, s, m, optimize=True) - eps_u),
+        "antipode_antimultiplicative": top(
+            np.einsum("ijk,kr->ijr", m, s) - np.einsum("ja,ib,abr->ijr", s, s, m, optimize=True)
+        ),
+        "haar_tracial": top(hm - hm.T),
+        "haar_left_invariant": top(np.einsum("kab,a->kb", d, h) - np.outer(h, u)),
+        "haar_right_invariant": top(np.einsum("kab,b->ka", d, h) - np.outer(h, u)),
+        "haar_positive_faithful": max(0.0, 1e-10 - float(np.linalg.eigvalsh(gram).min())),
+        "star_antimultiplicative": top(
+            np.einsum("ijk,kr->ijr", np.conj(m), st)
+            - np.einsum("jq,ip,qpr->ijr", st, st, m, optimize=True)
+        ),
+    }
+
+
+def perturbed_tensors(kac, seed, size):
+    """``kac`` with seeded complex noise of scale ``size`` on all six structure tensors."""
+    rng = np.random.default_rng(seed)
+    fields = ("mult", "delta", "counit", "antipode", "star", "haar")
+    return dataclasses.replace(kac, **{
+        f: getattr(kac, f) + size * (
+            rng.standard_normal(getattr(kac, f).shape)
+            + 1j * rng.standard_normal(getattr(kac, f).shape)
+        )
+        for f in fields
+    })
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES + ("kp8",))
+def test_validator_contractions_match_the_einsum_oracle(algebras, kp8, name):
+    """Only the order of the sums differs.  Perturbed by 1e-6, the residuals
+    cancel to about 1e-6 from terms of size 1, so they agree to 1e-12 of
+    the tensors' scale (about 1e-10 of the residuals themselves)."""
+    kac = kp8 if name == "kp8" else algebras[name]
+    broken = perturbed_tensors(kac, seed=kac.dim, size=1e-6)
+    for case in (kac, broken):
+        got = kc.validate_kac(case)
+        for key, want in einsum_validate_kac(case).items():
+            assert abs(got[key] - want) <= 1e-12, (key, got[key], want)
+    assert min(kc.validate_kac(broken)[key] for key in einsum_validate_kac(kac)
+               if key != "haar_positive_faithful") > 1e-7
