@@ -20,8 +20,10 @@ checked.  V is built and certified once per :class:`KacAlgebra` instance,
 and Â once per V built from that same instance; later callers (the dual,
 the corepresentations, the auxiliary unitaries) get the same objects, whose
 arrays are read-only.  The pentagon and the commutation-cell memberships are
-exact Frobenius norms, computed on V's exact nonzero pattern when the work
-counted on that pattern is the smaller.
+exact Frobenius norms, and the dual coproduct δ̂(y) = V†(1⊗y)V is an exact
+sum; each is computed on V's exact nonzero pattern when the work counted on
+that pattern is the smaller.  Every other contraction on the path from V to
+the validated dual is a fixed reshape and matmul.
 """
 
 from __future__ import annotations
@@ -392,10 +394,12 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
 
 
 def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
-    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H.
+    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H, as an n²×n² matrix.
 
-    Summed over V's exact nonzeros when that is the cheaper path, by the
-    index built once per ``v`` (:func:`_sandwich`).
+    Summed over the pairs of V's exact nonzeros that share a first row leg,
+    from an index built once per ``v``, when their count times
+    ``_DELTA_TERM_COST`` is below the dense path's n⁶ multiply-adds; the
+    dense path forms no Kronecker operator (:func:`_sandwich`).
     """
     return _sandwich(v.matrix, v._delta_hat_index, y)
 
@@ -702,10 +706,14 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
 
     Structure tensors over the deterministic orthonormal basis of Â:
     products and stars by orthonormal expansion, the coproduct from
-    V†(1⊗y)V, the counit from the action on Ω, the antipode from J(·)*J,
-    and the Haar vector from the normalized trace.  The resulting tensors
-    are materialized through their own GNS construction and the full axiom
-    validator is run on the result.
+    V†(1⊗y)V (:func:`delta_hat`), the counit from the action on Ω, the
+    antipode from J(·)*J, and the Haar vector from the normalized trace.
+    With Y the basis as n×n² rows, the coproduct of y_c has the coefficients
+    conj(Y)·D·conj(Y)ᵀ, D being δ̂(y_c) regrouped as D[(p,r),(q,s)], one basis
+    element at a time; ``coproduct_membership`` is the largest entry of
+    D − Yᵀ·coeff·Y over all c.  The resulting tensors are materialized
+    through their own GNS construction and the full axiom validator is run
+    on the result.
     """
     n = kac.dim
     v = multiplicative_unitary(kac)

@@ -191,3 +191,17 @@ def test_each_duality_object_is_built_once(monkeypatch, algebras, run, builds):
         monkeypatch.setattr(du, name, counted)
     run(algebras["s3_group"])
     assert calls == {"multiplicative_unitary": builds, "dual_kac": builds}
+
+
+@pytest.mark.parametrize("name", ["s3_function", "kp8"])
+def test_dual_gates_the_slice_algebra_and_the_pairing(algebras, kp8, name):
+    kac = kp8 if name == "kp8" else algebras[name]
+    report, passed = cli.run_dual(kac, None)
+    dd = du.dual_kac(kac)
+    assert passed
+    assert report["hat_algebra"] == dd.hat.residuals
+    assert report["pairing"] == dd.pairing_form.residuals
+    checks = report["checks"]
+    assert checks["hat_algebra"] == cli.check(cli._max_float(dd.hat.residuals), 1e-10)
+    assert checks["pairing"] == cli.check(cli._max_float(dd.pairing_form.residuals), 1e-9)
+    assert checks["hat_algebra"]["ok"] and checks["pairing"]["ok"]
