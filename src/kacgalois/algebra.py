@@ -45,6 +45,12 @@ class NoExpectationError(RuntimeError):
         )
         self.residual = residual
 
+    def __reduce__(self):
+        # The default rebuilds from the formatted message, which __init__
+        # cannot take; rebuild from the residual so the error crosses a
+        # process boundary unchanged.
+        return type(self), (self.residual,)
+
 
 class MMAlgebra:
     """A unital *-closed algebra of d×d matrices.
@@ -341,11 +347,10 @@ def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlg
         # Soundness: every solution commutes with every constraint.
         # Completeness (necessary condition): the algebra's own unit commutes
         # with everything it contains, so a span missing it was under-computed.
-        good = _commute(mats, constraint_mats) and (
-            la.span_residual(alg.unit, la.orthonormalize(mats)) < SPAN_TOL
-        )
-        if good:
-            return from_span(mats, alg.ambient_dim, unit=alg.unit)
+        if _commute(mats, constraint_mats):
+            span = la.orthonormalize(mats)
+            if la.span_residual(alg.unit, span) < SPAN_TOL:
+                return from_onb(span, alg.ambient_dim, unit=alg.unit)
     return from_span(solve(constraint_mats), alg.ambient_dim, unit=alg.unit)
 
 

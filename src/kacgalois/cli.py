@@ -1,10 +1,11 @@
 """Command-line interface: load, validate, compute, and report.
 
-This is the only process boundary of the artifact.  Every command reads a
-JSON input (except ``selftest``), runs the corresponding computations, and
-emits a report document.  JSON is the canonical format (deterministic:
-sorted keys, fixed indentation); ``--format text`` renders the same
-document for human reading.
+Every command reads a JSON input (except ``selftest``), runs the
+corresponding computations, and emits a report document.  ``selftest`` runs
+its independent slices on forked worker processes, up to one per available
+CPU, and assembles the same report bytes as a run on one CPU.  JSON is the
+canonical format (deterministic: sorted keys, fixed indentation);
+``--format text`` renders the same document for human reading.
 
 Exit codes: 0 when every check in the report passed, 1 when some check
 failed, 2 on parse or validation errors (with a machine-readable error
@@ -27,9 +28,12 @@ for _var in (
     os.environ.setdefault(_var, "1")
 
 import argparse
+import functools
 import hashlib
 import json
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -396,6 +400,7 @@ def _jones_pipeline(
         "generator_trace_balance": check(r["trace_transport"], lim["loose"]),
         "generator_positive": check(-r["generator_min_eig"], lim["mid"]),
         "extremality_criteria_agree": check_true(ext["criteria_agree"]),
+        "gns": check(_max_float(bc.gns.residuals), lim["mid"]),
     }
     report = {
         "inclusion": {
@@ -409,6 +414,7 @@ def _jones_pipeline(
             "m1_dim": bc.m1.dim,
             "residuals": bc.residuals,
         },
+        "gns": bc.gns.residuals,
         "dual_weight": {
             "index_trace": float(np.trace(dw.index_element).real),
             "index_eigenvalues": [float(x) for x in index_eigs],
@@ -557,20 +563,8 @@ def _selftest_fixture_inclusion(
     return doc, doc["passed"]
 
 
-def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
-    report: dict = {"groups": {}, "inclusion_fixtures": {}, "random_inclusions": {}}
-    ok = True
-
-    for name, builder in GROUP_BUILDERS:
-        g = builder()
-        ga_doc, ga_ok = _selftest_algebra(kc.group_algebra(g), tol, seed)
-        fa_doc, fa_ok = _selftest_algebra(kc.function_algebra(g), tol, seed)
-        report["groups"][name] = {
-            "group_algebra": ga_doc,
-            "function_algebra": fa_doc,
-        }
-        ok = ok and ga_ok and fa_ok
-
+def _selftest_kp8(tol: float | None) -> tuple[dict, bool]:
+    """The Kac–Paljutkin slice: axioms, pentagon and corepresentation dims."""
     kp_doc = json.loads(
         resources.files("kacgalois").joinpath("fixtures/kp8.json").read_text()
     )
@@ -586,68 +580,131 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
             sorted(c.dim for c in coreps) == [1, 1, 1, 1, 2]
         ),
     }
-    report["kac_paljutkin"] = {
+    doc = {
         "dim": kp.dim,
         "corep_dims": sorted(c.dim for c in coreps),
         "checks": kp_checks,
         "passed": _all_ok(kp_checks),
     }
-    ok = ok and report["kac_paljutkin"]["passed"]
+    return doc, doc["passed"]
 
-    fixtures = [
-        (
-            "scaled_pair_third",
-            jn.fixture_scaled_pair(1.0 / 3.0),
-            {
-                "index_trace": 4.5,
-                "index_eigenvalues": [1.5, 3.0],
-                "squared_spectrum": [0.5, 2.0],
-                "extremal": False,
-            },
-        ),
-        (
-            "scaled_pair_half",
-            jn.fixture_scaled_pair(0.5),
-            {"index_trace": 4.0, "extremal": True},
-        ),
-        (
-            "point_in_full",
-            jn.fixture_point_in_full(),
-            {"extremal": True, "markov_index": True},
-        ),
-        ("pinch", jn.fixture_pinch(), {"extremal": True, "markov_index": True}),
-        (
-            "markov_chain",
-            jn.fixture_markov_chain(),
-            {"extremal": True, "markov_index": True},
-        ),
+
+def _selftest_random_inclusion(draw: int, tol: float | None) -> tuple[dict, bool]:
+    """One random draw through the pipeline, and its flow against an ω-variation."""
+    lim = limits(tol)
+    inc = jn.random_inclusion(draw)
+    doc, _ = _jones_pipeline(inc, tol)
+    doc["checks"]["flow_matches_generator_orbit"] = check(
+        doc["flow_generators"]["flow_match"], lim["loose"]
+    )
+    rep2 = jn.jones_chain(jn.omega_variation(inc, draw + 1)).report
+    spec_dist = float(
+        np.abs(
+            jn.flow_spectrum(rep2)
+            - np.asarray(doc["flow_generators"]["assembled_spectrum"])
+        ).max()
+    )
+    doc["checks"]["state_independent_spectrum"] = check(spec_dist, lim["loose"])
+    doc["checks"]["state_independent_flow"] = check(
+        rep2.residuals["flow_match"], lim["loose"]
+    )
+    doc["passed"] = _all_ok(doc["checks"])
+    return doc, doc["passed"]
+
+
+SELFTEST_FIXTURES = {
+    "scaled_pair_third": (
+        lambda: jn.fixture_scaled_pair(1.0 / 3.0),
+        {
+            "index_trace": 4.5,
+            "index_eigenvalues": [1.5, 3.0],
+            "squared_spectrum": [0.5, 2.0],
+            "extremal": False,
+        },
+    ),
+    "scaled_pair_half": (
+        lambda: jn.fixture_scaled_pair(0.5),
+        {"index_trace": 4.0, "extremal": True},
+    ),
+    "point_in_full": (
+        jn.fixture_point_in_full,
+        {"extremal": True, "markov_index": True},
+    ),
+    "pinch": (jn.fixture_pinch, {"extremal": True, "markov_index": True}),
+    "markov_chain": (
+        jn.fixture_markov_chain,
+        {"extremal": True, "markov_index": True},
+    ),
+}
+
+
+def _selftest_keys(seed: int) -> list[tuple]:
+    """The selftest's independent slices, in report order, as picklable keys."""
+    return [
+        *(("algebra", name, side) for name, _ in GROUP_BUILDERS
+          for side in ("group_algebra", "function_algebra")),
+        ("kp8",),
+        *(("fixture", name) for name in SELFTEST_FIXTURES),
+        ("random", 2 * seed),
+        ("random", 2 * seed + 1),
     ]
-    for name, inc, expect in fixtures:
-        doc, f_ok = _selftest_fixture_inclusion(inc, tol, expect)
-        report["inclusion_fixtures"][name] = doc
-        ok = ok and f_ok
 
-    for draw in (2 * seed, 2 * seed + 1):
-        inc = jn.random_inclusion(draw)
-        doc, r_ok = _jones_pipeline(inc, tol)
-        doc["checks"]["flow_matches_generator_orbit"] = check(
-            doc["flow_generators"]["flow_match"], lim["loose"]
-        )
-        rep2 = jn.jones_chain(jn.omega_variation(inc, draw + 1)).report
-        spec_dist = float(
-            np.abs(
-                jn.flow_spectrum(rep2)
-                - np.asarray(doc["flow_generators"]["assembled_spectrum"])
-            ).max()
-        )
-        doc["checks"]["state_independent_spectrum"] = check(spec_dist, lim["loose"])
-        doc["checks"]["state_independent_flow"] = check(
-            rep2.residuals["flow_match"], lim["loose"]
-        )
-        doc["passed"] = _all_ok(doc["checks"])
-        report["random_inclusions"][f"seed_{draw}"] = doc
-        ok = ok and doc["passed"]
 
+def _selftest_task(key: tuple, tol: float | None, seed: int) -> tuple[dict, bool]:
+    """Build the inputs of one selftest slice and run it: ``(doc, passed)``."""
+    kind = key[0]
+    if kind == "algebra":
+        g = dict(GROUP_BUILDERS)[key[1]]()
+        build = kc.group_algebra if key[2] == "group_algebra" else kc.function_algebra
+        return _selftest_algebra(build(g), tol, seed)
+    if kind == "kp8":
+        return _selftest_kp8(tol)
+    if kind == "fixture":
+        make, expect = SELFTEST_FIXTURES[key[1]]
+        return _selftest_fixture_inclusion(make(), tol, expect)
+    return _selftest_random_inclusion(key[1], tol)
+
+
+def _longest_first(key: tuple) -> int:
+    """Submission rank of a slice: Q8's, S3's and the random draws, the slowest, first."""
+    head = key[1] if key[0] == "algebra" else key[0]
+    return {"Q8": 0, "S3": 1, "random": 2}.get(head, 3)
+
+
+def _map_tasks(task, keys: list) -> list:
+    """``task`` over ``keys``, results in key order, on one worker per CPU.
+
+    Workers are forked: the slices are Python-bound calls on small matrices,
+    so threads would serialize on the interpreter lock, and spawned workers
+    would each re-import numpy and the package.  The process holds no thread
+    that fork could break (BLAS is pinned to one), every slice seeds its own
+    generators, and the BLAS pin is inherited, so the results are the same
+    bytes as in one process.  Results are read in key order, so an exception
+    reaches the caller as it would from a sequential run.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(keys))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(task, keys))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {key: pool.submit(task, key) for key in sorted(keys, key=_longest_first)}
+        return [futures[key].result() for key in keys]
+
+
+def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
+    keys = _selftest_keys(seed)
+    results = _map_tasks(functools.partial(_selftest_task, tol=tol, seed=seed), keys)
+    report: dict = {"groups": {}, "inclusion_fixtures": {}, "random_inclusions": {}}
+    for key, (doc, _) in zip(keys, results):
+        if key[0] == "algebra":
+            report["groups"].setdefault(key[1], {})[key[2]] = doc
+        elif key[0] == "kp8":
+            report["kac_paljutkin"] = doc
+        elif key[0] == "fixture":
+            report["inclusion_fixtures"][key[1]] = doc
+        else:
+            report["random_inclusions"][f"seed_{key[1]}"] = doc
+    ok = all(passed for _, passed in results)
     report["passed"] = ok
     return report, ok
 

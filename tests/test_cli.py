@@ -2,6 +2,9 @@
 
 import collections
 import json
+import multiprocessing
+import os
+import pickle
 import subprocess
 import sys
 from importlib import resources
@@ -10,6 +13,9 @@ import pytest
 
 from kacgalois import cli
 from kacgalois import duality as du
+from kacgalois.algebra import NoExpectationError, ShapeError, SubalgebraError
+from kacgalois.jones import InclusionError
+from kacgalois.kac import AxiomError
 
 FIXTURES = resources.files("kacgalois") / "fixtures"
 
@@ -205,3 +211,74 @@ def test_dual_gates_the_slice_algebra_and_the_pairing(algebras, kp8, name):
     assert checks["hat_algebra"] == cli.check(cli._max_float(dd.hat.residuals), 1e-10)
     assert checks["pairing"] == cli.check(cli._max_float(dd.pairing_form.residuals), 1e-9)
     assert checks["hat_algebra"]["ok"] and checks["pairing"]["ok"]
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        NoExpectationError(1.5e-3),
+        AxiomError("coproduct is not coassociative", {"coassociativity": 0.5}),
+        SubalgebraError("claimed subalgebra is not contained in the algebra"),
+        InclusionError("missing required field 'E_matrix'"),
+        ShapeError("generator has shape (2, 3), expected (2,2)"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_errors_survive_pickling(exc):
+    # A selftest slice's error crosses the worker boundary by pickle.
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert vars(back) == vars(exc)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+def test_selftest_on_one_cpu_is_the_same_bytes():
+    def run(preexec_fn=None):
+        return subprocess.run(
+            [sys.executable, "-m", "kacgalois", "selftest", "--seed", "7"],
+            capture_output=True,
+            timeout=300,
+            preexec_fn=preexec_fn,
+        )
+
+    one_cpu = min(os.sched_getaffinity(0))
+    pinned = run(lambda: os.sched_setaffinity(0, {one_cpu}))
+    free = run()
+    assert pinned.returncode == free.returncode == 0, free.stderr
+    assert pinned.stdout == free.stdout
+
+
+@pytest.fixture(params=[1, 2], ids=["one_cpu", "two_cpus"])
+def cpus(request, monkeypatch):
+    """Run selftest slices in process (one CPU) or on two forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)), raising=False)
+    return request.param
+
+
+def test_selftest_workers_are_gone_when_it_returns(monkeypatch, tmp_path, cpus):
+    # Stub the per-algebra slices so each reports the process it ran in.
+    monkeypatch.setattr(cli, "_selftest_algebra", lambda kac, tol, seed: ({"pid": os.getpid()}, True))
+    out = tmp_path / "report.json"
+    assert cli.main(["selftest", "--output", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    groups = json.loads(out.read_text())["report"]["groups"]
+    pids = {doc["pid"] for pair in groups.values() for doc in pair.values()}
+    assert (os.getpid() in pids) == (cpus == 1)
+
+
+def test_a_slice_error_reaches_main_as_in_process(monkeypatch, capsys, cpus):
+    # Every per-algebra slice fails with its own message; the first in
+    # report order (Z2's group algebra, dim 2) is reported, although the
+    # workers start Q8's slices (dim 8) first.
+    def fail(kac, tol, seed):
+        raise NoExpectationError(kac.dim * 1e-3)
+
+    monkeypatch.setattr(cli, "_selftest_algebra", fail)
+    assert cli.main(["selftest"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == {
+        "type": "NoExpectationError",
+        "message": str(NoExpectationError(2e-3)),
+    }
+    assert multiprocessing.active_children() == []

@@ -30,6 +30,23 @@ def test_fundamental_unitary_pentagon_on_bundled_algebra(kp8):
     assert v.residuals["unitary"] < 1e-10
 
 
+@pytest.mark.parametrize("name", [*ALGEBRA_NAMES, "kp8"])
+def test_leg_matmul_unitary_is_the_kronecker_one(algebras, kp8, dual_of, name):
+    # V = T·(coord⁻¹⊗1) and the defining-action matrix V·(coord⊗1) − T, as
+    # the Kronecker products define them, on the bundled algebra and its dual.
+    base = kp8 if name == "kp8" else algebras[name]
+    for kac in (base, dual_of(base).kac):
+        n = kac.dim
+        t4 = (kac.coord @ kac.delta).reshape(n * n, n) @ kac.lmats.reshape(n, n * n)
+        t = t4.reshape((n,) * 4).transpose(1, 2, 0, 3).reshape(n * n, n * n)
+        eye = np.eye(n, dtype=complex)
+        v = du.multiplicative_unitary(kac).matrix
+        assert np.array_equal(v, t @ np.kron(kac.coord_inv, eye))
+        assert np.array_equal(
+            du._times_first_leg(v, kac.coord) - t, v @ np.kron(kac.coord, eye) - t
+        )
+
+
 def dense_pentagon_defect(v, n):
     """Reference V₁₂V₁₃V₂₃ − V₂₃V₁₂ as an explicit n³×n³ Kronecker operator."""
     eye = np.eye(n, dtype=complex)
