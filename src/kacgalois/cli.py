@@ -31,9 +31,7 @@ import argparse
 import functools
 import hashlib
 import json
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 import numpy as np
@@ -682,6 +680,11 @@ def _map_tasks(task, keys: list) -> list:
     bytes as in one process.  Results are read in key order, so an exception
     reaches the caller as it would from a sequential run.
     """
+    # Imported here: the pool's modules take about 30 ms to import, which
+    # every other command would pay at start-up.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(keys))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
