@@ -670,7 +670,7 @@ def _longest_first(key: tuple) -> int:
 
 
 def _map_tasks(task, keys: list) -> list:
-    """``task`` over ``keys``, results in key order, on one worker per CPU.
+    """``task`` over ``keys``, results in key order, on up to one worker per CPU.
 
     Workers are forked: the slices are Python-bound calls on small matrices,
     so threads would serialize on the interpreter lock, and spawned workers

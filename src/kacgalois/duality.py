@@ -346,8 +346,8 @@ def _multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
 def _times_first_leg(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     """m·(c⊗1) for an n²×n² matrix m, as one matmul over its first column leg.
 
-    n⁵ multiply-adds where the Kronecker product takes n⁶; the zero terms
-    it skips add exact zeros, so the result is the same.
+    n⁵ multiply-adds where the Kronecker product takes n⁶: it skips only
+    that product's zero terms.
     """
     n = len(c)
     legs = m.reshape(n * n, n, n).transpose(0, 2, 1)  # [(a,b), d, c′]

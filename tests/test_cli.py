@@ -13,6 +13,7 @@ import pytest
 
 from kacgalois import cli
 from kacgalois import duality as du
+from kacgalois import jones as jn
 from kacgalois.algebra import NoExpectationError, ShapeError, SubalgebraError
 from kacgalois.jones import InclusionError
 from kacgalois.kac import AxiomError
@@ -211,6 +212,20 @@ def test_dual_gates_the_slice_algebra_and_the_pairing(algebras, kp8, name):
     assert checks["hat_algebra"] == cli.check(cli._max_float(dd.hat.residuals), 1e-10)
     assert checks["pairing"] == cli.check(cli._max_float(dd.pairing_form.residuals), 1e-9)
     assert checks["hat_algebra"]["ok"] and checks["pairing"]["ok"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: jn.fixture_scaled_pair(1.0 / 3.0), lambda: jn.random_inclusion(14)],
+    ids=["scaled_pair_third", "draw_14"],
+)
+def test_jones_gates_the_gns_residuals(make):
+    report, passed = cli._jones_pipeline(make(), None)
+    residuals = jn.jones_chain(make()).extension.gns.residuals
+    assert passed
+    assert report["gns"] == residuals
+    assert report["checks"]["gns"] == cli.check(cli._max_float(residuals), 1e-9)
+    assert report["checks"]["gns"]["ok"]
 
 
 @pytest.mark.parametrize(
