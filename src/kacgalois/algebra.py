@@ -3,9 +3,11 @@
 The central object is :class:`MMAlgebra`, a multimatrix (finite-dimensional
 von Neumann) algebra given by a Hilbert–Schmidt-orthonormal basis inside the
 d×d complex matrices.  On top of it the module provides generated-subalgebra
-closures, commutants, central decompositions with deterministic matrix-unit
-systems, faithful states, GNS representations with modular data, and
-state-preserving conditional expectations.
+closures, commutants, faithful states, GNS representations with modular
+data, state-preserving conditional expectations, and the central
+decomposition: deterministic matrix-unit systems, central projections and
+corner bases, all read off one certified generic split of the algebra
+(:func:`matrix_units`).
 
 All span comparisons are projector-based; no construction depends on a basis
 choice.  Every operation is pure, so everything here is safe to reuse across
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg as la
-from .linalg import COMMUTE_RTOL, DEFAULT_TOL, PROJ_CUT, RANK_RTOL, SPAN_TOL, ZERO_FLOOR
+from .linalg import COMMUTE_RTOL, DEFAULT_TOL, PROJ_CUT, RANK_RTOL, ZERO_FLOOR
 from .linalg import dagger, frob, opnorm
 
 
@@ -129,16 +131,11 @@ class MMAlgebra:
     def central_decomposition(self) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
         """Minimal central projections and (block size, multiplicity) pairs.
 
-        Computed lazily and cached.  Blocks are deterministically ordered by
-        block size, then by a rounded fingerprint of the projection.
+        Read off the cached :func:`matrix_units`, in their order: by block
+        size, then by a rounded fingerprint of the projection.
         """
-        return self._blocks()[:2]
-
-    def _blocks(self) -> tuple:
-        """The cached (projections, dims, corners) of the central decomposition."""
-        if not self._central:
-            self._central.append(_central_decomposition(self))
-        return self._central[0]
+        blocks = matrix_units(self)
+        return [b.projection for b in blocks], [(b.size, b.multiplicity) for b in blocks]
 
     @property
     def central_projections(self) -> list[np.ndarray]:
@@ -214,21 +211,7 @@ def mm_from_generators(gens: list[np.ndarray], ambient_dim: int) -> MMAlgebra:
             onb = new
             break
         onb = new
-    return from_span(onb, d)
-
-
-def _generic_pair(mats) -> np.ndarray:
-    """Two fixed generic complex combinations of the given matrices.
-
-    For a *-closed span, commuting with two generic elements is generically
-    equivalent to commuting with the whole span; callers must verify the
-    result and fall back to the full system when genericity fails.
-    """
-    rng = np.random.default_rng(20260815)
-    coeff = rng.standard_normal((2, len(mats))) + 1j * rng.standard_normal(
-        (2, len(mats))
-    )
-    return np.tensordot(coeff, np.asarray(mats), axes=1)
+    return from_onb(onb, d)
 
 
 # Commutator entries :func:`_commute` forms at once, which bounds its scratch memory.
@@ -323,41 +306,9 @@ def _certify_commutant(
         )
 
 
-def commutant_within(alg: MMAlgebra, constraint_mats: list[np.ndarray]) -> MMAlgebra:
-    """Elements of ``alg`` commuting with every matrix in ``constraint_mats``.
-
-    The unknowns are coefficients in ``alg``'s basis.  The null space is
-    solved against two generic combinations of the constraints first and
-    verified; on verification failure it reruns against the full system.
-    The absolute rank floor of that solve is ZERO_FLOOR·‖basis‖·‖constraints‖
-    (Frobenius norms of the stacks), the scale of the commutators: a system
-    that is zero up to float noise in its inputs, as for a commutative
-    algebra, then keeps its full null space.
-    """
-    onb = alg.onb()
-
-    def solve(cons) -> np.ndarray:
-        rows = [(onb @ c - c @ onb).reshape(len(onb), -1).T for c in cons]
-        stacked = np.vstack(rows) if rows else np.zeros((0, len(onb)), dtype=complex)
-        floor = ZERO_FLOOR * frob(onb) * frob(np.asarray(cons))
-        return alg.element(la.null_space(stacked, atol=floor).T)
-
-    if len(constraint_mats) > 2:
-        mats = solve(_generic_pair(constraint_mats))
-        # Soundness: every solution commutes with every constraint.
-        # Completeness (necessary condition): the algebra's own unit commutes
-        # with everything it contains, so a span missing it was under-computed.
-        if _commute(mats, constraint_mats):
-            span = la.orthonormalize(mats)
-            if la.span_residual(alg.unit, span) < SPAN_TOL:
-                return from_onb(span, alg.ambient_dim, unit=alg.unit)
-    return from_span(solve(constraint_mats), alg.ambient_dim, unit=alg.unit)
-
-
 def intersect(a: MMAlgebra, b: MMAlgebra) -> MMAlgebra:
     """Span intersection of two algebras (both *-closed, so the result is)."""
-    mats = la.intersect_spans(a.onb(), b.onb())
-    return from_span(mats, a.ambient_dim)
+    return from_onb(la.intersect_spans(a.onb(), b.onb()), a.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -369,85 +320,6 @@ def _range_onb(p: np.ndarray) -> np.ndarray:
     """Columns: orthonormal basis of the range of a projection."""
     w, u = np.linalg.eigh((p + dagger(p)) / 2.0)
     return u[:, w > PROJ_CUT]
-
-
-def _eigensplit_projections(unit: np.ndarray, onb: list[np.ndarray], k: int) -> list[np.ndarray]:
-    """Split ``unit`` into the k minimal orthogonal projections of span(onb).
-
-    The count k is known in advance (the span is an algebra whose minimal
-    projections under ``unit`` number exactly k), so a generic hermitian
-    element of the span is diagonalized and its spectrum is cut at the k−1
-    largest gaps — no absolute gap threshold.  Pieces are verified to be
-    idempotent elements of the span; on verification failure (a non-generic
-    draw) the element is redrawn from the next fixed seed.
-    """
-    if k <= 1:
-        return [unit]
-    cols = _range_onb(unit)
-    for attempt in range(12):
-        rng = np.random.default_rng(100 + attempt)
-        c = rng.standard_normal((len(onb), 2)) @ np.array([1.0, 1j])
-        h = np.tensordot(c, onb, axes=1)
-        h = h + dagger(h)
-        hk = dagger(cols) @ h @ cols
-        w, u = np.linalg.eigh((hk + dagger(hk)) / 2.0)
-        if len(w) < k:
-            break
-        gaps = np.diff(w)
-        cuts = np.sort(np.argsort(gaps)[-(k - 1) :])
-        bounds = [0] + [int(c) + 1 for c in cuts] + [len(w)]
-        pieces = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            sub = cols @ u[:, lo:hi]
-            pieces.append(sub @ dagger(sub))
-        ok = all(
-            frob(p @ p - p) < DEFAULT_TOL * 10
-            and la.span_residual(p, onb) < DEFAULT_TOL * 10
-            for p in pieces
-        )
-        if ok:
-            return pieces
-    raise SubalgebraError(
-        f"could not split a projection into {k} minimal pieces of the span"
-    )
-
-
-def _central_decomposition(alg: MMAlgebra):
-    """Minimal central projections, (block size, multiplicity) data, and the
-    orthonormal bases of the corners z·A·z."""
-    onb = alg.onb()
-    center = commutant_within(alg, onb)
-    if center.dim == 0:
-        raise SubalgebraError(
-            "center of the span is empty; the input is not a unital algebra"
-        )
-    zs = _eigensplit_projections(alg.unit, center.onb(), center.dim)
-    blocks = []
-    for z in zs:
-        corner = la.orthonormalize(z @ onb @ z)
-        m2 = len(corner)
-        if m2 == 0:
-            raise SubalgebraError(
-                "a central projection has an empty corner; the input span "
-                "is inconsistent"
-            )
-        m = int(round(np.sqrt(m2)))
-        if m * m != m2:
-            raise SubalgebraError(
-                f"central corner has dimension {m2}, not a perfect square; "
-                "the input span is not an algebra"
-            )
-        mult = int(round(np.real(np.trace(z)) / m))
-        blocks.append((z, (m, mult), corner))
-    blocks.sort(
-        key=lambda t: (
-            t[1][0],
-            round(float(np.real(np.trace(t[0]))), 6),
-            tuple(np.round(np.real(np.diag(t[0])), 6)),
-            tuple(np.round(np.imag(np.diag(t[0])), 6)),
-        )
-    )
-    return tuple(list(t) for t in zip(*blocks))
 
 
 @dataclass(frozen=True)
@@ -464,41 +336,147 @@ class MatrixUnitBlock:
     multiplicity: int
     units: np.ndarray
 
+    def corner(self) -> np.ndarray:
+        """Frobenius-orthonormal basis of the corner z·A·z: the units over √μ."""
+        d = self.units.shape[-1]
+        return self.units.reshape(-1, d, d) / np.sqrt(self.multiplicity)
+
 
 def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
     """Deterministic matrix-unit systems for every central summand.
 
-    Within a summand, minimal projections come from the clustered
-    eigenprojections of a generic hermitian corner element, and the
-    connecting partial isometries e₁ⱼ are rescalings of e₁₁·b·fⱼ for the
-    basis element b of maximal norm.
+    Built once per algebra by :func:`_central_decomposition` and cached;
+    blocks are ordered by block size, then by a rounded fingerprint of the
+    central projection.
     """
-    out = []
-    for z, (m, mult), corner in zip(*alg._blocks()):
-        mins = _eigensplit_projections(z, corner, m)
-        if len(mins) != m:
+    if not alg._central:
+        alg._central.append(_central_decomposition(alg))
+    return list(alg._central[0])
+
+
+# Generic draws a structure pass tries; draw a takes the seed 100 + a.
+_ATTEMPTS = 12
+
+
+def _generic_draw(onb: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
+    """A generic g and a generic hermitian h = g₂ + g₂† in span(onb), from seed 100 + attempt."""
+    rng = np.random.default_rng(100 + attempt)
+    c = rng.standard_normal((2, len(onb))) + 1j * rng.standard_normal((2, len(onb)))
+    g, g2 = np.tensordot(c, onb, axes=1)
+    return g, g2 + dagger(g2)
+
+
+def _central_decomposition(alg: MMAlgebra) -> list[MatrixUnitBlock]:
+    """Matrix units of A ≅ ⊕ M_m ⊗ 1_μ, read off one generic split.
+
+    After Murota, Kanno, Kojima and Kojima (*A numerical algorithm for
+    block-diagonal decomposition of matrix \\*-algebras*, Japan J. Indust.
+    Appl. Math. 27, 2010): for a generic hermitian h ∈ A, A ∩ {h}′ is a
+    maximal abelian subalgebra of dimension s = Σ m, read off one null space
+    with the absolute floor ZERO_FLOOR·‖onb‖·‖h‖, and the eigenvalues of h on
+    the range of the unit fall into s clusters, cut at the s − 1 largest
+    gaps, whose spectral projections are the minimal projections of A.  Two
+    of them lie in one summand exactly when p_a·g·p_b ≠ 0 (relative to ‖g‖
+    at RANK_RTOL) for a second generic g ∈ A.  In a summand with minimal
+    projections f₁, …, f_m, e₁₁ = f₁ and e₁ⱼ = f₁·g·fⱼ rescaled to norm √μ,
+    each projected onto A, give the matrix units eᵢⱼ = e₁ᵢ†·e₁ⱼ
+    (Goodman–de la Harpe–Jones, *Coxeter Graphs and Towers of Algebras*,
+    ch. 2).
+
+    A draw is kept only when certified: e₁ᵢ·e₁ⱼ† = δᵢⱼ·e₁₁ (which makes e₁₁
+    a projection and gives every matrix-unit relation), every unit lies in
+    A, the block projections Σᵢ eᵢᵢ sum to the unit, and Σ m² = dim A, each
+    at DEFAULT_TOL·10.  Linearly independent units of A that number dim A
+    span it, so the certificate covers the centre, the corners and the
+    minimal projections at once.  A draw that fails it is replaced by the
+    next seed.
+    """
+    onb, d = alg.onb(), alg.ambient_dim
+    cols = _range_onb(alg.unit)
+    s = 0
+    for attempt in range(_ATTEMPTS):
+        g, h = _generic_draw(onb, attempt)
+        comm = (onb @ h - h @ onb).reshape(len(onb), d * d).T
+        s = la.null_space(comm, atol=ZERO_FLOOR * frob(onb) * frob(h)).shape[1]
+        if s == 0:
             raise SubalgebraError(
-                f"found {len(mins)} minimal projections in a block of size {m}"
+                "center of the span is empty; the input is not a unital algebra"
             )
-        f = mins
-        row = [f[0]]
-        for j in range(1, m):
-            best, best_norm = None, 0.0
-            for b in corner:
-                v = f[0] @ b @ f[j]
-                nv = frob(v)
-                if nv > best_norm + ZERO_FLOOR:
-                    best, best_norm = v, nv
-            if best is None or best_norm < DEFAULT_TOL:
-                raise SubalgebraError("disconnected matrix-unit chain in a factor block")
-            # f[j] is minimal, so best†·best is a scalar multiple of f[j].
-            scale = np.real(np.trace(dagger(best) @ best)) / np.real(np.trace(f[j]))
-            row.append(best / np.sqrt(scale))
-        row = np.stack(row)
+        blocks = _certified_split(alg, cols, g, h, s)
+        if blocks is not None:
+            blocks.sort(
+                key=lambda b: (
+                    b.size,
+                    round(float(np.real(np.trace(b.projection))), 6),
+                    tuple(np.round(np.real(np.diag(b.projection)), 6)),
+                    tuple(np.round(np.imag(np.diag(b.projection)), 6)),
+                )
+            )
+            return blocks
+    raise SubalgebraError(
+        f"could not split a projection into {s} minimal pieces of the span"
+    )
+
+
+def _certified_split(
+    alg: MMAlgebra, cols: np.ndarray, g: np.ndarray, h: np.ndarray, s: int
+) -> list[MatrixUnitBlock] | None:
+    """The matrix units one draw (g, h) gives, or None if they fail the certificate.
+
+    ``cols`` is an orthonormal basis of the range of the unit and ``s`` the
+    dimension of A ∩ {h}′; see :func:`_central_decomposition`.
+    """
+    hk = dagger(cols) @ h @ cols
+    w, u = np.linalg.eigh((hk + dagger(hk)) / 2.0)
+    if len(w) < s:
+        return None
+    cuts = np.sort(np.argsort(np.diff(w))[len(w) - s :]) + 1
+    starts = np.concatenate([[0], cuts])
+    bounds = np.append(starts, len(w))
+    frames = cols @ u
+    gk = dagger(frames) @ g @ frames
+    # link[a, b]: the compression p_a·g·p_b of g between two clusters is not zero.
+    sq = np.add.reduceat(np.add.reduceat(np.abs(gk) ** 2, starts, axis=0), starts, axis=1)
+    link = sq > (RANK_RTOL * frob(g)) ** 2
+    link |= link.T
+    np.fill_diagonal(link, True)
+
+    tol = DEFAULT_TOL * 10
+    free = np.ones(s, dtype=bool)
+    blocks, relations = [], 0.0
+    for a in range(s):
+        if not free[a]:
+            continue
+        group = np.flatnonzero(link[a] & free)
+        free[group] = False
+        first = slice(bounds[a], bounds[a + 1])
+        v1 = frames[:, first]
+        mult = v1.shape[1]
+        row = [v1 @ dagger(v1)]
+        for b in group[1:]:
+            vb = frames[:, bounds[b] : bounds[b + 1]]
+            e1b = v1 @ gk[first, bounds[b] : bounds[b + 1]] @ dagger(vb)
+            row.append(e1b * (np.sqrt(mult) / frob(e1b)))
+        # An eigenvector error that mixes summands leaves A, so projecting the
+        # row onto A removes it to first order.
+        row = alg.project(np.stack(row))
+        m = len(row)
+        gram = row[:, None] @ dagger(row)[None]
+        relations = max(relations, la.frob_max(gram - np.eye(m)[:, :, None, None] * row[0]))
         units = dagger(row)[:, None] @ row[None]
         units.flags.writeable = False
-        out.append(MatrixUnitBlock(projection=z, size=m, multiplicity=mult, units=units))
-    return out
+        z = units[np.arange(m), np.arange(m)].sum(axis=0)
+        blocks.append(MatrixUnitBlock(projection=z, size=m, multiplicity=mult, units=units))
+
+    d = alg.ambient_dim
+    if (
+        sum(b.size**2 for b in blocks) != alg.dim
+        or relations >= tol
+        or frob(sum(b.projection for b in blocks) - alg.unit) >= tol
+        or alg.residual(np.concatenate([b.units.reshape(-1, d, d) for b in blocks])) >= tol
+    ):
+        return None
+    return blocks
 
 
 # ---------------------------------------------------------------------------

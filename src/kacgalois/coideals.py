@@ -47,12 +47,15 @@ class Coideal:
     ``home`` says which algebra the operators act for: "algebra" means B ⊆ A
     on A's Haar GNS space, "dual" means B ⊆ Â on the same space.  The
     certificate is the coproduct-containment residual for ``side``.
+    ``projection`` is the Jones projection e_B onto B·Ω, built once by
+    :func:`is_coideal` for a coideal of A (None for one of Â).
     """
 
     home: str
     side: str
     mm: ag.MMAlgebra
     certificate: float
+    projection: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -68,14 +71,22 @@ def jones_projection(kac: KacAlgebra, mm: ag.MMAlgebra) -> np.ndarray:
 
 def coideal_fingerprint(kac: KacAlgebra, mm: ag.MMAlgebra) -> tuple:
     """Deterministic, basis-independent sort key: (dim, rounded e_B entries)."""
-    p = jones_projection(kac, mm)
+    return _fingerprint(mm.dim, jones_projection(kac, mm))
+
+
+def _fingerprint(dim: int, p: np.ndarray) -> tuple:
+    """The fingerprint of a coideal of dimension ``dim`` with Jones projection ``p``."""
     flat = np.round(p.reshape(-1), 8) + 0.0
-    return (mm.dim, tuple(flat.real) + tuple(flat.imag))
+    return (dim, tuple(flat.real) + tuple(flat.imag))
 
 
 def coideal_digest(kac: KacAlgebra, mm: ag.MMAlgebra) -> str:
     """Short hex digest of the fingerprint, for compact reports."""
-    dim, entries = coideal_fingerprint(kac, mm)
+    return _digest(coideal_fingerprint(kac, mm))
+
+
+def _digest(fingerprint: tuple) -> str:
+    dim, entries = fingerprint
     payload = np.asarray((float(dim),) + entries).tobytes()
     return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -102,18 +113,18 @@ def _slices(delta, home: np.ndarray, y: np.ndarray, side: str):
     return s, frob(x - a.T @ s)
 
 
-def _containment(delta, home: np.ndarray, mats, side: str) -> float:
+def _containment(delta, home: np.ndarray, onb: np.ndarray, side: str) -> float:
     """Max Frobenius distance of δ(b) from home⊗span (left) or span⊗home (right).
 
     ``delta`` maps an operator to its n²×n² coproduct and ``home`` is the
-    orthonormal basis of the algebra the span lives in; b runs over the
-    span's orthonormal basis.  dist(δ(b), a⊗B)² = ‖R‖² + Σ_i ‖s_i − P_B s_i‖²
-    for the slices s_i of :func:`_slices`.
+    orthonormal basis of the algebra the span lives in; b runs over
+    ``onb``, an orthonormal basis of the span, taken as given.
+    dist(δ(b), a⊗B)² = ‖R‖² + Σ_i ‖s_i − P_B s_i‖² for the slices s_i of
+    :func:`_slices`.
     """
-    sub = la.orthonormalize(mats)
-    rows = sub.reshape(len(sub), -1)
+    rows = onb.reshape(len(onb), -1)
     worst = 0.0
-    for b in sub:
+    for b in onb:
         s, r = _slices(delta, home, b, side)
         worst = max(worst, float(np.hypot(r, frob(s - (s @ dagger(rows)) @ rows))))
     return worst
@@ -142,7 +153,8 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
         raise ValueError(
             f"not a {side} coideal: coproduct containment residual {cert:.2e}"
         )
-    return Coideal(home="algebra", side=side, mm=mm, certificate=cert)
+    p = jones_projection(kac, mm)
+    return Coideal(home="algebra", side=side, mm=mm, certificate=cert, projection=p)
 
 
 def _closure_algebra(kac: KacAlgebra, elements, side: str) -> ag.MMAlgebra:
@@ -360,18 +372,19 @@ def enumerate_coideals_group_case(
     for sub in kac.group.subgroups():
         indicator = kac.op(unit[list(sub)].sum(axis=0))
         items.append((sub, coideal_closure(kac, [indicator], side)))
-    items.sort(key=lambda it: coideal_fingerprint(kac, it[1].mm))
+    items.sort(key=lambda it: _fingerprint(it[1].dim, it[1].projection))
     coideals = [coid for _, coid in items]
-    projs = [jones_projection(kac, coid.mm) for coid in coideals]
+    projs = [coid.projection for coid in coideals]
 
     def audit(gens) -> float:
         mm = _closure_algebra(kac, gens, side)
-        if not any(
+        if any(
             c.dim == mm.dim and la.span_distance(mm.onb(), c.mm.onb()) < SPAN_TOL
             for c in coideals
         ):
-            is_coideal(kac, mm, side)
-        p = jones_projection(kac, mm)
+            p = jones_projection(kac, mm)
+        else:
+            p = is_coideal(kac, mm, side).projection
         return min(frob(p - q) for q in projs)
 
     worst = 0.0
@@ -480,14 +493,15 @@ def bicommutant_check(coid: Coideal, inter: np.ndarray, dd: du.DualKac) -> dict:
 def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> dict:
     """The Jones projection e_B of a coideal, with its weight identities.
 
-    ``btilde`` is B's partner :func:`tilde` ``(coid, dd)``.  Verifies:
+    ``coid`` is a coideal of A, and ``btilde`` is B's partner :func:`tilde`
+    ``(coid, dd)``.  Verifies:
     ĥ(e_B) = dim B / n; ε(E_B(e)) = dim B / n for the Haar expectation E_B
     and the integral e of A; e_B = dim B · E_B̃(ê) for the dual-trace
     expectation onto B̃; and the membership e_B ∈ Â.
     """
     kac = dd.v.kac
     n = kac.dim
-    e_b = jones_projection(kac, coid.mm)
+    e_b = coid.projection
     res = {"idempotent": frob(e_b @ e_b - e_b), "self_adjoint": frob(e_b - dagger(e_b))}
     res["dual_haar_value"] = float(abs(np.trace(e_b) / n - coid.dim / n))
     res["dual_membership"] = la.span_residual(e_b, dd.hat.onb)
@@ -539,7 +553,7 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
                 "dim": coid.dim,
                 "tilde_dim": bt.dim,
                 "dim_product_exact": coid.dim * bt.dim == n,
-                "fingerprint": coideal_digest(kac, coid.mm),
+                "fingerprint": _digest(_fingerprint(coid.dim, coid.projection)),
                 "coideal_certificate": coid.certificate,
                 "tilde_certificate": bt.certificate,
                 "tilde_route_distance": la.span_distance(bt.mm.onb(), via["mm"].onb()),

@@ -435,9 +435,9 @@ class BasicExtension:
     """GNS data of (M, φ) together with e, M₁ and the comparison residuals.
 
     ``m1`` is the mirror image of the commutant of N (an algebra by
-    construction) with orthonormal rows B, and ``sandwich_coords`` the D²×r
-    coordinates C in B of every x·e·y, x-major, over the represented basis
-    of M (D = dim M, r = dim M₁).  The stack X of the x·e·y is C·B + E with
+    construction) with orthonormal rows B, and ``sandwich_svd`` the economy
+    SVD (U, σ, V†) of the D²×r coordinates C in B of every x·e·y, x-major,
+    over the represented basis of M (D = dim M, r = dim M₁).  The stack X of the x·e·y is C·B + E with
     E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and (I−P_{M₁})·V_r = E†·U_r·Σ_r⁻¹ for X's
     top singular vectors (Wedin, BIT 12 (1972)).  The residuals are thus
     certified upper bounds on projector distances, not computed gaps:
@@ -455,7 +455,7 @@ class BasicExtension:
     big_rep: MMAlgebra
     small_rep: MMAlgebra
     small_commutant: MMAlgebra
-    sandwich_coords: np.ndarray
+    sandwich_svd: tuple
     residuals: dict
 
     def rep(self, x: np.ndarray) -> np.ndarray:
@@ -490,11 +490,12 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
     small_rep = ag.from_span(small_ops, k)
     small_comm = ag.commutant(small_rep)
 
-    m1 = ag.from_span(g.adj_j(small_comm.onb()), k)
+    # J is antiunitary, so x ↦ JxJ keeps the commutant's basis Frobenius-orthonormal.
+    m1 = ag.from_onb(g.adj_j(small_comm.onb()), k)
 
     coords, err_sq = _sandwich_coordinates(big_ops, q, m1.onb())
-    coords = coords.reshape(-1, m1.dim)
-    sigma = np.linalg.svd(coords, compute_uv=False)
+    svd = np.linalg.svd(coords.reshape(-1, m1.dim), full_matrices=False)
+    sigma = svd[1]
     big_err = big_ops - m1.project(big_ops)
 
     res = {}
@@ -527,7 +528,7 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
         big_rep=big_rep,
         small_rep=small_rep,
         small_commutant=small_comm,
-        sandwich_coords=coords,
+        sandwich_svd=svd,
         residuals=res,
     )
 
@@ -610,9 +611,10 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     """Solve for the weight pinned by x e y ↦ xy on the extension algebra.
 
     With x, y over the represented basis of M, let C be the D²×r coordinates
-    of the x·e·y in M₁'s orthonormal basis (``bc.sandwich_coords``, made by
-    :func:`basic_extension`) and T the D²×D coordinates of the x·y in M's;
-    the map is W = pinv(C)·T.  T is formed one x at a time, so no operator
+    of the x·e·y in M₁'s orthonormal basis (their SVD ``bc.sandwich_svd`` is
+    made by :func:`basic_extension`) and T the D²×D coordinates of the x·y
+    in M's; the map is W = pinv(C)·T, with pinv cut at RANK_RTOL, and
+    C·W − T = −(1 − U_kU_k†)·T for the kept singular vectors U_k.  T is formed one x at a time, so no operator
     on the k²-dim space is formed: memory is O(D·k² + D²·r) beside C.  The
     pin residual of the full coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs,
     splits by Pythagoras into its part in M, ‖C·W − T‖, and its part
@@ -639,10 +641,13 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
         off = prod - t[a] @ big_rows
         off_sq += np.vdot(off, off).real
         norm_sq += np.vdot(prod, prod).real
-    c, t = bc.sandwich_coords, t.reshape(d * d, d)
-    w = np.linalg.pinv(c, rcond=la.RANK_RTOL) @ t
+    u, sigma, vh = bc.sandwich_svd
+    keep = sigma > la.RANK_RTOL * sigma[0]
+    t = t.reshape(d * d, d)
+    ut = dagger(u[:, keep]) @ t
+    w = dagger(vh[keep]) @ (ut / sigma[keep, None])
     consistency = float(
-        np.hypot(frob(c @ w - t), np.sqrt(off_sq)) / max(1.0, np.sqrt(norm_sq))
+        np.hypot(frob(t - u[:, keep] @ ut), np.sqrt(off_sq)) / max(1.0, np.sqrt(norm_sq))
     )
     if consistency > PIN_TOL:
         raise RuntimeError(
@@ -768,7 +773,8 @@ def relcomm_report(
 
     # Functional densities per summand.
     corners = []
-    for z, (size, mult), conb in zip(*rc._blocks()):
+    for block in ag.matrix_units(rc):
+        z, conb = block.projection, block.corner()
         rank = int(round(float(np.trace(z).real)))
         r1 = _riesz_density(conb, dw.composite(_traces, conb))
         r2 = _riesz_density(conb, dw.composite(_traces, mirror(conb)))
@@ -782,7 +788,7 @@ def relcomm_report(
             {
                 "projection": z,
                 "rank": rank,
-                "block": (size, mult),
+                "block": (block.size, block.multiplicity),
                 "density": r1,
                 "mirror_density": r2,
                 "trace": float(np.sum(eigs1)),

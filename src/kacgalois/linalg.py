@@ -193,18 +193,18 @@ def herm_power(a: np.ndarray, p: complex) -> np.ndarray:
     return herm_powers(a, (p,))[0]
 
 
-def herm_powers(a: np.ndarray, powers) -> list[np.ndarray]:
-    """:func:`herm_power` of ``a`` for each of ``powers``, from one eigh."""
+def herm_powers(a: np.ndarray, powers) -> np.ndarray:
+    """:func:`herm_power` of ``a`` for each of ``powers``, from one eigh, as a stack."""
     w, u = np.linalg.eigh((a + dagger(a)) / 2.0)
     w = np.clip(w.real, 0.0, None)
-    out = []
     for p in powers:
         if np.iscomplexobj(np.asarray(p)) or not float(np.real(p)).is_integer():
             if np.any(w <= 0) and (np.real(p) < 0 or np.imag(p) != 0):
                 raise np.linalg.LinAlgError("non-invertible positive matrix power")
-        vals = np.array([v**p if v > 0 else 0.0 for v in w], dtype=complex)
-        out.append((u * vals) @ dagger(u))
-    return out
+    exps = np.asarray(powers)[:, None]
+    vals = np.zeros((len(exps), len(w)), dtype=np.result_type(w, exps))
+    np.power(w, exps, out=vals, where=w > 0)
+    return (u * vals[:, None, :]) @ dagger(u)
 
 
 def flip_operator(n: int, m: int | None = None) -> np.ndarray:

@@ -169,6 +169,26 @@ def test_fixture_inclusions(label, build, index_eigs, extremal):
     assert ext["criteria_agree"]
 
 
+def pinv_weight(bc: jn.BasicExtension) -> np.ndarray:
+    """Reference: W = pinv(C)·T with numpy's pinv, C and T formed afresh.
+
+    C holds the coordinates of every x·e·y in M₁'s basis and T those of every
+    x·y in M's, x-major over the represented basis of M.
+    """
+    ops = bc.gns.rep(bc.inclusion.big.onb())
+    coords, _ = jn._sandwich_coordinates(ops, bc.e_range, bc.m1.onb())
+    t = bc.big_rep.coeffs(ops[:, None] @ ops[None]).reshape(-1, len(ops))
+    return np.linalg.pinv(coords.reshape(-1, bc.m1.dim), rcond=la.RANK_RTOL) @ t
+
+
+@pytest.mark.parametrize("seed", [11, 14, 33])
+def test_dual_weight_is_the_pinv_of_the_sandwich_coordinates(seed):
+    bc = jn.basic_extension(jn.random_inclusion(seed))
+    dw = jn.dual_weight(bc)
+    want = pinv_weight(bc)
+    assert np.abs(dw.coords - want).max() <= 1e-12 * np.abs(want).max()
+
+
 @pytest.mark.parametrize(
     "label,build",
     [(c[0], c[1]) for c in FIXTURE_CASES if c[0] in ("scaled_half", "point_in_full", "pinch", "markov_chain")],

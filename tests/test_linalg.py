@@ -153,6 +153,30 @@ def test_herm_power_laws(seed):
     np.testing.assert_allclose(la.dagger(u) @ u, np.eye(4), atol=1e-9)
 
 
+def herm_powers_by_loop(a, powers):
+    """Reference: each power from the eigenvalues one at a time, 0 on the kernel."""
+    w, u = np.linalg.eigh((a + la.dagger(a)) / 2.0)
+    w = np.clip(w.real, 0.0, None)
+    return [
+        (u * np.array([v**p if v > 0 else 0.0 for v in w], dtype=complex)) @ la.dagger(u)
+        for p in powers
+    ]
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_herm_powers_match_the_eigenvalue_loop(singular):
+    rng = np.random.default_rng(6)
+    x = random_complex(rng, 5, 3 if singular else 5)
+    h = x @ la.dagger(x)
+    powers = [0.5, 1.0, 2, 0] + ([] if singular else [-0.5, 0.3j, -1.0 - 0.7j])
+    got = la.herm_powers(h, powers)
+    assert got.shape == (len(powers), 5, 5)
+    for value, want in zip(got, herm_powers_by_loop(h, powers)):
+        assert np.abs(value - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    with pytest.raises(np.linalg.LinAlgError):
+        la.herm_powers(h if singular else np.zeros((3, 3)), [0.5, 0.5j])
+
+
 def test_vec_is_the_row_major_flattening():
     rng = np.random.default_rng(2)
     x = random_complex(rng, 3, 5)

@@ -108,7 +108,7 @@ def test_table_values_are_pinned():
         (la.null_space, "rtol"),
         (la.intersect_spans, "cut"),
         (ag.MMAlgebra.validate, "tol"),
-        (ag._eigensplit_projections, "tol"),
+        (ag._certified_split, "tol"),
         (ag.gns, "tol"),
         (ag.conditional_expectation, "tol"),
         (ag.CondExpectation.validate, "tol"),
