@@ -359,7 +359,7 @@ _ATTEMPTS = 12
 
 
 def _generic_draw(onb: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
-    """A generic g and a generic hermitian h = g₂ + g₂† in span(onb), from seed 100 + attempt."""
+    """A generic g and a generic hermitian h = g₂ + g₂† in span(onb), seeded 100 + attempt."""
     rng = np.random.default_rng(100 + attempt)
     c = rng.standard_normal((2, len(onb))) + 1j * rng.standard_normal((2, len(onb)))
     g, g2 = np.tensordot(c, onb, axes=1)

@@ -437,9 +437,10 @@ class BasicExtension:
     ``m1`` is the mirror image of the commutant of N (an algebra by
     construction) with orthonormal rows B, and ``sandwich_svd`` the economy
     SVD (U, σ, V†) of the D²×r coordinates C in B of every x·e·y, x-major,
-    over the represented basis of M (D = dim M, r = dim M₁).  The stack X of the x·e·y is C·B + E with
-    E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and (I−P_{M₁})·V_r = E†·U_r·Σ_r⁻¹ for X's
-    top singular vectors (Wedin, BIT 12 (1972)).  The residuals are thus
+    over the represented basis of M (D = dim M, r = dim M₁).  The stack X
+    of the x·e·y is C·B + E with E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and
+    (I−P_{M₁})·V_r = E†·U_r·Σ_r⁻¹ for X's top singular vectors (Wedin,
+    BIT 12 (1972)).  The residuals are thus
     certified upper bounds on projector distances, not computed gaps:
     ``mirror_vs_span`` = min(1, ‖E‖_F/σ_r(C)); ``mirror_vs_generated`` adds
     M's own residual E_M = M − (M·B†)·B to ‖E‖ in quadrature; both read 1
@@ -494,8 +495,7 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
     m1 = ag.from_onb(g.adj_j(small_comm.onb()), k)
 
     coords, err_sq = _sandwich_coordinates(big_ops, q, m1.onb())
-    svd = np.linalg.svd(coords.reshape(-1, m1.dim), full_matrices=False)
-    sigma = svd[1]
+    u, sigma, vh = np.linalg.svd(coords.reshape(-1, m1.dim), full_matrices=False)
     big_err = big_ops - m1.project(big_ops)
 
     res = {}
@@ -528,7 +528,7 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
         big_rep=big_rep,
         small_rep=small_rep,
         small_commutant=small_comm,
-        sandwich_svd=svd,
+        sandwich_svd=(u, sigma, vh),
         residuals=res,
     )
 
@@ -614,11 +614,12 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     of the x·e·y in M₁'s orthonormal basis (their SVD ``bc.sandwich_svd`` is
     made by :func:`basic_extension`) and T the D²×D coordinates of the x·y
     in M's; the map is W = pinv(C)·T, with pinv cut at RANK_RTOL, and
-    C·W − T = −(1 − U_kU_k†)·T for the kept singular vectors U_k.  T is formed one x at a time, so no operator
-    on the k²-dim space is formed: memory is O(D·k² + D²·r) beside C.  The
-    pin residual of the full coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs,
-    splits by Pythagoras into its part in M, ‖C·W − T‖, and its part
-    orthogonal to M, ‖x·y − T·b‖ with b M's basis.
+    C·W − T = −(1 − U_kU_k†)·T for the kept singular vectors U_k.  T is
+    formed one x at a time, so no operator on the k²-dim space is formed:
+    memory is O(D·k² + D²·r) beside C.  The pin residual of the full
+    coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs, splits by Pythagoras
+    into its part in M, ‖C·W − T‖, and its part orthogonal to M,
+    ‖x·y − T·b‖ with b M's basis.
 
     Raises
     ------

@@ -502,9 +502,8 @@ def counting(calls, name, fn):
 def test_one_structure_pass_solves_one_null_space_and_nothing_else(kp8, monkeypatch):
     alg = ag.from_onb(kp8.as_mm().onb(), kp8.dim)  # a fresh algebra, nothing cached
     calls = {"null_space": 0, "orthonormalize": 0, "_commute": 0}
-    monkeypatch.setattr(la, "null_space", counting(calls, "null_space", la.null_space))
-    monkeypatch.setattr(la, "orthonormalize", counting(calls, "orthonormalize", la.orthonormalize))
-    monkeypatch.setattr(ag, "_commute", counting(calls, "_commute", ag._commute))
+    for module, name in ((la, "null_space"), (la, "orthonormalize"), (ag, "_commute")):
+        monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
     ag.matrix_units(alg)
     alg.central_decomposition()
     ag.matrix_units(alg)
