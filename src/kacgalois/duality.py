@@ -88,7 +88,10 @@ def _pentagon_defect(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # as 400 of them (about 140 ns against 0.35 ns on a Xeon core, BLAS on one
 # thread, at n = 8 and 12).
 _TERM_COST = 400
-# Terms expanded at once by the sparse pentagon, which bounds its scratch memory.
+# The most work an exact pentagon may count: 18⁸ ≈ 1.1e10 multiply-adds, the
+# blocked path at n = 18, about 3 s on a Xeon core (BLAS on one thread).
+_PENTAGON_BUDGET = 18 ** 8
+# Terms the sparse pentagon expands at once, unless one column holds more.
 _TERM_BLOCK = 1 << 18
 # One term of the sparse leg commutator (its product, its share of the merge
 # sort, two bincounts) costs about as much as 20 multiply-adds of the einsum
@@ -106,24 +109,22 @@ _DELTA_TERM_COST = 50
 def pentagon_residual(v: np.ndarray, n: int) -> float:
     """Size of V₁₂V₁₃V₂₃ − V₂₃V₁₂ on H⊗H⊗H.
 
-    The exact Frobenius norm, an upper bound on the operator norm, whenever
-    one of two exact paths is affordable; neither forms an n³×n³ operator.
-    The sparse path expands both sides over V's exact nonzeros
-    (:func:`_pentagon_sparse`); its term count comes from V's pattern before
-    any product is formed.  The blocked path (:func:`_pentagon_blocked`)
-    takes n⁸ multiply-adds whatever V is.  For n ≤ 14 (n³ ≤ 2744) the
-    cheaper of the two runs.  Above that the blocked path is out of reach
-    and the sparse one runs while its terms number fewer than n⁸.  Otherwise
-    (a dense V above n = 14) the result is the maximum over 32 random unit
-    vectors of the fixed seed 11, a lower bound on the operator norm.
+    The exact Frobenius norm, an upper bound on the operator norm, by the exact
+    path that counts less work; neither forms an n³×n³ operator.  The sparse
+    path (:func:`_pentagon_sparse`) expands both sides over V's exact nonzeros,
+    a term counted from V's pattern as ``_TERM_COST`` multiply-adds; the
+    blocked path (:func:`_pentagon_blocked`) takes n⁸ whatever V is.  When even
+    the cheaper count is above ``_PENTAGON_BUDGET`` (a dense V from n = 19 on),
+    the result is the maximum over 32 random unit vectors of the fixed seed 11,
+    a lower bound on the operator norm.
     """
     nz = v != 0
     terms = _pentagon_terms(nz, n)
-    work = terms.sum()
-    if n ** 3 <= 2744 and _TERM_COST * work >= n ** 8:
+    sparse = _TERM_COST * terms.sum()
+    if min(sparse, n ** 8) <= _PENTAGON_BUDGET:
+        if sparse < n ** 8:
+            return _pentagon_sparse(v, n, nz, terms)
         return _pentagon_blocked(v, n)
-    if work < n ** 8:
-        return _pentagon_sparse(v, n, nz, terms)
     v4 = v.reshape(n, n, n, n)
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -161,37 +162,38 @@ def _pentagon_blocked(v: np.ndarray, n: int) -> float:
 
 
 def _pentagon_terms(nz: np.ndarray, n: int) -> np.ndarray:
-    """Products the sparse pentagon forms for each column pair (a, b), flattened.
+    """Products the sparse pentagon forms for each column e_a⊗e_b⊗e_c, at a·n² + b·n + c.
 
     With M = V's nonzero pattern and C its column counts, the column
     e_a⊗e_b⊗e_c of V₁₂V₁₃V₂₃ expands to Σ M[(b′,c′),(b,c)]·M[(a″,c″),(a,c′)]·
-    C[a″,b′] terms and that of V₂₃V₁₂ to Σ M[(a′,b′),(a,b)]·C[b′,c]; summed
-    over c, both are products of n²×n-sized count arrays.
+    C[a″,b′] terms and that of V₂₃V₁₂ to Σ M[(a′,b′),(a,b)]·C[b′,c].
     """
     m = nz.reshape(n, n, n, n).astype(float)  # m[row₁, row₂, col₁, col₂]
     c = m.sum((0, 1))
     g = m.sum(1).reshape(n, n * n).T @ c  # g[(a, c′), b′] = Σ M[(a″,·),(a,c′)]·C[a″,b′]
-    lhs = g.reshape(n, n, n).transpose(0, 2, 1).reshape(n, n * n) @ m.sum(3).reshape(n * n, n)
-    rhs = np.tile(c.sum(1), n) @ m.reshape(n * n, n * n)
-    return lhs.reshape(-1) + rhs
+    lhs = g.reshape(n, n, n).transpose(0, 2, 1).reshape(n, n * n) @ m.reshape(n * n, n * n)
+    rhs = m.sum(0).reshape(n, n * n).T @ c  # rhs[(a, b), c]
+    return lhs.reshape(-1) + rhs.reshape(-1)
 
 
 def _pentagon_sparse(v: np.ndarray, n: int, nz: np.ndarray, terms: np.ndarray) -> float:
-    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F from V's exact nonzeros, column pair by column pair.
+    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F from V's exact nonzeros, in runs of columns.
 
     Only entries that are exactly zero are skipped, so the sum is the blocked
     path's in another order.  ``nz`` is V's nonzero pattern and ``terms`` the
-    per-column-pair term counts of :func:`_pentagon_terms`; the pairs are
-    taken in runs of about ``_TERM_BLOCK`` terms.
+    per-column term counts of :func:`_pentagon_terms`; each run takes as many
+    columns as fit in ``_TERM_BLOCK`` terms, and at least one.
     """
     cols, rows = np.nonzero(nz.T)
     starts = np.zeros(n * n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols, minlength=n * n), out=starts[1:])
     csc = (starts, rows, v[rows, cols])
-    cuts = np.flatnonzero(np.diff(np.cumsum(terms) // _TERM_BLOCK)) + 1
-    total = 0.0
-    for pairs in np.split(np.arange(n * n), cuts):
-        total += _sparse_defect_squared(csc, n, pairs)
+    held = np.concatenate(([0], np.cumsum(terms)))  # held[k]: terms of the first k columns
+    total, start = 0.0, 0
+    while start < n ** 3:
+        stop = max(np.searchsorted(held, held[start] + _TERM_BLOCK, "right") - 1, start + 1)
+        total += _sparse_defect_squared(csc, n, np.arange(start, stop))
+        start = stop
     return float(np.sqrt(total))
 
 
@@ -208,15 +210,14 @@ def _times_v(csc: tuple, col: np.ndarray, coef: np.ndarray) -> tuple:
     return parent, rows[pos], coef[parent] * vals[pos]
 
 
-def _sparse_defect_squared(csc: tuple, n: int, pairs: np.ndarray) -> float:
-    """Σ|V₁₂V₁₃V₂₃ − V₂₃V₁₂|² over the columns e_a⊗e_b⊗e_c with a·n + b in ``pairs``.
+def _sparse_defect_squared(csc: tuple, n: int, col: np.ndarray) -> float:
+    """Σ|V₁₂V₁₃V₂₃ − V₂₃V₁₂|² over the columns e_a⊗e_b⊗e_c with a·n² + b·n + c in ``col``.
 
     Each side is expanded column by column into (row, column, value) terms;
     terms at the same position are merged with one ``np.unique`` and two
     ``np.bincount`` calls.
     """
     nn = n * n
-    col = (pairs[:, None] * n + np.arange(n)).reshape(-1)  # (a, b, c) as a·n² + b·n + c
     one = np.ones(len(col), dtype=complex)
     # V₁₂V₁₃V₂₃ e_abc: V₂₃ takes (b, c) to (b′, c′), V₁₃ takes (a, c′) to
     # (a″, c″), and V₁₂ takes (a″, b′) to the first two legs of the row.
@@ -566,11 +567,10 @@ def hat_unitaries(
     n = kac.dim
     u = kac.coord @ kac.antipode.T @ kac.coord_inv
     eye = np.eye(n, dtype=complex)
-    flip = la.flip_operator(n)
-    u1 = np.kron(u, eye)
-    v_hat = flip @ u1 @ v.matrix @ u1 @ flip
-    u2 = np.kron(eye, u)
-    v_tilde = flip @ u2 @ v.matrix @ u2 @ flip
+    # FVF swaps both leg pairs of V; V̂ = (1⊗U)(FVF)(1⊗U) and Ṽ = (U⊗1)(FVF)(U⊗1).
+    vf = v.matrix.reshape((n,) * 4).transpose(1, 0, 3, 2).reshape(n, n, -1)
+    v_hat = (np.matmul(u, vf).reshape(-1, n) @ u).reshape(n * n, n * n)
+    v_tilde = np.matmul(u.T, (u @ vf.reshape(n, -1)).reshape(n * n, n, n)).reshape(n * n, n * n)
 
     res = {}
     res["u_unitary"] = opnorm(dagger(u) @ u - eye)

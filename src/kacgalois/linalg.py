@@ -205,11 +205,3 @@ def herm_powers(a: np.ndarray, powers) -> np.ndarray:
     vals = np.zeros((len(exps), len(w)), dtype=np.result_type(w, exps))
     np.power(w, exps, out=vals, where=w > 0)
     return (u * vals[:, None, :]) @ dagger(u)
-
-
-def flip_operator(n: int, m: int | None = None) -> np.ndarray:
-    """The tensor flip ℂⁿ⊗ℂᵐ → ℂᵐ⊗ℂⁿ as a permutation matrix."""
-    m = n if m is None else m
-    # Row (j, i) of the flip is row (i, j) of the identity on ℂⁿ⊗ℂᵐ.
-    eye = np.eye(n * m, dtype=complex).reshape(n, m, n * m)
-    return eye.transpose(1, 0, 2).reshape(n * m, n * m)

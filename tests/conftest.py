@@ -8,6 +8,7 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kacgalois import coideals as ci
@@ -90,6 +91,43 @@ def ladder_algebras(algebras):
         f"{left}*{right}": kc.tensor_kac(factors[left], factors[right])
         for left, right in LADDER_PRODUCTS
     }
+
+
+def twisted_z3_squared_by_z2():
+    """ℂ[ℤ₃²⋊ℤ₂] with a Drinfeld-twisted coproduct: a Kac algebra of dimension 18
+    that is neither commutative nor cocommutative.
+
+    ℤ₂ swaps the two ℤ₃ factors.  With P_a the projections onto the characters
+    a of ℤ₃² and ω(a, b) = ζ₃^{a₁b₂}, the coproduct is Δ^J = JΔJ⁻¹ for
+    J = Σ ω(a, b)·P_a⊗P_b and the antipode S^J = Q·S(·)·Q⁻¹ for
+    Q = Σ ω(−b, b)·P_b; the product, star, counit and Haar state are ℂ[G]'s.
+    """
+    n = 18
+    elems = [(s, x1, x2) for s in range(2) for x1 in range(3) for x2 in range(3)]
+
+    def times(g, h):
+        (s, x1, x2), (t, y1, y2) = g, h
+        if s:
+            y1, y2 = y2, y1
+        return elems.index(((s + t) % 2, (x1 + y1) % 3, (x2 + y2) % 3))
+
+    table = np.array([[times(g, h) for h in elems] for g in elems])
+    base = kc.group_algebra(kc.GroupTable(n, table, tuple(map(str, elems))))
+    # The left regular representation: L(x)e₀ holds the coefficients of x.
+    lam = np.zeros((n, n, n))
+    lam[np.arange(n)[:, None], table, np.arange(n)] = 1.0
+    zeta = np.exp(2j * np.pi / 3)
+    a1, a2 = np.divmod(np.arange(9), 3)  # a character of ℤ₃² and an element share an index
+    chi = zeta ** (np.outer(a1, a1) + np.outer(a2, a2))
+    proj = np.tensordot(chi.conj(), lam[:9], 1) / 9
+    omega = zeta ** np.outer(a1, a2)
+    j = np.einsum("ab,aij,bkl->ikjl", omega, proj, proj).reshape(n * n, n * n)
+    q = np.tensordot(omega.diagonal().conj(), proj, 1)
+    delta = [(j @ np.kron(x, x) @ j.conj().T)[:, 0].reshape(n, n) for x in lam]
+    antipode = [(q @ lam[i] @ q.conj().T)[:, 0] for i in base.group.inverse]
+    return kc.kac_from_structure(
+        base.labels, base.mult, delta, base.counit, antipode, base.star, base.haar
+    )
 
 
 def _cache_by_object(build):

@@ -13,7 +13,7 @@ from kacgalois import duality as du
 from kacgalois import kac as kc
 from kacgalois import linalg as la
 
-from conftest import ALGEBRA_NAMES, GROUP_NAMES, LADDER_NAMES
+from conftest import ALGEBRA_NAMES, GROUP_NAMES, LADDER_NAMES, twisted_z3_squared_by_z2
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -52,7 +52,8 @@ def dense_pentagon_defect(v, n):
     eye = np.eye(n, dtype=complex)
     v12 = np.kron(v, eye)
     v23 = np.kron(eye, v)
-    swap23 = np.kron(eye, la.flip_operator(n))
+    flip = np.eye(n * n, dtype=complex).reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
+    swap23 = np.kron(eye, flip)
     v13 = swap23 @ v12 @ swap23
     return v12 @ v13 @ v23 - v23 @ v12
 
@@ -143,35 +144,52 @@ def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
 
 @functools.cache
 def corrupted_cyclic_pentagon(order):
-    """ℤ_order's pentagon residual as built, its V with one entry moved by 1e-6,
-    and that V's defect norm from the leg-sweep oracle."""
+    """ℤ_order's pentagon residual as built, and its V with one entry moved by 1e-6."""
     v = du.multiplicative_unitary(kc.group_algebra(kc.cyclic_group(order)))
     corrupted = v.matrix.copy()
     corrupted[3, 5] += 1e-6
     corrupted.flags.writeable = False  # shared by the cached callers
-    return v.residuals["pentagon"], corrupted, leg_sweep_pentagon_frobenius(corrupted, order)
+    return v.residuals["pentagon"], corrupted
 
 
 @pytest.mark.parametrize(
     "order, rotate, path",
-    [(13, False, ["_pentagon_sparse"]), (15, False, ["_pentagon_sparse"]), (15, True, [])],
-    ids=["z13_sparse", "z15_sparse", "z15_rotated_sampled"],
+    [
+        (13, False, ["_pentagon_sparse"]),
+        (15, False, ["_pentagon_sparse"]),
+        (15, True, ["_pentagon_blocked"]),
+        (19, True, []),
+    ],
+    ids=["z13_sparse", "z15_sparse", "z15_rotated_blocked", "z19_rotated_sampled"],
 )
 def test_pentagon_on_cyclic_groups_either_side_of_the_exact_branch(
     order, rotate, path, pentagon_paths
 ):
-    built, corrupted, exact = corrupted_cyclic_pentagon(order)
+    built, corrupted = corrupted_cyclic_pentagon(order)
     assert built < 1e-10
-    if rotate:  # dense above n = 14: the sampled lower bound
-        corrupted = rotated(corrupted, order)
+    # The rotation keeps the defect's norm; a dense V is blocked up to n = 18.
+    dense = rotated(corrupted, order) if rotate else corrupted
     pentagon_paths.clear()
-    value = du.pentagon_residual(corrupted, order)
+    value = du.pentagon_residual(dense, order)
     assert pentagon_paths == path
     assert value > 1e-10
-    if rotate:
-        assert value <= exact * (1 + 1e-12)
-    else:
+    if path:
+        exact = leg_sweep_pentagon_frobenius(dense, order)
         assert abs(value - exact) <= 1e-12 * value
+    else:  # the sampled lower bound, under the sparse path's exact value
+        assert value <= du.pentagon_residual(corrupted, order) * (1 + 1e-12)
+
+
+def test_twisted_group_algebra_pentagon_is_exact_and_blocked(pentagon_paths):
+    """The n = 18 Drinfeld twist: its V has 26 244 nonzeros and its sparse pentagon
+    3.1e9 terms, so the blocked path runs, and its corepresentations come out."""
+    kac = twisted_z3_squared_by_z2()
+    pentagon_paths.clear()
+    v = du.multiplicative_unitary(kac)
+    assert pentagon_paths == ["_pentagon_blocked"]
+    assert v.residuals["pentagon"] < 1e-10
+    coreps = cr.irreducible_coreps(kac, v, du.hat_algebra(kac, v))
+    assert [c.dim for c in coreps] == [1] * 9 + [3]
 
 
 @pytest.mark.parametrize("which", ["kp8", "s3_function*z2_group"])
@@ -232,15 +250,16 @@ def test_pentagon_term_count_is_the_number_of_products():
     n = 3
     v = rng.standard_normal((n * n, n * n)) * (rng.random((n * n, n * n)) < 0.3)
     col = [np.flatnonzero(v[:, j]) for j in range(n * n)]
-    want = np.zeros(n * n)
+    want = np.zeros(n ** 3)
     for a in range(n):
         for b in range(n):
             for c in range(n):
+                abc = (a * n + b) * n + c
                 for r in col[b * n + c]:  # V₂₃, then V₁₃, then V₁₂
                     bp, cp = divmod(r, n)
-                    want[a * n + b] += sum(len(col[r2 // n * n + bp]) for r2 in col[a * n + cp])
+                    want[abc] += sum(len(col[r2 // n * n + bp]) for r2 in col[a * n + cp])
                 for r in col[a * n + b]:  # V₁₂, then V₂₃
-                    want[a * n + b] += len(col[r % n * n + c])
+                    want[abc] += len(col[r % n * n + c])
     assert want.sum() > 0
     np.testing.assert_array_equal(du._pentagon_terms(v != 0, n), want)
 
@@ -248,9 +267,20 @@ def test_pentagon_term_count_is_the_number_of_products():
 def test_sparse_pentagon_sum_does_not_depend_on_its_runs(kp8, monkeypatch):
     n = kp8.dim
     v = perturbed_nonzeros(du.multiplicative_unitary(kp8).matrix)
+    terms = du._pentagon_terms(v != 0, n)
     whole = sparse_pentagon(v, n)
-    monkeypatch.setattr(du, "_TERM_BLOCK", 100)
-    assert abs(sparse_pentagon(v, n) - whole) <= 1e-12 * whole
+    runs = []
+    real = du._sparse_defect_squared
+    monkeypatch.setattr(
+        du, "_sparse_defect_squared", lambda csc, n, col: runs.append(col) or real(csc, n, col)
+    )
+    for block, heavy in ((100, False), (20, True)):  # kp8's columns hold 2 to 68 terms
+        monkeypatch.setattr(du, "_TERM_BLOCK", block)
+        runs.clear()
+        assert abs(sparse_pentagon(v, n) - whole) <= 1e-12 * whole
+        np.testing.assert_array_equal(np.concatenate(runs), np.arange(n ** 3))
+        assert all(terms[col].sum() <= block or len(col) == 1 for col in runs)
+        assert any(terms[col].sum() > block for col in runs) == heavy
 
 
 def test_leg_commutators_match_the_kronecker_reference():

@@ -1,4 +1,4 @@
-"""Dense linear-algebra helpers: kernels, spans, powers, the tensor flip."""
+"""Dense linear-algebra helpers: kernels, spans, powers."""
 
 import numpy as np
 import pytest
@@ -184,13 +184,3 @@ def test_vec_is_the_row_major_flattening():
     assert v.shape == (15,) and v.dtype == complex
     assert all(v[5 * i + j] == x[i, j] for i in range(3) for j in range(5))
     assert la.vec(np.eye(2, dtype=int)).dtype == complex
-
-
-def test_flip_operator_swaps_tensor_legs():
-    rng = np.random.default_rng(4)
-    a = random_complex(rng, 3, 3)
-    b = random_complex(rng, 2, 2)
-    f = la.flip_operator(3, 2)
-    np.testing.assert_allclose(f @ np.kron(a, b), np.kron(b, a) @ f, atol=1e-12)
-    f_sq = la.flip_operator(3)
-    np.testing.assert_allclose(f_sq @ f_sq, np.eye(9), atol=1e-12)
