@@ -16,11 +16,13 @@ From a Kac algebra A materialized on H = L²(A) this module builds:
   transported through the pairing.
 
 Everything returns residual dictionaries; nothing is assumed that is not
-checked.  V is built and certified once per :class:`KacAlgebra` instance,
-and Â once per V built from that same instance; later callers (the dual,
-the corepresentations, the auxiliary unitaries) get the same objects, whose
-arrays are read-only.  The pentagon and the commutation-cell memberships are
-exact Frobenius norms, and the dual coproduct δ̂(y) = V†(1⊗y)V is an exact
+checked.  V is built once per :class:`KacAlgebra` instance, and Â once per V
+built from that same instance; later callers (the dual, the
+corepresentations, the auxiliary unitaries) get the same objects, whose
+arrays are read-only.  The certificates that are computations of their own
+(V's and Â's residuals, the dual's axiom report) run on first read, once;
+the residuals that fall out of a construction come with it.  The pentagon
+and the commutation-cell memberships are exact Frobenius norms, and the dual coproduct δ̂(y) = V†(1⊗y)V is an exact
 sum; each is computed on V's exact nonzero pattern when the work counted on
 that pattern is the smaller.  Every other contraction on the path from V to
 the validated dual is a fixed reshape and matmul.
@@ -46,7 +48,7 @@ from .linalg import DEFAULT_TOL, dagger, frob, opnorm
 
 @dataclass(frozen=True)
 class MultiplicativeUnitary:
-    """V on H⊗H with V(xΩ⊗ξ) = δ(x)(Ω⊗ξ), plus residuals.
+    """V on H⊗H with V(xΩ⊗ξ) = δ(x)(Ω⊗ξ), and its residuals on first read.
 
     ``matrix`` is read-only: one instance per algebra is shared by every
     caller of :func:`multiplicative_unitary`.
@@ -54,7 +56,18 @@ class MultiplicativeUnitary:
 
     matrix: np.ndarray
     kac: KacAlgebra
-    residuals: dict
+
+    @cached_property
+    def residuals(self) -> dict:
+        """Unitarity, the pentagon (:func:`pentagon_residual`) and the defining action."""
+        v, n = self.matrix, self.kac.dim
+        return {
+            "unitary": opnorm(dagger(v) @ v - np.eye(n * n)),
+            "pentagon": pentagon_residual(v, n),
+            "defining_action": opnorm(
+                _times_first_leg(v, self.kac.coord) - _coproduct_action(self.kac)
+            ),
+        }
 
     @cached_property
     def _hat(self) -> HatAlgebra:
@@ -65,32 +78,11 @@ class MultiplicativeUnitary:
         return _sandwich_index(self.matrix, self.kac.dim)
 
 
-def _apply_leg12(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.einsum("pqrs,rsk...->pqk...", v4, psi, optimize=True)
-
-
-def _apply_leg23(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.einsum("pqrs,krs...->kpq...", v4, psi, optimize=True)
-
-
-def _apply_leg13(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    return np.einsum("pqrs,rks...->pkq...", v4, psi, optimize=True)
-
-
-def _pentagon_defect(v4: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(V₁₂V₁₃V₂₃ − V₂₃V₁₂)ψ for ψ of shape (n, n, n, ...)."""
-    lhs = _apply_leg12(v4, _apply_leg13(v4, _apply_leg23(v4, psi)))
-    return lhs - _apply_leg23(v4, _apply_leg12(v4, psi))
-
-
 # The blocked exact pentagon costs n⁸ complex multiply-adds; one term of the
 # sparse one (its products, the merge sort, two bincounts) costs about as much
 # as 400 of them (about 140 ns against 0.35 ns on a Xeon core, BLAS on one
 # thread, at n = 8 and 12).
 _TERM_COST = 400
-# The most work an exact pentagon may count: 18⁸ ≈ 1.1e10 multiply-adds, the
-# blocked path at n = 18, about 3 s on a Xeon core (BLAS on one thread).
-_PENTAGON_BUDGET = 18 ** 8
 # Terms the sparse pentagon expands at once, unless one column holds more.
 _TERM_BLOCK = 1 << 18
 # One term of the sparse leg commutator (its product, its share of the merge
@@ -107,32 +99,19 @@ _DELTA_TERM_COST = 50
 
 
 def pentagon_residual(v: np.ndarray, n: int) -> float:
-    """Size of V₁₂V₁₃V₂₃ − V₂₃V₁₂ on H⊗H⊗H.
+    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F on H⊗H⊗H, an upper bound on the operator norm.
 
-    The exact Frobenius norm, an upper bound on the operator norm, by the exact
-    path that counts less work; neither forms an n³×n³ operator.  The sparse
-    path (:func:`_pentagon_sparse`) expands both sides over V's exact nonzeros,
-    a term counted from V's pattern as ``_TERM_COST`` multiply-adds; the
-    blocked path (:func:`_pentagon_blocked`) takes n⁸ whatever V is.  When even
-    the cheaper count is above ``_PENTAGON_BUDGET`` (a dense V from n = 19 on),
-    the result is the maximum over 32 random unit vectors of the fixed seed 11,
-    a lower bound on the operator norm.
+    Exact, by the path that counts less work; neither forms an n³×n³
+    operator.  The sparse path (:func:`_pentagon_sparse`) expands both sides
+    over V's exact nonzeros, a term counted from V's pattern as
+    ``_TERM_COST`` multiply-adds; the blocked path (:func:`_pentagon_blocked`)
+    takes n⁸ whatever V is.
     """
     nz = v != 0
     terms = _pentagon_terms(nz, n)
-    sparse = _TERM_COST * terms.sum()
-    if min(sparse, n ** 8) <= _PENTAGON_BUDGET:
-        if sparse < n ** 8:
-            return _pentagon_sparse(v, n, nz, terms)
-        return _pentagon_blocked(v, n)
-    v4 = v.reshape(n, n, n, n)
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(32):
-        psi = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
-        psi /= np.linalg.norm(psi)
-        worst = max(worst, frob(_pentagon_defect(v4, psi)))
-    return worst
+    if _TERM_COST * terms.sum() < n ** 8:
+        return _pentagon_sparse(v, n, nz, terms)
+    return _pentagon_blocked(v, n)
 
 
 def _pentagon_blocked(v: np.ndarray, n: int) -> float:
@@ -320,28 +299,27 @@ def _merge(pos: np.ndarray, vals: np.ndarray, size: int) -> tuple:
 
 
 def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
-    """V from the coproduct, with its defining properties verified.
+    """V from the coproduct, its defining properties verified on first read.
 
-    Built and certified once per ``kac`` instance (the cached ``KacAlgebra._v``)
-    and shared by every later caller, so its matrix is read-only.
+    Built once per ``kac`` instance (the cached ``KacAlgebra._v``) and shared
+    by every later caller, so its matrix is read-only.
     """
     return kac._v
 
 
 def _multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
-    """Construct V from the coproduct and verify its defining properties."""
+    """Construct V from the coproduct."""
+    v = _times_first_leg(_coproduct_action(kac), kac.coord_inv)
+    v.flags.writeable = False
+    return MultiplicativeUnitary(matrix=v, kac=kac)
+
+
+def _coproduct_action(kac: KacAlgebra) -> np.ndarray:
+    """T with T(bᵢΩ⊗e_q) = δ(bᵢ)(Ω⊗e_q), as an n²×n² matrix; V = T·(coord⁻¹⊗1)."""
     n = kac.dim
     # t4[i, a, b, q] = (δ(bᵢ)(Ω ⊗ e_q))[(a, b)] = Σⱼₖ Δ[i,j,k]·coord[a,j]·L(b_k)[b,q]
     t4 = (kac.coord @ kac.delta).reshape(n * n, n) @ kac.lmats.reshape(n, n * n)
-    t_mat = t4.reshape((n,) * 4).transpose(1, 2, 0, 3).reshape(n * n, n * n)
-    v = _times_first_leg(t_mat, kac.coord_inv)
-
-    res = {}
-    res["unitary"] = opnorm(dagger(v) @ v - np.eye(n * n))
-    res["pentagon"] = pentagon_residual(v, n)
-    res["defining_action"] = opnorm(_times_first_leg(v, kac.coord) - t_mat)
-    v.flags.writeable = False
-    return MultiplicativeUnitary(matrix=v, kac=kac, residuals=res)
+    return t4.reshape((n,) * 4).transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
 
 def _times_first_leg(m: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -368,19 +346,33 @@ class HatAlgebra:
     coefficient extractions.
     """
 
+    kac: KacAlgebra
+    v: MultiplicativeUnitary
     mm: ag.MMAlgebra
     onb: np.ndarray
-    residuals: dict
+
+    @cached_property
+    def residuals(self) -> dict:
+        """The slice span has dimension n, it is closed as a *-algebra, and V
+        lies in Â⊗A (commutation with the generators of the commutant cell
+        Â′⊗A′, :func:`_leg_commutator_max`)."""
+        res = {"dimension": float(abs(len(self.onb) - self.kac.dim))}
+        val = self.mm.validate()
+        for key in ("product_closure", "adjoint_closure", "unit_membership"):
+            res[key] = val[key]
+        a_comm = ag.commutant(self.kac.as_mm())
+        hat_comm = ag.commutant(self.mm)
+        res["v_in_hat_tensor_a"] = _leg_commutator_max(
+            self.v.matrix, hat_comm.onb(), a_comm.onb()
+        )
+        return res
 
 
 def hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
-    """Slice V over its second leg and certify the result.
+    """Slice V over its second leg; its residuals are computed on first read.
 
-    Residual checks: the slice span has dimension n, it is closed as a
-    *-algebra, and V lies in Â⊗A (commutation with the generators of the
-    commutant cell Â′⊗A′, :func:`_leg_commutator_max`).  Built once per
-    ``v`` when ``v.kac is kac`` and shared by every later caller (its basis
-    is read-only); any other pair is built afresh.
+    Built once per ``v`` when ``v.kac is kac`` and shared by every later
+    caller (its basis is read-only); any other pair is built afresh.
     """
     return v._hat if v.kac is kac else _hat_algebra(kac, v)
 
@@ -389,19 +381,8 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     n = kac.dim
     v4 = v.matrix.reshape(n, n, n, n)
     slices = [v4[:, p, :, q] for p in range(n) for q in range(n)]
-    onb = la.orthonormalize(slices)
-    mm = ag.from_span(onb, n)
-    res = {}
-    res["dimension"] = 0.0 if len(onb) == n else float(abs(len(onb) - n))
-    val = mm.validate()
-    res["product_closure"] = val["product_closure"]
-    res["adjoint_closure"] = val["adjoint_closure"]
-    res["unit_membership"] = val["unit_membership"]
-
-    a_comm = ag.commutant(kac.as_mm())
-    hat_comm = ag.commutant(mm)
-    res["v_in_hat_tensor_a"] = _leg_commutator_max(v.matrix, hat_comm.onb(), a_comm.onb())
-    return HatAlgebra(mm=mm, onb=mm.onb(), residuals=res)
+    mm = ag.from_span(la.orthonormalize(slices), n)
+    return HatAlgebra(kac=kac, v=v, mm=mm, onb=mm.onb())
 
 
 def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
@@ -698,8 +679,8 @@ class DualKac:
     """The dual, reconstructed as an abstract Kac algebra and re-validated.
 
     ``kac`` is the dual as a fresh :class:`KacAlgebra` (its own Haar GNS
-    materialization); ``onb`` is the concrete basis of Â on the original H
-    whose index order matches the abstract basis.
+    materialization), whose basis index order matches that of ``hat.onb``,
+    the concrete basis of Â on the original H.
     """
 
     kac: KacAlgebra
@@ -708,7 +689,11 @@ class DualKac:
     ints: Integrals
     pairing_form: PairingForm
     residuals: dict
-    axiom_report: dict
+
+    @cached_property
+    def axiom_report(self) -> dict:
+        """:func:`~kacgalois.kac.validate_kac` of the dual, on first read."""
+        return validate_kac(self.kac)
 
 
 def dual_kac(kac: KacAlgebra) -> DualKac:
@@ -722,8 +707,8 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     conj(Y)·D·conj(Y)ᵀ, D being δ̂(y_c) regrouped as D[(p,r),(q,s)], one basis
     element at a time; ``coproduct_membership`` is the largest entry of
     D − Yᵀ·coeff·Y over all c.  The resulting tensors are materialized
-    through their own GNS construction and the full axiom validator is run
-    on the result.
+    through their own GNS construction; the full axiom validator runs on the
+    result when ``axiom_report`` is first read.
     """
     n = kac.dim
     v = multiplicative_unitary(kac)
@@ -775,11 +760,7 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     dual = kac_from_structure(
         labels, mult, delta, counit, antipode, star, haar, origin="dual"
     )
-    report = validate_kac(dual)
-    return DualKac(
-        kac=dual, hat=hat, v=v, ints=ints, pairing_form=pf,
-        residuals=res, axiom_report=report,
-    )
+    return DualKac(kac=dual, hat=hat, v=v, ints=ints, pairing_form=pf, residuals=res)
 
 
 def bidual_check(dd: DualKac) -> dict:
@@ -787,7 +768,9 @@ def bidual_check(dd: DualKac) -> dict:
 
     The identification is transported through the two pairings: T is the
     matrix solving P₂·T = P₁ᵀ, and all structure tensors are compared after
-    transport.  Returns per-structure residuals and their maximum.
+    transport.  Returns per-structure residuals and their maximum.  The
+    bidual is built for its structure tensors and pairing only; none of its
+    own certificates is computed.
     """
     kac = dd.v.kac
     n = kac.dim

@@ -14,6 +14,7 @@ import pytest
 from kacgalois import cli
 from kacgalois import duality as du
 from kacgalois import jones as jn
+from kacgalois import kac as kc
 from kacgalois.algebra import NoExpectationError, ShapeError, SubalgebraError
 from kacgalois.jones import InclusionError
 from kacgalois.kac import AxiomError
@@ -176,19 +177,24 @@ def test_seed_changes_nothing_structural_for_validate():
 
 
 @pytest.mark.parametrize(
-    "run, builds",
+    "run, builds, certificates",
     [
-        (lambda kac: cli.run_dual(kac, None), 2),
-        (lambda kac: cli._selftest_algebra(kac, None, 7), 2),
-        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), 1),
+        (lambda kac: cli.run_dual(kac, None), 2, (3, 3, 1)),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), 2, (1, 0, 1)),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), 1, (0, 0, 0)),
     ],
     ids=["run_dual", "selftest_algebra", "run_coreps"],
 )
-def test_each_duality_object_is_built_once(monkeypatch, algebras, run, builds):
+def test_each_duality_object_is_built_once(monkeypatch, groups, run, builds, certificates):
     # One dual of A, plus one of its dual where the bidual is checked, each
-    # with its own V; coreps reads V, Â and the integrals from A's dual.
+    # with its own V; coreps reads V, Â and the integrals from A's dual.  A
+    # certificate runs only where the report reads it: `dual` reads V's, Â's
+    # and the dual's axioms and certifies V̂ and Ṽ, `selftest` reads V's and
+    # the dual's axioms, and `coreps` reads none of them.
     calls = collections.Counter()
-    for name in ("multiplicative_unitary", "dual_kac"):
+    names = ("multiplicative_unitary", "dual_kac", "pentagon_residual",
+             "_leg_commutator_max", "validate_kac")
+    for name in names:
         real = getattr(du, name)
 
         def counted(*args, _real=real, _name=name):
@@ -196,8 +202,8 @@ def test_each_duality_object_is_built_once(monkeypatch, algebras, run, builds):
             return _real(*args)
 
         monkeypatch.setattr(du, name, counted)
-    run(algebras["s3_group"])
-    assert calls == {"multiplicative_unitary": builds, "dual_kac": builds}
+    run(kc.group_algebra(groups["s3"]))  # fresh, so no certificate is cached on it
+    assert [calls[name] for name in names] == [builds, builds, *certificates]
 
 
 @pytest.mark.parametrize("name", ["s3_function", "kp8"])
