@@ -198,10 +198,6 @@ class SubspaceSystem:
     spaces: tuple
     corep_dims: tuple
 
-    @property
-    def multiplicities(self) -> tuple:
-        return tuple(s.shape[0] for s in self.spaces)
-
     def weighted_dim(self) -> int:
         return int(sum(d * s.shape[0] for d, s in zip(self.corep_dims, self.spaces)))
 
@@ -408,28 +404,21 @@ def enumerate_coideals_group_case(
 # ---------------------------------------------------------------------------
 
 
-def _pair_rows(dd: du.DualKac, ops: list[np.ndarray]) -> np.ndarray:
-    """Rows of pairing values ⟨op, y_α⟩ against the dual orthonormal basis."""
-    kac = dd.v.kac
-    w = np.einsum("aqp,q->ap", dd.hat.onb, np.conj(dd.ints.omega_hat))
-    vecs = np.stack([op @ kac.omega for op in ops])
-    return np.sqrt(kac.dim) * np.einsum("ip,ap->ia", vecs, w)
-
-
 def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     """B̃ = {y ∈ Â : ⟨x·b, y⟩ = ε(b)·⟨x, y⟩ for all x ∈ A, b ∈ B}.
 
     B is a coideal of A = ``dd.v.kac``.  Solved as the null space of the
-    pairing constraints over the dual basis; returned as a certified coideal
-    of Â (operators on the same GNS space, ``home='dual'``).
+    pairing constraints over the dual basis, read off the pairing matrix P
+    (P[i, α] = ⟨bᵢ, y_α⟩): bᵢ·b has the coefficients Σⱼ mult[i, j, :]·c(b)ⱼ,
+    so its row is those coefficients times P.  Returned as a certified
+    coideal of Â (operators on the same GNS space, ``home='dual'``).
     """
     kac = dd.v.kac
-    base = _pair_rows(dd, list(kac.lmats))
-    rows = [
-        _pair_rows(dd, [lm @ b for lm in kac.lmats]) - kac.counit_of(b) * base
-        for b in coid.mm.onb()
-    ]
-    ns = la.null_space(np.vstack(rows))
+    p_mat = dd.pairing_form.matrix
+    coeffs = (coid.mm.onb() @ kac.omega) @ kac.coord_inv.T  # c(b) per basis element b
+    rows = np.tensordot(coeffs, kac.mult, axes=(1, 1)) @ p_mat
+    rows -= (coeffs @ kac.counit)[:, None, None] * p_mat
+    ns = la.null_space(rows.reshape(-1, kac.dim))
     mats = [np.einsum("a,apq->pq", ns[:, k], dd.hat.onb) for k in range(ns.shape[1])]
     mm = ag.from_span(mats, kac.dim)
     val = mm.validate()
@@ -440,17 +429,18 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
 
 
 def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
-    """The reverse Galois map: {x ∈ A : ⟨x, y·c⟩ = ε̂(c)·⟨x, y⟩ ∀y ∈ Â, c ∈ B̃}."""
+    """The reverse Galois map: {x ∈ A : ⟨x, y·c⟩ = ε̂(c)·⟨x, y⟩ ∀y ∈ Â, c ∈ B̃}.
+
+    Each y_α·c − ε̂(c)·y_α is expanded in Â's basis from the operator
+    products, and its row of pairings with the bᵢ is that expansion times Pᵀ.
+    """
     kac = dd.v.kac
-    sq = np.sqrt(kac.dim)
-    rows = []
-    for c in dual_coid.mm.onb():
-        eps_c = complex(np.vdot(kac.omega, c @ kac.omega))
-        for y in dd.hat.onb:
-            prod = y @ c
-            wv = prod.T @ np.conj(dd.ints.omega_hat) - eps_c * (y.T @ np.conj(dd.ints.omega_hat))
-            rows.append(sq * (kac.coord.T @ wv))
-    ns = la.null_space(np.stack(rows))
+    hat = dd.hat
+    onb = dual_coid.mm.onb()
+    eps = (onb @ kac.omega) @ np.conj(kac.omega)  # ε̂(c) = (Ω, cΩ)
+    coeffs = hat.mm.coeffs(hat.onb[None] @ onb[:, None])  # [c, α, β]: y_α·c over y_β
+    coeffs -= eps[:, None, None] * np.eye(kac.dim)
+    ns = la.null_space((coeffs @ dd.pairing_form.matrix.T).reshape(-1, kac.dim))
     mats = [kac.op(ns[:, k]) for k in range(ns.shape[1])]
     return ag.from_span(mats, kac.dim)
 

@@ -65,7 +65,7 @@ class MultiplicativeUnitary:
             "unitary": opnorm(dagger(v) @ v - np.eye(n * n)),
             "pentagon": pentagon_residual(v, n),
             "defining_action": opnorm(
-                _times_first_leg(v, self.kac.coord) - _coproduct_action(self.kac)
+                _times_first_leg(v, self.kac.coord) - _coproduct_action(self.kac, self.kac.delta)
             ),
         }
 
@@ -309,16 +309,21 @@ def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
 
 def _multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
     """Construct V from the coproduct."""
-    v = _times_first_leg(_coproduct_action(kac), kac.coord_inv)
+    v = _times_first_leg(_coproduct_action(kac, kac.delta), kac.coord_inv)
     v.flags.writeable = False
     return MultiplicativeUnitary(matrix=v, kac=kac)
 
 
-def _coproduct_action(kac: KacAlgebra) -> np.ndarray:
-    """T with T(bᵢΩ⊗e_q) = δ(bᵢ)(Ω⊗e_q), as an n²×n² matrix; V = T·(coord⁻¹⊗1)."""
+def _coproduct_action(kac: KacAlgebra, delta: np.ndarray) -> np.ndarray:
+    """T with T(bᵢΩ⊗e_q) = Δ(bᵢ)(Ω⊗e_q), as an n²×n² matrix.
+
+    Δ is the coproduct with coefficient tensor ``delta`` (``kac.delta`` or
+    its opposite): V = T·(coord⁻¹⊗1) for ``kac.delta``, and FV̂†F·(coord⊗1)
+    = T for the opposite coproduct, ``kac.delta.swapaxes(1, 2)``.
+    """
     n = kac.dim
-    # t4[i, a, b, q] = (δ(bᵢ)(Ω ⊗ e_q))[(a, b)] = Σⱼₖ Δ[i,j,k]·coord[a,j]·L(b_k)[b,q]
-    t4 = (kac.coord @ kac.delta).reshape(n * n, n) @ kac.lmats.reshape(n, n * n)
+    # t4[i, a, b, q] = (Δ(bᵢ)(Ω ⊗ e_q))[(a, b)] = Σⱼₖ Δ[i,j,k]·coord[a,j]·L(b_k)[b,q]
+    t4 = (kac.coord @ delta).reshape(n * n, n) @ kac.lmats.reshape(n, n * n)
     return t4.reshape((n,) * 4).transpose(1, 2, 0, 3).reshape(n * n, n * n)
 
 
@@ -352,6 +357,11 @@ class HatAlgebra:
     onb: np.ndarray
 
     @cached_property
+    def commutant_cells(self) -> tuple:
+        """Orthonormal bases of A′ and Â′, built on first read, once per Â."""
+        return ag.commutant(self.kac.as_mm()).onb(), ag.commutant(self.mm).onb()
+
+    @cached_property
     def residuals(self) -> dict:
         """The slice span has dimension n, it is closed as a *-algebra, and V
         lies in Â⊗A (commutation with the generators of the commutant cell
@@ -360,11 +370,8 @@ class HatAlgebra:
         val = self.mm.validate()
         for key in ("product_closure", "adjoint_closure", "unit_membership"):
             res[key] = val[key]
-        a_comm = ag.commutant(self.kac.as_mm())
-        hat_comm = ag.commutant(self.mm)
-        res["v_in_hat_tensor_a"] = _leg_commutator_max(
-            self.v.matrix, hat_comm.onb(), a_comm.onb()
-        )
+        a_comm, hat_comm = self.commutant_cells
+        res["v_in_hat_tensor_a"] = _leg_commutator_max(self.v.matrix, hat_comm, a_comm)
         return res
 
 
@@ -460,7 +467,6 @@ class Integrals:
     state ĥ = Tr/n on Â.
     """
 
-    e_coeffs: np.ndarray
     e_op: np.ndarray
     e_hat: np.ndarray
     omega_hat: np.ndarray
@@ -514,9 +520,7 @@ def integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
             float(abs(np.trace(y) / n - np.vdot(omega_hat, y @ omega_hat))),
         )
     res["dual_haar_is_normalized_trace"] = tr_vs_vector
-    return Integrals(
-        e_coeffs=c, e_op=e_op, e_hat=e_hat, omega_hat=omega_hat, residuals=res
-    )
+    return Integrals(e_op=e_op, e_hat=e_hat, omega_hat=omega_hat, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +545,14 @@ def hat_unitaries(
 
     Certifies: U is a self-inverse unitary; V̂ and Ṽ are multiplicative
     unitaries (pentagon); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (commutation with the
-    generators of the respective commutant cells); V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω);
-    and Ad(Ṽ) restricted to first-leg dual elements is the dual coproduct,
-    Ṽ(y⊗1)Ṽ† = δ̂(y).
+    generators of the respective commutant cells, ``hat.commutant_cells``);
+    V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and Ad(Ṽ) restricted to first-leg dual elements is
+    the dual coproduct, Ṽ(y⊗1)Ṽ† = δ̂(y).
+
+    Under the flip F, V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω) reads FV̂†F(xΩ⊗ξ) = δ^op(x)(Ω⊗ξ),
+    V's defining action for the opposite coproduct, so its residual is the
+    largest column norm of FV̂†F·(coord⊗1) − T^op (:func:`_coproduct_action`):
+    the largest ‖V̂†(e_q⊗bᵢΩ) − δ(bᵢ)(e_q⊗Ω)‖ over the basis.
     """
     n = kac.dim
     u = kac.coord @ kac.antipode.T @ kac.coord_inv
@@ -561,27 +570,15 @@ def hat_unitaries(
     res["v_hat_pentagon"] = pentagon_residual(v_hat, n)
     res["v_tilde_pentagon"] = pentagon_residual(v_tilde, n)
 
-    a_mm = kac.as_mm()
-    a_comm = ag.commutant(a_mm)
-    hat_comm = ag.commutant(hat.mm)
-
+    a_comm, hat_comm = hat.commutant_cells
     # V̂ ∈ A⊗Â′ ⟺ commutes with A′⊗1 and 1⊗Â
-    res["v_hat_in_a_tensor_hatcomm"] = _leg_commutator_max(v_hat, a_comm.onb(), hat.onb)
+    res["v_hat_in_a_tensor_hatcomm"] = _leg_commutator_max(v_hat, a_comm, hat.onb)
     # Ṽ ∈ A′⊗Â ⟺ commutes with A⊗1 and 1⊗Â′
-    res["v_tilde_in_acomm_tensor_hat"] = _leg_commutator_max(
-        v_tilde, kac.lmats, hat_comm.onb()
-    )
+    res["v_tilde_in_acomm_tensor_hat"] = _leg_commutator_max(v_tilde, kac.lmats, hat_comm)
 
-    # V̂†(ξ ⊗ xΩ) = δ(x)(ξ ⊗ Ω) over basis x and coordinate vectors ξ.
-    act = 0.0
-    vh_dag = dagger(v_hat)
-    for i in range(n):
-        d_i = kac.tensor_op(kac.delta[i])
-        for q in range(n):
-            lhs = vh_dag @ np.kron(eye[:, q], kac.coord[:, i])
-            rhs = d_i @ np.kron(eye[:, q], kac.omega)
-            act = max(act, float(np.linalg.norm(lhs - rhs)))
-    res["v_hat_defining_action"] = act
+    flipped = dagger(v_hat).reshape((n,) * 4).transpose(1, 0, 3, 2).reshape(n * n, n * n)
+    act = _times_first_leg(flipped, kac.coord) - _coproduct_action(kac, kac.delta.swapaxes(1, 2))
+    res["v_hat_defining_action"] = float(np.linalg.norm(act, axis=0).max())
 
     # Ṽ(y⊗1)Ṽ† = W†(1⊗y)W with W = FṼ†, since F(y⊗1)F = 1⊗y.
     w = dagger(v_tilde).reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
@@ -603,22 +600,15 @@ class PairingForm:
     """The bilinear pairing ⟨x, y⟩ = √n·(xΩ, y*Ω̂) between A and Â.
 
     ``matrix`` holds the pairing of the algebra basis operators against the
-    dual orthonormal basis; ``residuals`` certify bilinearity of form,
-    nondegeneracy, the counit rows, and the two multiplicativity laws
-    (products on one side pair with coproducts on the other).
+    dual orthonormal basis, P[i, α] = ⟨bᵢ, y_α⟩; the pairing is bilinear, so
+    every other value is read off P through basis coefficients.
+    ``residuals`` certify nondegeneracy, the counit rows, and the two
+    multiplicativity laws (products on one side pair with coproducts on the
+    other).
     """
 
-    kac: KacAlgebra
-    hat: HatAlgebra
-    omega_hat: np.ndarray
     matrix: np.ndarray
     residuals: dict
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> complex:
-        n = self.kac.dim
-        return complex(
-            np.sqrt(n) * np.dot(x @ self.kac.omega, y.T @ np.conj(self.omega_hat))
-        )
 
 
 def pairing(
@@ -664,9 +654,7 @@ def pairing(
     rhs2 = p_mat.T @ kac.delta @ p_mat
     res["pairing_coproduct_vs_dual_product"] = float(np.abs(lhs2 - rhs2).max())
 
-    return PairingForm(
-        kac=kac, hat=hat, omega_hat=ints.omega_hat, matrix=p_mat, residuals=res
-    )
+    return PairingForm(matrix=p_mat, residuals=res)
 
 
 # ---------------------------------------------------------------------------

@@ -229,13 +229,9 @@ class KacAlgebra:
     # -- structure maps on operators --------------------------------------
 
     def delta_op(self, x: np.ndarray) -> np.ndarray:
-        """Coproduct of an algebra operator, as an n²×n² matrix."""
-        c = self.coeffs_of(x)
-        return self.tensor_op(np.tensordot(c, self.delta, axes=(0, 0)))
-
-    def tensor_op(self, w: np.ndarray) -> np.ndarray:
-        """The n²×n² operator Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ)."""
+        """Coproduct of an algebra operator, as an n²×n² matrix Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ)."""
         n = self.dim
+        w = np.tensordot(self.coeffs_of(x), self.delta, axes=(0, 0))
         flat = self.lmats.reshape(n, n * n)
         # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ L(bⱼ)[b, e], then contract i against L(bᵢ)[a, c].
         out = flat.T @ (w @ flat)
@@ -396,10 +392,14 @@ def kac_from_structure(
 def validate_kac(kac: KacAlgebra, tol: float = TIGHT_TOL) -> dict:
     """Residuals for every defining axiom, at the coefficient-tensor level.
 
-    Returns a dict mapping axiom names to non-negative residuals (operator
-    norms over coefficient tensors), plus ``max_residual`` and ``passed``.
-    A representation-level spot check (the GNS action is a *-representation)
-    is included so that tensor-level and operator-level data stay in sync.
+    Returns a dict mapping axiom names to non-negative residuals, plus
+    ``max_residual`` and ``passed``.  Each tensor-level residual is the
+    entrywise maximum of a defect over the coefficient tensors; Haar
+    positivity is the margin by which the Gram matrix's least eigenvalue
+    falls short of ``tol``.  A representation-level check, the
+    largest Frobenius norm of L(bᵢ)† − L(bᵢ*) over all n basis elements (the
+    GNS action is a *-representation), keeps tensor-level and operator-level
+    data in sync.
     """
     m, d = kac.mult, kac.delta
     eps, s, st, h = kac.counit, kac.antipode, kac.star, kac.haar
@@ -460,11 +460,9 @@ def validate_kac(kac: KacAlgebra, tol: float = TIGHT_TOL) -> dict:
     res["star_involutive"] = float(np.abs(np.conj(st) @ st - np.eye(n)).max())
     res["star_antimultiplicative"] = float(np.abs(np.conj(m) @ st - _twisted(st, m)).max())
 
-    rep_res = 0.0
-    for i in range(min(n, 8)):
-        want = kac.op(st[i])
-        rep_res = max(rep_res, frob(dagger(kac.lmats[i]) - want))
-    res["representation_star"] = rep_res
+    res["representation_star"] = max(
+        frob(dagger(lm) - kac.op(row)) for lm, row in zip(kac.lmats, st)
+    )
 
     res["max_residual"] = max(v for k, v in res.items())
     res["passed"] = res["max_residual"] < tol

@@ -111,10 +111,14 @@ def span_distance(onb1, onb2) -> float:
     Computed as the gap max(‖(I−P₂)P₁‖, ‖(I−P₁)P₂‖), which equals ‖P₁ − P₂‖
     for any two orthogonal projectors.  With orthonormal rows A and B,
     ‖(I−P₂)P₁‖ = ‖A − (AB†)B‖, so only k×d² matrices are formed, never the
-    d²×d² projectors.  Spans of unequal dimension are at distance 1.
+    d²×d² projectors.  Spans of unequal dimension are at distance exactly 1,
+    with no SVD: a unit vector in the larger range and the smaller kernel
+    gives ‖P₁ − P₂‖ ≥ 1, and no two projectors are further apart.
     """
-    if len(onb1) == 0 or len(onb2) == 0:
-        return float(len(onb1) != len(onb2))
+    if len(onb1) != len(onb2):
+        return 1.0
+    if len(onb1) == 0:
+        return 0.0
     a, b = _flat_rows(onb1), _flat_rows(onb2)
     ab = a @ dagger(b)
     return max(opnorm(a - ab @ b), opnorm(b - dagger(ab) @ a))

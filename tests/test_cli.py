@@ -11,6 +11,7 @@ from importlib import resources
 
 import pytest
 
+from kacgalois import algebra as ag
 from kacgalois import cli
 from kacgalois import duality as du
 from kacgalois import jones as jn
@@ -204,6 +205,24 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, builds, cer
         monkeypatch.setattr(du, name, counted)
     run(kc.group_algebra(groups["s3"]))  # fresh, so no certificate is cached on it
     assert [calls[name] for name in names] == [builds, builds, *certificates]
+
+
+def test_dual_builds_each_commutant_cell_once(monkeypatch, groups):
+    # A′ and Â′ are read by Â's residuals and by the V̂, Ṽ memberships.
+    calls = []
+    real = ag.commutant
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(ag, "commutant", counted)
+    kac = kc.group_algebra(groups["s3"])
+    report, passed = cli.run_dual(kac, None)
+    assert passed
+    dd = du.dual_kac(kac)
+    assert len(calls) == 2
+    assert calls[0] is kac.as_mm() and calls[1] is dd.hat.mm
 
 
 @pytest.mark.parametrize("name", ["s3_function", "kp8"])

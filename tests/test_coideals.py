@@ -503,6 +503,56 @@ def test_tilde_lands_in_dual_and_is_right_coideal(algebras, dual_of):
         assert both["distance"] < 1e-9 and both["dim"] == coid.dim
 
 
+def pairing_formula(dd, xs, ys):
+    """⟨x, y⟩ = √n·(xΩ, y*Ω̂) at [x, y], for each x in ``xs`` and y in ``ys``."""
+    kac = dd.v.kac
+    return np.sqrt(kac.dim) * (xs @ kac.omega) @ (ys.swapaxes(1, 2) @ np.conj(dd.ints.omega_hat)).T
+
+
+def tilde_by_formula(coid, dd):
+    """B̃ from the pairing formula, one operator product x·b at a time."""
+    kac, ys = dd.v.kac, dd.hat.onb
+    base = pairing_formula(dd, kac.lmats, ys)
+    rows = [pairing_formula(dd, kac.lmats @ b, ys) - kac.counit_of(b) * base for b in coid.mm.onb()]
+    ns = la.null_space(np.vstack(rows))
+    return la.orthonormalize(np.tensordot(ns.T, ys, axes=1))
+
+
+def tilde_back_by_formula(dual_coid, dd):
+    """The reverse map from the pairing formula, one product y·c at a time."""
+    kac, ys = dd.v.kac, dd.hat.onb
+    base = pairing_formula(dd, kac.lmats, ys).T
+    rows = [
+        pairing_formula(dd, kac.lmats, ys @ c).T - np.vdot(kac.omega, c @ kac.omega) * base
+        for c in dual_coid.mm.onb()
+    ]
+    ns = la.null_space(np.vstack(rows))
+    return la.orthonormalize(np.tensordot(ns.T, kac.lmats, axes=1))
+
+
+def galois_oracle_cases(algebras, kp8):
+    for name in ALGEBRA_NAMES:
+        kac = algebras[name]
+        for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+            yield name, kac, coid
+    unit = np.eye(kp8.dim)
+    yield "kp8", kp8, ci.coideal_closure(kp8, [kp8.op(unit[0] + unit[1])])
+
+
+def test_galois_maps_match_the_pairing_formula(algebras, kp8, dual_of):
+    seen = set()
+    for name, kac, coid in galois_oracle_cases(algebras, kp8):
+        seen.add(name)
+        dd = dual_of(kac)
+        bt = ci.tilde(coid, dd)
+        assert 0 < bt.dim and bt.dim * coid.dim == kac.dim, name
+        assert la.span_distance(bt.mm.onb(), tilde_by_formula(coid, dd)) <= 1e-12, name
+        back = ci.tilde_back(bt, dd)
+        assert back.dim == coid.dim, name
+        assert la.span_distance(back.onb(), tilde_back_by_formula(bt, dd)) <= 1e-12, name
+    assert seen == {*ALGEBRA_NAMES, "kp8"}
+
+
 def test_jones_projection_weight_identities(algebras, dual_of):
     for name in ("s3_function", "z4_group"):
         kac = algebras[name]

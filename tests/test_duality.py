@@ -627,6 +627,43 @@ def test_antipode_unitaries_and_their_pentagons(algebras, dual_of, name):
     assert res["v_tilde_implements_dual_coproduct"] < 1e-10
 
 
+def v_hat_action_by_vectors(kac, v_hat):
+    """The largest ‖V̂†(e_q⊗bᵢΩ) − δ(bᵢ)(e_q⊗Ω)‖, one basis vector at a time."""
+    n = kac.dim
+    eye = np.eye(n)
+    vh_dag = la.dagger(v_hat)
+    act = 0.0
+    for i in range(n):
+        d_i = np.einsum("jk,jac,kbd->abcd", kac.delta[i], kac.lmats, kac.lmats)
+        d_i = d_i.reshape(n * n, n * n)
+        for q in range(n):
+            lhs = vh_dag @ np.kron(eye[:, q], kac.coord[:, i])
+            rhs = d_i @ np.kron(eye[:, q], kac.omega)
+            act = max(act, float(np.linalg.norm(lhs - rhs)))
+    return act
+
+
+@pytest.mark.parametrize("name", [*ALGEBRA_NAMES, "kp8"])
+def test_v_hat_defining_action_matches_the_per_vector_loop(algebras, kp8, name):
+    kac = kp8 if name == "kp8" else algebras[name]
+    v = du.multiplicative_unitary(kac)
+    hu = du.hat_unitaries(kac, v, du.hat_algebra(kac, v))
+    act = hu.residuals["v_hat_defining_action"]
+    assert act == pytest.approx(v_hat_action_by_vectors(kac, hu.v_hat), abs=1e-14)
+    assert act < 1e-12
+
+
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_function"])
+def test_v_hat_defining_action_needs_the_opposite_coproduct(algebras, kp8, monkeypatch, name):
+    # Mutant: V̂ checked against V's own coproduct instead of its swap.
+    kac = kp8 if name == "kp8" else algebras[name]
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    real = du._coproduct_action
+    monkeypatch.setattr(du, "_coproduct_action", lambda kac_, delta: real(kac_, kac_.delta))
+    assert du.hat_unitaries(kac, v, hat).residuals["v_hat_defining_action"] > 0.1
+
+
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_dual_is_a_kac_algebra(algebras, dual_of, name):
     dd = dual_of(algebras[name])

@@ -132,6 +132,16 @@ def test_validator_flags_broken_coassociativity(algebras):
     assert not report["passed"]
 
 
+def test_representation_star_checks_every_basis_element(algebras):
+    # n = 24: a star row past the first eight is checked too.
+    kac = kc.tensor_kac(algebras["s3_function"], algebras["z4_group"])
+    assert kc.validate_kac(kac)["representation_star"] < 1e-12
+    star = kac.star.copy()
+    star[20] *= 1.5
+    report = kc.validate_kac(dataclasses.replace(kac, star=star))
+    assert report["representation_star"] == pytest.approx(1.0, abs=1e-12)
+
+
 def loop_coproduct_multiplicative(kac):
     """Reference: max |Δ(bᵢbⱼ) − Δ(bᵢ)Δ(bⱼ)| contracted one index i at a time."""
     m, d = kac.mult, kac.delta

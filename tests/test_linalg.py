@@ -132,6 +132,19 @@ def test_span_distance_matches_dense_projector_difference(case, seed):
         assert gap == pytest.approx(dense, rel=1e-12)
 
 
+def test_span_distance_of_unequal_dimensions_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(23)
+    a = la.orthonormalize([random_complex(rng, 4, 4) for _ in range(5)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("span_distance ran an SVD on spans of unequal dimension")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(la, "opnorm", no_svd)
+    assert la.span_distance(a, a[:3]) == 1.0
+    assert la.span_distance(a[:1], a) == 1.0
+
+
 def test_span_distance_of_empty_spans():
     rng = np.random.default_rng(24)
     a = la.orthonormalize([random_complex(rng, 3, 3)])
