@@ -16,6 +16,7 @@ computations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,8 +191,10 @@ def mm_from_generators(gens: list[np.ndarray], ambient_dim: int) -> MMAlgebra:
     """Smallest unital *-closed algebra containing ``gens``.
 
     The span of the identity, the generators, and their adjoints is closed
-    under multiplication by re-multiplying basis pairs until the dimension
-    stabilizes.  The empty generator set yields ℂ·1.
+    under multiplication by re-multiplying basis pairs until the products
+    leave a residual below ``RANK_RTOL`` (so no singular value they add
+    passes the rank cut) or a round adds no dimension.  The empty generator
+    set yields ℂ·1.
     """
     d = ambient_dim
     if d < 1:
@@ -205,12 +208,13 @@ def mm_from_generators(gens: list[np.ndarray], ambient_dim: int) -> MMAlgebra:
         span.append(dagger(g))
     onb = la.orthonormalize(span)
     while True:
-        products = (onb[:, None] @ onb[None]).reshape(-1, d, d)
-        new = la.orthonormalize(np.concatenate([onb, products]))
-        if len(new) == len(onb):
-            onb = new
+        products = (onb[:, None] @ onb[None]).reshape(-1, d * d)
+        rows = onb.reshape(len(onb), -1)
+        if frob(products - (products @ dagger(rows)) @ rows) < RANK_RTOL:
             break
-        onb = new
+        size, onb = len(onb), la.orthonormalize(np.concatenate([rows, products]).reshape(-1, d, d))
+        if len(onb) == size:
+            break
     return from_onb(onb, d)
 
 
@@ -358,11 +362,18 @@ def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
 _ATTEMPTS = 12
 
 
+@functools.cache
+def _draw_coefficients(attempt: int, k: int) -> np.ndarray:
+    """The read-only (2, k) complex coefficients of draw ``attempt``, seeded 100 + attempt."""
+    rng = np.random.default_rng(100 + attempt)
+    c = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    c.flags.writeable = False
+    return c
+
+
 def _generic_draw(onb: np.ndarray, attempt: int) -> tuple[np.ndarray, np.ndarray]:
     """A generic g and a generic hermitian h = g₂ + g₂† in span(onb), seeded 100 + attempt."""
-    rng = np.random.default_rng(100 + attempt)
-    c = rng.standard_normal((2, len(onb))) + 1j * rng.standard_normal((2, len(onb)))
-    g, g2 = np.tensordot(c, onb, axes=1)
+    g, g2 = np.tensordot(_draw_coefficients(attempt, len(onb)), onb, axes=1)
     return g, g2 + dagger(g2)
 
 

@@ -492,6 +492,7 @@ def _selftest_algebra(
         "fourier_round_trip": check(four["round_trip"], lim["mid"]),
         "peter_weyl": check(pw["residual"], lim["mid"]),
         "galois_lattice": check(gal["max_residual"], lim["loose"]),
+        "galois_completeness": check(gal["completeness_residual"], lim["loose"]),
         "galois_structure": check_true(
             gal["order_reversal_ok"]
             and gal["tilde_injective"]

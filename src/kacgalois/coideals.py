@@ -26,6 +26,7 @@ A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -64,8 +65,7 @@ class Coideal:
 
 def jones_projection(kac: KacAlgebra, mm: ag.MMAlgebra) -> np.ndarray:
     """Orthogonal projection of L²(A) onto the subspace B·Ω."""
-    cols = la.orthonormalize([(b @ kac.omega)[:, None] for b in mm.onb()])
-    q = np.hstack(cols)
+    q = la.orthonormalize((mm.onb() @ kac.omega)[:, None]).reshape(-1, kac.dim).T
     return q @ dagger(q)
 
 
@@ -95,38 +95,43 @@ def _slices(delta, home: np.ndarray, y: np.ndarray, side: str):
     """Leg slices of δ(y) against the home algebra's orthonormal basis a_i.
 
     Writes δ(y) = Σ a_i⊗s_i + R (left) or Σ s_i⊗a_i + R (right), with R
-    orthogonal to a⊗B(H), from one matmul on the reshaped n²×n² operator.
-    Returns the (k, n²) rows of the s_i and ‖R‖, taken as the norm of the
-    residual itself so that it keeps full relative precision.
+    orthogonal to a⊗B(H), from one matmul on the reshaped n²×n² operator
+    (of each y of a stack).  Returns the (…, h, n²) rows of the s_i and ‖R‖
+    per y, taken as the norm of the residual itself so that it keeps full
+    relative precision.
     """
-    n = y.shape[-1]
-    x = delta(y).reshape(n, n, n, n)
-    if side == "left":
-        x = x.transpose(0, 2, 1, 3)
-    elif side == "right":
-        x = x.transpose(1, 3, 0, 2)
-    else:
+    n, lead = y.shape[-1], y.shape[:-2]
+    legs = {"left": (0, 2, 1, 3), "right": (1, 3, 0, 2)}.get(side)
+    if legs is None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x = x.reshape(n * n, n * n)
+    x = delta(y).reshape(*lead, n, n, n, n)
+    x = x.transpose(*range(len(lead)), *(len(lead) + a for a in legs)).reshape(*lead, n * n, -1)
     a = home.reshape(len(home), -1)
     s = a.conj() @ x
-    return s, frob(x - a.T @ s)
+    return s, np.linalg.norm(x - a.T @ s, axis=(-2, -1))
+
+
+# Coproduct entries :func:`_containment` forms at once, which bounds its scratch memory.
+_SLICE_BLOCK = 1 << 20
 
 
 def _containment(delta, home: np.ndarray, onb: np.ndarray, side: str) -> float:
     """Max Frobenius distance of δ(b) from home⊗span (left) or span⊗home (right).
 
-    ``delta`` maps an operator to its n²×n² coproduct and ``home`` is the
-    orthonormal basis of the algebra the span lives in; b runs over
-    ``onb``, an orthonormal basis of the span, taken as given.
+    ``delta`` maps a stack of operators to their n²×n² coproducts and
+    ``home`` is the orthonormal basis of the algebra the span lives in; b
+    runs over ``onb``, an orthonormal basis of the span taken as given, in
+    stacks of at most ``_SLICE_BLOCK`` coproduct entries.
     dist(δ(b), a⊗B)² = ‖R‖² + Σ_i ‖s_i − P_B s_i‖² for the slices s_i of
     :func:`_slices`.
     """
     rows = onb.reshape(len(onb), -1)
+    step = max(1, _SLICE_BLOCK // rows.shape[1] ** 2)
     worst = 0.0
-    for b in onb:
-        s, r = _slices(delta, home, b, side)
-        worst = max(worst, float(np.hypot(r, frob(s - (s @ dagger(rows)) @ rows))))
+    for lo in range(0, len(onb), step):
+        s, r = _slices(delta, home, onb[lo : lo + step], side)
+        gap = np.linalg.norm(s - (s @ dagger(rows)) @ rows, axis=(-2, -1))
+        worst = max(worst, float(np.hypot(r, gap).max()))
     return worst
 
 
@@ -137,10 +142,7 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     *-subalgebra of A, and :class:`ValueError` when the coproduct
     containment fails.
     """
-    if isinstance(mats, ag.MMAlgebra):
-        mm = mats
-    else:
-        mm = ag.from_span(list(mats), kac.dim)
+    mm = mats if isinstance(mats, ag.MMAlgebra) else ag.from_span(list(mats), kac.dim)
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"span is not a unital *-subalgebra: {val}")
@@ -150,9 +152,7 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
         raise SubalgebraError(f"span is not inside A (residual {memb:.2e})")
     cert = _containment(kac.delta_op, a_mm.onb(), mm.onb(), side)
     if cert > DEFAULT_TOL * kac.dim:
-        raise ValueError(
-            f"not a {side} coideal: coproduct containment residual {cert:.2e}"
-        )
+        raise ValueError(f"not a {side} coideal: coproduct containment residual {cert:.2e}")
     p = jones_projection(kac, mm)
     return Coideal(home="algebra", side=side, mm=mm, certificate=cert, projection=p)
 
@@ -160,10 +160,9 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
 def _closure_algebra(kac: KacAlgebra, elements, side: str) -> ag.MMAlgebra:
     """The *-algebra generated by ``elements`` and their coproduct slices, uncertified."""
     n = kac.dim
-    home = kac.as_mm().onb()
-    gens = list(elements)
-    rows = [s for x in gens for s in _slices(kac.delta_op, home, x, side)[0]]
-    return ag.mm_from_generators(gens + [s.reshape(n, n) for s in rows], n)
+    gens = np.asarray(list(elements), dtype=complex)
+    rows = _slices(kac.delta_op, kac.as_mm().onb(), gens, side)[0].reshape(-1, n, n)
+    return ag.mm_from_generators(np.concatenate([gens, rows]), n)
 
 
 def coideal_closure(kac: KacAlgebra, elements, side: str = "left") -> Coideal:
@@ -211,9 +210,7 @@ def subspace_system_from_coideal(
         la.orthonormalize(m.reshape(-1, 1, c.dim)).reshape(-1, c.dim)
         for c, m in zip(coreps, coeffs)
     ]
-    return SubspaceSystem(
-        spaces=tuple(spaces), corep_dims=tuple(c.dim for c in coreps)
-    )
+    return SubspaceSystem(spaces=tuple(spaces), corep_dims=tuple(c.dim for c in coreps))
 
 
 def _row_residuals(vecs: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -304,17 +301,12 @@ def check_system_closure(fusion: FusionData, sys: SubspaceSystem) -> dict:
         if worst > SPAN_TOL:
             res["failures"].append((idx, "conj", bar, worst))
         res["conjugation"] = max(res["conjugation"], worst)
-    res["passed"] = (
-        res["trivial"] == 0.0 and max(res["fusion"], res["conjugation"]) < SPAN_TOL
-    )
+    res["passed"] = res["trivial"] == 0.0 and max(res["fusion"], res["conjugation"]) < SPAN_TOL
     return res
 
 
 def coideal_from_subspace_system(
-    kac: KacAlgebra,
-    fusion: FusionData,
-    sys: SubspaceSystem,
-    side: str = "left",
+    kac: KacAlgebra, fusion: FusionData, sys: SubspaceSystem, side: str = "left"
 ) -> Coideal:
     """Span{Σ_l w_l·u(π)ᵢl : w ∈ K_π, i ≤ d(π)}, certified as a coideal.
 
@@ -348,14 +340,14 @@ def enumerate_coideals_group_case(
     indicators of the cosets gH (left) or Hg (right), so the closure is
     C(G/H) or C(H\\G); on the group side δ(b_h) = b_h⊗b_h, so it is ℂ[H].
     The completeness audit closes b_e + b_g for every g and a seeded
-    collection of two-element generator sets and verifies the result is
-    already in the list (Jones-projection distance).  A lone b_g would test
-    nothing on the function side, where every point mass closes to all of
-    C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when g² = e (its slices are
-    the indicators of the cosets of ⟨g⟩) and C(G) otherwise.  On the group
-    side δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the closure is ℂ[⟨g⟩], as
-    for b_g alone.  A closure whose span
-    lies within ``SPAN_TOL`` of a listed coideal of the same dimension is that
+    collection of two-element generator sets, each distinct pair once, and
+    verifies the result is already in the list (Jones-projection distance).
+    A lone b_g would test nothing on the function side, where every point
+    mass closes to all of C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when
+    g² = e (its slices are the indicators of the cosets of ⟨g⟩) and C(G)
+    otherwise.  On the group side δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the
+    closure is ℂ[⟨g⟩], as for b_g alone.  A closure whose span lies within
+    ``SPAN_TOL`` of a listed coideal (:func:`linalg.spans_match`) is that
     certified coideal and is not certified again; any other closure goes
     through :func:`is_coideal`, so a non-coideal still raises and a coideal
     missing from the list reads as incomplete.
@@ -374,22 +366,14 @@ def enumerate_coideals_group_case(
 
     def audit(gens) -> float:
         mm = _closure_algebra(kac, gens, side)
-        if any(
-            c.dim == mm.dim and la.span_distance(mm.onb(), c.mm.onb()) < SPAN_TOL
-            for c in coideals
-        ):
-            p = jones_projection(kac, mm)
-        else:
-            p = is_coideal(kac, mm, side).projection
+        matched = any(la.spans_match(mm.onb(), c.mm.onb()) for c in coideals)
+        p = jones_projection(kac, mm) if matched else is_coideal(kac, mm, side).projection
         return min(frob(p - q) for q in projs)
 
-    worst = 0.0
-    for i in range(n):
-        worst = max(worst, audit([kac.op(unit[0] + unit[i])]))
     rng = np.random.default_rng(seed)
-    for _ in range(8):
-        i, j = rng.integers(0, n, size=2)
-        worst = max(worst, audit([kac.op(unit[i]), kac.op(unit[j])]))
+    pairs = dict.fromkeys(tuple(rng.integers(0, n, size=2)) for _ in range(8))
+    seeds = [[unit[0] + unit[i]] for i in range(n)] + [[unit[i], unit[j]] for i, j in pairs]
+    worst = max(audit([kac.op(c) for c in gens]) for gens in seeds)
     return {
         "coideals": coideals,
         "subgroups": [sub for sub, _ in items],
@@ -419,8 +403,7 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     rows = np.tensordot(coeffs, kac.mult, axes=(1, 1)) @ p_mat
     rows -= (coeffs @ kac.counit)[:, None, None] * p_mat
     ns = la.null_space(rows.reshape(-1, kac.dim))
-    mats = [np.einsum("a,apq->pq", ns[:, k], dd.hat.onb) for k in range(ns.shape[1])]
-    mm = ag.from_span(mats, kac.dim)
+    mm = ag.from_onb(np.tensordot(ns.T, dd.hat.onb, axes=1), kac.dim)
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
@@ -441,26 +424,37 @@ def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
     coeffs = hat.mm.coeffs(hat.onb[None] @ onb[:, None])  # [c, α, β]: y_α·c over y_β
     coeffs -= eps[:, None, None] * np.eye(kac.dim)
     ns = la.null_space((coeffs @ dd.pairing_form.matrix.T).reshape(-1, kac.dim))
-    mats = [kac.op(ns[:, k]) for k in range(ns.shape[1])]
-    return ag.from_span(mats, kac.dim)
+    return ag.from_span(kac.op(ns.T), kac.dim)
+
+
+def _relative_commutant(mats: np.ndarray, home: np.ndarray) -> tuple[np.ndarray, float]:
+    """span(home) ∩ {mats}′, with its largest Frobenius commutator with ``mats``.
+
+    The coefficients c with Σ_α c_α·[home_α, m] = 0 for all m ∈ ``mats`` are
+    one null space over the orthonormal basis ``home``, so Σ_α c_α·home_α is
+    an orthonormal basis as it stands; the commutator certifies the rank cut.
+    """
+    comm = home[:, None] @ mats[None] - mats[None] @ home[:, None]
+    inter = np.tensordot(la.null_space(comm.reshape(len(home), -1).T).T, home, axes=1)
+    return inter, la.frob_max(inter[:, None] @ mats[None] - mats[None] @ inter[:, None])
 
 
 def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     """B̃ the structural way: κ̂(B′ ∩ Â), with its own certificates.
 
-    Returns the resulting span, the orthonormal basis of B′∩Â (which
-    :func:`bicommutant_check` takes), and the certification that B′∩Â is
-    itself a right coideal of Â.  The caller compares the span with the
-    pairing-defined :func:`tilde`.
+    Returns the resulting span (κ̂ is Frobenius-unitary, so it keeps the
+    basis orthonormal), the orthonormal basis of B′∩Â (which
+    :func:`bicommutant_check` takes) with its largest commutator with B, and
+    the certification that B′∩Â is itself a right coideal of Â.  The caller
+    compares the span with the pairing-defined :func:`tilde`.
     """
-    kac = dd.v.kac
-    inter = la.intersect_spans(ag.commutant(coid.mm).onb(), dd.hat.onb)
+    inter, comm = _relative_commutant(coid.mm.onb(), dd.hat.onb)
     right_cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, inter, "right")
-    mapped = [du.kappa_hat(kac, z) for z in inter]
     return {
-        "mm": ag.from_span(mapped, kac.dim),
+        "mm": ag.from_onb(du.kappa_hat(dd.v.kac, inter), dd.v.kac.dim),
         "intersection": inter,
         "intersection_right_coideal": right_cert,
+        "commutator": comm,
     }
 
 
@@ -468,16 +462,12 @@ def bicommutant_check(coid: Coideal, inter: np.ndarray, dd: du.DualKac) -> dict:
     """(B′ ∩ Â)′ ∩ A = B, as an operator-norm projector gap.
 
     ``inter`` is the orthonormal basis of B′ ∩ Â that
-    :func:`tilde_via_commutant` returns.
+    :func:`tilde_via_commutant` returns; (B′ ∩ Â)′ ∩ A is one null space
+    over A's basis, reported with its largest commutator with ``inter``.
     """
-    kac = dd.v.kac
-    outer = ag.commutant(ag.from_span(inter, kac.dim))
-    back = la.intersect_spans(outer.onb(), kac.as_mm().onb())
-    mm = ag.from_span(back, kac.dim)
-    return {
-        "distance": la.span_distance(mm.onb(), coid.mm.onb()),
-        "dim": mm.dim,
-    }
+    back, comm = _relative_commutant(inter, dd.v.kac.as_mm().onb())
+    distance = la.span_distance(back, coid.mm.onb())
+    return {"distance": distance, "dim": len(back), "commutator": comm}
 
 
 def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> dict:
@@ -504,9 +494,7 @@ def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> 
     # E_B(e) = Σ m·h(m†e) with h(m†e) = ⟨mΩ, eΩ⟩.
     h_vecs = h_onb @ kac.omega
     exp_e = np.tensordot(np.conj(h_vecs) @ (dd.ints.e_op @ kac.omega), h_onb, axes=1)
-    res["counit_of_projected_integral"] = float(
-        abs(kac.counit_of(exp_e) - coid.dim / n)
-    )
+    res["counit_of_projected_integral"] = float(abs(kac.counit_of(exp_e) - coid.dim / n))
 
     exp_ehat = btilde.mm.project(dd.ints.e_hat)
     res["scaled_dual_expectation"] = frob(coid.dim * exp_ehat - e_b)
@@ -529,13 +517,10 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
     coideals = enum["coideals"]
     n = kac.dim
 
+    partners = [tilde(coid, dd) for coid in coideals]
     rows = []
-    partners = []
-    for coid in coideals:
-        bt = tilde(coid, dd)
-        partners.append(bt)
+    for coid, bt in zip(coideals, partners):
         via = tilde_via_commutant(coid, dd)
-        back = tilde_back(bt, dd)
         bic = bicommutant_check(coid, via["intersection"], dd)
         jp = jones_projection_coideal(coid, bt, dd)
         rows.append(
@@ -548,43 +533,30 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
                 "tilde_certificate": bt.certificate,
                 "tilde_route_distance": la.span_distance(bt.mm.onb(), via["mm"].onb()),
                 "intersection_right_coideal": via["intersection_right_coideal"],
-                "tilde_involution": la.span_distance(back.onb(), coid.mm.onb()),
+                "tilde_involution": la.span_distance(tilde_back(bt, dd).onb(), coid.mm.onb()),
                 "bicommutant": bic["distance"],
-                "jones_projection": {
-                    k: v for k, v in jp.items() if k != "max_residual"
-                },
+                "relative_commutant_residual": max(via["commutator"], bic["commutator"]),
+                "jones_projection": {k: v for k, v in jp.items() if k != "max_residual"},
                 "jones_max": jp["max_residual"],
             }
         )
 
-    order_ok = True
-    order_worst = 0.0
-    for i, bi in enumerate(coideals):
-        for j, bj in enumerate(coideals):
-            if bj.mm.residual(bi.mm.onb()) < SPAN_TOL:
-                r = partners[i].mm.residual(partners[j].mm.onb())
-                order_worst = max(order_worst, r)
-                if r > SPAN_TOL:
-                    order_ok = False
-
-    injective = True
-    for i in range(len(partners)):
-        for j in range(i + 1, len(partners)):
-            if la.span_distance(partners[i].mm.onb(), partners[j].mm.onb()) < SPAN_TOL:
-                injective = False
-
-    worst = max(
-        max(
-            r["coideal_certificate"],
-            r["tilde_certificate"],
-            r["tilde_route_distance"],
-            r["intersection_right_coideal"],
-            r["tilde_involution"],
-            r["bicommutant"],
-            r["jones_max"],
-        )
-        for r in rows
+    # B_i ⊆ B_j must give B̃_j ⊆ B̃_i, over every pair (the diagonal included).
+    order_worst = max(
+        pi.mm.residual(pj.mm.onb())
+        for (bi, pi), (bj, pj) in itertools.product(zip(coideals, partners), repeat=2)
+        if bj.mm.residual(bi.mm.onb()) < SPAN_TOL
     )
+    order_ok = order_worst <= SPAN_TOL
+    injective = not any(
+        la.spans_match(p.mm.onb(), q.mm.onb()) for p, q in itertools.combinations(partners, 2)
+    )
+    gated = (
+        "coideal_certificate", "tilde_certificate", "tilde_route_distance", "tilde_involution",
+        "intersection_right_coideal", "bicommutant", "relative_commutant_residual", "jones_max",
+    )
+    worst = max(r[key] for r in rows for key in gated)
+    exact = all(r["dim_product_exact"] for r in rows)
     return {
         "dims": enum["dims"],
         "tilde_dims": [bt.dim for bt in partners],
@@ -593,13 +565,7 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
         "order_reversal_ok": order_ok,
         "order_reversal_residual": order_worst,
         "tilde_injective": injective,
-        "dim_products_exact": all(r["dim_product_exact"] for r in rows),
+        "dim_products_exact": exact,
         "max_residual": worst,
-        "passed": (
-            order_ok
-            and injective
-            and all(r["dim_product_exact"] for r in rows)
-            and worst < SPAN_TOL
-            and enum["complete"]
-        ),
+        "passed": order_ok and injective and exact and worst < SPAN_TOL and enum["complete"],
     }

@@ -430,26 +430,29 @@ def _sandwich_index(w: np.ndarray, n: int) -> tuple | None:
 
 
 def _sandwich(w: np.ndarray, index: tuple | None, y: np.ndarray) -> np.ndarray:
-    """W†(1⊗y)W as an n²×n² matrix, from :func:`_sandwich_index`'s ``index`` of W.
+    """W†(1⊗y)W as an n²×n² matrix (one per y of a stack), from :func:`_sandwich_index`.
 
     The sparse path merges the index's terms, scaled by y, with two
-    bincounts; the dense one forms (1⊗y)W as one matmul over W's first row
-    leg (n⁵ multiply-adds) and then W†·((1⊗y)W) (n⁶).
+    bincounts, each y of a stack at its own offset; the dense one forms
+    (1⊗y)W as one matmul over W's first row leg (n⁵ multiply-adds) and then
+    W†·((1⊗y)W) (n⁶).
     """
-    n = len(y)
+    n, lead = y.shape[-1], y.shape[:-2]
     if index is None:
-        return dagger(w) @ (y @ w.reshape(n, n, -1)).reshape(n * n, -1)
+        return dagger(w) @ (y[..., None, :, :] @ w.reshape(n, n, -1)).reshape(*lead, n * n, -1)
     uniq, pos, yidx, coef = index
-    re, im = _merge(pos, coef * y.reshape(-1)[yidx], len(uniq))
-    out = np.zeros(n ** 4, dtype=complex)
-    out.real[uniq] = re
-    out.imag[uniq] = im
-    return out.reshape(n * n, n * n)
+    k = int(np.prod(lead))
+    at = (pos + len(uniq) * np.arange(k)[:, None]).reshape(-1)
+    re, im = _merge(at, (coef * y.reshape(k, -1)[:, yidx]).reshape(-1), k * len(uniq))
+    out = np.zeros((k, n ** 4), dtype=complex)
+    out.real[:, uniq] = re.reshape(k, -1)
+    out.imag[:, uniq] = im.reshape(k, -1)
+    return out.reshape(*lead, n * n, n * n)
 
 
 def kappa_hat(kac: KacAlgebra, y: np.ndarray) -> np.ndarray:
-    """Dual antipode κ̂(y) = J y* J (linear in y)."""
-    return kac.mj @ y.T @ np.conj(kac.mj)
+    """Dual antipode κ̂(y) = J y* J (linear in y; of each y of a stack)."""
+    return kac.mj @ y.swapaxes(-1, -2) @ np.conj(kac.mj)
 
 
 # ---------------------------------------------------------------------------

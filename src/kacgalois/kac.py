@@ -219,23 +219,23 @@ class KacAlgebra:
     # -- coefficient/operator translation ---------------------------------
 
     def op(self, coeffs: np.ndarray) -> np.ndarray:
-        """The operator Σ cᵢ·L(bᵢ) on the GNS space."""
-        return np.tensordot(np.asarray(coeffs, dtype=complex), self.lmats, axes=(0, 0))
+        """The operator Σ cᵢ·L(bᵢ) on the GNS space (one per row of a 2-D ``coeffs``)."""
+        return np.tensordot(np.asarray(coeffs, dtype=complex), self.lmats, axes=(-1, 0))
 
     def coeffs_of(self, x: np.ndarray) -> np.ndarray:
-        """Basis coefficients of an operator in the algebra (via x·Ω)."""
-        return self.coord_inv @ (x @ self.omega)
+        """Basis coefficients of an operator (or of each of a stack) in the algebra, via x·Ω."""
+        return (x @ self.omega) @ self.coord_inv.T
 
     # -- structure maps on operators --------------------------------------
 
     def delta_op(self, x: np.ndarray) -> np.ndarray:
-        """Coproduct of an algebra operator, as an n²×n² matrix Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ)."""
-        n = self.dim
-        w = np.tensordot(self.coeffs_of(x), self.delta, axes=(0, 0))
+        """Coproduct Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ) of an operator (or of each of a stack), n²×n²."""
+        n, lead = self.dim, np.shape(x)[:-2]
+        w = np.tensordot(self.coeffs_of(x), self.delta, axes=(-1, 0))
         flat = self.lmats.reshape(n, n * n)
         # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ L(bⱼ)[b, e], then contract i against L(bᵢ)[a, c].
         out = flat.T @ (w @ flat)
-        return out.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+        return out.reshape(*lead, n, n, n, n).swapaxes(-3, -2).reshape(*lead, n * n, n * n)
 
     def counit_of(self, x: np.ndarray) -> complex:
         return complex(self.counit @ self.coeffs_of(x))

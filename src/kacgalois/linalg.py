@@ -115,13 +115,32 @@ def span_distance(onb1, onb2) -> float:
     with no SVD: a unit vector in the larger range and the smaller kernel
     gives ‖P₁ − P₂‖ ≥ 1, and no two projectors are further apart.
     """
-    if len(onb1) != len(onb2):
-        return 1.0
-    if len(onb1) == 0:
-        return 0.0
+    if len(onb1) != len(onb2) or len(onb1) == 0:
+        return float(len(onb1) != len(onb2))
+    return max(opnorm(g) for g in _gaps(onb1, onb2))
+
+
+def _gaps(onb1, onb2) -> tuple[np.ndarray, np.ndarray]:
+    """The gap matrices (I−P₂)P₁ and (I−P₁)P₂ of two spans, as k×d² rows."""
     a, b = _flat_rows(onb1), _flat_rows(onb2)
     ab = a @ dagger(b)
-    return max(opnorm(a - ab @ b), opnorm(b - dagger(ab) @ a))
+    return a - ab @ b, b - dagger(ab) @ a
+
+
+def spans_match(onb1, onb2) -> bool:
+    """Whether ``span_distance(onb1, onb2) < SPAN_TOL``, with an SVD only when it must.
+
+    Each gap matrix has rank ≤ k, the common dimension, so its operator norm
+    lies in [‖·‖_F/√k, ‖·‖_F]; the SVD runs only when that bracket straddles
+    ``SPAN_TOL``.
+    """
+    if len(onb1) != len(onb2) or len(onb1) == 0:
+        return len(onb1) == len(onb2)  # distance 1 or 0
+    gaps = _gaps(onb1, onb2)
+    upper = max(frob(g) for g in gaps)
+    if SPAN_TOL <= upper < SPAN_TOL * np.sqrt(len(onb1)):
+        return max(opnorm(g) for g in gaps) < SPAN_TOL
+    return upper < SPAN_TOL
 
 
 def project_span(x: np.ndarray, onb) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Multimatrix algebras: commutants, central structure, states, expectations."""
 
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from kacgalois import algebra as ag
 from kacgalois import jones as jn
+from kacgalois import kac as kc
 from kacgalois import linalg as la
 
 from conftest import ALGEBRA_NAMES, pool_shapes
@@ -537,3 +539,35 @@ def test_a_span_no_draw_splits_is_refused(sample_multimatrix, monkeypatch):
     with pytest.raises(ag.SubalgebraError, match="could not split a projection into 5"):
         sample_multimatrix.central_decomposition()
     assert attempts == list(range(12))
+
+
+BUNDLED_KAC = ("kp8", *ALGEBRA_NAMES)
+
+
+def fresh_generator_draw(onb, attempt):
+    """The structure pass's draw with a new generator on every call, as an oracle."""
+    rng = np.random.default_rng(100 + attempt)
+    c = rng.standard_normal((2, len(onb))) + 1j * rng.standard_normal((2, len(onb)))
+    g, g2 = np.tensordot(c, onb, axes=1)
+    return g, g2 + la.dagger(g2)
+
+
+@pytest.mark.parametrize("name", BUNDLED_KAC)
+def test_cached_draws_give_bit_identical_matrix_units(monkeypatch, name):
+    path = resources.files("kacgalois").joinpath(f"fixtures/{name}.json")
+    onb = kc.load_kac(str(path)).as_mm().onb()
+    cached = ag.matrix_units(ag.from_onb(onb, onb.shape[-1]))
+    monkeypatch.setattr(ag, "_generic_draw", fresh_generator_draw)
+    fresh = ag.matrix_units(ag.from_onb(onb, onb.shape[-1]))
+    assert len(cached) == len(fresh) > 0
+    for got, want in zip(cached, fresh):
+        assert np.array_equal(got.units, want.units)
+        assert np.array_equal(got.projection, want.projection)
+
+
+def test_draw_coefficients_are_built_once_and_read_only():
+    first = ag._draw_coefficients(3, 5)
+    assert first is ag._draw_coefficients(3, 5)
+    assert first.shape == (2, 5) and not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0

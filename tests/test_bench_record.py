@@ -47,8 +47,24 @@ def test_pairs_fold_into_medians_quartiles_and_wins(tmp_path):
     assert run["parent"] == {"median": 6.0, "q1": 5.0, "q3": 7.0}
     assert run["change"] == {"median": 5.0, "q1": 4.0, "q3": 7.0}
     assert (run["change_better_pairs"], run["ties"]) == (3, 1)
+    # Per pair: 3/4, 4/5, 5/6, 7/7, 9/8; their median and inclusive quartiles.
+    assert run["pair_ratio"] == pytest.approx({"median": 5 / 6, "q1": 0.8, "q3": 1.0})
     assert jf["metrics"]["peak_rss_mb"]["ties"] == 5
+    assert jf["metrics"]["peak_rss_mb"]["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert doc["workloads"]["selftest"]["failed"] == {"parent": 0, "change": 1}
+
+
+def test_pair_ratios_skip_a_zero_parent(tmp_path):
+    parent = [write_run(tmp_path / f"p{s}", "selftest", s, t) for s, t in zip(range(3), (0.0, 2.0, 4.0))]
+    change = [write_run(tmp_path / f"c{s}", "selftest", s, t) for s, t in zip(range(3), (1.0, 1.0, 3.0))]
+    out = tmp_path / "BENCH.json"
+    bench_record.main([
+        "--parent", *parent, "--change", *change,
+        "--benchmark", str(ROOT / "BENCHMARK.json"), "--out", str(out),
+    ])
+    run = json.loads(out.read_text())["workloads"]["selftest"]["metrics"]["run_s"]
+    assert run["pair_ratio"] == pytest.approx({"median": 0.625, "q1": 0.5625, "q3": 0.6875})
+    assert run["parent"]["median"] == 2.0 and run["change_better_pairs"] == 2
 
 
 def test_a_run_without_its_partner_is_refused(tmp_path):

@@ -207,6 +207,21 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, builds, cer
     assert [calls[name] for name in names] == [builds, builds, *certificates]
 
 
+def test_selftest_gates_the_completeness_audit(monkeypatch, groups):
+    # Without the centre ⟨-1⟩ of Q₈ in the enumeration, the audit's closure of
+    # b_e + b_{-1} is ℂ[⟨-1⟩], which matches no listed coideal: the slice fails
+    # on the completeness check alone, at ‖e_B − e_ℂ‖ = 1.
+    every = kc.GroupTable.subgroups
+    monkeypatch.setattr(
+        kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != (0, 1)]
+    )
+    doc, passed = cli._selftest_algebra(kc.group_algebra(groups["q8"]), None, 7)
+    assert not passed and doc["passed"] is False
+    assert [name for name, c in doc["checks"].items() if not c["ok"]] == ["galois_completeness"]
+    assert abs(doc["checks"]["galois_completeness"]["value"] - 1.0) <= 1e-12
+    assert doc["checks"]["galois_completeness"]["limit"] == cli.TOLERANCES["loose"]
+
+
 def test_dual_builds_each_commutant_cell_once(monkeypatch, groups):
     # A′ and Â′ are read by Â's residuals and by the V̂, Ṽ memberships.
     calls = []

@@ -553,6 +553,55 @@ def test_galois_maps_match_the_pairing_formula(algebras, kp8, dual_of):
     assert seen == {*ALGEBRA_NAMES, "kp8"}
 
 
+def relative_commutant_by_commutant(mats, home, n):
+    """The old route: the full commutant {mats}′ ⊆ M_n, then its intersection with home."""
+    return la.intersect_spans(ag.commutant(ag.from_span(mats, n)).onb(), home)
+
+
+def relative_commutant_cases(algebras, kp8):
+    """Every enumerated coideal of the group fixtures, and kp8's closures of b_e + b_g."""
+    for name in ALGEBRA_NAMES:
+        kac = algebras[name]
+        for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+            yield name, kac, coid
+    unit = np.eye(kp8.dim)
+    for g in range(1, kp8.dim):
+        yield "kp8", kp8, ci.coideal_closure(kp8, [kp8.op(unit[0] + unit[g])])
+
+
+def test_relative_commutants_match_the_commutant_route(algebras, kp8, dual_of):
+    seen = set()
+    for name, kac, coid in relative_commutant_cases(algebras, kp8):
+        seen.add(name)
+        dd = dual_of(kac)
+        via = ci.tilde_via_commutant(coid, dd)
+        inter = via["intersection"]
+        want = relative_commutant_by_commutant(coid.mm.onb(), dd.hat.onb, kac.dim)
+        assert len(inter) == len(want) == kac.dim // coid.dim, name
+        assert la.span_distance(inter, want) <= 1e-12, name
+        assert via["commutator"] <= 1e-12, name
+        back, comm = ci._relative_commutant(inter, kac.as_mm().onb())
+        want = relative_commutant_by_commutant(inter, kac.as_mm().onb(), kac.dim)
+        assert len(back) == len(want) == coid.dim, name
+        assert la.span_distance(back, want) <= 1e-12, name
+        assert comm <= 1e-12, name
+        bic = ci.bicommutant_check(coid, inter, dd)
+        assert bic["dim"] == coid.dim and bic["commutator"] == comm, name
+    assert seen == {*ALGEBRA_NAMES, "kp8"}
+
+
+def test_relative_commutant_reports_its_commutator():
+    # A basis of home that misses the commutant by a known amount reads that
+    # amount: the diagonal of M₂ against {σ_x} is ℂ·1, with [1, σ_x] = 0.
+    home = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    sigma_x = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+    inter, comm = ci._relative_commutant(sigma_x, home)
+    assert la.span_distance(inter, np.eye(2)[None] / np.sqrt(2)) <= 1e-15
+    assert comm <= 1e-15
+    inter, comm = ci._relative_commutant(np.eye(2, dtype=complex)[None], home)
+    assert len(inter) == 2 and comm == 0.0
+
+
 def test_jones_projection_weight_identities(algebras, dual_of):
     for name in ("s3_function", "z4_group"):
         kac = algebras[name]
@@ -641,6 +690,57 @@ def slice_dual_containment(dd, mats, side):
     return ci._containment(
         partial(du.delta_hat, dd.v), dd.hat.onb, la.orthonormalize(mats), side
     )
+
+
+def looped_containment(delta, home, onb, side):
+    """Reference: the containment certificate one basis element at a time."""
+    rows = onb.reshape(len(onb), -1)
+    worst = 0.0
+    for b in onb:
+        s, r = ci._slices(delta, home, b, side)
+        worst = max(worst, float(np.hypot(r, la.frob(s - (s @ la.dagger(rows)) @ rows))))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["s3_function", "q8_group", "z4_function"])
+def test_stacked_slices_and_containment_match_the_loop(algebras, dual_of, monkeypatch, name):
+    kac = algebras[name]
+    dd = dual_of(kac)
+    rng = np.random.default_rng(5)
+    coid = ci.enumerate_coideals_group_case(kac)["coideals"][2]
+    homes = (
+        (kac.delta_op, kac.as_mm().onb(), coid.mm.onb()),
+        (partial(du.delta_hat, dd.v), dd.hat.onb, ci.tilde(coid, dd).mm.onb()),
+    )
+    for delta, home, lattice_span in homes:
+        coeffs = rng.normal(size=(3, len(home))) + 1j * rng.normal(size=(3, len(home)))
+        for onb in (lattice_span, la.orthonormalize(np.tensordot(coeffs, home, axes=1)), home):
+            for side in ("left", "right"):
+                s, r = ci._slices(delta, home, onb, side)
+                for k, b in enumerate(onb):
+                    sk, rk = ci._slices(delta, home, b, side)
+                    assert np.abs(s[k] - sk).max() <= 1e-14
+                    assert abs(r[k] - rk) <= 1e-14
+                want = looped_containment(delta, home, onb, side)
+                assert abs(ci._containment(delta, home, onb, side) - want) <= 1e-14
+                with monkeypatch.context() as m:
+                    m.setattr(ci, "_SLICE_BLOCK", 1)  # one element per block
+                    assert abs(ci._containment(delta, home, onb, side) - want) <= 1e-14
+
+
+def test_stacked_coproducts_match_one_at_a_time(algebras, dual_of, kp8):
+    for kac in (algebras["s3_group"], algebras["q8_function"], kp8):
+        dd = dual_of(kac)
+        homes = ((kac.delta_op, kac.as_mm().onb()), (partial(du.delta_hat, dd.v), dd.hat.onb))
+        for delta, home in homes:
+            stacked = delta(home)
+            assert stacked.shape == (len(home), kac.dim**2, kac.dim**2)
+            for k, y in enumerate(home):
+                assert np.abs(stacked[k] - delta(y)).max() <= 1e-14
+        dense = du._sandwich(dd.v.matrix, None, dd.hat.onb)
+        assert np.abs(dense - du.delta_hat(dd.v, dd.hat.onb)).max() <= 1e-13
+        looped = np.stack([du.kappa_hat(kac, y) for y in dd.hat.onb])
+        assert np.abs(du.kappa_hat(kac, dd.hat.onb) - looped).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name", ["s3_function", "s3_group", "q8_group"])

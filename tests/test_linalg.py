@@ -153,6 +153,59 @@ def test_span_distance_of_empty_spans():
     assert la.span_distance([], a) == 1.0
 
 
+def tilted_spans(angles, seed):
+    """Two orthonormal spans in M₃ whose principal angles are ``angles``.
+
+    Row i of the second is cos θᵢ·aᵢ + sin θᵢ·wᵢ, with the aᵢ and wᵢ together
+    orthonormal, so the gap ‖P₁ − P₂‖ is sin(max θᵢ) and the Frobenius norm
+    of each gap matrix is √(Σ sin² θᵢ).
+    """
+    rng = np.random.default_rng(seed)
+    frame = la.orthonormalize([random_complex(rng, 3, 3) for _ in range(2 * len(angles))])
+    a, w = frame[: len(angles)], frame[len(angles) :]
+    t = np.asarray(angles, dtype=float)[:, None, None]
+    return a, np.cos(t) * a + np.sin(t) * w
+
+
+@pytest.mark.parametrize(
+    "angles, svd",
+    [
+        ((0.0,) * 4, False),
+        ((0.4e-8,) * 4, False),  # ‖·‖_F = 0.8e-8: a match, read off the bracket
+        ((0.6e-8,) * 4, True),  # gap 0.6e-8 in [SPAN_TOL/√4, SPAN_TOL), ‖·‖_F = 1.2e-8
+        ((1.2e-8, 0.0, 0.0, 0.0), True),  # gap 1.2e-8 with ‖·‖_F below SPAN_TOL·√4
+        ((1e-3,) * 4, False),
+    ],
+    ids=["same", "inside", "straddles_match", "straddles_apart", "apart"],
+)
+def test_spans_match_is_the_span_distance_decision(monkeypatch, angles, svd):
+    a, b = tilted_spans(angles, seed=31)
+    gap = la.span_distance(a, b)
+    assert gap == pytest.approx(np.sin(max(angles)), rel=1e-6, abs=1e-14)
+    if svd and gap < la.SPAN_TOL:
+        assert la.SPAN_TOL / np.sqrt(len(a)) <= gap
+    calls = []
+    exact = la.opnorm
+    monkeypatch.setattr(la, "opnorm", lambda x: calls.append(1) or exact(x))
+    for x, y in ((a, b), (b, a)):
+        calls.clear()
+        assert la.spans_match(x, y) is (gap < la.SPAN_TOL)
+        assert len(calls) == (2 if svd else 0)  # one SVD per gap matrix, or none
+
+
+def test_spans_match_of_unequal_or_empty_spans_runs_no_svd(monkeypatch):
+    rng = np.random.default_rng(32)
+    a = la.orthonormalize([random_complex(rng, 3, 3) for _ in range(3)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("spans_match ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert la.spans_match(a, a[:2]) is False
+    assert la.spans_match([], []) is True
+    assert la.spans_match(a, []) is False
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_herm_power_laws(seed):
     rng = np.random.default_rng(seed)

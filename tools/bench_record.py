@@ -9,8 +9,11 @@ before it holds the full result with the workload, the seed and the
 environment block.  Runs of the two sides with the same workload and seed
 form a pair.  For every workload the output records the seeds, the pair
 count, the ops attempted and failed on each side and, for each end-to-end
-metric that ``BENCHMARK.json`` lists, each side's median and quartiles and
-the number of pairs in which the change read better, parent → change.
+metric that ``BENCHMARK.json`` lists, each side's median and quartiles, the
+number of pairs in which the change read better, parent → change, and the
+median and quartiles of the per-pair ratio change / parent.  A pair shares
+its seed and so its draw, so the ratio cancels the draw's cost, which the
+spread across seeds mixes with noise.
 
 Run from the repository root, for example:
 
@@ -72,6 +75,7 @@ def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             values = [[pair[i]["summary"]["metrics"][key]["value"] for pair in both] for i in range(2)]
             better = sum((c < p) if lower else (c > p) for p, c in zip(*values))
             ties = sum(p == c for p, c in zip(*values))
+            ratios = [c / p for p, c in zip(*values) if p != 0]
             entry["metrics"][key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -79,6 +83,7 @@ def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
                 "change": spread(values[1]),
                 "change_better_pairs": better,
                 "ties": ties,
+                "pair_ratio": spread(ratios) if ratios else None,
             }
         workloads[name] = entry
     return workloads
