@@ -286,14 +286,17 @@ def run_coreps(
     kac: kc.KacAlgebra, tol: float | None, seed: int, trials: int = 100
 ) -> tuple[dict, bool]:
     lim = limits(tol)
-    dd = du.dual_kac(kac)
-    coreps = cr.irreducible_coreps(kac, dd.v, dd.hat)
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    coreps = cr.irreducible_coreps(kac, v, hat)
     dims = cr.dimension_count(kac, coreps)
     orth = cr.orthogonality_check(kac, coreps)
     four = cr.fourier_round_trip(kac, coreps, count=trials, seed=seed)
-    pw = cr.peter_weyl_resolution(kac, coreps, dd.ints.e_hat)
+    pw = cr.peter_weyl_resolution(kac, coreps, du.integrals(kac, hat).e_hat)
 
     checks = {
+        "pentagon": check(_max_float(v.residuals), lim["tight"]),
+        "hat_algebra": check(_max_float(hat.residuals), lim["tight"]),
         "corep_certificates": check(
             max(_max_float(c.residuals) for c in coreps), lim["tight"]
         ),

@@ -91,26 +91,6 @@ def _digest(fingerprint: tuple) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _slices(delta, home: np.ndarray, y: np.ndarray, side: str):
-    """Leg slices of δ(y) against the home algebra's orthonormal basis a_i.
-
-    Writes δ(y) = Σ a_i⊗s_i + R (left) or Σ s_i⊗a_i + R (right), with R
-    orthogonal to a⊗B(H), from one matmul on the reshaped n²×n² operator
-    (of each y of a stack).  Returns the (…, h, n²) rows of the s_i and ‖R‖
-    per y, taken as the norm of the residual itself so that it keeps full
-    relative precision.
-    """
-    n, lead = y.shape[-1], y.shape[:-2]
-    legs = {"left": (0, 2, 1, 3), "right": (1, 3, 0, 2)}.get(side)
-    if legs is None:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    x = delta(y).reshape(*lead, n, n, n, n)
-    x = x.transpose(*range(len(lead)), *(len(lead) + a for a in legs)).reshape(*lead, n * n, -1)
-    a = home.reshape(len(home), -1)
-    s = a.conj() @ x
-    return s, np.linalg.norm(x - a.T @ s, axis=(-2, -1))
-
-
 # Coproduct entries :func:`_containment` forms at once, which bounds its scratch memory.
 _SLICE_BLOCK = 1 << 20
 
@@ -121,17 +101,14 @@ def _containment(delta, home: np.ndarray, onb: np.ndarray, side: str) -> float:
     ``delta`` maps a stack of operators to their n²×n² coproducts and
     ``home`` is the orthonormal basis of the algebra the span lives in; b
     runs over ``onb``, an orthonormal basis of the span taken as given, in
-    stacks of at most ``_SLICE_BLOCK`` coproduct entries.
-    dist(δ(b), a⊗B)² = ‖R‖² + Σ_i ‖s_i − P_B s_i‖² for the slices s_i of
-    :func:`_slices`.
+    stacks of at most ``_SLICE_BLOCK`` coproduct entries, each measured by
+    :func:`linalg.leg_distance`.
     """
-    rows = onb.reshape(len(onb), -1)
-    step = max(1, _SLICE_BLOCK // rows.shape[1] ** 2)
+    step = max(1, _SLICE_BLOCK // onb.shape[-1] ** 4)
     worst = 0.0
     for lo in range(0, len(onb), step):
-        s, r = _slices(delta, home, onb[lo : lo + step], side)
-        gap = np.linalg.norm(s - (s @ dagger(rows)) @ rows, axis=(-2, -1))
-        worst = max(worst, float(np.hypot(r, gap).max()))
+        dist = la.leg_distance(delta(onb[lo : lo + step]), home, onb, side)
+        worst = max(worst, float(dist.max()))
     return worst
 
 
@@ -161,7 +138,7 @@ def _closure_algebra(kac: KacAlgebra, elements, side: str) -> ag.MMAlgebra:
     """The *-algebra generated by ``elements`` and their coproduct slices, uncertified."""
     n = kac.dim
     gens = np.asarray(list(elements), dtype=complex)
-    rows = _slices(kac.delta_op, kac.as_mm().onb(), gens, side)[0].reshape(-1, n, n)
+    rows = la.leg_slices(kac.delta_op(gens), kac.as_mm().onb(), side)[0].reshape(-1, n, n)
     return ag.mm_from_generators(np.concatenate([gens, rows]), n)
 
 
@@ -340,7 +317,7 @@ def enumerate_coideals_group_case(
     indicators of the cosets gH (left) or Hg (right), so the closure is
     C(G/H) or C(H\\G); on the group side δ(b_h) = b_h⊗b_h, so it is ℂ[H].
     The completeness audit closes b_e + b_g for every g and a seeded
-    collection of two-element generator sets, each distinct pair once, and
+    collection of two-element generator sets, each unordered pair once, and
     verifies the result is already in the list (Jones-projection distance).
     A lone b_g would test nothing on the function side, where every point
     mass closes to all of C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when
@@ -371,8 +348,10 @@ def enumerate_coideals_group_case(
         return min(frob(p - q) for q in projs)
 
     rng = np.random.default_rng(seed)
-    pairs = dict.fromkeys(tuple(rng.integers(0, n, size=2)) for _ in range(8))
-    seeds = [[unit[0] + unit[i]] for i in range(n)] + [[unit[i], unit[j]] for i, j in pairs]
+    pairs = {}  # each unordered pair once, in the order it was first drawn
+    for i, j in rng.integers(0, n, size=(8, 2)):
+        pairs.setdefault(frozenset((i, j)), [unit[i], unit[j]])
+    seeds = [[unit[0] + unit[i]] for i in range(n)] + list(pairs.values())
     worst = max(audit([kac.op(c) for c in gens]) for gens in seeds)
     return {
         "coideals": coideals,

@@ -32,7 +32,7 @@ from . import duality as du
 from . import linalg as la
 from .algebra import matrix_units
 from .kac import KacAlgebra
-from .linalg import SPAN_TOL, ZERO_FLOOR, dagger, frob
+from .linalg import SPAN_TOL, dagger, frob
 
 
 @dataclass(frozen=True)
@@ -108,23 +108,12 @@ def irreducible_coreps(
     Raises
     ------
     ValueError
-        If ``v`` was built from an algebra with other structure tensors than
-        ``kac``, or ``hat`` does not act on the GNS space of ``kac``.
+        If ``v`` was not built from ``kac`` itself, or ``hat`` not from ``v``.
     """
-    same = v.kac is kac or all(
-        np.shape(getattr(v.kac, t)) == np.shape(getattr(kac, t))
-        and np.allclose(getattr(v.kac, t), getattr(kac, t), rtol=0.0, atol=ZERO_FLOOR)
-        for t in ("mult", "delta", "counit", "antipode", "star")
-    )
-    if not same:
-        raise ValueError(
-            "the multiplicative unitary was built from a different Kac algebra"
-        )
-    if hat.mm.ambient_dim != kac.dim:
-        raise ValueError(
-            f"the dual algebra acts on dimension {hat.mm.ambient_dim}, "
-            f"not on the algebra's {kac.dim}"
-        )
+    if v.kac is not kac:
+        raise ValueError("the multiplicative unitary was built from a different Kac algebra")
+    if hat.v is not v:
+        raise ValueError("the dual algebra was built from a different multiplicative unitary")
     n = kac.dim
     v4 = v.matrix.reshape(n, n, n, n)
     # u(π)ᵢⱼ[b, q] = Σ_{p,a} e(π)ⱼᵢ[p, a]·V[(a, b), (p, q)] / d(π).

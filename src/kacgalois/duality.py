@@ -7,7 +7,7 @@ From a Kac algebra A materialized on H = L²(A) this module builds:
 * the integrals of both algebras (the biinvariant idempotent e ∈ A and the
   rank-one projection ê onto ℂΩ, which generates the dual Haar state),
 * the antipode unitary U and the auxiliary multiplicative unitaries V̂ and Ṽ
-  with their commutation-cell memberships,
+  with their tensor-product memberships,
 * the bilinear duality pairing ⟨x, y⟩ = √n·(xΩ, y*Ω̂) together with its
   multiplicativity laws,
 * a full reconstruction of Â as an abstract Kac algebra (structure tensors
@@ -22,10 +22,12 @@ corepresentations, the auxiliary unitaries) get the same objects, whose
 arrays are read-only.  The certificates that are computations of their own
 (V's and Â's residuals, the dual's axiom report) run on first read, once;
 the residuals that fall out of a construction come with it.  The pentagon
-and the commutation-cell memberships are exact Frobenius norms, and the dual coproduct δ̂(y) = V†(1⊗y)V is an exact
+is an exact Frobenius norm and the dual coproduct δ̂(y) = V†(1⊗y)V an exact
 sum; each is computed on V's exact nonzero pattern when the work counted on
-that pattern is the smaller.  Every other contraction on the path from V to
-the validated dual is a fixed reshape and matmul.
+that pattern is the smaller.  The tensor memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and
+Ṽ ∈ A′⊗Â are exact Frobenius distances, one leg regrouping and two matmuls
+each (:func:`~kacgalois.linalg.leg_distance`).  Every other contraction on
+the path from V to the validated dual is a fixed reshape and matmul.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from . import algebra as ag
 from . import linalg as la
 from .kac import KacAlgebra, kac_from_structure, validate_kac
-from .linalg import DEFAULT_TOL, dagger, frob, opnorm
+from .linalg import DEFAULT_TOL, dagger, frob, leg_distance, opnorm
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +87,6 @@ class MultiplicativeUnitary:
 _TERM_COST = 400
 # Terms the sparse pentagon expands at once, unless one column holds more.
 _TERM_BLOCK = 1 << 18
-# One term of the sparse leg commutator (its product, its share of the merge
-# sort, two bincounts) costs about as much as 20 multiply-adds of the einsum
-# one: the two meet at 5 % nonzeros at n = 8 and 3.5 % at n = 12 (BLAS on one
-# thread, a Xeon core).  Below n = 5 both take about 0.1 ms.
-_LEG_TERM_COST = 20
 # One term of the sparse dual coproduct (its gather, its product, its share of
 # two bincounts) costs about as much as 50 multiply-adds of the dense
 # W†((1⊗y)W), which takes n⁶ of them: about 15 ns against 0.25–0.3 ns on a
@@ -217,79 +214,6 @@ def _sparse_defect_squared(csc: tuple, n: int, col: np.ndarray) -> float:
     return float(re @ re + im @ im)
 
 
-def _leg_commutator_max(v: np.ndarray, first: np.ndarray, second: np.ndarray) -> float:
-    """Largest ‖[V, x⊗1]‖_F over the stack ``first`` and ‖[V, 1⊗y]‖_F over ``second``.
-
-    The exact Frobenius norms, by one of two paths; neither forms an n²×n²
-    Kronecker operator per element.  Every entry of [V, x⊗1] is a sum of 2n
-    products, so the einsum path (:func:`_leg_commutator_einsum`) takes
-    2·n⁵ multiply-adds per element x, whatever V is.  The sparse path
-    (:func:`_leg_commutator_sparse`) forms 2·n terms per nonzero of V per
-    element.  The path is chosen by counting that work on V's nonzero
-    pattern, a sparse term counted as ``_LEG_TERM_COST`` multiply-adds: the
-    sparse path runs when V has fewer than n⁴/``_LEG_TERM_COST`` nonzeros.
-    """
-    n = first.shape[-1]
-    nz = v != 0
-    if _LEG_TERM_COST * 2 * n * np.count_nonzero(nz) < 2 * n ** 5:
-        return _leg_commutator_sparse(v, n, nz, first, second)
-    return _leg_commutator_einsum(v, n, first, second)
-
-
-def _leg_commutator_einsum(v: np.ndarray, n: int, first: np.ndarray, second: np.ndarray) -> float:
-    """:func:`_leg_commutator_max` as four leg einsums over the (k, n, n) stacks."""
-    v4 = v.reshape(n, n, n, n)
-    c1 = np.einsum("pqts,ktr->kpqrs", v4, first, optimize=True)
-    c1 -= np.einsum("kpt,tqrs->kpqrs", first, v4, optimize=True)
-    c2 = np.einsum("pqrt,kts->kpqrs", v4, second, optimize=True)
-    c2 -= np.einsum("kqt,ptrs->kpqrs", second, v4, optimize=True)
-    return max(
-        la.frob_max(c1.reshape(-1, n * n, n * n)), la.frob_max(c2.reshape(-1, n * n, n * n))
-    )
-
-
-def _leg_commutator_sparse(
-    v: np.ndarray, n: int, nz: np.ndarray, first: np.ndarray, second: np.ndarray
-) -> float:
-    """:func:`_leg_commutator_max` from V's exact nonzeros.
-
-    A nonzero V[(p,q),(r,s)] = w gives, for every free index m, the terms
-    w·x[r,m] of V(x⊗1) at (p,q,m,s), x[m,p]·w of (x⊗1)V at (m,q,r,s),
-    w·y[s,m] of V(1⊗y) at (p,q,r,m) and y[m,q]·w of (1⊗y)V at (p,m,r,s).
-    The positions do not depend on the stack element, so the terms at equal
-    positions are merged once for the whole stack (:func:`_merged_frob`).
-    """
-    p, q, r, s = np.unravel_index(np.flatnonzero(nz), (n,) * 4)
-    w = v[nz]
-    m = np.arange(n)[:, None]
-    c1 = _merged_frob(
-        np.concatenate(((((p * n + q) * n + m) * n + s), (((m * n + q) * n + r) * n + s))),
-        np.concatenate((first[:, r].swapaxes(1, 2) * w, -first[:, :, p] * w), axis=1),
-    )
-    c2 = _merged_frob(
-        np.concatenate(((((p * n + q) * n + r) * n + m), (((p * n + m) * n + r) * n + s))),
-        np.concatenate((second[:, s].swapaxes(1, 2) * w, -second[:, :, q] * w), axis=1),
-    )
-    return max(c1, c2)
-
-
-def _merged_frob(keys: np.ndarray, vals: np.ndarray) -> float:
-    """Largest Frobenius norm over k of the sums of ``vals[k]`` at equal ``keys``.
-
-    ``keys`` holds one position per term and ``vals`` the (k, terms) values;
-    one ``np.unique`` numbers the positions, and two ``np.bincount`` calls
-    with an offset per k merge every element's terms at once.
-    """
-    k = len(vals)
-    if k == 0:
-        return 0.0
-    uniq, pos = np.unique(keys.reshape(-1), return_inverse=True)
-    idx = (pos + len(uniq) * np.arange(k)[:, None]).reshape(-1)
-    re, im = _merge(idx, vals.reshape(-1), k * len(uniq))
-    re, im = re.reshape(k, -1), im.reshape(k, -1)
-    return float(np.sqrt((re * re + im * im).sum(1).max()))
-
-
 def _merge(pos: np.ndarray, vals: np.ndarray, size: int) -> tuple:
     """Real and imaginary sums of the complex ``vals`` at equal ``pos`` (< ``size``)."""
     return (
@@ -358,30 +282,39 @@ class HatAlgebra:
 
     @cached_property
     def commutant_cells(self) -> tuple:
-        """Orthonormal bases of A′ and Â′, built on first read, once per Â."""
+        """Orthonormal bases of A′ and Â′, built once per Â, on the first read
+        (by :func:`hat_unitaries`, their only reader)."""
         return ag.commutant(self.kac.as_mm()).onb(), ag.commutant(self.mm).onb()
 
     @cached_property
     def residuals(self) -> dict:
         """The slice span has dimension n, it is closed as a *-algebra, and V
-        lies in Â⊗A (commutation with the generators of the commutant cell
-        Â′⊗A′, :func:`_leg_commutator_max`)."""
+        lies in Â⊗A: the Frobenius distance of V from Â⊗A
+        (:func:`~kacgalois.linalg.leg_distance`), which reads no commutant."""
         res = {"dimension": float(abs(len(self.onb) - self.kac.dim))}
         val = self.mm.validate()
         for key in ("product_closure", "adjoint_closure", "unit_membership"):
             res[key] = val[key]
-        a_comm, hat_comm = self.commutant_cells
-        res["v_in_hat_tensor_a"] = _leg_commutator_max(self.v.matrix, hat_comm, a_comm)
+        res["v_in_hat_tensor_a"] = float(
+            leg_distance(self.v.matrix, self.onb, self.kac.as_mm().onb(), "left")
+        )
         return res
 
 
 def hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     """Slice V over its second leg; its residuals are computed on first read.
 
-    Built once per ``v`` when ``v.kac is kac`` and shared by every later
-    caller (its basis is read-only); any other pair is built afresh.
+    Built once per ``v`` and shared by every later caller (its basis is
+    read-only).
+
+    Raises
+    ------
+    ValueError
+        If ``v`` was not built from ``kac`` itself.
     """
-    return v._hat if v.kac is kac else _hat_algebra(kac, v)
+    if v.kac is not kac:
+        raise ValueError("the multiplicative unitary was built from a different Kac algebra")
+    return v._hat
 
 
 def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
@@ -547,8 +480,9 @@ def hat_unitaries(
     """Build U (xΩ ↦ κ(x)Ω), V̂ = F(U⊗1)V(U⊗1)F and Ṽ = F(1⊗U)V(1⊗U)F.
 
     Certifies: U is a self-inverse unitary; V̂ and Ṽ are multiplicative
-    unitaries (pentagon); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (commutation with the
-    generators of the respective commutant cells, ``hat.commutant_cells``);
+    unitaries (pentagon); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (the Frobenius distance
+    from each tensor product, :func:`~kacgalois.linalg.leg_distance`, with
+    the commutant bases of ``hat.commutant_cells``);
     V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and Ad(Ṽ) restricted to first-leg dual elements is
     the dual coproduct, Ṽ(y⊗1)Ṽ† = δ̂(y).
 
@@ -574,10 +508,9 @@ def hat_unitaries(
     res["v_tilde_pentagon"] = pentagon_residual(v_tilde, n)
 
     a_comm, hat_comm = hat.commutant_cells
-    # V̂ ∈ A⊗Â′ ⟺ commutes with A′⊗1 and 1⊗Â
-    res["v_hat_in_a_tensor_hatcomm"] = _leg_commutator_max(v_hat, a_comm, hat.onb)
-    # Ṽ ∈ A′⊗Â ⟺ commutes with A⊗1 and 1⊗Â′
-    res["v_tilde_in_acomm_tensor_hat"] = _leg_commutator_max(v_tilde, kac.lmats, hat_comm)
+    a_onb = kac.as_mm().onb()
+    res["v_hat_in_a_tensor_hatcomm"] = float(leg_distance(v_hat, a_onb, hat_comm, "left"))
+    res["v_tilde_in_acomm_tensor_hat"] = float(leg_distance(v_tilde, a_comm, hat.onb, "left"))
 
     flipped = dagger(v_hat).reshape((n,) * 4).transpose(1, 0, 3, 2).reshape(n * n, n * n)
     act = _times_first_leg(flipped, kac.coord) - _coproduct_action(kac, kac.delta.swapaxes(1, 2))

@@ -178,33 +178,44 @@ def test_seed_changes_nothing_structural_for_validate():
 
 
 @pytest.mark.parametrize(
-    "run, builds, certificates",
+    "run, counts",
     [
-        (lambda kac: cli.run_dual(kac, None), 2, (3, 3, 1)),
-        (lambda kac: cli._selftest_algebra(kac, None, 7), 2, (1, 0, 1)),
-        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), 1, (0, 0, 0)),
+        (lambda kac: cli.run_dual(kac, None), (2, 2, 3, 3, 1, 2)),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 1, 0, 1, 0)),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 0)),
     ],
     ids=["run_dual", "selftest_algebra", "run_coreps"],
 )
-def test_each_duality_object_is_built_once(monkeypatch, groups, run, builds, certificates):
+def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
     # One dual of A, plus one of its dual where the bidual is checked, each
-    # with its own V; coreps reads V, Â and the integrals from A's dual.  A
+    # with its own V; coreps builds V, Â and the integrals, not the dual.  A
     # certificate runs only where the report reads it: `dual` reads V's, Â's
     # and the dual's axioms and certifies V̂ and Ṽ, `selftest` reads V's and
-    # the dual's axioms, and `coreps` reads none of them.
+    # the dual's axioms, and `coreps` reads V's and Â's.  The memberships
+    # (`leg_distance` in duality) of V, V̂ and Ṽ need no commutant for V, so
+    # only V̂ and Ṽ build the commutants A′ and Â′.
     calls = collections.Counter()
     names = ("multiplicative_unitary", "dual_kac", "pentagon_residual",
-             "_leg_commutator_max", "validate_kac")
-    for name in names:
-        real = getattr(du, name)
+             "leg_distance", "validate_kac")
+    for module, name in [*((du, name) for name in names), (ag, "commutant")]:
+        real = getattr(module, name)
 
         def counted(*args, _real=real, _name=name):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(du, name, counted)
+        monkeypatch.setattr(module, name, counted)
     run(kc.group_algebra(groups["s3"]))  # fresh, so no certificate is cached on it
-    assert [calls[name] for name in names] == [builds, builds, *certificates]
+    assert tuple(calls[name] for name in (*names, "commutant")) == counts
+
+
+def test_coreps_gates_the_pentagon(monkeypatch, capsys):
+    monkeypatch.setattr(du, "pentagon_residual", lambda v, n: 1.0)
+    assert cli.main(["coreps", str(FIXTURES / "s3_function.json")]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    checks = doc["report"]["checks"]
+    assert [name for name, c in checks.items() if not c["ok"]] == ["pentagon"]
+    assert checks["pentagon"] == cli.check(1.0, cli.TOLERANCES["tight"])
 
 
 def test_selftest_gates_the_completeness_audit(monkeypatch, groups):
@@ -223,7 +234,7 @@ def test_selftest_gates_the_completeness_audit(monkeypatch, groups):
 
 
 def test_dual_builds_each_commutant_cell_once(monkeypatch, groups):
-    # A′ and Â′ are read by Â's residuals and by the V̂, Ṽ memberships.
+    # A′ and Â′ are read by the V̂ and Ṽ memberships alone.
     calls = []
     real = ag.commutant
 

@@ -76,7 +76,7 @@ def alternating_closure(kac, elements, side="left"):
     home = kac.as_mm().onb()
     mm = ag.mm_from_generators(list(elements), n)
     for _ in range(n + 2):
-        sl = [ci._slices(kac.delta_op, home, b, side)[0].reshape(-1, n, n) for b in mm.onb()]
+        sl = [la.leg_slices(kac.delta_op(b), home, side)[0].reshape(-1, n, n) for b in mm.onb()]
         grown = ag.mm_from_generators(np.concatenate([mm.onb(), *sl]), n)
         if grown.dim == mm.dim:
             break
@@ -255,6 +255,14 @@ def test_right_coideals_of_s3_functions_are_the_right_cosets(algebras):
         assert la.span_distance(coid.mm.onb(), want.onb()) < 1e-12
 
 
+def seeded_pairs(n, seed):
+    """The audit's seeded generator pairs: eight draws, each unordered pair once."""
+    pairs = {}
+    for i, j in np.random.default_rng(seed).integers(0, n, size=(8, 2)):
+        pairs.setdefault(frozenset((i, j)), (i, j))
+    return list(pairs.values())
+
+
 def certified_audit(kac, side="left", seed=23):
     """Reference: the enumeration with every audit closure certified.
 
@@ -269,9 +277,8 @@ def certified_audit(kac, side="left", seed=23):
         key=lambda c: ci.coideal_fingerprint(kac, c.mm),
     )
     projs = [ci.jones_projection(kac, c.mm) for c in coideals]
-    rng = np.random.default_rng(seed)
     seeds = [[unit[0] + unit[i]] for i in range(n)]
-    seeds += [unit[rng.integers(0, n, size=2)] for _ in range(8)]
+    seeds += [unit[list(pair)] for pair in seeded_pairs(n, seed)]
     worst = 0.0
     for gens in seeds:
         closure = ci.coideal_closure(kac, [kac.op(c) for c in gens], side)
@@ -294,6 +301,19 @@ def test_matched_audit_is_the_certified_audit(algebras, name, side, seed):
     assert got["dims"] == want["dims"]
     assert got["complete"] is want["complete"] is True
     assert got["completeness_residual"] == want["completeness_residual"]
+
+
+@pytest.mark.parametrize("name", ["s3_function", "q8_group", "z2xz2_function"])
+def test_a_pairs_closure_does_not_depend_on_its_order(algebras, name):
+    # Why the audit closes each unordered pair once.
+    kac = algebras[name]
+    unit = np.eye(kac.dim)
+    for i, j in seeded_pairs(kac.dim, 7):
+        closures = [
+            ci._closure_algebra(kac, [kac.op(unit[a]), kac.op(unit[b])], "left").onb()
+            for a, b in ((i, j), (j, i))
+        ]
+        assert la.span_distance(*closures) < 1e-12
 
 
 def certification_spy(monkeypatch):
@@ -626,8 +646,9 @@ def test_the_lattice_report_builds_each_jones_projection_once(algebras, dual_of,
 
     monkeypatch.setattr(ci, "jones_projection", counted)
     report = ci.galois_lattice_report(dual_of(kac))
-    # One per coideal, and one per audit closure: b_e + b_g for each g, eight seeded pairs.
-    assert len(dims) == len(report["rows"]) + kac.dim + 8
+    # One per coideal, and one per audit closure: b_e + b_g for each g, and
+    # each unordered pair of the eight seeded draws once.
+    assert len(dims) == len(report["rows"]) + kac.dim + len(seeded_pairs(kac.dim, 23))
     assert sorted(dims[: len(report["rows"])]) == sorted(report["dims"])
 
 
@@ -697,7 +718,7 @@ def looped_containment(delta, home, onb, side):
     rows = onb.reshape(len(onb), -1)
     worst = 0.0
     for b in onb:
-        s, r = ci._slices(delta, home, b, side)
+        s, r = la.leg_slices(delta(b), home, side)
         worst = max(worst, float(np.hypot(r, la.frob(s - (s @ la.dagger(rows)) @ rows))))
     return worst
 
@@ -716,9 +737,9 @@ def test_stacked_slices_and_containment_match_the_loop(algebras, dual_of, monkey
         coeffs = rng.normal(size=(3, len(home))) + 1j * rng.normal(size=(3, len(home)))
         for onb in (lattice_span, la.orthonormalize(np.tensordot(coeffs, home, axes=1)), home):
             for side in ("left", "right"):
-                s, r = ci._slices(delta, home, onb, side)
+                s, r = la.leg_slices(delta(onb), home, side)
                 for k, b in enumerate(onb):
-                    sk, rk = ci._slices(delta, home, b, side)
+                    sk, rk = la.leg_slices(delta(b), home, side)
                     assert np.abs(s[k] - sk).max() <= 1e-14
                     assert abs(r[k] - rk) <= 1e-14
                 want = looped_containment(delta, home, onb, side)

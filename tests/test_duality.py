@@ -112,11 +112,16 @@ def perturbed_nonzeros(v, seed=0, size=1e-4):
     return w
 
 
-def rotated(v, n, seed=0):
-    """(Q⊗Q)V(Q⊗Q)† for a seeded random unitary Q: dense, with the same pentagon defect norm."""
+def rotation(n, seed=0):
+    """A seeded random n×n unitary Q."""
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    qq = np.kron(q, q)
+    return q
+
+
+def rotated(v, n, seed=0):
+    """(Q⊗Q)V(Q⊗Q)† for a seeded random unitary Q: dense, with the same pentagon defect norm."""
+    qq = np.kron(rotation(n, seed), rotation(n, seed))
     return qq @ v @ la.dagger(qq)
 
 
@@ -239,19 +244,20 @@ PENTAGON_NAMES = ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES
 @pytest.fixture(scope="module")
 def three_unitaries(algebras, kp8, ladder_algebras):
     """V, V̂ and Ṽ of the 12 group fixtures, kp8 and the three dual_ladder products,
-    each with the two stacks its leg-commutator membership is checked against."""
+    each with the orthonormal bases of the two legs X, Y of the cell X⊗Y it
+    lies in, and those of their commutants X′, Y′."""
     named = dict(algebras, kp8=kp8, **ladder_algebras)
     out = {}
     for name, kac in named.items():
         v = du.multiplicative_unitary(kac)
         hat = du.hat_algebra(kac, v)
         hu = du.hat_unitaries(kac, v, hat)
-        a_comm = ag.commutant(kac.as_mm()).onb()
-        hat_comm = ag.commutant(hat.mm).onb()
+        a = kac.as_mm().onb()
+        a_comm, hat_comm = hat.commutant_cells
         out[name] = (kac.dim, (
-            (v.matrix, hat_comm, a_comm),
-            (hu.v_hat, a_comm, hat.onb),
-            (hu.v_tilde, kac.lmats, hat_comm),
+            (v.matrix, (hat.onb, a), (hat_comm, a_comm)),
+            (hu.v_hat, (a, hat_comm), (a_comm, hat.onb)),
+            (hu.v_tilde, (a_comm, hat.onb), (a, hat_comm)),
         ))
     return out
 
@@ -309,103 +315,87 @@ def test_sparse_pentagon_sum_does_not_depend_on_its_runs(kp8, monkeypatch):
         assert any(terms[col].sum() > block for col in runs) == heavy
 
 
-def test_leg_commutators_match_the_kronecker_reference():
+def leg_commutator_max(w, first, second):
+    """Oracle: the largest ‖[W, x⊗1]‖_F over the stack ``first`` and ‖[W, 1⊗y]‖_F
+    over ``second``, by leg einsums on W regrouped as W[p, q, r, s]."""
+    n = first.shape[-1]
+    w4 = w.reshape(n, n, n, n)
+    c1 = np.einsum("pqts,ktr->kpqrs", w4, first, optimize=True)
+    c1 -= np.einsum("kpt,tqrs->kpqrs", first, w4, optimize=True)
+    c2 = np.einsum("pqrt,kts->kpqrs", w4, second, optimize=True)
+    c2 -= np.einsum("kqt,ptrs->kpqrs", second, w4, optimize=True)
+    return max(
+        la.frob_max(c1.reshape(-1, n * n, n * n)), la.frob_max(c2.reshape(-1, n * n, n * n))
+    )
+
+
+def test_leg_commutator_oracle_matches_the_kronecker_one():
     rng = np.random.default_rng(3)
     n = 3
-    v = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    w = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
     first = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
     second = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
     eye = np.eye(n)
-    paths = (
-        du._leg_commutator_max,
-        lambda w, f, s: du._leg_commutator_sparse(w, n, w != 0, f, s),
-    )
-    for w in (v, v * (rng.random(v.shape) < 0.2)):  # dense, then mostly zero
-        want1 = max(la.frob(w @ np.kron(x, eye) - np.kron(x, eye) @ w) for x in first)
-        want2 = max(la.frob(w @ np.kron(eye, y) - np.kron(eye, y) @ w) for y in second)
-        assert want1 > 1 and want2 > 1
-        for path in paths:
-            got1 = path(w, first, second[:0])
-            got2 = path(w, first[:0], second)
-            assert abs(got1 - want1) <= 1e-12 * want1
-            assert abs(got2 - want2) <= 1e-12 * want2
-
-
-@pytest.fixture
-def leg_paths(monkeypatch):
-    """The leg-commutator paths that run, in call order."""
-    ran = []
-    for name in ("_leg_commutator_einsum", "_leg_commutator_sparse"):
-        def spy(*args, fn=getattr(du, name), name=name):
-            ran.append(name)
-            return fn(*args)
-
-        monkeypatch.setattr(du, name, spy)
-    return ran
-
-
-# With 1/n² of its entries nonzero, V takes the sparse path from n = 5 on:
-# the group fixtures of order 6 and 8, kp8 and the dual_ladder products.
-SPARSE_LEG_NAMES = (
-    tuple(name for name in ALGEBRA_NAMES if name.startswith(("s3_", "q8_")))
-    + ("kp8",)
-    + LADDER_NAMES
-)
+    want1 = max(la.frob(w @ np.kron(x, eye) - np.kron(x, eye) @ w) for x in first)
+    want2 = max(la.frob(w @ np.kron(eye, y) - np.kron(eye, y) @ w) for y in second)
+    assert abs(leg_commutator_max(w, first, second[:0]) - want1) <= 1e-12 * want1
+    assert abs(leg_commutator_max(w, first[:0], second) - want2) <= 1e-12 * want2
 
 
 @pytest.mark.parametrize("name", PENTAGON_NAMES)
-def test_sparse_leg_commutator_is_the_einsum_one(three_unitaries, leg_paths, name):
+def test_leg_distance_brackets_the_commutator_oracle(three_unitaries, name):
+    # W₀ ∈ X⊗Y commutes with X′⊗1 and 1⊗Y′, so for x there with ‖x‖ ≤ 1
+    # (each basis element has ‖x‖ ≤ ‖x‖_F = 1), ‖[W, x⊗1]‖_F ≤ 2·dist(W, X⊗Y).
     n, unitaries = three_unitaries[name]
-    for v, first, second in unitaries:
-        leg_paths.clear()
-        du._leg_commutator_max(v, first, second)
-        sparse = bool(du._LEG_TERM_COST * np.count_nonzero(v) < n**4)
-        assert sparse is (name in SPARSE_LEG_NAMES)
-        assert leg_paths == ["_leg_commutator_sparse" if sparse else "_leg_commutator_einsum"]
-        sparse = du._leg_commutator_sparse(v, n, v != 0, first, second)
-        dense = du._leg_commutator_einsum(v, n, first, second)
-        # As built both are rounding noise: they agree at the scale of V.
-        assert sparse < 1e-12 * la.frob(v) and dense < 1e-12 * la.frob(v)
-        assert abs(sparse - dense) <= 1e-12 * la.frob(v)
+    for v, cell, comms in unitaries:
+        dist = float(la.leg_distance(v, *cell, "left"))
+        assert dist <= 1e-12 * la.frob(v)
+        assert leg_commutator_max(v, *comms) <= 1e-12 * la.frob(v)
         w = perturbed_nonzeros(v, seed=n, size=1e-3)
-        sparse = du._leg_commutator_sparse(w, n, w != 0, first, second)
-        dense = du._leg_commutator_einsum(w, n, first, second)
-        assert sparse > 1e-5
-        assert abs(sparse - dense) <= 1e-12 * dense
+        dist = float(la.leg_distance(w, *cell, "left"))
+        assert dist > 1e-5
+        assert dist >= 0.5 * leg_commutator_max(w, *comms)
 
 
-@pytest.mark.parametrize("name", SPARSE_LEG_NAMES)
-def test_rotation_carries_the_sparse_leg_commutator_onto_the_einsum_one(
-    three_unitaries, leg_paths, name
-):
-    # [(Q⊗Q)V(Q⊗Q)†, QxQ†⊗1] = (Q⊗Q)[V, x⊗1](Q⊗Q)†, so the norms are unchanged.
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_leg_distance_is_invariant_under_a_rotation(three_unitaries, name):
+    # (Q⊗Q)W(Q⊗Q)† is as far from QXQ†⊗QYQ† as W is from X⊗Y, and is dense.
     n, unitaries = three_unitaries[name]
-    rng = np.random.default_rng(n)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    qq = np.kron(q, q)
-    for v, first, second in unitaries:
+    q = rotation(n, seed=n)
+    for v, cell, _ in unitaries:
         w = perturbed_nonzeros(v, seed=n, size=1e-3)
-        leg_paths.clear()
-        sparse = du._leg_commutator_max(w, first, second)
-        dense = du._leg_commutator_max(
-            qq @ w @ la.dagger(qq), q @ first @ la.dagger(q), q @ second @ la.dagger(q)
-        )
-        assert leg_paths == ["_leg_commutator_sparse", "_leg_commutator_einsum"]
-        assert sparse > 1e-5
-        assert abs(sparse - dense) <= 1e-12 * sparse
+        want = float(la.leg_distance(w, *cell, "left"))
+        turned = [q @ leg @ la.dagger(q) for leg in cell]
+        got = float(la.leg_distance(rotated(w, n, seed=n), *turned, "left"))
+        assert want > 1e-5
+        assert abs(got - want) <= 1e-12 * want
 
 
-def test_the_biduals_leg_commutator_takes_the_einsum_path(kp8, dual_of, leg_paths):
+@pytest.mark.parametrize("name", ["kp8", "s3_function"])
+def test_v_hat_against_the_wrong_cell_reads_far(monkeypatch, name):
+    # Mutant: V̂ measured against A⊗Â instead of A⊗Â′.  These duals are not
+    # commutative, so Â′ ≠ Â and the distance is of the order of ‖V̂‖_F.
+    kac = fresh_kp8() if name == "kp8" else kc.function_algebra(kc.symmetric_group_3())
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    assert du.hat_unitaries(kac, v, hat).residuals["v_hat_in_a_tensor_hatcomm"] < 1e-12
+    wrong = property(lambda h: (ag.commutant(h.kac.as_mm()).onb(), h.onb))
+    monkeypatch.setattr(du.HatAlgebra, "commutant_cells", wrong)
+    res = du.hat_unitaries(kac, v, hat).residuals
+    assert res["v_hat_in_a_tensor_hatcomm"] >= 1
+    assert res["v_tilde_in_acomm_tensor_hat"] < 1e-12
+
+
+def test_the_biduals_dense_v_lies_in_hat_tensor_a(kp8, dual_of):
     dual = dual_of(kp8).kac
     v = du.multiplicative_unitary(dual)
     hat = du.hat_algebra(dual, v)
     assert np.count_nonzero(v.matrix) > kp8.dim**4 // 2
-    leg_paths.clear()
-    value = du._leg_commutator_max(
-        v.matrix, ag.commutant(hat.mm).onb(), ag.commutant(dual.as_mm()).onb()
-    )
-    assert leg_paths == ["_leg_commutator_einsum"]
-    assert value == hat.residuals["v_in_hat_tensor_a"] < 1e-10
+    value = hat.residuals["v_in_hat_tensor_a"]
+    assert value == float(la.leg_distance(v.matrix, hat.onb, dual.as_mm().onb(), "left"))
+    assert value <= 1e-12 * la.frob(v.matrix)
+    a_comm, hat_comm = hat.commutant_cells
+    assert leg_commutator_max(v.matrix, hat_comm, a_comm) <= 1e-12 * la.frob(v.matrix)
 
 
 def kronecker_sandwich(w, y):
@@ -547,12 +537,12 @@ def test_v_and_hat_are_built_once_per_algebra():
         hat.onb[0, 0, 0] = 0.0
 
 
-def test_a_mismatched_pair_is_built_afresh():
+def test_a_mismatched_pair_is_refused():
     kac, other = fresh_kp8(), fresh_kp8()
     v = du.multiplicative_unitary(kac)
     hat = du.hat_algebra(kac, v)
-    foreign = du.hat_algebra(other, v)
-    assert foreign is not hat and du.hat_algebra(other, v) is not foreign
+    with pytest.raises(ValueError, match="different Kac algebra"):
+        du.hat_algebra(other, v)
     assert du.multiplicative_unitary(other) is not v
     assert du.hat_algebra(kac, v) is hat
 
@@ -587,7 +577,7 @@ def test_bidual_check_computes_no_certificate_of_the_bidual(monkeypatch):
     assert max(dd.hat.residuals.values()) < 1e-10
     assert dd.axiom_report["passed"]
     calls = []
-    for name in ("pentagon_residual", "_leg_commutator_max", "validate_kac"):
+    for name in ("pentagon_residual", "leg_distance", "validate_kac"):
         def spy(*args, _real=getattr(du, name), _name=name):
             calls.append(_name)
             return _real(*args)

@@ -250,3 +250,29 @@ def test_vec_is_the_row_major_flattening():
     assert v.shape == (15,) and v.dtype == complex
     assert all(v[5 * i + j] == x[i, j] for i in range(3) for j in range(5))
     assert la.vec(np.eye(2, dtype=int)).dtype == complex
+
+
+def test_leg_distance_matches_the_kronecker_projector():
+    # dist(W, X⊗Y) = ‖W − P·W‖_F with P the projector onto span{x⊗y}, built
+    # from np.kron over the two orthonormal bases (its rows are orthonormal
+    # because ⟨x⊗y, x′⊗y′⟩ = ⟨x, x′⟩⟨y, y′⟩).
+    rng = np.random.default_rng(3)
+    n = 3
+    home = la.orthonormalize(random_complex(rng, 2, n, n))
+    span = la.orthonormalize(random_complex(rng, 4, n, n))
+    dense = random_complex(rng, n * n, n * n)
+    for side, legs in (("left", (home, span)), ("right", (span, home))):
+        prods = [np.kron(a, b) for a in legs[0] for b in legs[1]]
+        inside = np.tensordot(random_complex(rng, len(prods)), prods, axes=1)
+        near = inside + 1e-6 * random_complex(rng, n * n, n * n)
+        stack = np.stack([dense, near])
+        got = la.leg_distance(stack, home, span, side)
+        assert got.shape == (2,)
+        proj = span_projector(prods)
+        for w, value in zip(stack, got):
+            want = la.frob(w.reshape(-1) - w.reshape(-1) @ proj)  # row-vector convention
+            assert abs(value - want) <= 1e-9 * want
+        assert got[0] > 1 and 1e-7 < got[1] < 1e-4
+        assert la.leg_distance(inside, home, span, side) <= 1e-14 * la.frob(inside)
+    with pytest.raises(ValueError, match="side must be"):
+        la.leg_distance(dense, home, span, "up")
