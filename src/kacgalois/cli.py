@@ -288,15 +288,17 @@ def run_coreps(
     lim = limits(tol)
     v = du.multiplicative_unitary(kac)
     hat = du.hat_algebra(kac, v)
+    ints = du.integrals(kac, hat)
     coreps = cr.irreducible_coreps(kac, v, hat)
     dims = cr.dimension_count(kac, coreps)
     orth = cr.orthogonality_check(kac, coreps)
     four = cr.fourier_round_trip(kac, coreps, count=trials, seed=seed)
-    pw = cr.peter_weyl_resolution(kac, coreps, du.integrals(kac, hat).e_hat)
+    pw = cr.peter_weyl_resolution(kac, coreps, ints.e_hat)
 
     checks = {
         "pentagon": check(_max_float(v.residuals), lim["tight"]),
         "hat_algebra": check(_max_float(hat.residuals), lim["tight"]),
+        "integrals": check(_max_float(ints.residuals), lim["tight"]),
         "corep_certificates": check(
             max(_max_float(c.residuals) for c in coreps), lim["tight"]
         ),

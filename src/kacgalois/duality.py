@@ -3,9 +3,11 @@
 From a Kac algebra A materialized on H = L²(A) this module builds:
 
 * the multiplicative unitary V on H⊗H with V(xΩ⊗ξ) = δ(x)(Ω⊗ξ),
-* the dual algebra Â spanned by the first-leg slices of V,
+* the dual algebra Â in the basis dual to A's under the pairing: the n
+  elements ŷᵢ with V = Σᵢ ŷᵢ⊗L(bᵢ), from one n×n solve, Löwdin-orthonormalized,
 * the integrals of both algebras (the biinvariant idempotent e ∈ A and the
-  rank-one projection ê onto ℂΩ, which generates the dual Haar state),
+  rank-one projection ê onto ℂΩ, which generates the dual Haar state), built
+  once per Â,
 * the antipode unitary U and the auxiliary multiplicative unitaries V̂ and Ṽ
   with their tensor-product memberships,
 * the bilinear duality pairing ⟨x, y⟩ = √n·(xΩ, y*Ω̂) together with its
@@ -16,18 +18,22 @@ From a Kac algebra A materialized on H = L²(A) this module builds:
   transported through the pairing.
 
 Everything returns residual dictionaries; nothing is assumed that is not
-checked.  V is built once per :class:`KacAlgebra` instance, and Â once per V
-built from that same instance; later callers (the dual, the
-corepresentations, the auxiliary unitaries) get the same objects, whose
-arrays are read-only.  The certificates that are computations of their own
-(V's and Â's residuals, the dual's axiom report) run on first read, once;
-the residuals that fall out of a construction come with it.  The pentagon
-is an exact Frobenius norm and the dual coproduct δ̂(y) = V†(1⊗y)V an exact
-sum; each is computed on V's exact nonzero pattern when the work counted on
-that pattern is the smaller.  The tensor memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and
-Ṽ ∈ A′⊗Â are exact Frobenius distances, one leg regrouping and two matmuls
-each (:func:`~kacgalois.linalg.leg_distance`).  Every other contraction on
-the path from V to the validated dual is a fixed reshape and matmul.
+checked.  V is built once per :class:`KacAlgebra` instance, Â once per V
+built from that same instance and the integrals once per Â; later callers
+(the dual, the corepresentations, the auxiliary unitaries) get the same
+objects, whose arrays are read-only.  The certificates that are
+computations of their own (V's and Â's residuals, the dual's axiom report)
+run on first read, once; the residuals that fall out of a construction come
+with it.  The pentagon is an exact Frobenius norm and the dual coproduct
+δ̂(y) = V†(1⊗y)V an exact sum; each is computed on V's exact nonzero pattern
+when the work counted on that pattern is the smaller.  The tensor
+memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â are exact Frobenius distances,
+one leg regrouping and two matmuls each
+(:func:`~kacgalois.linalg.leg_distance`).  Unitarity and the defining
+actions are Frobenius norms, upper bounds on the operator norm.  The
+construction of Â runs no SVD, and the only one left on this path is the
+n×n SVD of the pairing's nondegeneracy.  Every other contraction on the
+path from V to the validated dual is a fixed reshape and matmul.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ import numpy as np
 from . import algebra as ag
 from . import linalg as la
 from .kac import KacAlgebra, kac_from_structure, validate_kac
-from .linalg import DEFAULT_TOL, dagger, frob, leg_distance, opnorm
+from .linalg import DEFAULT_TOL, GRAM_COND_MAX, dagger, frob, leg_distance
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +67,13 @@ class MultiplicativeUnitary:
 
     @cached_property
     def residuals(self) -> dict:
-        """Unitarity, the pentagon (:func:`pentagon_residual`) and the defining action."""
+        """Unitarity, the pentagon (:func:`pentagon_residual`) and the defining
+        action, each a Frobenius norm, an upper bound on the operator norm."""
         v, n = self.matrix, self.kac.dim
         return {
-            "unitary": opnorm(dagger(v) @ v - np.eye(n * n)),
+            "unitary": frob(dagger(v) @ v - np.eye(n * n)),
             "pentagon": pentagon_residual(v, n),
-            "defining_action": opnorm(
+            "defining_action": frob(
                 _times_first_leg(v, self.kac.coord) - _coproduct_action(self.kac, self.kac.delta)
             ),
         }
@@ -263,22 +270,27 @@ def _times_first_leg(m: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The dual algebra of first-leg slices
+# The dual algebra in the pairing-dual basis
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class HatAlgebra:
-    """The dual algebra Â = span of first-leg slices of V, on the same H.
+    """The dual algebra Â, spanned by the first-leg slices of V, on the same H.
 
-    ``onb`` is the deterministic Frobenius-orthonormal basis used for all
-    coefficient extractions.
+    ``dual_basis`` holds the n elements ŷᵢ with V = Σᵢ ŷᵢ⊗L(bᵢ), the basis of
+    Â dual to A's basis under the pairing, and ``onb`` their Löwdin
+    orthonormalization G_ŷ^(−1/2)·ŷ (G_ŷ the Frobenius Gram matrix of the ŷᵢ),
+    the deterministic basis used for all coefficient extractions.  When G_ŷ
+    is a scaled identity, as on every bundled fixture, ``onb`` is ŷᵢ/‖ŷᵢ‖ in
+    A's own index order.
     """
 
     kac: KacAlgebra
     v: MultiplicativeUnitary
     mm: ag.MMAlgebra
     onb: np.ndarray
+    dual_basis: np.ndarray
 
     @cached_property
     def commutant_cells(self) -> tuple:
@@ -288,41 +300,89 @@ class HatAlgebra:
 
     @cached_property
     def residuals(self) -> dict:
-        """The slice span has dimension n, it is closed as a *-algebra, and V
-        lies in Â⊗A: the Frobenius distance of V from Â⊗A
-        (:func:`~kacgalois.linalg.leg_distance`), which reads no commutant."""
-        res = {"dimension": float(abs(len(self.onb) - self.kac.dim))}
+        """Â has dimension n and is closed as a *-algebra; the ŷᵢ reconstruct
+        V's slices, ``slice_reconstruction`` = ‖M − Yᵀ·L‖_F
+        (:func:`_slice_matrix`); ``onb`` is orthonormal,
+        ``basis_orthonormality`` the largest entry of B·B† − I, B the rows of
+        ``onb``; and V lies in Â⊗A: the Frobenius distance of V from Â⊗A
+        (:func:`~kacgalois.linalg.leg_distance`), which reads no commutant and
+        proves that the n elements hold every slice of V."""
+        n = self.kac.dim
+        res = {"dimension": float(abs(len(self.onb) - n))}
         val = self.mm.validate()
         for key in ("product_closure", "adjoint_closure", "unit_membership"):
             res[key] = val[key]
+        lrows = self.kac.lmats.reshape(n, n * n)
+        res["slice_reconstruction"] = frob(
+            _slice_matrix(self.v.matrix, n) - self.dual_basis.reshape(n, n * n).T @ lrows
+        )
+        rows = self.onb.reshape(n, n * n)
+        res["basis_orthonormality"] = float(np.abs(rows @ dagger(rows) - np.eye(n)).max())
         res["v_in_hat_tensor_a"] = float(
             leg_distance(self.v.matrix, self.onb, self.kac.as_mm().onb(), "left")
         )
         return res
 
+    @cached_property
+    def _integrals(self) -> Integrals:
+        return _integrals(self.kac, self)
+
 
 def hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
-    """Slice V over its second leg; its residuals are computed on first read.
+    """Â from V's slices over its second leg; its residuals are computed on first read.
 
-    Built once per ``v`` and shared by every later caller (its basis is
+    Built once per ``v`` and shared by every later caller (its bases are
     read-only).
 
     Raises
     ------
     ValueError
-        If ``v`` was not built from ``kac`` itself.
+        If ``v`` was not built from ``kac`` itself, or if the Gram matrix of
+        A's basis operators or of the ŷᵢ has a condition number above
+        ``GRAM_COND_MAX``.
     """
     if v.kac is not kac:
         raise ValueError("the multiplicative unitary was built from a different Kac algebra")
     return v._hat
 
 
+def _slice_matrix(v: np.ndarray, n: int) -> np.ndarray:
+    """V regrouped over its leg pairs (1,3) and (2,4): M[(a,c),(b,d)] = V[(a,b),(c,d)].
+
+    V = Σᵢ ŷᵢ⊗L(bᵢ) reads M = Yᵀ·L, with Y and L the n×n² rows vec(ŷᵢ) and
+    vec(L(bᵢ)).
+    """
+    return v.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
 def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
+    """Solve M = Yᵀ·L for the ŷᵢ against the Gram matrix L·L†, then orthonormalize.
+
+    M·L† = Yᵀ·(L·L†), so Y = (L·L†)⁻ᵀ·conj(L)·Mᵀ: n⁵ multiply-adds, one n×n
+    solve and three n×n Hermitian eigenproblems (the two condition numbers,
+    then G_ŷ^(−1/2) by :func:`~kacgalois.linalg.herm_power`).
+    """
     n = kac.dim
-    v4 = v.matrix.reshape(n, n, n, n)
-    slices = [v4[:, p, :, q] for p in range(n) for q in range(n)]
-    mm = ag.from_span(la.orthonormalize(slices), n)
-    return HatAlgebra(kac=kac, v=v, mm=mm, onb=mm.onb())
+    lrows = kac.lmats.reshape(n, n * n)
+    gram = lrows @ dagger(lrows)
+    _check_condition(gram, "the Gram matrix of A's basis operators L(b_i)")
+    y = np.linalg.solve(gram.T, np.conj(lrows) @ _slice_matrix(v.matrix, n).T)
+    gram_y = y @ dagger(y)
+    _check_condition(gram_y, "the Gram matrix of the dual basis of A-hat")
+    mm = ag.from_onb((la.herm_power(gram_y, -0.5) @ y).reshape(n, n, n), n)
+    y = y.reshape(n, n, n)
+    y.flags.writeable = False
+    return HatAlgebra(kac=kac, v=v, mm=mm, onb=mm.onb(), dual_basis=y)
+
+
+def _check_condition(gram: np.ndarray, what: str) -> None:
+    """Refuse a positive-definite Gram matrix whose condition number exceeds ``GRAM_COND_MAX``."""
+    w = np.linalg.eigvalsh(gram)
+    cond = w[-1] / w[0] if w[0] > 0 else np.inf
+    if not cond <= GRAM_COND_MAX:
+        raise ValueError(
+            f"{what} has condition number {cond:.3e}, above the bound {GRAM_COND_MAX:.0e}"
+        )
 
 
 def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
@@ -410,6 +470,22 @@ class Integrals:
 
 
 def integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
+    """The integrals of A and Â with their certificates, built once per ``hat``.
+
+    The integral of A is solved from the absorption equations; every later
+    caller with the same ``hat`` gets the same :class:`Integrals`.
+
+    Raises
+    ------
+    ValueError
+        If ``hat`` was not built from ``kac`` itself.
+    """
+    if hat.kac is not kac:
+        raise ValueError("the dual algebra was built from a different Kac algebra")
+    return hat._integrals
+
+
+def _integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
     """Solve for the integral of A and certify both integrals."""
     n = kac.dim
     eps = kac.counit
@@ -500,10 +576,10 @@ def hat_unitaries(
     v_tilde = np.matmul(u.T, (u @ vf.reshape(n, -1)).reshape(n * n, n, n)).reshape(n * n, n * n)
 
     res = {}
-    res["u_unitary"] = opnorm(dagger(u) @ u - eye)
-    res["u_involutive"] = opnorm(u @ u - eye)
-    res["v_hat_unitary"] = opnorm(dagger(v_hat) @ v_hat - np.eye(n * n))
-    res["v_tilde_unitary"] = opnorm(dagger(v_tilde) @ v_tilde - np.eye(n * n))
+    res["u_unitary"] = frob(dagger(u) @ u - eye)
+    res["u_involutive"] = frob(u @ u - eye)
+    res["v_hat_unitary"] = frob(dagger(v_hat) @ v_hat - np.eye(n * n))
+    res["v_tilde_unitary"] = frob(dagger(v_tilde) @ v_tilde - np.eye(n * n))
     res["v_hat_pentagon"] = pentagon_residual(v_hat, n)
     res["v_tilde_pentagon"] = pentagon_residual(v_tilde, n)
 
@@ -736,33 +812,26 @@ def group_dual_check(dd: DualKac) -> dict:
     n = kac.dim
 
     res = {}
-    comm = 0.0
-    for a in hat.onb:
-        for b in hat.onb:
-            comm = max(comm, frob(a @ b - b @ a))
-    res["dual_commutative"] = comm
+    prods = hat.onb[:, None] @ hat.onb[None]
+    res["dual_commutative"] = la.frob_max(prods - prods.swapaxes(0, 1))
 
     pinv = np.linalg.inv(dd.pairing_form.matrix)
     wg = np.tensordot(pinv, hat.onb, axes=(0, 0))
 
-    idem = 0.0
-    for x in range(n):
-        for y_ in range(n):
-            want = wg[x] if x == y_ else np.zeros_like(wg[0])
-            idem = max(idem, frob(wg[x] @ wg[y_] - want))
-    res["point_indicators_orthogonal_idempotent"] = idem
-    res["point_indicators_sum_to_one"] = frob(sum(wg) - np.eye(n))
-    res["point_indicators_self_adjoint"] = max(frob(dagger(wg[x]) - wg[x]) for x in range(n))
+    eye = np.eye(n)
+    # wg[x]·wg[y] − δ_xy·wg[x], for every pair (x, y) at once.
+    idem = wg[:, None] @ wg[None] - eye[:, :, None, None] * wg[:, None]
+    res["point_indicators_orthogonal_idempotent"] = la.frob_max(idem)
+    res["point_indicators_sum_to_one"] = frob(wg.sum(0) - eye)
+    res["point_indicators_self_adjoint"] = la.frob_max(dagger(wg) - wg)
 
-    cop = 0.0
-    for x in range(n):
-        target = np.zeros((n * n, n * n), dtype=complex)
-        for s in range(n):
-            for t_ in range(n):
-                if g.table[s, t_] == x:
-                    target += np.kron(wg[s], wg[t_])
-        cop = max(cop, frob(delta_hat(v, wg[x]) - target))
-    res["coproduct_is_group_convolution"] = cop
+    # target[x] = Σ_{st=x} wg[s]⊗wg[t]: z[x, s] = Σ_{t: st=x} wg[t], then the
+    # Kronecker product with wg[s] summed over s as one matmul.
+    hit = (g.table[None] == np.arange(n)[:, None, None]).astype(float)  # hit[x, s, t]
+    z = np.tensordot(hit, wg, axes=(2, 0))  # z[x, s, b, d]
+    target = (z.transpose(0, 2, 3, 1) @ wg.reshape(n, n * n)).reshape((n,) * 5)
+    target = target.transpose(0, 3, 1, 4, 2).reshape(n, n * n, n * n)  # [x, (a,b), (c,d)]
+    res["coproduct_is_group_convolution"] = la.frob_max(delta_hat(v, wg) - target)
 
     inv = g.inverse
     res["antipode_is_inversion"] = max(

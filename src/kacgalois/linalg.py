@@ -44,6 +44,9 @@ TRACE_FLOOR = 1e-14
 POWER_TOL = 1e-10
 #: Iteration cap of the power iteration.
 POWER_MAX_ITER = 10000
+#: Largest condition number of the Gram matrices Â's dual basis is solved against and
+#: orthonormalized by; κ·ε then stays below the tight tier.
+GRAM_COND_MAX = 1e5
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -59,6 +59,52 @@ def kp8():
     return kc.load_kac(str(path))
 
 
+KAC_NAMES = ALGEBRA_NAMES + ("kp8",)
+
+
+def rotation(n, seed=0):
+    """A seeded random n×n unitary Q."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def basis_change(n, seed, cond):
+    """A seeded n×n change of basis Q₁·diag(s)·Q₂ of condition number ``cond``,
+    its singular values s spaced geometrically from cond^(−1/2) to cond^(1/2)."""
+    s = np.geomspace(cond ** -0.5, cond ** 0.5, n)
+    return rotation(n, seed) @ np.diag(s) @ rotation(n, seed + 1)
+
+
+def rebased_tensors(kac, c):
+    """The arguments of ``kc.kac_from_structure`` for ``kac`` in the basis
+    b′ᵢ = Σⱼ c[j, i]·bⱼ: labels, product, coproduct, counit, antipode, star, Haar."""
+    ci = np.linalg.inv(c)
+    return (
+        kac.labels,
+        np.einsum("ai,bj,abc,kc->ijk", c, c, kac.mult, ci),
+        np.einsum("ck,cab,ia,jb->kij", c, kac.delta, ci, ci),
+        c.T @ kac.counit,
+        c.T @ kac.antipode @ ci.T,
+        np.conj(c).T @ kac.star @ ci.T,
+        c.T @ kac.haar,
+    )
+
+
+def rebased(kac, c):
+    """``kac`` in the basis b′ᵢ = Σⱼ c[j, i]·bⱼ, rebuilt from its structure tensors.
+
+    The new basis is no group's, so the result carries no origin or group.
+    """
+    return kc.kac_from_structure(*rebased_tensors(kac, c))
+
+
+@pytest.fixture(scope="session")
+def rotated_kp8(kp8):
+    """kp8 in a seeded unitary change of basis: its V and its bidual's are dense."""
+    return rebased(kp8, rotation(kp8.dim, seed=0))
+
+
 TENSOR_COMBOS = (
     ("z2_group", "z2_group"),
     ("z2_group", "z3_function"),

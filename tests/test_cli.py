@@ -1,14 +1,17 @@
 """Command-line interface: reports, exit codes, determinism, error documents."""
 
 import collections
+import dataclasses
 import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from kacgalois import algebra as ag
@@ -19,6 +22,8 @@ from kacgalois import kac as kc
 from kacgalois.algebra import NoExpectationError, ShapeError, SubalgebraError
 from kacgalois.jones import InclusionError
 from kacgalois.kac import AxiomError
+
+from conftest import KAC_NAMES, basis_change, rebased, rebased_tensors, rotation
 
 FIXTURES = resources.files("kacgalois") / "fixtures"
 
@@ -216,6 +221,92 @@ def test_coreps_gates_the_pentagon(monkeypatch, capsys):
     checks = doc["report"]["checks"]
     assert [name for name, c in checks.items() if not c["ok"]] == ["pentagon"]
     assert checks["pentagon"] == cli.check(1.0, cli.TOLERANCES["tight"])
+
+
+def test_coreps_gates_the_integrals(monkeypatch, capsys):
+    real = du._integrals
+
+    def spy(kac, hat):
+        ints = real(kac, hat)
+        return dataclasses.replace(ints, residuals={**ints.residuals, "e_hat_absorbing": 1.0})
+
+    monkeypatch.setattr(du, "_integrals", spy)
+    assert cli.main(["coreps", str(FIXTURES / "s3_function.json")]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    checks = doc["report"]["checks"]
+    assert [name for name, c in checks.items() if not c["ok"]] == ["integrals"]
+    assert checks["integrals"] == cli.check(1.0, cli.TOLERANCES["tight"])
+
+
+@pytest.mark.parametrize(
+    "run, builds",
+    [
+        (lambda kac: cli.run_dual(kac, None), 2),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), 2),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), 1),
+    ],
+    ids=["run_dual", "selftest_algebra", "run_coreps"],
+)
+def test_each_integral_is_built_once(monkeypatch, groups, run, builds):
+    # One Â of A, plus one of its dual where the bidual is checked; each
+    # `integrals` call builds the integrals of its Â, once.
+    calls, built = [], []
+    for name, seen in (("integrals", calls), ("_integrals", built)):
+        def spy(kac, hat, _real=getattr(du, name), _seen=seen):
+            _seen.append(hat)
+            return _real(kac, hat)
+
+        monkeypatch.setattr(du, name, spy)
+    run(kc.group_algebra(groups["s3"]))
+    assert len(calls) == len(built) == builds
+    assert len({id(hat) for hat in built}) == builds
+
+
+@pytest.mark.parametrize("name", KAC_NAMES)
+def test_a_rotated_fixture_passes_validate_dual_and_coreps(algebras, kp8, name):
+    kac = dict(algebras, kp8=kp8)[name]
+    rotated = rebased(kac, rotation(kac.dim, seed=kac.dim))
+    assert np.count_nonzero(du.multiplicative_unitary(rotated).matrix) > kac.dim**4 // 2
+    assert cli.run_validate(rotated, None)[1]
+    assert cli.run_dual(rotated, None)[1]
+    report, passed = cli.run_coreps(rotated, None, 7, trials=5)
+    assert passed
+    assert report["corep_dims"] == cli.run_coreps(kac, None, 7, trials=5)[0]["corep_dims"]
+
+
+def run_rebased_kp8(tmp_path, capsys, command, cond):
+    kp8 = kc.load_kac(str(FIXTURES / "kp8.json"))
+    labels, *tensors = rebased_tensors(kp8, basis_change(kp8.dim, seed=4, cond=cond))
+    doc = {"dim": kp8.dim, "basis_labels": list(labels)}
+    for name, t in zip(("mult", "delta", "counit", "antipode", "star", "haar"), tensors):
+        doc[name] = np.stack([t.real, t.imag], axis=-1).tolist()
+    path = tmp_path / "kp8_rebased.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command", ["validate", "dual", "coreps"])
+def test_a_well_conditioned_change_of_basis_passes(tmp_path, capsys, command):
+    code, doc = run_rebased_kp8(tmp_path, capsys, command, cond=10.0)
+    assert code == 0 and doc["passed"] is True
+
+
+@pytest.mark.parametrize("command", ["dual", "coreps"])
+@pytest.mark.parametrize(
+    "cond, message",
+    [
+        (1e13, "no two-sided unit"),
+        (1e3, "L\\(b_i\\) has condition number 1.000e\\+06, above the bound 1e\\+05"),
+    ],
+    ids=["cond1e13", "cond1e3"],
+)
+def test_an_ill_conditioned_change_of_basis_exits_2(tmp_path, capsys, command, cond, message):
+    # At 1e13 the unit solve of the structure tensors already fails; at 1e3
+    # the Gram matrix of the basis operators, of condition 1e6, is refused.
+    code, doc = run_rebased_kp8(tmp_path, capsys, command, cond)
+    assert code == 2
+    assert re.search(message, doc["error"]["message"])
 
 
 def test_selftest_gates_the_completeness_audit(monkeypatch, groups):

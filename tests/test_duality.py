@@ -13,7 +13,16 @@ from kacgalois import duality as du
 from kacgalois import kac as kc
 from kacgalois import linalg as la
 
-from conftest import ALGEBRA_NAMES, GROUP_NAMES, LADDER_NAMES, twisted_z3_squared_by_z2
+from conftest import (
+    ALGEBRA_NAMES,
+    GROUP_NAMES,
+    KAC_NAMES,
+    LADDER_NAMES,
+    basis_change,
+    rebased,
+    rotation,
+    twisted_z3_squared_by_z2,
+)
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -110,13 +119,6 @@ def perturbed_nonzeros(v, seed=0, size=1e-4):
     nz = w != 0
     w[nz] += size * (rng.standard_normal(nz.sum()) + 1j * rng.standard_normal(nz.sum()))
     return w
-
-
-def rotation(n, seed=0):
-    """A seeded random n×n unitary Q."""
-    rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return q
 
 
 def rotated(v, n, seed=0):
@@ -386,11 +388,11 @@ def test_v_hat_against_the_wrong_cell_reads_far(monkeypatch, name):
     assert res["v_tilde_in_acomm_tensor_hat"] < 1e-12
 
 
-def test_the_biduals_dense_v_lies_in_hat_tensor_a(kp8, dual_of):
-    dual = dual_of(kp8).kac
+def test_the_biduals_dense_v_lies_in_hat_tensor_a(rotated_kp8, dual_of):
+    dual = dual_of(rotated_kp8).kac
     v = du.multiplicative_unitary(dual)
     hat = du.hat_algebra(dual, v)
-    assert np.count_nonzero(v.matrix) > kp8.dim**4 // 2
+    assert np.count_nonzero(v.matrix) > rotated_kp8.dim**4 // 2
     value = hat.residuals["v_in_hat_tensor_a"]
     assert value == float(la.leg_distance(v.matrix, hat.onb, dual.as_mm().onb(), "left"))
     assert value <= 1e-12 * la.frob(v.matrix)
@@ -462,9 +464,11 @@ def test_dual_coproduct_path_follows_the_term_count(
     assert np.abs(got - kronecker_sandwich(v.matrix, y)).max() <= 1e-13 * la.frob(y)
 
 
-def test_the_biduals_dual_coproduct_takes_the_dense_path(kp8, dual_of, delta_paths, monkeypatch):
-    n = kp8.dim
-    v = du.multiplicative_unitary(dual_of(kp8).kac)
+def test_the_biduals_dual_coproduct_takes_the_dense_path(
+    rotated_kp8, dual_of, delta_paths, monkeypatch
+):
+    n = rotated_kp8.dim
+    v = du.multiplicative_unitary(dual_of(rotated_kp8).kac)
     delta_paths.clear()
     blocks = np.bincount(np.flatnonzero(v.matrix) // n**3, minlength=n)
     assert np.count_nonzero(v.matrix) > n**4 // 2
@@ -720,3 +724,137 @@ def test_dual_of_commutative_is_cocommutative(algebras, dual_of):
 def test_dual_dimension_matches(algebras, dual_of):
     for name in ("z4_group", "q8_function"):
         assert dual_of(algebras[name]).kac.dim == algebras[name].dim
+
+
+# ---------------------------------------------------------------------------
+# Â in the pairing-dual basis
+# ---------------------------------------------------------------------------
+
+
+def slice_span_oracle(v, n):
+    """The span of all n² first-leg slices V[(·,p),(·,q)], by one n²×n² SVD."""
+    v4 = v.reshape(n, n, n, n)
+    return la.orthonormalize([v4[:, p, :, q] for p in range(n) for q in range(n)])
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES + ("rotated_kp8", "cond10_kp8"))
+def test_hat_spans_every_slice_of_v(algebras, kp8, rotated_kp8, ladder_algebras, name):
+    # cond10_kp8: a non-unitary change of basis, so L·L† and G_ŷ are not
+    # scaled identities and the Löwdin step mixes the ŷᵢ.
+    kac = (
+        rebased(kp8, basis_change(kp8.dim, seed=4, cond=10.0))
+        if name == "cond10_kp8"
+        else dict(algebras, kp8=kp8, rotated_kp8=rotated_kp8, **ladder_algebras)[name]
+    )
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    assert la.span_distance(slice_span_oracle(v.matrix, n), hat.onb) <= 1e-12
+    # V = Σᵢ ŷᵢ⊗L(bᵢ), entry by entry.
+    want = np.einsum("iac,ibd->abcd", hat.dual_basis, kac.lmats).reshape(n * n, n * n)
+    assert np.abs(v.matrix - want).max() <= 1e-13
+    assert hat.residuals["slice_reconstruction"] <= 1e-12
+    # Löwdin's basis is orthonormal up to κ(G_ŷ)·ε.
+    y = hat.dual_basis.reshape(n, n * n)
+    kappa = np.linalg.cond(y @ la.dagger(y))
+    assert hat.residuals["basis_orthonormality"] <= 10 * kappa * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("name", KAC_NAMES)
+def test_the_pairing_dual_basis_keeps_the_biduals_v_sparse(algebras, kp8, dual_of, name):
+    kac = dict(algebras, kp8=kp8)[name]
+    dd = dual_of(kac)
+    p = dd.pairing_form.matrix
+    assert np.abs(p - np.diag(np.diag(p))).max() <= 1e-14
+    # On these fixtures G_ŷ is a scaled identity: the basis is ŷᵢ/‖ŷᵢ‖.
+    norms = np.linalg.norm(dd.hat.dual_basis, axis=(1, 2))
+    assert np.abs(dd.hat.onb - dd.hat.dual_basis / norms[:, None, None]).max() <= 1e-15
+    bidual_v = du.multiplicative_unitary(dd.kac).matrix
+    assert np.count_nonzero(bidual_v) == np.count_nonzero(dd.v.matrix)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every SVD numpy runs, called through ``np.linalg.svd`` or inside ``np.linalg.norm``."""
+    calls = []
+    namespace = inspect.unwrap(np.linalg.norm).__globals__  # numpy.linalg's own module
+    real = namespace["svd"]
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(namespace, "svd", spy)
+    return calls
+
+
+def test_building_hat_at_twelve_runs_no_svd(svd_calls):
+    kac = kc.tensor_kac(
+        kc.function_algebra(kc.symmetric_group_3()), kc.group_algebra(kc.cyclic_group(2))
+    )
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    assert kac.dim == 12 and len(hat.onb) == 12
+    assert svd_calls == []
+    # The spy sees both routes to an SVD.
+    la.orthonormalize(hat.onb)
+    la.opnorm(hat.onb[0])
+    assert svd_calls == [(12, 144), (12, 12)]
+
+
+def test_an_ill_conditioned_dual_basis_is_refused(kp8):
+    # V′ = Σᵢ sᵢ·ŷᵢ⊗L(bᵢ): A's basis stays orthogonal, and G_ŷ gets condition 1e12.
+    n = kp8.dim
+    hat = du.hat_algebra(kp8, du.multiplicative_unitary(kp8))
+    scaled = hat.dual_basis * np.geomspace(1e-3, 1e3, n)[:, None, None]
+    v = np.einsum("iac,ibd->abcd", scaled, kp8.lmats).reshape(n * n, n * n)
+    with pytest.raises(ValueError, match="dual basis of A-hat has condition number 1.000e\\+12"):
+        du.hat_algebra(kp8, du.MultiplicativeUnitary(matrix=v, kac=kp8))
+
+
+def test_the_integrals_are_built_once_per_hat(monkeypatch):
+    # The benchmark's dual chain asks for the integrals, then builds the dual,
+    # which asks again: one solve.
+    built = []
+    real = du._integrals
+    monkeypatch.setattr(du, "_integrals", lambda kac, hat: built.append(hat) or real(kac, hat))
+    kac = fresh_kp8()
+    hat = du.hat_algebra(kac, du.multiplicative_unitary(kac))
+    ints = du.integrals(kac, hat)
+    assert du.dual_kac(kac).ints is ints and du.integrals(kac, hat) is ints
+    assert built == [hat]
+    with pytest.raises(ValueError, match="different Kac algebra"):
+        du.integrals(fresh_kp8(), hat)
+
+
+def group_dual_loops(dd):
+    """The per-pair loop form of three ``group_dual_check`` residuals."""
+    kac, hat = dd.v.kac, dd.hat
+    n, g = kac.dim, kac.group
+    comm = max(la.frob(a @ b - b @ a) for a in hat.onb for b in hat.onb)
+    wg = np.tensordot(np.linalg.inv(dd.pairing_form.matrix), hat.onb, axes=(0, 0))
+    idem = max(
+        la.frob(wg[x] @ wg[y] - (wg[x] if x == y else 0)) for x in range(n) for y in range(n)
+    )
+    cop = 0.0
+    for x in range(n):
+        target = np.zeros((n * n, n * n), dtype=complex)
+        for s in range(n):
+            for t in range(n):
+                if g.table[s, t] == x:
+                    target += np.kron(wg[s], wg[t])
+        cop = max(cop, la.frob(du.delta_hat(dd.v, wg[x]) - target))
+    return {
+        "dual_commutative": comm,
+        "point_indicators_orthogonal_idempotent": idem,
+        "coproduct_is_group_convolution": cop,
+    }
+
+
+@pytest.mark.parametrize("name", GROUP_NAMES)
+def test_group_dual_check_matches_its_loops(algebras, dual_of, name):
+    dd = dual_of(algebras[f"{name}_group"])
+    got = du.group_dual_check(dd)
+    for key, want in group_dual_loops(dd).items():
+        assert abs(got[key] - want) <= 1e-14
