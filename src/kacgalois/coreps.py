@@ -7,8 +7,11 @@ entries are recovered by slicing V against the block:
 
     u(π)ᵢⱼ = (1/d(π)) · (Tr(e(π)ⱼᵢ ·) ⊗ id)(V),
 
-and V = Σ_π Σ_{ij} e(π)ᵢⱼ ⊗ u(π)ᵢⱼ reassembles exactly.  On top of the
-corepresentations this module provides:
+and V = Σ_π Σ_{ij} e(π)ᵢⱼ ⊗ u(π)ᵢⱼ reassembles exactly.  The
+corepresentations of one dimension are formed and certified together, as one
+stack, with one residual dict each; block unitarity is a Frobenius norm, so
+the certificates run no SVD.  On top of the corepresentations this module
+provides:
 
 * the Schur orthogonality relations for the Haar state,
 * Fourier coefficients x ↦ d(π)·h(u(π)ᵢⱼ*·x) with exact inversion
@@ -54,8 +57,14 @@ class Corepresentation:
     residuals: dict
 
 
-def _coproduct_residual(kac: KacAlgebra, entries: np.ndarray, coeffs: np.ndarray) -> float:
-    """max over (i, j) of ‖δ(u_ij) − Σ_k u_ik⊗u_kj‖_F, from (n+d)-square factors.
+def _stack_max(a: np.ndarray) -> np.ndarray:
+    """Per item of a (k, …, m, m) stack, the largest Frobenius norm of its m×m matrices."""
+    return np.linalg.norm(a, axis=(-2, -1)).reshape(len(a), -1).max(axis=1)
+
+
+def _coproduct_residual(kac: KacAlgebra, entries: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per corepresentation of a (k, d, d, n, n) stack, max over (i, j) of
+    ‖δ(u_ij) − Σ_l u_il⊗u_lj‖_F, from (n+d)-square factors.
 
     With the rows of L the vectorized L(b_p) and w_ij = Σ_a c(u_ij)_a·Δ_a, the
     difference is, up to a permutation of its entries, A_i·diag(w_ij, −1)·B_jᵀ
@@ -63,35 +72,37 @@ def _coproduct_residual(kac: KacAlgebra, entries: np.ndarray, coeffs: np.ndarray
     norm is that of R_i·diag(w_ij, −1)·R_jᵀ for the thin QR factors of A_i
     and B_j, so no n²×n² operator is formed.
     """
-    d, n = entries.shape[0], kac.dim
-    lt = np.broadcast_to(kac.lmats.reshape(n, n * n).T, (d, n * n, n))
-    vecs = entries.reshape(d, d, n * n)
-    r_rows = np.linalg.qr(np.concatenate([lt, vecs.transpose(0, 2, 1)], axis=2), mode="r")
-    r_cols = np.linalg.qr(np.concatenate([lt, vecs.transpose(1, 2, 0)], axis=2), mode="r")
-    core = np.zeros((d, d, n + d, n + d), dtype=complex)
+    k, d, n = entries.shape[0], entries.shape[1], kac.dim
+    lt = np.broadcast_to(kac.lmats.reshape(n, n * n).T, (k, d, n * n, n))
+    vecs = entries.reshape(k, d, d, n * n)
+    r_rows = np.linalg.qr(np.concatenate([lt, vecs.transpose(0, 1, 3, 2)], axis=3), mode="r")
+    r_cols = np.linalg.qr(np.concatenate([lt, vecs.transpose(0, 2, 3, 1)], axis=3), mode="r")
+    core = np.zeros((k, d, d, n + d, n + d), dtype=complex)
     core[..., :n, :n] = np.tensordot(coeffs, kac.delta, axes=(-1, 0))
     core[..., n:, n:] = -np.eye(d)
-    return la.frob_max(r_rows[:, None] @ core @ r_cols[None].swapaxes(-1, -2))
+    return _stack_max(r_rows[:, :, None] @ core @ r_cols[:, None].swapaxes(-1, -2))
 
 
-def _entry_residuals(kac: KacAlgebra, entries: np.ndarray) -> dict:
-    """Structural checks for one corepresentation's (d, d, n, n) entry array."""
-    d, n = entries.shape[0], kac.dim
+def _entry_residuals(kac: KacAlgebra, entries: np.ndarray) -> list[dict]:
+    """Structural checks for a (k, d, d, n, n) stack of corepresentations' entries,
+    one residual dict per corepresentation.
+
+    ``block_matrix_unitary`` is ‖B†B − I‖_F for the dn×dn block matrix B of
+    the entries, an upper bound on its operator norm.
+    """
+    k, d, n = entries.shape[0], entries.shape[1], kac.dim
     coeffs = (entries @ kac.omega) @ kac.coord_inv.T
-    res = {
-        "entries_in_algebra": la.frob_max(
-            np.tensordot(coeffs, kac.lmats, axes=(-1, 0)) - entries
-        )
+    big = entries.transpose(0, 1, 3, 2, 4).reshape(k, d * n, d * n)
+    cols = {
+        "entries_in_algebra": _stack_max(kac.op(coeffs) - entries),
+        "block_matrix_unitary": np.linalg.norm(dagger(big) @ big - np.eye(d * n), axis=(-2, -1)),
+        "coproduct_matricial": _coproduct_residual(kac, entries, coeffs),
+        "counit_is_kronecker": np.abs(coeffs @ kac.counit - np.eye(d)).reshape(k, -1).max(axis=1),
+        "antipode_flips_adjoint": _stack_max(
+            kac.op(coeffs @ kac.antipode) - dagger(entries).swapaxes(1, 2)
+        ),
     }
-    big = entries.transpose(0, 2, 1, 3).reshape(d * n, d * n)
-    res["block_matrix_unitary"] = la.opnorm(dagger(big) @ big - np.eye(d * n))
-    res["coproduct_matricial"] = _coproduct_residual(kac, entries, coeffs)
-    res["counit_is_kronecker"] = float(np.abs(coeffs @ kac.counit - np.eye(d)).max())
-    res["antipode_flips_adjoint"] = la.frob_max(
-        np.tensordot(coeffs @ kac.antipode, kac.lmats, axes=(-1, 0))
-        - dagger(entries).swapaxes(0, 1)
-    )
-    return res
+    return [{key: float(val[i]) for key, val in cols.items()} for i in range(k)]
 
 
 def irreducible_coreps(
@@ -100,10 +111,12 @@ def irreducible_coreps(
     """All irreducible corepresentations, from the central blocks of Â.
 
     Deterministic: blocks come out of the dual algebra's canonical central
-    decomposition ordering.  Each corepresentation is certified (entries lie
-    in A, the block matrix is unitary, the coproduct acts matricially, the
-    counit is the Kronecker delta, the antipode is the transposed adjoint,
-    and V expands exactly over units ⊗ entries).
+    decomposition ordering.  The corepresentations of one dimension d are
+    built and certified as one (k, d, d, n, n) stack, with one residual dict
+    each: entries lie in A, the block matrix is unitary (in Frobenius norm,
+    so no SVD runs), the coproduct acts matricially, the counit is the
+    Kronecker delta, the antipode is the transposed adjoint, and V expands
+    exactly over units ⊗ entries.
 
     Raises
     ------
@@ -119,29 +132,25 @@ def irreducible_coreps(
     # u(π)ᵢⱼ[b, q] = Σ_{p,a} e(π)ⱼᵢ[p, a]·V[(a, b), (p, q)] / d(π).
     v_slices = v4.transpose(2, 0, 1, 3).reshape(n * n, n * n)
 
-    coreps = []
-    for idx, block in enumerate(matrix_units(hat.mm)):
-        d = block.size
-        units = block.units
-        entries = (units.swapaxes(0, 1).reshape(d * d, n * n) @ v_slices) / d
-        entries = entries.reshape(d, d, n, n)
+    blocks = matrix_units(hat.mm)
+    coreps: list = [None] * len(blocks)
+    for d in sorted({b.size for b in blocks}):
+        group = [i for i, b in enumerate(blocks) if b.size == d]
+        units = np.stack([blocks[i].units for i in group])
+        entries = (units.swapaxes(1, 2).reshape(len(group), d * d, n * n) @ v_slices) / d
+        entries = entries.reshape(len(group), d, d, n, n)
         entries.flags.writeable = False
-        res = {
-            "square_block": 0.0 if block.multiplicity == block.size else 1.0,
-        }
-        res.update(_entry_residuals(kac, entries))
-        trivial = d == 1 and frob(entries[0, 0] - np.eye(n)) < SPAN_TOL
-        coreps.append(
-            Corepresentation(
+        for idx, ent, res in zip(group, entries, _entry_residuals(kac, entries)):
+            block = blocks[idx]
+            coreps[idx] = Corepresentation(
                 index=idx,
                 dim=d,
                 central_projection=block.projection,
-                units=units,
-                entries=entries,
-                is_trivial=trivial,
-                residuals=res,
+                units=block.units,
+                entries=ent,
+                is_trivial=d == 1 and frob(ent[0, 0] - np.eye(n)) < SPAN_TOL,
+                residuals={"square_block": float(block.multiplicity != d), **res},
             )
-        )
     # V = Σ e(π)ᵢⱼ ⊗ u(π)ᵢⱼ; a Kronecker product a⊗b is vec(a)·vec(b)ᵀ with
     # the legs' row and column indices regrouped.
     units = np.concatenate([c.units.reshape(-1, n * n) for c in coreps])

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob
+from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob_max
 
 
 class AxiomError(ValueError):
@@ -460,9 +460,7 @@ def validate_kac(kac: KacAlgebra, tol: float = TIGHT_TOL) -> dict:
     res["star_involutive"] = float(np.abs(np.conj(st) @ st - np.eye(n)).max())
     res["star_antimultiplicative"] = float(np.abs(np.conj(m) @ st - _twisted(st, m)).max())
 
-    res["representation_star"] = max(
-        frob(dagger(lm) - kac.op(row)) for lm, row in zip(kac.lmats, st)
-    )
+    res["representation_star"] = frob_max(dagger(kac.lmats) - kac.op(st))
 
     res["max_residual"] = max(v for k, v in res.items())
     res["passed"] = res["max_residual"] < tol

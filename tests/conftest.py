@@ -4,6 +4,7 @@ The dual construction, corepresentation extraction, and Galois lattice are
 the expensive steps, so each is computed once per algebra for the whole run.
 """
 
+import inspect
 import json
 from importlib import resources
 from pathlib import Path
@@ -137,6 +138,37 @@ def ladder_algebras(algebras):
         f"{left}*{right}": kc.tensor_kac(factors[left], factors[right])
         for left, right in LADDER_PRODUCTS
     }
+
+
+POOL_NAMES = ALGEBRA_NAMES + tuple(f"{a}*{b}" for a, b in TENSOR_COMBOS) + ("kp8",)
+# The pool, the rest of the dual ladder (kp8 and s3_function*z2_group are in
+# the pool) and kp8 in a basis where V is dense.
+STACK_NAMES = (
+    POOL_NAMES + tuple(name for name in LADDER_NAMES if name not in POOL_NAMES) + ("rotated_kp8",)
+)
+
+
+@pytest.fixture(scope="session")
+def named_algebra(algebras, tensor_algebras, ladder_algebras, kp8, rotated_kp8):
+    """Every algebra of ``STACK_NAMES``, looked up by name."""
+    named = {**algebras, **tensor_algebras, **ladder_algebras}
+    return dict(named, kp8=kp8, rotated_kp8=rotated_kp8).__getitem__
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Every SVD numpy runs, called through ``np.linalg.svd`` or inside ``np.linalg.norm``."""
+    calls = []
+    namespace = inspect.unwrap(np.linalg.norm).__globals__  # numpy.linalg's own module
+    real = namespace["svd"]
+
+    def spy(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(namespace, "svd", spy)
+    return calls
 
 
 def twisted_z3_squared_by_z2():

@@ -1,15 +1,17 @@
 """Irreducible corepresentations: dimensions, orthogonality, Fourier, fusion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kacgalois import coreps as cr
 from kacgalois import duality as du
+from kacgalois import linalg as la
+from kacgalois.algebra import matrix_units
 from kacgalois.linalg import dagger, frob
 
-from conftest import ALGEBRA_NAMES, TENSOR_COMBOS
-
-POOL_NAMES = ALGEBRA_NAMES + tuple(f"{a}*{b}" for a, b in TENSOR_COMBOS) + ("kp8",)
+from conftest import ALGEBRA_NAMES, POOL_NAMES, STACK_NAMES
 
 EXPECTED_DIMS = {
     "z2_group": [1, 1],
@@ -363,3 +365,120 @@ def test_corepresentation_arrays_are_read_only(algebras, coreps_of):
     for arr in (c.entries, c.units):
         with pytest.raises(ValueError):
             arr[0, 0, 0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# The per-dimension stacks against the per-block certificates
+# ---------------------------------------------------------------------------
+
+
+def block_coproduct_residual(kac, entries, coeffs):
+    """The coproduct certificate of one (d, d, n, n) corepresentation, alone."""
+    d, n = entries.shape[0], kac.dim
+    lt = np.broadcast_to(kac.lmats.reshape(n, n * n).T, (d, n * n, n))
+    vecs = entries.reshape(d, d, n * n)
+    r_rows = np.linalg.qr(np.concatenate([lt, vecs.transpose(0, 2, 1)], axis=2), mode="r")
+    r_cols = np.linalg.qr(np.concatenate([lt, vecs.transpose(1, 2, 0)], axis=2), mode="r")
+    core = np.zeros((d, d, n + d, n + d), dtype=complex)
+    core[..., :n, :n] = np.tensordot(coeffs, kac.delta, axes=(-1, 0))
+    core[..., n:, n:] = -np.eye(d)
+    return la.frob_max(r_rows[:, None] @ core @ r_cols[None].swapaxes(-1, -2))
+
+
+def block_entry_residuals(kac, entries):
+    """The certificates of one corepresentation's (d, d, n, n) entries, alone."""
+    d, n = entries.shape[0], kac.dim
+    coeffs = (entries @ kac.omega) @ kac.coord_inv.T
+    big = entries.transpose(0, 2, 1, 3).reshape(d * n, d * n)
+    return {
+        "entries_in_algebra": la.frob_max(
+            np.tensordot(coeffs, kac.lmats, axes=(-1, 0)) - entries
+        ),
+        "block_matrix_unitary": frob(dagger(big) @ big - np.eye(d * n)),
+        "coproduct_matricial": block_coproduct_residual(kac, entries, coeffs),
+        "counit_is_kronecker": float(np.abs(coeffs @ kac.counit - np.eye(d)).max()),
+        "antipode_flips_adjoint": la.frob_max(
+            np.tensordot(coeffs @ kac.antipode, kac.lmats, axes=(-1, 0))
+            - dagger(entries).swapaxes(0, 1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_dimension_stacks_match_the_per_block_certificates(
+    named_algebra, dual_of, coreps_of, name
+):
+    kac = named_algebra(name)
+    hat = dual_of(kac).hat
+    n = kac.dim
+    v_slices = hat.v.matrix.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n * n, n * n)
+    coreps = coreps_of(kac)
+    blocks = matrix_units(hat.mm)
+    assert [c.index for c in coreps] == list(range(len(blocks)))
+    for c, block in zip(coreps, blocks):
+        d = block.size
+        units = block.units.swapaxes(0, 1).reshape(d * d, n * n)
+        entries = (units @ v_slices / d).reshape(d, d, n, n)
+        assert c.dim == d and c.units is block.units
+        assert np.abs(c.entries - entries).max() <= 1e-13
+        want = block_entry_residuals(kac, entries)
+        assert set(c.residuals) == set(want) | {"square_block", "v_expansion"}
+        for key, value in want.items():
+            assert abs(c.residuals[key] - value) <= 1e-13, key
+        # The Frobenius certificate bounds the operator norm it replaced.
+        big = c.entries.transpose(0, 2, 1, 3).reshape(d * n, d * n)
+        assert la.opnorm(dagger(big) @ big - np.eye(d * n)) <= want["block_matrix_unitary"]
+
+
+def test_a_perturbed_corepresentation_raises_only_its_own_residuals(
+    ladder_algebras, dual_of, coreps_of, monkeypatch
+):
+    kac = ladder_algebras["z3_group*z3_function"]
+    stack = np.stack([c.entries for c in coreps_of(kac)])
+    assert stack.shape == (9, 1, 1, 9, 9)
+    rng = np.random.default_rng(0)
+    bump = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    bump *= 1e-6 / frob(bump)
+    stack[2, 0, 0] += bump
+    res = cr._entry_residuals(kac, stack)
+    for key in ("entries_in_algebra", "coproduct_matricial"):
+        values = [r[key] for r in res]
+        assert values[2] > 1e-7, key
+        assert max(values[:2] + values[3:]) <= 1e-13, key
+    # Through irreducible_coreps, each residual dict reaches its own block:
+    # move block 2's matrix unit, and only corepresentation 2 reads it.
+    hat = dual_of(kac).hat
+    blocks = matrix_units(hat.mm)
+    moved = dataclasses.replace(blocks[2], units=blocks[2].units + bump)
+    monkeypatch.setattr(cr, "matrix_units", lambda mm: blocks[:2] + [moved] + blocks[3:])
+    for key in ("block_matrix_unitary", "coproduct_matricial"):
+        values = [c.residuals[key] for c in cr.irreducible_coreps(kac, hat.v, hat)]
+        assert values[2] > 1e-7, key
+        assert max(values[:2] + values[3:]) <= 1e-13, key
+
+
+@pytest.mark.parametrize(
+    ("name", "shapes"),
+    [
+        ("kp8", [(4, 1, 1, 8, 8), (1, 2, 2, 8, 8)]),
+        ("z3_group*z3_function", [(9, 1, 1, 9, 9)]),
+    ],
+)
+def test_one_certificate_per_dimension_and_no_svd(
+    named_algebra, dual_of, svd_calls, monkeypatch, name, shapes
+):
+    kac = named_algebra(name)
+    hat = dual_of(kac).hat
+    matrix_units(hat.mm)  # cached on Â's algebra: only the corepresentations are counted
+    stacks = []
+    real = cr._entry_residuals
+    monkeypatch.setattr(
+        cr, "_entry_residuals", lambda kac, entries: stacks.append(entries.shape) or real(kac, entries)
+    )
+    svd_calls.clear()
+    cr.irreducible_coreps(kac, hat.v, hat)
+    assert stacks == shapes
+    assert svd_calls == []
+    # The spy sees an SVD.
+    la.opnorm(hat.onb[0])
+    assert svd_calls == [(kac.dim, kac.dim)]

@@ -18,6 +18,7 @@ from conftest import (
     GROUP_NAMES,
     KAC_NAMES,
     LADDER_NAMES,
+    STACK_NAMES,
     basis_change,
     rebased,
     rotation,
@@ -773,22 +774,6 @@ def test_the_pairing_dual_basis_keeps_the_biduals_v_sparse(algebras, kp8, dual_o
     assert np.count_nonzero(bidual_v) == np.count_nonzero(dd.v.matrix)
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Every SVD numpy runs, called through ``np.linalg.svd`` or inside ``np.linalg.norm``."""
-    calls = []
-    namespace = inspect.unwrap(np.linalg.norm).__globals__  # numpy.linalg's own module
-    real = namespace["svd"]
-
-    def spy(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    monkeypatch.setitem(namespace, "svd", spy)
-    return calls
-
-
 def test_building_hat_at_twelve_runs_no_svd(svd_calls):
     kac = kc.tensor_kac(
         kc.function_algebra(kc.symmetric_group_3()), kc.group_algebra(kc.cyclic_group(2))
@@ -858,3 +843,98 @@ def test_group_dual_check_matches_its_loops(algebras, dual_of, name):
     got = du.group_dual_check(dd)
     for key, want in group_dual_loops(dd).items():
         assert abs(got[key] - want) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The stacked certificates of the dual chain against their per-element loops
+# ---------------------------------------------------------------------------
+
+
+def loop_integrals(kac, hat):
+    """The integral of A and every integral residual, one basis element at a time."""
+    n = kac.dim
+    eps = kac.counit
+    rows = []
+    for i in range(n):
+        rows.append(kac.mult[i].T - eps[i] * np.eye(n))
+        rows.append(kac.mult[:, i, :].T - eps[i] * np.eye(n))
+    ns = la.null_space(np.vstack(rows))
+    res = {"integral_space_dim_defect": float(abs(ns.shape[1] - 1))}
+    c = ns[:, 0] / (eps @ ns[:, 0])
+    e_op = kac.op(c)
+    omega_hat = np.sqrt(n) * (e_op @ kac.omega)
+    res["idempotent"] = la.frob(e_op @ e_op - e_op)
+    res["self_adjoint"] = la.frob(e_op - la.dagger(e_op))
+    res["haar_value"] = float(abs(kac.haar @ c - 1.0 / n))
+    res["absorbing"] = max(la.frob(lm @ e_op - eps[i] * e_op) for i, lm in enumerate(kac.lmats))
+    e_hat = np.outer(kac.omega, np.conj(kac.omega))
+    res["e_hat_membership"] = la.span_residual(e_hat, hat.onb)
+    fix = absorb_hat = tr_vs_vector = 0.0
+    for y in hat.onb:
+        w = y @ kac.omega
+        eps_y = np.vdot(kac.omega, w)
+        fix = max(fix, float(np.linalg.norm(w - eps_y * kac.omega)))
+        absorb_hat = max(absorb_hat, la.frob(e_hat @ y - eps_y * e_hat))
+        tr_vs_vector = max(
+            tr_vs_vector, float(abs(np.trace(y) / n - np.vdot(omega_hat, y @ omega_hat)))
+        )
+    res["hat_fixes_omega_line"] = fix
+    res["e_hat_absorbing"] = absorb_hat
+    res["omega_hat_unit"] = float(abs(np.linalg.norm(omega_hat) - 1.0))
+    res["omega_from_omega_hat"] = float(
+        np.linalg.norm(np.sqrt(n) * (e_hat @ omega_hat) - kac.omega)
+    )
+    res["dual_haar_is_normalized_trace"] = tr_vs_vector
+    return e_op, omega_hat, res
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_stacked_integrals_match_their_loops(named_algebra, dual_of, name):
+    kac = named_algebra(name)
+    ints = dual_of(kac).ints
+    e_op, omega_hat, want = loop_integrals(kac, dual_of(kac).hat)
+    assert list(ints.residuals) == list(want)
+    for key, value in want.items():
+        assert abs(ints.residuals[key] - value) <= 1e-13, key
+    assert np.abs(ints.e_op - e_op).max() <= 1e-13
+    assert np.abs(ints.omega_hat - omega_hat).max() <= 1e-13
+
+
+def loop_dual_maps(kac, hat):
+    """``dual_kac``'s counit, antipode and Haar vector, one basis element at a time."""
+    n = kac.dim
+    rows = np.conj(hat.onb).reshape(n, n * n)
+    flat = hat.onb.reshape(n, n * n)
+    counit = np.array([np.vdot(kac.omega, y @ kac.omega) for y in hat.onb])
+    counit_action = max(
+        float(np.linalg.norm(y @ kac.omega - counit[i] * kac.omega))
+        for i, y in enumerate(hat.onb)
+    )
+    antipode = np.empty((n, n), dtype=complex)
+    memb = 0.0
+    for i, y in enumerate(hat.onb):
+        ky = du.kappa_hat(kac, y).reshape(-1)
+        antipode[i] = rows @ ky
+        memb = max(memb, la.frob(antipode[i] @ flat - ky))
+    haar = np.array([np.trace(y) / n for y in hat.onb])
+    return counit, counit_action, antipode, memb, haar
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_stacked_dual_maps_match_their_loops(named_algebra, dual_of, name):
+    dd = dual_of(named_algebra(name))
+    counit, counit_action, antipode, memb, haar = loop_dual_maps(dd.v.kac, dd.hat)
+    assert abs(dd.residuals["counit_action"] - counit_action) <= 1e-13
+    assert abs(dd.residuals["antipode_membership"] - memb) <= 1e-13
+    for got, want in ((dd.kac.counit, counit), (dd.kac.antipode, antipode), (dd.kac.haar, haar)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", STACK_NAMES)
+def test_representation_star_matches_its_loop(named_algebra, dual_of, name):
+    kac = named_algebra(name)
+    dd = dual_of(kac)
+    for k, report in ((kac, kc.validate_kac(kac)), (dd.kac, dd.axiom_report)):
+        want = max(la.frob(la.dagger(lm) - k.op(row)) for lm, row in zip(k.lmats, k.star))
+        assert abs(report["representation_star"] - want) <= 1e-13
