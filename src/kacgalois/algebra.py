@@ -10,8 +10,9 @@ corner bases, all read off one certified generic split of the algebra
 (:func:`matrix_units`).
 
 All span comparisons are projector-based; no construction depends on a basis
-choice.  Every operation is pure, so everything here is safe to reuse across
-computations.
+choice.  :class:`MMAlgebra`'s ``coeffs``, ``element`` and ``residual`` are the
+package's one implementation of coefficients in an orthonormal operator span.
+Every operation is pure, so everything here is safe to reuse across computations.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class MMAlgebra:
         onb.flags.writeable = False
         self._onb = onb
         self.unit = unit
-        self._central: list = []
 
     @property
     def basis(self) -> np.ndarray:
@@ -92,12 +92,6 @@ class MMAlgebra:
     def dim(self) -> int:
         """Linear dimension of the algebra."""
         return len(self._onb)
-
-    @property
-    def contains_unit(self) -> bool:
-        """Whether the ambient identity lies in the span."""
-        eye = np.eye(self.ambient_dim, dtype=complex)
-        return self.residual(eye) < DEFAULT_TOL * self.ambient_dim
 
     def onb(self) -> np.ndarray:
         """Frobenius-orthonormal basis, a read-only (k, d, d) array."""
@@ -112,13 +106,16 @@ class MMAlgebra:
         return la.frob_max(x - self.project(x))
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of ``x`` (shape (..., d, d)) in the orthonormal basis.
+        """Coefficients ⟨b, x⟩ of ``x`` (shape (..., d, d)) in the orthonormal basis.
 
-        x·b̄ᵀ is taken as the conjugate of x̄·bᵀ, so the basis is never copied.
+        One matmul x·b̄ᵀ over the basis rows.  It equals conj(x̄·bᵀ) to the bit,
+        so the operand with fewer rows is the one conjugated (copied).
         """
         lead, rows = np.shape(x)[:-2], self._rows()
-        flat = np.conj(np.reshape(x, (-1, rows.shape[1])))
-        return np.conj(flat @ rows.T).reshape(*lead, self.dim)
+        flat = np.reshape(x, (-1, rows.shape[1]))
+        if len(flat) > len(rows):
+            return (flat @ rows.conj().T).reshape(*lead, self.dim)
+        return np.conj(np.conj(flat) @ rows.T).reshape(*lead, self.dim)
 
     def element(self, coeffs: np.ndarray) -> np.ndarray:
         """Linear combination(s) of the Frobenius-orthonormal basis."""
@@ -139,12 +136,12 @@ class MMAlgebra:
         return [b.projection for b in blocks], [(b.size, b.multiplicity) for b in blocks]
 
     @property
-    def central_projections(self) -> list[np.ndarray]:
-        return self.central_decomposition()[0]
-
-    @property
     def block_dims(self) -> list[tuple[int, int]]:
         return self.central_decomposition()[1]
+
+    @functools.cached_property
+    def _blocks(self) -> list[MatrixUnitBlock]:
+        return _central_decomposition(self)
 
     def validate(self) -> dict:
         """Residuals for the structural invariants of the algebra.
@@ -353,9 +350,7 @@ def matrix_units(alg: MMAlgebra) -> list[MatrixUnitBlock]:
     blocks are ordered by block size, then by a rounded fingerprint of the
     central projection.
     """
-    if not alg._central:
-        alg._central.append(_central_decomposition(alg))
-    return list(alg._central[0])
+    return list(alg._blocks)
 
 
 # Generic draws a structure pass tries; draw a takes the seed 100 + a.
@@ -505,9 +500,6 @@ class StateData:
 
     density: np.ndarray
 
-    def value(self, x: np.ndarray) -> complex:
-        return complex(np.trace(self.density @ x))
-
     def gram(self, mats: np.ndarray) -> np.ndarray:
         """The Hermitian part of the Gram matrix φ(a†b) over a stack of matrices."""
         k = len(mats)
@@ -559,10 +551,6 @@ class GnsData:
         """GNS vector of an algebra element (rows, for a stack of elements)."""
         return self.algebra.coeffs(x) @ self.coord.T
 
-    def conj_j(self, v: np.ndarray) -> np.ndarray:
-        """Apply the modular conjugation J to a GNS vector."""
-        return self.mj @ np.conj(v)
-
     def adj_j(self, x: np.ndarray) -> np.ndarray:
         """The map x ↦ J x J on operators of the GNS space (linear in x)."""
         return self.mj @ np.conj(x) @ np.conj(self.mj)
@@ -588,25 +576,20 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     coord = (u * np.sqrt(w)) @ dagger(u)
     coord_inv = (u / np.sqrt(w)) @ dagger(u)
 
-    # Each contraction below is ⟨a, X_b⟩ = Σ conj(a)·X_b over a stack X, one matmul
-    # against the rows of the basis.
-    rows = np.conj(stack).reshape(k, -1)
-
-    # Left multiplication in coefficient coordinates, then GNS coordinates.
-    left = ((stack[:, None] @ stack[None]).reshape(k * k, -1) @ rows.T).reshape(k, k, k)
-    left = left.swapaxes(1, 2)  # left[i, a, b] = ⟨a, bᵢ·b⟩
+    # Left multiplication in coefficient coordinates, then GNS coordinates;
+    # left[i, a, b] = ⟨a, bᵢ·b⟩.
+    left = alg.coeffs(stack[:, None] @ stack[None]).swapaxes(1, 2)
     rep_basis = coord @ left @ coord_inv
     cyclic = coord @ alg.coeffs(alg.unit)
 
     # Modular operator from the density of φ inside the algebra.
     rho = density_in(alg, phi)
     rho_inv = np.linalg.pinv(rho, rcond=RANK_RTOL, hermitian=True)
-    mod_cols = rows @ (rho @ stack @ rho_inv).reshape(k, -1).T
-    modular = coord @ mod_cols @ coord_inv
+    modular = coord @ alg.coeffs(rho @ stack @ rho_inv).T @ coord_inv
     modular = (modular + dagger(modular)) / 2.0
 
     # S(xΩ) = x*Ω as conj-linear map v ↦ ms·conj(v); then J = S·Δ^{-1/2}.
-    star_cols = rows @ np.conj(stack).swapaxes(1, 2).reshape(k, -1).T
+    star_cols = alg.coeffs(dagger(stack)).T
     ms = coord @ star_cols @ np.conj(coord_inv)
     mj = ms @ np.conj(la.herm_power(modular, -0.5))
 
@@ -614,7 +597,7 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     # Spot check on the first 6×6 basis pairs: ⟨a, bᵢbⱼb⟩ against rep(bᵢ)rep(bⱼ).
     spot = stack[: min(k, 6)]
     prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
-    prod_cols = (prods.reshape(len(spot), len(spot), k, -1) @ rows.T).swapaxes(2, 3)
+    prod_cols = alg.coeffs(prods).swapaxes(2, 3)
     rep_spot = rep_basis[: len(spot)]
     res["rep_multiplicative"] = opnorm(
         rep_spot[:, None] @ rep_spot[None] - coord @ prod_cols @ coord_inv
@@ -628,7 +611,7 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     res["j_modular_j"] = opnorm(
         mj @ np.conj(modular) @ np.conj(mj) - np.linalg.inv(modular)
     )
-    s_cols = ms @ np.conj(coord @ alg.coeffs(stack).T) - coord @ alg.coeffs(dagger(stack)).T
+    s_cols = ms @ np.conj(coord @ alg.coeffs(stack).T) - coord @ star_cols
     res["s_star"] = float(np.linalg.norm(s_cols, axis=0).max())
 
     return GnsData(
@@ -706,7 +689,7 @@ class CondExpectation:
         return rep
 
 
-def _phi_onb(basis: np.ndarray, phi: StateData) -> np.ndarray:
+def phi_onb(basis: np.ndarray, phi: StateData) -> np.ndarray:
     """Orthonormalize a stack of matrices under the inner product φ(a†b)."""
     w, u = np.linalg.eigh(phi.gram(basis))
     if w.min() < DEFAULT_TOL:
@@ -742,7 +725,7 @@ def conditional_expectation(big: MMAlgebra, small: MMAlgebra, phi: StateData) ->
     if inv_res > DEFAULT_TOL * 100 * max(1.0, float(np.linalg.norm(rho_inv, 2))):
         raise NoExpectationError(inv_res)
 
-    phi_basis = _phi_onb(small_onb, phi)
+    phi_basis = phi_onb(small_onb, phi)
     # E = Σₙ vec(n) ⊗ φ(n† ·), and φ(n† x) = ⟨vec(n·D†), vec(x)⟩ with D the density of φ.
     k = len(phi_basis)
     funcs = (phi_basis @ dagger(phi.density)).reshape(k, -1)

@@ -575,11 +575,11 @@ def _selftest_kp8(tol: float | None) -> tuple[dict, bool]:
     kp = kc.load_kac(kp_doc, validate=False)
     lim = limits(tol)
     kp_val = kc.validate_kac(kp, tol=lim["tight"])
-    dd = du.dual_kac(kp)
-    coreps = cr.irreducible_coreps(kp, dd.v, dd.hat)
+    v = du.multiplicative_unitary(kp)
+    coreps = cr.irreducible_coreps(kp, v, du.hat_algebra(kp, v))
     kp_checks = {
         "axioms": check(kp_val["max_residual"], lim["tight"]),
-        "pentagon": check(_max_float(dd.v.residuals), lim["tight"]),
+        "pentagon": check(_max_float(v.residuals), lim["tight"]),
         "corep_dims_exact": check_true(
             sorted(c.dim for c in coreps) == [1, 1, 1, 1, 2]
         ),

@@ -378,11 +378,11 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     """
     kac = dd.v.kac
     p_mat = dd.pairing_form.matrix
-    coeffs = (coid.mm.onb() @ kac.omega) @ kac.coord_inv.T  # c(b) per basis element b
+    coeffs = kac.coeffs_of(coid.mm.onb())  # c(b) per basis element b
     rows = np.tensordot(coeffs, kac.mult, axes=(1, 1)) @ p_mat
     rows -= (coeffs @ kac.counit)[:, None, None] * p_mat
     ns = la.null_space(rows.reshape(-1, kac.dim))
-    mm = ag.from_onb(np.tensordot(ns.T, dd.hat.onb, axes=1), kac.dim)
+    mm = ag.from_onb(dd.hat.mm.element(ns.T), kac.dim)
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
@@ -463,13 +463,11 @@ def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> 
     e_b = coid.projection
     res = {"idempotent": frob(e_b @ e_b - e_b), "self_adjoint": frob(e_b - dagger(e_b))}
     res["dual_haar_value"] = float(abs(np.trace(e_b) / n - coid.dim / n))
-    res["dual_membership"] = la.span_residual(e_b, dd.hat.onb)
+    res["dual_membership"] = dd.hat.mm.residual(e_b)
 
     # Haar-orthonormal basis of B, with the Haar state as the density |Ω⟩⟨Ω|.
-    onb = coid.mm.onb()
     haar = ag.StateData(density=np.outer(kac.omega, np.conj(kac.omega)))
-    w, vecs = np.linalg.eigh(haar.gram(onb))
-    h_onb = np.tensordot(vecs / np.sqrt(w), onb, axes=(0, 0))
+    h_onb = ag.phi_onb(coid.mm.onb(), haar)
     # E_B(e) = Σ m·h(m†e) with h(m†e) = ⟨mΩ, eΩ⟩.
     h_vecs = h_onb @ kac.omega
     exp_e = np.tensordot(np.conj(h_vecs) @ (dd.ints.e_op @ kac.omega), h_onb, axes=1)

@@ -91,7 +91,7 @@ def _entry_residuals(kac: KacAlgebra, entries: np.ndarray) -> list[dict]:
     the entries, an upper bound on its operator norm.
     """
     k, d, n = entries.shape[0], entries.shape[1], kac.dim
-    coeffs = (entries @ kac.omega) @ kac.coord_inv.T
+    coeffs = kac.coeffs_of(entries)
     big = entries.transpose(0, 1, 3, 2, 4).reshape(k, d * n, d * n)
     cols = {
         "entries_in_algebra": _stack_max(kac.op(coeffs) - entries),
@@ -231,7 +231,7 @@ def fourier_round_trip(
     n = kac.dim
     # Real and imaginary parts alternate per element, as n-draws in turn.
     z = rng.standard_normal((count, 2, n))
-    xs = np.tensordot(z[:, 0] + 1j * z[:, 1], kac.lmats, axes=(-1, 0))
+    xs = kac.op(z[:, 0] + 1j * z[:, 1])
     back = fourier_inverse(kac, coreps, fourier_coefficients(kac, coreps, xs))
     err = np.linalg.norm(back - xs, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(xs, axis=(-2, -1)))

@@ -126,8 +126,7 @@ def state_through_expectation(
     onb = big.onb()
     images = (onb.reshape(len(onb), -1) @ expectation_matrix.T).reshape(onb.shape)
     values = np.einsum("ij,kji->k", omega_density, images)
-    out = np.tensordot(values, dagger(onb), axes=1)
-    return StateData(density=(out + dagger(out)) / 2.0)
+    return StateData(density=_riesz_density(onb, values))
 
 
 def make_inclusion(
@@ -392,7 +391,7 @@ def fixture_markov_chain() -> Inclusion:
     big, small = _embedded_pair([1], bratteli)
     rho = np.diag([1.0 / 5.0, 2.0 / 5.0, 2.0 / 5.0]).astype(complex)
     eye = np.eye(d, dtype=complex)
-    matrix = np.outer(la.vec(eye), la.vec(rho.T))
+    matrix = np.outer(eye.reshape(-1), rho.T.reshape(-1))
     expectation = CondExpectation(matrix=matrix, domain=big, target=small)
     omega = eye / d
     return make_inclusion(
@@ -458,10 +457,6 @@ class BasicExtension:
     small_commutant: MMAlgebra
     sandwich_svd: tuple
     residuals: dict
-
-    def rep(self, x: np.ndarray) -> np.ndarray:
-        """Operator on the GNS space by which x ∈ M acts."""
-        return self.gns.rep(x)
 
     def mirror(self, x: np.ndarray) -> np.ndarray:
         """The map x ↦ J x* J (a linear *-antiautomorphism), also on a stack."""
@@ -632,14 +627,12 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     big_ops = g.rep(bc.inclusion.big.onb())
     m1, big = bc.m1, bc.big_rep
     d, r = len(big_ops), m1.dim
-    big_rows = big.onb().reshape(d, k * k)
-    big_cols = big_rows.conj().T
     t = np.empty((d, d, d), dtype=complex)
     off_sq = norm_sq = 0.0
     for a in range(d):
-        prod = (big_ops[a] @ big_ops).reshape(d, k * k)
-        t[a] = prod @ big_cols
-        off = prod - t[a] @ big_rows
+        prod = big_ops[a] @ big_ops
+        t[a] = big.coeffs(prod)
+        off = prod - big.element(t[a])
         off_sq += np.vdot(off, off).real
         norm_sq += np.vdot(prod, prod).real
     u, sigma, vh = bc.sandwich_svd

@@ -68,9 +68,6 @@ class GroupTable:
         return {"associative": assoc, "identity": ident, "inverses": inv_ok,
                 "passed": assoc and ident and inv_ok}
 
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
-
     def subgroups(self) -> list[tuple[int, ...]]:
         """All subgroups, as sorted index tuples, found by closure search.
 
@@ -563,7 +560,8 @@ def load_kac(source, validate: bool = True) -> KacAlgebra:
     """Load a Kac algebra from a JSON path or an already-parsed document.
 
     Runs the full axiom validator by default, at ``TIGHT_TOL``, and raises
-    :class:`AxiomError` with the residual report if any axiom fails.
+    :class:`AxiomError` with the residual report if any axiom fails, or if an
+    embedded group table is not a dim×dim table of integers in range(dim).
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -587,12 +585,13 @@ def load_kac(source, validate: bool = True) -> KacAlgebra:
     group = None
     if "group" in doc:
         gdoc = doc["group"]
-        table = np.asarray(gdoc["mult"], dtype=int)
-        order = int(gdoc["order"])
-        glabels = tuple(
-            str(x) for x in gdoc.get("labels", [str(i) for i in range(order)])
-        )
-        group = GroupTable(order=order, table=table, labels=glabels)
+        table = np.array(gdoc["mult"], dtype=object)
+        if gdoc["order"] != n or table.shape != (n, n) or not all(
+            type(v) is int and 0 <= v < n for v in table.flat
+        ):
+            raise AxiomError(f"field 'group' must hold an order-{n} table of integers in range({n})")
+        glabels = tuple(str(x) for x in gdoc.get("labels", [str(i) for i in range(n)]))
+        group = GroupTable(order=n, table=table.astype(int), labels=glabels)
         gval = group.validate()
         if not gval["passed"]:
             raise AxiomError(f"embedded group table is not a group: {gval}")

@@ -4,7 +4,9 @@ Everything here works on plain ``numpy`` arrays of complex128.  Operator
 spans are handled as subspaces of the Frobenius Hilbert space of matrices:
 an orthonormal span is one (k, d, d) array (a list of matrices is accepted
 too), its geometry is delegated to SVD/eigh, and span comparisons are
-projector distances, so that no basis choice ever matters.
+projector distances, so that no basis choice ever matters.  Coefficients of
+an operator in an orthonormal span, and its residual off it, belong to
+:class:`~kacgalois.algebra.MMAlgebra`, not to this module.
 """
 
 from __future__ import annotations
@@ -69,11 +71,6 @@ def opnorm(a: np.ndarray) -> float:
 def frob_max(a: np.ndarray) -> float:
     """The largest Frobenius norm over a stack of matrices (0 if empty)."""
     return float(np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0))
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Row-major flattening of a matrix to a vector."""
-    return np.asarray(a, dtype=complex).reshape(-1)
 
 
 def _flat_rows(mats) -> np.ndarray:
@@ -144,19 +141,6 @@ def spans_match(onb1, onb2) -> bool:
     if SPAN_TOL <= upper < SPAN_TOL * np.sqrt(len(onb1)):
         return max(opnorm(g) for g in gaps) < SPAN_TOL
     return upper < SPAN_TOL
-
-
-def project_span(x: np.ndarray, onb) -> np.ndarray:
-    """Orthogonal projection of ``x`` onto an orthonormal matrix span."""
-    if len(onb) == 0:
-        return np.zeros_like(x, dtype=complex)
-    rows = _flat_rows(onb)
-    return (rows.T @ (rows.conj() @ vec(x))).reshape(np.shape(x))
-
-
-def span_residual(x: np.ndarray, onb) -> float:
-    """Frobenius distance from ``x`` to an orthonormal span."""
-    return frob(x - project_span(x, onb))
 
 
 def leg_slices(w: np.ndarray, home, side: str) -> tuple[np.ndarray, np.ndarray]:

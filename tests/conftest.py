@@ -77,6 +77,20 @@ def basis_change(n, seed, cond):
     return rotation(n, seed) @ np.diag(s) @ rotation(n, seed + 1)
 
 
+def project_span(x, onb) -> np.ndarray:
+    """Reference orthogonal projection of ``x`` onto an orthonormal matrix span,
+    a stack or a list, by one product with the span's vectorized rows and back."""
+    if len(onb) == 0:
+        return np.zeros_like(x, dtype=complex)
+    rows = np.asarray(onb, dtype=complex).reshape(len(onb), -1)
+    return (rows.T @ (rows.conj() @ np.reshape(x, -1))).reshape(np.shape(x))
+
+
+def span_residual(x, onb) -> float:
+    """Reference Frobenius distance from ``x`` to an orthonormal matrix span."""
+    return float(np.linalg.norm(x - project_span(x, onb)))
+
+
 def rebased_tensors(kac, c):
     """The arguments of ``kc.kac_from_structure`` for ``kac`` in the basis
     b′ᵢ = Σⱼ c[j, i]·bⱼ: labels, product, coproduct, counit, antipode, star, Haar."""

@@ -13,7 +13,7 @@ from kacgalois import jones as jn
 from kacgalois import kac as kc
 from kacgalois import linalg as la
 
-from conftest import ALGEBRA_NAMES, pool_shapes
+from conftest import ALGEBRA_NAMES, LADDER_NAMES, pool_shapes, project_span, span_residual
 
 
 def random_complex(rng, *shape):
@@ -56,7 +56,7 @@ def test_commutant_of_full_matrix_algebra_is_scalars(d):
     alg = ag.from_span(matrix_unit_basis(d), d)
     comm = ag.commutant(alg)
     assert comm.dim == 1
-    assert la.span_residual(np.eye(d, dtype=complex), comm.onb()) < 1e-10
+    assert span_residual(np.eye(d, dtype=complex), comm.onb()) < 1e-10
 
 
 def test_commutant_of_diagonal_is_diagonal():
@@ -76,7 +76,7 @@ def test_double_commutant_is_identity_on_multimatrix(sample_multimatrix):
 
 def test_commutant_always_contains_unit(sample_multimatrix):
     comm = ag.commutant(sample_multimatrix)
-    assert comm.contains_unit
+    assert comm.residual(np.eye(7)) < 1e-9
     assert comm.dim == 2 * 2 + 3 * 3  # M₂(ℂ)′ ∩ ... = 1₂⊗M₂ ⊕ M₃
 
 
@@ -299,8 +299,9 @@ def test_gns_representation_is_star_homomorphism(sample_multimatrix):
     assert np.linalg.matrix_rank(cols) == g.space_dim
     # J is an antiunitary involution
     v = random_complex(rng, g.space_dim)
-    np.testing.assert_allclose(g.conj_j(g.conj_j(v)), v, atol=1e-9)
-    np.testing.assert_allclose(np.linalg.norm(g.conj_j(v)), np.linalg.norm(v), atol=1e-9)
+    jv = g.mj @ np.conj(v)
+    np.testing.assert_allclose(g.mj @ np.conj(jv), v, atol=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(jv), np.linalg.norm(v), atol=1e-9)
 
 
 def modular_flow(phi: ag.StateData, alg: ag.MMAlgebra, t: float):
@@ -322,13 +323,13 @@ def test_modular_flow_is_state_preserving_automorphism(sample_multimatrix):
     y = alg.element(random_complex(rng, alg.dim))
     np.testing.assert_allclose(flow(x @ y), flow(x) @ flow(y), atol=1e-8)
     assert alg.residual(flow(x)) < 1e-8
-    assert abs(phi.value(flow(x)) - phi.value(x)) < 1e-8
+    assert abs(np.trace(phi.density @ (flow(x) - x))) < 1e-8
 
 
 def test_conditional_expectation_properties(sample_multimatrix):
     big = sample_multimatrix
     center = ag.from_span(
-        [p.astype(complex) for p in big.central_projections], 7
+        [p.astype(complex) for p in big.central_decomposition()[0]], 7
     )
     phi = ag.StateData(density=np.eye(7, dtype=complex) / 7.0)
     exp = ag.conditional_expectation(big, center, phi)
@@ -571,3 +572,94 @@ def test_draw_coefficients_are_built_once_and_read_only():
     assert first.shape == (2, 5) and not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# MMAlgebra's coefficient maps: the reference span maps and the former gns
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_project_and_residual_match_the_reference(seed):
+    rng = np.random.default_rng(seed)
+    alg = ag.from_span(list(random_complex(rng, 4, 5, 5)), 5)
+    for x in random_complex(rng, 3, 5, 5):
+        np.testing.assert_allclose(alg.project(x), project_span(x, alg.onb()), atol=1e-13)
+        assert abs(alg.residual(x) - span_residual(x, alg.onb())) <= 1e-13
+    assert alg.residual(alg.onb()) < 1e-13
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4, 5, 40])
+def test_coeffs_conjugates_either_operand_with_the_same_bits(rows):
+    # Four basis rows: one of the two branches conjugates x, the other the basis.
+    rng = np.random.default_rng(rows)
+    alg = ag.from_span(list(random_complex(rng, 4, 3, 3)), 3)
+    x = random_complex(rng, rows, 3, 3)
+    flat, basis = x.reshape(rows, 9), alg.onb().reshape(4, 9)
+    got = alg.coeffs(x)
+    assert np.array_equal(got, flat @ basis.conj().T)
+    assert np.array_equal(got, np.conj(np.conj(flat) @ basis.T))
+
+
+def gns_by_rows(alg, phi):
+    """``gns`` with its coefficients taken by hand, one matmul against the
+    conjugated basis rows ⟨a, X_b⟩ = Σ conj(a)·X_b per stack X: the basis
+    operators, the modular operator, J's linear part and the residuals."""
+    stack = alg.onb()
+    k = len(stack)
+    w, u = np.linalg.eigh(phi.gram(stack))
+    coord = (u * np.sqrt(w)) @ la.dagger(u)
+    coord_inv = (u / np.sqrt(w)) @ la.dagger(u)
+    rows = np.conj(stack).reshape(k, -1)
+    left = ((stack[:, None] @ stack[None]).reshape(k * k, -1) @ rows.T).reshape(k, k, k)
+    rep_basis = coord @ left.swapaxes(1, 2) @ coord_inv
+    cyclic = coord @ alg.coeffs(alg.unit)
+    rho = ag.density_in(alg, phi)
+    rho_inv = np.linalg.pinv(rho, rcond=la.RANK_RTOL, hermitian=True)
+    modular = coord @ (rows @ (rho @ stack @ rho_inv).reshape(k, -1).T) @ coord_inv
+    modular = (modular + la.dagger(modular)) / 2.0
+    star_cols = rows @ np.conj(stack).swapaxes(1, 2).reshape(k, -1).T
+    ms = coord @ star_cols @ np.conj(coord_inv)
+    mj = ms @ np.conj(la.herm_power(modular, -0.5))
+    spot = stack[: min(k, 6)]
+    prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
+    prod_cols = (prods.reshape(len(spot), len(spot), k, -1) @ rows.T).swapaxes(2, 3)
+    rep_spot = rep_basis[: len(spot)]
+    s_cols = ms @ np.conj(coord @ (stack.reshape(k, -1) @ rows.T).T) - coord @ star_cols
+    res = {
+        "rep_multiplicative": la.opnorm(
+            rep_spot[:, None] @ rep_spot[None] - coord @ prod_cols @ coord_inv
+        ),
+        "rep_star": la.opnorm(
+            la.dagger(rep_basis) - np.tensordot(star_cols.T, rep_basis, axes=1)
+        ),
+        "j_cyclic": float(np.linalg.norm(mj @ np.conj(cyclic) - cyclic)),
+        "j_involution": la.opnorm(mj @ np.conj(mj) - np.eye(k)),
+        "modular_cyclic": float(np.linalg.norm(modular @ cyclic - cyclic)),
+        "j_modular_j": la.opnorm(
+            mj @ np.conj(modular) @ np.conj(mj) - np.linalg.inv(modular)
+        ),
+        "s_star": float(np.linalg.norm(s_cols, axis=0).max()),
+    }
+    return rep_basis, modular, mj, res
+
+
+def assert_gns_matches_rows(alg, phi):
+    g = ag.gns(alg, phi)
+    rep_basis, modular, mj, res = gns_by_rows(alg, phi)
+    assert np.array_equal(g.rep_basis, rep_basis)
+    assert np.array_equal(g.modular, modular)
+    assert np.array_equal(g.mj, mj)
+    assert g.residuals == res
+
+
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_gns_matches_its_row_contractions_bit_for_bit_on_pool_draws(seed):
+    inc = jn.random_inclusion(seed)
+    assert_gns_matches_rows(inc.big, inc.phi)
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES + ("rotated_kp8",))
+def test_gns_matches_its_row_contractions_bit_for_bit_on_kac_algebras(named_algebra, name):
+    kac = named_algebra(name)
+    assert_gns_matches_rows(kac.as_mm(), ag.trace_state(kac.dim))

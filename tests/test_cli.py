@@ -142,6 +142,29 @@ def test_non_object_document_is_an_input_error(tmp_path):
     assert doc["error"]["message"] == "the input document must be a JSON object, not list"
 
 
+MALFORMED_GROUPS = {
+    "entry_above_order": {"order": 2, "mult": [[0, 1], [1, 5]]},
+    "negative_entry": {"order": 2, "mult": [[0, 1], [1, -7]]},
+    "fractional_entry": {"order": 2, "mult": [[0, 1], [1, 0.5]]},
+    "order_not_dim": {"order": 3, "mult": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]},
+    "fractional_order": {"order": 2.5, "mult": [[0, 1], [1, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "galois"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_GROUPS))
+def test_malformed_group_table_is_an_axiom_error(tmp_path, command, case):
+    doc = json.loads((FIXTURES / "z2_group.json").read_text())
+    doc["group"] = MALFORMED_GROUPS[case]
+    bad = tmp_path / "bad_group.json"
+    bad.write_text(json.dumps(doc))
+    out = run_cli(command, str(bad))
+    assert out.returncode == 2, out.stderr
+    error = json.loads(out.stdout)["error"]
+    assert error["type"] == "AxiomError"
+    assert "'group'" in error["message"]
+
+
 def test_jones_document_missing_a_field_is_an_input_error():
     out = run_cli("jones", str(FIXTURES / "z2_group.json"))
     assert out.returncode == 2

@@ -22,6 +22,7 @@ from conftest import (
     basis_change,
     rebased,
     rotation,
+    span_residual,
     twisted_z3_squared_by_z2,
 )
 
@@ -868,7 +869,7 @@ def loop_integrals(kac, hat):
     res["haar_value"] = float(abs(kac.haar @ c - 1.0 / n))
     res["absorbing"] = max(la.frob(lm @ e_op - eps[i] * e_op) for i, lm in enumerate(kac.lmats))
     e_hat = np.outer(kac.omega, np.conj(kac.omega))
-    res["e_hat_membership"] = la.span_residual(e_hat, hat.onb)
+    res["e_hat_membership"] = span_residual(e_hat, hat.onb)
     fix = absorb_hat = tr_vs_vector = 0.0
     for y in hat.onb:
         w = y @ kac.omega
@@ -938,3 +939,38 @@ def test_representation_star_matches_its_loop(named_algebra, dual_of, name):
     for k, report in ((kac, kc.validate_kac(kac)), (dd.kac, dd.axiom_report)):
         want = max(la.frob(la.dagger(lm) - k.op(row)) for lm, row in zip(k.lmats, k.star))
         assert abs(report["representation_star"] - want) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# dual_kac's coefficient maps against its former hand-rolled contractions
+# ---------------------------------------------------------------------------
+
+
+def dual_maps_by_rows(kac, hat):
+    """``dual_kac``'s product, antipode and star tensors and its two memberships,
+    as one matmul each against the conjugated basis rows ⟨y_c, ·⟩ = conj(Y)·vec(·)."""
+    n = kac.dim
+    ystack = hat.onb
+    rows = np.conj(ystack).reshape(n, n * n)
+    flat = ystack.reshape(n, n * n)
+    prods = ystack[:, None] @ ystack[None]
+    mult = (prods.reshape(n * n, n * n) @ rows.T).reshape(n, n, n)
+    product_membership = float(
+        np.abs(mult.reshape(n * n, n) @ flat - prods.reshape(n * n, n * n)).max()
+    )
+    ky = du.kappa_hat(kac, ystack).reshape(n, n * n)
+    antipode = ky @ rows.T
+    antipode_membership = float(np.linalg.norm(antipode @ flat - ky, axis=1).max())
+    star = np.conj(ystack).swapaxes(1, 2).reshape(n, n * n) @ rows.T
+    return mult, antipode, star, product_membership, antipode_membership
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES + ("rotated_kp8",))
+def test_dual_maps_match_their_row_contractions_bit_for_bit(named_algebra, dual_of, name):
+    dd = dual_of(named_algebra(name))
+    mult, antipode, star, product_memb, antipode_memb = dual_maps_by_rows(dd.v.kac, dd.hat)
+    assert np.array_equal(dd.kac.mult, mult)
+    assert np.array_equal(dd.kac.antipode, antipode)
+    assert np.array_equal(dd.kac.star, star)
+    assert dd.residuals["product_membership"] == product_memb
+    assert dd.residuals["antipode_membership"] == antipode_memb

@@ -244,7 +244,8 @@ def test_random_family_spot_checks(seed):
     bc = jn.basic_extension(inc)
     assert bc.residuals["three_way_max"] < 1e-8
     assert bc.residuals["e_compress"] < 1e-9
-    assert bc.small_commutant.contains_unit  # regression: kernel undercount
+    # regression: kernel undercount
+    assert bc.small_commutant.residual(np.eye(bc.gns.space_dim)) < 1e-9
     dw = jn.dual_weight(bc)
     assert dw.residuals["unit_from_e"] < 1e-9
     assert dw.residuals["push_down"] < 1e-9
@@ -427,9 +428,9 @@ def verify_extension_model(
     def transport(z: np.ndarray) -> tuple[np.ndarray, float]:
         r1 = coord1 @ bc.m1.coeffs(z @ m1_onb).T @ np.linalg.inv(coord1)
         moved = u @ r1 @ la.dagger(u)
-        coeffs, *_ = np.linalg.lstsq(rep2_mat, la.vec(moved), rcond=None)
+        coeffs, *_ = np.linalg.lstsq(rep2_mat, moved.reshape(-1), rcond=None)
         out = model.element(coeffs)
-        residual = float(np.linalg.norm(rep2_mat @ coeffs - la.vec(moved)))
+        residual = float(np.linalg.norm(rep2_mat @ coeffs - moved.reshape(-1)))
         return out, residual
 
     fixes_big = 0.0
@@ -747,3 +748,38 @@ def test_streamed_certificate_trips_on_a_dropped_block(monkeypatch, make):
     assert res["three_way_max"] > 1e-8
     # The coordinates of the shrunken span have rank below dim M₁.
     assert res["mirror_vs_span"] == 1.0
+
+
+def pin_by_rows(bc):
+    """``dual_weight``'s pin with the coordinates of the x·y taken by hand against
+    M's conjugated basis rows: the map W and the pin consistency they give."""
+    g = bc.gns
+    k = g.space_dim
+    big_ops = g.rep(bc.inclusion.big.onb())
+    d = len(big_ops)
+    big_rows = bc.big_rep.onb().reshape(d, k * k)
+    big_cols = big_rows.conj().T
+    t = np.empty((d, d, d), dtype=complex)
+    off_sq = norm_sq = 0.0
+    for a in range(d):
+        prod = (big_ops[a] @ big_ops).reshape(d, k * k)
+        t[a] = prod @ big_cols
+        off = prod - t[a] @ big_rows
+        off_sq += np.vdot(off, off).real
+        norm_sq += np.vdot(prod, prod).real
+    u, sigma, vh = bc.sandwich_svd
+    keep = sigma > la.RANK_RTOL * sigma[0]
+    t = t.reshape(d * d, d)
+    ut = la.dagger(u[:, keep]) @ t
+    w = la.dagger(vh[keep]) @ (ut / sigma[keep, None])
+    gap = np.hypot(la.frob(t - u[:, keep] @ ut), np.sqrt(off_sq))
+    return w, float(gap / max(1.0, np.sqrt(norm_sq)))
+
+
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_dual_weight_matches_its_row_contractions_bit_for_bit(seed):
+    bc = jn.basic_extension(jn.random_inclusion(seed))
+    dw = jn.dual_weight(bc)
+    w, consistency = pin_by_rows(bc)
+    assert np.array_equal(dw.coords, w)
+    assert dw.residuals["pin_consistency"] == consistency

@@ -5,6 +5,8 @@ import pytest
 
 from kacgalois import linalg as la
 
+from conftest import project_span, span_residual
+
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -66,7 +68,7 @@ def test_orthonormalize_spans_the_same_space(seed):
     gram = np.array([[np.vdot(x, y) for y in onb] for x in onb])
     np.testing.assert_allclose(gram, np.eye(3), atol=1e-10)
     for m in mats:
-        assert la.span_residual(m, onb) < 1e-9
+        assert span_residual(m, onb) < 1e-9
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -78,7 +80,7 @@ def test_intersect_spans_recovers_common_subspace(seed):
     meet = la.intersect_spans(left, right)
     assert len(meet) == 2
     for m in meet:
-        assert la.span_residual(m, la.orthonormalize(common)) < 1e-8
+        assert span_residual(m, la.orthonormalize(common)) < 1e-8
 
 
 def test_span_projector_and_distance():
@@ -89,7 +91,7 @@ def test_span_projector_and_distance():
     np.testing.assert_allclose(p, la.dagger(p), atol=1e-10)
     assert la.span_distance(onb, onb) < 1e-12
     x = random_complex(rng, 3, 3)
-    proj = la.project_span(x, onb)
+    proj = project_span(x, onb)
     # The projection is the closest span element: the residual is orthogonal.
     for b in onb:
         assert abs(np.vdot(b, x - proj)) < 1e-10
@@ -241,15 +243,6 @@ def test_herm_powers_match_the_eigenvalue_loop(singular):
         assert np.abs(value - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
     with pytest.raises(np.linalg.LinAlgError):
         la.herm_powers(h if singular else np.zeros((3, 3)), [0.5, 0.5j])
-
-
-def test_vec_is_the_row_major_flattening():
-    rng = np.random.default_rng(2)
-    x = random_complex(rng, 3, 5)
-    v = la.vec(x)
-    assert v.shape == (15,) and v.dtype == complex
-    assert all(v[5 * i + j] == x[i, j] for i in range(3) for j in range(5))
-    assert la.vec(np.eye(2, dtype=int)).dtype == complex
 
 
 def test_leg_distance_matches_the_kronecker_projector():

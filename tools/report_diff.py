@@ -1,0 +1,125 @@
+"""Compare the CLI reports of two checkouts, output by output.
+
+Runs the same 54 outputs in each checkout root, with ``PYTHONPATH=<root>/src``:
+``validate``, ``dual``, ``coreps`` and ``galois`` on each of the 13 bundled
+Kac fixtures, ``jones`` on ``scaled_pair_third.json`` and ``selftest --seed 7``.
+Each input is read from its own root's fixtures.  For every output that is not
+byte-identical it prints the changed exit code, the added or removed keys, the
+changed non-float values and every float that moved by more than
+``FLOAT_TOL``.  Exits 1 if any output shows one of them, 0 otherwise.
+
+Run from anywhere, for example:
+
+    git archive HEAD~1 | tar -x -C /tmp/parent
+    python3 tools/report_diff.py /tmp/parent .
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+#: Largest absolute move of a float that is not reported.
+FLOAT_TOL = 1e-13
+
+KAC_COMMANDS = ("validate", "dual", "coreps", "galois")
+FIXTURES = "src/kacgalois/fixtures"
+
+
+def outputs(root: Path) -> list[tuple[str, list[str]]]:
+    """The (label, CLI arguments) of every output, in a fixed order."""
+    names = sorted(p.name for p in (root / FIXTURES).glob("*.json"))
+    jobs = [
+        (f"{cmd} {name}", [cmd, str(root / FIXTURES / name)])
+        for name in names
+        if name != "scaled_pair_third.json"
+        for cmd in KAC_COMMANDS
+    ]
+    jobs.append(("jones scaled_pair_third.json", ["jones", str(root / FIXTURES / "scaled_pair_third.json")]))
+    jobs.append(("selftest --seed 7", ["selftest", "--seed", "7"]))
+    return jobs
+
+
+def run(root: Path, args: list[str]) -> tuple[int, str]:
+    """Exit code and standard output of one CLI run in ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "kacgalois", *args],
+        capture_output=True, text=True, env=env, cwd=root,
+    )
+    return out.returncode, out.stdout
+
+
+def compare(old, new, path: str = "") -> list[str]:
+    """The reportable differences between two parsed documents.
+
+    Key sets, list lengths and non-float values must match exactly; two
+    floats may differ by at most ``FLOAT_TOL``.  NaN equals NaN.
+    """
+    if isinstance(old, float) and isinstance(new, float):
+        if old == new or (math.isnan(old) and math.isnan(new)):
+            return []
+        if abs(new - old) > FLOAT_TOL or not math.isfinite(new - old):
+            return [f"{path}: float {old!r} -> {new!r}"]
+        return []
+    if type(old) is not type(new):
+        return [f"{path}: {old!r} -> {new!r}"]
+    if isinstance(old, dict):
+        diffs = [f"{path}/{k}: key removed" for k in sorted(old.keys() - new.keys())]
+        diffs += [f"{path}/{k}: key added" for k in sorted(new.keys() - old.keys())]
+        for k in sorted(old.keys() & new.keys()):
+            diffs += compare(old[k], new[k], f"{path}/{k}")
+        return diffs
+    if isinstance(old, list):
+        if len(old) != len(new):
+            return [f"{path}: list of {len(old)} -> {len(new)} items"]
+        return [d for i, (a, b) in enumerate(zip(old, new)) for d in compare(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+
+
+def parse(stdout: str):
+    """The JSON document of an output, or its raw text if it is not JSON."""
+    try:
+        return json.loads(stdout)
+    except json.JSONDecodeError:
+        return stdout
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: report_diff.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    old_root, new_root = (Path(a).resolve() for a in argv)
+    jobs = list(zip(outputs(old_root), outputs(new_root)))
+    identical = moved = 0
+    for (label, old_args), (new_label, new_args) in jobs:
+        if label != new_label:
+            print(f"{label}: the two roots bundle different fixtures ({new_label})")
+            moved += 1
+            continue
+        (old_code, old_out), (new_code, new_out) = run(old_root, old_args), run(new_root, new_args)
+        if old_code == new_code and old_out == new_out:
+            identical += 1
+            continue
+        diffs = [f"exit code {old_code} -> {new_code}"] if old_code != new_code else []
+        diffs += compare(parse(old_out), parse(new_out))
+        if diffs:
+            moved += 1
+            print(f"{label}:")
+            print("\n".join(f"  {d}" for d in diffs))
+        else:
+            print(f"{label}: not byte-identical, every float within {FLOAT_TOL:g}")
+    print(
+        f"{len(jobs)} outputs: {identical} byte-identical, {moved} with reportable changes "
+        f"(float tolerance {FLOAT_TOL:g})"
+    )
+    return 1 if moved else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
