@@ -24,9 +24,13 @@ built from that same instance and the integrals once per Â; later callers
 objects, whose arrays are read-only.  The certificates that are
 computations of their own (V's and Â's residuals, the dual's axiom report)
 run on first read, once; the residuals that fall out of a construction come
-with it.  The pentagon is an exact Frobenius norm and the dual coproduct
-δ̂(y) = V†(1⊗y)V an exact sum; each is computed on V's exact nonzero pattern
-when the work counted on that pattern is the smaller.  The tensor
+with it.  The pentagons of V, V̂ and Ṽ are one factored certificate
+(:func:`pentagon_residual`): each unitary is read as a sum of n Kronecker
+products, and the bound on its Frobenius defect costs one n⁶ matmul whatever
+V's density (23–25 ms on the n = 18 twist, where the exact n⁸ sum took
+2.6–3.0 s).  The dual coproduct δ̂(y) = V†(1⊗y)V is an exact sum, computed on
+V's exact nonzero pattern when the work counted on that pattern is the
+smaller.  The tensor
 memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â are exact Frobenius distances,
 one leg regrouping and two matmuls each
 (:func:`~kacgalois.linalg.leg_distance`).  Unitarity and the defining
@@ -67,16 +71,18 @@ class MultiplicativeUnitary:
 
     @cached_property
     def residuals(self) -> dict:
-        """Unitarity, the pentagon (:func:`pentagon_residual`) and the defining
-        action, each a Frobenius norm, an upper bound on the operator norm."""
-        v, n = self.matrix, self.kac.dim
-        return {
-            "unitary": frob(dagger(v) @ v - np.eye(n * n)),
-            "pentagon": pentagon_residual(v, n),
-            "defining_action": frob(
-                _times_first_leg(v, self.kac.coord) - _coproduct_action(self.kac, self.kac.delta)
-            ),
-        }
+        """Unitarity, the pentagon and the defining action, each a Frobenius
+        norm or a bound on one, so an upper bound on the operator norm.  The
+        pentagon is :func:`pentagon_residual` on V = Σᵢ ŷᵢ⊗L(bᵢ), ŷ being Â's
+        ``dual_basis``, and ``pentagon_parts`` holds its three parts."""
+        v, kac = self.matrix, self.kac
+        res = {"unitary": frob(dagger(v) @ v - np.eye(kac.dim ** 2))}
+        res["pentagon"], res["pentagon_parts"] = pentagon_residual(
+            v, kac.dim, self._hat.dual_basis, kac.lmats, res["unitary"]
+        )
+        act = _times_first_leg(v, kac.coord) - _coproduct_action(kac, kac.delta)
+        res["defining_action"] = frob(act)
+        return res
 
     @cached_property
     def _hat(self) -> HatAlgebra:
@@ -87,13 +93,6 @@ class MultiplicativeUnitary:
         return _sandwich_index(self.matrix, self.kac.dim)
 
 
-# The blocked exact pentagon costs n⁸ complex multiply-adds; one term of the
-# sparse one (its products, the merge sort, two bincounts) costs about as much
-# as 400 of them (about 140 ns against 0.35 ns on a Xeon core, BLAS on one
-# thread, at n = 8 and 12).
-_TERM_COST = 400
-# Terms the sparse pentagon expands at once, unless one column holds more.
-_TERM_BLOCK = 1 << 18
 # One term of the sparse dual coproduct (its gather, its product, its share of
 # two bincounts) costs about as much as 50 multiply-adds of the dense
 # W†((1⊗y)W), which takes n⁶ of them: about 15 ns against 0.25–0.3 ns on a
@@ -102,131 +101,64 @@ _TERM_BLOCK = 1 << 18
 _DELTA_TERM_COST = 50
 
 
-def pentagon_residual(v: np.ndarray, n: int) -> float:
-    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F on H⊗H⊗H, an upper bound on the operator norm.
+def pentagon_residual(
+    v: np.ndarray, n: int, left: np.ndarray, right: np.ndarray, unitary: float
+) -> tuple[float, dict]:
+    """An upper bound on ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F from V ≈ V₀ = Σᵢ Aᵢ⊗Bᵢ, and its parts.
 
-    Exact, by the path that counts less work; neither forms an n³×n³
-    operator.  The sparse path (:func:`_pentagon_sparse`) expands both sides
-    over V's exact nonzeros, a term counted from V's pattern as
-    ``_TERM_COST`` multiply-adds; the blocked path (:func:`_pentagon_blocked`)
-    takes n⁸ whatever V is.
-    """
-    nz = v != 0
-    terms = _pentagon_terms(nz, n)
-    if _TERM_COST * terms.sum() < n ** 8:
-        return _pentagon_sparse(v, n, nz, terms)
-    return _pentagon_blocked(v, n)
+    Aᵢ and Bᵢ are the stacks ``left`` and ``right``; ε = ‖V − V₀‖_F, and
+    m = 1 + ``unitary`` + ε bounds ‖V‖ and ‖V₀‖ when ``unitary`` is ‖V†V − 1‖_F.
+    Each leg's products are fitted in its span (:func:`_product_fit`):
+    AᵢAⱼ = Σ α[i,j,p]·A_p + E^A_ij and BⱼB_k = Σ β[j,k,r]·B_r + E^B_jk.  Up to
+    the closure terms, V₀'s defect is then Σ A_p⊗X_{p,r}⊗B_r with
+    X_{p,r} = Σ_{i,k} T[i,k,p,r]·BᵢA_k − A_r·B_p and T = Σⱼ α[i,j,p]·β[j,k,r].
+    The bound (all norms Frobenius) is the sum of
 
+    * ``factored``, that sum's exact norm ‖(G_A^{1/2}⊗G_B^{1/2})·X‖_F, with G
+      each leg's Gram matrix, applied one leg at a time;
+    * ``closure`` = m·(‖E^A‖·Σ‖Bᵢ‖² + ‖E^B‖·Σ‖Aᵢ‖²) + ‖E^A‖·‖E^B‖·(Σ‖Aᵢ‖²·Σ‖Bᵢ‖²)^{1/2};
+    * ``reconstruction`` = 5√n·ε·m², √n·ε·m² for each of the five V's swapped for V₀.
 
-def _pentagon_blocked(v: np.ndarray, n: int) -> float:
-    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F summed over n column blocks, n⁸ multiply-adds.
-
-    Block a″ holds the columns e_{a″}⊗e_{b″}⊗e_{c″}, on which the leg
-    structure of V gives
-
-        V₁₃V₂₃ e = X[a,b,c; b″,c″] = Σₖ V[(a,c),(a″,k)]·V[(b,k),(b″,c″)],
-        V₂₃V₁₂ e = Y[a,b,c; b″,c″] = Σₖ V[(b,c),(k,c″)]·V[(a,k),(a″,b″)],
-
-    each a batch of n×n products (O(n⁶) per block) that lands in row order
-    (a, b, c), so the block's defect is V₁₂X − Y with one n²×n² by n²×n³
-    matmul.
-    """
-    v4 = v.reshape(n, n, n, n)
-    rows = v.reshape(n, n, n * n)  # rows[b, k] = V[(b, k), :]
-    total = 0.0
-    for i in range(n):
-        w = v4[:, :, i, :]  # w[a, s, k] = V[(a, s), (a″, k)]
-        x = np.matmul(w[:, None], rows[None])
-        y = np.matmul(w.transpose(0, 2, 1)[:, None, None], v4[None])
-        defect = v @ x.reshape(n * n, -1)
-        defect -= y.reshape(n * n, -1)
-        total += frob(defect) ** 2
-    return float(np.sqrt(total))
-
-
-def _pentagon_terms(nz: np.ndarray, n: int) -> np.ndarray:
-    """Products the sparse pentagon forms for each column e_a⊗e_b⊗e_c, at a·n² + b·n + c.
-
-    With M = V's nonzero pattern and C its column counts, the column
-    e_a⊗e_b⊗e_c of V₁₂V₁₃V₂₃ expands to Σ M[(b′,c′),(b,c)]·M[(a″,c″),(a,c′)]·
-    C[a″,b′] terms and that of V₂₃V₁₂ to Σ M[(a′,b′),(a,b)]·C[b′,c].
-    """
-    m = nz.reshape(n, n, n, n).astype(float)  # m[row₁, row₂, col₁, col₂]
-    c = m.sum((0, 1))
-    g = m.sum(1).reshape(n, n * n).T @ c  # g[(a, c′), b′] = Σ M[(a″,·),(a,c′)]·C[a″,b′]
-    lhs = g.reshape(n, n, n).transpose(0, 2, 1).reshape(n, n * n) @ m.reshape(n * n, n * n)
-    rhs = m.sum(0).reshape(n, n * n).T @ c  # rhs[(a, b), c]
-    return lhs.reshape(-1) + rhs.reshape(-1)
-
-
-def _pentagon_sparse(v: np.ndarray, n: int, nz: np.ndarray, terms: np.ndarray) -> float:
-    """‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F from V's exact nonzeros, in runs of columns.
-
-    Only entries that are exactly zero are skipped, so the sum is the blocked
-    path's in another order.  ``nz`` is V's nonzero pattern and ``terms`` the
-    per-column term counts of :func:`_pentagon_terms`; each run takes as many
-    columns as fit in ``_TERM_BLOCK`` terms, and at least one.
-    """
-    cols, rows = np.nonzero(nz.T)
-    starts = np.zeros(n * n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n * n), out=starts[1:])
-    csc = (starts, rows, v[rows, cols])
-    held = np.concatenate(([0], np.cumsum(terms)))  # held[k]: terms of the first k columns
-    total, start = 0.0, 0
-    while start < n ** 3:
-        stop = max(np.searchsorted(held, held[start] + _TERM_BLOCK, "right") - 1, start + 1)
-        total += _sparse_defect_squared(csc, n, np.arange(start, stop))
-        start = stop
-    return float(np.sqrt(total))
-
-
-def _times_v(csc: tuple, col: np.ndarray, coef: np.ndarray) -> tuple:
-    """Multiply terms (V column index ``col``, coefficient ``coef``) by V's column.
-
-    Returns, for each product, the index of its term, V's row index and the
-    product's coefficient.
-    """
-    starts, rows, vals = csc
-    count = starts[col + 1] - starts[col]
-    parent = np.repeat(np.arange(len(col)), count)
-    pos = np.arange(len(parent)) + np.repeat(starts[col] - (np.cumsum(count) - count), count)
-    return parent, rows[pos], coef[parent] * vals[pos]
-
-
-def _sparse_defect_squared(csc: tuple, n: int, col: np.ndarray) -> float:
-    """Σ|V₁₂V₁₃V₂₃ − V₂₃V₁₂|² over the columns e_a⊗e_b⊗e_c with a·n² + b·n + c in ``col``.
-
-    Each side is expanded column by column into (row, column, value) terms;
-    terms at the same position are merged with one ``np.unique`` and two
-    ``np.bincount`` calls.
+    The cost depends on n alone: one n²×n² by n²×n² matmul (n⁶ multiply-adds)
+    and n⁵ for the rest; no n³×n³ operator is formed and no zero pattern read.
+    On one BLAS thread of a Xeon core it takes 2–3 ms at n = 12.
     """
     nn = n * n
-    one = np.ones(len(col), dtype=complex)
-    # V₁₂V₁₃V₂₃ e_abc: V₂₃ takes (b, c) to (b′, c′), V₁₃ takes (a, c′) to
-    # (a″, c″), and V₁₂ takes (a″, b′) to the first two legs of the row.
-    t, r, w = _times_v(csc, col % nn, one)
-    src, b1, c1 = col[t], r // n, r % n
-    t, r, w = _times_v(csc, src // nn * n + c1, w)
-    src, b1, c2 = src[t], b1[t], r % n
-    t, r, w_lhs = _times_v(csc, r // n * n + b1, w)
-    key_lhs = src[t] * nn * n + r * n + c2[t]
-    # V₂₃V₁₂ e_abc: V₁₂ takes (a, b) to (a′, b′), V₂₃ takes (b′, c) to the
-    # last two legs of the row.
-    t, r, w = _times_v(csc, col // n, one)
-    src, a1 = col[t], r // n
-    t, r, w_rhs = _times_v(csc, r % n * n + src % n, w)
-    key_rhs = src[t] * nn * n + a1[t] * nn + r
-    uniq, pos = np.unique(np.concatenate((key_lhs, key_rhs)), return_inverse=True)
-    re, im = _merge(pos, np.concatenate((w_lhs, -w_rhs)), len(uniq))
-    return float(re @ re + im @ im)
+    a, b = left.reshape(n, nn), right.reshape(n, nn)
+    alpha, close_a = _product_fit(left)
+    beta, close_b = _product_fit(right)
+    t = alpha.transpose(0, 2, 1).reshape(nn, n) @ beta.reshape(n, nn)  # [(i,p),(k,r)]
+    t = t.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(nn, nn)  # [(p,r),(i,k)]
+    x = t @ np.matmul(right[:, None], left[None]).reshape(nn, nn)
+    x -= np.matmul(left[None], right[:, None]).reshape(nn, nn)  # A_r·B_p at (p, r)
+    x = (_gram_root(a) @ x.reshape(n, -1)).reshape(n, n, nn)
+    eps = frob(_slice_matrix(v, n) - a.T @ b)
+    m = 1.0 + unitary + eps
+    mass_a, mass_b = frob(a) ** 2, frob(b) ** 2
+    parts = {
+        "factored": frob(_gram_root(b) @ x),
+        "closure": m * (close_a * mass_b + close_b * mass_a)
+        + close_a * close_b * float(np.sqrt(mass_a * mass_b)),
+        "reconstruction": 5.0 * float(np.sqrt(n)) * eps * m * m,
+    }
+    return sum(parts.values()), parts
 
 
-def _merge(pos: np.ndarray, vals: np.ndarray, size: int) -> tuple:
-    """Real and imaginary sums of the complex ``vals`` at equal ``pos`` (< ``size``)."""
-    return (
-        np.bincount(pos, vals.real, minlength=size),
-        np.bincount(pos, vals.imag, minlength=size),
-    )
+def _product_fit(ops: np.ndarray) -> tuple[np.ndarray, float]:
+    """α with opsᵢ·opsⱼ ≈ Σ α[i,j,p]·ops_p, the least-squares fit by one Gram
+    solve (n⁵ multiply-adds), and the Frobenius norm of what it leaves."""
+    n = len(ops)
+    rows = ops.reshape(n, n * n)
+    adj = dagger(rows)
+    prods = np.matmul(ops[:, None], ops[None]).reshape(n * n, n * n)
+    alpha = np.linalg.solve((rows @ adj).T, (prods @ adj).T).T
+    prods -= alpha @ rows
+    return alpha.reshape(n, n, n), frob(prods)
+
+
+def _gram_root(rows: np.ndarray) -> np.ndarray:
+    """G^{1/2} for G[p,q] = ⟨row_p, row_q⟩, the Gram matrix of the rows."""
+    return la.herm_power(np.conj(rows) @ rows.T, 0.5)
 
 
 def multiplicative_unitary(kac: KacAlgebra) -> MultiplicativeUnitary:
@@ -443,6 +375,14 @@ def _sandwich(w: np.ndarray, index: tuple | None, y: np.ndarray) -> np.ndarray:
     return out.reshape(*lead, n * n, n * n)
 
 
+def _merge(pos: np.ndarray, vals: np.ndarray, size: int) -> tuple:
+    """Real and imaginary sums of the complex ``vals`` at equal ``pos`` (< ``size``)."""
+    return (
+        np.bincount(pos, vals.real, minlength=size),
+        np.bincount(pos, vals.imag, minlength=size),
+    )
+
+
 def kappa_hat(kac: KacAlgebra, y: np.ndarray) -> np.ndarray:
     """Dual antipode κ̂(y) = J y* J (linear in y; of each y of a stack)."""
     return kac.mj @ y.swapaxes(-1, -2) @ np.conj(kac.mj)
@@ -554,7 +494,9 @@ def hat_unitaries(
     """Build U (xΩ ↦ κ(x)Ω), V̂ = F(U⊗1)V(U⊗1)F and Ṽ = F(1⊗U)V(1⊗U)F.
 
     Certifies: U is a self-inverse unitary; V̂ and Ṽ are multiplicative
-    unitaries (pentagon); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (the Frobenius distance
+    unitaries, by :func:`pentagon_residual` on V̂ = Σ L(bᵢ)⊗Uŷᵢ U and
+    Ṽ = Σ UL(bᵢ)U⊗ŷᵢ, which V = Σ ŷᵢ⊗L(bᵢ) gives (23–25 ms each on the n = 18
+    twist, 80–140 ms at n = 24); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (the Frobenius distance
     from each tensor product, :func:`~kacgalois.linalg.leg_distance`, with
     the commutant bases of ``hat.commutant_cells``);
     V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and Ad(Ṽ) restricted to first-leg dual elements is
@@ -578,8 +520,13 @@ def hat_unitaries(
     res["u_involutive"] = frob(u @ u - eye)
     res["v_hat_unitary"] = frob(dagger(v_hat) @ v_hat - np.eye(n * n))
     res["v_tilde_unitary"] = frob(dagger(v_tilde) @ v_tilde - np.eye(n * n))
-    res["v_hat_pentagon"] = pentagon_residual(v_hat, n)
-    res["v_tilde_pentagon"] = pentagon_residual(v_tilde, n)
+    yhat, lmats = hat.dual_basis, kac.lmats
+    res["v_hat_pentagon"], res["v_hat_pentagon_parts"] = pentagon_residual(
+        v_hat, n, lmats, u @ yhat @ u, res["v_hat_unitary"]
+    )
+    res["v_tilde_pentagon"], res["v_tilde_pentagon_parts"] = pentagon_residual(
+        v_tilde, n, u @ lmats @ u, yhat, res["v_tilde_unitary"]
+    )
 
     a_comm, hat_comm = hat.commutant_cells
     a_onb = kac.as_mm().onb()

@@ -561,7 +561,8 @@ def load_kac(source, validate: bool = True) -> KacAlgebra:
 
     Runs the full axiom validator by default, at ``TIGHT_TOL``, and raises
     :class:`AxiomError` with the residual report if any axiom fails, or if an
-    embedded group table is not a dim×dim table of integers in range(dim).
+    embedded group table is not a dim×dim table of integers in range(dim)
+    or its ``labels`` are not a list of dim labels.
     """
     if isinstance(source, (str, bytes)):
         with open(source) as fh:
@@ -590,7 +591,10 @@ def load_kac(source, validate: bool = True) -> KacAlgebra:
             type(v) is int and 0 <= v < n for v in table.flat
         ):
             raise AxiomError(f"field 'group' must hold an order-{n} table of integers in range({n})")
-        glabels = tuple(str(x) for x in gdoc.get("labels", [str(i) for i in range(n)]))
+        glabels = gdoc.get("labels", [str(i) for i in range(n)])
+        if not isinstance(glabels, list) or len(glabels) != n:
+            raise AxiomError(f"field 'group.labels' must be a list of {n} labels")
+        glabels = tuple(str(x) for x in glabels)
         group = GroupTable(order=n, table=table.astype(int), labels=glabels)
         gval = group.validate()
         if not gval["passed"]:

@@ -165,6 +165,21 @@ def test_malformed_group_table_is_an_axiom_error(tmp_path, command, case):
     assert "'group'" in error["message"]
 
 
+@pytest.mark.parametrize("command", ["validate", "galois"])
+@pytest.mark.parametrize("labels", [["e"], ["e", "g", "h"], "eg"])
+def test_group_labels_not_one_per_element_are_an_axiom_error(
+    tmp_path, capsys, command, labels
+):
+    doc = json.loads((FIXTURES / "z2_group.json").read_text())
+    doc["group"]["labels"] = labels
+    bad = tmp_path / "bad_labels.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main([command, str(bad)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "AxiomError"
+    assert "'group.labels'" in error["message"]
+
+
 def test_jones_document_missing_a_field_is_an_input_error():
     out = run_cli("jones", str(FIXTURES / "z2_group.json"))
     assert out.returncode == 2
@@ -238,7 +253,8 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
 
 
 def test_coreps_gates_the_pentagon(monkeypatch, capsys):
-    monkeypatch.setattr(du, "pentagon_residual", lambda v, n: 1.0)
+    parts = {"factored": 1.0, "closure": 0.0, "reconstruction": 0.0}
+    monkeypatch.setattr(du, "pentagon_residual", lambda v, n, *factors: (1.0, parts))
     assert cli.main(["coreps", str(FIXTURES / "s3_function.json")]) == 1
     doc = json.loads(capsys.readouterr().out)
     checks = doc["report"]["checks"]

@@ -1,7 +1,9 @@
 """Regular multiplicative unitaries, integrals, pairing, and biduality."""
 
+import collections
 import functools
 import inspect
+import itertools
 from importlib import resources
 
 import numpy as np
@@ -79,33 +81,49 @@ def dense_pentagon_frobenius(v, n):
     return la.frob(dense_pentagon_defect(v, n))
 
 
-def apply_leg12(v4, psi):
-    return np.einsum("pqrs,rsk...->pqk...", v4, psi, optimize=True)
+def blocked_pentagon_frobenius(v, n):
+    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F summed over n column blocks, n⁸ multiply-adds.
 
+    Block a″ holds the columns e_{a″}⊗e_{b″}⊗e_{c″}, on which the leg
+    structure of V gives
 
-def apply_leg23(v4, psi):
-    return np.einsum("pqrs,krs...->kpq...", v4, psi, optimize=True)
+        V₁₃V₂₃ e = X[a,b,c; b″,c″] = Σₖ V[(a,c),(a″,k)]·V[(b,k),(b″,c″)],
+        V₂₃V₁₂ e = Y[a,b,c; b″,c″] = Σₖ V[(b,c),(k,c″)]·V[(a,k),(a″,b″)],
 
-
-def apply_leg13(v4, psi):
-    return np.einsum("pqrs,rks...->pkq...", v4, psi, optimize=True)
-
-
-def pentagon_defect(v4, psi):
-    """(V₁₂V₁₃V₂₃ − V₂₃V₁₂)ψ for ψ of shape (n, n, n, ...), one leg einsum at a time."""
-    lhs = apply_leg12(v4, apply_leg13(v4, apply_leg23(v4, psi)))
-    return lhs - apply_leg23(v4, apply_leg12(v4, psi))
-
-
-def leg_sweep_pentagon_frobenius(v, n):
-    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F: the three leg actions on every basis vector."""
+    so the block's defect is V₁₂X − Y with one n²×n² by n²×n³ matmul.
+    """
     v4 = v.reshape(n, n, n, n)
-    cols = np.eye(n * n, dtype=complex).reshape(n, n, n * n)
+    rows = v.reshape(n, n, n * n)  # rows[b, k] = V[(b, k), :]
     total = 0.0
     for i in range(n):
-        psi = np.zeros((n, n, n, n * n), dtype=complex)
-        psi[i] = cols
-        total += la.frob(pentagon_defect(v4, psi)) ** 2
+        w = v4[:, :, i, :]  # w[a, s, k] = V[(a, s), (a″, k)]
+        x = np.matmul(w[:, None], rows[None])
+        y = np.matmul(w.transpose(0, 2, 1)[:, None, None], v4[None])
+        defect = v @ x.reshape(n * n, -1)
+        defect -= y.reshape(n * n, -1)
+        total += la.frob(defect) ** 2
+    return np.sqrt(total)
+
+
+def sparse_leg_sweep_pentagon_frobenius(v, n):
+    """Reference ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F for a V with few nonzeros: the three leg
+    actions on every basis vector e_a⊗e_b⊗e_c, each vector a dict over its nonzeros."""
+    cols = [[(divmod(r, n), v[r, c]) for r in np.flatnonzero(v[:, c])] for c in range(n * n)]
+
+    def leg(psi, i, j):
+        out = collections.defaultdict(complex)
+        for idx, x in psi.items():
+            for (p, q), w in cols[idx[i] * n + idx[j]]:
+                new = list(idx)
+                new[i], new[j] = p, q
+                out[tuple(new)] += w * x
+        return out
+
+    total = 0.0
+    for abc in itertools.product(range(n), repeat=3):
+        lhs = leg(leg(leg({abc: 1.0}, 1, 2), 0, 2), 0, 1)
+        rhs = leg(leg({abc: 1.0}, 0, 1), 1, 2)
+        total += sum(abs(lhs.get(k, 0) - rhs.get(k, 0)) ** 2 for k in lhs.keys() | rhs.keys())
     return np.sqrt(total)
 
 
@@ -129,25 +147,85 @@ def rotated(v, n, seed=0):
     return qq @ v @ la.dagger(qq)
 
 
-@pytest.fixture
-def pentagon_paths(monkeypatch):
-    """The exact pentagon paths that run, in call order."""
-    ran = []
-    for name in ("_pentagon_blocked", "_pentagon_sparse"):
-        def spy(*args, fn=getattr(du, name), name=name):
-            ran.append(name)
-            return fn(*args)
+def turned(ops, n, seed=0):
+    """Q·x·Q† for each x of a stack, with the Q of :func:`rotated`: the factors of the
+    rotated V."""
+    q = rotation(n, seed)
+    return q @ ops @ la.dagger(q)
 
-        monkeypatch.setattr(du, name, spy)
-    return ran
+
+def unitary_factors(kac):
+    """V, V̂ and Ṽ of ``kac``, each with two stacks A, B, W = Σᵢ Aᵢ⊗Bᵢ, and the stack
+    (0 for A, 1 for B) that carries Â's dual basis ŷ."""
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    hu = du.hat_unitaries(kac, v, hat)
+    y, lm, u = hat.dual_basis, kac.lmats, hu.u
+    return (
+        (v.matrix, y, lm, 0),
+        (hu.v_hat, lm, u @ y @ u, 1),
+        (hu.v_tilde, u @ lm @ u, y, 1),
+    )
+
+
+def certificate(w, n, left, right):
+    """:func:`~kacgalois.duality.pentagon_residual` of W = Σ leftᵢ⊗rightᵢ, with the
+    unitarity residual of W itself."""
+    return du.pentagon_residual(w, n, left, right, la.frob(la.dagger(w) @ w - np.eye(n * n)))
+
+
+def off_span_mutant(w, left, right, side, seed=0, size=1e-6):
+    """W and its factors with the slice 1 of the stack ``side`` moved by ``size``
+    times a seeded random matrix: the span is no longer an algebra, so the closure
+    part carries the defect that the fit leaves out."""
+    left, right = left.copy(), right.copy()
+    move = size * random_square(len(left), seed=seed)
+    if side == 0:
+        left[1] += move
+        return w + np.kron(move, right[1]), left, right
+    right[1] += move
+    return w + np.kron(left[1], move), left, right
+
+
+def slice_mutant(w, left, right, side, size=1e-4):
+    """W and its factors with the slice ŷ₁ moved by ``size``·ŷ₀ on the stack ``side``:
+    the spans, and so the closure, are unchanged.
+
+    At ``size`` = 1e-6 the defect of kp8's V̂ (1.7e-5) is a difference of order-one
+    terms, and the dense and blocked oracles and the certificate all read 5–7e-12
+    relative off a clongdouble evaluation of the blocked sum; at 1e-4 they agree
+    to 1e-13."""
+    left, right = left.copy(), right.copy()
+    if side == 0:
+        left[1] += size * left[0]
+        return w + size * np.kron(left[0], right[1]), left, right
+    right[1] += size * right[0]
+    return w + size * np.kron(left[1], right[0]), left, right
+
+
+def mixed_slices(kac, seed, size=1e-3):
+    """V′ = Σ ŷ′ᵢ⊗L(bᵢ) with ŷ′ = (1 + ``size``·R)·ŷ, R seeded: every slice moves,
+    but inside Â, so the factored part reads V′'s defect exactly."""
+    n = kac.dim
+    y = du.hat_algebra(kac, du.multiplicative_unitary(kac)).dual_basis
+    rng = np.random.default_rng(seed)
+    mix = np.eye(n) + size * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    y = np.tensordot(mix, y, axes=1)
+    w = du._slice_matrix(y.reshape(n, -1).T @ kac.lmats.reshape(n, -1), n)
+    return w, y, kac.lmats
 
 
 def test_pentagon_residual_bounds_the_operator_norm_from_above(kp8):
     n = kp8.dim
+    y = du.hat_algebra(kp8, du.multiplicative_unitary(kp8)).dual_basis
     w = perturbed(du.multiplicative_unitary(kp8).matrix)
     dense = dense_pentagon_opnorm(w, n)
     assert dense > 1e-4
-    assert dense <= du.pentagon_residual(w, n) <= np.sqrt(n**3) * dense
+    assert dense <= certificate(w, n, y, kp8.lmats)[0]
+    w, left, right = mixed_slices(kp8, seed=0)
+    dense = dense_pentagon_opnorm(w, n)
+    assert dense > 1e-4
+    assert dense <= certificate(w, n, left, right)[0] <= np.sqrt(n**3) * dense
 
 
 @pytest.mark.parametrize("which", ["kp8", "z3_group*z3_function"])
@@ -157,89 +235,103 @@ def test_pentagon_residual_is_the_dense_frobenius_norm(kp8, algebras, which):
     else:
         kac = kc.tensor_kac(algebras["z3_group"], algebras["z3_function"])
     n = kac.dim
+    y = du.hat_algebra(kac, du.multiplicative_unitary(kac)).dual_basis
     w = perturbed(du.multiplicative_unitary(kac).matrix, seed=n)
     dense = dense_pentagon_frobenius(w, n)
     assert dense > 1e-4
-    assert abs(du.pentagon_residual(w, n) - dense) <= 1e-12 * dense
+    assert certificate(w, n, y, kac.lmats)[0] >= dense
+    w, left, right = mixed_slices(kac, seed=n)
+    dense = dense_pentagon_frobenius(w, n)
+    parts = certificate(w, n, left, right)[1]
+    assert dense > 1e-4
+    assert abs(parts["factored"] - dense) <= 1e-12 * dense
+    assert parts["closure"] <= 1e-13 and parts["reconstruction"] <= 1e-13
 
 
 def test_pentagon_residual_trips_on_one_corrupted_entry(kp8):
     v = du.multiplicative_unitary(kp8).matrix.copy()
     v[3, 5] += 1e-6
-    assert du.pentagon_residual(v, kp8.dim) > 1e-10
+    y = du.hat_algebra(kp8, du.multiplicative_unitary(kp8)).dual_basis
+    assert certificate(v, kp8.dim, y, kp8.lmats)[0] > 1e-10
+
+
+@pytest.mark.parametrize("name", ["z2_group", "s3_function", "q8_group"])
+def test_sparse_leg_sweep_oracle_is_the_dense_one(algebras, name):
+    kac = algebras[name]
+    n = kac.dim
+    w = du.multiplicative_unitary(kac).matrix.copy()
+    w[3, 1] += 1e-6
+    dense = dense_pentagon_frobenius(w, n)
+    assert dense > 1e-7
+    assert abs(sparse_leg_sweep_pentagon_frobenius(w, n) - dense) <= 1e-12 * dense
 
 
 @functools.cache
 def corrupted_cyclic_pentagon(order):
-    """ℤ_order's pentagon residual as built, and its V with one entry moved by 1e-6."""
-    v = du.multiplicative_unitary(kc.group_algebra(kc.cyclic_group(order)))
+    """ℤ_order's V with one entry moved by 1e-6, V's factors ŷ and L(b), the
+    pentagon residual of V as built, and the exact defect norm of the corrupted V
+    (computed once per order: the rotation keeps it)."""
+    kac = kc.group_algebra(kc.cyclic_group(order))
+    v = du.multiplicative_unitary(kac)
     corrupted = v.matrix.copy()
     corrupted[3, 5] += 1e-6
     corrupted.flags.writeable = False  # shared by the cached callers
-    return v.residuals["pentagon"], corrupted
+    factors = (du.hat_algebra(kac, v).dual_basis, kac.lmats)
+    exact = sparse_leg_sweep_pentagon_frobenius(corrupted, order)
+    return v.residuals["pentagon"], corrupted, factors, exact
 
 
 @pytest.mark.parametrize(
-    "order, rotate, path",
-    [
-        (13, False, ["_pentagon_sparse"]),
-        (15, False, ["_pentagon_sparse"]),
-        (15, True, ["_pentagon_blocked"]),
-        (19, True, ["_pentagon_blocked"]),
-    ],
+    "order, rotate",
+    [(13, False), (15, False), (15, True), (19, True)],
     ids=["z13_sparse", "z15_sparse", "z15_rotated_blocked", "z19_rotated_blocked"],
 )
-def test_pentagon_on_cyclic_groups_either_side_of_the_exact_branch(
-    order, rotate, path, pentagon_paths, monkeypatch
-):
-    built, corrupted = corrupted_cyclic_pentagon(order)
+def test_pentagon_on_cyclic_groups_either_side_of_the_exact_branch(order, rotate):
+    """ℤ_order's V, one entry moved by 1e-6, as built (a permutation matrix and one
+    entry) and rotated to a dense matrix with its factors rotated alongside: the
+    certificate trips and bounds the exact defect norm either way."""
+    built, corrupted, (left, right), exact = corrupted_cyclic_pentagon(order)
     assert built < 1e-10
-    # The rotation keeps the defect's norm and makes V dense.
-    dense = rotated(corrupted, order) if rotate else corrupted
-    if order == 19:
-        # The blocked run, like the oracle, takes 19⁸ multiply-adds: record the call only.
-        def stub(v, n):
-            pentagon_paths.append("_pentagon_blocked")
-            assert v is dense and n == order
-            return 1.0
-
-        monkeypatch.setattr(du, "_pentagon_blocked", stub)
-    pentagon_paths.clear()
-    value = du.pentagon_residual(dense, order)
-    assert pentagon_paths == path
-    if order == 19:
-        assert value == 1.0
-    else:
-        assert value > 1e-10
-        exact = leg_sweep_pentagon_frobenius(dense, order)
-        assert abs(value - exact) <= 1e-12 * value
+    if rotate:
+        corrupted = rotated(corrupted, order, seed=order)
+        left, right = turned(left, order, seed=order), turned(right, order, seed=order)
+    assert exact > 1e-7
+    assert certificate(corrupted, order, left, right)[0] >= exact
 
 
-def test_twisted_group_algebra_pentagon_is_exact_and_blocked(pentagon_paths):
-    """The n = 18 Drinfeld twist: its V has 26 244 nonzeros and its sparse pentagon
-    3.1e9 terms, so the blocked path runs, and its corepresentations come out."""
+def test_twisted_group_algebra_pentagon_is_exact_and_blocked():
+    """The n = 18 Drinfeld twist: its V has 26 244 nonzeros of 104 976; the
+    certificate holds and bounds the exact norm of the blocked sum, and its
+    corepresentations come out."""
     kac = twisted_z3_squared_by_z2()
-    pentagon_paths.clear()
     v = du.multiplicative_unitary(kac)
-    assert v.residuals["pentagon"] < 1e-10
-    assert pentagon_paths == ["_pentagon_blocked"]
+    assert v.residuals["pentagon"] < 1e-11
+    assert v.residuals["pentagon"] >= blocked_pentagon_frobenius(v.matrix, kac.dim)
     coreps = cr.irreducible_coreps(kac, v, du.hat_algebra(kac, v))
     assert [c.dim for c in coreps] == [1] * 9 + [3]
 
 
 @pytest.mark.parametrize("which", ["kp8", "s3_function*z2_group"])
-def test_rotation_carries_the_sparse_pentagon_onto_the_blocked_one(
-    kp8, tensor_algebras, pentagon_paths, which
-):
+def test_rotation_carries_the_sparse_pentagon_onto_the_blocked_one(kp8, tensor_algebras, which):
+    """V with its nonzeros moved, as built and rotated with its factors: the same
+    reconstruction part, and both values above the exact defect norm, which the
+    rotation keeps."""
     kac = kp8 if which == "kp8" else tensor_algebras[which]
     n = kac.dim
     v = perturbed_nonzeros(du.multiplicative_unitary(kac).matrix, seed=n)
-    pentagon_paths.clear()
-    sparse = du.pentagon_residual(v, n)
-    blocked = du.pentagon_residual(rotated(v, n, seed=n), n)
-    assert pentagon_paths == ["_pentagon_sparse", "_pentagon_blocked"]
-    assert sparse > 1e-6
-    assert abs(sparse - blocked) <= 1e-12 * sparse
+    left = du.hat_algebra(kac, du.multiplicative_unitary(kac)).dual_basis
+    sparse, parts = certificate(v, n, left, kac.lmats)
+    dense, turned_parts = certificate(
+        rotated(v, n, seed=n), n, turned(left, n, seed=n), turned(kac.lmats, n, seed=n)
+    )
+    # The value is the reconstruction part; the other two are rounding, which
+    # the rotation raises to about 5e-13 (the closure defects scale with Σ‖Bᵢ‖²).
+    want = parts["reconstruction"]
+    assert want > 1e-6
+    assert abs(turned_parts["reconstruction"] - want) <= 1e-12 * want
+    for part in ("factored", "closure"):
+        assert max(parts[part], turned_parts[part]) <= 1e-11
+    assert min(sparse, dense) >= blocked_pentagon_frobenius(v, n)
 
 
 PENTAGON_NAMES = ALGEBRA_NAMES + ("kp8",) + LADDER_NAMES
@@ -266,57 +358,51 @@ def three_unitaries(algebras, kp8, ladder_algebras):
     return out
 
 
-def sparse_pentagon(v, n):
-    nz = v != 0
-    return du._pentagon_sparse(v, n, nz, du._pentagon_terms(nz, n))
+@pytest.fixture(scope="module")
+def pentagon_factors(algebras, kp8, ladder_algebras):
+    """:func:`unitary_factors` of the 12 group fixtures, kp8 and the three
+    dual_ladder products, with each dimension."""
+    named = dict(algebras, kp8=kp8, **ladder_algebras)
+    return {name: (kac.dim, unitary_factors(kac)) for name, kac in named.items()}
 
 
 @pytest.mark.parametrize("name", PENTAGON_NAMES)
-def test_sparse_pentagon_is_the_blocked_one(three_unitaries, name):
-    n, unitaries = three_unitaries[name]
-    for v, *_ in unitaries:
-        for w in (v, perturbed_nonzeros(v, seed=n)):
-            blocked = du._pentagon_blocked(w, n)
-            assert abs(sparse_pentagon(w, n) - blocked) <= 1e-12 * blocked
+def test_sparse_pentagon_is_the_blocked_one(pentagon_factors, name):
+    """V, V̂ and Ṽ hold their pentagons to 1e-11; with their nonzeros moved, the
+    certificate bounds the blocked sum."""
+    n, unitaries = pentagon_factors[name]
+    for v, left, right, _ in unitaries:
+        assert certificate(v, n, left, right)[0] <= 1e-11
+        w = perturbed_nonzeros(v, seed=n)
+        assert certificate(w, n, left, right)[0] >= blocked_pentagon_frobenius(w, n)
 
 
-def test_pentagon_term_count_is_the_number_of_products():
-    """Brute force over every column e_a⊗e_b⊗e_c and V's nonzero lists."""
-    rng = np.random.default_rng(5)
-    n = 3
-    v = rng.standard_normal((n * n, n * n)) * (rng.random((n * n, n * n)) < 0.3)
-    col = [np.flatnonzero(v[:, j]) for j in range(n * n)]
-    want = np.zeros(n ** 3)
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                abc = (a * n + b) * n + c
-                for r in col[b * n + c]:  # V₂₃, then V₁₃, then V₁₂
-                    bp, cp = divmod(r, n)
-                    want[abc] += sum(len(col[r2 // n * n + bp]) for r2 in col[a * n + cp])
-                for r in col[a * n + b]:  # V₁₂, then V₂₃
-                    want[abc] += len(col[r % n * n + c])
-    assert want.sum() > 0
-    np.testing.assert_array_equal(du._pentagon_terms(v != 0, n), want)
-
-
-def test_sparse_pentagon_sum_does_not_depend_on_its_runs(kp8, monkeypatch):
-    n = kp8.dim
-    v = perturbed_nonzeros(du.multiplicative_unitary(kp8).matrix)
-    terms = du._pentagon_terms(v != 0, n)
-    whole = sparse_pentagon(v, n)
-    runs = []
-    real = du._sparse_defect_squared
-    monkeypatch.setattr(
-        du, "_sparse_defect_squared", lambda csc, n, col: runs.append(col) or real(csc, n, col)
-    )
-    for block, heavy in ((100, False), (20, True)):  # kp8's columns hold 2 to 68 terms
-        monkeypatch.setattr(du, "_TERM_BLOCK", block)
-        runs.clear()
-        assert abs(sparse_pentagon(v, n) - whole) <= 1e-12 * whole
-        np.testing.assert_array_equal(np.concatenate(runs), np.arange(n ** 3))
-        assert all(terms[col].sum() <= block or len(col) == 1 for col in runs)
-        assert any(terms[col].sum() > block for col in runs) == heavy
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_group"])
+def test_certificate_is_sound_on_entry_mutants_and_tight_on_slice_mutants(
+    pentagon_factors, name
+):
+    """One entry of V, V̂ or Ṽ moved, or one slice moved off its span: the
+    certificate bounds the exact norm.  One slice moved inside its span: the
+    factored part is the exact norm, and the closure and reconstruction parts are
+    rounding."""
+    n, unitaries = pentagon_factors[name]
+    for w, left, right, side in unitaries:
+        entry = w.copy()
+        entry[3, 5] += 1e-6
+        exact = blocked_pentagon_frobenius(entry, n)
+        assert exact > 1e-7
+        assert certificate(entry, n, left, right)[0] >= exact * (1 - 1e-12)
+        mutant, moved_left, moved_right = off_span_mutant(w, left, right, side, seed=n)
+        exact = blocked_pentagon_frobenius(mutant, n)
+        value, parts = certificate(mutant, n, moved_left, moved_right)
+        assert exact > 1e-7 and parts["closure"] > 1e-7
+        assert value >= exact * (1 - 1e-12)
+        mutant, left, right = slice_mutant(w, left, right, side)
+        exact = blocked_pentagon_frobenius(mutant, n)
+        parts = certificate(mutant, n, left, right)[1]
+        assert exact > 1e-7
+        assert abs(parts["factored"] - exact) <= 1e-12 * exact
+        assert parts["closure"] <= 1e-13 and parts["reconstruction"] <= 1e-13
 
 
 def leg_commutator_max(w, first, second):
@@ -579,7 +665,8 @@ def test_bidual_check_computes_no_certificate_of_the_bidual(monkeypatch):
     # Once the dual's own certificates are read, the bidual is built only for
     # its structure tensors and its pairing matrix.
     dd = du.dual_kac(fresh_kp8())
-    assert max(dd.v.residuals.values()) < 1e-10
+    assert dd.v.residuals["pentagon"] < 1e-10
+    assert dd.v.residuals["unitary"] < 1e-10
     assert max(dd.hat.residuals.values()) < 1e-10
     assert dd.axiom_report["passed"]
     calls = []
