@@ -112,6 +112,14 @@ def _containment(delta, home: np.ndarray, onb: np.ndarray, side: str) -> float:
     return worst
 
 
+def _dual_containment(dd: du.DualKac, onb: np.ndarray, side: str) -> float:
+    """:func:`_containment` under :func:`du.delta_hat`, plus Â's ``coproduct_certificate``
+    times the largest coefficient norm in ``onb``: a bound for the sandwich V†(1⊗y)V."""
+    reach = float(np.linalg.norm(dd.hat.mm.coeffs(onb), axis=-1).max())
+    cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, onb, side)
+    return cert + dd.hat.coproduct_certificate * reach
+
+
 def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     """Certify a span of operators on L²(A) as a coideal of A.
 
@@ -386,7 +394,7 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
-    cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, mm.onb(), "left")
+    cert = _dual_containment(dd, mm.onb(), "left")
     return Coideal(home="dual", side="left", mm=mm, certificate=cert)
 
 
@@ -428,11 +436,10 @@ def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     compares the span with the pairing-defined :func:`tilde`.
     """
     inter, comm = _relative_commutant(coid.mm.onb(), dd.hat.onb)
-    right_cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, inter, "right")
     return {
         "mm": ag.from_onb(du.kappa_hat(dd.v.kac, inter), dd.v.kac.dim),
         "intersection": inter,
-        "intersection_right_coideal": right_cert,
+        "intersection_right_coideal": _dual_containment(dd, inter, "right"),
         "commutator": comm,
     }
 

@@ -128,9 +128,8 @@ def irreducible_coreps(
     if hat.v is not v:
         raise ValueError("the dual algebra was built from a different multiplicative unitary")
     n = kac.dim
-    v4 = v.matrix.reshape(n, n, n, n)
     # u(π)ᵢⱼ[b, q] = Σ_{p,a} e(π)ⱼᵢ[p, a]·V[(a, b), (p, q)] / d(π).
-    v_slices = v4.transpose(2, 0, 1, 3).reshape(n * n, n * n)
+    v_slices = v.matrix.reshape(n, n, n, n).transpose(2, 0, 1, 3).reshape(n * n, n * n)
 
     blocks = matrix_units(hat.mm)
     coreps: list = [None] * len(blocks)
@@ -151,12 +150,10 @@ def irreducible_coreps(
                 is_trivial=d == 1 and frob(ent[0, 0] - np.eye(n)) < SPAN_TOL,
                 residuals={"square_block": float(block.multiplicity != d), **res},
             )
-    # V = Σ e(π)ᵢⱼ ⊗ u(π)ᵢⱼ; a Kronecker product a⊗b is vec(a)·vec(b)ᵀ with
-    # the legs' row and column indices regrouped.
+    # V = Σ e(π)ᵢⱼ ⊗ u(π)ᵢⱼ.
     units = np.concatenate([c.units.reshape(-1, n * n) for c in coreps])
     entries = np.concatenate([c.entries.reshape(-1, n * n) for c in coreps])
-    target = v4.transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    exp_res = frob(units.T @ entries - target)
+    exp_res = du.split_defect(v.matrix, units, entries)
     for c in coreps:
         c.residuals["v_expansion"] = exp_res
     return coreps

@@ -21,23 +21,18 @@ Everything returns residual dictionaries; nothing is assumed that is not
 checked.  V is built once per :class:`KacAlgebra` instance, Â once per V
 built from that same instance and the integrals once per Â; later callers
 (the dual, the corepresentations, the auxiliary unitaries) get the same
-objects, whose arrays are read-only.  The certificates that are
-computations of their own (V's and Â's residuals, the dual's axiom report)
-run on first read, once; the residuals that fall out of a construction come
-with it.  The pentagons of V, V̂ and Ṽ are one factored certificate
+objects, whose arrays are read-only.  Every certificate runs on its first
+read, once, so a dual built only for its tensors, as the bidual is, computes
+none.  The pentagons of V, V̂ and Ṽ are one factored certificate
 (:func:`pentagon_residual`): each unitary is read as a sum of n Kronecker
 products, and the bound on its Frobenius defect costs one n⁶ matmul whatever
-V's density (23–25 ms on the n = 18 twist, where the exact n⁸ sum took
-2.6–3.0 s).  The dual coproduct δ̂(y) = V†(1⊗y)V is an exact sum, computed on
-V's exact nonzero pattern when the work counted on that pattern is the
-smaller.  The tensor
-memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â are exact Frobenius distances,
-one leg regrouping and two matmuls each
-(:func:`~kacgalois.linalg.leg_distance`).  Unitarity and the defining
-actions are Frobenius norms, upper bounds on the operator norm.  The
-construction of Â runs no SVD, and the only one left on this path is the
-n×n SVD of the pairing's nondegeneracy.  Every other contraction on the
-path from V to the validated dual is a fixed reshape and matmul.
+V's density.  The dual coproduct δ̂(y) = V†(1⊗y)V is A's product read
+backwards, as the pentagon proves, and V's pentagon certificate bounds the
+difference (:func:`coproduct_residual`): no δ̂ path forms a sandwich.  The
+tensor memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â are exact Frobenius
+distances (:func:`~kacgalois.linalg.leg_distance`).  Unitarity and the
+defining actions are Frobenius norms, upper bounds on the operator norm.
+Building Â runs no SVD.
 """
 
 from __future__ import annotations
@@ -73,12 +68,12 @@ class MultiplicativeUnitary:
     def residuals(self) -> dict:
         """Unitarity, the pentagon and the defining action, each a Frobenius
         norm or a bound on one, so an upper bound on the operator norm.  The
-        pentagon is :func:`pentagon_residual` on V = Σᵢ ŷᵢ⊗L(bᵢ), ŷ being Â's
-        ``dual_basis``, and ``pentagon_parts`` holds its three parts."""
-        v, kac = self.matrix, self.kac
+        pentagon is :func:`pentagon_residual` on V = Σₐ onbₐ⊗Bₐ (Â's ``onb`` and
+        ``second_leg``), and ``pentagon_parts`` holds its three parts."""
+        v, kac, hat = self.matrix, self.kac, self._hat
         res = {"unitary": frob(dagger(v) @ v - np.eye(kac.dim ** 2))}
         res["pentagon"], res["pentagon_parts"] = pentagon_residual(
-            v, kac.dim, self._hat.dual_basis, kac.lmats, res["unitary"]
+            v, kac.dim, hat.onb, hat.second_leg, res["unitary"]
         )
         act = _times_first_leg(v, kac.coord) - _coproduct_action(kac, kac.delta)
         res["defining_action"] = frob(act)
@@ -87,18 +82,6 @@ class MultiplicativeUnitary:
     @cached_property
     def _hat(self) -> HatAlgebra:
         return _hat_algebra(self.kac, self)
-
-    @cached_property
-    def _delta_hat_index(self) -> tuple | None:
-        return _sandwich_index(self.matrix, self.kac.dim)
-
-
-# One term of the sparse dual coproduct (its gather, its product, its share of
-# two bincounts) costs about as much as 50 multiply-adds of the dense
-# W†((1⊗y)W), which takes n⁶ of them: about 15 ns against 0.25–0.3 ns on a
-# Xeon core, BLAS on one thread.  The two meet at about 8 000 terms at n = 8,
-# 55 000 at n = 12 and 250 000 at n = 16.
-_DELTA_TERM_COST = 50
 
 
 def pentagon_residual(
@@ -132,7 +115,7 @@ def pentagon_residual(
     x = t @ np.matmul(right[:, None], left[None]).reshape(nn, nn)
     x -= np.matmul(left[None], right[:, None]).reshape(nn, nn)  # A_r·B_p at (p, r)
     x = (_gram_root(a) @ x.reshape(n, -1)).reshape(n, n, nn)
-    eps = frob(_slice_matrix(v, n) - a.T @ b)
+    eps = split_defect(v, left, right)
     m = 1.0 + unitary + eps
     mass_a, mass_b = frob(a) ** 2, frob(b) ** 2
     parts = {
@@ -142,6 +125,34 @@ def pentagon_residual(
         "reconstruction": 5.0 * float(np.sqrt(n)) * eps * m * m,
     }
     return sum(parts.values()), parts
+
+
+def coproduct_residual(
+    v: np.ndarray, onb: np.ndarray, second: np.ndarray, delta: np.ndarray, unitary, pentagon
+) -> float:
+    """A bound on (Σₑ‖Dₑ‖²_F)^{1/2}, Dₑ = V†(1⊗onbₑ)V − Σ delta[e,a,b]·onbₐ⊗onb_b.
+
+    V ≈ V₀ = Σₐ onbₐ⊗Bₐ (Bₐ the stack ``second``), ε = ‖V − V₀‖_F and
+    m = 1 + ``unitary`` + ε as in :func:`pentagon_residual`.  Σₑ Dₑ⊗Bₑ =
+    V₁₂†(V₀)₂₃V₁₂ − (V₀)₁₃(V₀)₂₃ + Σ onbₐ⊗onb_b⊗E_ab, E_ab = BₐB_b − Σₑ delta[e,a,b]·Bₑ,
+    has a norm of at most m·``pentagon`` + √n·(``unitary``·m² + ε·(m² + 2m)) + ‖E‖_F
+    and at least √σ·(Σₑ‖Dₑ‖²)^{1/2}, σ the least eigenvalue of the Bₐ's Gram matrix.
+    """
+    n = len(onb)
+    rows = second.reshape(n, n * n)
+    prods = (second[:, None] @ second[None]).reshape(n * n, n * n)
+    close = frob(prods - delta.transpose(1, 2, 0).reshape(n * n, n) @ rows)
+    eps = split_defect(v, onb, second)
+    m = 1.0 + unitary + eps
+    sigma = np.linalg.eigvalsh(np.conj(rows) @ rows.T)[0]
+    defect = m * pentagon + np.sqrt(n) * (unitary * m * m + eps * (m * m + 2.0 * m)) + close
+    return float(defect / np.sqrt(sigma))
+
+
+def split_defect(w: np.ndarray, left, right) -> float:
+    """‖W − Σᵢ leftᵢ⊗rightᵢ‖_F, from W regrouped by :func:`_slice_matrix`."""
+    n = len(left)
+    return frob(_slice_matrix(w, n) - left.reshape(n, -1).T @ right.reshape(n, -1))
 
 
 def _product_fit(ops: np.ndarray) -> tuple[np.ndarray, float]:
@@ -212,10 +223,14 @@ class HatAlgebra:
 
     ``dual_basis`` holds the n elements ŷᵢ with V = Σᵢ ŷᵢ⊗L(bᵢ), the basis of
     Â dual to A's basis under the pairing, and ``onb`` their Löwdin
-    orthonormalization G_ŷ^(−1/2)·ŷ (G_ŷ the Frobenius Gram matrix of the ŷᵢ),
-    the deterministic basis used for all coefficient extractions.  When G_ŷ
-    is a scaled identity, as on every bundled fixture, ``onb`` is ŷᵢ/‖ŷᵢ‖ in
-    A's own index order.
+    orthonormalization R·ŷ, R = G_ŷ^(−1/2) (G_ŷ the Frobenius Gram matrix of
+    the ŷᵢ), the deterministic basis used for all coefficient extractions.
+    When G_ŷ is a scaled identity, as on every bundled fixture, ``onb`` is
+    ŷᵢ/‖ŷᵢ‖ in A's own index order.
+
+    ``second_leg`` holds the Bₐ = Σᵢ R⁻¹[i,a]·L(bᵢ), so V = Σₐ onbₐ⊗Bₐ, and
+    ``coproduct`` Â's coproduct over ``onb``, δ̂(onbₑ) = Σ coproduct[e,a,b]·onbₐ⊗onb_b,
+    which the pentagon reads off the Bₐ's product, A's transported by R.
     """
 
     kac: KacAlgebra
@@ -223,6 +238,8 @@ class HatAlgebra:
     mm: ag.MMAlgebra
     onb: np.ndarray
     dual_basis: np.ndarray
+    second_leg: np.ndarray
+    coproduct: np.ndarray
 
     @cached_property
     def commutant_cells(self) -> tuple:
@@ -244,16 +261,21 @@ class HatAlgebra:
         val = self.mm.validate()
         for key in ("product_closure", "adjoint_closure", "unit_membership"):
             res[key] = val[key]
-        lrows = self.kac.lmats.reshape(n, n * n)
-        res["slice_reconstruction"] = frob(
-            _slice_matrix(self.v.matrix, n) - self.dual_basis.reshape(n, n * n).T @ lrows
-        )
+        res["slice_reconstruction"] = split_defect(self.v.matrix, self.dual_basis, self.kac.lmats)
         rows = self.onb.reshape(n, n * n)
         res["basis_orthonormality"] = float(np.abs(rows @ dagger(rows) - np.eye(n)).max())
         res["v_in_hat_tensor_a"] = float(
             leg_distance(self.v.matrix, self.onb, self.kac.as_mm().onb(), "left")
         )
         return res
+
+    @cached_property
+    def coproduct_certificate(self) -> float:
+        """:func:`coproduct_residual` of ``coproduct``, from V's cached residuals."""
+        v, res = self.v.matrix, self.v.residuals
+        return coproduct_residual(
+            v, self.onb, self.second_leg, self.coproduct, res["unitary"], res["pentagon"]
+        )
 
     @cached_property
     def _integrals(self) -> Integrals:
@@ -292,7 +314,8 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
 
     M·L† = Yᵀ·(L·L†), so Y = (L·L†)⁻ᵀ·conj(L)·Mᵀ: n⁵ multiply-adds, one n×n
     solve and three n×n Hermitian eigenproblems (the two condition numbers,
-    then G_ŷ^(−1/2) by :func:`~kacgalois.linalg.herm_power`).
+    then R = G_ŷ^(−1/2) and R⁻¹ by :func:`~kacgalois.linalg.herm_powers`).
+    The second leg R⁻ᵀ·L and the coproduct cost four n⁴ matmuls more.
     """
     n = kac.dim
     lrows = kac.lmats.reshape(n, n * n)
@@ -301,10 +324,18 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     y = np.linalg.solve(gram.T, np.conj(lrows) @ _slice_matrix(v.matrix, n).T)
     gram_y = y @ dagger(y)
     _check_condition(gram_y, "the Gram matrix of the dual basis of A-hat")
-    mm = ag.from_onb((la.herm_power(gram_y, -0.5) @ y).reshape(n, n, n), n)
+    root, root_inv = la.herm_powers(gram_y, (-0.5, 0.5))
+    mm = ag.from_onb((root @ y).reshape(n, n, n), n)
+    second = (root_inv.T @ lrows).reshape(n, n, n)
+    # M[a,b,e] = Σ R⁻¹[i,a]·R⁻¹[j,b]·mult[i,j,d]·R[e,d], at [e, a, b].
+    m = np.tensordot(np.tensordot(kac.mult, root_inv, (0, 0)), root_inv, (0, 0))  # [d, a, b]
+    delta = np.tensordot(root, m, (1, 0))
     y = y.reshape(n, n, n)
-    y.flags.writeable = False
-    return HatAlgebra(kac=kac, v=v, mm=mm, onb=mm.onb(), dual_basis=y)
+    for arr in (y, second, delta):
+        arr.flags.writeable = False
+    return HatAlgebra(
+        kac=kac, v=v, mm=mm, onb=mm.onb(), dual_basis=y, second_leg=second, coproduct=delta
+    )
 
 
 def _check_condition(gram: np.ndarray, what: str) -> None:
@@ -318,69 +349,13 @@ def _check_condition(gram: np.ndarray, what: str) -> None:
 
 
 def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
-    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H, as an n²×n² matrix.
+    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H, as an n²×n² matrix (of each y of a stack).
 
-    Summed over the pairs of V's exact nonzeros that share a first row leg,
-    from an index built once per ``v``, when their count times
-    ``_DELTA_TERM_COST`` is below the dense path's n⁶ multiply-adds; the
-    dense path forms no Kronecker operator (:func:`_sandwich`).
+    Expands y's coefficients over ``onb`` against Â's ``coproduct``, whatever V's
+    density; for y in Â, within ``coproduct_certificate`` times their norm of the sandwich.
     """
-    return _sandwich(v.matrix, v._delta_hat_index, y)
-
-
-def _sandwich_index(w: np.ndarray, n: int) -> tuple | None:
-    """The terms of W†(1⊗y)W over W's exact nonzeros, or None when dense is cheaper.
-
-    Two nonzeros W[(p,q),i] and W[(p,t),j] with the same first row leg p give
-    the term conj(W[(p,q),i])·y[q,t]·W[(p,t),j] at (i, j), so with N_p the
-    nonzeros in the rows (p, ·) there are Σ_p N_p² terms, counted before any
-    is formed.  They are kept when ``_DELTA_TERM_COST`` times that count is
-    below the dense path's n⁶ multiply-adds.  Returns the distinct positions,
-    each term's position among them, its entry (q, t) of y and its
-    coefficient conj(W[(p,q),i])·W[(p,t),j].
-    """
-    rows, cols = np.nonzero(w)  # row-major, so each row block p is one run
-    p = rows // n
-    counts = np.bincount(p, minlength=n)
-    if _DELTA_TERM_COST * int(counts @ counts) >= n ** 6:
-        return None
-    # Nonzero a is paired with each of the counts[p] nonzeros b of its block.
-    first = np.cumsum(counts) - counts
-    per = counts[p]
-    a = np.repeat(np.arange(len(rows)), per)
-    b = np.arange(len(a)) + np.repeat(first[p] - (np.cumsum(per) - per), per)
-    uniq, pos = np.unique(cols[a] * n * n + cols[b], return_inverse=True)
-    vals = w[rows, cols]
-    return uniq, pos, rows[a] % n * n + rows[b] % n, np.conj(vals[a]) * vals[b]
-
-
-def _sandwich(w: np.ndarray, index: tuple | None, y: np.ndarray) -> np.ndarray:
-    """W†(1⊗y)W as an n²×n² matrix (one per y of a stack), from :func:`_sandwich_index`.
-
-    The sparse path merges the index's terms, scaled by y, with two
-    bincounts, each y of a stack at its own offset; the dense one forms
-    (1⊗y)W as one matmul over W's first row leg (n⁵ multiply-adds) and then
-    W†·((1⊗y)W) (n⁶).
-    """
-    n, lead = y.shape[-1], y.shape[:-2]
-    if index is None:
-        return dagger(w) @ (y[..., None, :, :] @ w.reshape(n, n, -1)).reshape(*lead, n * n, -1)
-    uniq, pos, yidx, coef = index
-    k = int(np.prod(lead))
-    at = (pos + len(uniq) * np.arange(k)[:, None]).reshape(-1)
-    re, im = _merge(at, (coef * y.reshape(k, -1)[:, yidx]).reshape(-1), k * len(uniq))
-    out = np.zeros((k, n ** 4), dtype=complex)
-    out.real[:, uniq] = re.reshape(k, -1)
-    out.imag[:, uniq] = im.reshape(k, -1)
-    return out.reshape(*lead, n * n, n * n)
-
-
-def _merge(pos: np.ndarray, vals: np.ndarray, size: int) -> tuple:
-    """Real and imaginary sums of the complex ``vals`` at equal ``pos`` (< ``size``)."""
-    return (
-        np.bincount(pos, vals.real, minlength=size),
-        np.bincount(pos, vals.imag, minlength=size),
-    )
+    hat = v._hat
+    return la.pair_sum(np.tensordot(hat.mm.coeffs(y), hat.coproduct, axes=(-1, 0)), hat.onb)
 
 
 def kappa_hat(kac: KacAlgebra, y: np.ndarray) -> np.ndarray:
@@ -400,13 +375,39 @@ class Integrals:
     ``e_op`` is the integral of A (the projection with x·e = ε(x)·e),
     ``e_hat`` the integral ê of Â (the rank-one projection onto ℂΩ), and
     ``omega_hat`` = √n·e·Ω the cyclic unit vector implementing the dual Haar
-    state ĥ = Tr/n on Â.
+    state ĥ = Tr/n on Â; ``space_dim`` is the dimension of the integral space.
     """
 
     e_op: np.ndarray
     e_hat: np.ndarray
     omega_hat: np.ndarray
-    residuals: dict
+    space_dim: int
+    hat: HatAlgebra
+
+    @cached_property
+    def residuals(self) -> dict:
+        """Both integrals' certificates, on first read; each one over A's or
+        Â's basis is one stacked contraction and one maximum."""
+        hat, e_op, e_hat, omega_hat = self.hat, self.e_op, self.e_hat, self.omega_hat
+        kac, n, eps = hat.kac, hat.kac.dim, hat.kac.counit
+        res: dict = {"integral_space_dim_defect": float(abs(self.space_dim - 1))}
+        res["idempotent"] = frob(e_op @ e_op - e_op)
+        res["self_adjoint"] = frob(e_op - dagger(e_op))
+        res["haar_value"] = float(abs(kac.haar_of(e_op) - 1.0 / n))
+        res["absorbing"] = la.frob_max(kac.lmats @ e_op - eps[:, None, None] * e_op)
+
+        res["e_hat_membership"] = hat.mm.residual(e_hat)
+        eps_y, res["hat_fixes_omega_line"] = _counit_on_omega(kac, hat.onb)
+        res["e_hat_absorbing"] = la.frob_max(e_hat @ hat.onb - eps_y[:, None, None] * e_hat)
+        res["omega_hat_unit"] = float(abs(np.linalg.norm(omega_hat) - 1.0))
+        res["omega_from_omega_hat"] = float(
+            np.linalg.norm(np.sqrt(n) * (e_hat @ omega_hat) - kac.omega)
+        )
+        trace = np.trace(hat.onb, axis1=1, axis2=2) / n
+        res["dual_haar_is_normalized_trace"] = float(
+            np.abs(trace - (hat.onb @ omega_hat) @ np.conj(omega_hat)).max()
+        )
+        return res
 
 
 def integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
@@ -426,11 +427,10 @@ def integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
 
 
 def _integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
-    """Solve for the integral of A and certify both integrals.
+    """Solve for the integral of A; its certificates run on first read.
 
     The absorption equations bᵢ·e = ε(bᵢ)e and e·bᵢ = ε(bᵢ)e of all n basis
-    elements are one stacked system, and each certificate over A's or Â's
-    basis is one stacked contraction and one maximum.
+    elements are one stacked system.
     """
     n = kac.dim
     eps = kac.counit
@@ -438,32 +438,15 @@ def _integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
     left = kac.mult.transpose(0, 2, 1) - shift  # left[i]·c: bᵢ·e − ε(bᵢ)e
     right = kac.mult.transpose(1, 2, 0) - shift  # right[i]·c: e·bᵢ − ε(bᵢ)e
     ns = la.null_space(np.stack([left, right], axis=1).reshape(2 * n * n, n))
-    res: dict = {"integral_space_dim_defect": float(abs(ns.shape[1] - 1))}
     if ns.shape[1] < 1:
         raise ValueError("no nonzero integral in the algebra")
     c = ns[:, 0]
-    c = c / (eps @ c)
-    e_op = kac.op(c)
-    omega_hat = np.sqrt(n) * (e_op @ kac.omega)
-
-    res["idempotent"] = frob(e_op @ e_op - e_op)
-    res["self_adjoint"] = frob(e_op - dagger(e_op))
-    res["haar_value"] = float(abs(kac.haar @ c - 1.0 / n))
-    res["absorbing"] = la.frob_max(kac.lmats @ e_op - eps[:, None, None] * e_op)
-
+    e_op = kac.op(c / (eps @ c))
     e_hat = np.outer(kac.omega, np.conj(kac.omega))
-    res["e_hat_membership"] = hat.mm.residual(e_hat)
-    eps_y, res["hat_fixes_omega_line"] = _counit_on_omega(kac, hat.onb)
-    res["e_hat_absorbing"] = la.frob_max(e_hat @ hat.onb - eps_y[:, None, None] * e_hat)
-    res["omega_hat_unit"] = float(abs(np.linalg.norm(omega_hat) - 1.0))
-    res["omega_from_omega_hat"] = float(
-        np.linalg.norm(np.sqrt(n) * (e_hat @ omega_hat) - kac.omega)
+    omega_hat = np.sqrt(n) * (e_op @ kac.omega)
+    return Integrals(
+        e_op=e_op, e_hat=e_hat, omega_hat=omega_hat, space_dim=ns.shape[1], hat=hat
     )
-    trace = np.trace(hat.onb, axis1=1, axis2=2) / n
-    res["dual_haar_is_normalized_trace"] = float(
-        np.abs(trace - (hat.onb @ omega_hat) @ np.conj(omega_hat)).max()
-    )
-    return Integrals(e_op=e_op, e_hat=e_hat, omega_hat=omega_hat, residuals=res)
 
 
 def _counit_on_omega(kac: KacAlgebra, ys: np.ndarray) -> tuple[np.ndarray, float]:
@@ -494,13 +477,12 @@ def hat_unitaries(
     """Build U (xΩ ↦ κ(x)Ω), V̂ = F(U⊗1)V(U⊗1)F and Ṽ = F(1⊗U)V(1⊗U)F.
 
     Certifies: U is a self-inverse unitary; V̂ and Ṽ are multiplicative
-    unitaries, by :func:`pentagon_residual` on V̂ = Σ L(bᵢ)⊗Uŷᵢ U and
-    Ṽ = Σ UL(bᵢ)U⊗ŷᵢ, which V = Σ ŷᵢ⊗L(bᵢ) gives (23–25 ms each on the n = 18
+    unitaries, by :func:`pentagon_residual` on V̂ = Σ Bₐ⊗U·onbₐ·U and
+    Ṽ = Σ U·Bₐ·U⊗onbₐ, which V = Σ onbₐ⊗Bₐ gives (23–25 ms each on the n = 18
     twist, 80–140 ms at n = 24); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (the Frobenius distance
     from each tensor product, :func:`~kacgalois.linalg.leg_distance`, with
-    the commutant bases of ``hat.commutant_cells``);
-    V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and Ad(Ṽ) restricted to first-leg dual elements is
-    the dual coproduct, Ṽ(y⊗1)Ṽ† = δ̂(y).
+    the commutant bases of ``hat.commutant_cells``); V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and
+    Ṽ(y⊗1)Ṽ† = δ̂(y) on Â's basis (:func:`v_tilde_coproduct_residual`).
 
     Under the flip F, V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω) reads FV̂†F(xΩ⊗ξ) = δ^op(x)(Ω⊗ξ),
     V's defining action for the opposite coproduct, so its residual is the
@@ -520,12 +502,13 @@ def hat_unitaries(
     res["u_involutive"] = frob(u @ u - eye)
     res["v_hat_unitary"] = frob(dagger(v_hat) @ v_hat - np.eye(n * n))
     res["v_tilde_unitary"] = frob(dagger(v_tilde) @ v_tilde - np.eye(n * n))
-    yhat, lmats = hat.dual_basis, kac.lmats
+    onb, second = hat.onb, hat.second_leg
     res["v_hat_pentagon"], res["v_hat_pentagon_parts"] = pentagon_residual(
-        v_hat, n, lmats, u @ yhat @ u, res["v_hat_unitary"]
+        v_hat, n, second, u @ onb @ u, res["v_hat_unitary"]
     )
+    turned = u @ second @ u
     res["v_tilde_pentagon"], res["v_tilde_pentagon_parts"] = pentagon_residual(
-        v_tilde, n, u @ lmats @ u, yhat, res["v_tilde_unitary"]
+        v_tilde, n, turned, onb, res["v_tilde_unitary"]
     )
 
     a_comm, hat_comm = hat.commutant_cells
@@ -537,14 +520,34 @@ def hat_unitaries(
     act = _times_first_leg(flipped, kac.coord) - _coproduct_action(kac, kac.delta.swapaxes(1, 2))
     res["v_hat_defining_action"] = float(np.linalg.norm(act, axis=0).max())
 
-    # Ṽ(y⊗1)Ṽ† = W†(1⊗y)W with W = FṼ†, since F(y⊗1)F = 1⊗y.
-    w = dagger(v_tilde).reshape(n, n, -1).swapaxes(0, 1).reshape(n * n, -1)
-    index = _sandwich_index(w, n)
-    cop = 0.0
-    for y in hat.onb:
-        cop = max(cop, frob(_sandwich(w, index, y) - delta_hat(v, y)))
-    res["v_tilde_implements_dual_coproduct"] = cop
+    res["v_tilde_implements_dual_coproduct"] = v_tilde_coproduct_residual(
+        v_tilde, turned, onb, hat.coproduct, res["v_tilde_unitary"], hat.coproduct_certificate
+    )
     return HatUnitaries(u=u, v_hat=v_hat, v_tilde=v_tilde, residuals=res)
+
+
+def v_tilde_coproduct_residual(
+    w: np.ndarray, turned: np.ndarray, onb: np.ndarray, delta: np.ndarray, unitary, coproduct
+) -> float:
+    """A bound on the largest ‖W(y⊗1)W† − V†(1⊗y)V‖_F over y = onb_c.
+
+    W = Ṽ ≈ W₀ = Σₑ Pₑ⊗onbₑ (Pₑ the stack ``turned``, ε = ‖W − W₀‖_F), Δ =
+    Σ delta[c,l,k]·onb_l⊗onb_k and onb_k·onbₐ = Σ μ[k,a,e]·onbₑ + E_ka
+    (:func:`_product_fit`).  W₀(y⊗1) − Δ·W₀ = Σₑ Zₑ⊗onbₑ − Σ delta[c,l,k]·onb_l·Pₐ⊗E_ka
+    with Zₑ = Pₑ·y − Σ delta[c,l,k]·μ[k,a,e]·onb_l·Pₐ, so, with W† and WW† − 1,
+    (1 + ``unitary``)·((Σₑ‖Zₑ‖²)^{1/2} + ‖delta[c]‖·‖P‖·‖E‖ + ε·(1 + ‖delta[c]‖))
+    + ‖delta[c]‖·``unitary`` + ``coproduct`` bounds it; one n⁶ matmul in all.
+    """
+    n = len(onb)
+    mu, close = _product_fit(onb)
+    t = (delta.reshape(n * n, n) @ mu.reshape(n, n * n)).reshape(n, n, n, n)  # [c, l, a, e]
+    pairs = (onb[:, None] @ turned[None]).reshape(n * n, -1)  # onb_l·Pₐ at (l, a)
+    z = (turned[None] @ onb[:, None]).reshape(n * n, -1)  # Pₑ·onb_c at (c, e)
+    z -= t.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ pairs
+    size = np.linalg.norm(delta.reshape(n, -1), axis=1)
+    bound = np.linalg.norm(z.reshape(n, -1), axis=1) + size * frob(turned) * close
+    bound += split_defect(w, turned, onb) * (1.0 + size)
+    return float(((1.0 + unitary) * bound + size * unitary).max()) + coproduct
 
 
 # ---------------------------------------------------------------------------
@@ -561,57 +564,42 @@ class PairingForm:
     every other value is read off P through basis coefficients.
     ``residuals`` certify nondegeneracy, the counit rows, and the two
     multiplicativity laws (products on one side pair with coproducts on the
-    other).
+    other), on first read.
     """
 
     matrix: np.ndarray
-    residuals: dict
+    ints: Integrals
+
+    @cached_property
+    def residuals(self) -> dict:
+        hat, p_mat, om_bar = self.ints.hat, self.matrix, np.conj(self.ints.omega_hat)
+        kac, ystack, sq = hat.kac, hat.onb, np.sqrt(hat.kac.dim)
+        w = om_bar @ ystack  # w[α] = y_αᵀ Ω̂̄
+        sv = np.linalg.svd(p_mat, compute_uv=False)
+        res = {"nondegenerate": float(max(0.0, DEFAULT_TOL - sv.min() / sv.max()))}
+
+        unit_row = sq * (w @ kac.omega) - _counit_on_omega(kac, ystack)[0]
+        res["unit_pairs_to_dual_counit"] = float(np.abs(unit_row).max())
+        eye_col = sq * (om_bar @ kac.coord)
+        res["dual_unit_pairs_to_counit"] = float(np.abs(eye_col - kac.counit).max())
+
+        # Law 1: ⟨x·x', y⟩ = ⟨x⊗x', δ̂(y)⟩, both sides at [c, i, j].
+        lhs1 = sq * (w @ kac.lmats @ kac.coord).swapaxes(0, 1)  # (bᵢbⱼ)Ω paired with y_c
+        rhs1 = p_mat @ hat.coproduct @ p_mat.T
+        res["pairing_product_vs_dual_coproduct"] = float(np.abs(lhs1 - rhs1).max())
+
+        # Law 2: ⟨x, y·y'⟩ = ⟨δ(x), y⊗y'⟩, both sides at [k, a, b].
+        lhs2 = sq * (w @ ystack @ kac.coord).transpose(2, 1, 0)  # (y_a y_b)ᵀ Ω̂̄ paired with b_k
+        rhs2 = p_mat.T @ kac.delta @ p_mat
+        res["pairing_coproduct_vs_dual_product"] = float(np.abs(lhs2 - rhs2).max())
+        return res
 
 
-def pairing(
-    kac: KacAlgebra,
-    hat: HatAlgebra,
-    ints: Integrals,
-    delta: np.ndarray,
-    counit: np.ndarray,
-    delta_membership: float,
-) -> PairingForm:
-    """Build the duality pairing and verify its structural laws.
-
-    ``delta`` and ``counit`` are Â's coproduct coefficients and counit over
-    ``hat.onb``, and ``delta_membership`` the residual of δ̂(Â) ⊆ Â⊗Â, as
-    :func:`dual_kac` extracts them.
-    """
-    n = kac.dim
-    sq = np.sqrt(n)
-    ystack = hat.onb
-    om_bar = np.conj(ints.omega_hat)
-
-    # ⟨x, y⟩ = √n Σ_p (xΩ)_p (yᵀ Ω̂̄)_p  — bilinear in (x, y) by construction.
-    w = om_bar @ ystack  # w[α] = y_αᵀ Ω̂̄
-    p_mat = sq * (w @ kac.coord).T
-
-    res = {}
-    sv = np.linalg.svd(p_mat, compute_uv=False)
-    res["nondegenerate"] = float(max(0.0, DEFAULT_TOL - sv.min() / sv.max()))
-
-    unit_row = sq * (w @ kac.omega)
-    res["unit_pairs_to_dual_counit"] = float(np.abs(unit_row - counit).max())
-    eye_col = sq * (om_bar @ kac.coord)
-    res["dual_unit_pairs_to_counit"] = float(np.abs(eye_col - kac.counit).max())
-    res["dual_coproduct_membership"] = delta_membership
-
-    # Law 1: ⟨x·x', y⟩ = ⟨x⊗x', δ̂(y)⟩, both sides at [c, i, j].
-    lhs1 = sq * (w @ kac.lmats @ kac.coord).swapaxes(0, 1)  # (bᵢbⱼ)Ω paired with y_c
-    rhs1 = p_mat @ delta @ p_mat.T
-    res["pairing_product_vs_dual_coproduct"] = float(np.abs(lhs1 - rhs1).max())
-
-    # Law 2: ⟨x, y·y'⟩ = ⟨δ(x), y⊗y'⟩, both sides at [k, a, b].
-    lhs2 = sq * (w @ ystack @ kac.coord).transpose(2, 1, 0)  # (y_a y_b)ᵀ Ω̂̄ paired with b_k
-    rhs2 = p_mat.T @ kac.delta @ p_mat
-    res["pairing_coproduct_vs_dual_product"] = float(np.abs(lhs2 - rhs2).max())
-
-    return PairingForm(matrix=p_mat, residuals=res)
+def pairing(kac: KacAlgebra, hat: HatAlgebra, ints: Integrals) -> PairingForm:
+    """The pairing's matrix, ⟨x, y⟩ = √n Σ_p (xΩ)_p (yᵀ Ω̂̄)_p, bilinear by construction;
+    its structural laws are verified on first read."""
+    w = np.conj(ints.omega_hat) @ hat.onb  # w[α] = y_αᵀ Ω̂̄
+    return PairingForm(matrix=np.sqrt(kac.dim) * (w @ kac.coord).T, ints=ints)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +621,17 @@ class DualKac:
     v: MultiplicativeUnitary
     ints: Integrals
     pairing_form: PairingForm
-    residuals: dict
+
+    @cached_property
+    def residuals(self) -> dict:
+        """The reconstruction's certificates; ``coproduct_membership`` is Â's certificate."""
+        hat, ystack = self.hat, self.hat.onb
+        prods = ystack[:, None] @ ystack[None]
+        res = {"product_membership": float(np.abs(hat.mm.element(self.kac.mult) - prods).max())}
+        res["coproduct_membership"] = hat.coproduct_certificate
+        res["counit_action"] = _counit_on_omega(hat.kac, ystack)[1]
+        res["antipode_membership"] = hat.mm.residual(kappa_hat(hat.kac, ystack))
+        return res
 
     @cached_property
     def axiom_report(self) -> dict:
@@ -645,55 +643,31 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     """Extract the dual Kac algebra from the slice algebra of V.
 
     Structure tensors over the deterministic orthonormal basis of Â:
-    products and stars by orthonormal expansion, the coproduct from
-    V†(1⊗y)V (:func:`delta_hat`), the counit from the action on Ω, the
-    antipode from J(·)*J, and the Haar vector from the normalized trace;
-    each of the last three is one stacked contraction over the whole basis.
-    With Y the basis as n×n² rows, the coproduct of y_c has the coefficients
-    conj(Y)·D·conj(Y)ᵀ, D being δ̂(y_c) regrouped as D[(p,r),(q,s)], one basis
-    element at a time (a stack of all n would hold n×n⁴ temporaries, which
-    measured slower at n = 12); ``coproduct_membership`` is the largest entry
-    of D − Yᵀ·coeff·Y over all c.  The resulting tensors are materialized
-    through their own GNS construction; the full axiom validator runs on the
-    result when ``axiom_report`` is first read.
+    products and stars by orthonormal expansion, the coproduct read off A's
+    product (``hat.coproduct``, no sandwich), the counit from the action on
+    Ω, the antipode from J(·)*J, and the Haar vector from the normalized
+    trace, each one stacked contraction over the whole basis.  The tensors
+    are materialized through their own GNS construction.  No certificate
+    runs here: the dual's, the integrals' and the pairing's ``residuals`` and
+    the ``axiom_report`` run on their first read.
     """
     n = kac.dim
     v = multiplicative_unitary(kac)
     hat = hat_algebra(kac, v)
     ints = integrals(kac, hat)
     ystack = hat.onb
-
-    prods = ystack[:, None] @ ystack[None]  # prods[a, b] = y_a y_b
-    # mult[a, b, c] = coeff of y_c in y_a y_b = ⟨y_c, y_a y_b⟩
-    mult = hat.mm.coeffs(prods)
-    res = {"product_membership": float(np.abs(hat.mm.element(mult) - prods).max())}
-
-    # With δ̂(y_c) regrouped as D[(p,r),(q,s)], its coefficients over y_a⊗y_b
-    # are conj(Y)·D·conj(Y)ᵀ and its expansion back is Yᵀ·coeff·Y.
-    rows, flat = np.conj(ystack).reshape(n, n * n), ystack.reshape(n, n * n)
-    delta = np.empty((n, n, n), dtype=complex)
-    memb = 0.0
-    for c in range(n):
-        dh = delta_hat(v, ystack[c]).reshape((n,) * 4).swapaxes(1, 2).reshape(n * n, n * n)
-        delta[c] = rows @ dh @ rows.T
-        memb = max(memb, float(np.abs(flat.T @ (delta[c] @ flat) - dh).max()))
-    res["coproduct_membership"] = memb
-
-    counit, res["counit_action"] = _counit_on_omega(kac, ystack)
-    pf = pairing(kac, hat, ints, delta, counit, res["coproduct_membership"])
-
-    # antipode[i, c] = ⟨y_c, κ̂(y_i)⟩ and star[a, b] = ⟨y_b, y_a†⟩
-    ky = kappa_hat(kac, ystack)
-    antipode = hat.mm.coeffs(ky)
-    res["antipode_membership"] = hat.mm.residual(ky)
+    # mult[a, b, c] = ⟨y_c, y_a y_b⟩, antipode[i, c] = ⟨y_c, κ̂(y_i)⟩ and star[a, b] = ⟨y_b, y_a†⟩
+    mult = hat.mm.coeffs(ystack[:, None] @ ystack[None])
+    counit = _counit_on_omega(kac, ystack)[0]
+    antipode = hat.mm.coeffs(kappa_hat(kac, ystack))
     star = hat.mm.coeffs(dagger(ystack))
     haar = np.trace(ystack, axis1=1, axis2=2) / n
 
     labels = [f"dual_{i}" for i in range(n)]
     dual = kac_from_structure(
-        labels, mult, delta, counit, antipode, star, haar, origin="dual"
+        labels, mult, hat.coproduct, counit, antipode, star, haar, origin="dual"
     )
-    return DualKac(kac=dual, hat=hat, v=v, ints=ints, pairing_form=pf, residuals=res)
+    return DualKac(kac=dual, hat=hat, v=v, ints=ints, pairing_form=pairing(kac, hat, ints))
 
 
 def bidual_check(dd: DualKac) -> dict:
@@ -701,18 +675,13 @@ def bidual_check(dd: DualKac) -> dict:
 
     The identification is transported through the two pairings: T is the
     matrix solving P₂·T = P₁ᵀ, and all structure tensors are compared after
-    transport.  Returns per-structure residuals and their maximum.  Building
-    the bidual with :func:`dual_kac` computes its integral, reconstruction
-    and pairing residuals (the last with an n×n SVD), which go unread here;
-    its V's and Â's residuals and its axiom report run only on first read,
-    so they are never computed.
+    transport.  Returns per-structure residuals and their maximum.  No
+    certificate of the bidual runs: only its tensors and pairing matrix are read.
     """
     kac = dd.v.kac
     n = kac.dim
     d2 = dual_kac(dd.kac)
-    p1 = dd.pairing_form.matrix
-    p2 = d2.pairing_form.matrix
-    t = np.linalg.solve(p2, p1.T)
+    t = np.linalg.solve(d2.pairing_form.matrix, dd.pairing_form.matrix.T)  # P₂·T = P₁ᵀ
 
     m1, m2 = kac.mult, d2.kac.mult
     dd1, dd2 = kac.delta, d2.kac.delta
@@ -738,9 +707,12 @@ def group_dual_check(dd: DualKac) -> dict:
 
     The identification sends the point indicator of g to the element of Â
     that pairs to δ_{g,·} against the group basis (the pairing-dual basis),
-    and every C(G) structure relation is then checked concretely.
+    and every C(G) structure relation is then checked concretely.  The
+    coproduct is compared in coefficients over Â's orthonormal basis, plus Â's
+    ``coproduct_certificate`` times the largest coefficient norm, which bounds
+    the Frobenius defect of the sandwich V†(1⊗y)V.
     """
-    kac, v, hat = dd.v.kac, dd.v, dd.hat
+    kac, hat = dd.v.kac, dd.hat
     if kac.origin != "group_algebra" or kac.group is None:
         raise ValueError("group_dual_check requires a group_algebra-origin Kac algebra")
     g = kac.group
@@ -750,7 +722,8 @@ def group_dual_check(dd: DualKac) -> dict:
     prods = hat.onb[:, None] @ hat.onb[None]
     res["dual_commutative"] = la.frob_max(prods - prods.swapaxes(0, 1))
 
-    wg = hat.mm.element(np.linalg.inv(dd.pairing_form.matrix).T)
+    coeffs = np.linalg.inv(dd.pairing_form.matrix).T
+    wg = hat.mm.element(coeffs)
 
     eye = np.eye(n)
     # wg[x]·wg[y] − δ_xy·wg[x], for every pair (x, y) at once.
@@ -759,25 +732,16 @@ def group_dual_check(dd: DualKac) -> dict:
     res["point_indicators_sum_to_one"] = frob(wg.sum(0) - eye)
     res["point_indicators_self_adjoint"] = la.frob_max(dagger(wg) - wg)
 
-    # target[x] = Σ_{st=x} wg[s]⊗wg[t]: z[x, s] = Σ_{t: st=x} wg[t], then the
-    # Kronecker product with wg[s] summed over s as one matmul.
+    # δ̂(wg[x]) has the coefficients c[x]·Δ̂ and Σ_{st=x} wg[s]⊗wg[t] has Σ hit[x,s,t]·c[s]⊗c[t].
     hit = (g.table[None] == np.arange(n)[:, None, None]).astype(float)  # hit[x, s, t]
-    z = np.tensordot(hit, wg, axes=(2, 0))  # z[x, s, b, d]
-    target = (z.transpose(0, 2, 3, 1) @ wg.reshape(n, n * n)).reshape((n,) * 5)
-    target = target.transpose(0, 3, 1, 4, 2).reshape(n, n * n, n * n)  # [x, (a,b), (c,d)]
-    res["coproduct_is_group_convolution"] = la.frob_max(delta_hat(v, wg) - target)
+    conv = np.tensordot(coeffs, hat.coproduct, axes=(1, 0)) - coeffs.T @ hit @ coeffs
+    reach = float(np.linalg.norm(coeffs, axis=1).max())
+    res["coproduct_is_group_convolution"] = la.frob_max(conv) + hat.coproduct_certificate * reach
 
-    inv = g.inverse
-    res["antipode_is_inversion"] = max(
-        frob(kappa_hat(kac, wg[x]) - wg[inv[x]]) for x in range(n)
-    )
-    res["haar_is_uniform"] = max(
-        float(abs(np.trace(wg[x]) / n - 1.0 / n)) for x in range(n)
-    )
-    res["counit_is_evaluation_at_identity"] = max(
-        float(abs(np.vdot(kac.omega, wg[x] @ kac.omega) - (1.0 if x == 0 else 0.0)))
-        for x in range(n)
-    )
+    res["antipode_is_inversion"] = la.frob_max(kappa_hat(kac, wg) - wg[g.inverse])
+    res["haar_is_uniform"] = float(np.abs(np.trace(wg, axis1=1, axis2=2) / n - 1.0 / n).max())
+    counit = (wg @ kac.omega) @ np.conj(kac.omega)
+    res["counit_is_evaluation_at_identity"] = float(np.abs(counit - eye[0]).max())
     res["max_residual"] = max(res.values())
     return res
 

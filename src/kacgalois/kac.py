@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob_max
+from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob_max, pair_sum
 
 
 class AxiomError(ValueError):
@@ -227,12 +227,7 @@ class KacAlgebra:
 
     def delta_op(self, x: np.ndarray) -> np.ndarray:
         """Coproduct Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ) of an operator (or of each of a stack), n²×n²."""
-        n, lead = self.dim, np.shape(x)[:-2]
-        w = np.tensordot(self.coeffs_of(x), self.delta, axes=(-1, 0))
-        flat = self.lmats.reshape(n, n * n)
-        # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ L(bⱼ)[b, e], then contract i against L(bᵢ)[a, c].
-        out = flat.T @ (w @ flat)
-        return out.reshape(*lead, n, n, n, n).swapaxes(-3, -2).reshape(*lead, n * n, n * n)
+        return pair_sum(np.tensordot(self.coeffs_of(x), self.delta, axes=(-1, 0)), self.lmats)
 
     def counit_of(self, x: np.ndarray) -> complex:
         return complex(self.counit @ self.coeffs_of(x))

@@ -143,6 +143,15 @@ def spans_match(onb1, onb2) -> bool:
     return upper < SPAN_TOL
 
 
+def pair_sum(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Σᵢⱼ wᵢⱼ·opsᵢ⊗opsⱼ as a d²×d² matrix (of each w of a stack), with no Kronecker product."""
+    d, lead = ops.shape[-1], w.shape[:-2]
+    flat = ops.reshape(len(ops), d * d)
+    # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ opsⱼ[b, e], then contract i against opsᵢ[a, c].
+    out = flat.T @ (w @ flat)
+    return out.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+
+
 def leg_slices(w: np.ndarray, home, side: str) -> tuple[np.ndarray, np.ndarray]:
     """Leg slices of an n²×n² operator w (of each of a stack) against a basis a_i.
 

@@ -77,6 +77,12 @@ def basis_change(n, seed, cond):
     return rotation(n, seed) @ np.diag(s) @ rotation(n, seed + 1)
 
 
+def kronecker_sandwich(w, y):
+    """Reference W†(1⊗y)W with an explicit Kronecker operator (of each y of a stack)."""
+    n = np.shape(y)[-1]
+    return np.conj(w).T @ (np.kron(np.eye(n), y) @ w)
+
+
 def project_span(x, onb) -> np.ndarray:
     """Reference orthogonal projection of ``x`` onto an orthonormal matrix span,
     a stack or a list, by one product with the span's vectorized rows and back."""

@@ -22,6 +22,7 @@ from conftest import (
     LADDER_NAMES,
     STACK_NAMES,
     basis_change,
+    kronecker_sandwich,
     rebased,
     rotation,
     span_residual,
@@ -488,98 +489,182 @@ def test_the_biduals_dense_v_lies_in_hat_tensor_a(rotated_kp8, dual_of):
     assert leg_commutator_max(v.matrix, hat_comm, a_comm) <= 1e-12 * la.frob(v.matrix)
 
 
-def kronecker_sandwich(w, y):
-    """Reference W†(1⊗y)W with an explicit Kronecker operator."""
-    return la.dagger(w) @ np.kron(np.eye(len(y)), y) @ w
-
-
-def sandwich_paths(w, n, monkeypatch):
-    """:func:`du._sandwich`'s sparse index of ``w``, whatever its cost, and the dense path."""
-    with monkeypatch.context() as patch:
-        patch.setattr(du, "_DELTA_TERM_COST", 0)
-        return du._sandwich_index(w, n), None
-
-
 def random_square(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-@pytest.mark.parametrize("name", PENTAGON_NAMES)
-def test_sparse_dual_coproduct_is_the_kronecker_one(three_unitaries, monkeypatch, name):
-    n, unitaries = three_unitaries[name]
-    y = random_square(n, seed=n)
-    for v, *_ in unitaries:
-        for w in (v, perturbed_nonzeros(v, seed=n, size=1e-3)):
-            want = kronecker_sandwich(w, y)
-            for index in sandwich_paths(w, n, monkeypatch):
-                got = du._sandwich(w, index, y)
-                assert np.abs(got - want).max() <= 1e-13 * la.frob(y)
+@pytest.fixture(scope="module")
+def cond10_kp8(kp8):
+    """kp8 in a non-unitary change of basis of condition 10: L·L† and G_ŷ are
+    not scaled identities, so the Löwdin step mixes the ŷᵢ."""
+    return rebased(kp8, basis_change(kp8.dim, seed=4, cond=10.0))
 
 
-@pytest.fixture
-def delta_paths(monkeypatch):
-    """The dual-coproduct paths that run, in call order."""
-    ran = []
-
-    def spy(w, index, y, fn=du._sandwich):
-        ran.append("dense" if index is None else "sparse")
-        return fn(w, index, y)
-
-    monkeypatch.setattr(du, "_sandwich", spy)
-    return ran
+@pytest.fixture(scope="module")
+def coproduct_algebras(algebras, kp8, rotated_kp8, cond10_kp8, ladder_algebras):
+    """The 12 group fixtures, kp8, the three dual_ladder products, rotated kp8
+    and cond-10 kp8, looked up by name."""
+    named = dict(algebras, kp8=kp8, rotated_kp8=rotated_kp8, cond10_kp8=cond10_kp8)
+    return dict(named, **ladder_algebras)
 
 
-@pytest.mark.parametrize("name", PENTAGON_NAMES)
-def test_dual_coproduct_path_follows_the_term_count(
-    algebras, kp8, ladder_algebras, delta_paths, name
+COPRODUCT_NAMES = PENTAGON_NAMES + ("rotated_kp8", "cond10_kp8")
+
+
+@pytest.mark.parametrize("name", COPRODUCT_NAMES)
+def test_dual_coproduct_coefficients_match_the_einsum_oracle(
+    coproduct_algebras, dual_of, name
 ):
-    kac = dict(algebras, kp8=kp8, **ladder_algebras)[name]
+    """Â's coproduct tensor, read off A's product, holds the coefficients of the
+    sandwich V†(1⊗y)V, and ``delta_hat`` its operator, on every basis element."""
+    dd = dual_of(coproduct_algebras[name])
+    n, ys = dd.kac.dim, dd.hat.onb
+    assert dd.kac.delta is dd.hat.coproduct
+    for c in range(n):
+        dh = kronecker_sandwich(dd.v.matrix, ys[c])
+        want = np.einsum(
+            "apr,bqs,pqrs->ab", np.conj(ys), np.conj(ys), dh.reshape(n, n, n, n), optimize=True
+        )
+        assert np.abs(dd.kac.delta[c] - want).max() <= 1e-13
+        assert np.abs(du.delta_hat(dd.v, ys[c]) - dh).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name", PENTAGON_NAMES)
+def test_sparse_dual_coproduct_is_the_kronecker_one(coproduct_algebras, name):
+    """Whatever V's zero pattern, ``delta_hat`` of a random element of Â, and of
+    a stack of them, is the Kronecker sandwich V†(1⊗y)V."""
+    kac = coproduct_algebras[name]
     n = kac.dim
     v = du.multiplicative_unitary(kac)
-    y = random_square(n, seed=1)
-    got = du.delta_hat(v, y)
-    # Σ_p N_p² pairs, N_p the nonzeros in V's rows (p, ·); with one nonzero
-    # per column N_p = n, so n³ of them.
-    blocks = np.bincount(np.flatnonzero(v.matrix) // n**3, minlength=n)
-    terms = blocks @ blocks
-    assert terms == (4352 if name == "kp8" else n**3)
-    sparse = bool(du._DELTA_TERM_COST * terms < n**6)
-    assert sparse is (n >= 4)
-    assert delta_paths == ["sparse" if sparse else "dense"]
-    if sparse:
-        assert len(v._delta_hat_index[1]) == terms
-    assert np.abs(got - kronecker_sandwich(v.matrix, y)).max() <= 1e-13 * la.frob(y)
+    onb = du.hat_algebra(kac, v).onb
+    coeffs = random_square(n, seed=n)[:3]
+    ys = np.tensordot(coeffs, onb, axes=(1, 0))
+    got = du.delta_hat(v, ys)
+    for y, g in zip(ys, got):
+        assert np.abs(g - kronecker_sandwich(v.matrix, y)).max() <= 1e-13 * la.frob(y)
+    assert np.abs(du.delta_hat(v, ys[0]) - got[0]).max() <= 1e-13 * la.frob(ys[0])
 
 
-def test_the_biduals_dual_coproduct_takes_the_dense_path(
-    rotated_kp8, dual_of, delta_paths, monkeypatch
-):
-    n = rotated_kp8.dim
-    v = du.multiplicative_unitary(dual_of(rotated_kp8).kac)
-    delta_paths.clear()
-    blocks = np.bincount(np.flatnonzero(v.matrix) // n**3, minlength=n)
-    assert np.count_nonzero(v.matrix) > n**4 // 2
-    assert du._DELTA_TERM_COST * (blocks @ blocks) >= n**6
-    y = random_square(n, seed=2)
-    want = kronecker_sandwich(v.matrix, y)
-    assert np.abs(du.delta_hat(v, y) - want).max() <= 1e-13 * la.frob(y)
-    assert delta_paths == ["dense"] and v._delta_hat_index is None
-    index, _ = sandwich_paths(v.matrix, n, monkeypatch)
-    assert len(index[1]) == blocks @ blocks
-    assert np.abs(du._sandwich(v.matrix, index, y) - want).max() <= 1e-13 * la.frob(y)
+def flip_tilde(v, u):
+    """Ṽ = F(1⊗U)V(1⊗U)F with explicit Kronecker and flip operators."""
+    n = len(u)
+    flip = np.eye(n * n)[(np.arange(n * n) % n) * n + np.arange(n * n) // n]
+    one_u = np.kron(np.eye(n), u)
+    return flip @ one_u @ v @ one_u @ flip
 
 
-@pytest.mark.parametrize("name", PENTAGON_NAMES)
-def test_dual_coproduct_coefficients_match_the_einsum_oracle(
-    algebras, kp8, ladder_algebras, dual_of, name
-):
-    dd = dual_of(dict(algebras, kp8=kp8, **ladder_algebras)[name])
-    n, ys = dd.kac.dim, dd.hat.onb
-    for c in range(n):
-        dh = kronecker_sandwich(dd.v.matrix, ys[c]).reshape(n, n, n, n)
-        want = np.einsum("apr,bqs,pqrs->ab", np.conj(ys), np.conj(ys), dh, optimize=True)
-        assert np.abs(dd.kac.delta[c] - want).max() <= 1e-13
+def tensor_coproduct(delta, onb):
+    """Σ delta[e,a,b]·onbₐ⊗onb_b for every e, by an einsum."""
+    n = len(onb)
+    return np.einsum("eab,apr,bqs->epqrs", delta, onb, onb).reshape(n, n * n, n * n)
+
+
+def coproduct_oracle(w, onb, delta):
+    """(Σₑ‖W†(1⊗onbₑ)W − Σ delta[e,a,b]·onbₐ⊗onb_b‖²_F)^{1/2} by Kronecker operators."""
+    return la.frob(kronecker_sandwich(w, onb) - tensor_coproduct(delta, onb))
+
+
+def v_tilde_oracle(w, v, onb):
+    """The largest ‖W(y⊗1)W† − V†(1⊗y)V‖_F over y in ``onb``, by Kronecker operators."""
+    n = len(onb)
+    lhs = w @ np.kron(onb, np.eye(n)) @ la.dagger(w)
+    return la.frob_max(lhs - kronecker_sandwich(v, onb))
+
+
+def coproduct_bounds(kac, w, second):
+    """:func:`du.coproduct_residual` and :func:`du.v_tilde_coproduct_residual` of
+    W = Σ onbₐ⊗``second``ₐ, each with its oracle: the unitarity and pentagon
+    residuals are W's own, Â's basis, product and coproduct tensors ``kac``'s."""
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    u = du.hat_unitaries(kac, v, hat).u
+    onb, delta = hat.onb, hat.coproduct
+    unitary = la.frob(la.dagger(w) @ w - np.eye(n * n))
+    pentagon = du.pentagon_residual(w, n, onb, second, unitary)[0]
+    cop = du.coproduct_residual(w, onb, second, delta, unitary, pentagon)
+    tilde = flip_tilde(w, u)
+    tilde_unitary = la.frob(la.dagger(tilde) @ tilde - np.eye(n * n))
+    bound = du.v_tilde_coproduct_residual(tilde, u @ second @ u, onb, delta, tilde_unitary, cop)
+    return (cop, coproduct_oracle(w, onb, delta)), (bound, v_tilde_oracle(tilde, w, onb))
+
+
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_group", "rotated_kp8", "cond10_kp8"])
+def test_coproduct_bounds_are_sound_on_entry_and_slice_mutants(coproduct_algebras, name):
+    """One entry of V moved by 1e-6, or the slice B₁ moved by 1e-5·B₀: the
+    coproduct certificate and the Ṽ bound each lie above the dense Kronecker
+    oracle of the mutant, and within 25 times it (the certificate reads
+    3.5–6.7 times, the Ṽ bound, which adds the certificate, 10–21 times)."""
+    kac = coproduct_algebras[name]
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    onb, second = hat.onb, hat.second_leg
+    entry = v.matrix.copy()
+    entry[3, 5] += 1e-6
+    moved = second.copy()
+    moved[1] += 1e-5 * second[0]
+    mutants = ((entry, second), (v.matrix + 1e-5 * np.kron(onb[1], second[0]), moved))
+    for w, legs in mutants:
+        for value, oracle in coproduct_bounds(kac, w, legs):
+            assert oracle > 1e-8
+            assert oracle * (1 - 1e-12) <= value <= 25 * oracle
+
+
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_group", "rotated_kp8", "cond10_kp8"])
+def test_coproduct_bounds_trip_on_a_wrong_tensor(coproduct_algebras, name):
+    """Â's coproduct tensor moved by 1e-6 with V as built: the certificate, where
+    only ‖E‖ sees the move, and the Ṽ bound without the certificate added, where
+    only the factored part sees it, each lie above their Kronecker oracles."""
+    kac = coproduct_algebras[name]
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    hu = du.hat_unitaries(kac, v, hat)
+    onb, res = hat.onb, v.residuals
+    wrong = hat.coproduct + 1e-6 * random_square(n * n, seed=n)[:n].reshape(n, n, n)
+    value = du.coproduct_residual(
+        v.matrix, onb, hat.second_leg, wrong, res["unitary"], res["pentagon"]
+    )
+    oracle = coproduct_oracle(v.matrix, onb, wrong)
+    assert oracle > 1e-7
+    assert oracle * (1 - 1e-12) <= value <= 25 * oracle
+    turned = hu.u @ hat.second_leg @ hu.u
+    own = du.v_tilde_coproduct_residual(
+        hu.v_tilde, turned, onb, wrong, hu.residuals["v_tilde_unitary"], 0.0
+    )
+    lhs = hu.v_tilde @ np.kron(onb, np.eye(n)) @ la.dagger(hu.v_tilde)
+    oracle = la.frob_max(lhs - tensor_coproduct(wrong, onb))
+    assert oracle > 1e-7
+    assert oracle * (1 - 1e-12) <= own <= 25 * oracle
+
+
+@pytest.mark.parametrize("name", COPRODUCT_NAMES[:-2])
+def test_coproduct_bounds_hold_on_every_fixture(coproduct_algebras, dual_of, name):
+    kac = coproduct_algebras[name]
+    dd = dual_of(kac)
+    hu = du.hat_unitaries(kac, dd.v, dd.hat)
+    assert dd.residuals["coproduct_membership"] <= 1e-11
+    assert hu.residuals["v_tilde_implements_dual_coproduct"] <= 1e-11
+
+
+def test_the_dual_forms_no_sandwich(monkeypatch):
+    """Once V's certificates are read, building the dual and reading all of its
+    certificates takes no adjoint of an n²×n² matrix and no δ̂ operator."""
+    kac = fresh_kp8()
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    assert v.residuals["pentagon"] < 1e-10
+    shapes = []
+    real = du.dagger
+    monkeypatch.setattr(du, "dagger", lambda a: shapes.append(np.shape(a)) or real(a))
+    monkeypatch.setattr(du, "delta_hat", lambda *args: pytest.fail("δ̂ formed"))
+    monkeypatch.setattr(la, "pair_sum", lambda *args: pytest.fail("δ̂ formed"))
+    dd = du.dual_kac(kac)
+    assert max(dd.residuals.values()) < 1e-10
+    assert max(dd.ints.residuals.values()) < 1e-10
+    assert max(dd.pairing_form.residuals.values()) < 1e-10
+    assert shapes and (n * n, n * n) not in shapes
 
 
 @pytest.fixture
@@ -668,16 +753,26 @@ def test_bidual_check_computes_no_certificate_of_the_bidual(monkeypatch):
     assert dd.v.residuals["pentagon"] < 1e-10
     assert dd.v.residuals["unitary"] < 1e-10
     assert max(dd.hat.residuals.values()) < 1e-10
+    assert max(dd.residuals.values()) < 1e-10
     assert dd.axiom_report["passed"]
-    calls = []
-    for name in ("pentagon_residual", "leg_distance", "validate_kac"):
+    calls, built = [], []
+    names = ("pentagon_residual", "coproduct_residual", "leg_distance", "validate_kac")
+    for name in names:
         def spy(*args, _real=getattr(du, name), _name=name):
             calls.append(_name)
             return _real(*args)
 
         monkeypatch.setattr(du, name, spy)
+    real = du.dual_kac
+    monkeypatch.setattr(du, "dual_kac", lambda kac: built.append(real(kac)) or built[-1])
     assert du.bidual_check(dd)["max_residual"] < 1e-9
     assert calls == []
+    (d2,) = built
+    for obj, name in (
+        (d2, "residuals"), (d2.ints, "residuals"), (d2.pairing_form, "residuals"),
+        (d2.hat, "coproduct_certificate"), (d2.hat, "residuals"), (d2.v, "residuals"),
+    ):
+        assert name not in vars(obj)
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
@@ -902,11 +997,14 @@ def test_the_integrals_are_built_once_per_hat(monkeypatch):
 
 
 def group_dual_loops(dd):
-    """The per-pair loop form of three ``group_dual_check`` residuals."""
+    """The per-element loop form of six ``group_dual_check`` residuals, δ̂ as the
+    Kronecker sandwich plus Â's coproduct certificate times the largest
+    coefficient norm."""
     kac, hat = dd.v.kac, dd.hat
     n, g = kac.dim, kac.group
     comm = max(la.frob(a @ b - b @ a) for a in hat.onb for b in hat.onb)
-    wg = np.tensordot(np.linalg.inv(dd.pairing_form.matrix), hat.onb, axes=(0, 0))
+    inv_p = np.linalg.inv(dd.pairing_form.matrix)
+    wg = np.tensordot(inv_p, hat.onb, axes=(0, 0))
     idem = max(
         la.frob(wg[x] @ wg[y] - (wg[x] if x == y else 0)) for x in range(n) for y in range(n)
     )
@@ -917,11 +1015,19 @@ def group_dual_loops(dd):
             for t in range(n):
                 if g.table[s, t] == x:
                     target += np.kron(wg[s], wg[t])
-        cop = max(cop, la.frob(du.delta_hat(dd.v, wg[x]) - target))
+        cop = max(cop, la.frob(kronecker_sandwich(dd.v.matrix, wg[x]) - target))
+    cop += dd.hat.coproduct_certificate * float(np.linalg.norm(inv_p, axis=0).max())
     return {
         "dual_commutative": comm,
         "point_indicators_orthogonal_idempotent": idem,
         "coproduct_is_group_convolution": cop,
+        "antipode_is_inversion": max(
+            la.frob(du.kappa_hat(kac, wg[x]) - wg[g.inverse[x]]) for x in range(n)
+        ),
+        "haar_is_uniform": max(float(abs(np.trace(wg[x]) / n - 1.0 / n)) for x in range(n)),
+        "counit_is_evaluation_at_identity": max(
+            float(abs(np.vdot(kac.omega, wg[x] @ kac.omega) - (x == 0))) for x in range(n)
+        ),
     }
 
 
