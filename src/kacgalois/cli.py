@@ -62,8 +62,6 @@ INPUT_ERRORS = (
     InclusionError,
     SubalgebraError,
     ValueError,
-    KeyError,
-    TypeError,
     RuntimeError,
     json.JSONDecodeError,
     OSError,
@@ -177,37 +175,44 @@ def _max_float(d: dict) -> float:
 def parse_complex_matrix(doc, name: str) -> np.ndarray:
     arr = np.asarray(doc, dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(
+        raise InclusionError(
             f"field '{name}' must be a square matrix of [re, im] pairs, "
             f"got shape {arr.shape}"
         )
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def parse_inclusion(doc: dict) -> jn.Inclusion:
-    """Build and validate an inclusion from its JSON document."""
-    try:
-        d = int(doc["ambient_dim"])
-        m_doc, n_doc = doc["M_basis"], doc["N_basis"]
-        e_doc, omega_doc = doc["E_matrix"], doc["omega_density"]
-    except KeyError as exc:
-        raise InclusionError(f"missing required field {exc}") from exc
-    m_mats = [parse_complex_matrix(m, "M_basis") for m in m_doc]
-    n_mats = [parse_complex_matrix(m, "N_basis") for m in n_doc]
-    for mats, nm in ((m_mats, "M_basis"), (n_mats, "N_basis")):
-        for m in mats:
-            if m.shape != (d, d):
-                raise ValueError(f"'{nm}' entries must be {d}x{d}")
-    e_arr = np.asarray(e_doc, dtype=float)
+def _matrix_list(doc, name: str, d: int) -> list[np.ndarray]:
+    mats = [parse_complex_matrix(m, name) for m in doc]
+    if any(m.shape != (d, d) for m in mats):
+        raise InclusionError(f"'{name}' entries must be {d}x{d}")
+    return mats
+
+
+def _e_matrix(doc, d: int) -> np.ndarray:
+    e_arr = np.asarray(doc, dtype=float)
     if e_arr.shape == (d * d, d * d):
-        e_mat = e_arr.astype(complex)
-    elif e_arr.shape == (d * d, d * d, 2):
-        e_mat = e_arr[..., 0] + 1j * e_arr[..., 1]
-    else:
-        raise ValueError(
-            f"'E_matrix' must be {d * d}x{d * d} (real or [re, im]), got {e_arr.shape}"
-        )
-    omega = parse_complex_matrix(omega_doc, "omega_density")
+        return e_arr.astype(complex)
+    if e_arr.shape == (d * d, d * d, 2):
+        return e_arr[..., 0] + 1j * e_arr[..., 1]
+    raise InclusionError(
+        f"'E_matrix' must be {d * d}x{d * d} (real or [re, im]), got {e_arr.shape}"
+    )
+
+
+def parse_inclusion(doc: dict) -> jn.Inclusion:
+    """Build and validate an inclusion from its JSON document; a field that is
+    missing or cannot be read raises :class:`InclusionError` naming it
+    (:func:`~kacgalois.kac.read_field`)."""
+
+    def field(name: str, parse):
+        return kc.read_field(doc, name, parse, InclusionError)
+
+    d = field("ambient_dim", int)
+    m_mats = field("M_basis", lambda x: _matrix_list(x, "M_basis", d))
+    n_mats = field("N_basis", lambda x: _matrix_list(x, "N_basis", d))
+    e_mat = field("E_matrix", lambda x: _e_matrix(x, d))
+    omega = field("omega_density", lambda x: parse_complex_matrix(x, "omega_density"))
     big = ag.from_span(m_mats, d)
     small = ag.from_span(n_mats, d)
     return jn.make_inclusion(big, small, e_mat, omega, label="cli_input")

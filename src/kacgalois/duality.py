@@ -24,15 +24,15 @@ built from that same instance and the integrals once per Â; later callers
 objects, whose arrays are read-only.  Every certificate runs on its first
 read, once, so a dual built only for its tensors, as the bidual is, computes
 none.  The pentagons of V, V̂ and Ṽ are one factored certificate
-(:func:`pentagon_residual`): each unitary is read as a sum of n Kronecker
-products, and the bound on its Frobenius defect costs one n⁶ matmul whatever
-V's density.  The dual coproduct δ̂(y) = V†(1⊗y)V is A's product read
-backwards, as the pentagon proves, and V's pentagon certificate bounds the
-difference (:func:`coproduct_residual`): no δ̂ path forms a sandwich.  The
-tensor memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â are exact Frobenius
-distances (:func:`~kacgalois.linalg.leg_distance`).  Unitarity and the
-defining actions are Frobenius norms, upper bounds on the operator norm.
-Building Â runs no SVD.
+(:func:`pentagon_residual`) on Â's own product and coproduct tensors: each
+unitary is read as a sum of n Kronecker products, each leg's closure and each
+split defect is computed once, and the bound costs one n⁶ matmul whatever V's
+density.  The dual coproduct δ̂(y) = V†(1⊗y)V is A's product read backwards,
+as the pentagon proves, and V's pentagon certificate bounds the difference
+(:func:`coproduct_residual`): no δ̂ path forms a sandwich.  The tensor
+memberships V ∈ Â⊗A, V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â are exact Frobenius distances
+(:func:`~kacgalois.linalg.leg_distance`).  Unitarity and the defining actions
+are Frobenius norms, upper bounds on the operator norm.  Building Â runs no SVD.
 """
 
 from __future__ import annotations
@@ -68,12 +68,12 @@ class MultiplicativeUnitary:
     def residuals(self) -> dict:
         """Unitarity, the pentagon and the defining action, each a Frobenius
         norm or a bound on one, so an upper bound on the operator norm.  The
-        pentagon is :func:`pentagon_residual` on V = Σₐ onbₐ⊗Bₐ (Â's ``onb`` and
-        ``second_leg``), and ``pentagon_parts`` holds its three parts."""
-        v, kac, hat = self.matrix, self.kac, self._hat
+        pentagon is :func:`pentagon_residual` on ``HatAlgebra.split``, and
+        ``pentagon_parts`` holds its three parts."""
+        v, kac = self.matrix, self.kac
         res = {"unitary": frob(dagger(v) @ v - np.eye(kac.dim ** 2))}
         res["pentagon"], res["pentagon_parts"] = pentagon_residual(
-            v, kac.dim, hat.onb, hat.second_leg, res["unitary"]
+            self._hat.split, kac.dim, res["unitary"]
         )
         act = _times_first_leg(v, kac.coord) - _coproduct_action(kac, kac.delta)
         res["defining_action"] = frob(act)
@@ -84,16 +84,14 @@ class MultiplicativeUnitary:
         return _hat_algebra(self.kac, self)
 
 
-def pentagon_residual(
-    v: np.ndarray, n: int, left: np.ndarray, right: np.ndarray, unitary: float
-) -> tuple[float, dict]:
+def pentagon_residual(split: tuple, n: int, unitary: float) -> tuple[float, dict]:
     """An upper bound on ‖V₁₂V₁₃V₂₃ − V₂₃V₁₂‖_F from V ≈ V₀ = Σᵢ Aᵢ⊗Bᵢ, and its parts.
 
-    Aᵢ and Bᵢ are the stacks ``left`` and ``right``; ε = ‖V − V₀‖_F, and
+    ``split`` is (ε, (A, α, ‖E^A‖), (B, β, ‖E^B‖)): ε = ‖V − V₀‖_F and the legs
+    of :func:`product_leg`, AᵢAⱼ = Σ α[i,j,p]·A_p + E^A_ij and BⱼB_k =
+    Σ β[j,k,r]·B_r + E^B_jk, whatever tensors α and β they carry.
     m = 1 + ``unitary`` + ε bounds ‖V‖ and ‖V₀‖ when ``unitary`` is ‖V†V − 1‖_F.
-    Each leg's products are fitted in its span (:func:`_product_fit`):
-    AᵢAⱼ = Σ α[i,j,p]·A_p + E^A_ij and BⱼB_k = Σ β[j,k,r]·B_r + E^B_jk.  Up to
-    the closure terms, V₀'s defect is then Σ A_p⊗X_{p,r}⊗B_r with
+    Up to the closure terms, V₀'s defect is then Σ A_p⊗X_{p,r}⊗B_r with
     X_{p,r} = Σ_{i,k} T[i,k,p,r]·BᵢA_k − A_r·B_p and T = Σⱼ α[i,j,p]·β[j,k,r].
     The bound (all norms Frobenius) is the sum of
 
@@ -107,15 +105,13 @@ def pentagon_residual(
     On one BLAS thread of a Xeon core it takes 2–3 ms at n = 12.
     """
     nn = n * n
+    eps, (left, alpha, close_a), (right, beta, close_b) = split
     a, b = left.reshape(n, nn), right.reshape(n, nn)
-    alpha, close_a = _product_fit(left)
-    beta, close_b = _product_fit(right)
     t = alpha.transpose(0, 2, 1).reshape(nn, n) @ beta.reshape(n, nn)  # [(i,p),(k,r)]
     t = t.reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(nn, nn)  # [(p,r),(i,k)]
     x = t @ np.matmul(right[:, None], left[None]).reshape(nn, nn)
     x -= np.matmul(left[None], right[:, None]).reshape(nn, nn)  # A_r·B_p at (p, r)
     x = (_gram_root(a) @ x.reshape(n, -1)).reshape(n, n, nn)
-    eps = split_defect(v, left, right)
     m = 1.0 + unitary + eps
     mass_a, mass_b = frob(a) ** 2, frob(b) ** 2
     parts = {
@@ -127,22 +123,18 @@ def pentagon_residual(
     return sum(parts.values()), parts
 
 
-def coproduct_residual(
-    v: np.ndarray, onb: np.ndarray, second: np.ndarray, delta: np.ndarray, unitary, pentagon
-) -> float:
-    """A bound on (Σₑ‖Dₑ‖²_F)^{1/2}, Dₑ = V†(1⊗onbₑ)V − Σ delta[e,a,b]·onbₐ⊗onb_b.
+def coproduct_residual(split: tuple, unitary: float, pentagon: float) -> float:
+    """A bound on (Σₑ‖Dₑ‖²_F)^{1/2}, Dₑ = V†(1⊗onbₑ)V − Σ M[a,b,e]·onbₐ⊗onb_b.
 
-    V ≈ V₀ = Σₐ onbₐ⊗Bₐ (Bₐ the stack ``second``), ε = ‖V − V₀‖_F and
-    m = 1 + ``unitary`` + ε as in :func:`pentagon_residual`.  Σₑ Dₑ⊗Bₑ =
-    V₁₂†(V₀)₂₃V₁₂ − (V₀)₁₃(V₀)₂₃ + Σ onbₐ⊗onb_b⊗E_ab, E_ab = BₐB_b − Σₑ delta[e,a,b]·Bₑ,
-    has a norm of at most m·``pentagon`` + √n·(``unitary``·m² + ε·(m² + 2m)) + ‖E‖_F
-    and at least √σ·(Σₑ‖Dₑ‖²)^{1/2}, σ the least eigenvalue of the Bₐ's Gram matrix.
+    ``split`` is V's (ε, (onb, ·, ·), (B, M, ‖E‖_F)), V₀ = Σₐ onbₐ⊗Bₐ and m is as
+    in :func:`pentagon_residual`.  Σₑ Dₑ⊗Bₑ = V₁₂†(V₀)₂₃V₁₂ − (V₀)₁₃(V₀)₂₃
+    + Σ onbₐ⊗onb_b⊗E_ab, E_ab = BₐB_b − Σₑ M[a,b,e]·Bₑ, has a norm of at most
+    m·``pentagon`` + √n·(``unitary``·m² + ε·(m² + 2m)) + ‖E‖_F and at least
+    √σ·(Σₑ‖Dₑ‖²)^{1/2}, σ the least eigenvalue of the Bₐ's Gram matrix.
     """
-    n = len(onb)
-    rows = second.reshape(n, n * n)
-    prods = (second[:, None] @ second[None]).reshape(n * n, n * n)
-    close = frob(prods - delta.transpose(1, 2, 0).reshape(n * n, n) @ rows)
-    eps = split_defect(v, onb, second)
+    eps, _, (ops, _, close) = split
+    n = len(ops)
+    rows = ops.reshape(n, n * n)
     m = 1.0 + unitary + eps
     sigma = np.linalg.eigvalsh(np.conj(rows) @ rows.T)[0]
     defect = m * pentagon + np.sqrt(n) * (unitary * m * m + eps * (m * m + 2.0 * m)) + close
@@ -155,16 +147,12 @@ def split_defect(w: np.ndarray, left, right) -> float:
     return frob(_slice_matrix(w, n) - left.reshape(n, -1).T @ right.reshape(n, -1))
 
 
-def _product_fit(ops: np.ndarray) -> tuple[np.ndarray, float]:
-    """α with opsᵢ·opsⱼ ≈ Σ α[i,j,p]·ops_p, the least-squares fit by one Gram
-    solve (n⁵ multiply-adds), and the Frobenius norm of what it leaves."""
+def product_leg(ops: np.ndarray, tensor: np.ndarray) -> tuple:
+    """(ops, tensor, ‖opsᵢ·opsⱼ − Σ tensor[i,j,p]·ops_p‖_F): a stack, a product
+    tensor for it and its closure over all pairs, n⁵ multiply-adds."""
     n = len(ops)
-    rows = ops.reshape(n, n * n)
-    adj = dagger(rows)
     prods = np.matmul(ops[:, None], ops[None]).reshape(n * n, n * n)
-    alpha = np.linalg.solve((rows @ adj).T, (prods @ adj).T).T
-    prods -= alpha @ rows
-    return alpha.reshape(n, n, n), frob(prods)
+    return ops, tensor, frob(prods - tensor.reshape(n * n, n) @ ops.reshape(n, n * n))
 
 
 def _gram_root(rows: np.ndarray) -> np.ndarray:
@@ -228,6 +216,7 @@ class HatAlgebra:
     When G_ŷ is a scaled identity, as on every bundled fixture, ``onb`` is
     ŷᵢ/‖ŷᵢ‖ in A's own index order.
 
+    ``mult`` is Â's product over ``onb``, onbₐ·onb_b = Σ mult[a,b,c]·onb_c,
     ``second_leg`` holds the Bₐ = Σᵢ R⁻¹[i,a]·L(bᵢ), so V = Σₐ onbₐ⊗Bₐ, and
     ``coproduct`` Â's coproduct over ``onb``, δ̂(onbₑ) = Σ coproduct[e,a,b]·onbₐ⊗onb_b,
     which the pentagon reads off the Bₐ's product, A's transported by R.
@@ -237,6 +226,7 @@ class HatAlgebra:
     v: MultiplicativeUnitary
     mm: ag.MMAlgebra
     onb: np.ndarray
+    mult: np.ndarray
     dual_basis: np.ndarray
     second_leg: np.ndarray
     coproduct: np.ndarray
@@ -248,12 +238,21 @@ class HatAlgebra:
         return ag.commutant(self.kac.as_mm()).onb(), ag.commutant(self.mm).onb()
 
     @cached_property
+    def split(self) -> tuple:
+        """V's split (:func:`pentagon_residual`): ε = ‖V − Σₐ onbₐ⊗Bₐ‖_F, and the
+        legs with ``mult`` and with the Bₐ's M[a,b,e] = coproduct[e,a,b], on first read."""
+        return (
+            split_defect(self.v.matrix, self.onb, self.second_leg),
+            product_leg(self.onb, self.mult),
+            product_leg(self.second_leg, self.coproduct.transpose(1, 2, 0)),
+        )
+
+    @cached_property
     def residuals(self) -> dict:
-        """Â has dimension n and is closed as a *-algebra; the ŷᵢ reconstruct
-        V's slices, ``slice_reconstruction`` = ‖M − Yᵀ·L‖_F
-        (:func:`_slice_matrix`); ``onb`` is orthonormal,
-        ``basis_orthonormality`` the largest entry of B·B† − I, B the rows of
-        ``onb``; and V lies in Â⊗A: the Frobenius distance of V from Â⊗A
+        """Â has dimension n and is closed as a *-algebra; ``slice_reconstruction``
+        is V's ε in ``split``; ``onb`` is orthonormal, ``basis_orthonormality``
+        the largest entry of B·B† − I, B the rows of ``onb``; and V lies in
+        Â⊗A: the Frobenius distance of V from Â⊗A
         (:func:`~kacgalois.linalg.leg_distance`), which reads no commutant and
         proves that the n elements hold every slice of V."""
         n = self.kac.dim
@@ -261,7 +260,7 @@ class HatAlgebra:
         val = self.mm.validate()
         for key in ("product_closure", "adjoint_closure", "unit_membership"):
             res[key] = val[key]
-        res["slice_reconstruction"] = split_defect(self.v.matrix, self.dual_basis, self.kac.lmats)
+        res["slice_reconstruction"] = self.split[0]
         rows = self.onb.reshape(n, n * n)
         res["basis_orthonormality"] = float(np.abs(rows @ dagger(rows) - np.eye(n)).max())
         res["v_in_hat_tensor_a"] = float(
@@ -271,11 +270,9 @@ class HatAlgebra:
 
     @cached_property
     def coproduct_certificate(self) -> float:
-        """:func:`coproduct_residual` of ``coproduct``, from V's cached residuals."""
-        v, res = self.v.matrix, self.v.residuals
-        return coproduct_residual(
-            v, self.onb, self.second_leg, self.coproduct, res["unitary"], res["pentagon"]
-        )
+        """:func:`coproduct_residual` of ``coproduct``, from ``split`` and V's cached residuals."""
+        res = self.v.residuals
+        return coproduct_residual(self.split, res["unitary"], res["pentagon"])
 
     @cached_property
     def _integrals(self) -> Integrals:
@@ -315,7 +312,7 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     M·L† = Yᵀ·(L·L†), so Y = (L·L†)⁻ᵀ·conj(L)·Mᵀ: n⁵ multiply-adds, one n×n
     solve and three n×n Hermitian eigenproblems (the two condition numbers,
     then R = G_ŷ^(−1/2) and R⁻¹ by :func:`~kacgalois.linalg.herm_powers`).
-    The second leg R⁻ᵀ·L and the coproduct cost four n⁴ matmuls more.
+    Â's product costs n⁵ more, the second leg R⁻ᵀ·L and the coproduct four n⁴ matmuls.
     """
     n = kac.dim
     lrows = kac.lmats.reshape(n, n * n)
@@ -326,15 +323,17 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     _check_condition(gram_y, "the Gram matrix of the dual basis of A-hat")
     root, root_inv = la.herm_powers(gram_y, (-0.5, 0.5))
     mm = ag.from_onb((root @ y).reshape(n, n, n), n)
+    mult = mm.coeffs(mm.onb()[:, None] @ mm.onb()[None])
     second = (root_inv.T @ lrows).reshape(n, n, n)
     # M[a,b,e] = Σ R⁻¹[i,a]·R⁻¹[j,b]·mult[i,j,d]·R[e,d], at [e, a, b].
     m = np.tensordot(np.tensordot(kac.mult, root_inv, (0, 0)), root_inv, (0, 0))  # [d, a, b]
     delta = np.tensordot(root, m, (1, 0))
     y = y.reshape(n, n, n)
-    for arr in (y, second, delta):
+    for arr in (mult, y, second, delta):
         arr.flags.writeable = False
     return HatAlgebra(
-        kac=kac, v=v, mm=mm, onb=mm.onb(), dual_basis=y, second_leg=second, coproduct=delta
+        kac=kac, v=v, mm=mm, onb=mm.onb(), mult=mult, dual_basis=y, second_leg=second,
+        coproduct=delta,
     )
 
 
@@ -478,10 +477,10 @@ def hat_unitaries(
 
     Certifies: U is a self-inverse unitary; V̂ and Ṽ are multiplicative
     unitaries, by :func:`pentagon_residual` on V̂ = Σ Bₐ⊗U·onbₐ·U and
-    Ṽ = Σ U·Bₐ·U⊗onbₐ, which V = Σ onbₐ⊗Bₐ gives (23–25 ms each on the n = 18
-    twist, 80–140 ms at n = 24); V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (the Frobenius distance
-    from each tensor product, :func:`~kacgalois.linalg.leg_distance`, with
-    the commutant bases of ``hat.commutant_cells``); V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and
+    Ṽ = Σ U·Bₐ·U⊗onbₐ, which V = Σ onbₐ⊗Bₐ gives, on the tensors of
+    ``hat.split``; V̂ ∈ A⊗Â′ and Ṽ ∈ A′⊗Â (the Frobenius distance from each
+    tensor product, :func:`~kacgalois.linalg.leg_distance`, with the commutant
+    bases of ``hat.commutant_cells``); V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω); and
     Ṽ(y⊗1)Ṽ† = δ̂(y) on Â's basis (:func:`v_tilde_coproduct_residual`).
 
     Under the flip F, V̂†(ξ⊗xΩ) = δ(x)(ξ⊗Ω) reads FV̂†F(xΩ⊗ξ) = δ^op(x)(Ω⊗ξ),
@@ -502,13 +501,16 @@ def hat_unitaries(
     res["u_involutive"] = frob(u @ u - eye)
     res["v_hat_unitary"] = frob(dagger(v_hat) @ v_hat - np.eye(n * n))
     res["v_tilde_unitary"] = frob(dagger(v_tilde) @ v_tilde - np.eye(n * n))
-    onb, second = hat.onb, hat.second_leg
+    _, first, second = hat.split
+    right = product_leg(u @ hat.onb @ u, hat.mult)
+    left = product_leg(u @ hat.second_leg @ u, second[1])
+    hat_split = (split_defect(v_hat, second[0], right[0]), second, right)
+    tilde_split = (split_defect(v_tilde, left[0], first[0]), left, first)
     res["v_hat_pentagon"], res["v_hat_pentagon_parts"] = pentagon_residual(
-        v_hat, n, second, u @ onb @ u, res["v_hat_unitary"]
+        hat_split, n, res["v_hat_unitary"]
     )
-    turned = u @ second @ u
     res["v_tilde_pentagon"], res["v_tilde_pentagon_parts"] = pentagon_residual(
-        v_tilde, n, turned, onb, res["v_tilde_unitary"]
+        tilde_split, n, res["v_tilde_unitary"]
     )
 
     a_comm, hat_comm = hat.commutant_cells
@@ -521,32 +523,31 @@ def hat_unitaries(
     res["v_hat_defining_action"] = float(np.linalg.norm(act, axis=0).max())
 
     res["v_tilde_implements_dual_coproduct"] = v_tilde_coproduct_residual(
-        v_tilde, turned, onb, hat.coproduct, res["v_tilde_unitary"], hat.coproduct_certificate
+        tilde_split, hat.coproduct, res["v_tilde_unitary"], hat.coproduct_certificate
     )
     return HatUnitaries(u=u, v_hat=v_hat, v_tilde=v_tilde, residuals=res)
 
 
-def v_tilde_coproduct_residual(
-    w: np.ndarray, turned: np.ndarray, onb: np.ndarray, delta: np.ndarray, unitary, coproduct
-) -> float:
+def v_tilde_coproduct_residual(split: tuple, delta: np.ndarray, unitary, coproduct) -> float:
     """A bound on the largest ‖W(y⊗1)W† − V†(1⊗y)V‖_F over y = onb_c.
 
-    W = Ṽ ≈ W₀ = Σₑ Pₑ⊗onbₑ (Pₑ the stack ``turned``, ε = ‖W − W₀‖_F), Δ =
-    Σ delta[c,l,k]·onb_l⊗onb_k and onb_k·onbₐ = Σ μ[k,a,e]·onbₑ + E_ka
-    (:func:`_product_fit`).  W₀(y⊗1) − Δ·W₀ = Σₑ Zₑ⊗onbₑ − Σ delta[c,l,k]·onb_l·Pₐ⊗E_ka
-    with Zₑ = Pₑ·y − Σ delta[c,l,k]·μ[k,a,e]·onb_l·Pₐ, so, with W† and WW† − 1,
+    ``split`` is Ṽ's (ε, (P, ·, ·), (onb, μ, ‖E‖)) (:func:`pentagon_residual`):
+    W = Ṽ ≈ W₀ = Σₑ Pₑ⊗onbₑ, ε = ‖W − W₀‖_F and onb_k·onbₐ = Σ μ[k,a,e]·onbₑ + E_ka.
+    With Δ = Σ delta[c,l,k]·onb_l⊗onb_k, W₀(y⊗1) − Δ·W₀ = Σₑ Zₑ⊗onbₑ −
+    Σ delta[c,l,k]·onb_l·Pₐ⊗E_ka, Zₑ = Pₑ·y − Σ delta[c,l,k]·μ[k,a,e]·onb_l·Pₐ,
+    so, with W† and WW† − 1,
     (1 + ``unitary``)·((Σₑ‖Zₑ‖²)^{1/2} + ‖delta[c]‖·‖P‖·‖E‖ + ε·(1 + ‖delta[c]‖))
     + ‖delta[c]‖·``unitary`` + ``coproduct`` bounds it; one n⁶ matmul in all.
     """
+    eps, (turned, _, _), (onb, mu, close) = split
     n = len(onb)
-    mu, close = _product_fit(onb)
     t = (delta.reshape(n * n, n) @ mu.reshape(n, n * n)).reshape(n, n, n, n)  # [c, l, a, e]
     pairs = (onb[:, None] @ turned[None]).reshape(n * n, -1)  # onb_l·Pₐ at (l, a)
     z = (turned[None] @ onb[:, None]).reshape(n * n, -1)  # Pₑ·onb_c at (c, e)
     z -= t.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ pairs
     size = np.linalg.norm(delta.reshape(n, -1), axis=1)
     bound = np.linalg.norm(z.reshape(n, -1), axis=1) + size * frob(turned) * close
-    bound += split_defect(w, turned, onb) * (1.0 + size)
+    bound += eps * (1.0 + size)
     return float(((1.0 + unitary) * bound + size * unitary).max()) + coproduct
 
 
@@ -624,10 +625,10 @@ class DualKac:
 
     @cached_property
     def residuals(self) -> dict:
-        """The reconstruction's certificates; ``coproduct_membership`` is Â's certificate."""
+        """The reconstruction's certificates: ``product_membership`` is the closure
+        of ``onb`` in ``hat.split``, ``coproduct_membership`` Â's certificate."""
         hat, ystack = self.hat, self.hat.onb
-        prods = ystack[:, None] @ ystack[None]
-        res = {"product_membership": float(np.abs(hat.mm.element(self.kac.mult) - prods).max())}
+        res = {"product_membership": hat.split[1][2]}
         res["coproduct_membership"] = hat.coproduct_certificate
         res["counit_action"] = _counit_on_omega(hat.kac, ystack)[1]
         res["antipode_membership"] = hat.mm.residual(kappa_hat(hat.kac, ystack))
@@ -642,9 +643,9 @@ class DualKac:
 def dual_kac(kac: KacAlgebra) -> DualKac:
     """Extract the dual Kac algebra from the slice algebra of V.
 
-    Structure tensors over the deterministic orthonormal basis of Â:
-    products and stars by orthonormal expansion, the coproduct read off A's
-    product (``hat.coproduct``, no sandwich), the counit from the action on
+    Structure tensors over the deterministic orthonormal basis of Â: the
+    product ``hat.mult``, stars by orthonormal expansion, the coproduct read off
+    A's product (``hat.coproduct``, no sandwich), the counit from the action on
     Ω, the antipode from J(·)*J, and the Haar vector from the normalized
     trace, each one stacked contraction over the whole basis.  The tensors
     are materialized through their own GNS construction.  No certificate
@@ -656,8 +657,7 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     hat = hat_algebra(kac, v)
     ints = integrals(kac, hat)
     ystack = hat.onb
-    # mult[a, b, c] = ⟨y_c, y_a y_b⟩, antipode[i, c] = ⟨y_c, κ̂(y_i)⟩ and star[a, b] = ⟨y_b, y_a†⟩
-    mult = hat.mm.coeffs(ystack[:, None] @ ystack[None])
+    # antipode[i, c] = ⟨y_c, κ̂(y_i)⟩ and star[a, b] = ⟨y_b, y_a†⟩
     counit = _counit_on_omega(kac, ystack)[0]
     antipode = hat.mm.coeffs(kappa_hat(kac, ystack))
     star = hat.mm.coeffs(dagger(ystack))
@@ -665,7 +665,7 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
 
     labels = [f"dual_{i}" for i in range(n)]
     dual = kac_from_structure(
-        labels, mult, hat.coproduct, counit, antipode, star, haar, origin="dual"
+        labels, hat.mult, hat.coproduct, counit, antipode, star, haar, origin="dual"
     )
     return DualKac(kac=dual, hat=hat, v=v, ints=ints, pairing_form=pairing(kac, hat, ints))
 

@@ -287,8 +287,21 @@ class KacAlgebra:
         return doc
 
 
-def _as_complex_tensor(doc, shape, name: str) -> np.ndarray:
-    arr = np.asarray(doc, dtype=float)
+def read_field(doc: dict, name: str, parse, error: type[ValueError]):
+    """``parse(doc[name])``.  A missing field, or a ``TypeError``, ``KeyError`` or
+    ``ValueError`` raised while reading it, is raised as ``error`` naming the field."""
+    if name not in doc:
+        raise error(f"missing required field '{name}'")
+    try:
+        return parse(doc[name])
+    except error:
+        raise
+    except (TypeError, KeyError, ValueError) as exc:
+        raise error(f"field '{name}' is malformed: {exc}") from exc
+
+
+def _as_complex_tensor(doc: dict, name: str, shape: tuple) -> np.ndarray:
+    arr = read_field(doc, name, lambda x: np.asarray(x, dtype=float), AxiomError)
     if arr.shape != shape + (2,):
         raise AxiomError(f"field '{name}' has shape {arr.shape}, expected {shape + (2,)}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -551,11 +564,29 @@ def save_kac(kac: KacAlgebra, path: str) -> None:
         fh.write("\n")
 
 
+def _group_table(gdoc: dict, n: int) -> GroupTable:
+    """The embedded group table of an order-``n`` document, checked to be a group."""
+    table = np.array(gdoc["mult"], dtype=object)
+    if gdoc["order"] != n or table.shape != (n, n) or not all(
+        type(v) is int and 0 <= v < n for v in table.flat
+    ):
+        raise AxiomError(f"field 'group' must hold an order-{n} table of integers in range({n})")
+    glabels = gdoc.get("labels", [str(i) for i in range(n)])
+    if not isinstance(glabels, list) or len(glabels) != n:
+        raise AxiomError(f"field 'group.labels' must be a list of {n} labels")
+    group = GroupTable(order=n, table=table.astype(int), labels=tuple(str(x) for x in glabels))
+    gval = group.validate()
+    if not gval["passed"]:
+        raise AxiomError(f"embedded group table is not a group: {gval}")
+    return group
+
+
 def load_kac(source, validate: bool = True) -> KacAlgebra:
     """Load a Kac algebra from a JSON path or an already-parsed document.
 
     Runs the full axiom validator by default, at ``TIGHT_TOL``, and raises
-    :class:`AxiomError` with the residual report if any axiom fails, or if an
+    :class:`AxiomError` with the residual report if any axiom fails, if a
+    field is missing or cannot be read (:func:`read_field`), or if an
     embedded group table is not a dim×dim table of integers in range(dim)
     or its ``labels`` are not a list of dim labels.
     """
@@ -564,36 +595,20 @@ def load_kac(source, validate: bool = True) -> KacAlgebra:
             doc = json.load(fh)
     else:
         doc = source
-    try:
-        n = int(doc["dim"])
-        labels = [str(x) for x in doc["basis_labels"]]
-        if len(labels) != n:
-            raise AxiomError(f"{len(labels)} labels for dimension {n}")
-        mult = _as_complex_tensor(doc["mult"], (n, n, n), "mult")
-        delta = _as_complex_tensor(doc["delta"], (n, n, n), "delta")
-        counit = _as_complex_tensor(doc["counit"], (n,), "counit")
-        antipode = _as_complex_tensor(doc["antipode"], (n, n), "antipode")
-        star = _as_complex_tensor(doc["star"], (n, n), "star")
-        haar = _as_complex_tensor(doc["haar"], (n,), "haar")
-    except KeyError as exc:
-        raise AxiomError(f"missing required field {exc}") from exc
+    n = read_field(doc, "dim", int, AxiomError)
+    labels = read_field(doc, "basis_labels", lambda x: [str(v) for v in x], AxiomError)
+    if len(labels) != n:
+        raise AxiomError(f"{len(labels)} labels for dimension {n}")
+    mult = _as_complex_tensor(doc, "mult", (n, n, n))
+    delta = _as_complex_tensor(doc, "delta", (n, n, n))
+    counit = _as_complex_tensor(doc, "counit", (n,))
+    antipode = _as_complex_tensor(doc, "antipode", (n, n))
+    star = _as_complex_tensor(doc, "star", (n, n))
+    haar = _as_complex_tensor(doc, "haar", (n,))
     origin = str(doc.get("origin", "custom"))
     group = None
     if "group" in doc:
-        gdoc = doc["group"]
-        table = np.array(gdoc["mult"], dtype=object)
-        if gdoc["order"] != n or table.shape != (n, n) or not all(
-            type(v) is int and 0 <= v < n for v in table.flat
-        ):
-            raise AxiomError(f"field 'group' must hold an order-{n} table of integers in range({n})")
-        glabels = gdoc.get("labels", [str(i) for i in range(n)])
-        if not isinstance(glabels, list) or len(glabels) != n:
-            raise AxiomError(f"field 'group.labels' must be a list of {n} labels")
-        glabels = tuple(str(x) for x in glabels)
-        group = GroupTable(order=n, table=table.astype(int), labels=glabels)
-        gval = group.validate()
-        if not gval["passed"]:
-            raise AxiomError(f"embedded group table is not a group: {gval}")
+        group = read_field(doc, "group", lambda gdoc: _group_table(gdoc, n), AxiomError)
     kac = kac_from_structure(
         labels, mult, delta, counit, antipode, star, haar,
         origin=origin, group=group,

@@ -83,6 +83,26 @@ def kronecker_sandwich(w, y):
     return np.conj(w).T @ (np.kron(np.eye(n), y) @ w)
 
 
+def product_fit(ops):
+    """α with opsᵢ·opsⱼ ≈ Σ α[i,j,p]·ops_p, the least-squares fit by one Gram
+    solve (n⁵ multiply-adds): a product tensor for a stack that is no algebra's."""
+    n = len(ops)
+    rows = ops.reshape(n, n * n)
+    adj = np.conj(rows).T
+    prods = np.matmul(ops[:, None], ops[None]).reshape(n * n, n * n)
+    return np.linalg.solve((rows @ adj).T, (prods @ adj).T).T.reshape(n, n, n)
+
+
+def fitted_split(w, left, right):
+    """W's split for :func:`~kacgalois.duality.pentagon_residual` on two arbitrary
+    stacks, each leg carrying its least-squares product tensor."""
+    return (
+        du.split_defect(w, left, right),
+        du.product_leg(left, product_fit(left)),
+        du.product_leg(right, product_fit(right)),
+    )
+
+
 def project_span(x, onb) -> np.ndarray:
     """Reference orthogonal projection of ``x`` onto an orthonormal matrix span,
     a stack or a list, by one product with the span's vectorized rows and back."""

@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism, error documents."""
 
 import collections
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -164,6 +165,40 @@ def test_malformed_group_table_is_an_axiom_error(tmp_path, command, case):
     assert "'group'" in error["message"]
 
 
+MALFORMED_FIELDS = {
+    "kp8_dim_list": ("validate", "kp8", "dim", [8], "AxiomError"),
+    "kp8_labels_int": ("validate", "kp8", "basis_labels", 5, "AxiomError"),
+    "kp8_mult_object": ("validate", "kp8", "mult", {"a": 1}, "AxiomError"),
+    "s3_group_list": ("validate", "s3_group", "group", [1, 2], "AxiomError"),
+    "scaled_pair_m_basis_int": ("jones", "scaled_pair_third", "M_basis", 3, "InclusionError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FIELDS))
+def test_a_field_of_the_wrong_type_is_a_parse_error(tmp_path, capsys, case):
+    # Each of these once reached exit 2 only as a TypeError caught around the
+    # whole command; the parse step now names the field.
+    command, fixture, field, value, error_type = MALFORMED_FIELDS[case]
+    doc = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main([command, str(bad)]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == error_type
+    assert f"'{field}'" in error["message"]
+
+
+@pytest.mark.parametrize("exc", [TypeError, KeyError])
+def test_a_program_defect_is_not_an_input_error(monkeypatch, exc):
+    def broken(kac):
+        raise exc("a defect in the program")
+
+    monkeypatch.setattr(du, "dual_kac", broken)
+    with pytest.raises(exc, match="a defect in the program"):
+        cli.main(["dual", str(FIXTURES / "s3_function.json")])
+
+
 @pytest.mark.parametrize("command", ["validate", "galois"])
 @pytest.mark.parametrize("labels", [["e"], ["e", "g", "h"], "eg"])
 def test_group_labels_not_one_per_element_are_an_axiom_error(
@@ -222,9 +257,9 @@ def test_seed_changes_nothing_structural_for_validate():
 @pytest.mark.parametrize(
     "run, counts",
     [
-        (lambda kac: cli.run_dual(kac, None), (2, 2, 3, 3, 1, 2)),
-        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 1, 0, 1, 0)),
-        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 0)),
+        (lambda kac: cli.run_dual(kac, None), (2, 2, 3, 3, 1, 4, 4, 2)),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 1, 0, 1, 2, 2, 0)),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 2, 2, 0)),
     ],
     ids=["run_dual", "selftest_algebra", "run_coreps"],
 )
@@ -235,10 +270,13 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
     # and the dual's axioms and certifies V̂ and Ṽ, `selftest` reads V's and
     # the dual's axioms, and `coreps` reads V's and Â's.  The memberships
     # (`leg_distance` in duality) of V, V̂ and Ṽ need no commutant for V, so
-    # only V̂ and Ṽ build the commutants A′ and Â′.
+    # only V̂ and Ṽ build the commutants A′ and Â′.  Each split defect (of V,
+    # V̂, Ṽ and the corepresentations' expansion of V) and each leg's closure
+    # (onb, the Bₐ, U·onb·U and U·B·U) is computed once, where it is read.
+    assert not hasattr(du, "_product_fit")
     calls = collections.Counter()
     names = ("multiplicative_unitary", "dual_kac", "pentagon_residual",
-             "leg_distance", "validate_kac")
+             "leg_distance", "validate_kac", "split_defect", "product_leg")
     for module, name in [*((du, name) for name in names), (ag, "commutant")]:
         real = getattr(module, name)
 
@@ -253,12 +291,37 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
 
 def test_coreps_gates_the_pentagon(monkeypatch, capsys):
     parts = {"factored": 1.0, "closure": 0.0, "reconstruction": 0.0}
-    monkeypatch.setattr(du, "pentagon_residual", lambda v, n, *factors: (1.0, parts))
+    monkeypatch.setattr(du, "pentagon_residual", lambda split, n, unitary: (1.0, parts))
     assert cli.main(["coreps", str(FIXTURES / "s3_function.json")]) == 1
     doc = json.loads(capsys.readouterr().out)
     checks = doc["report"]["checks"]
     assert [name for name, c in checks.items() if not c["ok"]] == ["pentagon"]
     assert checks["pentagon"] == cli.check(1.0, cli.TOLERANCES["tight"])
+
+
+@pytest.mark.parametrize("tensor", ["mult", "coproduct"])
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_group", "rotated_kp8"])
+def test_coreps_gates_the_pentagon_on_the_hat_tensors(
+    monkeypatch, tmp_path, capsys, name, tensor
+):
+    # Â's product, or the coproduct that is the Bₐ's product, moved by 1e-6:
+    # V's pentagon reads both tensors, and no other `coreps` check reads either.
+    path = FIXTURES / f"{name}.json"
+    if name == "rotated_kp8":
+        path = write_rebased_kp8(tmp_path, rotation(8, seed=0))
+    real = du._hat_algebra
+
+    def moved(kac, v):
+        hat = real(kac, v)
+        t = getattr(hat, tensor)
+        rng = np.random.default_rng(kac.dim)
+        return dataclasses.replace(hat, **{tensor: t + 1e-6 * rng.standard_normal(t.shape)})
+
+    monkeypatch.setattr(du, "_hat_algebra", moved)
+    assert cli.main(["coreps", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["report"]["checks"]
+    assert [key for key, c in checks.items() if not c["ok"]] == ["pentagon"]
+    assert checks["pentagon"]["value"] > cli.TOLERANCES["tight"]
 
 
 def test_coreps_gates_the_integrals(monkeypatch, capsys):
@@ -308,14 +371,20 @@ def test_a_rotated_fixture_passes_validate_dual_and_coreps(algebras, kp8, name):
     assert report["corep_dims"] == cli.run_coreps(kac, None, 7, trials=5)[0]["corep_dims"]
 
 
-def run_rebased_kp8(tmp_path, capsys, command, cond):
+def write_rebased_kp8(tmp_path, c):
+    """The input document of kp8 in the basis change ``c``, written under ``tmp_path``."""
     kp8 = kc.load_kac(str(FIXTURES / "kp8.json"))
-    labels, *tensors = rebased_tensors(kp8, basis_change(kp8.dim, seed=4, cond=cond))
+    labels, *tensors = rebased_tensors(kp8, c)
     doc = {"dim": kp8.dim, "basis_labels": list(labels)}
     for name, t in zip(("mult", "delta", "counit", "antipode", "star", "haar"), tensors):
         doc[name] = np.stack([t.real, t.imag], axis=-1).tolist()
     path = tmp_path / "kp8_rebased.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def run_rebased_kp8(tmp_path, capsys, command, cond):
+    path = write_rebased_kp8(tmp_path, basis_change(8, seed=4, cond=cond))
     code = cli.main([command, str(path)])
     return code, json.loads(capsys.readouterr().out)
 

@@ -22,6 +22,7 @@ from conftest import (
     LADDER_NAMES,
     STACK_NAMES,
     basis_change,
+    fitted_split,
     kronecker_sandwich,
     rebased,
     rotation,
@@ -170,9 +171,10 @@ def unitary_factors(kac):
 
 
 def certificate(w, n, left, right):
-    """:func:`~kacgalois.duality.pentagon_residual` of W = Σ leftᵢ⊗rightᵢ, with the
-    unitarity residual of W itself."""
-    return du.pentagon_residual(w, n, left, right, la.frob(la.dagger(w) @ w - np.eye(n * n)))
+    """:func:`~kacgalois.duality.pentagon_residual` of W = Σ leftᵢ⊗rightᵢ, each leg
+    with its least-squares product tensor, and the unitarity residual of W itself."""
+    unitary = la.frob(la.dagger(w) @ w - np.eye(n * n))
+    return du.pentagon_residual(fitted_split(w, left, right), n, unitary)
 
 
 def off_span_mutant(w, left, right, side, seed=0, size=1e-6):
@@ -575,18 +577,22 @@ def v_tilde_oracle(w, v, onb):
 def coproduct_bounds(kac, w, second):
     """:func:`du.coproduct_residual` and :func:`du.v_tilde_coproduct_residual` of
     W = Σ onbₐ⊗``second``ₐ, each with its oracle: the unitarity and pentagon
-    residuals are W's own, Â's basis, product and coproduct tensors ``kac``'s."""
+    residuals are W's own, the pentagon's and Ṽ's legs carry least-squares
+    product tensors, and Â's basis and coproduct tensor are ``kac``'s."""
     n = kac.dim
     v = du.multiplicative_unitary(kac)
     hat = du.hat_algebra(kac, v)
     u = du.hat_unitaries(kac, v, hat).u
     onb, delta = hat.onb, hat.coproduct
     unitary = la.frob(la.dagger(w) @ w - np.eye(n * n))
-    pentagon = du.pentagon_residual(w, n, onb, second, unitary)[0]
-    cop = du.coproduct_residual(w, onb, second, delta, unitary, pentagon)
+    split = fitted_split(w, onb, second)
+    pentagon = du.pentagon_residual(split, n, unitary)[0]
+    split = (*split[:2], du.product_leg(second, delta.transpose(1, 2, 0)))
+    cop = du.coproduct_residual(split, unitary, pentagon)
     tilde = flip_tilde(w, u)
     tilde_unitary = la.frob(la.dagger(tilde) @ tilde - np.eye(n * n))
-    bound = du.v_tilde_coproduct_residual(tilde, u @ second @ u, onb, delta, tilde_unitary, cop)
+    split = fitted_split(tilde, u @ second @ u, onb)
+    bound = du.v_tilde_coproduct_residual(split, delta, tilde_unitary, cop)
     return (cop, coproduct_oracle(w, onb, delta)), (bound, v_tilde_oracle(tilde, w, onb))
 
 
@@ -623,16 +629,14 @@ def test_coproduct_bounds_trip_on_a_wrong_tensor(coproduct_algebras, name):
     hu = du.hat_unitaries(kac, v, hat)
     onb, res = hat.onb, v.residuals
     wrong = hat.coproduct + 1e-6 * random_square(n * n, seed=n)[:n].reshape(n, n, n)
-    value = du.coproduct_residual(
-        v.matrix, onb, hat.second_leg, wrong, res["unitary"], res["pentagon"]
-    )
+    moved = du.product_leg(hat.second_leg, wrong.transpose(1, 2, 0))
+    value = du.coproduct_residual((*hat.split[:2], moved), res["unitary"], res["pentagon"])
     oracle = coproduct_oracle(v.matrix, onb, wrong)
     assert oracle > 1e-7
     assert oracle * (1 - 1e-12) <= value <= 25 * oracle
-    turned = hu.u @ hat.second_leg @ hu.u
-    own = du.v_tilde_coproduct_residual(
-        hu.v_tilde, turned, onb, wrong, hu.residuals["v_tilde_unitary"], 0.0
-    )
+    turned = du.product_leg(hu.u @ hat.second_leg @ hu.u, moved[1])
+    split = (du.split_defect(hu.v_tilde, turned[0], onb), turned, hat.split[1])
+    own = du.v_tilde_coproduct_residual(split, wrong, hu.residuals["v_tilde_unitary"], 0.0)
     lhs = hu.v_tilde @ np.kron(onb, np.eye(n)) @ la.dagger(hu.v_tilde)
     oracle = la.frob_max(lhs - tensor_coproduct(wrong, onb))
     assert oracle > 1e-7
@@ -646,6 +650,80 @@ def test_coproduct_bounds_hold_on_every_fixture(coproduct_algebras, dual_of, nam
     hu = du.hat_unitaries(kac, dd.v, dd.hat)
     assert dd.residuals["coproduct_membership"] <= 1e-11
     assert hu.residuals["v_tilde_implements_dual_coproduct"] <= 1e-11
+
+
+@pytest.mark.parametrize("leg", [1, 2], ids=["mult", "coproduct"])
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_group", "rotated_kp8"])
+def test_v_pentagon_certifies_the_hat_tensors(coproduct_algebras, name, leg):
+    """V as built, with Â's product (the first leg's tensor) or the Bₐ's product
+    M (the second's) moved by 1e-6 times a seeded random tensor: the pentagon,
+    which measures each leg against the tensor it carries, trips the tight tier."""
+    kac = coproduct_algebras[name]
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    split = list(du.hat_algebra(kac, v).split)
+    ops, tensor, _ = split[leg]
+    moved = tensor + 1e-6 * random_square(n * n, seed=n)[:n].reshape(n, n, n)
+    split[leg] = du.product_leg(ops, moved)
+    assert v.residuals["pentagon"] <= 1e-11
+    assert du.pentagon_residual(tuple(split), n, v.residuals["unitary"])[0] > la.TIGHT_TOL
+
+
+@pytest.mark.parametrize("name", ["kp8", "s3_function", "q8_group", "rotated_kp8"])
+def test_v_pentagon_on_the_hat_tensors_is_sound_on_an_entry_mutant(coproduct_algebras, name):
+    """One entry of V moved by 1e-6, its legs and their tensors Â's own: the
+    certificate bounds the blocked oracle."""
+    kac = coproduct_algebras[name]
+    n = kac.dim
+    hat = du.hat_algebra(kac, du.multiplicative_unitary(kac))
+    entry = hat.v.matrix.copy()
+    entry[3, 5] += 1e-6
+    unitary = la.frob(la.dagger(entry) @ entry - np.eye(n * n))
+    split = (du.split_defect(entry, hat.onb, hat.second_leg), *hat.split[1:])
+    exact = blocked_pentagon_frobenius(entry, n)
+    assert exact > 1e-7
+    assert du.pentagon_residual(split, n, unitary)[0] >= exact * (1 - 1e-12)
+
+
+def test_the_certificates_fit_no_product(monkeypatch):
+    """Once the dual is built, reading V's, Â's, the dual's and the auxiliary
+    unitaries' certificates runs no linear solve: every leg carries Â's tensor."""
+    kac = fresh_kp8()
+    dd = du.dual_kac(kac)
+    solves = []
+    real = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or real(*args))
+    assert max(dd.v.residuals["pentagon"], dd.hat.coproduct_certificate) < 1e-10
+    assert max(dd.residuals.values()) < 1e-10
+    du.hat_unitaries(kac, dd.v, dd.hat)
+    assert solves == []
+
+
+def test_hat_unitaries_certify_their_own_splits(rotated_kp8):
+    """V̂'s and Ṽ's pentagons and the Ṽ coproduct bound, rebuilt from splits formed
+    here, read the same bits: each unitary is measured against its own stacks,
+    with Â's product on onb and U·onb·U and the Bₐ's on Bₐ and U·Bₐ·U."""
+    kac = rotated_kp8
+    n = kac.dim
+    v = du.multiplicative_unitary(kac)
+    hat = du.hat_algebra(kac, v)
+    hu = du.hat_unitaries(kac, v, hat)
+    u, res = hu.u, hu.residuals
+    m = hat.coproduct.transpose(1, 2, 0)
+    onb = du.product_leg(hat.onb, hat.mult)
+    second = du.product_leg(hat.second_leg, m)
+    right = du.product_leg(u @ hat.onb @ u, hat.mult)
+    left = du.product_leg(u @ hat.second_leg @ u, m)
+    hat_split = (du.split_defect(hu.v_hat, second[0], right[0]), second, right)
+    tilde_split = (du.split_defect(hu.v_tilde, left[0], onb[0]), left, onb)
+    assert hat_split[0] != tilde_split[0] != hat.split[0]
+    assert du.pentagon_residual(hat_split, n, res["v_hat_unitary"])[0] == res["v_hat_pentagon"]
+    tilde = du.pentagon_residual(tilde_split, n, res["v_tilde_unitary"])[0]
+    assert tilde == res["v_tilde_pentagon"]
+    bound = du.v_tilde_coproduct_residual(
+        tilde_split, hat.coproduct, res["v_tilde_unitary"], hat.coproduct_certificate
+    )
+    assert bound == res["v_tilde_implements_dual_coproduct"]
 
 
 def test_the_dual_forms_no_sandwich(monkeypatch):
@@ -732,9 +810,9 @@ def test_the_dual_chain_certifies_v_once(monkeypatch):
     seen = []
     real = du.pentagon_residual
 
-    def spy(v, n, *args):
-        seen.append(v)
-        return real(v, n, *args)
+    def spy(split, n, unitary):
+        seen.append(split)
+        return real(split, n, unitary)
 
     monkeypatch.setattr(du, "pentagon_residual", spy)
     v = du.multiplicative_unitary(kac)
@@ -743,7 +821,7 @@ def test_the_dual_chain_certifies_v_once(monkeypatch):
     du.dual_kac(kac)
     assert seen == []
     assert v.residuals is v.residuals
-    assert len(seen) == 1 and seen[0] is v.matrix
+    assert len(seen) == 1 and seen[0] is hat.split
 
 
 def test_bidual_check_computes_no_certificate_of_the_bidual(monkeypatch):
@@ -770,7 +848,8 @@ def test_bidual_check_computes_no_certificate_of_the_bidual(monkeypatch):
     (d2,) = built
     for obj, name in (
         (d2, "residuals"), (d2.ints, "residuals"), (d2.pairing_form, "residuals"),
-        (d2.hat, "coproduct_certificate"), (d2.hat, "residuals"), (d2.v, "residuals"),
+        (d2.hat, "coproduct_certificate"), (d2.hat, "split"), (d2.hat, "residuals"),
+        (d2.v, "residuals"),
     ):
         assert name not in vars(obj)
 
@@ -1140,17 +1219,16 @@ def test_representation_star_matches_its_loop(named_algebra, dual_of, name):
 
 
 def dual_maps_by_rows(kac, hat):
-    """``dual_kac``'s product, antipode and star tensors and its two memberships,
-    as one matmul each against the conjugated basis rows ⟨y_c, ·⟩ = conj(Y)·vec(·)."""
+    """``dual_kac``'s product, antipode and star tensors and its two memberships
+    (the product's a Frobenius norm over all pairs), as one matmul each against
+    the conjugated basis rows ⟨y_c, ·⟩ = conj(Y)·vec(·)."""
     n = kac.dim
     ystack = hat.onb
     rows = np.conj(ystack).reshape(n, n * n)
     flat = ystack.reshape(n, n * n)
     prods = ystack[:, None] @ ystack[None]
     mult = (prods.reshape(n * n, n * n) @ rows.T).reshape(n, n, n)
-    product_membership = float(
-        np.abs(mult.reshape(n * n, n) @ flat - prods.reshape(n * n, n * n)).max()
-    )
+    product_membership = la.frob(mult.reshape(n * n, n) @ flat - prods.reshape(n * n, n * n))
     ky = du.kappa_hat(kac, ystack).reshape(n, n * n)
     antipode = ky @ rows.T
     antipode_membership = float(np.linalg.norm(antipode @ flat - ky, axis=1).max())

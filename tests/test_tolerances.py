@@ -137,6 +137,4 @@ def test_no_single_valued_field():
 def test_kept_parameters():
     assert "tol" in inspect.signature(kc.validate_kac).parameters
     assert "atol" in inspect.signature(la.null_space).parameters
-    assert list(inspect.signature(du.pentagon_residual).parameters) == [
-        "v", "n", "left", "right", "unitary"
-    ]
+    assert list(inspect.signature(du.pentagon_residual).parameters) == ["split", "n", "unitary"]
