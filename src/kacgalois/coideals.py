@@ -3,7 +3,8 @@
 A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
 δ(B) ⊆ A⊗B.  This module provides:
 
-* recognition and certification of coideals (:func:`is_coideal`),
+* recognition and certification of coideals (:func:`is_coideal`) on each
+  coproduct's n×n coefficients over the home algebra's orthonormal basis,
 * the constructive envelope :func:`coideal_closure`, the *-algebra generated
   by the given elements and their coproduct slices in one step, built apart
   from its certificate so that a closure already known can skip it,
@@ -28,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -91,33 +91,32 @@ def _digest(fingerprint: tuple) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-# Coproduct entries :func:`_containment` forms at once, which bounds its scratch memory.
-_SLICE_BLOCK = 1 << 20
+def _oriented(w: np.ndarray, side: str) -> np.ndarray:
+    """Coproduct coefficients W (left) or Wᵀ (right): rows are the slices' coefficients."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return w if side == "left" else w.swapaxes(-1, -2)
 
 
-def _containment(delta, home: np.ndarray, onb: np.ndarray, side: str) -> float:
-    """Max Frobenius distance of δ(b) from home⊗span (left) or span⊗home (right).
+def _containment(w: np.ndarray, rows: np.ndarray, side: str) -> float:
+    """Max Frobenius distance of δ(b) from home⊗B (left) or B⊗home (right).
 
-    ``delta`` maps a stack of operators to their n²×n² coproducts and
-    ``home`` is the orthonormal basis of the algebra the span lives in; b
-    runs over ``onb``, an orthonormal basis of the span taken as given, in
-    stacks of at most ``_SLICE_BLOCK`` coproduct entries, each measured by
-    :func:`linalg.leg_distance`.
+    ``w`` stacks the n×n coefficients of δ(b) = Σ W[k,l]·a_k⊗a_l over the home
+    algebra's orthonormal basis a, for b over an orthonormal basis of B, and ``rows``
+    holds those b over a.  The a_k⊗a_l are orthonormal, so the distance is that of W
+    from W·rows†·rows (left), or of Wᵀ from Wᵀ·rows†·rows (right): n³ per b.
     """
-    step = max(1, _SLICE_BLOCK // onb.shape[-1] ** 4)
-    worst = 0.0
-    for lo in range(0, len(onb), step):
-        dist = la.leg_distance(delta(onb[lo : lo + step]), home, onb, side)
-        worst = max(worst, float(dist.max()))
-    return worst
+    w = _oriented(w, side)
+    return la.frob_max(w - (w @ dagger(rows)) @ rows)
 
 
 def _dual_containment(dd: du.DualKac, onb: np.ndarray, side: str) -> float:
-    """:func:`_containment` under :func:`du.delta_hat`, plus Â's ``coproduct_certificate``
-    times the largest coefficient norm in ``onb``: a bound for the sandwich V†(1⊗y)V."""
-    reach = float(np.linalg.norm(dd.hat.mm.coeffs(onb), axis=-1).max())
-    cert = _containment(partial(du.delta_hat, dd.v), dd.hat.onb, onb, side)
-    return cert + dd.hat.coproduct_certificate * reach
+    """:func:`_containment` on Â's ``coproduct``, plus its ``coproduct_certificate`` times
+    the largest coefficient norm in ``onb``: a bound for the sandwich V†(1⊗y)V."""
+    rows = dd.hat.mm.coeffs(onb)
+    w = np.tensordot(rows, dd.hat.coproduct, axes=(-1, 0))
+    reach = float(np.linalg.norm(rows, axis=-1).max())
+    return _containment(w, rows, side) + dd.hat.coproduct_certificate * reach
 
 
 def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
@@ -131,11 +130,12 @@ def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"span is not a unital *-subalgebra: {val}")
-    a_mm = kac.as_mm()
-    memb = a_mm.residual(mm.onb())
+    a_mm, onb = kac.as_mm(), mm.onb()
+    rows = a_mm.coeffs(onb)
+    memb = la.frob_max(onb - a_mm.element(rows))
     if memb > DEFAULT_TOL * kac.dim:
         raise SubalgebraError(f"span is not inside A (residual {memb:.2e})")
-    cert = _containment(kac.delta_op, a_mm.onb(), mm.onb(), side)
+    cert = _containment(kac.coproduct_coeffs(onb), rows, side)
     if cert > DEFAULT_TOL * kac.dim:
         raise ValueError(f"not a {side} coideal: coproduct containment residual {cert:.2e}")
     p = jones_projection(kac, mm)
@@ -146,8 +146,8 @@ def _closure_algebra(kac: KacAlgebra, elements, side: str) -> ag.MMAlgebra:
     """The *-algebra generated by ``elements`` and their coproduct slices, uncertified."""
     n = kac.dim
     gens = np.asarray(list(elements), dtype=complex)
-    rows = la.leg_slices(kac.delta_op(gens), kac.as_mm().onb(), side)[0].reshape(-1, n, n)
-    return ag.mm_from_generators(np.concatenate([gens, rows]), n)
+    slices = kac.as_mm().element(_oriented(kac.coproduct_coeffs(gens), side)).reshape(-1, n, n)
+    return ag.mm_from_generators(np.concatenate([gens, slices]), n)
 
 
 def coideal_closure(kac: KacAlgebra, elements, side: str = "left") -> Coideal:

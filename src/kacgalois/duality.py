@@ -249,17 +249,17 @@ class HatAlgebra:
 
     @cached_property
     def residuals(self) -> dict:
-        """Â has dimension n and is closed as a *-algebra; ``slice_reconstruction``
-        is V's ε in ``split``; ``onb`` is orthonormal, ``basis_orthonormality``
-        the largest entry of B·B† − I, B the rows of ``onb``; and V lies in
-        Â⊗A: the Frobenius distance of V from Â⊗A
-        (:func:`~kacgalois.linalg.leg_distance`), which reads no commutant and
-        proves that the n elements hold every slice of V."""
+        """Â has dimension n and is closed as a *-algebra (``product_closure`` is onb's
+        closure in ``split``, over all pairs); ``slice_reconstruction`` is V's ε in
+        ``split``; ``onb`` is orthonormal, ``basis_orthonormality`` the largest entry
+        of B·B† − I, B the rows of ``onb``; and V lies in Â⊗A: the Frobenius distance
+        of V from Â⊗A (:func:`~kacgalois.linalg.leg_distance`), which reads no
+        commutant and proves that the n elements hold every slice of V."""
         n = self.kac.dim
         res = {"dimension": float(abs(len(self.onb) - n))}
-        val = self.mm.validate()
-        for key in ("product_closure", "adjoint_closure", "unit_membership"):
-            res[key] = val[key]
+        res["product_closure"] = self.split[1][2]
+        res["adjoint_closure"] = self.mm.residual(dagger(self.onb))
+        res["unit_membership"] = self.mm.residual(self.mm.unit)
         res["slice_reconstruction"] = self.split[0]
         rows = self.onb.reshape(n, n * n)
         res["basis_orthonormality"] = float(np.abs(rows @ dagger(rows) - np.eye(n)).max())
@@ -267,6 +267,14 @@ class HatAlgebra:
             leg_distance(self.v.matrix, self.onb, self.kac.as_mm().onb(), "left")
         )
         return res
+
+    @cached_property
+    def counit_on_omega(self) -> tuple[np.ndarray, float]:
+        """ε̂(onbₐ) = ⟨Ω, onbₐΩ⟩ and the largest ‖onbₐΩ − ε̂(onbₐ)Ω‖, on first read, for
+        the dual's counit and the integrals', the pairing's and the dual's certificates."""
+        w = self.onb @ self.kac.omega
+        eps = w @ np.conj(self.kac.omega)
+        return eps, float(np.linalg.norm(w - eps[:, None] * self.kac.omega, axis=1).max())
 
     @cached_property
     def coproduct_certificate(self) -> float:
@@ -347,16 +355,6 @@ def _check_condition(gram: np.ndarray, what: str) -> None:
         )
 
 
-def delta_hat(v: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
-    """Dual coproduct δ̂(y) = V†(1⊗y)V on H⊗H, as an n²×n² matrix (of each y of a stack).
-
-    Expands y's coefficients over ``onb`` against Â's ``coproduct``, whatever V's
-    density; for y in Â, within ``coproduct_certificate`` times their norm of the sandwich.
-    """
-    hat = v._hat
-    return la.pair_sum(np.tensordot(hat.mm.coeffs(y), hat.coproduct, axes=(-1, 0)), hat.onb)
-
-
 def kappa_hat(kac: KacAlgebra, y: np.ndarray) -> np.ndarray:
     """Dual antipode κ̂(y) = J y* J (linear in y; of each y of a stack)."""
     return kac.mj @ y.swapaxes(-1, -2) @ np.conj(kac.mj)
@@ -396,7 +394,7 @@ class Integrals:
         res["absorbing"] = la.frob_max(kac.lmats @ e_op - eps[:, None, None] * e_op)
 
         res["e_hat_membership"] = hat.mm.residual(e_hat)
-        eps_y, res["hat_fixes_omega_line"] = _counit_on_omega(kac, hat.onb)
+        eps_y, res["hat_fixes_omega_line"] = hat.counit_on_omega
         res["e_hat_absorbing"] = la.frob_max(e_hat @ hat.onb - eps_y[:, None, None] * e_hat)
         res["omega_hat_unit"] = float(abs(np.linalg.norm(omega_hat) - 1.0))
         res["omega_from_omega_hat"] = float(
@@ -446,13 +444,6 @@ def _integrals(kac: KacAlgebra, hat: HatAlgebra) -> Integrals:
     return Integrals(
         e_op=e_op, e_hat=e_hat, omega_hat=omega_hat, space_dim=ns.shape[1], hat=hat
     )
-
-
-def _counit_on_omega(kac: KacAlgebra, ys: np.ndarray) -> tuple[np.ndarray, float]:
-    """ε̂(y) = ⟨Ω, yΩ⟩ for each y of a stack, and the largest ‖yΩ − ε̂(y)Ω‖."""
-    w = ys @ kac.omega
-    eps = w @ np.conj(kac.omega)
-    return eps, float(np.linalg.norm(w - eps[:, None] * kac.omega, axis=1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +570,7 @@ class PairingForm:
         sv = np.linalg.svd(p_mat, compute_uv=False)
         res = {"nondegenerate": float(max(0.0, DEFAULT_TOL - sv.min() / sv.max()))}
 
-        unit_row = sq * (w @ kac.omega) - _counit_on_omega(kac, ystack)[0]
+        unit_row = sq * (w @ kac.omega) - hat.counit_on_omega[0]
         res["unit_pairs_to_dual_counit"] = float(np.abs(unit_row).max())
         eye_col = sq * (om_bar @ kac.coord)
         res["dual_unit_pairs_to_counit"] = float(np.abs(eye_col - kac.counit).max())
@@ -630,7 +621,7 @@ class DualKac:
         hat, ystack = self.hat, self.hat.onb
         res = {"product_membership": hat.split[1][2]}
         res["coproduct_membership"] = hat.coproduct_certificate
-        res["counit_action"] = _counit_on_omega(hat.kac, ystack)[1]
+        res["counit_action"] = hat.counit_on_omega[1]
         res["antipode_membership"] = hat.mm.residual(kappa_hat(hat.kac, ystack))
         return res
 
@@ -658,7 +649,7 @@ def dual_kac(kac: KacAlgebra) -> DualKac:
     ints = integrals(kac, hat)
     ystack = hat.onb
     # antipode[i, c] = ⟨y_c, κ̂(y_i)⟩ and star[a, b] = ⟨y_b, y_a†⟩
-    counit = _counit_on_omega(kac, ystack)[0]
+    counit = hat.counit_on_omega[0]
     antipode = hat.mm.coeffs(kappa_hat(kac, ystack))
     star = hat.mm.coeffs(dagger(ystack))
     haar = np.trace(ystack, axis1=1, axis2=2) / n
@@ -787,7 +778,7 @@ def heisenberg_identities(dd: DualKac, coreps: list) -> dict:
         res["compressed_product"] = max(
             res["compressed_product"], la.frob_max(d * comp - rhs)
         )
-        # δ(u) = Σ_pq w_pq L(b_p)⊗L(b_q) with w = Σ_a c(u)_a Δ_a, as in KacAlgebra.delta_op.
+        # δ(u) = Σ_pq w_pq L(b_p)⊗L(b_q) with w = Σ_a c(u)_a Δ_a, as in KacAlgebra.coproduct_coeffs.
         w = np.tensordot(kac.coeffs_of(ent), kac.delta, axes=(-1, 0))
         f = np.tensordot(w @ r, kac.lmats, axes=(2, 0)).transpose(1, 0, 3, 4, 2)
         f = f.reshape(d, d * n, n * n)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob_max, pair_sum
+from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob_max
 
 
 class AxiomError(ValueError):
@@ -193,7 +193,8 @@ class KacAlgebra:
     operators, ``omega`` the cyclic vector, ``coord`` the coefficient-to-GNS
     coordinate map, and ``mj`` the linear part of the modular conjugation
     (x Ω ↦ x* Ω, which is already antiunitary because the Haar state is a
-    trace).
+    trace).  A coproduct is read as its n×n coefficients over ``as_mm()``'s
+    orthonormal basis (:meth:`coproduct_coeffs`), never as an n²×n² operator.
     """
 
     dim: int
@@ -225,9 +226,11 @@ class KacAlgebra:
 
     # -- structure maps on operators --------------------------------------
 
-    def delta_op(self, x: np.ndarray) -> np.ndarray:
-        """Coproduct Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ) of an operator (or of each of a stack), n²×n²."""
-        return pair_sum(np.tensordot(self.coeffs_of(x), self.delta, axes=(-1, 0)), self.lmats)
+    def coproduct_coeffs(self, x: np.ndarray) -> np.ndarray:
+        """n×n coefficients W of δ(x) = Σ W[k,l]·a_k⊗a_l over ``as_mm()``'s orthonormal basis
+        a (of each x of a stack): Kᵀ·(Σₘ c(x)ₘ·Δₘ)·K, K[i,k] = ⟨a_k, L(bᵢ)⟩ built once."""
+        w = np.tensordot(self.coeffs_of(x), self.delta, axes=(-1, 0))
+        return self._lmat_coeffs.T @ w @ self._lmat_coeffs
 
     def counit_of(self, x: np.ndarray) -> complex:
         return complex(self.counit @ self.coeffs_of(x))
@@ -249,6 +252,10 @@ class KacAlgebra:
         from . import algebra as ag
 
         return ag.from_span(self.lmats, self.dim)
+
+    @cached_property
+    def _lmat_coeffs(self) -> np.ndarray:
+        return self.as_mm().coeffs(self.lmats)
 
     @cached_property
     def _v(self):

@@ -143,23 +143,13 @@ def spans_match(onb1, onb2) -> bool:
     return upper < SPAN_TOL
 
 
-def pair_sum(w: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    """Σᵢⱼ wᵢⱼ·opsᵢ⊗opsⱼ as a d²×d² matrix (of each w of a stack), with no Kronecker product."""
-    d, lead = ops.shape[-1], w.shape[:-2]
-    flat = ops.reshape(len(ops), d * d)
-    # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ opsⱼ[b, e], then contract i against opsᵢ[a, c].
-    out = flat.T @ (w @ flat)
-    return out.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+def leg_distance(w: np.ndarray, home, span, side: str) -> np.ndarray:
+    """Frobenius distance of w (of each of a stack) from home⊗span (left) or span⊗home (right).
 
-
-def leg_slices(w: np.ndarray, home, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """Leg slices of an n²×n² operator w (of each of a stack) against a basis a_i.
-
-    Writes w = Σ a_i⊗s_i + R (left) or Σ s_i⊗a_i + R (right), with ``home``
-    the orthonormal a_i and R orthogonal to a⊗B(H), from one matmul on w
-    regrouped by legs.  Returns the (…, h, n²) rows of the s_i and ‖R‖_F
-    per w, taken as the norm of the residual itself so that it keeps full
-    relative precision.
+    Exact: regrouped by legs, w = Σ a_i⊗s_i + R (left; Σ s_i⊗a_i + R right) over the
+    orthonormal ``home``, R ⊥ home⊗B(H), and dist² = ‖R‖² + Σ ‖s_i − P s_i‖², P the
+    projection onto the orthonormal ``span``; ‖R‖ is the residual's own norm, so it
+    keeps full relative precision.  About 2n⁵ multiply-adds per w; no n⁴×n⁴ projector.
     """
     n, lead = np.shape(home)[-1], w.shape[:-2]
     legs = {"left": (0, 2, 1, 3), "right": (1, 3, 0, 2)}.get(side)
@@ -167,21 +157,9 @@ def leg_slices(w: np.ndarray, home, side: str) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     x = w.reshape(*lead, n, n, n, n)
     x = x.transpose(*range(len(lead)), *(len(lead) + a for a in legs)).reshape(*lead, n * n, -1)
-    a = _flat_rows(home)
+    a, rows = _flat_rows(home), _flat_rows(span)
     s = a.conj() @ x
-    return s, np.linalg.norm(x - a.T @ s, axis=(-2, -1))
-
-
-def leg_distance(w: np.ndarray, home, span, side: str) -> np.ndarray:
-    """Frobenius distance of w (of each of a stack) from home⊗span (left) or span⊗home (right).
-
-    Exact: with the slices s_i and the remainder R of :func:`leg_slices`,
-    dist(w, home⊗span)² = ‖R‖² + Σ_i ‖s_i − P s_i‖², P the projection onto
-    the orthonormal ``span``.  About 2n⁵ multiply-adds per w when ``home``
-    has n elements, whatever w's entries are; no n⁴×n⁴ projector is formed.
-    """
-    rows = _flat_rows(span)
-    s, r = leg_slices(w, home, side)
+    r = np.linalg.norm(x - a.T @ s, axis=(-2, -1))
     gap = np.linalg.norm(s - (s @ dagger(rows)) @ rows, axis=(-2, -1))
     return np.hypot(r, gap)
 

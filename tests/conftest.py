@@ -83,6 +83,40 @@ def kronecker_sandwich(w, y):
     return np.conj(w).T @ (np.kron(np.eye(n), y) @ w)
 
 
+def pair_sum(w, ops):
+    """Reference Σᵢⱼ wᵢⱼ·opsᵢ⊗opsⱼ as a d²×d² matrix (of each w of a stack)."""
+    d, lead = ops.shape[-1], w.shape[:-2]
+    flat = ops.reshape(len(ops), d * d)
+    # (w @ flat)[i, (b, e)] = Σⱼ wᵢⱼ opsⱼ[b, e], then contract i against opsᵢ[a, c].
+    out = flat.T @ (w @ flat)
+    return out.reshape(*lead, d, d, d, d).swapaxes(-3, -2).reshape(*lead, d * d, d * d)
+
+
+def delta_op(kac, x):
+    """Reference coproduct Σᵢⱼ wᵢⱼ·L(bᵢ)⊗L(bⱼ) of an operator (or of each of a stack),
+    as an n²×n² operator, w = Σₘ c(x)ₘ·Δₘ."""
+    return pair_sum(np.tensordot(kac.coeffs_of(x), kac.delta, axes=(-1, 0)), kac.lmats)
+
+
+def delta_hat(hat, y):
+    """Reference dual coproduct of y ∈ Â (or of each of a stack) as an n²×n² operator:
+    y's coefficients over ``hat.onb`` expanded against ``hat.coproduct``."""
+    return pair_sum(np.tensordot(hat.mm.coeffs(y), hat.coproduct, axes=(-1, 0)), hat.onb)
+
+
+def leg_slices(w, home, side):
+    """Reference leg slices of an n²×n² operator w (of each of a stack): the rows of
+    the s_i in w = Σ a_i⊗s_i + R (left) or Σ s_i⊗a_i + R (right) over the
+    orthonormal ``home``, and ‖R‖_F."""
+    n, lead = np.shape(home)[-1], w.shape[:-2]
+    legs = {"left": (0, 2, 1, 3), "right": (1, 3, 0, 2)}[side]
+    x = w.reshape(*lead, n, n, n, n)
+    x = x.transpose(*range(len(lead)), *(len(lead) + a for a in legs)).reshape(*lead, n * n, -1)
+    a = np.reshape(home, (len(home), -1))
+    s = a.conj() @ x
+    return s, np.linalg.norm(x - a.T @ s, axis=(-2, -1))
+
+
 def product_fit(ops):
     """α with opsᵢ·opsⱼ ≈ Σ α[i,j,p]·ops_p, the least-squares fit by one Gram
     solve (n⁵ multiply-adds): a product tensor for a stack that is no algebra's."""

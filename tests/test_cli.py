@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import json
 import multiprocessing
 import os
@@ -257,9 +258,9 @@ def test_seed_changes_nothing_structural_for_validate():
 @pytest.mark.parametrize(
     "run, counts",
     [
-        (lambda kac: cli.run_dual(kac, None), (2, 2, 3, 3, 1, 4, 4, 2)),
-        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 1, 0, 1, 2, 2, 0)),
-        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 2, 2, 0)),
+        (lambda kac: cli.run_dual(kac, None), (2, 2, 3, 3, 1, 4, 4, 2, 2)),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 1, 0, 1, 2, 2, 2, 0)),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 2, 2, 1, 0)),
     ],
     ids=["run_dual", "selftest_algebra", "run_coreps"],
 )
@@ -273,6 +274,8 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
     # only V̂ and Ṽ build the commutants A′ and Â′.  Each split defect (of V,
     # V̂, Ṽ and the corepresentations' expansion of V) and each leg's closure
     # (onb, the Bₐ, U·onb·U and U·B·U) is computed once, where it is read.
+    # Â's counit on Ω is computed once per Â, for the dual's counit and the
+    # integrals', the pairing's and the dual's certificates that read it.
     assert not hasattr(du, "_product_fit")
     calls = collections.Counter()
     names = ("multiplicative_unitary", "dual_kac", "pentagon_residual",
@@ -285,8 +288,12 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
+    real = du.HatAlgebra.counit_on_omega.func
+    spy = functools.cached_property(lambda hat: calls.update(["counit"]) or real(hat))
+    spy.__set_name__(du.HatAlgebra, "counit_on_omega")
+    monkeypatch.setattr(du.HatAlgebra, "counit_on_omega", spy)
     run(kc.group_algebra(groups["s3"]))  # fresh, so no certificate is cached on it
-    assert tuple(calls[name] for name in (*names, "commutant")) == counts
+    assert tuple(calls[name] for name in (*names, "counit", "commutant")) == counts
 
 
 def test_coreps_gates_the_pentagon(monkeypatch, capsys):
@@ -305,7 +312,8 @@ def test_coreps_gates_the_pentagon_on_the_hat_tensors(
     monkeypatch, tmp_path, capsys, name, tensor
 ):
     # Â's product, or the coproduct that is the Bₐ's product, moved by 1e-6:
-    # V's pentagon reads both tensors, and no other `coreps` check reads either.
+    # V's pentagon reads both tensors, and the only other `coreps` check that
+    # reads either is Â's `product_closure`, onb's closure under the product.
     path = FIXTURES / f"{name}.json"
     if name == "rotated_kp8":
         path = write_rebased_kp8(tmp_path, rotation(8, seed=0))
@@ -320,7 +328,8 @@ def test_coreps_gates_the_pentagon_on_the_hat_tensors(
     monkeypatch.setattr(du, "_hat_algebra", moved)
     assert cli.main(["coreps", str(path)]) == 1
     checks = json.loads(capsys.readouterr().out)["report"]["checks"]
-    assert [key for key, c in checks.items() if not c["ok"]] == ["pentagon"]
+    failed = ["hat_algebra", "pentagon"] if tensor == "mult" else ["pentagon"]
+    assert [key for key, c in checks.items() if not c["ok"]] == failed
     assert checks["pentagon"]["value"] > cli.TOLERANCES["tight"]
 
 

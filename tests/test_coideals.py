@@ -13,7 +13,14 @@ from kacgalois import kac as kc
 from kacgalois import linalg as la
 from kacgalois.algebra import SubalgebraError
 
-from conftest import ALGEBRA_NAMES, LADDER_NAMES, kronecker_sandwich, span_residual
+from conftest import (
+    ALGEBRA_NAMES,
+    LADDER_NAMES,
+    delta_hat,
+    delta_op,
+    leg_slices,
+    span_residual,
+)
 
 
 def brute_force_s3_subgroup_orders():
@@ -76,7 +83,7 @@ def alternating_closure(kac, elements, side="left"):
     home = kac.as_mm().onb()
     mm = ag.mm_from_generators(list(elements), n)
     for _ in range(n + 2):
-        sl = [la.leg_slices(kac.delta_op(b), home, side)[0].reshape(-1, n, n) for b in mm.onb()]
+        sl = [leg_slices(delta_op(kac, b), home, side)[0].reshape(-1, n, n) for b in mm.onb()]
         grown = ag.mm_from_generators(np.concatenate([mm.onb(), *sl]), n)
         if grown.dim == mm.dim:
             break
@@ -689,7 +696,7 @@ def kron_containment(kac, mats, side):
         prod_onb = [np.kron(a, b) for a in amb for b in sub]
     else:
         prod_onb = [np.kron(b, a) for a in amb for b in sub]
-    return max(span_residual(kac.delta_op(b), prod_onb) for b in sub)
+    return max(span_residual(delta_op(kac, b), prod_onb) for b in sub)
 
 
 def kron_dual_containment(dd, mats, side):
@@ -700,66 +707,63 @@ def kron_dual_containment(dd, mats, side):
         prod_onb = [np.kron(a, b) for a in amb for b in sub]
     else:
         prod_onb = [np.kron(b, a) for a in amb for b in sub]
-    return max(span_residual(du.delta_hat(dd.v, y), prod_onb) for y in sub)
+    return max(span_residual(delta_hat(dd.hat, y), prod_onb) for y in sub)
 
 
 def slice_containment(kac, mats, side):
-    return ci._containment(kac.delta_op, kac.as_mm().onb(), la.orthonormalize(mats), side)
+    onb = la.orthonormalize(mats)
+    return ci._containment(kac.coproduct_coeffs(onb), kac.as_mm().coeffs(onb), side)
+
+
+def hat_coproduct_coeffs(dd, ys):
+    """The coefficient matrices of δ̂(y) over Â's ``onb`` (of each y of a stack)."""
+    return np.tensordot(dd.hat.mm.coeffs(ys), dd.hat.coproduct, axes=(-1, 0))
 
 
 def slice_dual_containment(dd, mats, side):
-    return ci._containment(
-        partial(du.delta_hat, dd.v), dd.hat.onb, la.orthonormalize(mats), side
-    )
+    onb = la.orthonormalize(mats)
+    return ci._containment(hat_coproduct_coeffs(dd, onb), dd.hat.mm.coeffs(onb), side)
 
 
-def looped_containment(delta, home, onb, side):
-    """Reference: the containment certificate one basis element at a time."""
-    rows = onb.reshape(len(onb), -1)
-    worst = 0.0
-    for b in onb:
-        s, r = la.leg_slices(delta(b), home, side)
-        worst = max(worst, float(np.hypot(r, la.frob(s - (s @ la.dagger(rows)) @ rows))))
-    return worst
+def test_the_operator_coproduct_is_gone():
+    gone = [(la, "pair_sum"), (la, "leg_slices"), (kc.KacAlgebra, "delta_op"),
+            (du, "delta_hat"), (ci, "_SLICE_BLOCK")]
+    assert not any(hasattr(owner, name) for owner, name in gone)
 
 
 @pytest.mark.parametrize("name", ["s3_function", "q8_group", "z4_function"])
-def test_stacked_slices_and_containment_match_the_loop(algebras, dual_of, monkeypatch, name):
+def test_coefficient_containment_matches_the_operator_leg_distance(algebras, dual_of, name):
+    """On the inputs of the leg-slice routine it replaced, the coefficient form
+    of the containment is the largest leg distance of the operator coproducts."""
     kac = algebras[name]
     dd = dual_of(kac)
     rng = np.random.default_rng(5)
     coid = ci.enumerate_coideals_group_case(kac)["coideals"][2]
     homes = (
-        (kac.delta_op, kac.as_mm().onb(), coid.mm.onb()),
-        (partial(du.delta_hat, dd.v), dd.hat.onb, ci.tilde(coid, dd).mm.onb()),
+        (partial(delta_op, kac), kac.coproduct_coeffs, kac.as_mm(), coid.mm.onb()),
+        (partial(delta_hat, dd.hat), partial(hat_coproduct_coeffs, dd), dd.hat.mm,
+         ci.tilde(coid, dd).mm.onb()),
     )
-    for delta, home, lattice_span in homes:
+    for delta, coeffs_of_delta, home_mm, lattice_span in homes:
+        home = home_mm.onb()
         coeffs = rng.normal(size=(3, len(home))) + 1j * rng.normal(size=(3, len(home)))
         for onb in (lattice_span, la.orthonormalize(np.tensordot(coeffs, home, axes=1)), home):
             for side in ("left", "right"):
-                s, r = la.leg_slices(delta(onb), home, side)
-                for k, b in enumerate(onb):
-                    sk, rk = la.leg_slices(delta(b), home, side)
-                    assert np.abs(s[k] - sk).max() <= 1e-14
-                    assert abs(r[k] - rk) <= 1e-14
-                want = looped_containment(delta, home, onb, side)
-                assert abs(ci._containment(delta, home, onb, side) - want) <= 1e-14
-                with monkeypatch.context() as m:
-                    m.setattr(ci, "_SLICE_BLOCK", 1)  # one element per block
-                    assert abs(ci._containment(delta, home, onb, side) - want) <= 1e-14
+                want = max(float(la.leg_distance(delta(b), home, onb, side)) for b in onb)
+                got = ci._containment(coeffs_of_delta(onb), home_mm.coeffs(onb), side)
+                assert abs(got - want) <= 1e-14
 
 
 def test_stacked_coproducts_match_one_at_a_time(algebras, dual_of, kp8):
     for kac in (algebras["s3_group"], algebras["q8_function"], kp8):
         dd = dual_of(kac)
-        homes = ((kac.delta_op, kac.as_mm().onb()), (partial(du.delta_hat, dd.v), dd.hat.onb))
-        for delta, home in homes:
-            stacked = delta(home)
-            assert stacked.shape == (len(home), kac.dim**2, kac.dim**2)
+        homes = ((kac.coproduct_coeffs, kac.as_mm().onb()),
+                 (partial(hat_coproduct_coeffs, dd), dd.hat.onb))
+        for coeffs_of_delta, home in homes:
+            stacked = coeffs_of_delta(home)
+            assert stacked.shape == (len(home), kac.dim, kac.dim)
             for k, y in enumerate(home):
-                assert np.abs(stacked[k] - delta(y)).max() <= 1e-14
-        dense = kronecker_sandwich(dd.v.matrix, dd.hat.onb)
-        assert np.abs(dense - du.delta_hat(dd.v, dd.hat.onb)).max() <= 1e-13
+                assert np.abs(stacked[k] - coeffs_of_delta(y)).max() <= 1e-14
         looped = np.stack([du.kappa_hat(kac, y) for y in dd.hat.onb])
         assert np.abs(du.kappa_hat(kac, dd.hat.onb) - looped).max() <= 1e-15
 

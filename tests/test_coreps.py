@@ -11,7 +11,7 @@ from kacgalois import linalg as la
 from kacgalois.algebra import matrix_units
 from kacgalois.linalg import dagger, frob
 
-from conftest import ALGEBRA_NAMES, POOL_NAMES, STACK_NAMES
+from conftest import ALGEBRA_NAMES, POOL_NAMES, STACK_NAMES, delta_op
 
 EXPECTED_DIMS = {
     "z2_group": [1, 1],
@@ -320,7 +320,7 @@ def test_entry_certificates_match_the_kronecker_forms(pool_algebra, coreps_of, d
         for i in range(d):
             for j in range(d):
                 target = sum(np.kron(c.entries[i][k], c.entries[k][j]) for k in range(d))
-                cop = max(cop, frob(kac.delta_op(c.entries[i][j]) - target))
+                cop = max(cop, frob(delta_op(kac, c.entries[i][j]) - target))
                 expansion += np.kron(c.units[i][j], c.entries[i][j])
                 want = np.einsum(
                     "pa,abpq->bq", c.units[j][i], v.matrix.reshape(n, n, n, n)
@@ -340,7 +340,7 @@ def test_heisenberg_cells_match_the_operator_sums(pool_algebra, coreps_of, dual_
     comp = cont = 0.0
     for c in coreps:
         d = c.dim
-        dops = [[kac.delta_op(c.entries[k][i]) for i in range(d)] for k in range(d)]
+        dops = [[delta_op(kac, c.entries[k][i]) for i in range(d)] for k in range(d)]
         for i in range(d):
             for j in range(d):
                 rhs = du.kappa_hat(kac, c.units[j][i])
