@@ -747,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--tolerance",
             type=float,
             default=None,
-            help="override every check limit with this value (> 0)",
+            help="override every check limit with this value (positive, finite)",
         )
         p.add_argument(
             "--seed", type=int, default=7, help="seed for randomized suites"
@@ -803,10 +803,6 @@ def _emit(doc: dict, fmt: str, output: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tolerance is not None and not args.tolerance > 0:
-        print("error: --tolerance must be positive", file=sys.stderr)
-        return 2
-
     command = args.command
     envelope = {
         "tool": "kacgalois",
@@ -818,6 +814,8 @@ def main(argv: list[str] | None = None) -> int:
     }
 
     try:
+        if args.tolerance is not None and not 0 < args.tolerance < np.inf:
+            raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
         if command == "selftest":
             envelope["input_sha256"] = _bundled_hash()
             report, passed = run_selftest(args.tolerance, args.seed)

@@ -99,24 +99,25 @@ def _oriented(w: np.ndarray, side: str) -> np.ndarray:
 
 
 def _containment(w: np.ndarray, rows: np.ndarray, side: str) -> float:
-    """Max Frobenius distance of δ(b) from home⊗B (left) or B⊗home (right).
+    """Frobenius distance of (δ(b))_b from home⊗B (left) or B⊗home (right), over all b.
 
     ``w`` stacks the n×n coefficients of δ(b) = Σ W[k,l]·a_k⊗a_l over the home
     algebra's orthonormal basis a, for b over an orthonormal basis of B, and ``rows``
-    holds those b over a.  The a_k⊗a_l are orthonormal, so the distance is that of W
-    from W·rows†·rows (left), or of Wᵀ from Wᵀ·rows†·rows (right): n³ per b.
+    holds those b over a.  The a_k⊗a_l are orthonormal, so b's distance d_b is that of
+    W from W·rows†·rows (left), or of Wᵀ from Wᵀ·rows†·rows (right): n³ per b.  The
+    value (Σ_b d_b²)^{1/2} is the Hilbert–Schmidt norm of (1 − P)∘δ on B, P the
+    projection onto home⊗B, so no change of B's orthonormal basis moves it.
     """
     w = _oriented(w, side)
-    return la.frob_max(w - (w @ dagger(rows)) @ rows)
+    return frob(w - (w @ dagger(rows)) @ rows)
 
 
 def _dual_containment(dd: du.DualKac, onb: np.ndarray, side: str) -> float:
     """:func:`_containment` on Â's ``coproduct``, plus its ``coproduct_certificate`` times
-    the largest coefficient norm in ``onb``: a bound for the sandwich V†(1⊗y)V."""
+    the Frobenius norm of the coefficients of ``onb``: a bound for the sandwich V†(1⊗y)V."""
     rows = dd.hat.mm.coeffs(onb)
     w = np.tensordot(rows, dd.hat.coproduct, axes=(-1, 0))
-    reach = float(np.linalg.norm(rows, axis=-1).max())
-    return _containment(w, rows, side) + dd.hat.coproduct_certificate * reach
+    return _containment(w, rows, side) + dd.hat.coproduct_certificate * frob(rows)
 
 
 def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
@@ -378,19 +379,19 @@ def enumerate_coideals_group_case(
 def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     """B̃ = {y ∈ Â : ⟨x·b, y⟩ = ε(b)·⟨x, y⟩ for all x ∈ A, b ∈ B}.
 
-    B is a coideal of A = ``dd.v.kac``.  Solved as the null space of the
-    pairing constraints over the dual basis, read off the pairing matrix P
-    (P[i, α] = ⟨bᵢ, y_α⟩): bᵢ·b has the coefficients Σⱼ mult[i, j, :]·c(b)ⱼ,
-    so its row is those coefficients times P.  Returned as a certified
-    coideal of Â (operators on the same GNS space, ``home='dual'``).
+    B is a coideal of A = ``dd.v.kac``.  Over the dual basis ŷ the pairing is
+    the identity (``dd.pairing_form`` certifies it), so y = Σ c_α·ŷ_α pairs
+    with bᵢ to cᵢ, and bᵢ·b has the coefficients Σⱼ mult[i, j, :]·c(b)ⱼ: B̃ is
+    the null space of c(b)·mult − ε(b)·1 over every b, read off A's tensors.
+    Returned as a certified coideal of Â (operators on the same GNS space,
+    ``home='dual'``).
     """
     kac = dd.v.kac
-    p_mat = dd.pairing_form.matrix
     coeffs = kac.coeffs_of(coid.mm.onb())  # c(b) per basis element b
-    rows = np.tensordot(coeffs, kac.mult, axes=(1, 1)) @ p_mat
-    rows -= (coeffs @ kac.counit)[:, None, None] * p_mat
+    rows = np.tensordot(coeffs, kac.mult, axes=(1, 1))
+    rows -= (coeffs @ kac.counit)[:, None, None] * np.eye(kac.dim)
     ns = la.null_space(rows.reshape(-1, kac.dim))
-    mm = ag.from_onb(dd.hat.mm.element(ns.T), kac.dim)
+    mm = ag.from_span(np.tensordot(ns.T, dd.hat.dual_basis, axes=1), kac.dim)
     val = mm.validate()
     if not val["passed"]:
         raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
@@ -401,16 +402,16 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
 def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
     """The reverse Galois map: {x ∈ A : ⟨x, y·c⟩ = ε̂(c)·⟨x, y⟩ ∀y ∈ Â, c ∈ B̃}.
 
-    Each y_α·c − ε̂(c)·y_α is expanded in Â's basis from the operator
-    products, and its row of pairings with the bᵢ is that expansion times Pᵀ.
+    Over ŷ, c = Σ c_γ·ŷ_γ (its ``onb`` coefficients times R), ŷ_α·c =
+    Σ delta[i,α,γ]·c_γ·ŷᵢ is read off A's coproduct and ε̂(c) = Σ c_γ·u_γ off
+    A's unit u, so x = Σ xᵢ·bᵢ lies in the image when
+    Σᵢ xᵢ·(Σ_γ delta[i,α,γ]·c_γ − ε̂(c)·δ_αi) = 0 for every α and c.
     """
-    kac = dd.v.kac
-    hat = dd.hat
-    onb = dual_coid.mm.onb()
-    eps = (onb @ kac.omega) @ np.conj(kac.omega)  # ε̂(c) = (Ω, cΩ)
-    coeffs = hat.mm.coeffs(hat.onb[None] @ onb[:, None])  # [c, α, β]: y_α·c over y_β
-    coeffs -= eps[:, None, None] * np.eye(kac.dim)
-    ns = la.null_space((coeffs @ dd.pairing_form.matrix.T).reshape(-1, kac.dim))
+    kac, hat = dd.v.kac, dd.hat
+    coeffs = hat.mm.coeffs(dual_coid.mm.onb()) @ hat.root  # c over ŷ
+    rows = np.tensordot(coeffs, kac.delta, axes=(1, 2))  # [c, i, α]
+    rows -= (coeffs @ kac.unit_coeffs)[:, None, None] * np.eye(kac.dim)
+    ns = la.null_space(rows.transpose(0, 2, 1).reshape(-1, kac.dim))
     return ag.from_span(kac.op(ns.T), kac.dim)
 
 

@@ -16,6 +16,7 @@ from kacgalois import coideals as ci
 from kacgalois import coreps as cr
 from kacgalois import duality as du
 from kacgalois import kac as kc
+from kacgalois import linalg as la
 
 GROUP_BUILDERS = (
     ("z2", lambda: kc.cyclic_group(2)),
@@ -280,6 +281,18 @@ def twisted_z3_squared_by_z2():
     return kc.kac_from_structure(
         base.labels, base.mult, delta, base.counit, antipode, base.star, base.haar
     )
+
+
+def tilde_by_pairing_matrix(coid, dd):
+    """B̃ by the pairing-matrix route: P[i, α] = ⟨bᵢ, onb_α⟩ measured against Â's
+    orthonormal basis, and the null space of c(b)·mult·P − ε(b)·P over every b of
+    B's basis, as Frobenius-orthonormal operators."""
+    kac, onb = dd.v.kac, dd.hat.onb
+    p_mat = np.sqrt(kac.dim) * ((np.conj(dd.ints.omega_hat) @ onb) @ kac.coord).T
+    coeffs = kac.coeffs_of(coid.mm.onb())
+    rows = np.tensordot(coeffs, kac.mult, axes=(1, 1)) @ p_mat
+    rows -= (coeffs @ kac.counit)[:, None, None] * p_mat
+    return dd.hat.mm.element(la.null_space(rows.reshape(-1, kac.dim)).T)
 
 
 def _cache_by_object(build):

@@ -2,7 +2,6 @@
 
 import collections
 import dataclasses
-import functools
 import json
 import multiprocessing
 import os
@@ -238,8 +237,17 @@ def test_impossible_tolerance_is_a_check_failure():
 
 
 def test_nonpositive_tolerance_is_rejected():
-    out = run_cli("validate", str(FIXTURES / "z2_group.json"), "--tolerance", "-1")
-    assert out.returncode == 2
+    # Each one exits 2 with the error document every input error carries.
+    for value in ("-1", "0", "nan", "inf"):
+        out = run_cli("validate", str(FIXTURES / "z2_group.json"), "--tolerance", value)
+        assert out.returncode == 2, value
+        doc = json.loads(out.stdout)
+        assert doc["passed"] is False and "report" not in doc
+        assert doc["error"] == {
+            "type": "ValueError",
+            "message": f"--tolerance must be positive and finite, got {float(value)}",
+        }
+        assert doc["tolerance"] == (float(value) if value in ("-1", "0") else value)
 
 
 def test_version_flag():
@@ -258,9 +266,9 @@ def test_seed_changes_nothing_structural_for_validate():
 @pytest.mark.parametrize(
     "run, counts",
     [
-        (lambda kac: cli.run_dual(kac, None), (2, 2, 3, 3, 1, 4, 4, 2, 2)),
-        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 1, 0, 1, 2, 2, 2, 0)),
-        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 2, 2, 1, 0)),
+        (lambda kac: cli.run_dual(kac, None), (2, 2, 4, 3, 1, 5, 6, 2)),
+        (lambda kac: cli._selftest_algebra(kac, None, 7), (2, 2, 2, 0, 1, 3, 4, 0)),
+        (lambda kac: cli.run_coreps(kac, None, 7, trials=5), (1, 0, 1, 1, 0, 2, 2, 0)),
     ],
     ids=["run_dual", "selftest_algebra", "run_coreps"],
 )
@@ -269,14 +277,15 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
     # with its own V; coreps builds V, Â and the integrals, not the dual.  A
     # certificate runs only where the report reads it: `dual` reads V's, Â's
     # and the dual's axioms and certifies V̂ and Ṽ, `selftest` reads V's and
-    # the dual's axioms, and `coreps` reads V's and Â's.  The memberships
-    # (`leg_distance` in duality) of V, V̂ and Ṽ need no commutant for V, so
-    # only V̂ and Ṽ build the commutants A′ and Â′.  Each split defect (of V,
-    # V̂, Ṽ and the corepresentations' expansion of V) and each leg's closure
-    # (onb, the Bₐ, U·onb·U and U·B·U) is computed once, where it is read.
-    # Â's counit on Ω is computed once per Â, for the dual's counit and the
-    # integrals', the pairing's and the dual's certificates that read it.
-    assert not hasattr(du, "_product_fit")
+    # the dual's axioms, and `coreps` reads V's and Â's; `dual` and `selftest`
+    # certify the bidual through its V's pentagon and its realizations, which
+    # read its split and its two legs.  The memberships (`leg_distance` in
+    # duality) of V, V̂ and Ṽ need no commutant for V, so only V̂ and Ṽ build
+    # the commutants A′ and Â′.  Each split defect (of V, the bidual's V, V̂, Ṽ
+    # and the corepresentations' expansion of V) and each leg's closure (onb,
+    # the Bₐ, U·onb·U, U·B·U and the bidual's onb and Bₐ) is computed once,
+    # where it is read.
+    assert not hasattr(du, "_product_fit") and not hasattr(du.HatAlgebra, "counit_on_omega")
     calls = collections.Counter()
     names = ("multiplicative_unitary", "dual_kac", "pentagon_residual",
              "leg_distance", "validate_kac", "split_defect", "product_leg")
@@ -288,12 +297,8 @@ def test_each_duality_object_is_built_once(monkeypatch, groups, run, counts):
             return _real(*args)
 
         monkeypatch.setattr(module, name, counted)
-    real = du.HatAlgebra.counit_on_omega.func
-    spy = functools.cached_property(lambda hat: calls.update(["counit"]) or real(hat))
-    spy.__set_name__(du.HatAlgebra, "counit_on_omega")
-    monkeypatch.setattr(du.HatAlgebra, "counit_on_omega", spy)
     run(kc.group_algebra(groups["s3"]))  # fresh, so no certificate is cached on it
-    assert tuple(calls[name] for name in (*names, "counit", "commutant")) == counts
+    assert tuple(calls[name] for name in (*names, "commutant")) == counts
 
 
 def test_coreps_gates_the_pentagon(monkeypatch, capsys):
@@ -342,6 +347,32 @@ def test_coreps_gates_the_integrals(monkeypatch, capsys):
     checks = doc["report"]["checks"]
     assert [name for name, c in checks.items() if not c["ok"]] == ["integrals"]
     assert checks["integrals"] == cli.check(1.0, cli.TOLERANCES["tight"])
+
+
+@pytest.mark.parametrize("key, phase", [("star_realization", 1j), ("haar_realization", 1.0)])
+def test_dual_gates_the_star_and_haar_realizations(monkeypatch, capsys, key, phase):
+    # Mutant: where A's dual certifies its realizations, each ŷᵢ is moved by
+    # 1e-6·phase·ε̂(ŷᵢ)·(1 − ΩΩ†).  The move kills Ω, and it is κ̂-invariant, so
+    # the counit and antipode still hold; with a real phase it is self-adjoint
+    # and only the trace (Haar) sees it, times i the star sees it too.
+    real = du.DualKac.residuals.func
+
+    def moved(dd):
+        kac, hat = dd.v.kac, dd.hat
+        if kac.origin == "dual":  # the bidual's certificate, read as built
+            return real(dd)
+        q = np.eye(kac.dim) - np.outer(kac.omega, np.conj(kac.omega))
+        y = hat.dual_basis + 1e-6 * phase * np.multiply.outer(dd.kac.counit, q)
+        return real(dataclasses.replace(dd, hat=dataclasses.replace(hat, dual_basis=y)))
+
+    monkeypatch.setattr(du.DualKac, "residuals", property(moved))
+    assert cli.main(["dual", str(FIXTURES / "s3_function.json")]) == 1
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert [name for name, c in report["checks"].items() if not c["ok"]] == ["dual_reconstruction"]
+    values = report["dual_reconstruction"]
+    assert values[key] > 1e-7
+    tripped = {"star_realization", "haar_realization"} if phase == 1j else {key}
+    assert {name for name, v in values.items() if v > cli.TOLERANCES["tight"]} == tripped
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,9 @@ from conftest import (
     delta_hat,
     delta_op,
     leg_slices,
+    rotation,
     span_residual,
+    tilde_by_pairing_matrix,
 )
 
 
@@ -580,6 +582,50 @@ def test_galois_maps_match_the_pairing_formula(algebras, kp8, dual_of):
     assert seen == {*ALGEBRA_NAMES, "kp8"}
 
 
+def test_tilde_over_the_dual_basis_is_the_pairing_matrix_route(algebras, rotated_kp8, dual_of):
+    """B̃ read off A's tensors over ŷ is the span the pairing matrix gives, on every
+    enumerated coideal of the group fixtures and on rotated kp8's closures of the
+    images of b_e + b_g."""
+    cases = [
+        (algebras[name], coid)
+        for name in ALGEBRA_NAMES
+        for coid in ci.enumerate_coideals_group_case(algebras[name])["coideals"]
+    ]
+    back = la.dagger(rotation(rotated_kp8.dim, seed=0))  # kp8's coefficients to the rotated ones
+    unit = np.eye(rotated_kp8.dim)
+    cases += [
+        (rotated_kp8, ci.coideal_closure(rotated_kp8, [rotated_kp8.op(back @ (unit[0] + unit[g]))]))
+        for g in range(1, rotated_kp8.dim)
+    ]
+    assert {coid.dim for kac, coid in cases if kac is rotated_kp8} > {8}
+    for kac, coid in cases:
+        bt = ci.tilde(coid, dual_of(kac))
+        want = tilde_by_pairing_matrix(coid, dual_of(kac))
+        assert len(want) == bt.dim
+        assert la.span_distance(bt.mm.onb(), want) <= 1e-12
+
+
+def test_tilde_back_matches_the_pairing_formula_off_coideals(kp8, dual_of):
+    """On spans {1, c₁·ŷᵢ + c₂·ŷⱼ} of kp8's dual, which are no coideals, the read-off
+    map still solves the pairing conditions: there ŷ_α·c and c·ŷ_α give different
+    spaces, so the map's row and column order shows."""
+    kac = kp8
+    dd = dual_of(kac)
+    rng = np.random.default_rng(1)
+    dims = []
+    for _ in range(4):
+        idx = rng.choice(kac.dim, 2, replace=False)
+        coef = rng.normal(size=2) + 1j * rng.normal(size=2)
+        span = [np.eye(kac.dim), np.tensordot(coef, dd.hat.dual_basis[idx], axes=1)]
+        coid = ci.Coideal(home="dual", side="left", mm=ag.from_span(span, kac.dim), certificate=0.0)
+        back = ci.tilde_back(coid, dd)
+        want = tilde_back_by_formula(coid, dd)
+        assert back.dim == len(want)
+        assert la.span_distance(back.onb(), want) <= 1e-12
+        dims.append(back.dim)
+    assert min(dims) > 1
+
+
 def relative_commutant_by_commutant(mats, home, n):
     """The old route: the full commutant {mats}′ ⊆ M_n, then its intersection with home."""
     return la.intersect_spans(ag.commutant(ag.from_span(mats, n)).onb(), home)
@@ -685,29 +731,30 @@ def test_subgroup_recovery_from_subspace_system(algebras, coreps_of):
 
 
 def kron_containment(kac, mats, side):
-    """Reference: max distance of δ(b) from A⊗span (left) or span⊗A (right).
+    """Reference: the distances d_b of δ(b) from A⊗span (left) or span⊗A (right)
+    over an orthonormal basis of the span, summed as (Σ_b d_b²)^{1/2}.
 
     Builds the n²×n² products a⊗b of the two orthonormal bases and projects
-    onto their span, with no leg slicing.
+    onto their span, with no leg slicing.  Like the certificate, it reads each b
+    through its coefficients over A's basis: an orthonormalized span is off A by
+    rounding, which the certificate's membership check gates apart.
     """
-    amb = kac.as_mm().onb()
-    sub = la.orthonormalize(mats)
-    if side == "left":
-        prod_onb = [np.kron(a, b) for a in amb for b in sub]
-    else:
-        prod_onb = [np.kron(b, a) for a in amb for b in sub]
-    return max(span_residual(delta_op(kac, b), prod_onb) for b in sub)
+    return _kron_containment(kac.as_mm(), partial(delta_op, kac), mats, side)
 
 
 def kron_dual_containment(dd, mats, side):
-    """Reference: the same distance for δ̂ and Â⊗span (left) or span⊗Â (right)."""
-    amb = dd.hat.onb
-    sub = la.orthonormalize(mats)
+    """Reference: the same Frobenius sum for δ̂ and Â⊗span (left) or span⊗Â (right)."""
+    return _kron_containment(dd.hat.mm, partial(delta_hat, dd.hat), mats, side)
+
+
+def _kron_containment(home, coproduct, mats, side):
+    amb = home.onb()
+    sub = home.project(la.orthonormalize(mats))
     if side == "left":
         prod_onb = [np.kron(a, b) for a in amb for b in sub]
     else:
         prod_onb = [np.kron(b, a) for a in amb for b in sub]
-    return max(span_residual(delta_hat(dd.hat, y), prod_onb) for y in sub)
+    return la.frob([span_residual(coproduct(b), prod_onb) for b in sub])
 
 
 def slice_containment(kac, mats, side):
@@ -734,7 +781,8 @@ def test_the_operator_coproduct_is_gone():
 @pytest.mark.parametrize("name", ["s3_function", "q8_group", "z4_function"])
 def test_coefficient_containment_matches_the_operator_leg_distance(algebras, dual_of, name):
     """On the inputs of the leg-slice routine it replaced, the coefficient form
-    of the containment is the largest leg distance of the operator coproducts."""
+    of the containment is the Frobenius sum of the leg distances of the operator
+    coproducts."""
     kac = algebras[name]
     dd = dual_of(kac)
     rng = np.random.default_rng(5)
@@ -749,9 +797,40 @@ def test_coefficient_containment_matches_the_operator_leg_distance(algebras, dua
         coeffs = rng.normal(size=(3, len(home))) + 1j * rng.normal(size=(3, len(home)))
         for onb in (lattice_span, la.orthonormalize(np.tensordot(coeffs, home, axes=1)), home):
             for side in ("left", "right"):
-                want = max(float(la.leg_distance(delta(b), home, onb, side)) for b in onb)
+                want = la.frob([float(la.leg_distance(delta(b), home, onb, side)) for b in onb])
                 got = ci._containment(coeffs_of_delta(onb), home_mm.coeffs(onb), side)
                 assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["s3_function", "q8_group", "z4_function"])
+def test_the_containment_does_not_depend_on_the_orthonormal_basis(algebras, dual_of, name):
+    """Two orthonormal bases of one span, the lattice's and a seeded unitary mix of
+    it, read the same containment, on and off coideals, for A and for Â; the
+    largest per-element distance, which it replaced, does depend on the basis."""
+    kac = algebras[name]
+    dd = dual_of(kac)
+    homes = (
+        (kac.coproduct_coeffs, kac.as_mm().coeffs),
+        (partial(hat_coproduct_coeffs, dd), dd.hat.mm.coeffs),
+    )
+    rng = np.random.default_rng(3)
+    off = la.orthonormalize(np.tensordot(rng.normal(size=(3, kac.dim)), kac.as_mm().onb(), 1))
+    coids = ci.enumerate_coideals_group_case(kac)["coideals"]
+    spans = [(c.mm.onb(), 0) for c in coids] + [(off, 0)]
+    spans += [(ci.tilde(c, dd).mm.onb(), 1) for c in coids]
+    spread = 0.0
+    for onb, home in spans:
+        coproduct, coeffs = homes[home]
+        mixed = np.tensordot(rotation(len(onb), seed=len(onb)), onb, 1)
+        for side in ("left", "right"):
+            values, worst = [], []
+            for b in (onb, mixed):
+                w, rows = ci._oriented(coproduct(b), side), coeffs(b)
+                values.append(ci._containment(coproduct(b), rows, side))
+                worst.append(la.frob_max(w - (w @ la.dagger(rows)) @ rows))
+            assert abs(values[0] - values[1]) <= 1e-14 * max(1.0, values[0])
+            spread = max(spread, abs(worst[0] - worst[1]))
+    assert spread > 1e-3
 
 
 def test_stacked_coproducts_match_one_at_a_time(algebras, dual_of, kp8):

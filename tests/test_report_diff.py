@@ -69,6 +69,21 @@ def test_nan_equals_nan_and_infinities_are_compared_exactly():
     assert report_diff.compare({"x": nan}, {"x": 1.0}) == ["/x: float nan -> 1.0"]
 
 
+def test_extra_kac_inputs_add_the_four_kac_commands_last(tmp_path):
+    extra = [tmp_path / "rotated.json", tmp_path / "twist.json"]
+    base = report_diff.outputs(ROOT)
+    jobs = report_diff.outputs(ROOT, extra)
+    assert len(base) == 54 and jobs[:54] == base
+    assert jobs[54:] == [
+        (f"{cmd} {path}", [cmd, str(path)]) for path in extra for cmd in report_diff.KAC_COMMANDS
+    ]
+
+
+def test_fewer_than_two_roots_is_a_usage_error(capsys):
+    assert report_diff.main([str(ROOT)]) == 2
+    assert "usage: report_diff.py PARENT_ROOT CHANGE_ROOT [KAC_JSON ...]" in capsys.readouterr().err
+
+
 def test_text_outputs_compare_as_strings():
     assert report_diff.compare("Traceback", "Traceback") == []
     assert report_diff.compare("Traceback", {"passed": True}) != []

@@ -3,7 +3,11 @@
 Runs the same 54 outputs in each checkout root, with ``PYTHONPATH=<root>/src``:
 ``validate``, ``dual``, ``coreps`` and ``galois`` on each of the 13 bundled
 Kac fixtures, ``jones`` on ``scaled_pair_third.json`` and ``selftest --seed 7``.
-Each input is read from its own root's fixtures.  For every output that is not
+Each input is read from its own root's fixtures.  Kac algebra documents given
+after the two roots add the same four commands on each, read from the given
+path in both roots: the bundled fixtures are all in bases where the dual
+basis is a scaled orthonormal one, so a general basis shows only there.
+For every output that is not
 byte-identical it prints the changed exit code, the added or removed keys, the
 changed non-float values and every float that moved by more than
 ``FLOAT_TOL``.  Exits 1 if any output shows one of them, 0 otherwise.
@@ -11,7 +15,7 @@ changed non-float values and every float that moved by more than
 Run from anywhere, for example:
 
     git archive HEAD~1 | tar -x -C /tmp/parent
-    python3 tools/report_diff.py /tmp/parent .
+    python3 tools/report_diff.py /tmp/parent . [KAC_JSON ...]
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ KAC_COMMANDS = ("validate", "dual", "coreps", "galois")
 FIXTURES = "src/kacgalois/fixtures"
 
 
-def outputs(root: Path) -> list[tuple[str, list[str]]]:
-    """The (label, CLI arguments) of every output, in a fixed order."""
+def outputs(root: Path, extra: list[Path] = ()) -> list[tuple[str, list[str]]]:
+    """The (label, CLI arguments) of every output, in a fixed order, the ``extra``
+    Kac inputs last."""
     names = sorted(p.name for p in (root / FIXTURES).glob("*.json"))
     jobs = [
         (f"{cmd} {name}", [cmd, str(root / FIXTURES / name)])
@@ -41,6 +46,7 @@ def outputs(root: Path) -> list[tuple[str, list[str]]]:
     ]
     jobs.append(("jones scaled_pair_third.json", ["jones", str(root / FIXTURES / "scaled_pair_third.json")]))
     jobs.append(("selftest --seed 7", ["selftest", "--seed", "7"]))
+    jobs += [(f"{cmd} {path}", [cmd, str(path)]) for path in extra for cmd in KAC_COMMANDS]
     return jobs
 
 
@@ -90,12 +96,12 @@ def parse(stdout: str):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: report_diff.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        print("usage: report_diff.py PARENT_ROOT CHANGE_ROOT [KAC_JSON ...]", file=sys.stderr)
         return 2
-    old_root, new_root = (Path(a).resolve() for a in argv)
-    jobs = list(zip(outputs(old_root), outputs(new_root)))
+    old_root, new_root, *extra = (Path(a).resolve() for a in argv)
+    jobs = list(zip(outputs(old_root, extra), outputs(new_root, extra)))
     identical = moved = 0
     for (label, old_args), (new_label, new_args) in jobs:
         if label != new_label:
