@@ -58,6 +58,7 @@ GROUP_BUILDERS = (
 )
 
 INPUT_ERRORS = (
+    argparse.ArgumentError,
     AxiomError,
     InclusionError,
     SubalgebraError,
@@ -728,8 +729,15 @@ def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`argparse.ArgumentError` where argparse would print its usage and exit 2."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kacgalois",
         description=(
             "Finite-dimensional Kac algebra duality, coideal Galois lattices, "
@@ -789,31 +797,32 @@ def _bundled_hash() -> str:
     return digest.hexdigest()
 
 
-def _emit(doc: dict, fmt: str, output: str | None) -> None:
-    if fmt == "json":
+def _emit(envelope: dict, args: argparse.Namespace) -> None:
+    """Write ``envelope`` with the command line's fields, as its format and output ask."""
+    doc = dict(
+        envelope, command=args.command, seed=args.seed, tolerance=args.tolerance, format=args.format
+    )
+    if args.format == "json":
         payload = canonical_json(doc)
     else:
         payload = "\n".join(render_text(_jsonify(doc))) + "\n"
-    if output:
-        with open(output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    command = args.command
-    envelope = {
-        "tool": "kacgalois",
-        "version": __version__,
-        "command": command,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
+    # argparse sets ``command`` as soon as it reaches the subcommand, and that
+    # subcommand's flags only once they all parse: a command line refused
+    # before then reports them as null, in JSON on standard output.
+    args = argparse.Namespace(command=None, seed=None, tolerance=None, format="json", output=None)
+    envelope = {"tool": "kacgalois", "version": __version__}
 
     try:
+        build_parser().parse_args(argv, args)
+        command = args.command
         if args.tolerance is not None and not 0 < args.tolerance < np.inf:
             raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
         if command == "selftest":
@@ -847,12 +856,12 @@ def main(argv: list[str] | None = None) -> int:
             "message": str(exc),
         }
         envelope["passed"] = False
-        _emit(envelope, args.format, args.output)
+        _emit(envelope, args)
         return 2
 
     envelope["report"] = report
     envelope["passed"] = bool(passed)
-    _emit(envelope, args.format, args.output)
+    _emit(envelope, args)
     return 0 if passed else 1
 
 

@@ -13,8 +13,9 @@ A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
   (:func:`subspace_system_from_coideal`, :func:`coideal_from_subspace_system`),
 * for group-derived algebras, lattice enumeration with a completeness audit,
   every coideal the closure of a subgroup's indicator (C(G/H) on the
-  function side, ℂ[H] on the group side); the audit certifies a closure only
-  when it matches no coideal of the list, so each coideal is certified once,
+  function side, ℂ[H] on the group side); the audit matches each closure
+  by its Jones projection and certifies it only when it matches no coideal
+  of the list, so each coideal is certified once,
 * the Galois map into the dual, B ↦ B̃ = {y ∈ Â : ⟨xb, y⟩ = ε(b)⟨x, y⟩},
   its commutant form κ̂(B′∩Â), the dimension identity
   dim B · dim B̃ = dim A, the involution B̃̃ = B, and the bicommutant
@@ -69,23 +70,14 @@ def jones_projection(kac: KacAlgebra, mm: ag.MMAlgebra) -> np.ndarray:
     return q @ dagger(q)
 
 
-def coideal_fingerprint(kac: KacAlgebra, mm: ag.MMAlgebra) -> tuple:
-    """Deterministic, basis-independent sort key: (dim, rounded e_B entries)."""
-    return _fingerprint(mm.dim, jones_projection(kac, mm))
-
-
 def _fingerprint(dim: int, p: np.ndarray) -> tuple:
-    """The fingerprint of a coideal of dimension ``dim`` with Jones projection ``p``."""
+    """Deterministic, basis-independent sort key: (dim, rounded entries of e_B = p)."""
     flat = np.round(p.reshape(-1), 8) + 0.0
     return (dim, tuple(flat.real) + tuple(flat.imag))
 
 
-def coideal_digest(kac: KacAlgebra, mm: ag.MMAlgebra) -> str:
-    """Short hex digest of the fingerprint, for compact reports."""
-    return _digest(coideal_fingerprint(kac, mm))
-
-
 def _digest(fingerprint: tuple) -> str:
+    """Short hex digest of a :func:`_fingerprint`, for compact reports."""
     dim, entries = fingerprint
     payload = np.asarray((float(dim),) + entries).tobytes()
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -120,17 +112,24 @@ def _dual_containment(dd: du.DualKac, onb: np.ndarray, side: str) -> float:
     return _containment(w, rows, side) + dd.hat.coproduct_certificate * frob(rows)
 
 
+def _require_subalgebra(mm: ag.MMAlgebra, what: str) -> None:
+    """Raise :class:`SubalgebraError` naming each failing residual of ``mm.validate()``."""
+    val = mm.validate()
+    if not val.pop("passed"):
+        limit = DEFAULT_TOL * mm.ambient_dim
+        failed = ", ".join(f"{key} {v:.2e}" for key, v in val.items() if not v < limit)
+        raise SubalgebraError(f"{what} is not a unital *-subalgebra: {failed}")
+
+
 def is_coideal(kac: KacAlgebra, mats, side: str = "left") -> Coideal:
     """Certify a span of operators on L²(A) as a coideal of A.
 
-    Raises :class:`SubalgebraError` when the span is not a unital
-    *-subalgebra of A, and :class:`ValueError` when the coproduct
-    containment fails.
+    Raises :class:`SubalgebraError` naming each failing residual of
+    :meth:`~kacgalois.algebra.MMAlgebra.validate` when the span is not a unital
+    *-subalgebra of A, and :class:`ValueError` when the coproduct containment fails.
     """
     mm = mats if isinstance(mats, ag.MMAlgebra) else ag.from_span(list(mats), kac.dim)
-    val = mm.validate()
-    if not val["passed"]:
-        raise SubalgebraError(f"span is not a unital *-subalgebra: {val}")
+    _require_subalgebra(mm, "span")
     a_mm, onb = kac.as_mm(), mm.onb()
     rows = a_mm.coeffs(onb)
     memb = la.frob_max(onb - a_mm.element(rows))
@@ -332,10 +331,11 @@ def enumerate_coideals_group_case(
     mass closes to all of C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when
     g² = e (its slices are the indicators of the cosets of ⟨g⟩) and C(G)
     otherwise.  On the group side δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the
-    closure is ℂ[⟨g⟩], as for b_g alone.  A closure whose span lies within
-    ``SPAN_TOL`` of a listed coideal (:func:`linalg.spans_match`) is that
-    certified coideal and is not certified again; any other closure goes
-    through :func:`is_coideal`, so a non-coideal still raises and a coideal
+    closure is ℂ[⟨g⟩], as for b_g alone.  A closure whose Jones projection
+    lies within ``SPAN_TOL`` of a listed one in Frobenius norm is that certified
+    coideal and is not certified again: b ↦ √n·bΩ is an isometry of A onto
+    L²(A), so that norm bounds the span distance from above.  Any other closure
+    goes through :func:`is_coideal`, so a non-coideal still raises and a coideal
     missing from the list reads as incomplete.
     """
     if kac.group is None or kac.origin not in ("group_algebra", "function_algebra"):
@@ -352,9 +352,11 @@ def enumerate_coideals_group_case(
 
     def audit(gens) -> float:
         mm = _closure_algebra(kac, gens, side)
-        matched = any(la.spans_match(mm.onb(), c.mm.onb()) for c in coideals)
-        p = jones_projection(kac, mm) if matched else is_coideal(kac, mm, side).projection
-        return min(frob(p - q) for q in projs)
+        p = jones_projection(kac, mm)
+        gap = min(frob(p - q) for q in projs)
+        if not gap < SPAN_TOL:
+            is_coideal(kac, mm, side)
+        return gap
 
     rng = np.random.default_rng(seed)
     pairs = {}  # each unordered pair once, in the order it was first drawn
@@ -383,8 +385,8 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     the identity (``dd.pairing_form`` certifies it), so y = Σ c_α·ŷ_α pairs
     with bᵢ to cᵢ, and bᵢ·b has the coefficients Σⱼ mult[i, j, :]·c(b)ⱼ: B̃ is
     the null space of c(b)·mult − ε(b)·1 over every b, read off A's tensors.
-    Returned as a certified coideal of Â (operators on the same GNS space,
-    ``home='dual'``).
+    Returned as a coideal of Â (operators on the same GNS space,
+    ``home='dual'``), certified by its closure residuals and Â's coproduct.
     """
     kac = dd.v.kac
     coeffs = kac.coeffs_of(coid.mm.onb())  # c(b) per basis element b
@@ -392,9 +394,7 @@ def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
     rows -= (coeffs @ kac.counit)[:, None, None] * np.eye(kac.dim)
     ns = la.null_space(rows.reshape(-1, kac.dim))
     mm = ag.from_span(np.tensordot(ns.T, dd.hat.dual_basis, axes=1), kac.dim)
-    val = mm.validate()
-    if not val["passed"]:
-        raise SubalgebraError(f"tilde image is not a unital *-subalgebra: {val}")
+    _require_subalgebra(mm, "tilde image")
     cert = _dual_containment(dd, mm.onb(), "left")
     return Coideal(home="dual", side="left", mm=mm, certificate=cert)
 

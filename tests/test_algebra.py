@@ -211,8 +211,9 @@ def test_blocked_commute_check_reads_every_block(sample_multimatrix, monkeypatch
 
 
 def test_central_decomposition_block_structure(sample_multimatrix):
-    projs, blocks = sample_multimatrix.central_decomposition()
-    assert sorted(blocks) == [(1, 3), (2, 2)]
+    units = ag.matrix_units(sample_multimatrix)
+    assert sorted((b.size, b.multiplicity) for b in units) == [(1, 3), (2, 2)]
+    projs = [b.projection for b in units]
     total = sum(p for p in projs)
     np.testing.assert_allclose(total, sample_multimatrix.unit, atol=1e-9)
     for p in projs:
@@ -251,6 +252,16 @@ def test_center_survives_float_noise(blocks, noise):
     assert alg.block_dims == [(1, 2)] * blocks
 
 
+def test_validate_is_a_closure_certificate_alone(sample_multimatrix, monkeypatch):
+    def refused(alg):
+        raise AssertionError("validate formed matrix units")
+
+    monkeypatch.setattr(ag, "_central_decomposition", refused)
+    report = sample_multimatrix.validate()
+    assert set(report) == {"product_closure", "adjoint_closure", "unit_membership", "passed"}
+    assert report["passed"]
+
+
 def test_central_decomposition_rejects_non_unital_span():
     # span{e01, e00-e11} has no commuting element at all, so no center exists
     e01 = np.zeros((2, 2), dtype=complex)
@@ -258,7 +269,7 @@ def test_central_decomposition_rejects_non_unital_span():
     sz = np.diag([1.0, -1.0]).astype(complex)
     bad = ag.MMAlgebra(ambient_dim=2, basis=(e01, sz), unit=np.eye(2, dtype=complex))
     with pytest.raises(ag.SubalgebraError):
-        bad.central_decomposition()
+        ag.matrix_units(bad)
 
 
 def test_mm_from_generators_closes_to_full_algebra():
@@ -329,7 +340,7 @@ def test_modular_flow_is_state_preserving_automorphism(sample_multimatrix):
 def test_conditional_expectation_properties(sample_multimatrix):
     big = sample_multimatrix
     center = ag.from_span(
-        [p.astype(complex) for p in big.central_decomposition()[0]], 7
+        [b.projection.astype(complex) for b in ag.matrix_units(big)], 7
     )
     phi = ag.StateData(density=np.eye(7, dtype=complex) / 7.0)
     exp = ag.conditional_expectation(big, center, phi)
@@ -508,7 +519,7 @@ def test_one_structure_pass_solves_one_null_space_and_nothing_else(kp8, monkeypa
     for module, name in ((la, "null_space"), (la, "orthonormalize"), (ag, "_commute")):
         monkeypatch.setattr(module, name, counting(calls, name, getattr(module, name)))
     ag.matrix_units(alg)
-    alg.central_decomposition()
+    alg.block_dims
     ag.matrix_units(alg)
     assert calls == {"null_space": 1, "orthonormalize": 0, "_commute": 0}
 
@@ -538,7 +549,7 @@ def test_a_span_no_draw_splits_is_refused(sample_multimatrix, monkeypatch):
 
     monkeypatch.setattr(ag, "_generic_draw", scalar)
     with pytest.raises(ag.SubalgebraError, match="could not split a projection into 5"):
-        sample_multimatrix.central_decomposition()
+        ag.matrix_units(sample_multimatrix)
     assert attempts == list(range(12))
 
 

@@ -1,7 +1,9 @@
 """Command-line interface: reports, exit codes, determinism, error documents."""
 
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -13,6 +15,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kacgalois import algebra as ag
 from kacgalois import cli
@@ -254,6 +258,70 @@ def test_version_flag():
     out = run_cli("--version")
     assert out.returncode == 0
     assert out.stdout.strip()
+
+
+def run_in_process(argv):
+    """``cli.main(argv)`` with its exit code, standard output and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, command, seed, message",
+    [
+        (["validate", "Z2", "--seed", "x"], "validate", None, "argument --seed: invalid int"),
+        (["validate", "Z2", "--tolerance", "-inf"], "validate", None, "argument --tolerance"),
+        (["validate", "Z2", "--format", "text", "--seed", "x"], "validate", None, "argument --seed"),
+        (["validate", "Z2", "--seed", "3", "--bogus"], "validate", 3, "unrecognized arguments"),
+        (["validate"], "validate", None, "the following arguments are required: input"),
+        (["frob", "Z2"], None, None, "argument command: invalid choice: 'frob'"),
+        ([], None, None, "the following arguments are required: command"),
+    ],
+)
+def test_a_refused_command_line_exits_2_with_a_json_error(argv, command, seed, message):
+    # Flags argparse had not read when it refused the line read null.
+    argv = [str(FIXTURES / "z2_group.json") if a == "Z2" else a for a in argv]
+    code, out, err = run_in_process(argv)
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is False and "report" not in doc
+    assert (doc["command"], doc["seed"], doc["format"]) == (command, seed, "json")
+    assert doc["error"]["type"] == "ArgumentError"
+    assert doc["error"]["message"].startswith(message)
+
+
+# Options of a subcommand, so that a fuzzed flag is no abbreviation of one.
+KNOWN_FLAGS = ("--tolerance", "--seed", "--format", "--output", "--help", "--version")
+
+
+def unknown_flags():
+    flag = st.from_regex(r"--[a-z][a-z0-9-]{0,8}", fullmatch=True).filter(
+        lambda f: not any(known.startswith(f) for known in KNOWN_FLAGS)
+    )
+    return st.lists(st.one_of(flag, st.tuples(flag, st.text()).map("=".join)), max_size=2)
+
+
+def fuzzed(flag, values):
+    """An optional ``[flag, value]`` pair of a fuzzed command line."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    seed=fuzzed("--seed", st.one_of(st.integers().map(str), st.text())),
+    tolerance=fuzzed("--tolerance", st.one_of(st.floats().map(repr), st.text())),
+    fmt=fuzzed("--format", st.one_of(st.just("json"), st.text().filter(lambda v: v != "text"))),
+    extra=unknown_flags(),
+)
+def test_fuzzed_flags_give_one_json_document(seed, tolerance, fmt, extra):
+    argv = ["validate", str(FIXTURES / "z2_group.json"), *seed, *tolerance, *fmt, *extra]
+    code, out, err = run_in_process(argv)
+    assert code in (0, 1, 2) and err == ""
+    doc = json.loads(out)  # exactly one document: trailing data fails to parse
+    assert doc["passed"] is (code == 0)
+    assert ("error" in doc) is (code == 2)
 
 
 def test_seed_changes_nothing_structural_for_validate():

@@ -238,6 +238,55 @@ def test_closure_of_an_operator_outside_the_algebra_is_refused(closure_algebras,
             ci.coideal_closure(kac, [x], side)
 
 
+def not_a_subalgebra(algebras, key):
+    """A span of A that fails exactly the closure residual ``key``."""
+    if key == "adjoint_closure":
+        # span{1, e₁₂} in ℂ[S₃]'s 2×2 block: e₁₂² = 0, but e₁₂† = e₂₁ is left out.
+        kac = algebras["s3_group"]
+        block = next(b for b in ag.matrix_units(kac.as_mm()) if b.size == 2)
+        return kac, [np.eye(kac.dim), block.units[0, 1]]
+    kac = algebras["s3_function"]
+    if key == "product_closure":
+        # span{1, h} for a real function h with six values: h² is left out.
+        return kac, [np.eye(kac.dim), kac.op(np.arange(kac.dim, dtype=float))]
+    # span{δ_e}: a projection, closed under products and †, without the unit.
+    return kac, [kac.op(np.eye(kac.dim)[0])]
+
+
+CLOSURE_KEYS = ("product_closure", "adjoint_closure", "unit_membership")
+
+
+@pytest.mark.parametrize("key", CLOSURE_KEYS)
+def test_a_span_that_is_no_subalgebra_is_refused_by_name(algebras, key):
+    kac, mats = not_a_subalgebra(algebras, key)
+    assert kac.as_mm().residual(np.asarray(mats)) < 1e-12
+    with pytest.raises(SubalgebraError, match=key) as err:
+        ci.is_coideal(kac, mats)
+    assert not any(other in str(err.value) for other in CLOSURE_KEYS if other != key)
+
+
+def forbid(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} ran")
+
+    return refused
+
+
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_lattice_report_forms_no_matrix_units(algebras, dual_of, monkeypatch, name):
+    # The closure residuals alone certify B and B̃ as unital *-subalgebras.
+    dd = dual_of(algebras[name])
+    monkeypatch.setattr(ag, "_central_decomposition", forbid("_central_decomposition"))
+    assert ci.galois_lattice_report(dd)["passed"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_audit_matches_closures_by_jones_projection_alone(algebras, monkeypatch, name, side):
+    monkeypatch.setattr(la, "spans_match", forbid("spans_match"))
+    assert ci.enumerate_coideals_group_case(algebras[name], side=side)["complete"]
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
 def test_enumerated_coideals_are_the_subgroup_dictionary(algebras, name, side):
@@ -283,7 +332,7 @@ def certified_audit(kac, side="left", seed=23):
     coideals = sorted(
         (ci.coideal_closure(kac, [kac.op(unit[list(h)].sum(axis=0))], side)
          for h in kac.group.subgroups()),
-        key=lambda c: ci.coideal_fingerprint(kac, c.mm),
+        key=lambda c: ci._fingerprint(c.dim, ci.jones_projection(kac, c.mm)),
     )
     projs = [ci.jones_projection(kac, c.mm) for c in coideals]
     seeds = [[unit[0] + unit[i]] for i in range(n)]
@@ -708,7 +757,10 @@ def test_the_lattice_report_builds_each_jones_projection_once(algebras, dual_of,
 def test_fingerprints_distinguish_distinct_coideals(algebras):
     kac = algebras["s3_function"]
     out = ci.enumerate_coideals_group_case(kac)
-    digests = {ci.coideal_digest(kac, c.mm) for c in out["coideals"]}
+    digests = {
+        ci._digest(ci._fingerprint(c.dim, ci.jones_projection(kac, c.mm)))
+        for c in out["coideals"]
+    }
     assert len(digests) == len(out["coideals"])
 
 
