@@ -797,8 +797,8 @@ def _bundled_hash() -> str:
     return digest.hexdigest()
 
 
-def _emit(envelope: dict, args: argparse.Namespace) -> None:
-    """Write ``envelope`` with the command line's fields, as its format and output ask."""
+def _emit(envelope: dict, args: argparse.Namespace, out) -> None:
+    """Write ``envelope`` with the command line's fields to ``out``, in the format asked."""
     doc = dict(
         envelope, command=args.command, seed=args.seed, tolerance=args.tolerance, format=args.format
     )
@@ -806,11 +806,7 @@ def _emit(envelope: dict, args: argparse.Namespace) -> None:
         payload = canonical_json(doc)
     else:
         payload = "\n".join(render_text(_jsonify(doc))) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    out.write(payload)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -819,12 +815,15 @@ def main(argv: list[str] | None = None) -> int:
     # before then reports them as null, in JSON on standard output.
     args = argparse.Namespace(command=None, seed=None, tolerance=None, format="json", output=None)
     envelope = {"tool": "kacgalois", "version": __version__}
+    out = sys.stdout
 
     try:
         build_parser().parse_args(argv, args)
         command = args.command
         if args.tolerance is not None and not 0 < args.tolerance < np.inf:
             raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
+        if args.output:  # before any work, so that an unwritable path exits 2 at once
+            out = open(args.output, "w")
         if command == "selftest":
             envelope["input_sha256"] = _bundled_hash()
             report, passed = run_selftest(args.tolerance, args.seed)
@@ -856,13 +855,16 @@ def main(argv: list[str] | None = None) -> int:
             "message": str(exc),
         }
         envelope["passed"] = False
-        _emit(envelope, args)
+        _emit(envelope, args, out)
         return 2
-
-    envelope["report"] = report
-    envelope["passed"] = bool(passed)
-    _emit(envelope, args)
-    return 0 if passed else 1
+    else:
+        envelope["report"] = report
+        envelope["passed"] = bool(passed)
+        _emit(envelope, args, out)
+        return 0 if passed else 1
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
 if __name__ == "__main__":

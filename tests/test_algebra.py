@@ -1,6 +1,7 @@
 """Multimatrix algebras: commutants, central structure, states, expectations."""
 
 import dataclasses
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -179,11 +180,27 @@ def test_commutant_certifies_the_reported_multiplicities(sample_multimatrix, mon
         ag.commutant(sample_multimatrix)
 
 
-def test_stacked_commute_check_agrees_with_the_loop(sample_multimatrix):
+def diagonal_pair_with_a_last_defect():
+    """Diagonal units of M₇ against E₁₁, …, E₅₅, E₆₆ + E₇₇, E₇₇, and a copy whose
+    last element E₇₇ + E₆₇ fails to commute with the last of them alone."""
+    units = np.stack([np.diag(row) for row in np.eye(7, dtype=complex)])
+    others = np.concatenate([units[:5], [units[5] + units[6], units[6]]])
+    bad = units.copy()
+    bad[-1, 5, 6] = 1.0
+    return units, others, bad
+
+
+@pytest.mark.parametrize(
+    "budget", [ag._COMMUTE_BLOCK, 49, 3 * 49], ids=["default_block", "one_pair", "three_pairs"]
+)
+def test_stacked_commute_check_agrees_with_the_loop(sample_multimatrix, monkeypatch, budget):
+    # Both algebras sit in M₇, so a budget of 49 entries is one commutator per block.
+    monkeypatch.setattr(ag, "_COMMUTE_BLOCK", budget)
     alg = sample_multimatrix
     comm = ag.commutant(alg).onb()
     rng = np.random.default_rng(3)
     noise = random_complex(rng, *comm.shape)
+    units, ys, bad = diagonal_pair_with_a_last_defect()
     cases = [
         (comm, alg.onb()),
         (comm + 1e-13 * noise, alg.onb()),
@@ -191,10 +208,37 @@ def test_stacked_commute_check_agrees_with_the_loop(sample_multimatrix):
         (10.0 * comm + 1e-12 * noise, alg.onb()),
         (alg.onb(), alg.onb()),
         (comm[:0], alg.onb()),
+        (units, ys),
+        (bad, ys),
     ]
-    want = [True, True, False, True, False, False]
+    want = [True, True, False, True, False, False, True, False]
     for (mats, others), expected in zip(cases, want):
         assert ag._commute(mats, others) == commutes_by_loop(mats, others) == expected
+    # The defect is in the last pair, so the last block alone finds it.
+    assert commutes_by_loop(bad, ys[:-1]) and commutes_by_loop(bad[:-1], ys)
+
+
+def test_commute_holds_its_scratch_within_the_block_budget():
+    # The size of Q₈'s top element: N = span{P_i ⊗ 1₈} in M₆₄ (dim 8) and its
+    # commutant N′ = ⊕ᵢ P_i ⊗ M₈ (dim 512), 32 MB of input.
+    eye = np.eye(8, dtype=complex)
+    projections = [np.diag(row) for row in eye]
+    cells = np.einsum("ap,bq->abpq", eye, eye).reshape(64, 8, 8)  # the matrix units of M₈
+    small = np.stack([np.kron(p, eye) for p in projections])
+    comm = np.stack([np.kron(p, e) for p in projections for e in cells])
+    assert comm.shape == (512, 64, 64) and small.shape == (8, 64, 64)
+    tracemalloc.start()
+    try:
+        assert ag._commute(comm, small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A pair of GEMM products of at most 2¹⁴ complex entries each is 512 KB.
+    # The stacked y-block (half a pair) and the previous pair, alive until its
+    # names are rebound, bring the peak to 2.5 pairs; the whole stack in one
+    # block would be 16 MB per product.
+    pair = 2 * (1 << 14) * 16
+    assert peak <= 3 * pair
 
 
 def test_blocked_commute_check_reads_every_block(sample_multimatrix, monkeypatch):
@@ -386,7 +430,7 @@ def _rep_multiplicative_by_loop(g: ag.GnsData) -> float:
                 axis=1,
             )
             lhs = g.rep_basis[i] @ g.rep_basis[j]
-            worst = max(worst, la.opnorm(lhs - g.coord @ prod_cols @ g.coord_inv))
+            worst = max(worst, la.frob(lhs - g.coord @ prod_cols @ g.coord_inv))
     return worst
 
 
@@ -638,16 +682,16 @@ def gns_by_rows(alg, phi):
     rep_spot = rep_basis[: len(spot)]
     s_cols = ms @ np.conj(coord @ (stack.reshape(k, -1) @ rows.T).T) - coord @ star_cols
     res = {
-        "rep_multiplicative": la.opnorm(
+        "rep_multiplicative": la.frob_max(
             rep_spot[:, None] @ rep_spot[None] - coord @ prod_cols @ coord_inv
         ),
-        "rep_star": la.opnorm(
+        "rep_star": la.frob_max(
             la.dagger(rep_basis) - np.tensordot(star_cols.T, rep_basis, axes=1)
         ),
         "j_cyclic": float(np.linalg.norm(mj @ np.conj(cyclic) - cyclic)),
-        "j_involution": la.opnorm(mj @ np.conj(mj) - np.eye(k)),
+        "j_involution": la.frob_max(mj @ np.conj(mj) - np.eye(k)),
         "modular_cyclic": float(np.linalg.norm(modular @ cyclic - cyclic)),
-        "j_modular_j": la.opnorm(
+        "j_modular_j": la.frob_max(
             mj @ np.conj(modular) @ np.conj(mj) - np.linalg.inv(modular)
         ),
         "s_star": float(np.linalg.norm(s_cols, axis=0).max()),

@@ -120,6 +120,34 @@ def test_output_flag_writes_the_document(tmp_path):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, run",
+    [
+        (["validate", "nosuch.json"], "run_validate"),
+        (["jones", str(FIXTURES / "scaled_pair_third.json")], "run_jones"),
+        (["selftest"], "run_selftest"),
+    ],
+    ids=["validate", "jones", "selftest"],
+)
+def test_an_unwritable_output_is_refused_before_any_work(monkeypatch, tmp_path, argv, run):
+    # The run raises if it starts; the input is never opened either, so a
+    # missing input does not hide the output error.
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{run} ran")
+
+    monkeypatch.setattr(cli, run, ran)
+    target = tmp_path / "no" / "dir" / "out.json"
+    code, out, err = run_in_process([*argv, "--output", str(target)])
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is False and "report" not in doc
+    assert doc["command"] == argv[0]
+    assert doc["error"]["type"] == "FileNotFoundError"
+    assert str(target) in doc["error"]["message"]
+    assert "input_sha256" not in doc
+    assert not target.parent.exists()
+
+
 def test_missing_file_is_an_input_error():
     out = run_cli("validate", "/nonexistent/file.json")
     assert out.returncode == 2

@@ -574,7 +574,7 @@ def dense_dual_weight(bc):
     }
     res["unit_from_e"] = la.frob(dw.apply(bc.e_n) - eye)
     res["index_in_big"] = bc.big_rep.residual(index_el)
-    res["index_central"] = la.opnorm(index_el @ big_ops - big_ops @ index_el)
+    res["index_central"] = la.frob_max(index_el @ big_ops - big_ops @ index_el)
     m1_onb = bc.m1.onb()
     ez = bc.e_n @ m1_onb
     res["push_down"] = la.frob_max(bc.e_n @ dw.apply(ez) - ez)
@@ -783,3 +783,47 @@ def test_dual_weight_matches_its_row_contractions_bit_for_bit(seed):
     w, consistency = pin_by_rows(bc)
     assert np.array_equal(dw.coords, w)
     assert dw.residuals["pin_consistency"] == consistency
+
+
+INCLUSION_FIXTURES = [
+    pytest.param(lambda: jn.fixture_scaled_pair(1.0 / 3.0), id="scaled_pair_third"),
+    pytest.param(lambda: jn.fixture_scaled_pair(0.5), id="scaled_pair_half"),
+    pytest.param(jn.fixture_point_in_full, id="point_in_full"),
+    pytest.param(jn.fixture_pinch, id="pinch"),
+    pytest.param(jn.fixture_markov_chain, id="markov_chain"),
+]
+
+
+@pytest.mark.parametrize("case", [*pool_shapes(), *INCLUSION_FIXTURES])
+def test_no_gns_or_jones_certificate_runs_an_svd(monkeypatch, case):
+    # opnorm raises while gns, basic_extension or dual_weight runs; the
+    # extremality margin and mirror_map_residual after them keep their SVD.
+    make = case if callable(case) else lambda: jn.random_inclusion(case)
+    want = jn.jones_chain(make())
+    inside, real = [], la.opnorm
+
+    def guarded(a):
+        assert not inside, f"opnorm ran inside {inside[-1]}"
+        return real(a)
+
+    def certifying(fn):
+        def run(*args):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return run
+
+    for module in (la, ag, jn):
+        monkeypatch.setattr(module, "opnorm", guarded)
+    monkeypatch.setattr(ag, "gns", certifying(ag.gns))
+    for name in ("basic_extension", "dual_weight"):
+        monkeypatch.setattr(jn, name, certifying(getattr(jn, name)))
+    got = jn.jones_chain(make())
+    assert got.extension.gns.residuals == want.extension.gns.residuals
+    assert got.extension.residuals == want.extension.residuals
+    assert got.weight.residuals == want.weight.residuals
+    assert got.report.residuals == want.report.residuals
+    assert got.extremality.keys() == want.extremality.keys()
