@@ -365,9 +365,9 @@ _ATTEMPTS = 12
 
 @functools.cache
 def _draw_coefficients(attempt: int, k: int) -> np.ndarray:
-    """The read-only (2, k) complex coefficients of draw ``attempt``, seeded 100 + attempt."""
-    rng = np.random.default_rng(100 + attempt)
-    c = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    """Read-only (2, k) complex coefficients of draw ``attempt``: ``probe_draws(100 + attempt)``."""
+    u = la.probe_draws(100 + attempt, (2, 2, k))
+    c = u[0] + 1j * u[1]
     c.flags.writeable = False
     return c
 
@@ -662,22 +662,24 @@ class CondExpectation:
         return (flat @ self.matrix.T).reshape(np.shape(x))
 
     def validate(self) -> dict:
-        """Residuals: idempotence, unit, bimodularity, positivity, state."""
+        """Residuals: idempotence, unit, bimodularity, positivity, state.
+
+        Bimodularity is read as E(a·x) = a·E(x) and E(x·b) = E(x)·b over bases of
+        N and M; positivity on E(g†g) for g the projections of ``probe_draws(0)``.
+        """
         m_onb = self.domain.onb()
-        n_onb = self.target.onb()
+        n_onb = self.target.onb()[:, None]
         e_m = self.apply(m_onb)
         idem = la.frob_max(self.apply(e_m) - e_m)
         unit = frob(self.apply(self.domain.unit) - self.target.unit)
         bimod = max(
-            la.frob_max(self.apply(a @ m_onb[:, None] @ n_onb) - a @ e_m[:, None] @ n_onb)
-            for a in n_onb
+            la.frob_max(self.apply(n_onb @ m_onb) - n_onb @ e_m),
+            la.frob_max(self.apply(m_onb @ n_onb) - e_m @ n_onb),
         )
-        rng = np.random.default_rng(0)
         pos = 0.0
         d = self.domain.ambient_dim
-        for _ in range(5):
-            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            g = self.domain.project(g)
+        for u in la.probe_draws(0, (5, 2, d, d)):
+            g = self.domain.project(u[0] + 1j * u[1])
             y = self.apply(dagger(g) @ g)
             pos = min(pos, float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()))
         rep = {

@@ -29,7 +29,6 @@ for _var in (
 
 import argparse
 import functools
-import hashlib
 import json
 import sys
 from importlib import resources
@@ -758,7 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="override every check limit with this value (positive, finite)",
         )
         p.add_argument(
-            "--seed", type=int, default=7, help="seed for randomized suites"
+            "--seed", type=int, default=7,
+            help="seed of the Fourier probes, the coideal audit pairs and selftest's draws",
         )
         p.add_argument(
             "--format",
@@ -783,11 +783,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sha256_file(path: str) -> str:
+    import hashlib  # loads OpenSSL, so only for a command that reads a file
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _bundled_hash() -> str:
+    import hashlib
+
     root = resources.files("kacgalois").joinpath("fixtures")
     digest = hashlib.sha256()
     for entry in sorted(root.iterdir(), key=lambda e: e.name):

@@ -27,7 +27,6 @@ A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 
@@ -78,6 +77,8 @@ def _fingerprint(dim: int, p: np.ndarray) -> tuple:
 
 def _digest(fingerprint: tuple) -> str:
     """Short hex digest of a :func:`_fingerprint`, for compact reports."""
+    import hashlib  # loads OpenSSL, so only when a report asks for a digest
+
     dim, entries = fingerprint
     payload = np.asarray((float(dim),) + entries).tobytes()
     return hashlib.sha256(payload).hexdigest()[:16]
@@ -325,7 +326,8 @@ def enumerate_coideals_group_case(
     indicators of the cosets gH (left) or Hg (right), so the closure is
     C(G/H) or C(H\\G); on the group side δ(b_h) = b_h⊗b_h, so it is ℂ[H].
     The completeness audit closes b_e + b_g for every g and a seeded
-    collection of two-element generator sets, each unordered pair once, and
+    collection of two-element generator sets {b_i, b_j}, i, j = ⌊n·(u + 1)/2⌋ for eight
+    pairs u of ``probe_draws(seed)``, each unordered pair once, and
     verifies the result is already in the list (Jones-projection distance).
     A lone b_g would test nothing on the function side, where every point
     mass closes to all of C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when
@@ -358,9 +360,8 @@ def enumerate_coideals_group_case(
             is_coideal(kac, mm, side)
         return gap
 
-    rng = np.random.default_rng(seed)
     pairs = {}  # each unordered pair once, in the order it was first drawn
-    for i, j in rng.integers(0, n, size=(8, 2)):
+    for i, j in (n * (la.probe_draws(seed, (8, 2)) + 1) / 2).astype(int):
         pairs.setdefault(frozenset((i, j)), [unit[i], unit[j]])
     seeds = [[unit[0] + unit[i]] for i in range(n)] + list(pairs.values())
     worst = max(audit([kac.op(c) for c in gens]) for gens in seeds)

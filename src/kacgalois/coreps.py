@@ -220,14 +220,13 @@ def fourier_round_trip(
 ) -> dict:
     """Max reconstruction error over seeded random algebra elements.
 
+    Element k has the coefficients z[k, 0] + i·z[k, 1], z = ``probe_draws(seed)``.
     Also reports whether Σ d(π)² = dim A, the cardinality a basis of rescaled
     entries √d(π)·u(π)ᵢⱼ needs.  That those entries are Haar-orthonormal is
     certified by :func:`orthogonality_check`, not here.
     """
-    rng = np.random.default_rng(seed)
     n = kac.dim
-    # Real and imaginary parts alternate per element, as n-draws in turn.
-    z = rng.standard_normal((count, 2, n))
+    z = la.probe_draws(seed, (count, 2, n))
     xs = kac.op(z[:, 0] + 1j * z[:, 1])
     back = fourier_inverse(kac, coreps, fourier_coefficients(kac, coreps, xs))
     err = np.linalg.norm(back - xs, axis=(-2, -1))

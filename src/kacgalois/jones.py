@@ -618,7 +618,8 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     into its part in M, ‖C·W − T‖, and its part orthogonal to M,
     ‖x·y − T·b‖ with b M's basis.  ``index_central`` is the largest
     Frobenius norm of the commutators of the index element with M's basis,
-    an upper bound on their operator norm.
+    an upper bound on their operator norm.  Positivity and bimodularity are
+    probed on six z ∈ M₁ and pairs a, b of M's basis read off ``probe_draws(2)``.
 
     Raises
     ------
@@ -668,16 +669,13 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     res["range_in_big"] = big.residual(images)
     res["adjoint_compatible"] = la.frob_max(dw.apply(dagger(m1_onb)) - dagger(images))
 
-    rng = np.random.default_rng(2)
     pos_min = 0.0
     bimod = 0.0
-    for _ in range(6):
-        coeffs = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        z = m1.element(coeffs)
+    for u in la.probe_draws(2, (6, 2 * r + 2)):
+        z = m1.element(u[:r] + 1j * u[r : 2 * r])
         y = dw.apply(dagger(z) @ z)
         pos_min = min(pos_min, float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()))
-        a = big_ops[int(rng.integers(d))]
-        b = big_ops[int(rng.integers(d))]
+        a, b = big_ops[(d * (u[2 * r :] + 1) / 2).astype(int)]
         bimod = max(bimod, frob(dw.apply(a @ z @ b) - a @ dw.apply(z) @ b))
     res["min_positivity_eig"] = pos_min
     res["bimodule"] = bimod

@@ -11,6 +11,8 @@ an operator in an orthonormal span, and its residual off it, belong to
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 # The tolerance table: every numerical threshold of the package, named once.
@@ -66,6 +68,14 @@ def opnorm(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2, axis=(-2, -1)).max())
+
+
+def probe_draws(seed: int, shape) -> np.ndarray:
+    """Seeded uniform draws in [−1, 1), in C order from ``random.Random(seed).random()``,
+    a stream Python keeps across versions; neither ``numpy.random`` nor OpenSSL loads."""
+    rng, out = random.Random(seed), np.empty(shape)
+    out.flat = [rng.random() for _ in range(out.size)]
+    return 2.0 * out - 1.0
 
 
 def frob_max(a: np.ndarray) -> float:

@@ -396,6 +396,41 @@ def test_conditional_expectation_properties(sample_multimatrix):
     assert rep.get("state_preserving", 0.0) < 1e-9
 
 
+def bimodule_by_triples(exp):
+    """Oracle: max over bases a, b of N and x of M of ‖E(a·x·b) − a·E(x)·b‖."""
+    m_onb, n_onb = exp.domain.onb(), exp.target.onb()
+    e_m = exp.apply(m_onb)
+    return max(
+        la.frob_max(exp.apply(a @ m_onb[:, None] @ n_onb) - a @ e_m[:, None] @ n_onb)
+        for a in n_onb
+    )
+
+
+def generic_unitary(alg, rng):
+    """exp(i·h) for a generic hermitian h of a unital algebra (unit 1)."""
+    g = alg.project(rng.standard_normal(alg.unit.shape) + 1j * rng.standard_normal(alg.unit.shape))
+    w, v = np.linalg.eigh(g + la.dagger(g))
+    return (v * np.exp(1j * w)) @ la.dagger(v)
+
+
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_one_sided_bimodularity_matches_the_triple_oracle(seed):
+    gate = 10 * la.DEFAULT_TOL
+    exp = jn.random_inclusion(seed).expectation
+    assert exp.validate()["bimodule"] < gate and bimodule_by_triples(exp) < gate
+    # Mutant: x ↦ u·E(x)·u†, u a unitary that does not commute with N — one of
+    # N when N is not commutative (u is then not central in N), else one of M.
+    small = exp.target
+    noncommutative = any(size > 1 for size, _ in small.block_dims)
+    home = small if noncommutative else exp.domain
+    u = generic_unitary(home, np.random.default_rng(seed))
+    assert home.residual(u) < 1e-12 and la.frob(u @ la.dagger(u) - small.unit) < 1e-12
+    assert la.frob_max(u @ small.onb() - small.onb() @ u) > 1e-3
+    mutant = dataclasses.replace(exp, matrix=np.kron(u, u.conj()) @ exp.matrix)
+    assert np.allclose(mutant.apply(small.unit), small.unit)
+    assert mutant.validate()["bimodule"] > 1e-3 and bimodule_by_triples(mutant) > 1e-3
+
+
 def test_intersect_of_algebras():
     diag = ag.from_span([np.diag(r).astype(complex) for r in np.eye(3)], 3)
     full = ag.from_span(matrix_unit_basis(3), 3)
@@ -602,9 +637,8 @@ BUNDLED_KAC = ("kp8", *ALGEBRA_NAMES)
 
 def fresh_generator_draw(onb, attempt):
     """The structure pass's draw with a new generator on every call, as an oracle."""
-    rng = np.random.default_rng(100 + attempt)
-    c = rng.standard_normal((2, len(onb))) + 1j * rng.standard_normal((2, len(onb)))
-    g, g2 = np.tensordot(c, onb, axes=1)
+    u = la.probe_draws(100 + attempt, (2, 2, len(onb)))
+    g, g2 = np.tensordot(u[0] + 1j * u[1], onb, axes=1)
     return g, g2 + la.dagger(g2)
 
 

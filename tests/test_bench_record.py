@@ -49,6 +49,7 @@ def test_pairs_fold_into_medians_quartiles_and_wins(tmp_path):
     assert (run["change_better_pairs"], run["ties"]) == (3, 1)
     # Per pair: 3/4, 4/5, 5/6, 7/7, 9/8; their median and inclusive quartiles.
     assert run["pair_ratio"] == pytest.approx({"median": 5 / 6, "q1": 0.8, "q3": 1.0})
+    assert run["gain_rule"] is False
     assert jf["metrics"]["peak_rss_mb"]["ties"] == 5
     assert jf["metrics"]["peak_rss_mb"]["pair_ratio"] == {"median": 1.0, "q1": 1.0, "q3": 1.0}
     assert doc["workloads"]["selftest"]["failed"] == {"parent": 0, "change": 1}
@@ -75,3 +76,38 @@ def test_a_run_without_its_partner_is_refused(tmp_path):
             "--parent", *parent, "--change", *change,
             "--benchmark", str(ROOT / "BENCHMARK.json"), "--out", str(tmp_path / "o.json"),
         ])
+
+
+def fold_pairs(tmp_path, parent_values, change_values, better="lower"):
+    """``run_s`` of one BENCH file folded from the given pairs, under a one-metric benchmark."""
+    bench = tmp_path / "BENCHMARK.json"
+    bench.write_text(json.dumps({"end_to_end": [{"name": "run_s", "unit": "s", "better": better}]}))
+    parent = [write_run(tmp_path / f"p{s}", "jones_family", s, t) for s, t in enumerate(parent_values)]
+    change = [write_run(tmp_path / f"c{s}", "jones_family", s, t) for s, t in enumerate(change_values)]
+    out = tmp_path / "BENCH.json"
+    bench_record.main(["--parent", *parent, "--change", *change, "--benchmark", str(bench), "--out", str(out)])
+    return json.loads(out.read_text())["workloads"]["jones_family"]["metrics"]["run_s"]
+
+
+def test_gain_rule_reads_pair_ratios_not_the_spread_across_seeds(tmp_path):
+    # The parent's seeds spread from 1 to 10, wider than any gap, but every pair
+    # but one reads 10 % faster: nine tenths of pairs and the ratio's q3 below 1.
+    parent = [float(s) for s in range(1, 11)]
+    faster = [0.9 * t for t in parent[:9]] + [parent[9] * 1.2]
+    run = fold_pairs(tmp_path, parent, faster)
+    assert run["change_better_pairs"] == 9 and run["pair_ratio"]["q3"] < 1
+    assert run["gain_rule"] is True
+    # Eight of ten pairs better is short of nine tenths, whatever the ratios.
+    run = fold_pairs(tmp_path, parent, faster[:8] + [parent[8], parent[9] * 1.2])
+    assert run["change_better_pairs"] == 8 and run["gain_rule"] is False
+
+
+def test_gain_rule_turns_with_the_metric_direction(tmp_path):
+    # Higher is better: ten pairs 10 % higher meet it (q1 above 1); the same
+    # values for a lower-is-better metric are worse in every pair.
+    parent = [1.0] * 10
+    run = fold_pairs(tmp_path, parent, [1.1] * 10, better="higher")
+    assert run["change_better_pairs"] == 10 and run["pair_ratio"]["q1"] > 1
+    assert run["gain_rule"] is True
+    run = fold_pairs(tmp_path, parent, [1.1] * 10)
+    assert run["change_better_pairs"] == 0 and run["gain_rule"] is False

@@ -316,7 +316,8 @@ def test_right_coideals_of_s3_functions_are_the_right_cosets(algebras):
 def seeded_pairs(n, seed):
     """The audit's seeded generator pairs: eight draws, each unordered pair once."""
     pairs = {}
-    for i, j in np.random.default_rng(seed).integers(0, n, size=(8, 2)):
+    for u, v in la.probe_draws(seed, (8, 2)):
+        i, j = int(n * (u + 1) / 2), int(n * (v + 1) / 2)
         pairs.setdefault(frozenset((i, j)), (i, j))
     return list(pairs.values())
 

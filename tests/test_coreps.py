@@ -271,10 +271,8 @@ def test_fourier_contractions_match_per_entry_sums(pool_algebra, coreps_of, monk
         cr, "fourier_coefficients", lambda k, cs, x: drawn.append(x) or real(k, cs, x)
     )
     cr.fourier_round_trip(kac, coreps, count=4, seed=5)
-    rng = np.random.default_rng(5)
-    for x in drawn[0]:
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert frob(x - kac.op(c)) <= 1e-13
+    for x, u in zip(drawn[0], la.probe_draws(5, (4, 2, n)), strict=True):
+        assert frob(x - kac.op(u[0] + 1j * u[1])) <= 1e-13
 
 
 @pytest.mark.parametrize("name", POOL_NAMES)

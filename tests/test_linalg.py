@@ -1,4 +1,10 @@
-"""Dense linear-algebra helpers: kernels, spans, powers."""
+"""Dense linear-algebra helpers: kernels, spans, powers, probe draws."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,3 +275,55 @@ def test_leg_distance_matches_the_kronecker_projector():
         assert la.leg_distance(inside, home, span, side) <= 1e-14 * la.frob(inside)
     with pytest.raises(ValueError, match="side must be"):
         la.leg_distance(dense, home, span, "up")
+
+
+def test_probe_draws_are_the_stdlib_stream_in_c_order():
+    got = la.probe_draws(11, (3, 2, 4))
+    stream = random.Random(11)
+    want = [2.0 * stream.random() - 1.0 for _ in range(24)]
+    assert got.shape == (3, 2, 4) and got.dtype == np.float64
+    assert got.reshape(-1).tolist() == want
+    assert np.array_equal(la.probe_draws(11, (3, 2, 4)), got)
+    assert not np.array_equal(la.probe_draws(12, (3, 2, 4)), got)
+    many = la.probe_draws(0, 10000)
+    assert -1.0 <= many.min() < -0.99 and 0.99 < many.max() < 1.0
+
+
+PROBES_IN_A_FRESH_INTERPRETER = """
+import sys
+from importlib import resources
+
+import kacgalois.cli
+from kacgalois import coideals as ci, coreps as cr, duality as du, jones as jn, kac as kc
+
+def loaded():
+    return sorted(m for m in ("numpy.random", "_hashlib") if m in sys.modules)
+
+kp8 = kc.load_kac(str(resources.files("kacgalois") / "fixtures" / "kp8.json"), validate=False)
+assert kc.validate_kac(kp8)["passed"]
+v = du.multiplicative_unitary(kp8)
+hat = du.hat_algebra(kp8, v)
+du.integrals(kp8, hat)
+reps = cr.irreducible_coreps(kp8, v, hat)
+assert cr.fourier_round_trip(kp8, reps)["round_trip"] < 1e-8
+du.dual_kac(kp8)
+jn.jones_chain(jn.fixture_scaled_pair())
+print(loaded())
+ci.galois_lattice_report(du.dual_kac(kc.function_algebra(kc.symmetric_group_3())))
+print("numpy.random" in sys.modules)
+jn.random_inclusion(3)
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_certificate_probes_load_neither_numpy_random_nor_openssl():
+    # The probes draw from the stdlib; only the seeded samplers load numpy.random.
+    src = Path(la.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", PROBES_IN_A_FRESH_INTERPRETER],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[:3] == ["[]", "False", "True"]

@@ -13,7 +13,10 @@ metric that ``BENCHMARK.json`` lists, each side's median and quartiles, the
 number of pairs in which the change read better, parent → change, and the
 median and quartiles of the per-pair ratio change / parent.  A pair shares
 its seed and so its draw, so the ratio cancels the draw's cost, which the
-spread across seeds mixes with noise.
+spread across seeds mixes with noise.  So each metric's ``gain_rule`` reads
+the pairs alone: it is met when the change reads better in at least nine
+tenths of the pairs and the pair ratio's upper quartile is below 1 (its lower
+quartile above 1 for a metric where higher is better).
 
 Run from the repository root, for example:
 
@@ -53,6 +56,14 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def gain_rule(better: int, pairs: int, ratio: dict | None, lower: bool) -> bool:
+    """Better in at least nine tenths of the pairs, and the pair ratio's quartile
+    on the far side of 1 below 1 (above 1 when higher is better)."""
+    if ratio is None:
+        return False
+    return 10 * better >= 9 * pairs and (ratio["q3"] < 1 if lower else ratio["q1"] > 1)
+
+
 def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """Per-workload pair statistics from each side's runs."""
     keyed = {side: {(r["workload"], r["seed"]): r for r in runs[side]} for side in SIDES}
@@ -76,6 +87,7 @@ def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             better = sum((c < p) if lower else (c > p) for p, c in zip(*values))
             ties = sum(p == c for p, c in zip(*values))
             ratios = [c / p for p, c in zip(*values) if p != 0]
+            ratio = spread(ratios) if ratios else None
             entry["metrics"][key] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -83,7 +95,8 @@ def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
                 "change": spread(values[1]),
                 "change_better_pairs": better,
                 "ties": ties,
-                "pair_ratio": spread(ratios) if ratios else None,
+                "pair_ratio": ratio,
+                "gain_rule": gain_rule(better, len(both), ratio, lower),
             }
         workloads[name] = entry
     return workloads
