@@ -827,6 +827,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.tolerance is not None and not 0 < args.tolerance < np.inf:
             raise ValueError(f"--tolerance must be positive and finite, got {args.tolerance}")
         if args.output:  # before any work, so that an unwritable path exits 2 at once
+            source = getattr(args, "input", None)
+            if source and os.path.exists(source) and os.path.exists(args.output):
+                if os.path.samefile(source, args.output):
+                    raise ValueError(f"--output {args.output} is the input file; it would be truncated")
             out = open(args.output, "w")
         if command == "selftest":
             envelope["input_sha256"] = _bundled_hash()

@@ -16,8 +16,8 @@ A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
   function side, ℂ[H] on the group side); the audit matches each closure
   by its Jones projection and certifies it only when it matches no coideal
   of the list, so each coideal is certified once,
-* the Galois map into the dual, B ↦ B̃ = {y ∈ Â : ⟨xb, y⟩ = ε(b)⟨x, y⟩},
-  its commutant form κ̂(B′∩Â), the dimension identity
+* the Galois maps read off Haar idempotents, B ↦ B̃ = span (ω⊗id)Δ̂(e_B) and
+  C ↦ {x ∈ A : p_C·xΩ = xΩ}, B̃'s commutant form κ̂(B′∩Â), the dimension identity
   dim B · dim B̃ = dim A, the involution B̃̃ = B, and the bicommutant
   identity (B′∩Â)′∩A = B,
 * the Jones projection e_B onto B·Ω with its three weight identities, and
@@ -380,39 +380,38 @@ def enumerate_coideals_group_case(
 
 
 def tilde(coid: Coideal, dd: du.DualKac) -> Coideal:
-    """B̃ = {y ∈ Â : ⟨x·b, y⟩ = ε(b)·⟨x, y⟩ for all x ∈ A, b ∈ B}.
+    """B̃, the span of the slices (ω⊗id)Δ̂(e_B) of B's Jones projection.
 
-    B is a coideal of A = ``dd.v.kac``.  Over the dual basis ŷ the pairing is
-    the identity (``dd.pairing_form`` certifies it), so y = Σ c_α·ŷ_α pairs
-    with bᵢ to cᵢ, and bᵢ·b has the coefficients Σⱼ mult[i, j, :]·c(b)ⱼ: B̃ is
-    the null space of c(b)·mult − ε(b)·1 over every b, read off A's tensors.
-    Returned as a coideal of Â (operators on the same GNS space,
-    ``home='dual'``), certified by its closure residuals and Â's coproduct.
+    B is a coideal of A = ``dd.v.kac``.  e_B ∈ Â is B̃'s Haar idempotent, a
+    group-like projection, and the slices of such a projection span its coideal.
+    Δ̂(e_B) = Σ W[a,b]·onbₐ⊗onb_b for W = Σₑ c(e_B)ₑ·``coproduct``[e], so B̃ is
+    W's row space read in Â.  Returned as a coideal of Â (``home='dual'``),
+    certified by its closure residuals and Â's coproduct.
     """
-    kac = dd.v.kac
-    coeffs = kac.coeffs_of(coid.mm.onb())  # c(b) per basis element b
-    rows = np.tensordot(coeffs, kac.mult, axes=(1, 1))
-    rows -= (coeffs @ kac.counit)[:, None, None] * np.eye(kac.dim)
-    ns = la.null_space(rows.reshape(-1, kac.dim))
-    mm = ag.from_span(np.tensordot(ns.T, dd.hat.dual_basis, axes=1), kac.dim)
+    hat = dd.hat
+    w = np.tensordot(hat.mm.coeffs(coid.projection), hat.coproduct, axes=1)
+    mm = ag.from_span(hat.mm.element(w), dd.v.kac.dim)
     _require_subalgebra(mm, "tilde image")
     cert = _dual_containment(dd, mm.onb(), "left")
     return Coideal(home="dual", side="left", mm=mm, certificate=cert)
 
 
-def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
-    """The reverse Galois map: {x ∈ A : ⟨x, y·c⟩ = ε̂(c)·⟨x, y⟩ ∀y ∈ Â, c ∈ B̃}.
+def haar_idempotent(mm: ag.MMAlgebra, dd: du.DualKac) -> np.ndarray:
+    """(n/dim C)·E_C(ê) for C = span(``mm``) ⊆ Â, E_C the trace-keeping Frobenius projection
+    and ê = ΩΩ† Â's integral: C's Haar idempotent p_C when C is a coideal, e_B for C = B̃."""
+    return dd.v.kac.dim / mm.dim * mm.project(dd.ints.e_hat)
 
-    Over ŷ, c = Σ c_γ·ŷ_γ (its ``onb`` coefficients times R), ŷ_α·c =
-    Σ delta[i,α,γ]·c_γ·ŷᵢ is read off A's coproduct and ε̂(c) = Σ c_γ·u_γ off
-    A's unit u, so x = Σ xᵢ·bᵢ lies in the image when
-    Σᵢ xᵢ·(Σ_γ delta[i,α,γ]·c_γ − ε̂(c)·δ_αi) = 0 for every α and c.
+
+def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
+    """The reverse Galois map: {x ∈ A : p_C·xΩ = xΩ} for C's :func:`haar_idempotent` p_C.
+
+    For C = B̃, p_C = e_B projects onto B·Ω, and Ω separates A, so the map
+    returns B.  x = Σ xᵢ·bᵢ has xΩ = ``coord``·x, so the image is one null
+    space of the n×n matrix (p_C − 1)·``coord``.
     """
-    kac, hat = dd.v.kac, dd.hat
-    coeffs = hat.mm.coeffs(dual_coid.mm.onb()) @ hat.root  # c over ŷ
-    rows = np.tensordot(coeffs, kac.delta, axes=(1, 2))  # [c, i, α]
-    rows -= (coeffs @ kac.unit_coeffs)[:, None, None] * np.eye(kac.dim)
-    ns = la.null_space(rows.transpose(0, 2, 1).reshape(-1, kac.dim))
+    kac = dd.v.kac
+    p = haar_idempotent(dual_coid.mm, dd)
+    ns = la.null_space((p - np.eye(kac.dim)) @ kac.coord)
     return ag.from_span(kac.op(ns.T), kac.dim)
 
 
@@ -435,7 +434,7 @@ def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     basis orthonormal), the orthonormal basis of B′∩Â (which
     :func:`bicommutant_check` takes) with its largest commutator with B, and
     the certification that B′∩Â is itself a right coideal of Â.  The caller
-    compares the span with the pairing-defined :func:`tilde`.
+    compares the span with :func:`tilde`, which reads it off e_B.
     """
     inter, comm = _relative_commutant(coid.mm.onb(), dd.hat.onb)
     return {
@@ -464,8 +463,8 @@ def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> 
     ``coid`` is a coideal of A, and ``btilde`` is B's partner :func:`tilde`
     ``(coid, dd)``.  Verifies:
     ĥ(e_B) = dim B / n; ε(E_B(e)) = dim B / n for the Haar expectation E_B
-    and the integral e of A; e_B = dim B · E_B̃(ê) for the dual-trace
-    expectation onto B̃; and the membership e_B ∈ Â.
+    and the integral e of A; e_B = p_B̃ (:func:`haar_idempotent`, dim B·E_B̃(ê)
+    when dim B·dim B̃ = n); and the membership e_B ∈ Â.
     """
     kac = dd.v.kac
     n = kac.dim
@@ -482,8 +481,7 @@ def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> 
     exp_e = np.tensordot(np.conj(h_vecs) @ (dd.ints.e_op @ kac.omega), h_onb, axes=1)
     res["counit_of_projected_integral"] = float(abs(kac.counit_of(exp_e) - coid.dim / n))
 
-    exp_ehat = btilde.mm.project(dd.ints.e_hat)
-    res["scaled_dual_expectation"] = frob(coid.dim * exp_ehat - e_b)
+    res["scaled_dual_expectation"] = frob(haar_idempotent(btilde.mm, dd) - e_b)
     res["max_residual"] = max(v for v in res.values())
     return res
 

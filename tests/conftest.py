@@ -181,6 +181,17 @@ def rotated_kp8(kp8):
     return rebased(kp8, rotation(kp8.dim, seed=0))
 
 
+#: kp8's change of basis of condition number 30 (the basis of the ``cond30_kp8`` fixture).
+COND30 = basis_change(8, seed=4, cond=30)
+
+
+@pytest.fixture(scope="session")
+def cond30_kp8(kp8):
+    """kp8 in a seeded change of basis of condition number 30: ŷ's Gram matrix is no scaled
+    identity, so Â's orthonormal basis is no rescaled ŷ."""
+    return rebased(kp8, COND30)
+
+
 TENSOR_COMBOS = (
     ("z2_group", "z2_group"),
     ("z2_group", "z3_function"),

@@ -148,6 +148,25 @@ def test_an_unwritable_output_is_refused_before_any_work(monkeypatch, tmp_path, 
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_an_output_that_is_the_input_is_refused_and_the_input_kept(tmp_path, link):
+    # Opening --output for writing first would truncate the input before it is read.
+    source = tmp_path / "in.json"
+    source.write_bytes((FIXTURES / "z2_group.json").read_bytes())
+    before = source.read_bytes()
+    target = source
+    if link:
+        target = tmp_path / "link.json"
+        target.symlink_to(source)
+    code, out, err = run_in_process(["validate", str(source), "--output", str(target)])
+    assert code == 2 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is False and "report" not in doc and "input_sha256" not in doc
+    assert doc["error"]["type"] == "ValueError"
+    assert str(target) in doc["error"]["message"]
+    assert source.read_bytes() == before
+
+
 def test_missing_file_is_an_input_error():
     out = run_cli("validate", "/nonexistent/file.json")
     assert out.returncode == 2

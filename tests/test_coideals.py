@@ -15,6 +15,7 @@ from kacgalois.algebra import SubalgebraError
 
 from conftest import (
     ALGEBRA_NAMES,
+    COND30,
     LADDER_NAMES,
     delta_hat,
     delta_op,
@@ -609,18 +610,30 @@ def tilde_back_by_formula(dual_coid, dd):
     return la.orthonormalize(np.tensordot(ns.T, kac.lmats, axes=1))
 
 
-def galois_oracle_cases(algebras, kp8):
+def pair_closures(kac, c):
+    """The closures of the images of kp8's b_e + b_g, g ≠ e, in ``kac``, kp8 in the basis
+    b′ᵢ = Σⱼ c[j, i]·bⱼ: the coefficients x over b are c⁻¹·x over b′."""
+    back, unit = np.linalg.inv(c), np.eye(kac.dim)
+    return [ci.coideal_closure(kac, [kac.op(back @ (unit[0] + unit[g]))]) for g in range(1, kac.dim)]
+
+
+def galois_oracle_cases(algebras, kp8, cond30_kp8):
     for name in ALGEBRA_NAMES:
         kac = algebras[name]
         for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
             yield name, kac, coid
     unit = np.eye(kp8.dim)
     yield "kp8", kp8, ci.coideal_closure(kp8, [kp8.op(unit[0] + unit[1])])
+    for coid in pair_closures(cond30_kp8, COND30):
+        yield "cond30_kp8", cond30_kp8, coid
 
 
-def test_galois_maps_match_the_pairing_formula(algebras, kp8, dual_of):
-    seen = set()
-    for name, kac, coid in galois_oracle_cases(algebras, kp8):
+def test_galois_maps_match_the_pairing_formula(algebras, kp8, cond30_kp8, dual_of):
+    """On the group fixtures' coideals, a closure in kp8, and kp8's closures of the images of
+    b_e + b_g in a basis of condition number 30, where the Gram matrix of ŷ is no scaled
+    identity: both maps match the pairing formula."""
+    seen, dims = set(), set()
+    for name, kac, coid in galois_oracle_cases(algebras, kp8, cond30_kp8):
         seen.add(name)
         dd = dual_of(kac)
         bt = ci.tilde(coid, dd)
@@ -629,51 +642,32 @@ def test_galois_maps_match_the_pairing_formula(algebras, kp8, dual_of):
         back = ci.tilde_back(bt, dd)
         assert back.dim == coid.dim, name
         assert la.span_distance(back.onb(), tilde_back_by_formula(bt, dd)) <= 1e-12, name
-    assert seen == {*ALGEBRA_NAMES, "kp8"}
+        if kac is cond30_kp8:
+            dims.add(coid.dim)
+    assert seen == {*ALGEBRA_NAMES, "kp8", "cond30_kp8"}
+    assert dims > {8}
 
 
-def test_tilde_over_the_dual_basis_is_the_pairing_matrix_route(algebras, rotated_kp8, dual_of):
-    """B̃ read off A's tensors over ŷ is the span the pairing matrix gives, on every
-    enumerated coideal of the group fixtures and on rotated kp8's closures of the
-    images of b_e + b_g."""
+def test_tilde_over_the_dual_basis_is_the_pairing_matrix_route(
+    algebras, rotated_kp8, cond30_kp8, dual_of
+):
+    """B̃ read off e_B is the span the pairing matrix gives, on every enumerated coideal of
+    the group fixtures and on the closures of the images of kp8's b_e + b_g in a rotated
+    basis and in a basis of condition number 30."""
     cases = [
         (algebras[name], coid)
         for name in ALGEBRA_NAMES
         for coid in ci.enumerate_coideals_group_case(algebras[name])["coideals"]
     ]
-    back = la.dagger(rotation(rotated_kp8.dim, seed=0))  # kp8's coefficients to the rotated ones
-    unit = np.eye(rotated_kp8.dim)
-    cases += [
-        (rotated_kp8, ci.coideal_closure(rotated_kp8, [rotated_kp8.op(back @ (unit[0] + unit[g]))]))
-        for g in range(1, rotated_kp8.dim)
-    ]
-    assert {coid.dim for kac, coid in cases if kac is rotated_kp8} > {8}
+    for kac, c in ((rotated_kp8, rotation(8, seed=0)), (cond30_kp8, COND30)):
+        closures = pair_closures(kac, c)
+        assert {coid.dim for coid in closures} > {8}
+        cases += [(kac, coid) for coid in closures]
     for kac, coid in cases:
         bt = ci.tilde(coid, dual_of(kac))
         want = tilde_by_pairing_matrix(coid, dual_of(kac))
         assert len(want) == bt.dim
         assert la.span_distance(bt.mm.onb(), want) <= 1e-12
-
-
-def test_tilde_back_matches_the_pairing_formula_off_coideals(kp8, dual_of):
-    """On spans {1, c₁·ŷᵢ + c₂·ŷⱼ} of kp8's dual, which are no coideals, the read-off
-    map still solves the pairing conditions: there ŷ_α·c and c·ŷ_α give different
-    spaces, so the map's row and column order shows."""
-    kac = kp8
-    dd = dual_of(kac)
-    rng = np.random.default_rng(1)
-    dims = []
-    for _ in range(4):
-        idx = rng.choice(kac.dim, 2, replace=False)
-        coef = rng.normal(size=2) + 1j * rng.normal(size=2)
-        span = [np.eye(kac.dim), np.tensordot(coef, dd.hat.dual_basis[idx], axes=1)]
-        coid = ci.Coideal(home="dual", side="left", mm=ag.from_span(span, kac.dim), certificate=0.0)
-        back = ci.tilde_back(coid, dd)
-        want = tilde_back_by_formula(coid, dd)
-        assert back.dim == len(want)
-        assert la.span_distance(back.onb(), want) <= 1e-12
-        dims.append(back.dim)
-    assert min(dims) > 1
 
 
 def relative_commutant_by_commutant(mats, home, n):
