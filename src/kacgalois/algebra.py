@@ -318,6 +318,20 @@ def intersect(a: MMAlgebra, b: MMAlgebra) -> MMAlgebra:
     return from_onb(la.intersect_spans(a.onb(), b.onb()), a.ambient_dim)
 
 
+def relative_commutant(mats: np.ndarray, home: np.ndarray) -> tuple[np.ndarray, float]:
+    """span(home) ∩ {mats}′, with its largest Frobenius commutator with ``mats``.
+
+    The coefficients c with Σ_α c_α·[home_α, m] = 0 for all m ∈ ``mats`` are
+    one null space over the orthonormal basis ``home``, so Σ_α c_α·home_α is
+    an orthonormal basis as it stands; the commutator certifies the rank cut.
+    No matrix units are formed, so the result depends on ``home`` and
+    ``mats`` alone, not on a generic split.
+    """
+    comm = home[:, None] @ mats[None] - mats[None] @ home[:, None]
+    inter = np.tensordot(la.null_space(comm.reshape(len(home), -1).T).T, home, axes=1)
+    return inter, la.frob_max(inter[:, None] @ mats[None] - mats[None] @ inter[:, None])
+
+
 # ---------------------------------------------------------------------------
 # Central decomposition and matrix units
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command-line interface: load, validate, compute, and report.
 
-Every command reads a JSON input (except ``selftest``), runs the
-corresponding computations, and emits a report document.  ``selftest`` runs
-its independent slices on forked worker processes, up to one per available
-CPU, and assembles the same report bytes as a run on one CPU.  JSON is the
+Every command reads a JSON input (except ``selftest``), hashes and parses
+the same bytes, runs the corresponding computations, and emits a report
+document.  Each command handler returns that report, and its ``passed`` sets
+the exit code.  ``selftest`` states its independent slices once, as a table
+of (report path, work) in report order (:func:`_selftest_slices`); it runs
+them in that order on forked worker processes, up to one per available CPU,
+and assembles the same report bytes as a run on one CPU.  JSON is the
 canonical format (deterministic: sorted keys, fixed indentation);
 ``--format text`` renders the same document for human reading.
 
@@ -219,11 +222,11 @@ def parse_inclusion(doc: dict) -> jn.Inclusion:
 
 
 # ---------------------------------------------------------------------------
-# Command handlers: each returns (report_dict, passed)
+# Command handlers: each returns its report, whose "passed" is the exit status
 # ---------------------------------------------------------------------------
 
 
-def run_validate(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
+def run_validate(kac: kc.KacAlgebra, tol: float | None) -> dict:
     lim = limits(tol)["tight"]
     rep = kc.validate_kac(kac, tol=lim)
     residuals = {
@@ -238,10 +241,10 @@ def run_validate(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
         "checks": checks,
         "passed": _all_ok(checks),
     }
-    return report, report["passed"]
+    return report
 
 
-def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
+def run_dual(kac: kc.KacAlgebra, tol: float | None) -> dict:
     lim = limits(tol)
     dd = du.dual_kac(kac)
     hu = du.hat_unitaries(kac, dd.v, dd.hat)
@@ -284,12 +287,10 @@ def run_dual(kac: kc.KacAlgebra, tol: float | None) -> tuple[dict, bool]:
         )
     report["checks"] = checks
     report["passed"] = _all_ok(checks)
-    return report, report["passed"]
+    return report
 
 
-def run_coreps(
-    kac: kc.KacAlgebra, tol: float | None, seed: int, trials: int = 100
-) -> tuple[dict, bool]:
+def run_coreps(kac: kc.KacAlgebra, tol: float | None, seed: int, trials: int = 100) -> dict:
     lim = limits(tol)
     v = du.multiplicative_unitary(kac)
     hat = du.hat_algebra(kac, v)
@@ -323,12 +324,10 @@ def run_coreps(
         "checks": checks,
         "passed": _all_ok(checks),
     }
-    return report, report["passed"]
+    return report
 
 
-def run_galois(
-    kac: kc.KacAlgebra, tol: float | None, seed: int
-) -> tuple[dict, bool]:
+def run_galois(kac: kc.KacAlgebra, tol: float | None, seed: int) -> dict:
     lim = limits(tol)["loose"]
     rep = ci.galois_lattice_report(du.dual_kac(kac), seed=seed)
     coideal_docs = [
@@ -372,12 +371,10 @@ def run_galois(
         },
         "passed": _all_ok(checks),
     }
-    return report, report["passed"]
+    return report
 
 
-def _jones_pipeline(
-    inc: jn.Inclusion, tol: float | None
-) -> tuple[dict, bool]:
+def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
     lim = limits(tol)
     bc, dw, rep, ext = jn.jones_chain(inc)
 
@@ -464,12 +461,7 @@ def _jones_pipeline(
         "checks": checks,
         "passed": _all_ok(checks),
     }
-    return report, report["passed"]
-
-
-def run_jones(doc: dict, tol: float | None) -> tuple[dict, bool]:
-    inc = parse_inclusion(doc)
-    return _jones_pipeline(inc, tol)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +469,7 @@ def run_jones(doc: dict, tol: float | None) -> tuple[dict, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _selftest_algebra(
-    kac: kc.KacAlgebra, tol: float | None, seed: int
-) -> tuple[dict, bool]:
+def _selftest_algebra(kac: kc.KacAlgebra, tol: float | None, seed: int) -> dict:
     """The per-algebra slice of the built-in suite (duality + coreps + galois)."""
     lim = limits(tol)
     vrep = kc.validate_kac(kac, tol=lim["tight"])
@@ -521,15 +511,19 @@ def _selftest_algebra(
         "checks": checks,
         "passed": _all_ok(checks),
     }
-    return doc, doc["passed"]
+    return doc
 
 
-def _selftest_fixture_inclusion(
-    inc: jn.Inclusion,
-    tol: float | None,
-    expect: dict,
-) -> tuple[dict, bool]:
-    doc, ok = _jones_pipeline(inc, tol)
+def _selftest_group(name: str, build, tol: float | None, seed: int) -> dict:
+    """The slice of the group or function algebra (``build``) of ``GROUP_BUILDERS``' ``name``."""
+    return _selftest_algebra(build(dict(GROUP_BUILDERS)[name]()), tol, seed)
+
+
+def _selftest_fixture_inclusion(name: str, tol: float | None) -> dict:
+    """One of ``SELFTEST_FIXTURES`` through the pipeline, against its expected values."""
+    make, expect = SELFTEST_FIXTURES[name]
+    inc = make()
+    doc = run_jones(inc, tol)
     lim = limits(tol)
     checks = doc["checks"]
     if "index_trace" in expect:
@@ -569,10 +563,10 @@ def _selftest_fixture_inclusion(
         )
     doc["checks"] = checks
     doc["passed"] = _all_ok(checks)
-    return doc, doc["passed"]
+    return doc
 
 
-def _selftest_kp8(tol: float | None) -> tuple[dict, bool]:
+def _selftest_kp8(tol: float | None) -> dict:
     """The Kac–Paljutkin slice: axioms, pentagon and corepresentation dims."""
     kp_doc = json.loads(
         resources.files("kacgalois").joinpath("fixtures/kp8.json").read_text()
@@ -595,14 +589,14 @@ def _selftest_kp8(tol: float | None) -> tuple[dict, bool]:
         "checks": kp_checks,
         "passed": _all_ok(kp_checks),
     }
-    return doc, doc["passed"]
+    return doc
 
 
-def _selftest_random_inclusion(draw: int, tol: float | None) -> tuple[dict, bool]:
+def _selftest_random_inclusion(draw: int, tol: float | None) -> dict:
     """One random draw through the pipeline, and its flow against an ω-variation."""
     lim = limits(tol)
     inc = jn.random_inclusion(draw)
-    doc, _ = _jones_pipeline(inc, tol)
+    doc = run_jones(inc, tol)
     doc["checks"]["flow_matches_generator_orbit"] = check(
         doc["flow_generators"]["flow_match"], lim["loose"]
     )
@@ -618,7 +612,7 @@ def _selftest_random_inclusion(draw: int, tol: float | None) -> tuple[dict, bool
         rep2.residuals["flow_match"], lim["loose"]
     )
     doc["passed"] = _all_ok(doc["checks"])
-    return doc, doc["passed"]
+    return doc
 
 
 SELFTEST_FIXTURES = {
@@ -647,49 +641,39 @@ SELFTEST_FIXTURES = {
 }
 
 
-def _selftest_keys(seed: int) -> list[tuple]:
-    """The selftest's independent slices, in report order, as picklable keys."""
+def _selftest_slices(tol: float | None, seed: int) -> list[tuple[tuple[str, ...], functools.partial]]:
+    """The selftest's independent slices in report order: (report path, work).
+
+    A work is a call of a module-level function with its arguments bound, so
+    that it pickles for the workers of :func:`_map_tasks`.
+    """
+    sides = (("group_algebra", kc.group_algebra), ("function_algebra", kc.function_algebra))
     return [
-        *(("algebra", name, side) for name, _ in GROUP_BUILDERS
-          for side in ("group_algebra", "function_algebra")),
-        ("kp8",),
-        *(("fixture", name) for name in SELFTEST_FIXTURES),
-        ("random", 2 * seed),
-        ("random", 2 * seed + 1),
+        *((("groups", name, side), functools.partial(_selftest_group, name, build, tol, seed))
+          for name, _ in GROUP_BUILDERS for side, build in sides),
+        (("kac_paljutkin",), functools.partial(_selftest_kp8, tol)),
+        *((("inclusion_fixtures", name), functools.partial(_selftest_fixture_inclusion, name, tol))
+          for name in SELFTEST_FIXTURES),
+        *((("random_inclusions", f"seed_{draw}"), functools.partial(_selftest_random_inclusion, draw, tol))
+          for draw in (2 * seed, 2 * seed + 1)),
     ]
 
 
-def _selftest_task(key: tuple, tol: float | None, seed: int) -> tuple[dict, bool]:
-    """Build the inputs of one selftest slice and run it: ``(doc, passed)``."""
-    kind = key[0]
-    if kind == "algebra":
-        g = dict(GROUP_BUILDERS)[key[1]]()
-        build = kc.group_algebra if key[2] == "group_algebra" else kc.function_algebra
-        return _selftest_algebra(build(g), tol, seed)
-    if kind == "kp8":
-        return _selftest_kp8(tol)
-    if kind == "fixture":
-        make, expect = SELFTEST_FIXTURES[key[1]]
-        return _selftest_fixture_inclusion(make(), tol, expect)
-    return _selftest_random_inclusion(key[1], tol)
+def _call(work):
+    return work()
 
 
-def _longest_first(key: tuple) -> int:
-    """Submission rank of a slice: Q8's, S3's and the random draws, the slowest, first."""
-    head = key[1] if key[0] == "algebra" else key[0]
-    return {"Q8": 0, "S3": 1, "random": 2}.get(head, 3)
-
-
-def _map_tasks(task, keys: list) -> list:
-    """``task`` over ``keys``, results in key order, on up to one worker per CPU.
+def _map_tasks(works: list) -> list:
+    """The result of each of ``works``, in order, run on up to one worker per CPU.
 
     Workers are forked: the slices are Python-bound calls on small matrices,
     so threads would serialize on the interpreter lock, and spawned workers
     would each re-import numpy and the package.  The process holds no thread
     that fork could break (BLAS is pinned to one), every slice seeds its own
     generators, and the BLAS pin is inherited, so the results are the same
-    bytes as in one process.  Results are read in key order, so an exception
-    reaches the caller as it would from a sequential run.
+    bytes as in one process.  ``pool.map`` starts the works in the order
+    given and reads their results in that order, so an exception reaches the
+    caller as it would from a sequential run.
     """
     # Imported here: the pool's modules take about 30 ms to import, which
     # every other command would pay at start-up.
@@ -697,30 +681,21 @@ def _map_tasks(task, keys: list) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(keys))
+    workers = min(cpus, len(works))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return list(map(task, keys))
+        return [work() for work in works]
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {key: pool.submit(task, key) for key in sorted(keys, key=_longest_first)}
-        return [futures[key].result() for key in keys]
+        return list(pool.map(_call, works))
 
 
-def run_selftest(tol: float | None, seed: int) -> tuple[dict, bool]:
-    keys = _selftest_keys(seed)
-    results = _map_tasks(functools.partial(_selftest_task, tol=tol, seed=seed), keys)
-    report: dict = {"groups": {}, "inclusion_fixtures": {}, "random_inclusions": {}}
-    for key, (doc, _) in zip(keys, results):
-        if key[0] == "algebra":
-            report["groups"].setdefault(key[1], {})[key[2]] = doc
-        elif key[0] == "kp8":
-            report["kac_paljutkin"] = doc
-        elif key[0] == "fixture":
-            report["inclusion_fixtures"][key[1]] = doc
-        else:
-            report["random_inclusions"][f"seed_{key[1]}"] = doc
-    ok = all(passed for _, passed in results)
-    report["passed"] = ok
-    return report, ok
+def run_selftest(tol: float | None, seed: int) -> dict:
+    paths, works = zip(*_selftest_slices(tol, seed))
+    docs = _map_tasks(works)
+    report: dict = {}
+    for (*parents, leaf), doc in zip(paths, docs):
+        functools.reduce(lambda node, key: node.setdefault(key, {}), parents, report)[leaf] = doc
+    report["passed"] = all(doc["passed"] for doc in docs)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -782,11 +757,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sha256_file(path: str) -> str:
+def _sha256(data: bytes) -> str:
     import hashlib  # loads OpenSSL, so only for a command that reads a file
 
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def _bundled_hash() -> str:
@@ -834,29 +808,28 @@ def main(argv: list[str] | None = None) -> int:
             out = open(args.output, "w")
         if command == "selftest":
             envelope["input_sha256"] = _bundled_hash()
-            report, passed = run_selftest(args.tolerance, args.seed)
+            report = run_selftest(args.tolerance, args.seed)
         else:
-            envelope["input_sha256"] = _sha256_file(args.input)
-            with open(args.input) as fh:
-                doc = json.load(fh)
+            with open(args.input, "rb") as fh:  # read once: the hash is of the bytes parsed
+                data = fh.read()
+            envelope["input_sha256"] = _sha256(data)
+            doc = json.loads(data.decode("utf-8"))
             if not isinstance(doc, dict):
                 raise ValueError(
                     f"the input document must be a JSON object, not {type(doc).__name__}"
                 )
             if command == "jones":
-                report, passed = run_jones(doc, args.tolerance)
+                report = run_jones(parse_inclusion(doc), args.tolerance)
             else:
                 kac = kc.load_kac(doc, validate=False)
                 if command == "validate":
-                    report, passed = run_validate(kac, args.tolerance)
+                    report = run_validate(kac, args.tolerance)
                 elif command in ("dual", "check-duality"):
-                    report, passed = run_dual(kac, args.tolerance)
+                    report = run_dual(kac, args.tolerance)
                 elif command == "coreps":
-                    report, passed = run_coreps(
-                        kac, args.tolerance, args.seed
-                    )
+                    report = run_coreps(kac, args.tolerance, args.seed)
                 else:  # coideals / galois
-                    report, passed = run_galois(kac, args.tolerance, args.seed)
+                    report = run_galois(kac, args.tolerance, args.seed)
     except INPUT_ERRORS as exc:
         envelope["error"] = {
             "type": type(exc).__name__,
@@ -867,9 +840,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     else:
         envelope["report"] = report
-        envelope["passed"] = bool(passed)
+        envelope["passed"] = report["passed"]
         _emit(envelope, args, out)
-        return 0 if passed else 1
+        return 0 if report["passed"] else 1
     finally:
         if out is not sys.stdout:
             out.close()

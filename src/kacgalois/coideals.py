@@ -415,18 +415,6 @@ def tilde_back(dual_coid: Coideal, dd: du.DualKac) -> ag.MMAlgebra:
     return ag.from_span(kac.op(ns.T), kac.dim)
 
 
-def _relative_commutant(mats: np.ndarray, home: np.ndarray) -> tuple[np.ndarray, float]:
-    """span(home) ∩ {mats}′, with its largest Frobenius commutator with ``mats``.
-
-    The coefficients c with Σ_α c_α·[home_α, m] = 0 for all m ∈ ``mats`` are
-    one null space over the orthonormal basis ``home``, so Σ_α c_α·home_α is
-    an orthonormal basis as it stands; the commutator certifies the rank cut.
-    """
-    comm = home[:, None] @ mats[None] - mats[None] @ home[:, None]
-    inter = np.tensordot(la.null_space(comm.reshape(len(home), -1).T).T, home, axes=1)
-    return inter, la.frob_max(inter[:, None] @ mats[None] - mats[None] @ inter[:, None])
-
-
 def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     """B̃ the structural way: κ̂(B′ ∩ Â), with its own certificates.
 
@@ -436,7 +424,7 @@ def tilde_via_commutant(coid: Coideal, dd: du.DualKac) -> dict:
     the certification that B′∩Â is itself a right coideal of Â.  The caller
     compares the span with :func:`tilde`, which reads it off e_B.
     """
-    inter, comm = _relative_commutant(coid.mm.onb(), dd.hat.onb)
+    inter, comm = ag.relative_commutant(coid.mm.onb(), dd.hat.onb)
     return {
         "mm": ag.from_onb(du.kappa_hat(dd.v.kac, inter), dd.v.kac.dim),
         "intersection": inter,
@@ -452,7 +440,7 @@ def bicommutant_check(coid: Coideal, inter: np.ndarray, dd: du.DualKac) -> dict:
     :func:`tilde_via_commutant` returns; (B′ ∩ Â)′ ∩ A is one null space
     over A's basis, reported with its largest commutator with ``inter``.
     """
-    back, comm = _relative_commutant(inter, dd.v.kac.as_mm().onb())
+    back, comm = ag.relative_commutant(inter, dd.v.kac.as_mm().onb())
     distance = la.span_distance(back, coid.mm.onb())
     return {"distance": distance, "dim": len(back), "commutator": comm}
 

@@ -304,8 +304,8 @@ def random_inclusion(seed: int) -> Inclusion:
     big, small = _embedded_pair(small_sizes, mult)
 
     if skewed:
-        relcomm = ag.intersect(ag.commutant(small), big)
-        k = _random_positive_in(relcomm, rng)
+        relcomm, _ = ag.relative_commutant(small.onb(), big.onb())
+        k = _random_positive_in(ag.from_onb(relcomm, big.ambient_dim), rng)
         expectation, _ = skewed_expectation(big, small, k)
     else:
         expectation = trace_expectation(big, small)

@@ -1,8 +1,10 @@
 """Command-line interface: reports, exit codes, determinism, error documents."""
 
+import builtins
 import collections
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import multiprocessing
@@ -11,6 +13,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -165,6 +168,26 @@ def test_an_output_that_is_the_input_is_refused_and_the_input_kept(tmp_path, lin
     assert doc["error"]["type"] == "ValueError"
     assert str(target) in doc["error"]["message"]
     assert source.read_bytes() == before
+
+
+@pytest.mark.parametrize("command, name", [("validate", "z2_group.json"), ("jones", "scaled_pair_third.json")])
+def test_the_input_is_opened_once_and_its_hash_is_of_the_bytes_parsed(monkeypatch, command, name):
+    # Hashing the file and then parsing it again could read two different
+    # versions of it; one read feeds both.
+    path = str(FIXTURES / name)
+    opened = []
+    real = builtins.open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", spy)
+    code, out, _ = run_in_process([command, path])
+    assert code == 0
+    assert opened.count(path) == 1
+    data = (FIXTURES / name).read_bytes()
+    assert json.loads(out)["input_sha256"] == hashlib.sha256(data).hexdigest()
 
 
 def test_missing_file_is_an_input_error():
@@ -519,11 +542,11 @@ def test_a_rotated_fixture_passes_validate_dual_and_coreps(algebras, kp8, name):
     kac = dict(algebras, kp8=kp8)[name]
     rotated = rebased(kac, rotation(kac.dim, seed=kac.dim))
     assert np.count_nonzero(du.multiplicative_unitary(rotated).matrix) > kac.dim**4 // 2
-    assert cli.run_validate(rotated, None)[1]
-    assert cli.run_dual(rotated, None)[1]
-    report, passed = cli.run_coreps(rotated, None, 7, trials=5)
-    assert passed
-    assert report["corep_dims"] == cli.run_coreps(kac, None, 7, trials=5)[0]["corep_dims"]
+    assert cli.run_validate(rotated, None)["passed"]
+    assert cli.run_dual(rotated, None)["passed"]
+    report = cli.run_coreps(rotated, None, 7, trials=5)
+    assert report["passed"]
+    assert report["corep_dims"] == cli.run_coreps(kac, None, 7, trials=5)["corep_dims"]
 
 
 def write_rebased_kp8(tmp_path, c):
@@ -581,8 +604,8 @@ def test_selftest_gates_the_completeness_audit(monkeypatch, groups):
     monkeypatch.setattr(
         kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != (0, 1)]
     )
-    doc, passed = cli._selftest_algebra(kc.group_algebra(groups["q8"]), None, 7)
-    assert not passed and doc["passed"] is False
+    doc = cli._selftest_algebra(kc.group_algebra(groups["q8"]), None, 7)
+    assert doc["passed"] is False
     assert [name for name, c in doc["checks"].items() if not c["ok"]] == ["galois_completeness"]
     assert abs(doc["checks"]["galois_completeness"]["value"] - 1.0) <= 1e-12
     assert doc["checks"]["galois_completeness"]["limit"] == cli.TOLERANCES["loose"]
@@ -599,8 +622,8 @@ def test_dual_builds_each_commutant_cell_once(monkeypatch, groups):
 
     monkeypatch.setattr(ag, "commutant", counted)
     kac = kc.group_algebra(groups["s3"])
-    report, passed = cli.run_dual(kac, None)
-    assert passed
+    report = cli.run_dual(kac, None)
+    assert report["passed"]
     dd = du.dual_kac(kac)
     assert len(calls) == 2
     assert calls[0] is kac.as_mm() and calls[1] is dd.hat.mm
@@ -609,9 +632,9 @@ def test_dual_builds_each_commutant_cell_once(monkeypatch, groups):
 @pytest.mark.parametrize("name", ["s3_function", "kp8"])
 def test_dual_gates_the_slice_algebra_and_the_pairing(algebras, kp8, name):
     kac = kp8 if name == "kp8" else algebras[name]
-    report, passed = cli.run_dual(kac, None)
+    report = cli.run_dual(kac, None)
     dd = du.dual_kac(kac)
-    assert passed
+    assert report["passed"]
     assert report["hat_algebra"] == dd.hat.residuals
     assert report["pairing"] == dd.pairing_form.residuals
     checks = report["checks"]
@@ -626,9 +649,9 @@ def test_dual_gates_the_slice_algebra_and_the_pairing(algebras, kp8, name):
     ids=["scaled_pair_third", "draw_14"],
 )
 def test_jones_gates_the_gns_residuals(make):
-    report, passed = cli._jones_pipeline(make(), None)
+    report = cli.run_jones(make(), None)
     residuals = jn.jones_chain(make()).extension.gns.residuals
-    assert passed
+    assert report["passed"]
     assert report["gns"] == residuals
     assert report["checks"]["gns"] == cli.check(cli._max_float(residuals), 1e-9)
     assert report["checks"]["gns"]["ok"]
@@ -679,7 +702,7 @@ def cpus(request, monkeypatch):
 
 def test_selftest_workers_are_gone_when_it_returns(monkeypatch, tmp_path, cpus):
     # Stub the per-algebra slices so each reports the process it ran in.
-    monkeypatch.setattr(cli, "_selftest_algebra", lambda kac, tol, seed: ({"pid": os.getpid()}, True))
+    monkeypatch.setattr(cli, "_selftest_algebra", lambda kac, tol, seed: {"pid": os.getpid(), "passed": True})
     out = tmp_path / "report.json"
     assert cli.main(["selftest", "--output", str(out)]) == 0
     assert multiprocessing.active_children() == []
@@ -689,10 +712,16 @@ def test_selftest_workers_are_gone_when_it_returns(monkeypatch, tmp_path, cpus):
 
 
 def test_a_slice_error_reaches_main_as_in_process(monkeypatch, capsys, cpus):
-    # Every per-algebra slice fails with its own message; the first in
-    # report order (Z2's group algebra, dim 2) is reported, although the
-    # workers start Q8's slices (dim 8) first.
+    # Every group algebra's slice fails with a message of its dimension.  The
+    # first slice in report order (Z2's group algebra, dim 2) fails last, after
+    # the other worker has failed on Z3's and the rest, and its error is the
+    # one reported.  The function algebras' slices pass, so no other slice of
+    # dim 2 fails with the same message.
     def fail(kac, tol, seed):
+        if kac.origin != "group_algebra":
+            return {"passed": True}
+        if kac.dim == 2:
+            time.sleep(0.3)
         raise NoExpectationError(kac.dim * 1e-3)
 
     monkeypatch.setattr(cli, "_selftest_algebra", fail)

@@ -280,6 +280,22 @@ def test_skewed_expectation_is_valid_and_state_preserving():
     assert rep["expectation_state_preserving"] < 1e-9
 
 
+@pytest.mark.parametrize("seed", [1, 3, 5, 15, 33, 47])
+def test_a_skewed_draw_forms_no_generic_split(monkeypatch, seed):
+    # k is drawn in N′∩M read as one null space over M's basis, so a seed's
+    # expectation does not move with the matrix units of any algebra.
+    def split(alg):
+        raise AssertionError("random_inclusion formed a generic split")
+
+    monkeypatch.setattr(ag, "_central_decomposition", split)
+    inc = jn.random_inclusion(seed)
+    relcomm, comm = ag.relative_commutant(inc.small.onb(), inc.big.onb())
+    monkeypatch.undo()
+    assert "skewed=True" in inc.label and comm <= 1e-13
+    want = ag.intersect(ag.commutant(inc.small), inc.big).onb()
+    assert len(relcomm) == len(want) and la.span_distance(relcomm, want) <= 1e-12
+
+
 def test_inclusion_rejections():
     with pytest.raises(jn.InclusionError):
         jn.fixture_scaled_pair(0.0)

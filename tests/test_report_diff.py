@@ -70,18 +70,33 @@ def test_nan_equals_nan_and_infinities_are_compared_exactly():
 
 
 def test_extra_kac_inputs_add_the_four_kac_commands_last(tmp_path):
-    extra = [tmp_path / "rotated.json", tmp_path / "twist.json"]
-    base = report_diff.outputs(ROOT)
-    jobs = report_diff.outputs(ROOT, extra)
-    assert len(base) == 54 and jobs[:54] == base
+    jobs = report_diff.outputs(ROOT, tmp_path)
     assert jobs[54:] == [
-        (f"{cmd} {path}", [cmd, str(path)]) for path in extra for cmd in report_diff.KAC_COMMANDS
+        (f"{cmd} {name}", [cmd, str(tmp_path / name)])
+        for name in report_diff.GENERAL_BASIS
+        for cmd in report_diff.KAC_COMMANDS
     ]
+
+
+def test_the_outputs_are_the_70_labels(tmp_path):
+    fixtures = sorted(p.name for p in (ROOT / report_diff.FIXTURES).glob("*.json"))
+    kac_inputs = [name for name in fixtures if name != "scaled_pair_third.json"]
+    assert len(kac_inputs) == 13
+    cmds = ("validate", "dual", "coreps", "galois")
+    labels = [label for label, _ in report_diff.outputs(ROOT, tmp_path)]
+    assert labels == [
+        *(f"{cmd} {name}" for name in kac_inputs for cmd in cmds),
+        "jones scaled_pair_third.json",
+        "selftest --seed 7",
+        *(f"{cmd} {name}" for name in ("rotated_kp8.json", "cond30_kp8.json", "rotated_n24.json", "twist.json")
+          for cmd in cmds),
+    ]
+    assert len(labels) == len(set(labels)) == 70
 
 
 def test_fewer_than_two_roots_is_a_usage_error(capsys):
     assert report_diff.main([str(ROOT)]) == 2
-    assert "usage: report_diff.py PARENT_ROOT CHANGE_ROOT [KAC_JSON ...]" in capsys.readouterr().err
+    assert "usage: report_diff.py PARENT_ROOT CHANGE_ROOT" in capsys.readouterr().err
 
 
 def test_text_outputs_compare_as_strings():

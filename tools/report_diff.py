@@ -1,13 +1,14 @@
 """Compare the CLI reports of two checkouts, output by output.
 
-Runs the same 54 outputs in each checkout root, with ``PYTHONPATH=<root>/src``:
+Runs the same 70 outputs in each checkout root, with ``PYTHONPATH=<root>/src``:
 ``validate``, ``dual``, ``coreps`` and ``galois`` on each of the 13 bundled
-Kac fixtures, ``jones`` on ``scaled_pair_third.json`` and ``selftest --seed 7``.
-Each input is read from its own root's fixtures.  Kac algebra documents given
-after the two roots add the same four commands on each, read from the given
-path in both roots: the bundled fixtures are all in bases where the dual
-basis is a scaled orthonormal one, so a general basis shows only there.
-For every output that is not
+Kac fixtures, ``jones`` on ``scaled_pair_third.json``, ``selftest --seed 7``,
+and the four Kac commands on each of the four ``GENERAL_BASIS`` inputs.  Each
+bundled input is read from its own root's fixtures.  The bundled fixtures are
+all in bases where the dual basis is a scaled orthonormal one, so a general
+basis shows only in the ``GENERAL_BASIS`` inputs: the tool builds them once,
+with the change root's ``tests/conftest.py``, in a temporary directory that
+both roots read.  For every output that is not
 byte-identical it prints the changed exit code, the added or removed keys, the
 changed non-float values and every float that moved by more than
 ``FLOAT_TOL``.  Exits 1 if any output shows one of them, 0 otherwise.
@@ -15,7 +16,7 @@ changed non-float values and every float that moved by more than
 Run from anywhere, for example:
 
     git archive HEAD~1 | tar -x -C /tmp/parent
-    python3 tools/report_diff.py /tmp/parent . [KAC_JSON ...]
+    python3 tools/report_diff.py /tmp/parent .
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 #: Largest absolute move of a float that is not reported.
@@ -34,9 +36,15 @@ KAC_COMMANDS = ("validate", "dual", "coreps", "galois")
 FIXTURES = "src/kacgalois/fixtures"
 
 
-def outputs(root: Path, extra: list[Path] = ()) -> list[tuple[str, list[str]]]:
-    """The (label, CLI arguments) of every output, in a fixed order, the ``extra``
-    Kac inputs last."""
+#: The general-basis Kac inputs, by file name: kp8 in a unitary and in a
+#: condition-30 change of basis, C(S₃)⊗ℂ[ℤ₄] in a unitary one, and the n = 18
+#: twist (``write_general_basis``).
+GENERAL_BASIS = ("rotated_kp8.json", "cond30_kp8.json", "rotated_n24.json", "twist.json")
+
+
+def outputs(root: Path, inputs: Path) -> list[tuple[str, list[str]]]:
+    """The (label, CLI arguments) of every output, in a fixed order, the
+    ``GENERAL_BASIS`` inputs in the directory ``inputs`` last."""
     names = sorted(p.name for p in (root / FIXTURES).glob("*.json"))
     jobs = [
         (f"{cmd} {name}", [cmd, str(root / FIXTURES / name)])
@@ -46,8 +54,29 @@ def outputs(root: Path, extra: list[Path] = ()) -> list[tuple[str, list[str]]]:
     ]
     jobs.append(("jones scaled_pair_third.json", ["jones", str(root / FIXTURES / "scaled_pair_third.json")]))
     jobs.append(("selftest --seed 7", ["selftest", "--seed", "7"]))
-    jobs += [(f"{cmd} {path}", [cmd, str(path)]) for path in extra for cmd in KAC_COMMANDS]
+    jobs += [(f"{cmd} {name}", [cmd, str(inputs / name)]) for name in GENERAL_BASIS for cmd in KAC_COMMANDS]
     return jobs
+
+
+def write_general_basis(root: Path, inputs: Path) -> None:
+    """Write the ``GENERAL_BASIS`` inputs into ``inputs``, built by ``root``'s
+    ``tests/conftest.py`` and package."""
+    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    import conftest
+    from kacgalois import kac as kc
+
+    kp8 = kc.load_kac(str(root / FIXTURES / "kp8.json"))
+    product = kc.tensor_kac(
+        kc.function_algebra(kc.symmetric_group_3()), kc.group_algebra(kc.cyclic_group(4))
+    )
+    built = (
+        conftest.rebased(kp8, conftest.rotation(8, 0)),
+        conftest.rebased(kp8, conftest.COND30),
+        conftest.rebased(product, conftest.rotation(24, 0)),
+        conftest.twisted_z3_squared_by_z2(),
+    )
+    for name, kac in zip(GENERAL_BASIS, built):
+        kc.save_kac(kac, str(inputs / name))
 
 
 def run(root: Path, args: list[str]) -> tuple[int, str]:
@@ -96,30 +125,33 @@ def parse(stdout: str):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) < 2:
+    if len(argv) != 2:
         print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: report_diff.py PARENT_ROOT CHANGE_ROOT [KAC_JSON ...]", file=sys.stderr)
+        print("usage: report_diff.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
         return 2
-    old_root, new_root, *extra = (Path(a).resolve() for a in argv)
-    jobs = list(zip(outputs(old_root, extra), outputs(new_root, extra)))
-    identical = moved = 0
-    for (label, old_args), (new_label, new_args) in jobs:
-        if label != new_label:
-            print(f"{label}: the two roots bundle different fixtures ({new_label})")
-            moved += 1
-            continue
-        (old_code, old_out), (new_code, new_out) = run(old_root, old_args), run(new_root, new_args)
-        if old_code == new_code and old_out == new_out:
-            identical += 1
-            continue
-        diffs = [f"exit code {old_code} -> {new_code}"] if old_code != new_code else []
-        diffs += compare(parse(old_out), parse(new_out))
-        if diffs:
-            moved += 1
-            print(f"{label}:")
-            print("\n".join(f"  {d}" for d in diffs))
-        else:
-            print(f"{label}: not byte-identical, every float within {FLOAT_TOL:g}")
+    old_root, new_root = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp)
+        write_general_basis(new_root, inputs)
+        jobs = list(zip(outputs(old_root, inputs), outputs(new_root, inputs)))
+        identical = moved = 0
+        for (label, old_args), (new_label, new_args) in jobs:
+            if label != new_label:
+                print(f"{label}: the two roots bundle different fixtures ({new_label})")
+                moved += 1
+                continue
+            (old_code, old_out), (new_code, new_out) = run(old_root, old_args), run(new_root, new_args)
+            if old_code == new_code and old_out == new_out:
+                identical += 1
+                continue
+            diffs = [f"exit code {old_code} -> {new_code}"] if old_code != new_code else []
+            diffs += compare(parse(old_out), parse(new_out))
+            if diffs:
+                moved += 1
+                print(f"{label}:")
+                print("\n".join(f"  {d}" for d in diffs))
+            else:
+                print(f"{label}: not byte-identical, every float within {FLOAT_TOL:g}")
     print(
         f"{len(jobs)} outputs: {identical} byte-identical, {moved} with reportable changes "
         f"(float tolerance {FLOAT_TOL:g})"
