@@ -17,6 +17,7 @@ Every operation is pure, so everything here is safe to reuse across computations
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -544,13 +545,18 @@ def density_in(alg: MMAlgebra, phi: StateData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GnsData:
-    """GNS representation of (alg, φ) with modular data.
+    """GNS representation of (alg, φ) in standard form, with modular data.
 
-    The GNS space is ℂ^k (k = dim alg) with its standard inner product;
-    ``lam`` maps an ambient matrix in the algebra to its GNS vector, ``rep``
-    to the operator it acts by.  The conjugation J is stored as the linear
-    matrix ``mj`` with J(v) = mj·conj(v); the modular operator ``modular``
-    is positive invertible, and S = J·modular^{1/2} implements x Ω ↦ x* Ω.
+    The GNS space is L²(alg): ℂ^k (k = dim alg) as the coefficients of an
+    element of alg in its orthonormal basis, with the Hilbert–Schmidt inner
+    product, and xΩ = x·ρ^{1/2} for ρ the density of φ in alg (Haagerup,
+    Math. Scand. 37, 1975).  ``lam`` maps an ambient matrix in the algebra
+    to its GNS vector and ``coord`` is the matrix of right multiplication by
+    ρ^{1/2}, so coord†·coord is the Gram matrix φ(a†b).  ``rep`` gives the
+    left-regular operator an element acts by, and the conjugation
+    J: ξ ↦ ξ†, stored as the linear matrix ``mj`` with J(v) = mj·conj(v),
+    do not depend on φ.  The modular operator ``modular`` is ξ ↦ ρ·ξ·ρ⁻¹,
+    positive invertible, and S = J·modular^{1/2} implements x Ω ↦ x* Ω.
     """
 
     space_dim: int
@@ -576,58 +582,82 @@ class GnsData:
         return self.mj @ np.conj(x) @ np.conj(self.mj)
 
 
-def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
-    """GNS construction for a faithful state on a multimatrix algebra.
+def left_regular(alg: MMAlgebra) -> np.ndarray:
+    """The (k, k, k) left-regular operators of the basis: left[i, a, b] = ⟨a, bᵢ·b⟩."""
+    stack = alg.onb()
+    return alg.coeffs(stack[:, None] @ stack[None]).swapaxes(1, 2)
 
-    The residuals ``rep_multiplicative``, ``rep_star``, ``j_involution`` and
-    ``j_modular_j`` are the largest Frobenius norms of their defects, an
-    upper bound on the operator norm that needs no SVD.
+
+def star_matrix(alg: MMAlgebra) -> np.ndarray:
+    """The k×k matrix ⟨a, b†⟩ of x ↦ x†: J of L²(alg) has J(v) = star·conj(v)."""
+    stack = alg.onb()
+    return alg.coeffs(dagger(stack)).T
+
+
+def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
+    """GNS construction for a faithful state on a multimatrix algebra, in standard form.
+
+    ρ^{1/2}, ρ^{-1/2} and ρ⁻¹ are taken on the range of the unit, where the
+    density ρ of φ in ``alg`` is invertible.  The residuals are read off
+    :func:`_gns_residuals`.
 
     Raises
     ------
     ValueError
         If the state is not faithful on the algebra (degenerate Gram matrix).
     """
-    stack = alg.onb()  # (k, d, d)
-    k = len(stack)
-
-    # Gram matrix φ(a† b) and the coordinate map C with C†C = Gram.
-    w, u = np.linalg.eigh(phi.gram(stack))
+    stack = alg.onb()
+    w = np.linalg.eigvalsh(phi.gram(stack))
     if w.min() < DEFAULT_TOL:
         raise ValueError(
             f"state is not faithful on the algebra (Gram eigenvalue {w.min():.3e})"
         )
-    coord = (u * np.sqrt(w)) @ dagger(u)
-    coord_inv = (u / np.sqrt(w)) @ dagger(u)
-
-    # Left multiplication in coefficient coordinates, then GNS coordinates;
-    # left[i, a, b] = ⟨a, bᵢ·b⟩.
-    left = alg.coeffs(stack[:, None] @ stack[None]).swapaxes(1, 2)
-    rep_basis = coord @ left @ coord_inv
-    cyclic = coord @ alg.coeffs(alg.unit)
-
-    # Modular operator from the density of φ inside the algebra.
     rho = density_in(alg, phi)
-    rho_inv = np.linalg.pinv(rho, rcond=RANK_RTOL, hermitian=True)
-    modular = coord @ alg.coeffs(rho @ stack @ rho_inv).T @ coord_inv
-    modular = (modular + dagger(modular)) / 2.0
+    w, u = np.linalg.eigh(rho)
+    keep = w > RANK_RTOL * w.max()
+    u, w = u[:, keep], w[keep]
+    half, half_inv, rho_inv = ((u * w**p) @ dagger(u) for p in (0.5, -0.5, -1.0))
+    # Column j of coord is the coefficient vector of bⱼ·ρ^{1/2}.
+    coord = alg.coeffs(stack @ half).T
+    modular = alg.coeffs(rho @ stack @ rho_inv).T
+    g = GnsData(
+        space_dim=len(stack),
+        rep_basis=left_regular(alg),
+        coord=coord,
+        coord_inv=alg.coeffs(stack @ half_inv).T,
+        cyclic=coord @ alg.coeffs(alg.unit),
+        mj=star_matrix(alg),
+        modular=(modular + dagger(modular)) / 2.0,
+        algebra=alg,
+        residuals={},
+    )
+    return dataclasses.replace(g, residuals=_gns_residuals(g))
 
-    # S(xΩ) = x*Ω as conj-linear map v ↦ ms·conj(v); then J = S·Δ^{-1/2}.
-    star_cols = alg.coeffs(dagger(stack)).T
-    ms = coord @ star_cols @ np.conj(coord_inv)
-    mj = ms @ np.conj(la.herm_power(modular, -0.5))
 
+def _gns_residuals(g: GnsData) -> dict:
+    """The certificate of a :class:`GnsData`; no residual needs an SVD.
+
+    ``rep_multiplicative`` spot-checks the first 6×6 basis pairs and
+    ``rep_star`` every adjoint; ``j_cyclic``, ``j_involution``,
+    ``modular_cyclic`` and ``j_modular_j`` read JΩ = Ω, J² = 1, ΔΩ = Ω and
+    JΔJ = Δ⁻¹.  The operator identities read the largest Frobenius norm of
+    a defect, an upper bound on its operator norm.  S is built from x ↦ x†
+    alone, with no J: ``s_star`` reads S·Λ(x) = Λ(x†) over the basis and
+    ``j_polar`` that S = J·Δ^{1/2}, both as the largest column norm.
+    """
+    alg, k = g.algebra, g.space_dim
+    stack = alg.onb()
+    coord, mj, modular, cyclic = g.coord, g.mj, g.modular, g.cyclic
+    star_cols = star_matrix(alg)
     res = {}
-    # Spot check on the first 6×6 basis pairs: ⟨a, bᵢbⱼb⟩ against rep(bᵢ)rep(bⱼ).
     spot = stack[: min(k, 6)]
     prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
-    prod_cols = alg.coeffs(prods).swapaxes(2, 3)
-    rep_spot = rep_basis[: len(spot)]
+    rep_spot = g.rep_basis[: len(spot)]
     res["rep_multiplicative"] = la.frob_max(
-        rep_spot[:, None] @ rep_spot[None] - coord @ prod_cols @ coord_inv
+        rep_spot[:, None] @ rep_spot[None] - alg.coeffs(prods).swapaxes(2, 3)
     )
     res["rep_star"] = la.frob_max(
-        dagger(rep_basis) - np.tensordot(star_cols.T, rep_basis, axes=1)
+        dagger(g.rep_basis) - np.tensordot(star_cols.T, g.rep_basis, axes=1)
     )
     res["j_cyclic"] = float(np.linalg.norm(mj @ np.conj(cyclic) - cyclic))
     res["j_involution"] = la.frob_max(mj @ np.conj(mj) - np.eye(k))
@@ -635,20 +665,13 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     res["j_modular_j"] = la.frob_max(
         mj @ np.conj(modular) @ np.conj(mj) - np.linalg.inv(modular)
     )
+    # S(xΩ) = x*Ω as the conjugate-linear map v ↦ ms·conj(v).
+    ms = coord @ star_cols @ np.conj(g.coord_inv)
     s_cols = ms @ np.conj(coord @ alg.coeffs(stack).T) - coord @ star_cols
     res["s_star"] = float(np.linalg.norm(s_cols, axis=0).max())
-
-    return GnsData(
-        space_dim=k,
-        rep_basis=rep_basis,
-        coord=coord,
-        coord_inv=coord_inv,
-        cyclic=cyclic,
-        mj=mj,
-        modular=modular,
-        algebra=alg,
-        residuals=res,
-    )
+    polar = ms - mj @ np.conj(la.herm_power(modular, 0.5))
+    res["j_polar"] = float(np.linalg.norm(polar, axis=0).max())
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Every command reads a JSON input (except ``selftest``), hashes and parses
 the same bytes, runs the corresponding computations, and emits a report
 document.  Each command handler returns that report, and its ``passed`` sets
 the exit code.  ``selftest`` states its independent slices once, as a table
-of (report path, work) in report order (:func:`_selftest_slices`); it runs
-them in that order on forked worker processes, up to one per available CPU,
-and assembles the same report bytes as a run on one CPU.  JSON is the
+of (report path, work), the slowest first (:func:`_selftest_slices`); it
+runs them in that order on forked worker processes, up to one per available
+CPU, and assembles the same report bytes as a run on one CPU.  JSON is the
 canonical format (deterministic: sorted keys, fixed indentation);
 ``--format text`` renders the same document for human reading.
 
@@ -416,7 +416,7 @@ def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
         },
         "extension": {
             "gns_dim": bc.gns.space_dim,
-            "m1_dim": bc.m1.dim,
+            "m1_dim": bc.shared.m1.dim,
             "residuals": bc.residuals,
         },
         "gns": bc.gns.residuals,
@@ -642,20 +642,23 @@ SELFTEST_FIXTURES = {
 
 
 def _selftest_slices(tol: float | None, seed: int) -> list[tuple[tuple[str, ...], functools.partial]]:
-    """The selftest's independent slices in report order: (report path, work).
+    """The selftest's independent slices as (report path, work), the slowest first.
 
-    A work is a call of a module-level function with its arguments bound, so
-    that it pickles for the workers of :func:`_map_tasks`.
+    The two random draws lead, then the groups from Q₈ down, so that on two
+    workers no slow slice starts last; the report is keyed by path, so the
+    order leaves its bytes alone.  A work is a call of a module-level
+    function with its arguments bound, so that it pickles for the workers of
+    :func:`_map_tasks`.
     """
     sides = (("group_algebra", kc.group_algebra), ("function_algebra", kc.function_algebra))
     return [
+        *((("random_inclusions", f"seed_{draw}"), functools.partial(_selftest_random_inclusion, draw, tol))
+          for draw in (2 * seed, 2 * seed + 1)),
         *((("groups", name, side), functools.partial(_selftest_group, name, build, tol, seed))
-          for name, _ in GROUP_BUILDERS for side, build in sides),
+          for name, _ in reversed(GROUP_BUILDERS) for side, build in sides),
         (("kac_paljutkin",), functools.partial(_selftest_kp8, tol)),
         *((("inclusion_fixtures", name), functools.partial(_selftest_fixture_inclusion, name, tol))
           for name in SELFTEST_FIXTURES),
-        *((("random_inclusions", f"seed_{draw}"), functools.partial(_selftest_random_inclusion, draw, tol))
-          for draw in (2 * seed, 2 * seed + 1)),
     ]
 
 

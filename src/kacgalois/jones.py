@@ -2,16 +2,22 @@
 
 Given an inclusion N ⊆ M with a faithful conditional expectation E: M → N
 and a faithful state ω on N, the module builds the GNS space of φ = ω∘E,
-the projection e onto the closure of N, the extension algebra M₁ (the
-mirror image of the commutant of N, certified to be the span of M·e·M and
-the algebra generated by M and e), the dual weight
+L²(M) in standard form, the projection e onto the closure of N, the
+extension algebra M₁ (the mirror image of the commutant of N, certified to
+be the span of M·e·M and the algebra generated by M and e), the dual weight
 pinned by x e y ↦ xy, the index element, and the spectral analysis of the
 relative commutant M₁∩N′: per-summand balanced densities, the mirror map
 x ↦ J x* J, extremality flags, and the modular-flow comparison.
+
+In standard form J is ξ ↦ ξ†, so M, N′, M₁ and M₁∩N′ do not depend on the
+state; only e, Ω and Δ do.  That half is built once per (M, N) pair as a
+:class:`StateFreeExtension`, and a cache that holds the last pair lets a
+draw and its ω-variation share it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +42,7 @@ __all__ = [
     "fixture_pinch",
     "fixture_markov_chain",
     "bratteli_norm_sq",
+    "StateFreeExtension",
     "BasicExtension",
     "basic_extension",
     "DualWeight",
@@ -430,11 +437,100 @@ def bratteli_norm_sq(rows: tuple) -> float:
 
 
 @dataclass(frozen=True)
+class StateFreeExtension:
+    """The half of the basic construction of N ⊆ M that no state moves.
+
+    On L²(M) in standard form (:func:`~kacgalois.algebra.gns`) the
+    represented M and N (``big_ops``, ``small_ops`` over the orthonormal
+    bases of M and N, and the algebras they span), J: ξ ↦ ξ†, the commutant
+    N′, M₁ = J·N′·J and M₁∩N′ depend on (M, N) alone; only e_N, Ω and Δ
+    move with φ (Jones, Invent. Math. 72, 1983).  The numbers read off
+    them are held here too: ``big_err_sq`` = ‖E_M‖²_F for M's residual
+    E_M = M − (M·B†)·B off M₁ (B the orthonormal rows of M₁),
+    ``unit_residual`` = ‖1 − P_{M₁}(1)‖, and the D×D×D coordinates
+    ``products`` of every x·y in M's represented basis, with ``off_sq``,
+    the squared Frobenius norm of what they miss, and ``norm_sq``, that of
+    the x·y themselves.  ``relcomm`` caches its certified matrix units when
+    :func:`relcomm_report` first forms them.
+    """
+
+    big_ops: np.ndarray
+    small_ops: np.ndarray
+    big_rep: MMAlgebra
+    small_rep: MMAlgebra
+    small_commutant: MMAlgebra
+    m1: MMAlgebra
+    relcomm: MMAlgebra
+    big_err_sq: float
+    unit_residual: float
+    products: np.ndarray
+    off_sq: float
+    norm_sq: float
+
+
+@functools.lru_cache(maxsize=1)
+def _state_free(big: MMAlgebra, small: MMAlgebra) -> StateFreeExtension:
+    """The :class:`StateFreeExtension` of N ⊆ M, keyed on the two objects.
+
+    A draw and its ω-variation share M and N, so they share one build.  The
+    cache holds the last pair only, so memory stays flat and a sweep over
+    many pairs builds each once per visit.  N′ is certified by
+    :func:`~kacgalois.algebra.commutant` as it is built.
+    """
+    left = ag.left_regular(big)
+    k = len(left)
+    big_ops = np.tensordot(big.coeffs(big.onb()), left, axes=(-1, 0))
+    small_ops = np.tensordot(big.coeffs(small.onb()), left, axes=(-1, 0))
+    big_rep = ag.from_span(big_ops, k)
+    small_rep = ag.from_span(small_ops, k)
+    small_comm = ag.commutant(small_rep)
+    # J is antiunitary, so x ↦ JxJ keeps the commutant's basis Frobenius-orthonormal.
+    mj = ag.star_matrix(big)
+    m1 = ag.from_onb(mj @ np.conj(small_comm.onb()) @ np.conj(mj), k)
+    big_err = big_ops - m1.project(big_ops)
+    products, off_sq, norm_sq = _product_coordinates(big_ops, big_rep)
+    for shared in (big_ops, small_ops, products):
+        shared.flags.writeable = False
+    return StateFreeExtension(
+        big_ops=big_ops,
+        small_ops=small_ops,
+        big_rep=big_rep,
+        small_rep=small_rep,
+        small_commutant=small_comm,
+        m1=m1,
+        relcomm=ag.intersect(m1, small_comm),
+        big_err_sq=np.vdot(big_err, big_err).real,
+        unit_residual=m1.residual(np.eye(k, dtype=complex)),
+        products=products,
+        off_sq=off_sq,
+        norm_sq=norm_sq,
+    )
+
+
+def _product_coordinates(ops: np.ndarray, big: MMAlgebra) -> tuple[np.ndarray, float, float]:
+    """The (D, D, D) coordinates T[a, b] of ops[a]·ops[b] in ``big``'s basis,
+    the squared Frobenius norm of what they miss, and that of the products;
+    one x at a time, so no operator on the k²-dim space is formed."""
+    d = len(ops)
+    t = np.empty((d, d, d), dtype=complex)
+    off_sq = norm_sq = 0.0
+    for a in range(d):
+        prod = ops[a] @ ops
+        t[a] = big.coeffs(prod)
+        off = prod - big.element(t[a])
+        off_sq += np.vdot(off, off).real
+        norm_sq += np.vdot(prod, prod).real
+    return t, off_sq, norm_sq
+
+
+@dataclass(frozen=True)
 class BasicExtension:
     """GNS data of (M, φ) together with e, M₁ and the comparison residuals.
 
-    ``m1`` is the mirror image of the commutant of N (an algebra by
-    construction) with orthonormal rows B, and ``sandwich_svd`` the economy
+    ``shared`` is the :class:`StateFreeExtension` of (M, N), the same object
+    for every state on the same pair.  Its ``m1`` is the mirror image of the
+    commutant of N (an algebra by construction) with orthonormal rows B, and
+    ``sandwich_svd`` the economy
     SVD (U, σ, V†) of the D²×r coordinates C in B of every x·e·y, x-major,
     over the represented basis of M (D = dim M, r = dim M₁).  The stack X
     of the x·e·y is C·B + E with E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and
@@ -451,10 +547,7 @@ class BasicExtension:
     gns: ag.GnsData
     e_n: np.ndarray
     e_range: np.ndarray  # columns: an orthonormal basis of the range of e_n
-    m1: MMAlgebra
-    big_rep: MMAlgebra
-    small_rep: MMAlgebra
-    small_commutant: MMAlgebra
+    shared: StateFreeExtension
     sandwich_svd: tuple
     residuals: dict
 
@@ -464,8 +557,10 @@ class BasicExtension:
 
 
 def basic_extension(inc: Inclusion) -> BasicExtension:
-    """Build the extension algebra of an inclusion on the GNS space of φ.
+    """Build the extension algebra of an inclusion on L²(M), the GNS space of φ.
 
+    The state-free half comes from one :class:`StateFreeExtension` per
+    (M, N) pair (:func:`_state_free`); e, Ω and Δ are built here.
     Certifies: e compresses M to E, e commutes with N, J fixes e, and the
     three descriptions of M₁ (mirror of N-commutant, span of M·e·M, algebra
     generated by M and e) coincide as projectors, by the bounds of
@@ -475,25 +570,17 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
     operator norm that needs no SVD.
     """
     g = ag.gns(inc.big, inc.phi)
+    shared = _state_free(inc.big, inc.small)
     k = g.space_dim
     big_onb = inc.big.onb()
+    big_ops, small_ops, m1 = shared.big_ops, shared.small_ops, shared.m1
 
     q, _ = np.linalg.qr(g.lam(inc.small.onb()).T)
     e_n = q @ dagger(q)
     e_n = (e_n + dagger(e_n)) / 2.0
 
-    big_ops = g.rep(big_onb)
-    small_ops = g.rep(inc.small.onb())
-    big_rep = ag.from_span(big_ops, k)
-    small_rep = ag.from_span(small_ops, k)
-    small_comm = ag.commutant(small_rep)
-
-    # J is antiunitary, so x ↦ JxJ keeps the commutant's basis Frobenius-orthonormal.
-    m1 = ag.from_onb(g.adj_j(small_comm.onb()), k)
-
     coords, err_sq = _sandwich_coordinates(big_ops, q, m1.onb())
     u, sigma, vh = np.linalg.svd(coords.reshape(-1, m1.dim), full_matrices=False)
-    big_err = big_ops - m1.project(big_ops)
 
     res = {}
     e_big = inc.expectation.apply(big_onb)
@@ -505,26 +592,19 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
     res["j_fixes_e"] = la.frob_max(g.adj_j(e_n) - e_n)
     span_sq = err_sq.sum()
     res["mirror_vs_span"] = _gap_bound(span_sq, sigma, m1.dim)
-    res["mirror_vs_generated"] = _gap_bound(
-        span_sq + np.vdot(big_err, big_err).real, sigma, m1.dim
-    )
+    res["mirror_vs_generated"] = _gap_bound(span_sq + shared.big_err_sq, sigma, m1.dim)
     res["span_vs_generated"] = res["mirror_vs_span"] + res["mirror_vs_generated"]
     res["three_way_max"] = max(
         res["mirror_vs_span"], res["mirror_vs_generated"], res["span_vs_generated"]
     )
-    res["unit_in_sandwich_span"] = (
-        m1.residual(np.eye(k, dtype=complex)) + k**0.5 * res["mirror_vs_span"]
-    )
+    res["unit_in_sandwich_span"] = shared.unit_residual + k**0.5 * res["mirror_vs_span"]
 
     return BasicExtension(
         inclusion=inc,
         gns=g,
         e_n=e_n,
         e_range=q,
-        m1=m1,
-        big_rep=big_rep,
-        small_rep=small_rep,
-        small_commutant=small_comm,
+        shared=shared,
         sandwich_svd=(u, sigma, vh),
         residuals=res,
     )
@@ -611,9 +691,9 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     of the x·e·y in M₁'s orthonormal basis (their SVD ``bc.sandwich_svd`` is
     made by :func:`basic_extension`) and T the D²×D coordinates of the x·y
     in M's; the map is W = pinv(C)·T, with pinv cut at RANK_RTOL, and
-    C·W − T = −(1 − U_kU_k†)·T for the kept singular vectors U_k.  T is
-    formed one x at a time, so no operator on the k²-dim space is formed:
-    memory is O(D·k² + D²·r) beside C.  The pin residual of the full
+    C·W − T = −(1 − U_kU_k†)·T for the kept singular vectors U_k.  T does
+    not depend on the state and is read off ``bc.shared``, which forms it
+    one x at a time.  The pin residual of the full
     coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs, splits by Pythagoras
     into its part in M, ‖C·W − T‖, and its part orthogonal to M,
     ‖x·y − T·b‖ with b M's basis.  ``index_central`` is the largest
@@ -627,26 +707,18 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
         If the pin is inconsistent (the defining relations of the span of
         M·e·M would be violated) beyond tolerance.
     """
-    g = bc.gns
-    k = g.space_dim
-    big_ops = g.rep(bc.inclusion.big.onb())
-    m1, big = bc.m1, bc.big_rep
+    k = bc.gns.space_dim
+    shared = bc.shared
+    big_ops, m1, big = shared.big_ops, shared.m1, shared.big_rep
     d, r = len(big_ops), m1.dim
-    t = np.empty((d, d, d), dtype=complex)
-    off_sq = norm_sq = 0.0
-    for a in range(d):
-        prod = big_ops[a] @ big_ops
-        t[a] = big.coeffs(prod)
-        off = prod - big.element(t[a])
-        off_sq += np.vdot(off, off).real
-        norm_sq += np.vdot(prod, prod).real
     u, sigma, vh = bc.sandwich_svd
     keep = sigma > la.RANK_RTOL * sigma[0]
-    t = t.reshape(d * d, d)
+    t = shared.products.reshape(d * d, d)
     ut = dagger(u[:, keep]) @ t
     w = dagger(vh[keep]) @ (ut / sigma[keep, None])
     consistency = float(
-        np.hypot(frob(t - u[:, keep] @ ut), np.sqrt(off_sq)) / max(1.0, np.sqrt(norm_sq))
+        np.hypot(frob(t - u[:, keep] @ ut), np.sqrt(shared.off_sq))
+        / max(1.0, np.sqrt(shared.norm_sq))
     )
     if consistency > PIN_TOL:
         raise RuntimeError(
@@ -685,7 +757,7 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
 
 def push_down_check(bc: BasicExtension, dw: DualWeight) -> float:
     """max over a basis of M₁ of ‖e·Ê(e·x) − e·x‖."""
-    ez = bc.e_n @ bc.m1.onb()
+    ez = bc.e_n @ bc.shared.m1.onb()
     return la.frob_max(bc.e_n @ dw.apply(ez) - ez)
 
 
@@ -755,7 +827,7 @@ def relcomm_report(
         If a corner density is singular (weight degeneracy).
     """
     g = bc.gns
-    rc = ag.intersect(bc.m1, bc.small_commutant)
+    rc = bc.shared.relcomm
     mirror = bc.mirror
 
     rc_onb = rc.onb()
@@ -873,7 +945,7 @@ def relcomm_report(
     )
 
     # Modular flow of φ∘Ê against conjugation by the assembled generator.
-    m1_onb = bc.m1.onb()
+    m1_onb = bc.shared.m1.onb()
     omega_vec = g.cyclic
     d1 = _riesz_density(
         m1_onb, dw.composite(lambda y: np.conj(omega_vec) @ y @ omega_vec, m1_onb)

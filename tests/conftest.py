@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kacgalois import algebra as ag
 from kacgalois import coideals as ci
 from kacgalois import coreps as cr
 from kacgalois import duality as du
@@ -39,6 +40,22 @@ def pool_shapes():
     """One ``random_inclusion`` seed per shape of the benchmark's inclusion pool."""
     by_shape = json.loads(POOL.read_text())["by_shape"]
     return [pytest.param(seeds[0], id=shape) for shape, seeds in sorted(by_shape.items())]
+
+
+@pytest.fixture(scope="session")
+def unicode_charmap():
+    """Draw one ``st.text()``, so that hypothesis builds its Unicode charmap
+    (about 1.3 s in a fresh storage directory) here, once, and not inside the
+    first fuzzed test that draws text."""
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=1, database=None)
+    @given(st.text())
+    def draw(text):
+        pass
+
+    draw()
 
 
 @pytest.fixture(scope="session")
@@ -150,6 +167,35 @@ def project_span(x, onb) -> np.ndarray:
 def span_residual(x, onb) -> float:
     """Reference Frobenius distance from ``x`` to an orthonormal matrix span."""
     return float(np.linalg.norm(x - project_span(x, onb)))
+
+
+def gns_by_gram(alg, phi) -> ag.GnsData:
+    """The GNS construction in the coordinates G^{1/2} of the Gram matrix
+    G = φ(a†b), where the basis operators, the modular operator and J all
+    move with φ: a second oracle, carried onto the standard form by the
+    canonical unitary of ``gns_intertwiner`` (``tests/test_jones.py``);
+    ``gns_by_rows`` (``tests/test_algebra.py``) pins the standard form itself."""
+    stack = alg.onb()
+    w, u = np.linalg.eigh(phi.gram(stack))
+    coord = (u * np.sqrt(w)) @ la.dagger(u)
+    coord_inv = (u / np.sqrt(w)) @ la.dagger(u)
+    left = alg.coeffs(stack[:, None] @ stack[None]).swapaxes(1, 2)
+    rho = ag.density_in(alg, phi)
+    rho_inv = np.linalg.pinv(rho, rcond=la.RANK_RTOL, hermitian=True)
+    modular = coord @ alg.coeffs(rho @ stack @ rho_inv).T @ coord_inv
+    modular = (modular + la.dagger(modular)) / 2.0
+    ms = coord @ alg.coeffs(la.dagger(stack)).T @ np.conj(coord_inv)
+    return ag.GnsData(
+        space_dim=len(stack),
+        rep_basis=coord @ left @ coord_inv,
+        coord=coord,
+        coord_inv=coord_inv,
+        cyclic=coord @ alg.coeffs(alg.unit),
+        mj=ms @ np.conj(la.herm_power(modular, -0.5)),
+        modular=modular,
+        algebra=alg,
+        residuals={},
+    )
 
 
 def rebased_tensors(kac, c):

@@ -106,7 +106,7 @@ def commutes_by_loop(mats, others):
 
 @pytest.mark.parametrize("seed", pool_shapes())
 def test_commutant_matches_the_null_space_oracle(seed):
-    small = jn.basic_extension(jn.random_inclusion(seed)).small_rep
+    small = jn.basic_extension(jn.random_inclusion(seed)).shared.small_rep
     comm = ag.commutant(small)
     # Two generic elements of a *-algebra generate it, so the oracle solves
     # against them; it is the commutant once it commutes with the whole basis.
@@ -567,8 +567,8 @@ def test_matrix_units_of_every_bundled_algebra_and_its_dual(algebras, kp8, dual_
 @pytest.mark.parametrize("seed", pool_shapes())
 def test_matrix_units_of_the_relative_commutants_of_pool_draws(seed):
     bc = jn.basic_extension(jn.random_inclusion(seed))
-    assert_matrix_units(bc.small_commutant)
-    assert_matrix_units(ag.intersect(bc.m1, bc.small_commutant))
+    assert_matrix_units(bc.shared.small_commutant)
+    assert_matrix_units(ag.intersect(bc.shared.m1, bc.shared.small_commutant))
 
 
 def test_matrix_units_of_a_rotated_corner():
@@ -691,34 +691,39 @@ def test_coeffs_conjugates_either_operand_with_the_same_bits(rows):
 
 
 def gns_by_rows(alg, phi):
-    """``gns`` with its coefficients taken by hand, one matmul against the
-    conjugated basis rows ⟨a, X_b⟩ = Σ conj(a)·X_b per stack X: the basis
-    operators, the modular operator, J's linear part and the residuals."""
+    """``gns`` in standard form with its coefficients taken by hand, one matmul
+    against the conjugated basis rows ⟨a, X_b⟩ = Σ conj(a)·X_b per stack X:
+    the basis operators, the modular operator, J's linear part and the residuals."""
     stack = alg.onb()
     k = len(stack)
-    w, u = np.linalg.eigh(phi.gram(stack))
-    coord = (u * np.sqrt(w)) @ la.dagger(u)
-    coord_inv = (u / np.sqrt(w)) @ la.dagger(u)
     rows = np.conj(stack).reshape(k, -1)
-    left = ((stack[:, None] @ stack[None]).reshape(k * k, -1) @ rows.T).reshape(k, k, k)
-    rep_basis = coord @ left.swapaxes(1, 2) @ coord_inv
-    cyclic = coord @ alg.coeffs(alg.unit)
+
+    def cols(x):
+        """Column j: the coefficients of x[j]."""
+        return (x.reshape(len(x), -1) @ rows.T).T
+
     rho = ag.density_in(alg, phi)
-    rho_inv = np.linalg.pinv(rho, rcond=la.RANK_RTOL, hermitian=True)
-    modular = coord @ (rows @ (rho @ stack @ rho_inv).reshape(k, -1).T) @ coord_inv
+    w, u = np.linalg.eigh(rho)
+    keep = w > la.RANK_RTOL * w.max()
+    u, w = u[:, keep], w[keep]
+    half, half_inv, rho_inv = ((u * w**p) @ la.dagger(u) for p in (0.5, -0.5, -1.0))
+    coord, coord_inv = cols(stack @ half), cols(stack @ half_inv)
+    left = ((stack[:, None] @ stack[None]).reshape(k * k, -1) @ rows.T).reshape(k, k, k)
+    rep_basis = left.swapaxes(1, 2)
+    cyclic = coord @ alg.coeffs(alg.unit)
+    modular = cols(rho @ stack @ rho_inv)
     modular = (modular + la.dagger(modular)) / 2.0
-    star_cols = rows @ np.conj(stack).swapaxes(1, 2).reshape(k, -1).T
-    ms = coord @ star_cols @ np.conj(coord_inv)
-    mj = ms @ np.conj(la.herm_power(modular, -0.5))
+    star_cols = cols(np.conj(stack).swapaxes(1, 2))
+    mj = star_cols
     spot = stack[: min(k, 6)]
     prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
     prod_cols = (prods.reshape(len(spot), len(spot), k, -1) @ rows.T).swapaxes(2, 3)
     rep_spot = rep_basis[: len(spot)]
-    s_cols = ms @ np.conj(coord @ (stack.reshape(k, -1) @ rows.T).T) - coord @ star_cols
+    ms = coord @ star_cols @ np.conj(coord_inv)
+    s_cols = ms @ np.conj(coord @ cols(stack)) - coord @ star_cols
+    polar = ms - mj @ np.conj(la.herm_power(modular, 0.5))
     res = {
-        "rep_multiplicative": la.frob_max(
-            rep_spot[:, None] @ rep_spot[None] - coord @ prod_cols @ coord_inv
-        ),
+        "rep_multiplicative": la.frob_max(rep_spot[:, None] @ rep_spot[None] - prod_cols),
         "rep_star": la.frob_max(
             la.dagger(rep_basis) - np.tensordot(star_cols.T, rep_basis, axes=1)
         ),
@@ -729,6 +734,7 @@ def gns_by_rows(alg, phi):
             mj @ np.conj(modular) @ np.conj(mj) - np.linalg.inv(modular)
         ),
         "s_star": float(np.linalg.norm(s_cols, axis=0).max()),
+        "j_polar": float(np.linalg.norm(polar, axis=0).max()),
     }
     return rep_basis, modular, mj, res
 
@@ -752,3 +758,13 @@ def test_gns_matches_its_row_contractions_bit_for_bit_on_pool_draws(seed):
 def test_gns_matches_its_row_contractions_bit_for_bit_on_kac_algebras(named_algebra, name):
     kac = named_algebra(name)
     assert_gns_matches_rows(kac.as_mm(), ag.trace_state(kac.dim))
+
+
+def test_j_polar_trips_on_an_involution_that_is_not_the_polar_part_of_s():
+    # i·J is an antiunitary involution too, but i·J·Δ^{1/2} = i·S.
+    inc = jn.random_inclusion(11)
+    g = ag.gns(inc.big, inc.phi)
+    assert max(g.residuals.values()) < 1e-12
+    bent = ag._gns_residuals(dataclasses.replace(g, mj=1j * g.mj))
+    assert bent["j_involution"] < 1e-12
+    assert bent["j_polar"] > 1e-3

@@ -14,14 +14,14 @@ SPEC.loader.exec_module(bench_record)
 METRICS = ("setup_s", "run_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
 
 
-def write_run(path, workload, seed, run_s, failed=0):
+def write_run(path, workload, seed, run_s, failed=0, passes=None):
     """Two lines shaped like ``perfbench/run.py --trace 0`` output."""
     metrics = {name: {"value": 1.0, "unit": "s"} for name in METRICS}
     metrics["run_s"]["value"] = run_s
     full = {
         "workload": workload, "seed": seed, "trace": 0, "attempted": 4, "failed": failed,
         "environment": {"python": "3.11", "numpy": "2.4", "seed": seed, "git_commit": None},
-        "metrics": metrics,
+        "metrics": metrics, "pass_seconds": passes or [run_s],
     }
     last = {"correct": failed == 0, "attempted": 4, "failed": failed, "metrics": metrics}
     path.write_text("progress\n" + json.dumps(full) + "\n" + json.dumps(last) + "\n")
@@ -111,3 +111,23 @@ def test_gain_rule_turns_with_the_metric_direction(tmp_path):
     assert run["gain_rule"] is True
     run = fold_pairs(tmp_path, parent, [1.1] * 10)
     assert run["change_better_pairs"] == 0 and run["gain_rule"] is False
+
+
+def test_first_and_later_passes_are_compared_apart(tmp_path):
+    # The change gains only on warm passes: its first pass reads as the parent's.
+    parent = [write_run(tmp_path / f"p{s}", "jones_family", s, 4.0, passes=[5.0, 4.0, 4.0]) for s in range(3)]
+    change = [write_run(tmp_path / f"c{s}", "jones_family", s, 3.0, passes=[5.0, 3.0, 2.0]) for s in range(3)]
+    change.append(write_run(tmp_path / "c9", "jones_family", 9, 3.0, passes=[3.0]))
+    parent.append(write_run(tmp_path / "p9", "jones_family", 9, 4.0, passes=[4.0]))
+    out = tmp_path / "BENCH.json"
+    bench_record.main([
+        "--parent", *parent, "--change", *change,
+        "--benchmark", str(ROOT / "BENCHMARK.json"), "--out", str(out),
+    ])
+    jf = json.loads(out.read_text())["workloads"]["jones_family"]
+    assert jf["pass_seconds"]["change"] == [[5.0, 3.0, 2.0]] * 3 + [[3.0]]
+    assert jf["first_pass"]["pairs"] == 4 and jf["first_pass"]["change_better_pairs"] == 1
+    assert jf["first_pass"]["pair_ratio"]["median"] == 1.0
+    # One-pass runs have no later passes.
+    assert jf["later_passes"]["pairs"] == 3 and jf["later_passes"]["change_better_pairs"] == 3
+    assert jf["later_passes"]["pair_ratio"]["median"] == pytest.approx(2.5 / 4.0)

@@ -5,6 +5,9 @@ reports for the scalars-in-diagonals witness using nothing but 2x2 numpy
 arithmetic, so the library values are checked against an independent source.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from kacgalois import algebra as ag
 from kacgalois import jones as jn
 from kacgalois import linalg as la
 
-from conftest import pool_shapes
+from conftest import gns_by_gram, pool_shapes
 
 E00 = np.diag([1.0, 0.0]).astype(complex)
 E11 = np.diag([0.0, 1.0]).astype(complex)
@@ -176,9 +179,9 @@ def pinv_weight(bc: jn.BasicExtension) -> np.ndarray:
     x·y in M's, x-major over the represented basis of M.
     """
     ops = bc.gns.rep(bc.inclusion.big.onb())
-    coords, _ = jn._sandwich_coordinates(ops, bc.e_range, bc.m1.onb())
-    t = bc.big_rep.coeffs(ops[:, None] @ ops[None]).reshape(-1, len(ops))
-    return np.linalg.pinv(coords.reshape(-1, bc.m1.dim), rcond=la.RANK_RTOL) @ t
+    coords, _ = jn._sandwich_coordinates(ops, bc.e_range, bc.shared.m1.onb())
+    t = bc.shared.big_rep.coeffs(ops[:, None] @ ops[None]).reshape(-1, len(ops))
+    return np.linalg.pinv(coords.reshape(-1, bc.shared.m1.dim), rcond=la.RANK_RTOL) @ t
 
 
 @pytest.mark.parametrize("seed", [11, 14, 33])
@@ -245,7 +248,7 @@ def test_random_family_spot_checks(seed):
     assert bc.residuals["three_way_max"] < 1e-8
     assert bc.residuals["e_compress"] < 1e-9
     # regression: kernel undercount
-    assert bc.small_commutant.residual(np.eye(bc.gns.space_dim)) < 1e-9
+    assert bc.shared.small_commutant.residual(np.eye(bc.gns.space_dim)) < 1e-9
     dw = jn.dual_weight(bc)
     assert dw.residuals["unit_from_e"] < 1e-9
     assert dw.residuals["push_down"] < 1e-9
@@ -416,7 +419,7 @@ def verify_extension_model(
     d_model = jn._riesz_density(model_onb, [psi_weight(m) for m in model_onb])
     hyp["e_flow_invariant"] = la.opnorm(d_model @ e_model - e_model @ d_model)
 
-    m1_onb = bc.m1.onb()
+    m1_onb = bc.shared.m1.onb()
     if len(m1_onb) != len(model_onb):
         raise RuntimeError(
             f"model dimension {len(model_onb)} differs from the extension "
@@ -426,7 +429,7 @@ def verify_extension_model(
     coord1, _ = _functional_coords(m1_onb, phi_weight)
     coord2, _ = _functional_coords(model_onb, psi_weight)
 
-    src = coord1 @ bc.m1.coeffs(sandwich(big_ops, bc.e_n)).T
+    src = coord1 @ bc.shared.m1.coeffs(sandwich(big_ops, bc.e_n)).T
     tgt = coord2 @ model.coeffs(sandwich(big_ops, e_model)).T
     u = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
     well_defined = float(
@@ -442,7 +445,7 @@ def verify_extension_model(
     rep2_mat = rep2_basis.reshape(len(model_onb), -1).T
 
     def transport(z: np.ndarray) -> tuple[np.ndarray, float]:
-        r1 = coord1 @ bc.m1.coeffs(z @ m1_onb).T @ np.linalg.inv(coord1)
+        r1 = coord1 @ bc.shared.m1.coeffs(z @ m1_onb).T @ np.linalg.inv(coord1)
         moved = u @ r1 @ la.dagger(u)
         coeffs, *_ = np.linalg.lstsq(rep2_mat, moved.reshape(-1), rcond=None)
         out = model.element(coeffs)
@@ -488,23 +491,82 @@ def test_gns_intertwiner_between_two_states():
     assert res["intertwining"] < 1e-9
 
 
+@pytest.mark.parametrize("seed", pool_shapes())
+def test_the_standard_form_is_the_gram_coordinate_gns_up_to_a_unitary(seed):
+    # Right multiplication by ρ^{1/2} is positive, so the canonical unitary
+    # is 1 up to rounding; it carries Ω, Δ and J (J₂ = U·J₁·Uᵀ, J antilinear).
+    inc = jn.random_inclusion(seed)
+    old, new = gns_by_gram(inc.big, inc.phi), ag.gns(inc.big, inc.phi)
+    u, res = gns_intertwiner(old, new)
+    assert res["unitary"] < 1e-10 and res["intertwining"] < 1e-10
+    assert la.frob(u @ old.cyclic - new.cyclic) < 1e-10
+    assert la.opnorm(u @ old.modular @ la.dagger(u) - new.modular) < 1e-10
+    assert la.opnorm(u @ old.mj @ u.T - new.mj) < 1e-10
+
+
+def chain_bits(chain: jn.JonesChain) -> list:
+    """Every number a Jones chain reports, as residual dicts and arrays."""
+    bc, dw, rep, ext = chain
+    return [
+        bc.gns.residuals, bc.residuals, dw.coords, dw.index_element, dw.residuals,
+        rep.residuals, rep.flow_generator, [s["spectrum"] for s in rep.summands], ext,
+    ]
+
+
+def assert_same_bits(a: list, b: list) -> None:
+    for x, y in zip(a, b, strict=True):
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+@pytest.mark.parametrize("seed", [1, 4, 11, 14, 33, 40])
+def test_a_variation_reads_the_same_bits_shared_or_built_alone(seed):
+    inc = jn.random_inclusion(seed)
+    var = jn.omega_variation(inc, seed + 1000)
+    jn._state_free.cache_clear()
+    alone = chain_bits(jn.jones_chain(var))
+    jn._state_free.cache_clear()
+    jn.jones_chain(inc)
+    assert_same_bits(chain_bits(jn.jones_chain(var)), alone)
+
+
+def test_a_draw_and_its_variation_share_the_state_free_half():
+    inc = jn.random_inclusion(9)
+    bc = jn.basic_extension(inc)
+    bc_var = jn.basic_extension(jn.omega_variation(inc, 123))
+    assert bc_var.shared is bc.shared
+    assert bc_var.shared.m1 is bc.shared.m1
+    assert bc_var.shared.small_commutant is bc.shared.small_commutant
+    assert not np.array_equal(bc_var.e_n, bc.e_n)
+
+
+def test_the_cache_lets_go_of_a_pair_it_no_longer_holds():
+    first = jn.jones_chain(jn.random_inclusion(4))
+    held = weakref.ref(first.extension.shared.big_rep)
+    del first
+    gc.collect()
+    assert held() is not None  # the cache keeps the last pair
+    jn.jones_chain(jn.random_inclusion(11))
+    gc.collect()
+    assert held() is None
+
+
 def test_extension_model_recognition_identity_and_rotated():
     inc = jn.fixture_point_in_full()
     bc = jn.basic_extension(inc)
     dw = jn.dual_weight(bc)
-    out = verify_extension_model(bc, dw, bc.m1, bc.e_n, dw.apply)
+    out = verify_extension_model(bc, dw, bc.shared.m1, bc.e_n, dw.apply)
     assert out["report"]["passed"], out["report"]
 
     # rotate the model by a unitary that commutes with the represented M,
     # so the carried copy still extends the same inclusion
     rng = np.random.default_rng(9)
     k = bc.gns.space_dim
-    comm = ag.commutant(bc.big_rep)
+    comm = ag.commutant(bc.shared.big_rep)
     x = comm.project(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
     h = (x + la.dagger(x)) / 2.0
     w, v = np.linalg.eigh(h)
     u_rot = v @ np.diag(np.exp(1j * w)) @ la.dagger(v)
-    model = ag.from_span([u_rot @ m @ la.dagger(u_rot) for m in bc.m1.onb()], k)
+    model = ag.from_span([u_rot @ m @ la.dagger(u_rot) for m in bc.shared.m1.onb()], k)
     e_rot = u_rot @ bc.e_n @ la.dagger(u_rot)
     out2 = verify_extension_model(
         bc, dw, model, e_rot, lambda z: dw.apply(la.dagger(u_rot) @ z @ u_rot)
@@ -559,9 +621,9 @@ class DenseDualWeight:
         ops = bc.gns.rep(bc.inclusion.big.onb())
         self.src = sandwich(ops, bc.e_n).reshape(-1, k * k).T
         self.tgt = (ops[:, None] @ ops[None]).reshape(-1, k * k).T
-        r_conj = bc.m1.onb().reshape(bc.m1.dim, -1).conj()
+        r_conj = bc.shared.m1.onb().reshape(bc.shared.m1.dim, -1).conj()
         self.matrix = (self.tgt @ np.linalg.pinv(r_conj @ self.src, rcond=la.RANK_RTOL)) @ r_conj
-        self.big = bc.big_rep
+        self.big = bc.shared.big_rep
         index_el = self.apply(np.eye(k, dtype=complex))
         self.index_element = (index_el + la.dagger(index_el)) / 2.0
 
@@ -589,19 +651,19 @@ def dense_dual_weight(bc):
         )
     }
     res["unit_from_e"] = la.frob(dw.apply(bc.e_n) - eye)
-    res["index_in_big"] = bc.big_rep.residual(index_el)
+    res["index_in_big"] = bc.shared.big_rep.residual(index_el)
     res["index_central"] = la.frob_max(index_el @ big_ops - big_ops @ index_el)
-    m1_onb = bc.m1.onb()
+    m1_onb = bc.shared.m1.onb()
     ez = bc.e_n @ m1_onb
     res["push_down"] = la.frob_max(bc.e_n @ dw.apply(ez) - ez)
     images = dw.apply(m1_onb)
-    res["range_in_big"] = bc.big_rep.residual(images)
+    res["range_in_big"] = bc.shared.big_rep.residual(images)
     res["adjoint_compatible"] = la.frob_max(dw.apply(la.dagger(m1_onb)) - la.dagger(images))
     rng = np.random.default_rng(2)
     pos_min = bimod = 0.0
     for _ in range(6):
         coeffs = rng.standard_normal(len(m1_onb)) + 1j * rng.standard_normal(len(m1_onb))
-        z = bc.m1.element(coeffs)
+        z = bc.shared.m1.element(coeffs)
         y = dw.apply(la.dagger(z) @ z)
         pos_min = min(pos_min, float(np.linalg.eigvalsh((y + la.dagger(y)) / 2.0).min()))
         a = big_ops[int(rng.integers(len(big_ops)))]
@@ -621,7 +683,7 @@ def test_dual_weight_matches_full_pseudo_inverse(make):
     src = np.stack([(x @ bc.e_n @ y).reshape(-1) for x in ops for y in ops], axis=1)
     tgt = np.stack([(x @ y).reshape(-1) for x in ops for y in ops], axis=1)
     full = tgt @ np.linalg.pinv(src, rcond=la.RANK_RTOL)
-    m1 = bc.m1.onb()
+    m1 = bc.shared.m1.onb()
     expected = (m1.reshape(len(m1), -1) @ full.T).reshape(m1.shape)
     assert np.abs(dw.apply(m1) - expected).max() < 1e-12
 
@@ -642,7 +704,7 @@ def test_coordinate_weight_matches_the_dense_oracle(seed):
     for case in (inc, jn.omega_variation(inc, seed + 1000)):
         bc = jn.basic_extension(case)
         dw, dense = jn.dual_weight(bc), dense_dual_weight(bc)
-        assert dw.coords.shape == (bc.m1.dim, case.big.dim)
+        assert dw.coords.shape == (bc.shared.m1.dim, case.big.dim)
         assert_close_values(dw.residuals, dense.residuals)
         assert np.abs(dw.index_element - dense.index_element).max() <= 1e-12
 
@@ -707,7 +769,7 @@ def test_streamed_extension_spans_match_the_one_shot_svd(case):
         incs = [inc, jn.omega_variation(inc, case + 1000)]
     for inc in incs:
         bc = jn.basic_extension(inc)
-        m1, r = bc.m1.onb(), bc.m1.dim
+        m1, r = bc.shared.m1.onb(), bc.shared.m1.dim
         big_ops = bc.gns.rep(inc.big.onb())
         stack = sandwich(big_ops, bc.e_n)
         with_big = np.concatenate([big_ops, stack])
@@ -734,7 +796,7 @@ def test_coordinate_bound_covers_a_resolvable_gap(make):
     bc = jn.basic_extension(inc)
     big_ops = bc.gns.rep(inc.big.onb())
     span = la.orthonormalize(sandwich(big_ops, bc.e_n))
-    m1, r = bc.m1.onb(), bc.m1.dim
+    m1, r = bc.shared.m1.onb(), bc.shared.m1.dim
     rng = np.random.default_rng(r)
     for delta in (1e-9, 1e-6, 1e-3):
         tilt = rng.standard_normal(m1.shape) + 1j * rng.standard_normal(m1.shape)
@@ -773,7 +835,7 @@ def pin_by_rows(bc):
     k = g.space_dim
     big_ops = g.rep(bc.inclusion.big.onb())
     d = len(big_ops)
-    big_rows = bc.big_rep.onb().reshape(d, k * k)
+    big_rows = bc.shared.big_rep.onb().reshape(d, k * k)
     big_cols = big_rows.conj().T
     t = np.empty((d, d, d), dtype=complex)
     off_sq = norm_sq = 0.0

@@ -16,7 +16,10 @@ its seed and so its draw, so the ratio cancels the draw's cost, which the
 spread across seeds mixes with noise.  So each metric's ``gain_rule`` reads
 the pairs alone: it is met when the change reads better in at least nine
 tenths of the pairs and the pair ratio's upper quartile is below 1 (its lower
-quartile above 1 for a metric where higher is better).
+quartile above 1 for a metric where higher is better).  Each workload also
+lists every run's ``pass_seconds``, and ``first_pass`` and ``later_passes``
+compare the first pass of a run, and the median of its later passes, the
+same way, so that a gain that only warm passes see shows.
 
 Run from the repository root, for example:
 
@@ -64,6 +67,20 @@ def gain_rule(better: int, pairs: int, ratio: dict | None, lower: bool) -> bool:
     return 10 * better >= 9 * pairs and (ratio["q3"] < 1 if lower else ratio["q1"] > 1)
 
 
+def pass_pairs(both: list[tuple[dict, dict]], pick) -> dict:
+    """Pairs in which the change's ``pick`` of its pass seconds is lower, and
+    the spread of the ratio change / parent, over the pairs where both sides
+    have one (``pick`` returns None for a run without it)."""
+    values = [(pick(p["pass_seconds"]), pick(c["pass_seconds"])) for p, c in both]
+    values = [(p, c) for p, c in values if p and c is not None]
+    ratios = [c / p for p, c in values]
+    return {
+        "pairs": len(values),
+        "change_better_pairs": sum(c < p for p, c in values),
+        "pair_ratio": spread(ratios) if ratios else None,
+    }
+
+
 def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     """Per-workload pair statistics from each side's runs."""
     keyed = {side: {(r["workload"], r["seed"]): r for r in runs[side]} for side in SIDES}
@@ -79,6 +96,9 @@ def fold(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
             "pairs": len(both),
             "attempted": {s: sum(pair[i]["attempted"] for pair in both) for i, s in enumerate(SIDES)},
             "failed": {s: sum(pair[i]["failed"] for pair in both) for i, s in enumerate(SIDES)},
+            "pass_seconds": {s: [pair[i]["pass_seconds"] for pair in both] for i, s in enumerate(SIDES)},
+            "first_pass": pass_pairs(both, lambda sec: sec[0]),
+            "later_passes": pass_pairs(both, lambda sec: statistics.median(sec[1:]) if len(sec) > 1 else None),
             "metrics": {},
         }
         for metric in metrics:
