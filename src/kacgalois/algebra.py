@@ -70,21 +70,20 @@ class MMAlgebra:
         product Tr(a†b)/d (so each element has Frobenius norm √d), as the
         constructor takes it.
     unit : ndarray
-        The unit of the algebra (the ambient identity unless the algebra
-        is a corner).
+        The unit of the algebra, the ambient identity.
 
     The basis is stored once, Frobenius-normalized, as the read-only
     (k, d, d) array returned by :meth:`onb`; projections and coefficients
     are single contractions against it.
     """
 
-    def __init__(self, ambient_dim: int, basis, unit: np.ndarray):
+    def __init__(self, ambient_dim: int, basis):
         self.ambient_dim = int(ambient_dim)
         d = self.ambient_dim
         onb = np.asarray(basis, dtype=complex).reshape(-1, d, d) / np.sqrt(d)
         onb.flags.writeable = False
         self._onb = onb
-        self.unit = unit
+        self.unit = np.eye(d, dtype=complex)
 
     @property
     def basis(self) -> np.ndarray:
@@ -158,21 +157,18 @@ class MMAlgebra:
         return report
 
 
-def from_span(mats: list[np.ndarray], ambient_dim: int, unit=None) -> MMAlgebra:
+def from_span(mats: list[np.ndarray], ambient_dim: int) -> MMAlgebra:
     """Wrap an already-closed span as an :class:`MMAlgebra`.
 
     The span is orthonormalized but *not* closed; closure is the caller's
     responsibility (use :func:`mm_from_generators` otherwise).
     """
-    return from_onb(la.orthonormalize(mats), ambient_dim, unit)
+    return from_onb(la.orthonormalize(mats), ambient_dim)
 
 
-def from_onb(onb, ambient_dim: int, unit=None) -> MMAlgebra:
+def from_onb(onb, ambient_dim: int) -> MMAlgebra:
     """Wrap a Frobenius-orthonormal basis of an already-closed span."""
-    basis = onb * np.sqrt(ambient_dim)
-    if unit is None:
-        unit = np.eye(ambient_dim, dtype=complex)
-    return MMAlgebra(ambient_dim=ambient_dim, basis=basis, unit=unit)
+    return MMAlgebra(ambient_dim=ambient_dim, basis=onb * np.sqrt(ambient_dim))
 
 
 def mm_from_generators(gens: list[np.ndarray], ambient_dim: int) -> MMAlgebra:
@@ -278,7 +274,7 @@ def commutant(alg: MMAlgebra) -> MMAlgebra:
         cols = (block.units[:, 0] @ w).transpose(2, 1, 0)
         units = (cols[:, None] @ dagger(cols)[None]).reshape(-1, d, d)
         parts.append(units / np.sqrt(block.size))
-    comm = MMAlgebra(ambient_dim=d, basis=np.concatenate(parts) * np.sqrt(d), unit=eye)
+    comm = MMAlgebra(ambient_dim=d, basis=np.concatenate(parts) * np.sqrt(d))
     _certify_commutant(alg, blocks, comm)
     return comm
 
@@ -400,9 +396,9 @@ def _central_decomposition(alg: MMAlgebra) -> list[MatrixUnitBlock]:
     block-diagonal decomposition of matrix \\*-algebras*, Japan J. Indust.
     Appl. Math. 27, 2010): for a generic hermitian h ∈ A, A ∩ {h}′ is a
     maximal abelian subalgebra of dimension s = Σ m, read off one null space
-    with the absolute floor ZERO_FLOOR·‖onb‖·‖h‖, and the eigenvalues of h on
-    the range of the unit fall into s clusters, cut at the s − 1 largest
-    gaps, whose spectral projections are the minimal projections of A.  Two
+    with the absolute floor ZERO_FLOOR·‖onb‖·‖h‖, and the eigenvalues of h
+    fall into s clusters, cut at the s − 1 largest gaps, whose spectral
+    projections are the minimal projections of A.  Two
     of them lie in one summand exactly when p_a·g·p_b ≠ 0 (relative to ‖g‖
     at RANK_RTOL) for a second generic g ∈ A.  In a summand with minimal
     projections f₁, …, f_m, e₁₁ = f₁ and e₁ⱼ = f₁·g·fⱼ rescaled to norm √μ,
@@ -419,7 +415,6 @@ def _central_decomposition(alg: MMAlgebra) -> list[MatrixUnitBlock]:
     next seed.
     """
     onb, d = alg.onb(), alg.ambient_dim
-    cols = _range_onb(alg.unit)
     s = 0
     for attempt in range(_ATTEMPTS):
         g, h = _generic_draw(onb, attempt)
@@ -429,7 +424,7 @@ def _central_decomposition(alg: MMAlgebra) -> list[MatrixUnitBlock]:
             raise SubalgebraError(
                 "center of the span is empty; the input is not a unital algebra"
             )
-        blocks = _certified_split(alg, cols, g, h, s)
+        blocks = _certified_split(alg, g, h, s)
         if blocks is not None:
             blocks.sort(
                 key=lambda b: (
@@ -446,21 +441,18 @@ def _central_decomposition(alg: MMAlgebra) -> list[MatrixUnitBlock]:
 
 
 def _certified_split(
-    alg: MMAlgebra, cols: np.ndarray, g: np.ndarray, h: np.ndarray, s: int
+    alg: MMAlgebra, g: np.ndarray, h: np.ndarray, s: int
 ) -> list[MatrixUnitBlock] | None:
     """The matrix units one draw (g, h) gives, or None if they fail the certificate.
 
-    ``cols`` is an orthonormal basis of the range of the unit and ``s`` the
-    dimension of A ∩ {h}′; see :func:`_central_decomposition`.
+    ``s`` is the dimension of A ∩ {h}′; see :func:`_central_decomposition`.
     """
-    hk = dagger(cols) @ h @ cols
-    w, u = np.linalg.eigh((hk + dagger(hk)) / 2.0)
+    w, frames = np.linalg.eigh((h + dagger(h)) / 2.0)
     if len(w) < s:
         return None
     cuts = np.sort(np.argsort(np.diff(w))[len(w) - s :]) + 1
     starts = np.concatenate([[0], cuts])
     bounds = np.append(starts, len(w))
-    frames = cols @ u
     gk = dagger(frames) @ g @ frames
     # link[a, b]: the compression p_a·g·p_b of g between two clusters is not zero.
     sq = np.add.reduceat(np.add.reduceat(np.abs(gk) ** 2, starts, axis=0), starts, axis=1)

@@ -379,6 +379,7 @@ def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
     bc, dw, rep, ext = jn.jones_chain(inc)
 
     index_eigs = np.sort(np.linalg.eigvalsh(dw.index_element))
+    index_trace = float(np.trace(dw.index_element).real)
     r = rep.residuals
     checks = {
         "three_way_extension": check(bc.residuals["three_way_max"], lim["loose"]),
@@ -421,7 +422,7 @@ def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
         },
         "gns": bc.gns.residuals,
         "dual_weight": {
-            "index_trace": float(np.trace(dw.index_element).real),
+            "index_trace": index_trace,
             "index_eigenvalues": [float(x) for x in index_eigs],
             "residuals": dw.residuals,
         },
@@ -438,7 +439,15 @@ def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
                 for s in rep.summands
             ],
             "mirror_pairs": list(rep.mirror_pairs),
-            "four_part": rep.four_part,
+            # The taxonomy slots: at finite dimension the weight is finite
+            # everywhere, so every singular slot is empty.
+            "four_part": {
+                "regular_dim": rep.algebra.dim,
+                "left_singular_dim": 0,
+                "right_singular_dim": 0,
+                "bi_singular_dim": 0,
+                "weight_finite_on_unit": index_trace,
+            },
         },
         "j_action": {
             "preserves_relative_commutant": r["mirror_preserves"],
@@ -447,7 +456,7 @@ def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
             "pairing": list(rep.mirror_pairs),
         },
         "flow_generators": {
-            "times": list(rep.flow_times),
+            "times": list(jn.FLOW_TIMES),
             "assembled_spectrum": [
                 float(x) for x in jn.flow_spectrum(rep)
             ],
@@ -456,7 +465,7 @@ def run_jones(inc: jn.Inclusion, tol: float | None) -> dict:
             "mirror_commutes_with_flow": r["mirror_commutes_with_flow"],
             "state_density_min_eig": r["flow_density_min_eig"],
         },
-        "extremal": rep.extremal,
+        "extremal": ext["extremal"],
         "extremality": ext,
         "checks": checks,
         "passed": _all_ok(checks),

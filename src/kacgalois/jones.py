@@ -777,35 +777,26 @@ def _traces(x: np.ndarray) -> np.ndarray:
     return np.trace(x, axis1=-2, axis2=-1)
 
 
-def _support_eigs(mat: np.ndarray, rank: int) -> np.ndarray:
-    """The largest ``rank`` eigenvalues (the support spectrum of a corner)."""
-    w = np.linalg.eigvalsh(mat)
-    return w[len(w) - rank :]
-
-
 @dataclass(frozen=True)
 class RelativeCommutantReport:
     """Spectral report on M₁∩N′.
 
-    ``summands``: per minimal central summand — unit projection, corner
-    dimension, the two functional densities (of Tr∘Ê and its mirror
+    ``summands``: one record per minimal central summand — unit projection,
+    block, rank, the two functional densities (of Tr∘Ê and its mirror
     composite), the balanced positive generator with its support spectrum,
-    and the mirror pairing.  ``flow_generator`` assembles the per-summand
-    generators into one positive invertible operator; ``extremal`` is the
-    all-generators-trivial flag.  ``four_part`` keeps the taxonomy slots:
-    at finite dimension the weight is finite everywhere, so every singular
-    slot is empty.
+    and the mirror mate.  ``flow_generator`` assembles the per-summand
+    generators into one positive invertible operator, and ``flow_spectrum``
+    holds its eigenvalues, ascending and read-only.  ``extremal_margin`` is
+    the largest operator norm of a generator minus its summand unit;
+    :func:`extremality` reads the extremality flag off it.
     """
 
     algebra: MMAlgebra
     summands: list
     mirror_pairs: list
     flow_generator: np.ndarray
-    extremal: bool
+    flow_spectrum: np.ndarray
     extremal_margin: float
-    mirror_defect: float
-    four_part: dict
-    flow_times: tuple
     residuals: dict
 
 
@@ -815,11 +806,20 @@ def relcomm_report(
 ) -> RelativeCommutantReport:
     """Decompose M₁∩N′ and extract the balanced density generators.
 
-    Per summand ξ: R_ξ is the density of x ↦ Tr(Ê(x)); the generator is
-    a_ξ = s·R_ξ with s chosen so Tr(a_ξ) = Tr(a_ξ⁻¹) (mirror-paired
-    summands share the balancing constant, and the cross-trace transport
-    residual is recorded).  The φ∘Ê modular flow is compared with
-    conjugation by the assembled generator at the sampled times.
+    The mirror mate of each summand is the summand whose central projection
+    lies nearest to the mirror image of its own, read off one matrix of
+    distances between the projections.  Per summand ξ: R_ξ is the density
+    of x ↦ Tr(Ê(x)); the generator is a_ξ = s·R_ξ with s chosen so
+    Tr(a_ξ) = Tr(a_ξ⁻¹) (mirror-paired summands share the balancing
+    constant, and the cross-trace transport residual is recorded).  One
+    eigendecomposition of R_ξ gives both traces and, times s, the
+    generator's spectrum; one of the assembled generator gives the flow
+    spectrum and ``generator_min_eig``.  The φ∘Ê modular flow is compared
+    with conjugation by the assembled generator at the sampled times.
+
+    ``mirror_antimultiplicative`` is a spot check: it compares the mirror
+    of x·y with mirror(y)·mirror(x) for the first four basis elements of
+    M₁∩N′ only (16 pairs), not for every pair.
 
     Raises
     ------
@@ -839,64 +839,46 @@ def relcomm_report(
         mirror(head[:, None] @ head[None]) - mirror(head)[None] @ mirror(head)[:, None]
     )
 
-    # Functional densities per summand.
-    corners = []
-    for block in ag.matrix_units(rc):
-        z, conb = block.projection, block.corner()
-        rank = int(round(float(np.trace(z).real)))
+    # Mirror pairing of the summands.
+    blocks = ag.matrix_units(rc)
+    units = np.stack([block.projection for block in blocks])
+    # One row at a time: the full (s, s, k, k) difference stack would set the peak memory.
+    dists = np.stack([np.linalg.norm(img - units, axis=(-2, -1)) for img in mirror(units)])
+    pairs = [int(mate) for mate in dists.argmin(axis=1)]
+    res["mirror_pair_match"] = float(dists.min(axis=1).max())
+    res["mirror_pairing_involutive"] = float(any(pairs[j] != i for i, j in enumerate(pairs)))
+
+    # Functional densities per summand and the support spectrum of each.
+    densities, spectra = [], []
+    for block in blocks:
+        conb = block.corner()
         r1 = _riesz_density(conb, dw.composite(_traces, conb))
-        r2 = _riesz_density(conb, dw.composite(_traces, mirror(conb)))
-        eigs1 = _support_eigs(r1, rank)
-        if eigs1.min() <= EXTREMAL_TOL * max(1.0, eigs1.max()):
+        eigs = np.linalg.eigvalsh(r1)[-block.size * block.multiplicity :]
+        if eigs.min() <= EXTREMAL_TOL * max(1.0, eigs.max()):
             raise RuntimeError(
                 "corner density of the weight is singular "
-                f"(support eigenvalue {eigs1.min():.3e}); inconsistent weight"
+                f"(support eigenvalue {eigs.min():.3e}); inconsistent weight"
             )
-        corners.append(
-            {
-                "projection": z,
-                "rank": rank,
-                "block": (block.size, block.multiplicity),
-                "density": r1,
-                "mirror_density": r2,
-                "trace": float(np.sum(eigs1)),
-                "trace_inv": float(np.sum(1.0 / eigs1)),
-            }
-        )
-
-    # Mirror pairing of the summands.
-    pairs = []
-    for idx, c in enumerate(corners):
-        img = mirror(c["projection"])
-        dists = [frob(img - c2["projection"]) for c2 in corners]
-        mate = int(np.argmin(dists))
-        pairs.append(mate)
-        res["mirror_pair_match"] = max(
-            res.get("mirror_pair_match", 0.0), float(min(dists))
-        )
-    res["mirror_pairing_involutive"] = 0.0 if all(
-        pairs[pairs[i]] == i for i in range(len(pairs))
-    ) else 1.0
+        densities.append((r1, _riesz_density(conb, dw.composite(_traces, mirror(conb)))))
+        spectra.append(eigs)
+    trace = [float(np.sum(eigs)) for eigs in spectra]
+    trace_inv = [float(np.sum(1.0 / eigs)) for eigs in spectra]
 
     # Balancing constants, shared by each summand and its mirror mate (a
     # self-mated summand is its own mate): s = ((Tr R⁻¹·Tr R_m⁻¹)/(Tr R·Tr R_m))^¼.
-    summands, spectra = [], []
-    for c, mate in zip(corners, pairs):
-        cm = corners[mate]
-        s = float(
-            ((c["trace_inv"] * cm["trace_inv"]) / (c["trace"] * cm["trace"])) ** 0.25
-        )
-        gen = s * c["density"]
-        gen_eigs = _support_eigs(gen, c["rank"])
-        spectra.append(gen_eigs)
+    summands, gen_spectra = [], []
+    for i, (block, (r1, r2), mate) in enumerate(zip(blocks, densities, pairs)):
+        s = float(((trace_inv[i] * trace_inv[mate]) / (trace[i] * trace[mate])) ** 0.25)
+        gen_eigs = s * spectra[i]
+        gen_spectra.append(gen_eigs)
         summands.append(
             {
-                "projection": c["projection"],
-                "block": c["block"],
-                "rank": c["rank"],
-                "density": c["density"],
-                "mirror_density": c["mirror_density"],
-                "generator": gen,
+                "projection": block.projection,
+                "block": (block.size, block.multiplicity),
+                "rank": block.size * block.multiplicity,
+                "density": r1,
+                "mirror_density": r2,
+                "generator": s * r1,
                 "spectrum": [float(v) for v in gen_eigs],
                 "squared_spectrum": [float(v * v) for v in gen_eigs],
                 "mate": mate,
@@ -904,26 +886,21 @@ def relcomm_report(
         )
     # The mate's generator carries the trace of this one's inverse.
     res["trace_transport"] = max(
-        abs(float(np.sum(spectra[mate])) - float(np.sum(1.0 / eigs)))
-        for eigs, mate in zip(spectra, pairs)
+        abs(float(np.sum(gen_spectra[mate])) - float(np.sum(1.0 / eigs)))
+        for eigs, mate in zip(gen_spectra, pairs)
     )
 
-    flow_gen = np.zeros_like(corners[0]["density"])
-    for s in summands:
-        flow_gen += s["generator"]
+    flow_gen = sum(summand["generator"] for summand in summands)
     flow_gen = (flow_gen + dagger(flow_gen)) / 2.0
-    res["generator_min_eig"] = float(np.linalg.eigvalsh(flow_gen).min())
+    flow_eigs = np.linalg.eigvalsh(flow_gen)
+    flow_eigs.flags.writeable = False
+    res["generator_min_eig"] = float(flow_eigs[0])
 
-    margin = max(
-        opnorm(s["generator"] - s["projection"]) for s in summands
-    )
-    extremal_flag = bool(margin < EXTREMAL_TOL)
+    margin = max(opnorm(summand["generator"] - summand["projection"]) for summand in summands)
 
     # Normalized comparison of the two functional densities (mirror defect).
     mirror_defect = 0.0
-    for s in summands:
-        r1 = s["density"]
-        r2 = s["mirror_density"]
+    for r1, r2 in densities:
         t1 = float(np.trace(r1).real)
         t2 = float(np.trace(r2).real)
         if abs(t2) < la.TRACE_FLOOR:
@@ -940,9 +917,7 @@ def relcomm_report(
     res["weight_trace_defect"] = float(np.abs(pair_traces - pair_traces.T).max())
     # Unnormalized mirror comparison of the per-summand densities: nonzero
     # exactly when mirror-paired summands carry unequal weight mass.
-    res["mirror_functional_defect"] = max(
-        frob(s["mirror_density"] - s["density"]) for s in summands
-    )
+    res["mirror_functional_defect"] = max(frob(r2 - r1) for r1, r2 in densities)
 
     # Modular flow of φ∘Ê against conjugation by the assembled generator.
     m1_onb = bc.shared.m1.onb()
@@ -970,24 +945,13 @@ def relcomm_report(
     res["mirror_commutes_with_flow"] = mirror_flow
     res["flow_identity_defect"] = flow_id
 
-    four_part = {
-        "regular_dim": rc.dim,
-        "left_singular_dim": 0,
-        "right_singular_dim": 0,
-        "bi_singular_dim": 0,
-        "weight_finite_on_unit": float(np.trace(dw.index_element).real),
-    }
-
     return RelativeCommutantReport(
         algebra=rc,
         summands=summands,
         mirror_pairs=pairs,
         flow_generator=flow_gen,
-        extremal=extremal_flag,
+        flow_spectrum=flow_eigs,
         extremal_margin=float(margin),
-        mirror_defect=float(mirror_defect),
-        four_part=four_part,
-        flow_times=FLOW_TIMES,
         residuals=res,
     )
 
@@ -1007,7 +971,10 @@ def extremality(
     exactly when some summand density is non-scalar).  The margin
     vanishes precisely when both parts do, so the two criteria agree on
     every inclusion this library constructs; the agreement flag is
-    computed from the measurements, reported, and never raised.
+    computed from the measurements, reported, and never raised.  Both
+    criteria, and the normalized ``mirror_density_defect`` with its flag,
+    are read off the report's margin and residuals; only the map below is
+    computed here.
 
     The raw operator-valued comparison is also reported, as
     ``mirror_map_residual``: the operator norm of the linear map
@@ -1019,32 +986,30 @@ def extremality(
     algebra's relative commutant, so it can be large although every
     generator is the unit.
     """
+    res = report.residuals
     flag_generator = bool(report.extremal_margin < EXTREMAL_TOL)
     onb = report.algebra.onb()
     # Rows: the map applied to an orthonormal basis of its domain, in M's
     # orthonormal coordinates, which keep Frobenius norms.
     map_residual = opnorm(dw.coeffs(bc.mirror(onb)) - dw.coeffs(onb))
-    direct = max(
-        report.residuals["mirror_functional_defect"],
-        report.residuals["weight_trace_defect"],
-    )
-    flag_densities = bool(report.mirror_defect < EXTREMAL_TOL)
+    direct = max(res["mirror_functional_defect"], res["weight_trace_defect"])
     flag_direct = bool(direct < EXTREMAL_TOL)
     return {
         "extremal": flag_generator,
         "generator_margin": report.extremal_margin,
         "direct_residual": float(direct),
         "mirror_map_residual": float(map_residual),
-        "mirror_density_defect": report.mirror_defect,
+        "mirror_density_defect": res["mirror_density_defect"],
         "extremal_by_direct": flag_direct,
-        "extremal_by_mirror_densities": flag_densities,
+        "extremal_by_mirror_densities": bool(res["mirror_density_defect"] < EXTREMAL_TOL),
         "criteria_agree": flag_generator == flag_direct,
     }
 
 
 def flow_spectrum(report: RelativeCommutantReport) -> np.ndarray:
-    """Sorted spectrum of the assembled flow generator (an ω-free invariant)."""
-    return np.sort(np.linalg.eigvalsh(report.flow_generator))
+    """The ascending, read-only spectrum of the assembled flow generator (an
+    ω-free invariant), as :func:`relcomm_report` stored it."""
+    return report.flow_spectrum
 
 
 class JonesChain(NamedTuple):

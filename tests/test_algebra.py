@@ -311,7 +311,7 @@ def test_central_decomposition_rejects_non_unital_span():
     e01 = np.zeros((2, 2), dtype=complex)
     e01[0, 1] = 1.0
     sz = np.diag([1.0, -1.0]).astype(complex)
-    bad = ag.MMAlgebra(ambient_dim=2, basis=(e01, sz), unit=np.eye(2, dtype=complex))
+    bad = ag.MMAlgebra(ambient_dim=2, basis=(e01, sz))
     with pytest.raises(ag.SubalgebraError):
         ag.matrix_units(bad)
 
@@ -572,15 +572,15 @@ def test_matrix_units_of_the_relative_commutants_of_pool_draws(seed):
 
 
 def test_matrix_units_of_a_rotated_corner():
-    # A corner algebra whose unit is a rank-5 projection of M₆, in a random frame.
+    # A rank-5 corner of M₆ and its rank-one complement, in a random frame.
     d = 6
     rng = np.random.default_rng(5)
     u, _ = np.linalg.qr(random_complex(rng, d, d))
     mats = [block_diag(np.kron(e, np.eye(2)), np.zeros((2, 2))) for e in matrix_unit_basis(2)]
     mats.append(block_diag(np.zeros((4, 4)), np.eye(1), np.zeros((1, 1))))
-    unit = u @ block_diag(np.eye(5), np.zeros((1, 1))) @ la.dagger(u)
-    alg = ag.from_span([u @ m @ la.dagger(u) for m in mats], d, unit=unit)
-    assert alg.block_dims == [(1, 1), (2, 2)]
+    mats.append(block_diag(np.zeros((5, 5)), np.eye(1)))
+    alg = ag.from_span([u @ m @ la.dagger(u) for m in mats], d)
+    assert alg.block_dims == [(1, 1), (1, 1), (2, 2)]
     assert_matrix_units(alg)
 
 

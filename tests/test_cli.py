@@ -658,6 +658,79 @@ def test_jones_gates_the_gns_residuals(make):
     assert report["checks"]["gns"]["ok"]
 
 
+def square_pair() -> jn.Inclusion:
+    """ℂ² ⊆ M₂ ⊕ M₂, each point of ℂ² once in each block, with the trace expectation.
+
+    M₁∩N′ is four copies of M₂: two self-mated summands and one mirror-paired
+    pair, so a density on one summand of the pair can be non-scalar.
+    """
+    rows = ((1, 1), (1, 1))
+    big, small = jn._embedded_pair([1, 1], np.array(rows))
+    expectation = jn.trace_expectation(big, small)
+    omega = np.eye(4, dtype=complex) / 4.0
+    return jn.make_inclusion(big, small, expectation, omega, label="square_pair", bratteli=rows)
+
+
+def failing_checks(report: dict) -> list[str]:
+    return sorted(name for name, c in report["checks"].items() if not c["ok"])
+
+
+def test_generator_trace_balance_trips_on_a_weight_bent_on_one_summand_of_a_pair(monkeypatch):
+    # On a self-mated summand, and on a pair whose Tr R·Tr R⁻¹ agree, the
+    # transport vanishes by algebra.  Ê'(x) = Ê(x) + ⟨a, x⟩/2·1, for a a
+    # minimal projection of one summand of a pair, adds a multiple of a to
+    # that summand's density and so changes its Tr R·Tr R⁻¹ alone.
+    inc = square_pair()
+    honest = cli.run_jones(inc, None)
+    assert honest["passed"]
+    pairs = honest["relative_commutant"]["mirror_pairs"]
+    bent_summand = next(i for i, mate in enumerate(pairs) if mate != i)
+    dual_weight = jn.dual_weight
+
+    def bent(bc):
+        dw = dual_weight(bc)
+        a = ag.matrix_units(bc.shared.relcomm)[bent_summand].units[0, 0]
+        shift = np.outer(np.conj(dw.m1.coeffs(a)), dw.big.coeffs(np.eye(len(a)))) / 2.0
+        return dataclasses.replace(dw, coords=dw.coords + shift)
+
+    monkeypatch.setattr(jn, "dual_weight", bent)
+    report = cli.run_jones(inc, None)
+    assert failing_checks(report) == ["generator_trace_balance"]
+    assert report["checks"]["generator_trace_balance"]["value"] > 0.1
+
+
+@pytest.mark.parametrize(
+    "step,trips",
+    [
+        (1.0, ["mirror_involutive", "mirror_pairing_involutive"]),
+        (0.4, ["mirror_involutive", "mirror_pairing"]),
+    ],
+    ids=["full_cycle", "partway"],
+)
+def test_mirror_pairing_trips_on_a_mirror_that_cycles_three_summands(monkeypatch, step, trips):
+    # The fake mirror adds Σⱼ ⟨zⱼ, x⟩/Tr zⱼ · step·(z_τ(j) − J zⱼ J) to J x* J
+    # for τ the 3-cycle 0 → 1 → 2 → 0 of the central projections zⱼ, so it
+    # sends zⱼ to (1 − step)·J zⱼ J + step·z_τ(j) and stays inside M₁∩N′.  The
+    # full cycle gives mates that are not an involution; partway, the
+    # self-mated z₀ goes to 0.6·z₀ + 0.4·z₁, 0.4·‖z₁ − z₀‖ from the nearest
+    # central projection, while the mates stay an involution.
+    inc = square_pair()
+    assert cli.run_jones(inc, None)["passed"]
+    mirror = jn.BasicExtension.mirror
+
+    def cycled(self, x):
+        units = np.stack([block.projection for block in ag.matrix_units(self.shared.relcomm)])
+        target = units[[1, 2, 0, *range(3, len(units))]]
+        coeffs = np.tensordot(x, units.conj(), axes=([-2, -1], [1, 2]))
+        coeffs = coeffs / np.trace(units, axis1=1, axis2=2).real
+        return mirror(self, x) + np.tensordot(coeffs, step * (target - mirror(self, units)), axes=1)
+
+    monkeypatch.setattr(jn.BasicExtension, "mirror", cycled)
+    report = cli.run_jones(inc, None)
+    assert failing_checks(report) == trips
+    assert report["j_action"]["preserves_relative_commutant"] < 1e-12
+
+
 @pytest.mark.parametrize(
     "exc",
     [

@@ -71,14 +71,18 @@ def test_nan_equals_nan_and_infinities_are_compared_exactly():
 
 def test_extra_kac_inputs_add_the_four_kac_commands_last(tmp_path):
     jobs = report_diff.outputs(ROOT, tmp_path)
-    assert jobs[54:] == [
+    assert jobs[57:] == [
         (f"{cmd} {name}", [cmd, str(tmp_path / name)])
         for name in report_diff.GENERAL_BASIS
         for cmd in report_diff.KAC_COMMANDS
     ]
+    assert jobs[53:56] == [
+        (f"jones draw{seed}.json", ["jones", str(tmp_path / f"draw{seed}.json")])
+        for seed in report_diff.JONES_DRAWS
+    ]
 
 
-def test_the_outputs_are_the_70_labels(tmp_path):
+def test_the_outputs_are_the_labels_in_a_fixed_order(tmp_path):
     fixtures = sorted(p.name for p in (ROOT / report_diff.FIXTURES).glob("*.json"))
     kac_inputs = [name for name in fixtures if name != "scaled_pair_third.json"]
     assert len(kac_inputs) == 13
@@ -87,11 +91,14 @@ def test_the_outputs_are_the_70_labels(tmp_path):
     assert labels == [
         *(f"{cmd} {name}" for name in kac_inputs for cmd in cmds),
         "jones scaled_pair_third.json",
+        "jones draw6.json",
+        "jones draw91.json",
+        "jones draw31.json",
         "selftest --seed 7",
         *(f"{cmd} {name}" for name in ("rotated_kp8.json", "cond30_kp8.json", "rotated_n24.json", "twist.json")
           for cmd in cmds),
     ]
-    assert len(labels) == len(set(labels)) == 70
+    assert len(labels) == len(set(labels)) == 73
 
 
 def test_fewer_than_two_roots_is_a_usage_error(capsys):

@@ -197,13 +197,9 @@ def write_group_fixtures(out: str) -> None:
             print(f"wrote {path}")
 
 
-def write_inclusion_fixture(out: str) -> None:
-    """The two-point inclusion with the 1/3-weighted expectation, as JSON."""
+def write_inclusion(inc, path: str) -> None:
+    """An inclusion as the JSON document that ``kacgalois jones`` reads."""
     import json
-
-    from kacgalois import jones as jn
-
-    inc = jn.fixture_scaled_pair(1.0 / 3.0)
 
     def cm(mat: np.ndarray) -> list:
         return [
@@ -211,16 +207,23 @@ def write_inclusion_fixture(out: str) -> None:
         ]
 
     doc = {
-        "ambient_dim": 2,
+        "ambient_dim": inc.big.ambient_dim,
         "M_basis": [cm(b) for b in inc.big.onb()],
         "N_basis": [cm(b) for b in inc.small.onb()],
         "E_matrix": cm(inc.expectation.matrix),
         "omega_density": cm(inc.omega.density),
     }
-    path = os.path.join(out, "scaled_pair_third.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
+
+
+def write_inclusion_fixture(out: str) -> None:
+    """The two-point inclusion with the 1/3-weighted expectation, as JSON."""
+    from kacgalois import jones as jn
+
+    path = os.path.join(out, "scaled_pair_third.json")
+    write_inclusion(jn.fixture_scaled_pair(1.0 / 3.0), path)
     print(f"wrote {path}")
 
 

@@ -1,14 +1,16 @@
 """Compare the CLI reports of two checkouts, output by output.
 
-Runs the same 70 outputs in each checkout root, with ``PYTHONPATH=<root>/src``:
+Runs the same 73 outputs in each checkout root, with ``PYTHONPATH=<root>/src``:
 ``validate``, ``dual``, ``coreps`` and ``galois`` on each of the 13 bundled
-Kac fixtures, ``jones`` on ``scaled_pair_third.json``, ``selftest --seed 7``,
-and the four Kac commands on each of the four ``GENERAL_BASIS`` inputs.  Each
-bundled input is read from its own root's fixtures.  The bundled fixtures are
-all in bases where the dual basis is a scaled orthonormal one, so a general
-basis shows only in the ``GENERAL_BASIS`` inputs: the tool builds them once,
-with the change root's ``tests/conftest.py``, in a temporary directory that
-both roots read.  For every output that is not
+Kac fixtures, ``jones`` on ``scaled_pair_third.json`` and on each of the three
+``JONES_DRAWS``, ``selftest --seed 7``, and the four Kac commands on each of
+the four ``GENERAL_BASIS`` inputs.  Each bundled input is read from its own
+root's fixtures.  The bundled fixtures are all in bases where the dual basis
+is a scaled orthonormal one, so a general basis shows only in the
+``GENERAL_BASIS`` inputs, and the one bundled inclusion is 2-dimensional.  The
+tool builds the ``GENERAL_BASIS`` and ``JONES_DRAWS`` inputs once, with the
+change root's ``tests/conftest.py``, ``tools/gen_fixtures.py`` and package,
+in a temporary directory that both roots read.  For every output that is not
 byte-identical it prints the changed exit code, the added or removed keys, the
 changed non-float values and every float that moved by more than
 ``FLOAT_TOL``.  Exits 1 if any output shows one of them, 0 otherwise.
@@ -38,13 +40,25 @@ FIXTURES = "src/kacgalois/fixtures"
 
 #: The general-basis Kac inputs, by file name: kp8 in a unitary and in a
 #: condition-30 change of basis, C(S₃)⊗ℂ[ℤ₄] in a unitary one, and the n = 18
-#: twist (``write_general_basis``).
+#: twist (``write_inputs``).
 GENERAL_BASIS = ("rotated_kp8.json", "cond30_kp8.json", "rotated_n24.json", "twist.json")
+
+#: The ``jones`` inputs, by ``random_inclusion`` seed: two draws of the largest
+#: shape of ``perfbench/inclusion_pool.json``, GNS dimension 20 over 14 (seed 6
+#: with the trace-preserving expectation, seed 91 with a skewed one), and one
+#: of the next, 18 over 14 (seed 31, skewed).
+JONES_DRAWS = (6, 91, 31)
+
+
+def draw_name(seed: int) -> str:
+    """The file name of the inclusion document of ``random_inclusion(seed)``."""
+    return f"draw{seed}.json"
 
 
 def outputs(root: Path, inputs: Path) -> list[tuple[str, list[str]]]:
-    """The (label, CLI arguments) of every output, in a fixed order, the
-    ``GENERAL_BASIS`` inputs in the directory ``inputs`` last."""
+    """The (label, CLI arguments) of every output, in a fixed order; the
+    ``JONES_DRAWS`` and ``GENERAL_BASIS`` inputs are read from the directory
+    ``inputs``, the ``GENERAL_BASIS`` ones last."""
     names = sorted(p.name for p in (root / FIXTURES).glob("*.json"))
     jobs = [
         (f"{cmd} {name}", [cmd, str(root / FIXTURES / name)])
@@ -53,16 +67,20 @@ def outputs(root: Path, inputs: Path) -> list[tuple[str, list[str]]]:
         for cmd in KAC_COMMANDS
     ]
     jobs.append(("jones scaled_pair_third.json", ["jones", str(root / FIXTURES / "scaled_pair_third.json")]))
+    jobs += [(f"jones {draw_name(seed)}", ["jones", str(inputs / draw_name(seed))]) for seed in JONES_DRAWS]
     jobs.append(("selftest --seed 7", ["selftest", "--seed", "7"]))
     jobs += [(f"{cmd} {name}", [cmd, str(inputs / name)]) for name in GENERAL_BASIS for cmd in KAC_COMMANDS]
     return jobs
 
 
-def write_general_basis(root: Path, inputs: Path) -> None:
-    """Write the ``GENERAL_BASIS`` inputs into ``inputs``, built by ``root``'s
-    ``tests/conftest.py`` and package."""
-    sys.path[:0] = [str(root / "src"), str(root / "tests")]
+def write_inputs(root: Path, inputs: Path) -> None:
+    """Write the ``GENERAL_BASIS`` and ``JONES_DRAWS`` inputs into ``inputs``,
+    built by ``root``'s ``tests/conftest.py``, ``tools/gen_fixtures.py`` and
+    package."""
+    sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "tools")]
     import conftest
+    import gen_fixtures
+    from kacgalois import jones as jn
     from kacgalois import kac as kc
 
     kp8 = kc.load_kac(str(root / FIXTURES / "kp8.json"))
@@ -77,6 +95,8 @@ def write_general_basis(root: Path, inputs: Path) -> None:
     )
     for name, kac in zip(GENERAL_BASIS, built):
         kc.save_kac(kac, str(inputs / name))
+    for seed in JONES_DRAWS:
+        gen_fixtures.write_inclusion(jn.random_inclusion(seed), str(inputs / draw_name(seed)))
 
 
 def run(root: Path, args: list[str]) -> tuple[int, str]:
@@ -132,7 +152,7 @@ def main(argv: list[str]) -> int:
     old_root, new_root = (Path(a).resolve() for a in argv)
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
-        write_general_basis(new_root, inputs)
+        write_inputs(new_root, inputs)
         jobs = list(zip(outputs(old_root, inputs), outputs(new_root, inputs)))
         identical = moved = 0
         for (label, old_args), (new_label, new_args) in jobs:
