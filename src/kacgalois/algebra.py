@@ -17,7 +17,6 @@ Every operation is pure, so everything here is safe to reuse across computations
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -549,6 +548,7 @@ class GnsData:
     J: ξ ↦ ξ†, stored as the linear matrix ``mj`` with J(v) = mj·conj(v),
     do not depend on φ.  The modular operator ``modular`` is ξ ↦ ρ·ξ·ρ⁻¹,
     positive invertible, and S = J·modular^{1/2} implements x Ω ↦ x* Ω.
+    The certificate ``residuals`` runs on its first read, once.
     """
 
     space_dim: int
@@ -559,7 +559,6 @@ class GnsData:
     mj: np.ndarray
     modular: np.ndarray
     algebra: MMAlgebra
-    residuals: dict
 
     def rep(self, x: np.ndarray) -> np.ndarray:
         """Operator on the GNS space by which ``x`` (or each of a stack) acts."""
@@ -572,6 +571,42 @@ class GnsData:
     def adj_j(self, x: np.ndarray) -> np.ndarray:
         """The map x ↦ J x J on operators of the GNS space (linear in x)."""
         return self.mj @ np.conj(x) @ np.conj(self.mj)
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        """The certificate, on first read; no residual needs an SVD.
+
+        ``rep_multiplicative`` spot-checks the first 6×6 basis pairs and
+        ``rep_star`` every adjoint; ``j_cyclic``, ``j_involution``,
+        ``modular_cyclic`` and ``j_modular_j`` read JΩ = Ω, J² = 1, ΔΩ = Ω and
+        JΔJ = Δ⁻¹.  The operator identities read the largest Frobenius norm of
+        a defect, an upper bound on its operator norm.  S is built from x ↦ x†
+        alone, with no J: ``s_star`` reads S·Λ(x) = Λ(x†) over the basis and
+        ``j_polar`` that S = J·Δ^{1/2}, both as the largest column norm.
+        """
+        alg, k, rep = self.algebra, self.space_dim, self.rep_basis
+        stack = alg.onb()
+        coord, mj, modular, cyclic = self.coord, self.mj, self.modular, self.cyclic
+        star_cols = star_matrix(alg)
+        res = {}
+        spot = stack[: min(k, 6)]
+        prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
+        rep_spot = rep[: len(spot)]
+        res["rep_multiplicative"] = la.frob_max(
+            rep_spot[:, None] @ rep_spot[None] - alg.coeffs(prods).swapaxes(2, 3)
+        )
+        res["rep_star"] = la.frob_max(dagger(rep) - np.tensordot(star_cols.T, rep, axes=1))
+        res["j_cyclic"] = float(np.linalg.norm(mj @ np.conj(cyclic) - cyclic))
+        res["j_involution"] = la.frob_max(mj @ np.conj(mj) - np.eye(k))
+        res["modular_cyclic"] = float(np.linalg.norm(modular @ cyclic - cyclic))
+        res["j_modular_j"] = la.frob_max(self.adj_j(modular) - np.linalg.inv(modular))
+        # S(xΩ) = x*Ω as the conjugate-linear map v ↦ ms·conj(v).
+        ms = coord @ star_cols @ np.conj(self.coord_inv)
+        s_cols = ms @ np.conj(coord @ alg.coeffs(stack).T) - coord @ star_cols
+        res["s_star"] = float(np.linalg.norm(s_cols, axis=0).max())
+        polar = ms - mj @ np.conj(la.herm_power(modular, 0.5))
+        res["j_polar"] = float(np.linalg.norm(polar, axis=0).max())
+        return res
 
 
 def left_regular(alg: MMAlgebra) -> np.ndarray:
@@ -590,8 +625,8 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     """GNS construction for a faithful state on a multimatrix algebra, in standard form.
 
     ρ^{1/2}, ρ^{-1/2} and ρ⁻¹ are taken on the range of the unit, where the
-    density ρ of φ in ``alg`` is invertible.  The residuals are read off
-    :func:`_gns_residuals`.
+    density ρ of φ in ``alg`` is invertible.  Only the faithfulness guard
+    runs here; :attr:`GnsData.residuals` runs on its first read.
 
     Raises
     ------
@@ -612,7 +647,7 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     # Column j of coord is the coefficient vector of bⱼ·ρ^{1/2}.
     coord = alg.coeffs(stack @ half).T
     modular = alg.coeffs(rho @ stack @ rho_inv).T
-    g = GnsData(
+    return GnsData(
         space_dim=len(stack),
         rep_basis=left_regular(alg),
         coord=coord,
@@ -621,49 +656,7 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
         mj=star_matrix(alg),
         modular=(modular + dagger(modular)) / 2.0,
         algebra=alg,
-        residuals={},
     )
-    return dataclasses.replace(g, residuals=_gns_residuals(g))
-
-
-def _gns_residuals(g: GnsData) -> dict:
-    """The certificate of a :class:`GnsData`; no residual needs an SVD.
-
-    ``rep_multiplicative`` spot-checks the first 6×6 basis pairs and
-    ``rep_star`` every adjoint; ``j_cyclic``, ``j_involution``,
-    ``modular_cyclic`` and ``j_modular_j`` read JΩ = Ω, J² = 1, ΔΩ = Ω and
-    JΔJ = Δ⁻¹.  The operator identities read the largest Frobenius norm of
-    a defect, an upper bound on its operator norm.  S is built from x ↦ x†
-    alone, with no J: ``s_star`` reads S·Λ(x) = Λ(x†) over the basis and
-    ``j_polar`` that S = J·Δ^{1/2}, both as the largest column norm.
-    """
-    alg, k = g.algebra, g.space_dim
-    stack = alg.onb()
-    coord, mj, modular, cyclic = g.coord, g.mj, g.modular, g.cyclic
-    star_cols = star_matrix(alg)
-    res = {}
-    spot = stack[: min(k, 6)]
-    prods = (spot[:, None] @ spot[None])[:, :, None] @ stack
-    rep_spot = g.rep_basis[: len(spot)]
-    res["rep_multiplicative"] = la.frob_max(
-        rep_spot[:, None] @ rep_spot[None] - alg.coeffs(prods).swapaxes(2, 3)
-    )
-    res["rep_star"] = la.frob_max(
-        dagger(g.rep_basis) - np.tensordot(star_cols.T, g.rep_basis, axes=1)
-    )
-    res["j_cyclic"] = float(np.linalg.norm(mj @ np.conj(cyclic) - cyclic))
-    res["j_involution"] = la.frob_max(mj @ np.conj(mj) - np.eye(k))
-    res["modular_cyclic"] = float(np.linalg.norm(modular @ cyclic - cyclic))
-    res["j_modular_j"] = la.frob_max(
-        mj @ np.conj(modular) @ np.conj(mj) - np.linalg.inv(modular)
-    )
-    # S(xΩ) = x*Ω as the conjugate-linear map v ↦ ms·conj(v).
-    ms = coord @ star_cols @ np.conj(g.coord_inv)
-    s_cols = ms @ np.conj(coord @ alg.coeffs(stack).T) - coord @ star_cols
-    res["s_star"] = float(np.linalg.norm(s_cols, axis=0).max())
-    polar = ms - mj @ np.conj(la.herm_power(modular, 0.5))
-    res["j_polar"] = float(np.linalg.norm(polar, axis=0).max())
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -610,12 +610,8 @@ def _selftest_random_inclusion(draw: int, tol: float | None) -> dict:
         doc["flow_generators"]["flow_match"], lim["loose"]
     )
     rep2 = jn.jones_chain(jn.omega_variation(inc, draw + 1)).report
-    spec_dist = float(
-        np.abs(
-            jn.flow_spectrum(rep2)
-            - np.asarray(doc["flow_generators"]["assembled_spectrum"])
-        ).max()
-    )
+    spectrum = np.asarray(doc["flow_generators"]["assembled_spectrum"])
+    spec_dist = float(np.abs(jn.flow_spectrum(rep2) - spectrum).max())
     doc["checks"]["state_independent_spectrum"] = check(spec_dist, lim["loose"])
     doc["checks"]["state_independent_flow"] = check(
         rep2.residuals["flow_match"], lim["loose"]

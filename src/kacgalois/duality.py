@@ -326,7 +326,7 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     y = np.linalg.solve(gram.T, np.conj(lrows) @ _slice_matrix(v.matrix, n).T)
     gram_y = y @ dagger(y)
     _check_condition(gram_y, "the Gram matrix of the dual basis of A-hat")
-    root, root_inv = la.herm_powers(gram_y, (-0.5, 0.5))
+    (root, root_inv), _ = la.herm_powers(gram_y, (-0.5, 0.5))
     mm = ag.from_onb((root @ y).reshape(n, n, n), n)
     second = (root_inv.T @ lrows).reshape(n, n, n)
     # onbₐ·onb_b = Σ R[a,i]·R[b,j]·delta[k,i,j]·R⁻¹[k,c] onb_c, at [c, a, b].

@@ -13,6 +13,10 @@ In standard form J is ξ ↦ ξ†, so M, N′, M₁ and M₁∩N′ do not depe
 state; only e, Ω and Δ do.  That half is built once per (M, N) pair as a
 :class:`StateFreeExtension`, and a cache that holds the last pair lets a
 draw and its ω-variation share it.
+
+Every certificate of the chain is computed on its first read, once; only
+the guards that refuse to build (a faithful φ, a consistent weight pin, a
+non-singular corner density) run at construction.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = [
     "basic_extension",
     "DualWeight",
     "dual_weight",
-    "push_down_check",
     "RelativeCommutantReport",
     "relcomm_report",
     "extremality",
@@ -541,6 +544,7 @@ class BasicExtension:
     M's own residual E_M = M − (M·B†)·B to ‖E‖ in quadrature; both read 1
     when σ_r(C) ≤ RANK_RTOL·σ₀(C).  ``span_vs_generated`` is their sum and
     ``unit_in_sandwich_span`` is ‖1 − P_{M₁}(1)‖ + √k·``mirror_vs_span``.
+    ``sandwich_err_sq`` is ‖E‖²_F, summed as the x·e·y are formed.
     """
 
     inclusion: Inclusion
@@ -549,64 +553,54 @@ class BasicExtension:
     e_range: np.ndarray  # columns: an orthonormal basis of the range of e_n
     shared: StateFreeExtension
     sandwich_svd: tuple
-    residuals: dict
+    sandwich_err_sq: float
 
     def mirror(self, x: np.ndarray) -> np.ndarray:
         """The map x ↦ J x* J (a linear *-antiautomorphism), also on a stack."""
         return self.gns.mj @ np.swapaxes(x, -1, -2) @ np.conj(self.gns.mj)
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        """e compresses M to E, commutes with N and is fixed by J, and the
+        three M₁ coincide by the bounds above; ``e_compress``,
+        ``e_commutes_small`` and ``j_fixes_e`` are largest Frobenius norms."""
+        g, inc, shared, e_n = self.gns, self.inclusion, self.shared, self.e_n
+        big_onb, sigma, r = inc.big.onb(), self.sandwich_svd[1], shared.m1.dim
+        e_big = inc.expectation.apply(big_onb)
+        res = {}
+        res["e_vector"] = float(
+            np.linalg.norm(g.lam(big_onb) @ e_n.T - g.lam(e_big), axis=1).max()
+        )
+        res["e_compress"] = la.frob_max(e_n @ shared.big_ops @ e_n - g.rep(e_big) @ e_n)
+        res["e_commutes_small"] = la.frob_max(e_n @ shared.small_ops - shared.small_ops @ e_n)
+        res["j_fixes_e"] = la.frob_max(g.adj_j(e_n) - e_n)
+        span = _gap_bound(self.sandwich_err_sq, sigma, r)
+        gen = _gap_bound(self.sandwich_err_sq + shared.big_err_sq, sigma, r)
+        res["mirror_vs_span"], res["mirror_vs_generated"] = span, gen
+        # Both bounds are ≥ 0, so their sum is the largest of the three.
+        res["span_vs_generated"] = res["three_way_max"] = span + gen
+        res["unit_in_sandwich_span"] = shared.unit_residual + g.space_dim**0.5 * span
+        return res
 
 
 def basic_extension(inc: Inclusion) -> BasicExtension:
     """Build the extension algebra of an inclusion on L²(M), the GNS space of φ.
 
     The state-free half comes from one :class:`StateFreeExtension` per
-    (M, N) pair (:func:`_state_free`); e, Ω and Δ are built here.
-    Certifies: e compresses M to E, e commutes with N, J fixes e, and the
-    three descriptions of M₁ (mirror of N-commutant, span of M·e·M, algebra
-    generated by M and e) coincide as projectors, by the bounds of
-    :class:`BasicExtension` from one pass over the x·e·y, an x-block at a
-    time.  ``e_compress``, ``e_commutes_small`` and ``j_fixes_e`` are the
-    largest Frobenius norms of their defects, an upper bound on the
-    operator norm that needs no SVD.
+    (M, N) pair (:func:`_state_free`); e, Ω and Δ are built here, with the
+    SVD of one pass over the x·e·y, an x-block at a time.  Nothing is
+    certified here: :attr:`BasicExtension.residuals` and the GNS residuals
+    run on their first read.
     """
     g = ag.gns(inc.big, inc.phi)
     shared = _state_free(inc.big, inc.small)
-    k = g.space_dim
-    big_onb = inc.big.onb()
-    big_ops, small_ops, m1 = shared.big_ops, shared.small_ops, shared.m1
-
     q, _ = np.linalg.qr(g.lam(inc.small.onb()).T)
     e_n = q @ dagger(q)
-    e_n = (e_n + dagger(e_n)) / 2.0
-
-    coords, err_sq = _sandwich_coordinates(big_ops, q, m1.onb())
-    u, sigma, vh = np.linalg.svd(coords.reshape(-1, m1.dim), full_matrices=False)
-
-    res = {}
-    e_big = inc.expectation.apply(big_onb)
-    res["e_vector"] = float(
-        np.linalg.norm(g.lam(big_onb) @ e_n.T - g.lam(e_big), axis=1).max()
-    )
-    res["e_compress"] = la.frob_max(e_n @ big_ops @ e_n - g.rep(e_big) @ e_n)
-    res["e_commutes_small"] = la.frob_max(e_n @ small_ops - small_ops @ e_n)
-    res["j_fixes_e"] = la.frob_max(g.adj_j(e_n) - e_n)
-    span_sq = err_sq.sum()
-    res["mirror_vs_span"] = _gap_bound(span_sq, sigma, m1.dim)
-    res["mirror_vs_generated"] = _gap_bound(span_sq + shared.big_err_sq, sigma, m1.dim)
-    res["span_vs_generated"] = res["mirror_vs_span"] + res["mirror_vs_generated"]
-    res["three_way_max"] = max(
-        res["mirror_vs_span"], res["mirror_vs_generated"], res["span_vs_generated"]
-    )
-    res["unit_in_sandwich_span"] = shared.unit_residual + k**0.5 * res["mirror_vs_span"]
-
+    coords, err_sq = _sandwich_coordinates(shared.big_ops, q, shared.m1.onb())
     return BasicExtension(
-        inclusion=inc,
-        gns=g,
-        e_n=e_n,
-        e_range=q,
-        shared=shared,
-        sandwich_svd=(u, sigma, vh),
-        residuals=res,
+        inclusion=inc, gns=g, e_n=(e_n + dagger(e_n)) / 2.0, e_range=q, shared=shared,
+        sandwich_svd=np.linalg.svd(coords.reshape(-1, shared.m1.dim), full_matrices=False),
+        sandwich_err_sq=err_sq.sum(),
     )
 
 
@@ -655,17 +649,64 @@ class DualWeight:
 
     Row j of the r×D matrix ``coords`` holds the coordinates, in ``big``'s
     orthonormal basis, of Ê applied to the j-th orthonormal basis element of
-    ``m1`` (r = dim M₁, D = dim M); no operator on the k²-dim space of GNS
-    matrices is formed.  ``index_element`` is the image of 1 (a central
-    element of M); the residuals certify well-definedness of the pin, the
-    unit image of e, positivity, and bimodularity.
+    ``m1`` (r = dim M₁, D = dim M), both read off ``extension``; no operator
+    on the k²-dim space of GNS matrices is formed.  ``pin_consistency`` is
+    the pin residual that :func:`dual_weight` gates on; ``index_element``
+    and ``residuals`` are read off ``coords`` on first read, so a copy with
+    other coords reads its own.
     """
 
     coords: np.ndarray
-    m1: MMAlgebra
-    big: MMAlgebra
-    index_element: np.ndarray
-    residuals: dict
+    extension: BasicExtension
+    pin_consistency: float
+
+    @property
+    def m1(self) -> MMAlgebra:
+        return self.extension.shared.m1
+
+    @property
+    def big(self) -> MMAlgebra:
+        return self.extension.shared.big_rep
+
+    @functools.cached_property
+    def index_element(self) -> np.ndarray:
+        """Ê(1), a central element of M."""
+        x = self.apply(np.eye(self.m1.ambient_dim, dtype=complex))
+        return (x + dagger(x)) / 2.0
+
+    @functools.cached_property
+    def residuals(self) -> dict:
+        """The pin, Ê(e) = 1, the index element central in M, the push-down
+        ‖e·Ê(e·x) − e·x‖ over M₁'s basis, Ê's range and adjoint, positivity
+        and bimodularity.  ``index_central`` is the largest Frobenius norm of
+        the index element's commutators with M's basis.  Positivity and
+        bimodularity are probed on six z ∈ M₁ and pairs a, b of M's basis
+        read off ``probe_draws(2)``."""
+        m1, big, e_n, index_el = self.m1, self.big, self.extension.e_n, self.index_element
+        big_ops = self.extension.shared.big_ops
+        d, r = len(big_ops), m1.dim
+        res = {"pin_consistency": self.pin_consistency}
+        res["unit_from_e"] = frob(self.apply(e_n) - np.eye(m1.ambient_dim, dtype=complex))
+        res["index_in_big"] = big.residual(index_el)
+        res["index_central"] = la.frob_max(index_el @ big_ops - big_ops @ index_el)
+
+        m1_onb = m1.onb()
+        ez = e_n @ m1_onb
+        res["push_down"] = la.frob_max(e_n @ self.apply(ez) - ez)
+        images = self.apply(m1_onb)
+        res["range_in_big"] = big.residual(images)
+        res["adjoint_compatible"] = la.frob_max(self.apply(dagger(m1_onb)) - dagger(images))
+
+        pos_min = bimod = 0.0
+        for u in la.probe_draws(2, (6, 2 * r + 2)):
+            z = m1.element(u[:r] + 1j * u[r : 2 * r])
+            y = self.apply(dagger(z) @ z)
+            pos_min = min(pos_min, float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()))
+            a, b = big_ops[(d * (u[2 * r :] + 1) / 2).astype(int)]
+            bimod = max(bimod, frob(self.apply(a @ z @ b) - a @ self.apply(z) @ b))
+        res["min_positivity_eig"] = pos_min
+        res["bimodule"] = bimod
+        return res
 
     def coeffs(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of Ê(x) in M's orthonormal basis, for one operator or a stack."""
@@ -696,10 +737,8 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
     one x at a time.  The pin residual of the full
     coordinates, ‖Ê(x·e·y) − x·y‖ over all pairs, splits by Pythagoras
     into its part in M, ‖C·W − T‖, and its part orthogonal to M,
-    ‖x·y − T·b‖ with b M's basis.  ``index_central`` is the largest
-    Frobenius norm of the commutators of the index element with M's basis,
-    an upper bound on their operator norm.  Positivity and bimodularity are
-    probed on six z ∈ M₁ and pairs a, b of M's basis read off ``probe_draws(2)``.
+    ‖x·y − T·b‖ with b M's basis.  Only that pin guard runs here;
+    :attr:`DualWeight.residuals` runs on its first read.
 
     Raises
     ------
@@ -707,13 +746,10 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
         If the pin is inconsistent (the defining relations of the span of
         M·e·M would be violated) beyond tolerance.
     """
-    k = bc.gns.space_dim
     shared = bc.shared
-    big_ops, m1, big = shared.big_ops, shared.m1, shared.big_rep
-    d, r = len(big_ops), m1.dim
     u, sigma, vh = bc.sandwich_svd
     keep = sigma > la.RANK_RTOL * sigma[0]
-    t = shared.products.reshape(d * d, d)
+    t = shared.products.reshape(-1, len(shared.big_ops))
     ut = dagger(u[:, keep]) @ t
     w = dagger(vh[keep]) @ (ut / sigma[keep, None])
     consistency = float(
@@ -725,40 +761,7 @@ def dual_weight(bc: BasicExtension) -> DualWeight:
             f"the weight pin x·e·y ↦ xy is inconsistent (residual {consistency:.3e})"
         )
 
-    eye = np.eye(k, dtype=complex)
-    dw = DualWeight(coords=w, m1=m1, big=big, index_element=eye, residuals={})
-    index_el = dw.apply(eye)
-    index_el = (index_el + dagger(index_el)) / 2.0
-
-    res = {"pin_consistency": consistency}
-    res["unit_from_e"] = frob(dw.apply(bc.e_n) - eye)
-    res["index_in_big"] = big.residual(index_el)
-    res["index_central"] = la.frob_max(index_el @ big_ops - big_ops @ index_el)
-
-    m1_onb = m1.onb()
-    res["push_down"] = push_down_check(bc, dw)
-    images = dw.apply(m1_onb)
-    res["range_in_big"] = big.residual(images)
-    res["adjoint_compatible"] = la.frob_max(dw.apply(dagger(m1_onb)) - dagger(images))
-
-    pos_min = 0.0
-    bimod = 0.0
-    for u in la.probe_draws(2, (6, 2 * r + 2)):
-        z = m1.element(u[:r] + 1j * u[r : 2 * r])
-        y = dw.apply(dagger(z) @ z)
-        pos_min = min(pos_min, float(np.linalg.eigvalsh((y + dagger(y)) / 2.0).min()))
-        a, b = big_ops[(d * (u[2 * r :] + 1) / 2).astype(int)]
-        bimod = max(bimod, frob(dw.apply(a @ z @ b) - a @ dw.apply(z) @ b))
-    res["min_positivity_eig"] = pos_min
-    res["bimodule"] = bimod
-
-    return DualWeight(coords=w, m1=m1, big=big, index_element=index_el, residuals=res)
-
-
-def push_down_check(bc: BasicExtension, dw: DualWeight) -> float:
-    """max over a basis of M₁ of ‖e·Ê(e·x) − e·x‖."""
-    ez = bc.e_n @ bc.shared.m1.onb()
-    return la.frob_max(bc.e_n @ dw.apply(ez) - ez)
+    return DualWeight(coords=w, extension=bc, pin_consistency=consistency)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +790,8 @@ class RelativeCommutantReport:
     and the mirror mate.  ``flow_generator`` assembles the per-summand
     generators into one positive invertible operator, and ``flow_spectrum``
     holds its eigenvalues, ascending and read-only.  ``extremal_margin`` is
-    the largest operator norm of a generator minus its summand unit;
+    the largest operator norm of a generator minus its summand unit, read
+    off the summand spectra;
     :func:`extremality` reads the extremality flag off it.
     """
 
@@ -812,10 +816,12 @@ def relcomm_report(
     of x ↦ Tr(Ê(x)); the generator is a_ξ = s·R_ξ with s chosen so
     Tr(a_ξ) = Tr(a_ξ⁻¹) (mirror-paired summands share the balancing
     constant, and the cross-trace transport residual is recorded).  One
-    eigendecomposition of R_ξ gives both traces and, times s, the
-    generator's spectrum; one of the assembled generator gives the flow
-    spectrum and ``generator_min_eig``.  The φ∘Ê modular flow is compared
-    with conjugation by the assembled generator at the sampled times.
+    eigendecomposition of R_ξ gives both traces, the generator's spectrum
+    (times s) and so the extremality margin.  The φ∘Ê modular flow is
+    compared with conjugation by the assembled generator at the sampled
+    times; the eigendecompositions behind their imaginary powers give the
+    flow spectrum, ``generator_min_eig`` and ``flow_density_min_eig``,
+    unclipped.
 
     ``mirror_antimultiplicative`` is a spot check: it compares the mirror
     of x·y with mirror(y)·mirror(x) for the first four basis elements of
@@ -892,16 +898,12 @@ def relcomm_report(
 
     flow_gen = sum(summand["generator"] for summand in summands)
     flow_gen = (flow_gen + dagger(flow_gen)) / 2.0
-    flow_eigs = np.linalg.eigvalsh(flow_gen)
-    flow_eigs.flags.writeable = False
-    res["generator_min_eig"] = float(flow_eigs[0])
-
-    margin = max(opnorm(summand["generator"] - summand["projection"]) for summand in summands)
+    # Each generator minus its unit lives on its own corner.
+    margin = max(float(np.abs(eigs - 1.0).max()) for eigs in gen_spectra)
 
     # Normalized comparison of the two functional densities (mirror defect).
     mirror_defect = 0.0
-    for r1, r2 in densities:
-        t1 = float(np.trace(r1).real)
+    for (r1, r2), t1 in zip(densities, trace):
         t2 = float(np.trace(r2).real)
         if abs(t2) < la.TRACE_FLOOR:
             mirror_defect = np.inf
@@ -925,13 +927,14 @@ def relcomm_report(
     d1 = _riesz_density(
         m1_onb, dw.composite(lambda y: np.conj(omega_vec) @ y @ omega_vec, m1_onb)
     )
-    res["flow_density_min_eig"] = float(np.linalg.eigvalsh(d1).min())
-    flow_res = 0.0
-    mirror_flow = 0.0
-    flow_id = 0.0
+    flow_res = mirror_flow = flow_id = 0.0
     powers = [sign * 1j * t for t in FLOW_TIMES for sign in (1, -1)]
-    d1_powers = la.herm_powers(d1, powers)
-    gen_powers = la.herm_powers(flow_gen, powers)
+    d1_powers, d1_eigs = la.herm_powers(d1, powers)
+    gen_powers, flow_eigs = la.herm_powers(flow_gen, powers)
+    # Unclipped: a clipped minimum could never read negative.
+    flow_eigs.flags.writeable = False
+    res["generator_min_eig"] = float(flow_eigs[0])
+    res["flow_density_min_eig"] = float(d1_eigs[0])
     for i in range(len(FLOW_TIMES)):
         ut, uti = d1_powers[2 * i : 2 * i + 2]
         at, ati = gen_powers[2 * i : 2 * i + 2]

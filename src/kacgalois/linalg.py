@@ -231,13 +231,14 @@ def herm_power(a: np.ndarray, p: complex) -> np.ndarray:
     ``p`` may be complex (used for imaginary powers a^{it}); eigenvalues
     are clipped at 0 before powering.
     """
-    return herm_powers(a, (p,))[0]
+    return herm_powers(a, (p,))[0][0]
 
 
-def herm_powers(a: np.ndarray, powers) -> np.ndarray:
-    """:func:`herm_power` of ``a`` for each of ``powers``, from one eigh, as a stack."""
-    w, u = np.linalg.eigh((a + dagger(a)) / 2.0)
-    w = np.clip(w.real, 0.0, None)
+def herm_powers(a: np.ndarray, powers) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`herm_power` of ``a`` for each of ``powers``, from one eigh, as a
+    stack, and the ascending eigenvalues of a's Hermitian part before clipping."""
+    eigs, u = np.linalg.eigh((a + dagger(a)) / 2.0)
+    w = np.clip(eigs, 0.0, None)
     for p in powers:
         if np.iscomplexobj(np.asarray(p)) or not float(np.real(p)).is_integer():
             if np.any(w <= 0) and (np.real(p) < 0 or np.imag(p) != 0):
@@ -245,4 +246,4 @@ def herm_powers(a: np.ndarray, powers) -> np.ndarray:
     exps = np.asarray(powers)[:, None]
     vals = np.zeros((len(exps), len(w)), dtype=np.result_type(w, exps))
     np.power(w, exps, out=vals, where=w > 0)
-    return (u * vals[:, None, :]) @ dagger(u)
+    return (u * vals[:, None, :]) @ dagger(u), eigs

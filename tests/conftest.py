@@ -194,7 +194,6 @@ def gns_by_gram(alg, phi) -> ag.GnsData:
         mj=ms @ np.conj(la.herm_power(modular, -0.5)),
         modular=modular,
         algebra=alg,
-        residuals={},
     )
 
 

@@ -4,6 +4,7 @@ import builtins
 import collections
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -658,6 +659,60 @@ def test_jones_gates_the_gns_residuals(make):
     assert report["checks"]["gns"]["ok"]
 
 
+JONES_CERTIFICATES = (
+    (ag.GnsData, "residuals"),
+    (jn.BasicExtension, "residuals"),
+    (jn.DualWeight, "residuals"),
+    (jn.DualWeight, "index_element"),
+)
+
+
+def count_first_reads(monkeypatch, calls):
+    """Count each computation of the Jones chain's cached certificates."""
+    for cls, name in JONES_CERTIFICATES:
+        real = vars(cls)[name].func
+
+        def counted(self, _real=real, _key=f"{cls.__name__}.{name}"):
+            calls[_key] += 1
+            return _real(self)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: cli.run_jones(jn.random_inclusion(14), None),
+        lambda: cli._selftest_random_inclusion(14, None),
+    ],
+    ids=["run_jones", "selftest_random_inclusion"],
+)
+def test_each_jones_certificate_is_computed_once(monkeypatch, run):
+    # The report reads the GNS, extension and weight certificates of its
+    # draw, each once; the ω-variation of `selftest` is read for its flow
+    # alone, so it computes none of its own.
+    calls = collections.Counter()
+    count_first_reads(monkeypatch, calls)
+    assert run()["passed"]
+    assert calls == {f"{cls.__name__}.{name}": 1 for cls, name in JONES_CERTIFICATES}
+
+
+def test_a_weight_copy_reads_its_own_certificates():
+    bc = jn.basic_extension(jn.random_inclusion(14))
+    dw = jn.dual_weight(bc)
+    assert dw.residuals is dw.residuals and bc.residuals is bc.residuals
+    assert bc.gns.residuals is bc.gns.residuals
+    twice = dataclasses.replace(dw, coords=2.0 * dw.coords)
+    assert np.abs(twice.index_element - 2.0 * dw.index_element).max() < 1e-12
+    assert dw.residuals["unit_from_e"] < 1e-10
+    # 2·Ê(e) − 1 = 1 on the GNS space.
+    k = bc.gns.space_dim
+    assert twice.residuals["unit_from_e"] == pytest.approx(k**0.5, abs=1e-10)
+    assert twice.residuals.keys() == dw.residuals.keys()
+
+
 def square_pair() -> jn.Inclusion:
     """ℂ² ⊆ M₂ ⊕ M₂, each point of ℂ² once in each block, with the trace expectation.
 
@@ -679,7 +734,9 @@ def test_generator_trace_balance_trips_on_a_weight_bent_on_one_summand_of_a_pair
     # On a self-mated summand, and on a pair whose Tr R·Tr R⁻¹ agree, the
     # transport vanishes by algebra.  Ê'(x) = Ê(x) + ⟨a, x⟩/2·1, for a a
     # minimal projection of one summand of a pair, adds a multiple of a to
-    # that summand's density and so changes its Tr R·Tr R⁻¹ alone.
+    # that summand's density and so changes its Tr R·Tr R⁻¹ alone.  The copy
+    # reads its own certificates, and Ê' is no M-bimodule map, since
+    # ⟨a, x·z·y⟩ ≠ ⟨a, z⟩·x·y, so `weight_bimodule` trips with it.
     inc = square_pair()
     honest = cli.run_jones(inc, None)
     assert honest["passed"]
@@ -695,7 +752,7 @@ def test_generator_trace_balance_trips_on_a_weight_bent_on_one_summand_of_a_pair
 
     monkeypatch.setattr(jn, "dual_weight", bent)
     report = cli.run_jones(inc, None)
-    assert failing_checks(report) == ["generator_trace_balance"]
+    assert failing_checks(report) == ["generator_trace_balance", "weight_bimodule"]
     assert report["checks"]["generator_trace_balance"]["value"] > 0.1
 
 

@@ -243,8 +243,9 @@ def test_herm_powers_match_the_eigenvalue_loop(singular):
     x = random_complex(rng, 5, 3 if singular else 5)
     h = x @ la.dagger(x)
     powers = [0.5, 1.0, 2, 0] + ([] if singular else [-0.5, 0.3j, -1.0 - 0.7j])
-    got = la.herm_powers(h, powers)
+    got, eigs = la.herm_powers(h, powers)
     assert got.shape == (len(powers), 5, 5)
+    assert np.array_equal(eigs, np.linalg.eigh((h + la.dagger(h)) / 2.0)[0])
     for value, want in zip(got, herm_powers_by_loop(h, powers)):
         assert np.abs(value - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
     with pytest.raises(np.linalg.LinAlgError):
