@@ -624,9 +624,11 @@ def star_matrix(alg: MMAlgebra) -> np.ndarray:
 def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
     """GNS construction for a faithful state on a multimatrix algebra, in standard form.
 
-    ρ^{1/2}, ρ^{-1/2} and ρ⁻¹ are taken on the range of the unit, where the
-    density ρ of φ in ``alg`` is invertible.  Only the faithfulness guard
-    runs here; :attr:`GnsData.residuals` runs on its first read.
+    ρ^{1/2}, ρ^{-1/2} and ρ⁻¹ come from one eigendecomposition of the
+    density ρ of φ in ``alg`` (:func:`~kacgalois.linalg.herm_powers`).  As
+    ``alg`` holds the unit, the Gram eigenvalues that the faithfulness guard
+    reads are those of ρ, so ρ is invertible once the guard passes.  Only
+    that guard runs here; :attr:`GnsData.residuals` runs on its first read.
 
     Raises
     ------
@@ -640,10 +642,7 @@ def gns(alg: MMAlgebra, phi: StateData) -> GnsData:
             f"state is not faithful on the algebra (Gram eigenvalue {w.min():.3e})"
         )
     rho = density_in(alg, phi)
-    w, u = np.linalg.eigh(rho)
-    keep = w > RANK_RTOL * w.max()
-    u, w = u[:, keep], w[keep]
-    half, half_inv, rho_inv = ((u * w**p) @ dagger(u) for p in (0.5, -0.5, -1.0))
+    (half, half_inv, rho_inv), _ = la.herm_powers(rho, (0.5, -0.5, -1.0))
     # Column j of coord is the coefficient vector of bⱼ·ρ^{1/2}.
     coord = alg.coeffs(stack @ half).T
     modular = alg.coeffs(rho @ stack @ rho_inv).T

@@ -602,14 +602,15 @@ def _selftest_kp8(tol: float | None) -> dict:
 
 
 def _selftest_random_inclusion(draw: int, tol: float | None) -> dict:
-    """One random draw through the pipeline, and its flow against an ω-variation."""
+    """One random draw through the pipeline; its ω-variation is read for its flow alone."""
     lim = limits(tol)
     inc = jn.random_inclusion(draw)
     doc = run_jones(inc, tol)
     doc["checks"]["flow_matches_generator_orbit"] = check(
         doc["flow_generators"]["flow_match"], lim["loose"]
     )
-    rep2 = jn.jones_chain(jn.omega_variation(inc, draw + 1)).report
+    bc2 = jn.basic_extension(jn.omega_variation(inc, draw + 1))
+    rep2 = jn.relcomm_report(bc2, jn.dual_weight(bc2))
     spectrum = np.asarray(doc["flow_generators"]["assembled_spectrum"])
     spec_dist = float(np.abs(jn.flow_spectrum(rep2) - spectrum).max())
     doc["checks"]["state_independent_spectrum"] = check(spec_dist, lim["loose"])

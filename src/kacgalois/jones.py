@@ -9,10 +9,10 @@ pinned by x e y ↦ xy, the index element, and the spectral analysis of the
 relative commutant M₁∩N′: per-summand balanced densities, the mirror map
 x ↦ J x* J, extremality flags, and the modular-flow comparison.
 
-In standard form J is ξ ↦ ξ†, so M, N′, M₁ and M₁∩N′ do not depend on the
-state; only e, Ω and Δ do.  That half is built once per (M, N) pair as a
-:class:`StateFreeExtension`, and a cache that holds the last pair lets a
-draw and its ω-variation share it.
+In standard form J is ξ ↦ ξ†, so J, M, N′, M₁ and M₁∩N′ do not depend on
+the state; only e, Ω and Δ do.  That half, with J's pairing of the summands
+of M₁∩N′, is built once per (M, N) pair as a :class:`StateFreeExtension`,
+and a cache that holds the last pair lets a draw and its ω-variation share it.
 
 Every certificate of the chain is computed on its first read, once; only
 the guards that refuse to build (a faithful φ, a consistent weight pin, a
@@ -30,7 +30,7 @@ import numpy as np
 from . import algebra as ag
 from . import linalg as la
 from .algebra import CondExpectation, MMAlgebra, StateData
-from .linalg import DEFAULT_TOL, EXTREMAL_TOL, PIN_TOL, SPAN_TOL, dagger, frob, opnorm
+from .linalg import DEFAULT_TOL, EXTREMAL_TOL, PIN_TOL, dagger, frob, opnorm
 
 __all__ = [
     "Inclusion",
@@ -100,15 +100,18 @@ class Inclusion:
     bratteli: tuple | None = None
 
     def validate(self) -> dict:
-        """Structural residuals (containment, expectation laws, faithfulness) at DEFAULT_TOL."""
+        """Structural residuals (containment, the unit in N, expectation laws,
+        faithfulness) at DEFAULT_TOL; with 1 ∈ N ⊆ M a faithful φ has an invertible density."""
         small_onb = self.small.onb()
         contain = self.big.residual(small_onb)
+        unit = self.small.residual(self.small.unit)
         exp = self.expectation.validate()
         ranged = self.small.residual(self.expectation.apply(self.big.onb()))
         fixes = la.frob_max(self.expectation.apply(small_onb) - small_onb)
         phi_min = float(np.linalg.eigvalsh(self.phi.gram(self.big.onb())).min())
         rep = {
             "containment": contain,
+            "unit_in_small": unit,
             "expectation_range": ranged,
             "expectation_fixes_target": fixes,
             "phi_min_gram_eig": phi_min,
@@ -116,6 +119,7 @@ class Inclusion:
         }
         rep["passed"] = (
             contain < DEFAULT_TOL
+            and unit < DEFAULT_TOL
             and ranged < DEFAULT_TOL
             and fixes < DEFAULT_TOL
             and phi_min > DEFAULT_TOL
@@ -147,37 +151,24 @@ def make_inclusion(
     label: str = "",
     bratteli: tuple | None = None,
 ) -> Inclusion:
-    """Assemble and validate an :class:`Inclusion`.
+    """Assemble an :class:`Inclusion`, checked once, by :meth:`Inclusion.validate`.
 
     Raises
     ------
     InclusionError
-        If N ⊄ M, E is not unital (E(1) ≠ 1), E does not land in N and fix
-        it, E fails positivity/bimodularity, or ω∘E is not faithful on M.
+        If N ⊄ M, 1 ∉ N, E is not unital, E does not land in N and fix it, E
+        fails positivity/bimodularity, or ω∘E is not faithful on M; the
+        message lists every residual of the validation.
     """
-    if isinstance(expectation, np.ndarray):
-        expectation = CondExpectation(
-            matrix=np.asarray(expectation, dtype=complex),
-            domain=big,
-            target=small,
-        )
-    if big.residual(small.onb()) > SPAN_TOL:
-        raise InclusionError("the small algebra is not contained in the big one")
-    unit_res = frob(expectation.apply(big.unit) - big.unit)
-    if unit_res > SPAN_TOL:
-        raise InclusionError(f"expectation is not unital (residual {unit_res:.3e})")
+    if isinstance(expectation, CondExpectation):
+        expectation = expectation.matrix
+    matrix = np.asarray(expectation, dtype=complex)
     omega = StateData(density=np.asarray(omega_density, dtype=complex))
-    phi = state_through_expectation(big, expectation.matrix, omega.density)
-    expectation = CondExpectation(
-        matrix=expectation.matrix,
-        domain=big,
-        target=small,
-        preserving_state=phi,
-    )
+    phi = state_through_expectation(big, matrix, omega.density)
     inc = Inclusion(
         big=big,
         small=small,
-        expectation=expectation,
+        expectation=CondExpectation(matrix=matrix, domain=big, target=small, preserving_state=phi),
         omega=omega,
         phi=phi,
         label=label,
@@ -445,16 +436,16 @@ class StateFreeExtension:
 
     On L²(M) in standard form (:func:`~kacgalois.algebra.gns`) the
     represented M and N (``big_ops``, ``small_ops`` over the orthonormal
-    bases of M and N, and the algebras they span), J: ξ ↦ ξ†, the commutant
-    N′, M₁ = J·N′·J and M₁∩N′ depend on (M, N) alone; only e_N, Ω and Δ
-    move with φ (Jones, Invent. Math. 72, 1983).  The numbers read off
-    them are held here too: ``big_err_sq`` = ‖E_M‖²_F for M's residual
-    E_M = M − (M·B†)·B off M₁ (B the orthonormal rows of M₁),
-    ``unit_residual`` = ‖1 − P_{M₁}(1)‖, and the D×D×D coordinates
-    ``products`` of every x·y in M's represented basis, with ``off_sq``,
-    the squared Frobenius norm of what they miss, and ``norm_sq``, that of
-    the x·y themselves.  ``relcomm`` caches its certified matrix units when
-    :func:`relcomm_report` first forms them.
+    bases of M and N, and the algebras they span), J: ξ ↦ ξ† (``mj``, with
+    J(v) = mj·conj(v)), the commutant N′, M₁ = J·N′·J and M₁∩N′ depend on
+    (M, N) alone; only e_N, Ω and Δ move with φ (Jones, Invent. Math. 72,
+    1983).  The numbers read off them are held here too: ``big_err_sq`` =
+    ‖E_M‖²_F for M's residual E_M = M − (M·B†)·B off M₁ (B the orthonormal
+    rows of M₁), ``unit_residual`` = ‖1 − P_{M₁}(1)‖, and the D×D×D
+    coordinates ``products`` of every x·y in M's represented basis, with
+    ``off_sq``, the squared Frobenius norm of what they miss, and
+    ``norm_sq``, that of the x·y themselves.  ``relcomm`` caches its
+    certified matrix units when :attr:`mirror_pairing` first forms them.
     """
 
     big_ops: np.ndarray
@@ -464,11 +455,44 @@ class StateFreeExtension:
     small_commutant: MMAlgebra
     m1: MMAlgebra
     relcomm: MMAlgebra
+    mj: np.ndarray
     big_err_sq: float
     unit_residual: float
     products: np.ndarray
     off_sq: float
     norm_sq: float
+
+    def mirror(self, x: np.ndarray) -> np.ndarray:
+        """The map x ↦ J x* J (a linear *-antiautomorphism), also on a stack."""
+        return self.mj @ np.swapaxes(x, -1, -2) @ np.conj(self.mj)
+
+    @functools.cached_property
+    def mirror_pairing(self) -> tuple[tuple[int, ...], dict]:
+        """The mirror mates of the summands of M₁∩N′, as a tuple, and the five
+        certificates of J's action on M₁∩N′, on first read, once.
+
+        A summand's mate is the one whose central projection lies nearest to
+        the mirror image of its own, read off one matrix of distances.
+        ``mirror_antimultiplicative`` is a spot check: it compares the mirror
+        of x·y with mirror(y)·mirror(x) for the first four basis elements of
+        M₁∩N′ only (16 pairs), not for every pair.
+        """
+        rc, mirror = self.relcomm, self.mirror
+        rc_onb = rc.onb()
+        res = {}
+        res["mirror_preserves"] = rc.residual(mirror(rc_onb))
+        res["mirror_involution"] = la.frob_max(mirror(mirror(rc_onb)) - rc_onb)
+        head = rc_onb[:4]
+        res["mirror_antimultiplicative"] = la.frob_max(
+            mirror(head[:, None] @ head[None]) - mirror(head)[None] @ mirror(head)[:, None]
+        )
+        units = np.stack([block.projection for block in ag.matrix_units(rc)])
+        # One row at a time: the full (s, s, k, k) difference stack would set the peak memory.
+        dists = np.stack([np.linalg.norm(img - units, axis=(-2, -1)) for img in mirror(units)])
+        mates = tuple(int(mate) for mate in dists.argmin(axis=1))
+        res["mirror_pair_match"] = float(dists.min(axis=1).max())
+        res["mirror_pairing_involutive"] = float(any(mates[j] != i for i, j in enumerate(mates)))
+        return mates, res
 
 
 @functools.lru_cache(maxsize=1)
@@ -480,10 +504,9 @@ def _state_free(big: MMAlgebra, small: MMAlgebra) -> StateFreeExtension:
     many pairs builds each once per visit.  N′ is certified by
     :func:`~kacgalois.algebra.commutant` as it is built.
     """
-    left = ag.left_regular(big)
-    k = len(left)
-    big_ops = np.tensordot(big.coeffs(big.onb()), left, axes=(-1, 0))
-    small_ops = np.tensordot(big.coeffs(small.onb()), left, axes=(-1, 0))
+    big_ops = ag.left_regular(big)
+    k = len(big_ops)
+    small_ops = np.tensordot(big.coeffs(small.onb()), big_ops, axes=(-1, 0))
     big_rep = ag.from_span(big_ops, k)
     small_rep = ag.from_span(small_ops, k)
     small_comm = ag.commutant(small_rep)
@@ -492,7 +515,7 @@ def _state_free(big: MMAlgebra, small: MMAlgebra) -> StateFreeExtension:
     m1 = ag.from_onb(mj @ np.conj(small_comm.onb()) @ np.conj(mj), k)
     big_err = big_ops - m1.project(big_ops)
     products, off_sq, norm_sq = _product_coordinates(big_ops, big_rep)
-    for shared in (big_ops, small_ops, products):
+    for shared in (big_ops, small_ops, mj, products):
         shared.flags.writeable = False
     return StateFreeExtension(
         big_ops=big_ops,
@@ -502,6 +525,7 @@ def _state_free(big: MMAlgebra, small: MMAlgebra) -> StateFreeExtension:
         small_commutant=small_comm,
         m1=m1,
         relcomm=ag.intersect(m1, small_comm),
+        mj=mj,
         big_err_sq=np.vdot(big_err, big_err).real,
         unit_residual=m1.residual(np.eye(k, dtype=complex)),
         products=products,
@@ -531,15 +555,14 @@ class BasicExtension:
     """GNS data of (M, φ) together with e, M₁ and the comparison residuals.
 
     ``shared`` is the :class:`StateFreeExtension` of (M, N), the same object
-    for every state on the same pair.  Its ``m1`` is the mirror image of the
-    commutant of N (an algebra by construction) with orthonormal rows B, and
-    ``sandwich_svd`` the economy
-    SVD (U, σ, V†) of the D²×r coordinates C in B of every x·e·y, x-major,
-    over the represented basis of M (D = dim M, r = dim M₁).  The stack X
-    of the x·e·y is C·B + E with E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and
-    (I−P_{M₁})·V_r = E†·U_r·Σ_r⁻¹ for X's top singular vectors (Wedin,
-    BIT 12 (1972)).  The residuals are thus
-    certified upper bounds on projector distances, not computed gaps:
+    for every state on the same pair, with J and its ``mirror``.  Its ``m1``
+    is the mirror image of the commutant of N (an algebra by construction)
+    with orthonormal rows B, and ``sandwich_svd`` the economy SVD (U, σ, V†)
+    of the D²×r coordinates C in B of every x·e·y, x-major, over the
+    represented basis of M (D = dim M, r = dim M₁).  The stack X of the
+    x·e·y is C·B + E with E ⊥ M₁, so σ_r(X) ≥ σ_r(C) and (I−P_{M₁})·V_r =
+    E†·U_r·Σ_r⁻¹ for X's top singular vectors (Wedin, BIT 12 (1972)).  The
+    residuals are thus certified upper bounds on projector distances, not computed gaps:
     ``mirror_vs_span`` = min(1, ‖E‖_F/σ_r(C)); ``mirror_vs_generated`` adds
     M's own residual E_M = M − (M·B†)·B to ‖E‖ in quadrature; both read 1
     when σ_r(C) ≤ RANK_RTOL·σ₀(C).  ``span_vs_generated`` is their sum and
@@ -550,14 +573,9 @@ class BasicExtension:
     inclusion: Inclusion
     gns: ag.GnsData
     e_n: np.ndarray
-    e_range: np.ndarray  # columns: an orthonormal basis of the range of e_n
     shared: StateFreeExtension
     sandwich_svd: tuple
     sandwich_err_sq: float
-
-    def mirror(self, x: np.ndarray) -> np.ndarray:
-        """The map x ↦ J x* J (a linear *-antiautomorphism), also on a stack."""
-        return self.gns.mj @ np.swapaxes(x, -1, -2) @ np.conj(self.gns.mj)
 
     @functools.cached_property
     def residuals(self) -> dict:
@@ -598,7 +616,7 @@ def basic_extension(inc: Inclusion) -> BasicExtension:
     e_n = q @ dagger(q)
     coords, err_sq = _sandwich_coordinates(shared.big_ops, q, shared.m1.onb())
     return BasicExtension(
-        inclusion=inc, gns=g, e_n=(e_n + dagger(e_n)) / 2.0, e_range=q, shared=shared,
+        inclusion=inc, gns=g, e_n=(e_n + dagger(e_n)) / 2.0, shared=shared,
         sandwich_svd=np.linalg.svd(coords.reshape(-1, shared.m1.dim), full_matrices=False),
         sandwich_err_sq=err_sq.sum(),
     )
@@ -792,27 +810,26 @@ class RelativeCommutantReport:
     holds its eigenvalues, ascending and read-only.  ``extremal_margin`` is
     the largest operator norm of a generator minus its summand unit, read
     off the summand spectra;
-    :func:`extremality` reads the extremality flag off it.
+    :func:`extremality` reads the extremality flag off it.  ``mirror_pairs``
+    is the mates' tuple of :attr:`StateFreeExtension.mirror_pairing`.
     """
 
     algebra: MMAlgebra
     summands: list
-    mirror_pairs: list
+    mirror_pairs: tuple
     flow_generator: np.ndarray
     flow_spectrum: np.ndarray
     extremal_margin: float
     residuals: dict
 
 
-def relcomm_report(
-    bc: BasicExtension,
-    dw: DualWeight,
-) -> RelativeCommutantReport:
+def relcomm_report(bc: BasicExtension, dw: DualWeight) -> RelativeCommutantReport:
     """Decompose M₁∩N′ and extract the balanced density generators.
 
-    The mirror mate of each summand is the summand whose central projection
-    lies nearest to the mirror image of its own, read off one matrix of
-    distances between the projections.  Per summand ξ: R_ξ is the density
+    The mirror mates and the certificates of J's action on M₁∩N′ are read
+    off ``bc.shared.mirror_pairing``, computed once per (M, N), so a draw
+    and its ω-variation share them; ``residuals`` is this report's own dict,
+    which adds what the weight moves.  Per summand ξ: R_ξ is the density
     of x ↦ Tr(Ê(x)); the generator is a_ξ = s·R_ξ with s chosen so
     Tr(a_ξ) = Tr(a_ξ⁻¹) (mirror-paired summands share the balancing
     constant, and the cross-trace transport residual is recorded).  One
@@ -823,36 +840,17 @@ def relcomm_report(
     flow spectrum, ``generator_min_eig`` and ``flow_density_min_eig``,
     unclipped.
 
-    ``mirror_antimultiplicative`` is a spot check: it compares the mirror
-    of x·y with mirror(y)·mirror(x) for the first four basis elements of
-    M₁∩N′ only (16 pairs), not for every pair.
-
     Raises
     ------
     RuntimeError
         If a corner density is singular (weight degeneracy).
     """
-    g = bc.gns
     rc = bc.shared.relcomm
-    mirror = bc.mirror
-
+    mirror = bc.shared.mirror
+    pairs, shared_res = bc.shared.mirror_pairing
+    res = dict(shared_res)
     rc_onb = rc.onb()
-    res = {}
-    res["mirror_preserves"] = rc.residual(mirror(rc_onb))
-    res["mirror_involution"] = la.frob_max(mirror(mirror(rc_onb)) - rc_onb)
-    head = rc_onb[:4]
-    res["mirror_antimultiplicative"] = la.frob_max(
-        mirror(head[:, None] @ head[None]) - mirror(head)[None] @ mirror(head)[:, None]
-    )
-
-    # Mirror pairing of the summands.
     blocks = ag.matrix_units(rc)
-    units = np.stack([block.projection for block in blocks])
-    # One row at a time: the full (s, s, k, k) difference stack would set the peak memory.
-    dists = np.stack([np.linalg.norm(img - units, axis=(-2, -1)) for img in mirror(units)])
-    pairs = [int(mate) for mate in dists.argmin(axis=1)]
-    res["mirror_pair_match"] = float(dists.min(axis=1).max())
-    res["mirror_pairing_involutive"] = float(any(pairs[j] != i for i, j in enumerate(pairs)))
 
     # Functional densities per summand and the support spectrum of each.
     densities, spectra = [], []
@@ -923,7 +921,7 @@ def relcomm_report(
 
     # Modular flow of φ∘Ê against conjugation by the assembled generator.
     m1_onb = bc.shared.m1.onb()
-    omega_vec = g.cyclic
+    omega_vec = bc.gns.cyclic
     d1 = _riesz_density(
         m1_onb, dw.composite(lambda y: np.conj(omega_vec) @ y @ omega_vec, m1_onb)
     )
@@ -959,9 +957,7 @@ def relcomm_report(
     )
 
 
-def extremality(
-    bc: BasicExtension, dw: DualWeight, report: RelativeCommutantReport
-) -> dict:
+def extremality(bc: BasicExtension, dw: DualWeight, report: RelativeCommutantReport) -> dict:
     """The two extremality criteria and their agreement flag.
 
     Criterion one (flag): every balanced generator is the summand unit.
@@ -977,7 +973,7 @@ def extremality(
     computed from the measurements, reported, and never raised.  Both
     criteria, and the normalized ``mirror_density_defect`` with its flag,
     are read off the report's margin and residuals; only the map below is
-    computed here.
+    computed here, with the mirror of ``bc.shared``.
 
     The raw operator-valued comparison is also reported, as
     ``mirror_map_residual``: the operator norm of the linear map
@@ -994,7 +990,7 @@ def extremality(
     onb = report.algebra.onb()
     # Rows: the map applied to an orthonormal basis of its domain, in M's
     # orthonormal coordinates, which keep Frobenius norms.
-    map_residual = opnorm(dw.coeffs(bc.mirror(onb)) - dw.coeffs(onb))
+    map_residual = opnorm(dw.coeffs(bc.shared.mirror(onb)) - dw.coeffs(onb))
     direct = max(res["mirror_functional_defect"], res["weight_trace_defect"])
     flag_direct = bool(direct < EXTREMAL_TOL)
     return {

@@ -664,6 +664,7 @@ JONES_CERTIFICATES = (
     (jn.BasicExtension, "residuals"),
     (jn.DualWeight, "residuals"),
     (jn.DualWeight, "index_element"),
+    (jn.StateFreeExtension, "mirror_pairing"),
 )
 
 
@@ -692,11 +693,38 @@ def count_first_reads(monkeypatch, calls):
 def test_each_jones_certificate_is_computed_once(monkeypatch, run):
     # The report reads the GNS, extension and weight certificates of its
     # draw, each once; the ω-variation of `selftest` is read for its flow
-    # alone, so it computes none of its own.
+    # alone, so it computes none of its own, shares the draw's mirror
+    # pairing and runs no extremality.  The count starts from an empty
+    # state-free cache, so no pairing is read from an earlier build.
+    jn._state_free.cache_clear()
     calls = collections.Counter()
     count_first_reads(monkeypatch, calls)
+    extremality = jn.extremality
+
+    def counted(*args):
+        calls["extremality"] += 1
+        return extremality(*args)
+
+    monkeypatch.setattr(jn, "extremality", counted)
     assert run()["passed"]
-    assert calls == {f"{cls.__name__}.{name}": 1 for cls, name in JONES_CERTIFICATES}
+    want = {f"{cls.__name__}.{name}": 1 for cls, name in JONES_CERTIFICATES}
+    assert calls == {**want, "extremality": 1}
+
+
+def test_a_draw_and_its_variation_share_one_mirror_pairing():
+    inc = jn.random_inclusion(14)
+    reports = []
+    for case in (inc, jn.omega_variation(inc, 15)):
+        bc = jn.basic_extension(case)
+        reports.append(jn.relcomm_report(bc, jn.dual_weight(bc)))
+    rep, rep2 = reports
+    assert rep.mirror_pairs is rep2.mirror_pairs
+    # Each report owns its residuals; the shared dict keeps J's five alone.
+    shared = bc.shared.mirror_pairing[1]
+    assert rep.residuals is not rep2.residuals
+    assert shared is not rep.residuals and shared is not rep2.residuals
+    assert len(shared) == 5 and rep.residuals.items() >= shared.items()
+    assert rep.residuals["flow_match"] < 1e-8 and rep2.residuals["flow_match"] < 1e-8
 
 
 def test_a_weight_copy_reads_its_own_certificates():
@@ -773,16 +801,18 @@ def test_mirror_pairing_trips_on_a_mirror_that_cycles_three_summands(monkeypatch
     # central projection, while the mates stay an involution.
     inc = square_pair()
     assert cli.run_jones(inc, None)["passed"]
-    mirror = jn.BasicExtension.mirror
+    mirror = jn.StateFreeExtension.mirror
 
     def cycled(self, x):
-        units = np.stack([block.projection for block in ag.matrix_units(self.shared.relcomm)])
+        units = np.stack([block.projection for block in ag.matrix_units(self.relcomm)])
         target = units[[1, 2, 0, *range(3, len(units))]]
         coeffs = np.tensordot(x, units.conj(), axes=([-2, -1], [1, 2]))
         coeffs = coeffs / np.trace(units, axis1=1, axis2=2).real
         return mirror(self, x) + np.tensordot(coeffs, step * (target - mirror(self, units)), axes=1)
 
-    monkeypatch.setattr(jn.BasicExtension, "mirror", cycled)
+    monkeypatch.setattr(jn.StateFreeExtension, "mirror", cycled)
+    # The honest run cached the pairing of this (M, N); the mutant builds its own.
+    jn._state_free.cache_clear()
     report = cli.run_jones(inc, None)
     assert failing_checks(report) == trips
     assert report["j_action"]["preserves_relative_commutant"] < 1e-12

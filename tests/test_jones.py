@@ -171,6 +171,13 @@ def test_fixture_inclusions(label, build, index_eigs, extremal):
     assert ext["criteria_agree"]
 
 
+def e_range(bc: jn.BasicExtension) -> np.ndarray:
+    """Columns: an orthonormal basis of the range of e, by QR of N's GNS vectors,
+    as ``basic_extension`` forms it."""
+    q, _ = np.linalg.qr(bc.gns.lam(bc.inclusion.small.onb()).T)
+    return q
+
+
 def pinv_weight(bc: jn.BasicExtension) -> np.ndarray:
     """Reference: W = pinv(C)·T with numpy's pinv, C and T formed afresh.
 
@@ -178,7 +185,7 @@ def pinv_weight(bc: jn.BasicExtension) -> np.ndarray:
     x·y in M's, x-major over the represented basis of M.
     """
     ops = bc.gns.rep(bc.inclusion.big.onb())
-    coords, _ = jn._sandwich_coordinates(ops, bc.e_range, bc.shared.m1.onb())
+    coords, _ = jn._sandwich_coordinates(ops, e_range(bc), bc.shared.m1.onb())
     t = bc.shared.big_rep.coeffs(ops[:, None] @ ops[None]).reshape(-1, len(ops))
     return np.linalg.pinv(coords.reshape(-1, bc.shared.m1.dim), rcond=la.RANK_RTOL) @ t
 
@@ -318,6 +325,26 @@ def test_inclusion_rejections():
     half = ag.CondExpectation(matrix=0.5 * np.eye(4, dtype=complex), domain=diag, target=diag)
     with pytest.raises(jn.InclusionError):
         jn.make_inclusion(diag, diag, half, np.eye(2) / 2.0)
+
+
+def test_an_inclusion_in_a_corner_of_the_ambient_is_refused():
+    # M₂ ⊕ 0 ⊆ M₃ with N = ℂ·p, p the corner's unit, and E(x) = Tr(p·x)/2·p + x₃₃·e₃₃:
+    # E(1) = 1 and E's laws hold, but 1 ∉ N, so the density of φ in M is singular.
+    import ast
+
+    p = np.diag([1.0, 1.0, 0.0]).astype(complex)
+    eye = np.eye(3, dtype=complex)
+    big = ag.from_span([np.outer(eye[i], eye[j]) for i in range(2) for j in range(2)], 3)
+    small = ag.from_span([p], 3)
+    e = np.zeros((9, 9), dtype=complex)
+    e[np.ix_([0, 4], [0, 4])] = 0.5
+    e[8, 8] = 1.0
+    with pytest.raises(jn.InclusionError) as info:
+        jn.make_inclusion(big, small, e, p / 2.0)
+    rep = ast.literal_eval(str(info.value).split(": ", 1)[1])
+    assert rep.pop("unit_in_small") == pytest.approx(1.0)
+    assert rep.pop("phi_min_gram_eig") > 0.1
+    assert max(rep.values()) < 1e-12
 
 
 # Library-level checks that only these tests use: the canonical unitary
@@ -718,7 +745,7 @@ def test_coordinate_weight_matches_the_dense_oracle(seed):
         ext = jn.extremality(bc, dw, rep)
         assert_close_values(ext, jn.extremality(bc, dense, rep_dense))
         onb = rep.algebra.onb()
-        defect = dense.apply(bc.mirror(onb)) - dense.apply(onb)
+        defect = dense.apply(bc.shared.mirror(onb)) - dense.apply(onb)
         dense_map = la.opnorm(defect.reshape(len(onb), -1).T)
         assert abs(ext["mirror_map_residual"] - dense_map) <= 1e-12
 
@@ -737,6 +764,25 @@ def test_mirror_map_residual_is_basis_independent():
     value = jn.extremality(bc, dw, report)["mirror_map_residual"]
     again = jn.extremality(bc, dw, dataclasses.replace(report, algebra=turned))
     assert again["mirror_map_residual"] == pytest.approx(value, rel=1e-10, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", [15, 6])
+def test_relcomm_report_refuses_a_weight_singular_on_a_corner(seed):
+    # Ê′(x) = Ê(x) − ⟨a, x⟩/‖a‖²·Ê(a), for a a minimal projection of one
+    # summand of M₁∩N′ (coordinates c_a in M₁), vanishes on a, so Tr∘Ê′
+    # does too and that summand's corner density is singular.
+    import dataclasses
+
+    bc = jn.basic_extension(jn.random_inclusion(seed))
+    dw = jn.dual_weight(bc)
+    jn.relcomm_report(bc, dw)
+    a = ag.matrix_units(bc.shared.relcomm)[0].units[0, 0]
+    c_a = dw.m1.coeffs(a)
+    shift = np.outer(np.conj(c_a), dw.coeffs(a)) / np.vdot(c_a, c_a).real
+    bent = dataclasses.replace(dw, coords=dw.coords - shift)
+    assert np.abs(bent.coeffs(a)).max() < 1e-12
+    with pytest.raises(RuntimeError, match="corner density of the weight is singular"):
+        jn.relcomm_report(bc, bent)
 
 
 def svd_noise(stack, r):
@@ -800,7 +846,7 @@ def test_coordinate_bound_covers_a_resolvable_gap(make):
     for delta in (1e-9, 1e-6, 1e-3):
         tilt = rng.standard_normal(m1.shape) + 1j * rng.standard_normal(m1.shape)
         tilted = la.orthonormalize(m1 + delta * tilt)
-        coords, err_sq = jn._sandwich_coordinates(big_ops, bc.e_range, tilted)
+        coords, err_sq = jn._sandwich_coordinates(big_ops, e_range(bc), tilted)
         sigma = np.linalg.svd(coords.reshape(-1, r), compute_uv=False)
         gap = la.span_distance(tilted, span)
         bound = jn._gap_bound(err_sq.sum(), sigma, r)
