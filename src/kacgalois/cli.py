@@ -227,6 +227,7 @@ def parse_inclusion(doc: dict) -> jn.Inclusion:
 
 
 def run_validate(kac: kc.KacAlgebra, tol: float | None) -> dict:
+    kc.basis_gram(kac)  # refuses the bases that dual, coreps and galois refuse
     lim = limits(tol)["tight"]
     rep = kc.validate_kac(kac, tol=lim)
     residuals = {
@@ -329,7 +330,8 @@ def run_coreps(kac: kc.KacAlgebra, tol: float | None, seed: int, trials: int = 1
 
 def run_galois(kac: kc.KacAlgebra, tol: float | None, seed: int) -> dict:
     lim = limits(tol)["loose"]
-    rep = ci.galois_lattice_report(du.dual_kac(kac), seed=seed)
+    dd = du.dual_kac(kac)
+    rep = ci.galois_lattice_report(dd, cr.irreducible_coreps(kac, dd.v, dd.hat), seed=seed)
     coideal_docs = [
         {"dim": row["dim"], "projector_fingerprint": row["fingerprint"]}
         for row in rep["rows"]
@@ -489,7 +491,7 @@ def _selftest_algebra(kac: kc.KacAlgebra, tol: float | None, seed: int) -> dict:
     orth = cr.orthogonality_check(kac, coreps)
     four = cr.fourier_round_trip(kac, coreps, count=10, seed=seed)
     pw = cr.peter_weyl_resolution(kac, coreps, dd.ints.e_hat)
-    gal = ci.galois_lattice_report(dd, seed=seed)
+    gal = ci.galois_lattice_report(dd, coreps, seed=seed)
 
     checks = {
         "axioms": check(vrep["max_residual"], lim["tight"]),

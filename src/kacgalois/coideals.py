@@ -11,11 +11,12 @@ A *left coideal* of a Kac algebra A is a unital *-subalgebra B with
 * the equivalence between coideals and closed systems of subspaces, one
   subspace K_π ⊆ ℂ^{d(π)} per irreducible corepresentation
   (:func:`subspace_system_from_coideal`, :func:`coideal_from_subspace_system`),
-* for group-derived algebras, lattice enumeration with a completeness audit,
-  every coideal the closure of a subgroup's indicator (C(G/H) on the
-  function side, ℂ[H] on the group side); the audit matches each closure
-  by its Jones projection and certifies it only when it matches no coideal
-  of the list, so each coideal is certified once,
+  with the fusion data the closure conditions read (:func:`fusion_data`),
+* lattice enumeration (:func:`enumerate_coideals`) by a search over closed
+  subspace systems, for every Kac algebra whose irreducible corepresentations
+  all have dim ≤ 2, with a completeness audit that matches each closure by
+  its Jones projection and certifies it only when it matches no coideal of
+  the list, so each coideal is certified once,
 * the Galois maps read off Haar idempotents, B ↦ B̃ = span (ω⊗id)Δ̂(e_B) and
   C ↦ {x ∈ A : p_C·xΩ = xΩ}, B̃'s commutant form κ̂(B′∩Â), the dimension identity
   dim B · dim B̃ = dim A, the involution B̃̃ = B, and the bicommutant
@@ -37,8 +38,8 @@ from . import coreps as cr
 from . import duality as du
 from . import linalg as la
 from .algebra import SubalgebraError
-from .kac import KacAlgebra
-from .linalg import DEFAULT_TOL, SPAN_TOL, dagger, frob
+from .kac import GroupTable, KacAlgebra
+from .linalg import DEFAULT_TOL, SEARCH_GAP, SPAN_TOL, dagger, frob
 
 
 @dataclass(frozen=True)
@@ -209,7 +210,8 @@ class FusionData:
     """The fusion and conjugation data of one list of irreducible corepresentations.
 
     ``isometries[a][b]`` lists the pairs (τ, S), one per isometry S onto a
-    summand τ of π_a ⊗ π_b (:func:`~kacgalois.coreps.decompose_tensor_product`);
+    summand τ of π_a ⊗ π_b (:func:`~kacgalois.coreps.decompose_tensor_product`,
+    or the 1×1 S = [1] for two group-likes);
     ``conjugates[π]`` is π̄ and ``intertwiners[π]`` the conjugation
     intertwiner T (:func:`~kacgalois.coreps.conjugation_involution`).  It
     depends only on the corepresentations, so it is built once per list and
@@ -222,25 +224,57 @@ class FusionData:
     intertwiners: tuple
 
 
+def _group_likes(coreps) -> list[int]:
+    """Indices of the 1-dim corepresentations (the group-likes), the trivial one first."""
+    return sorted((c.index for c in coreps if c.dim == 1), key=lambda i: not coreps[i].is_trivial)
+
+
 def fusion_data(kac: KacAlgebra, coreps: list[cr.Corepresentation]) -> FusionData:
-    """Decompose every product π_a ⊗ π_b and solve the conjugation once."""
-    isometries = tuple(
-        tuple(
-            tuple(
+    """Decompose every product π_a ⊗ π_b and solve the conjugation once.
+
+    A product of two group-likes u_a, u_b is the group-like u_τ that u_a·u_b
+    is, with the isometry [1]; the match is gated at ``SPAN_TOL`` on
+    ‖u_a·u_b − u_τ‖_F, so no intertwiner space is solved for it.  A group-like's
+    conjugate is its inverse, with T = [1].  Only the products that involve a
+    corepresentation of dim > 1 go through
+    :func:`~kacgalois.coreps.decompose_tensor_product`, and only their
+    conjugates through :func:`~kacgalois.coreps.conjugation_involution`.
+    """
+    k = len(coreps)
+    isometries = [[()] * k for _ in range(k)]
+    conjugates, intertwiners = [None] * k, [None] * k
+    ones = _group_likes(coreps)
+    u = np.stack([coreps[i].entries[0, 0] for i in ones])
+    prods = u[:, None] @ u[None]
+    # Group-likes are Haar-orthonormal, so u_a·u_b·Ω has its largest overlap with u_τ·Ω.
+    tau = np.abs((prods @ kac.omega) @ np.conj(u @ kac.omega).T).argmax(axis=-1)
+    worst = float(np.linalg.norm(prods - u[tau], axis=(-2, -1)).max())
+    if not worst <= SPAN_TOL:
+        raise ValueError(f"a product of group-likes is no group-like (residual {worst:.2e})")
+    one = np.ones((1, 1))
+    for (p, a), (q, b) in itertools.product(enumerate(ones), repeat=2):
+        isometries[a][b] = ((ones[tau[p, q]], one),)
+        if tau[p, q] == 0:
+            conjugates[a], intertwiners[a] = b, one
+    if len(ones) < k:
+        for a, b in itertools.product(range(k), repeat=2):
+            if max(coreps[a].dim, coreps[b].dim) == 1:
+                continue
+            isometries[a][b] = tuple(
                 (summand["index"], isom)
                 for summand in cr.decompose_tensor_product(kac, coreps, a, b)["summands"]
                 for isom in summand["isometries"]
             )
-            for b in range(len(coreps))
-        )
-        for a in range(len(coreps))
-    )
-    conj = cr.conjugation_involution(kac, coreps)
+        conj = cr.conjugation_involution(kac, coreps)
+        for c in coreps:
+            if c.dim > 1:
+                conjugates[c.index] = conj["pairs"][c.index]
+                intertwiners[c.index] = conj["intertwiners"][c.index]
     return FusionData(
         coreps=tuple(coreps),
-        isometries=isometries,
-        conjugates=tuple(conj["pairs"]),
-        intertwiners=tuple(conj["intertwiners"]),
+        isometries=tuple(map(tuple, isometries)),
+        conjugates=tuple(conjugates),
+        intertwiners=tuple(intertwiners),
     )
 
 
@@ -291,10 +325,28 @@ def check_system_closure(fusion: FusionData, sys: SubspaceSystem) -> dict:
     return res
 
 
+def _system_algebra(kac: KacAlgebra, coreps, sys: SubspaceSystem, side: str) -> ag.MMAlgebra:
+    """The *-algebra spanned by 1 and the corepresentation entries the system picks, uncertified.
+
+    Left: Σ_l w_l·u(π)ᵢl over w ∈ K_π and every row i.  Right: Σᵢ w̄ᵢ·u(π)ᵢl over
+    w ∈ K_π and every column l, the image of the left span under x ↦ S(x)*, since
+    S(u(π)ᵢl) = u(π)lᵢ*; S reverses products and flips the legs of δ, so it maps
+    the left coideals one to one onto the right ones.
+    """
+    n, left = kac.dim, side == "left"
+    mats = [np.eye(n, dtype=complex)[None]] + [
+        np.tensordot(rows if left else rows.conj(), c.entries, axes=(1, 1 if left else 0))
+        .reshape(-1, n, n)
+        for c, rows in zip(coreps, sys.spaces)
+        if len(rows)
+    ]
+    return ag.from_span(np.concatenate(mats), n)
+
+
 def coideal_from_subspace_system(
     kac: KacAlgebra, fusion: FusionData, sys: SubspaceSystem, side: str = "left"
 ) -> Coideal:
-    """Span{Σ_l w_l·u(π)ᵢl : w ∈ K_π, i ≤ d(π)}, certified as a coideal.
+    """The coideal of ``sys`` (:func:`_system_algebra`), certified by :func:`is_coideal`.
 
     ``fusion`` is the :func:`fusion_data` of the corepresentations the
     system is indexed by.  The closure conditions are checked first; a
@@ -303,54 +355,231 @@ def coideal_from_subspace_system(
     closure = check_system_closure(fusion, sys)
     if not closure["passed"]:
         raise ValueError(f"subspace system violates closure conditions: {closure}")
-    n = kac.dim
-    mats = [np.eye(n, dtype=complex)[None]] + [
-        np.tensordot(rows, c.entries, axes=(1, 1)).reshape(-1, n, n)
-        for c, rows in zip(fusion.coreps, sys.spaces)
-    ]
-    return is_coideal(kac, ag.from_span(np.concatenate(mats), n), side)
+    return is_coideal(kac, _system_algebra(kac, fusion.coreps, sys, side), side)
 
 
 # ---------------------------------------------------------------------------
-# Group-derived lattices
+# The search over closed subspace systems
 # ---------------------------------------------------------------------------
 
+#: v = (1, z) and v⊗v = (1, z, z, z²), one row per component, as coefficients of 1, z, z².
+_LINE = np.eye(2)
+_SQUARE = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 
-def enumerate_coideals_group_case(
-    kac: KacAlgebra, side: str = "left", seed: int = 23
+
+def _roots(coeffs: np.ndarray) -> list[np.ndarray]:
+    """The unit lines v ∝ (1, z) with Σ c_k·z^k = 0, and (0, 1) when the top coefficient
+    vanishes: the lines where the homogeneous form of the condition is zero."""
+    top = int(np.flatnonzero(np.abs(coeffs) > SPAN_TOL)[-1])
+    lines = [np.array([1.0, z]) for z in np.roots(coeffs[top::-1])]
+    if top < len(coeffs) - 1:
+        lines.append(np.array([0.0, 1.0]))
+    return [v / np.linalg.norm(v) for v in lines]
+
+
+def _on_line(coeffs: np.ndarray, v: np.ndarray) -> float:
+    """|Σ c_k·x^{D−k}·y^k| at the unit vector v = (x, y): the residual the closure check
+    reads for the condition on the line ℂv."""
+    k = np.arange(len(coeffs))
+    return float(abs(np.sum(coeffs * v[0] ** k[::-1] * v[1] ** k)))
+
+
+def _refine(conditions: list[np.ndarray], v: np.ndarray) -> np.ndarray:
+    """Gauss–Newton on every condition at once, from the unit line v: the nearest line
+    where they all vanish, when one is near.  It runs in the chart of v's larger
+    coordinate, t ↦ (1, t) or (t, 1), where each condition is a polynomial in t.  A
+    root that ``numpy.roots`` gives to about ε^(1/m) (multiplicity m ≤ 3) moves at
+    least a third of the way in per step, so the residual, of order m, falls by more
+    than half; the steps stop once it does not, as at a root reached or at a
+    candidate that is none."""
+    swap = abs(v[1]) > abs(v[0])
+    width = max(map(len, conditions))
+    coeffs = np.zeros((len(conditions), width), dtype=complex)  # lowest power of t first
+    for row, c in zip(coeffs, conditions):
+        row[: len(c)] = c[::-1] if swap else c
+    slopes = coeffs[:, 1:] * np.arange(1, width)
+    t = best = v[0] / v[1] if swap else v[1] / v[0]
+    last = np.inf
+    for _ in range(60):
+        powers = t ** np.arange(width)
+        r, d = coeffs @ powers, slopes @ powers[:-1]
+        if not np.linalg.norm(r) < last / 2:
+            break
+        best, last = t, np.linalg.norm(r)
+        t = t - np.vdot(d, r) / max(np.vdot(d, d).real, np.finfo(float).tiny)
+    if not np.linalg.norm(r) < last:  # the last step made it worse
+        t = best
+    line = np.array([t, 1.0]) if swap else np.array([1.0, t])
+    return line / np.linalg.norm(line)
+
+
+def _vanishes(value: float, what: str) -> bool:
+    """Whether a value the search decides on (a condition's largest coefficient, its
+    residual on a line, the distance of two lines) reads as zero: ≤ ``SPAN_TOL``
+    does, ≥ ``SEARCH_GAP`` does not, and in between the search cannot tell, so it
+    raises :class:`ValueError` rather than drop or double a coideal on a guess."""
+    if SPAN_TOL < value < SEARCH_GAP:
+        raise ValueError(
+            f"{what} reads {value:.2e}, between SPAN_TOL = {SPAN_TOL:.0e} and "
+            f"SEARCH_GAP = {SEARCH_GAP:.0e}: the coideal search cannot tell whether it vanishes"
+        )
+    return value <= SPAN_TOL
+
+
+def _common_lines(conditions: list[np.ndarray], where: str) -> list[np.ndarray]:
+    """The distinct unit lines on which every condition (none identically zero) vanishes.
+
+    They lie among the roots of any one condition; those of the one of least
+    degree are each refined on all of them (:func:`_refine`), and a line is kept
+    when every condition reads ≤ ``SPAN_TOL`` on it and it is no line kept
+    before.  Both are read by :func:`_vanishes`: a residual, or a projector
+    distance between two lines, that it cannot read as zero or nonzero (as at a
+    root of one condition alone that ``numpy.roots`` splits) raises.
+    """
+    lines = []
+    for v in _roots(min(conditions, key=len)):
+        v = _refine(conditions, v)
+        worst = max(_on_line(c, v) for c in conditions)
+        if not _vanishes(worst, f"{where}, on a candidate line"):
+            continue
+        gaps = [frob(np.outer(v, v.conj()) - np.outer(w, w.conj())) for w in lines]
+        same = [_vanishes(g, f"the distance of two candidate lines of {where}") for g in gaps]
+        if not any(same):
+            lines.append(v)
+    return lines
+
+
+def _candidate_spaces(fusion: FusionData, p: int, spaces: dict) -> list[np.ndarray] | None:
+    """The spaces that can be K_π of the 2-dim π = ``p`` in a closed system that extends
+    ``spaces`` (the K_τ chosen so far, every 1-dim τ among them); None when the
+    candidate lines form a continuum.
+
+    Each summand τ of χ⊗π (χ in the 1-dim part X) and of π⊗π constrains a line
+    v = (1, z) or (0, 1): T_χ·v ∈ K_τ and S_τ†(v⊗v) ∈ K_τ when K_τ is chosen,
+    T_χ·v ∥ v and S_π†(v⊗v) ∥ v when τ = π.  Each is polynomial in z, of degree
+    ≤ 3, read straight off the isometry.  A line of a closed system satisfies
+    them all; :func:`_common_lines` finds those lines from the conditions that
+    do not vanish identically.  ℂ² is kept when every chosen K_τ it reaches is
+    all of ℂ^{d(τ)}.
+    """
+    conditions, full = [], True
+    pairs = [
+        (tau, isom, _LINE)
+        for chi, k in spaces.items()
+        if fusion.coreps[chi].dim == 1 and len(k)
+        for tau, isom in fusion.isometries[chi][p]
+    ] + [(tau, isom, _SQUARE) for tau, isom in fusion.isometries[p][p]]
+    for tau, isom, vecs in pairs:
+        w = isom.conj().T @ vecs  # S†·vecs(z), one row per component
+        if tau == p:
+            conditions.append(np.append(0.0, w[0]) - np.append(w[1], 0.0))  # w₀·z − w₁
+        elif tau in spaces:
+            outside = la.null_space(spaces[tau].conj()).T  # K_τ's orthogonal complement
+            conditions += list(outside.conj() @ w)
+            full = full and not len(outside)
+    where = f"a closure condition on the 2-dim corepresentation {p}"
+    conditions = [c for c in conditions if not _vanishes(float(np.abs(c).max()), where)]
+    if not conditions:
+        return None
+    options = [np.zeros((0, 2), dtype=complex)] + [np.eye(2, dtype=complex)] * full
+    return options + [v[None].astype(complex) for v in _common_lines(conditions, where)]
+
+
+def _extensions(fusion: FusionData, spaces: dict, open_: list[int]):
+    """Every assignment of the 2-dim corepresentations ``open_`` that extends ``spaces``,
+    one K_π at a time: at each step the first π of ``open_`` whose candidate lines
+    are finite, given the spaces chosen so far.  Raises :class:`ValueError` naming
+    the open π when none is."""
+    if not open_:
+        yield spaces
+        return
+    for p in open_:
+        options = _candidate_spaces(fusion, p, spaces)
+        if options is not None:
+            break
+    else:
+        members = sorted(t for t, k in spaces.items() if fusion.coreps[t].dim == 1 and len(k))
+        raise ValueError(
+            f"the candidate lines of the 2-dim corepresentations {open_} over the group-likes "
+            f"{members} form a continuum: no closure condition on them is finite"
+        )
+    rest = [q for q in open_ if q != p]
+    for space in options:
+        yield from _extensions(fusion, {**spaces, p: space}, rest)
+
+
+def _candidate_systems(fusion: FusionData):
+    """Every candidate (system, closed_by_construction) of the search: a subgroup X of
+    the group-likes as the 1-dim part, extended over the 2-dim corepresentations by
+    :func:`_extensions`.  A system with no 2-dim space is closed because X is a
+    subgroup."""
+    coreps = fusion.coreps
+    ones = _group_likes(coreps)
+    twos = [c.index for c in coreps if c.dim == 2]
+    table = np.array([[ones.index(fusion.isometries[a][b][0][0]) for b in ones] for a in ones])
+    group = GroupTable(order=len(ones), table=table, labels=tuple(map(str, ones)))
+    dims = tuple(c.dim for c in coreps)
+    inside, outside = np.ones((1, 1), dtype=complex), np.zeros((0, 1), dtype=complex)
+    for sub in group.subgroups():
+        known = {a: inside if i in sub else outside for i, a in enumerate(ones)}
+        for spaces in _extensions(fusion, known, twos):
+            system = tuple(spaces[c.index] for c in coreps)
+            closed = all(not len(spaces[p]) for p in twos)
+            yield SubspaceSystem(spaces=system, corep_dims=dims), closed
+
+
+def enumerate_coideals(
+    kac: KacAlgebra, coreps: list[cr.Corepresentation], side: str = "left", seed: int = 23
 ) -> dict:
-    """All coideals of a group-derived Kac algebra, with a completeness audit.
+    """All left (or right) coideals of A, by a search over closed subspace systems,
+    with a completeness audit.
 
-    One coideal per subgroup H ⊆ G, the :func:`coideal_closure` of the
-    indicator 1_H = Σ_{h∈H} b_h.  On the function side its slices are the
-    indicators of the cosets gH (left) or Hg (right), so the closure is
-    C(G/H) or C(H\\G); on the group side δ(b_h) = b_h⊗b_h, so it is ℂ[H].
+    A coideal is a closed system of subspaces K_π ⊆ ℂ^{d(π)}, one per irreducible
+    corepresentation π of ``coreps`` (:func:`_candidate_systems`).  Each candidate
+    with a 2-dim space passes :func:`check_system_closure` once, each closed
+    system's span is certified by :func:`is_coideal`, a coideal whose Jones
+    projection lies within ``SPAN_TOL`` of a listed one is dropped, and the list
+    is sorted by :func:`_fingerprint`.  The search covers every Kac algebra whose
+    corepresentations all have dim ≤ 2; it raises :class:`ValueError` naming the
+    dims when one has dim > 2, naming the 2-dim π whose candidate lines form
+    a continuum, and naming the condition it cannot read as zero or nonzero
+    (:func:`_vanishes`), so it never returns a partial list.  Its candidate
+    lines are refined roots (:func:`_common_lines`) read in corepresentation
+    coordinates, so this holds in any basis of A.
+
     The completeness audit closes b_e + b_g for every g and a seeded
     collection of two-element generator sets {b_i, b_j}, i, j = ⌊n·(u + 1)/2⌋ for eight
     pairs u of ``probe_draws(seed)``, each unordered pair once, and
     verifies the result is already in the list (Jones-projection distance).
-    A lone b_g would test nothing on the function side, where every point
+    A lone b_g would test nothing on a function algebra, where every point
     mass closes to all of C(G); the closure of δ_e + δ_g is C(G/⟨g⟩) when
     g² = e (its slices are the indicators of the cosets of ⟨g⟩) and C(G)
-    otherwise.  On the group side δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the
+    otherwise.  On a group algebra δ(b_e + b_g) = b_e⊗b_e + b_g⊗b_g, so the
     closure is ℂ[⟨g⟩], as for b_g alone.  A closure whose Jones projection
     lies within ``SPAN_TOL`` of a listed one in Frobenius norm is that certified
     coideal and is not certified again: b ↦ √n·bΩ is an isometry of A onto
     L²(A), so that norm bounds the span distance from above.  Any other closure
     goes through :func:`is_coideal`, so a non-coideal still raises and a coideal
-    missing from the list reads as incomplete.
+    missing from the list reads as incomplete.  The probes are read in A's basis,
+    so off a group basis their closures are mostly all of A: there the audit adds
+    little to the search's own guarantee.
     """
-    if kac.group is None or kac.origin not in ("group_algebra", "function_algebra"):
-        raise ValueError("requires a Kac algebra tagged with its group origin")
+    if any(c.dim > 2 for c in coreps):
+        raise ValueError(
+            "the coideal search needs every irreducible corepresentation to have dim ≤ 2; "
+            f"this algebra's have dims {sorted(c.dim for c in coreps)}"
+        )
+    fusion = fusion_data(kac, coreps)
+    coideals: list[Coideal] = []
+    for sys, closed in _candidate_systems(fusion):
+        if closed or check_system_closure(fusion, sys)["passed"]:
+            coid = is_coideal(kac, _system_algebra(kac, coreps, sys, side), side)
+            if all(frob(coid.projection - c.projection) >= SPAN_TOL for c in coideals):
+                coideals.append(coid)
+    coideals.sort(key=lambda c: _fingerprint(c.dim, c.projection))
+    projs = [coid.projection for coid in coideals]
     n = kac.dim
     unit = np.eye(n)
-    items = []
-    for sub in kac.group.subgroups():
-        indicator = kac.op(unit[list(sub)].sum(axis=0))
-        items.append((sub, coideal_closure(kac, [indicator], side)))
-    items.sort(key=lambda it: _fingerprint(it[1].dim, it[1].projection))
-    coideals = [coid for _, coid in items]
-    projs = [coid.projection for coid in coideals]
 
     def audit(gens) -> float:
         mm = _closure_algebra(kac, gens, side)
@@ -367,7 +596,6 @@ def enumerate_coideals_group_case(
     worst = max(audit([kac.op(c) for c in gens]) for gens in seeds)
     return {
         "coideals": coideals,
-        "subgroups": [sub for sub, _ in items],
         "dims": [coid.dim for coid in coideals],
         "completeness_residual": worst,
         "complete": worst < SPAN_TOL,
@@ -474,10 +702,16 @@ def jones_projection_coideal(coid: Coideal, btilde: Coideal, dd: du.DualKac) -> 
     return res
 
 
-def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
+def galois_lattice_report(
+    dd: du.DualKac, coreps: list[cr.Corepresentation], seed: int = 23
+) -> dict:
     """Full Galois anti-isomorphism audit over an enumerated lattice.
 
-    For every enumerated left coideal of A = ``dd.v.kac``: the tilde partner
+    ``coreps`` are the irreducible corepresentations of A = ``dd.v.kac``
+    (:func:`~kacgalois.coreps.irreducible_coreps` on ``dd.v`` and ``dd.hat``),
+    which :func:`enumerate_coideals` searches over; it raises
+    :class:`ValueError` for an algebra that search cannot finish.
+    For every enumerated left coideal of A: the tilde partner
     with both computation routes compared, the dimension product, the
     involution, the bicommutant identity, and the Jones projection
     identities; plus the full order-reversal table over all containment
@@ -485,7 +719,7 @@ def galois_lattice_report(dd: du.DualKac, seed: int = 23) -> dict:
     (:func:`linalg.span_distance`).
     """
     kac = dd.v.kac
-    enum = enumerate_coideals_group_case(kac, seed=seed)
+    enum = enumerate_coideals(kac, coreps, seed=seed)
     coideals = enum["coideals"]
     n = kac.dim
 

@@ -47,8 +47,8 @@ import numpy as np
 
 from . import algebra as ag
 from . import linalg as la
-from .kac import KacAlgebra, kac_from_structure, validate_kac
-from .linalg import GRAM_COND_MAX, dagger, frob, leg_distance
+from .kac import KacAlgebra, basis_gram, kac_from_structure, validate_kac
+from .linalg import dagger, frob, leg_distance
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +321,10 @@ def _hat_algebra(kac: KacAlgebra, v: MultiplicativeUnitary) -> HatAlgebra:
     """
     n = kac.dim
     lrows = kac.lmats.reshape(n, n * n)
-    gram = lrows @ dagger(lrows)
-    _check_condition(gram, "the Gram matrix of A's basis operators L(b_i)")
+    gram = basis_gram(kac)
     y = np.linalg.solve(gram.T, np.conj(lrows) @ _slice_matrix(v.matrix, n).T)
     gram_y = y @ dagger(y)
-    _check_condition(gram_y, "the Gram matrix of the dual basis of A-hat")
+    la.check_condition(gram_y, "the Gram matrix of the dual basis of A-hat")
     (root, root_inv), _ = la.herm_powers(gram_y, (-0.5, 0.5))
     mm = ag.from_onb((root @ y).reshape(n, n, n), n)
     second = (root_inv.T @ lrows).reshape(n, n, n)
@@ -346,16 +345,6 @@ def _transport(t: np.ndarray, out: np.ndarray, legs: np.ndarray) -> np.ndarray:
     """Σ out[e,d]·t[d,i,j]·legs[i,a]·legs[j,b] at [e, a, b]: three n⁴ matmuls."""
     m = np.tensordot(np.tensordot(t, legs, (1, 0)), legs, (1, 0))  # [d, a, b]
     return np.tensordot(out, m, (1, 0))
-
-
-def _check_condition(gram: np.ndarray, what: str) -> None:
-    """Refuse a positive-definite Gram matrix whose condition number exceeds ``GRAM_COND_MAX``."""
-    w = np.linalg.eigvalsh(gram)
-    cond = w[-1] / w[0] if w[0] > 0 else np.inf
-    if not cond <= GRAM_COND_MAX:
-        raise ValueError(
-            f"{what} has condition number {cond:.3e}, above the bound {GRAM_COND_MAX:.0e}"
-        )
 
 
 def kappa_hat(kac: KacAlgebra, y: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, TIGHT_TOL, dagger, frob_max
+from .linalg import DEFAULT_TOL, TIGHT_TOL, check_condition, dagger, frob_max
 
 
 class AxiomError(ValueError):
@@ -399,6 +399,19 @@ def kac_from_structure(
 # ---------------------------------------------------------------------------
 # Axiom validation
 # ---------------------------------------------------------------------------
+
+
+def basis_gram(kac: KacAlgebra) -> np.ndarray:
+    """The Gram matrix L·L† of the vectorized basis operators L(bᵢ).
+
+    Raises :class:`ValueError` (:func:`~kacgalois.linalg.check_condition`) when
+    its condition number exceeds ``GRAM_COND_MAX``: a basis that far from
+    orthogonal is refused as input by every command, not read as failing.
+    """
+    lrows = kac.lmats.reshape(kac.dim, -1)
+    gram = lrows @ dagger(lrows)
+    check_condition(gram, "the Gram matrix of A's basis operators L(b_i)")
+    return gram
 
 
 def validate_kac(kac: KacAlgebra, tol: float = TIGHT_TOL) -> dict:

@@ -36,6 +36,10 @@ DEFAULT_TOL = 1e-9
 COMMUTE_RTOL = 1e-10
 #: Residual below which two spans match, a system is closed, a vector is fixed.
 SPAN_TOL = 1e-8
+#: Least value the coideal search reads as nonzero (a closure condition's largest
+#: coefficient, its residual on a candidate line, the distance of two lines); between
+#: SPAN_TOL and this the search refuses.
+SEARCH_GAP = 1e-4
 #: Largest relative residual of the weight pin x·e·y ↦ xy.
 PIN_TOL = 1e-7
 #: Relative floor of a corner density's support, and the extremality margin.
@@ -87,6 +91,16 @@ def _flat_rows(mats) -> np.ndarray:
     """A span's matrices as the rows of one (k, d²) array."""
     mats = np.asarray(mats, dtype=complex)
     return mats.reshape(len(mats), -1)
+
+
+def check_condition(gram: np.ndarray, what: str) -> None:
+    """Refuse a positive-definite Gram matrix whose condition number exceeds ``GRAM_COND_MAX``."""
+    w = np.linalg.eigvalsh(gram)
+    cond = w[-1] / w[0] if w[0] > 0 else np.inf
+    if not cond <= GRAM_COND_MAX:
+        raise ValueError(
+            f"{what} has condition number {cond:.3e}, above the bound {GRAM_COND_MAX:.0e}"
+        )
 
 
 def orthonormalize(mats) -> np.ndarray:

@@ -387,12 +387,50 @@ def fusion_of(coreps_of):
 
 
 @pytest.fixture(scope="session")
-def lattice_of(algebras, dual_of):
+def coideals_of(coreps_of):
+    """The enumerated left coideals of an algebra, with the default audit seed."""
+    return _cache_by_object(lambda kac: ci.enumerate_coideals(kac, coreps_of(kac))["coideals"])
+
+
+@pytest.fixture(scope="session")
+def lattice_of(algebras, dual_of, coreps_of):
     cache = {}
 
     def get(name):
         if name not in cache:
-            cache[name] = ci.galois_lattice_report(dual_of(algebras[name]))
+            kac = algebras[name]
+            cache[name] = ci.galois_lattice_report(dual_of(kac), coreps_of(kac))
         return cache[name]
 
     return get
+
+
+def subgroup_oracle(kac, side="left"):
+    """The subgroup walk, as a reference for the enumerator on a group-derived algebra:
+    (H, the :func:`~kacgalois.coideals.coideal_closure` of H's indicator Σ_{h∈H} b_h)
+    for each subgroup H, sorted as the enumerator sorts its list.  The closure is
+    C(G/H) or C(H\\G) on the function side and ℂ[H] on the group side."""
+    unit = np.eye(kac.dim)
+    pairs = [
+        (h, ci.coideal_closure(kac, [kac.op(unit[list(h)].sum(axis=0))], side))
+        for h in kac.group.subgroups()
+    ]
+    return sorted(pairs, key=lambda it: ci._fingerprint(it[1].dim, it[1].projection))
+
+
+def drop_system(monkeypatch, kac, coreps, subgroup):
+    """Mutant: the search never proposes the subspace system of ``subgroup``'s coideal
+    (:func:`subgroup_oracle`), so the enumerated list misses exactly that coideal."""
+    coid = dict(subgroup_oracle(kac))[tuple(subgroup)]
+    target = ci.subspace_system_from_coideal(kac, coid, coreps).spaces
+    search = ci._candidate_systems
+
+    def same(spaces):
+        return all(
+            len(a) == len(b) and la.frob(a.T @ a.conj() - b.T @ b.conj()) < la.SPAN_TOL
+            for a, b in zip(spaces, target)
+        )
+
+    monkeypatch.setattr(
+        ci, "_candidate_systems", lambda fusion: (c for c in search(fusion) if not same(c[0].spaces))
+    )

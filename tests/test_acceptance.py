@@ -126,12 +126,12 @@ def test_criterion_04_fourier(algebras, tensor_algebras, kp8, coreps_of, dual_of
     )
 
 
-def test_criterion_05_subspace_system_round_trip(algebras, coreps_of, fusion_of):
+def test_criterion_05_subspace_system_round_trip(algebras, coreps_of, fusion_of, coideals_of):
     total = 0
     for name in ALGEBRA_NAMES:
         kac = algebras[name]
         coreps = coreps_of(kac)
-        for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+        for coid in coideals_of(kac):
             sys_ = ci.subspace_system_from_coideal(kac, coid, coreps)
             back = ci.coideal_from_subspace_system(kac, fusion_of(kac), sys_)
             assert la.span_distance(coid.mm.onb(), back.mm.onb()) < 1e-9, name

@@ -31,7 +31,15 @@ from kacgalois.algebra import NoExpectationError, ShapeError, SubalgebraError
 from kacgalois.jones import InclusionError
 from kacgalois.kac import AxiomError
 
-from conftest import KAC_NAMES, basis_change, rebased, rebased_tensors, rotation
+from conftest import (
+    KAC_NAMES,
+    basis_change,
+    drop_system,
+    rebased,
+    rebased_tensors,
+    rotation,
+    twisted_z3_squared_by_z2,
+)
 
 FIXTURES = resources.files("kacgalois") / "fixtures"
 
@@ -296,11 +304,21 @@ def test_jones_document_missing_a_field_is_an_input_error():
     assert doc["error"]["message"] == "missing required field 'ambient_dim'"
 
 
-def test_non_group_input_to_galois_is_an_input_error():
-    out = run_cli("galois", str(FIXTURES / "kp8.json"))
-    assert out.returncode == 2
-    doc = json.loads(out.stdout)
-    assert "error" in doc
+def test_galois_lists_the_eight_coideals_of_kp8(capsys):
+    # Neither commutative nor cocommutative, and tagged with no group.
+    assert cli.main(["galois", str(FIXTURES / "kp8.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is True
+    assert [c["dim"] for c in doc["report"]["coideals"]] == [1, 2, 2, 2, 4, 4, 4, 8]
+    assert [p["tilde_dim"] for p in doc["report"]["tilde_pairs"]] == [8, 4, 4, 4, 2, 2, 2, 1]
+
+
+def test_galois_refuses_a_corepresentation_of_dim_three_by_its_dims(tmp_path, capsys):
+    path = tmp_path / "twist.json"
+    kc.save_kac(twisted_z3_squared_by_z2(), str(path))
+    assert cli.main(["galois", str(path)]) == 2
+    message = json.loads(capsys.readouterr().out)["error"]["message"]
+    assert re.search(r"dim ≤ 2; this algebra's have dims \[1, (1, ){8}3\]", message)
 
 
 def test_impossible_tolerance_is_a_check_failure():
@@ -581,7 +599,7 @@ def test_a_well_conditioned_change_of_basis_passes(tmp_path, capsys, command, co
     assert code == 0 and doc["passed"] is True
 
 
-@pytest.mark.parametrize("command", ["dual", "coreps"])
+@pytest.mark.parametrize("command", ["dual", "coreps", "validate"])
 @pytest.mark.parametrize(
     "cond, message",
     [
@@ -598,15 +616,13 @@ def test_an_ill_conditioned_change_of_basis_exits_2(tmp_path, capsys, command, c
     assert re.search(message, doc["error"]["message"])
 
 
-def test_selftest_gates_the_completeness_audit(monkeypatch, groups):
+def test_selftest_gates_the_completeness_audit(monkeypatch, groups, coreps_of):
     # Without the centre ⟨-1⟩ of Q₈ in the enumeration, the audit's closure of
     # b_e + b_{-1} is ℂ[⟨-1⟩], which matches no listed coideal: the slice fails
     # on the completeness check alone, at ‖e_B − e_ℂ‖ = 1.
-    every = kc.GroupTable.subgroups
-    monkeypatch.setattr(
-        kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != (0, 1)]
-    )
-    doc = cli._selftest_algebra(kc.group_algebra(groups["q8"]), None, 7)
+    kac = kc.group_algebra(groups["q8"])
+    drop_system(monkeypatch, kac, coreps_of(kac), (0, 1))
+    doc = cli._selftest_algebra(kac, None, 7)
     assert doc["passed"] is False
     assert [name for name, c in doc["checks"].items() if not c["ok"]] == ["galois_completeness"]
     assert abs(doc["checks"]["galois_completeness"]["value"] - 1.0) <= 1e-12

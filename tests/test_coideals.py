@@ -8,6 +8,7 @@ import pytest
 
 from kacgalois import algebra as ag
 from kacgalois import coideals as ci
+from kacgalois import coreps as cr
 from kacgalois import duality as du
 from kacgalois import kac as kc
 from kacgalois import linalg as la
@@ -19,10 +20,13 @@ from conftest import (
     LADDER_NAMES,
     delta_hat,
     delta_op,
+    drop_system,
     leg_slices,
     rotation,
     span_residual,
+    subgroup_oracle,
     tilde_by_pairing_matrix,
+    twisted_z3_squared_by_z2,
 )
 
 
@@ -147,10 +151,11 @@ def subgroup_from_system(kac, coreps, sys):
     }
 
 
-def test_s3_function_algebra_has_exactly_the_coset_coideals(algebras):
+def test_s3_function_algebra_has_exactly_the_coset_coideals(algebras, coreps_of):
     orders = brute_force_s3_subgroup_orders()
     assert orders == [1, 2, 2, 2, 3, 6]  # the oracle itself is checked once
-    out = ci.enumerate_coideals_group_case(algebras["s3_function"])
+    kac = algebras["s3_function"]
+    out = ci.enumerate_coideals(kac, coreps_of(kac))
     # one coideal of functions on cosets per subgroup: dimension 6/|H|
     assert sorted(c.dim for c in out["coideals"]) == sorted(6 // o for o in orders)
     assert len(out["coideals"]) == len(orders)
@@ -158,9 +163,10 @@ def test_s3_function_algebra_has_exactly_the_coset_coideals(algebras):
     assert out["completeness_residual"] < 1e-8
 
 
-def test_s3_group_algebra_coideals_are_subgroup_spans(algebras):
+def test_s3_group_algebra_coideals_are_subgroup_spans(algebras, coreps_of):
     orders = brute_force_s3_subgroup_orders()
-    out = ci.enumerate_coideals_group_case(algebras["s3_group"])
+    kac = algebras["s3_group"]
+    out = ci.enumerate_coideals(kac, coreps_of(kac))
     assert sorted(c.dim for c in out["coideals"]) == orders
     assert out["complete"]
 
@@ -174,20 +180,109 @@ def test_s3_group_algebra_coideals_are_subgroup_spans(algebras):
         ("z2xz2_function", [1, 2, 2, 2, 4]),
     ],
 )
-def test_enumeration_dimensions(algebras, name, dims):
-    out = ci.enumerate_coideals_group_case(algebras[name])
+def test_enumeration_dimensions(algebras, coreps_of, name, dims):
+    kac = algebras[name]
+    out = ci.enumerate_coideals(kac, coreps_of(kac))
     assert sorted(c.dim for c in out["coideals"]) == dims
     assert out["complete"]
 
 
-def test_enumeration_requires_group_origin(kp8):
-    with pytest.raises(ValueError):
-        ci.enumerate_coideals_group_case(kp8)
+@pytest.mark.parametrize("name", ["kp8", "rotated_kp8", "cond30_kp8"])
+def test_kp8_lists_eight_coideals_in_every_basis(request, coreps_of, dual_of, name):
+    # Six two-sided coideals and two one-sided 4-dim ones, the 1-dim part {1, χ}
+    # and a line in the 2-dim corepresentation: closures of single elements miss those.
+    kac = request.getfixturevalue(name)
+    for side in ("left", "right"):
+        out = ci.enumerate_coideals(kac, coreps_of(kac), side=side)
+        assert out["dims"] == [1, 2, 2, 2, 4, 4, 4, 8]
+        assert out["complete"]
+        assert max(c.certificate for c in out["coideals"]) < 1e-9
+    report = ci.galois_lattice_report(dual_of(kac), coreps_of(kac))
+    assert report["passed"] and report["tilde_dims"] == [8, 4, 4, 4, 2, 2, 2, 1]
 
 
-def test_certificates_and_unit_membership(algebras):
-    out = ci.enumerate_coideals_group_case(algebras["s3_function"])
-    for coid in out["coideals"]:
+def test_the_enumeration_of_a_tensor_product_with_kp8_lists_27(algebras, kp8, coreps_of):
+    kac = kc.tensor_kac(kp8, algebras["z2_group"])
+    out = ci.enumerate_coideals(kac, coreps_of(kac))
+    assert len(out["dims"]) == 27 and out["complete"]
+    assert all(16 % d == 0 for d in out["dims"])
+
+
+def test_the_enumeration_of_s3_functions_times_z2_lists_one_coideal_per_subgroup(
+    algebras, coreps_of
+):
+    # No group-like of χ⊗π = π′ lies in the 1-dim part {1}, so π′'s lines are
+    # found from the space chosen for π.
+    kac = kc.tensor_kac(algebras["s3_function"], algebras["z2_group"])
+    out = ci.enumerate_coideals(kac, coreps_of(kac))
+    group = kc.direct_product_group(kc.symmetric_group_3(), kc.cyclic_group(2))
+    assert len(out["dims"]) == len(group.subgroups()) == 16
+    assert out["complete"]
+
+
+def test_a_corepresentation_of_dim_three_is_refused_by_name(coreps_of):
+    kac = twisted_z3_squared_by_z2()
+    with pytest.raises(ValueError, match=r"dim ≤ 2; this algebra's have dims \[1, (1, ){8}3\]"):
+        ci.enumerate_coideals(kac, coreps_of(kac))
+
+
+def test_a_continuum_of_lines_is_refused_by_name(algebras, coreps_of, monkeypatch):
+    # Without the cubic S_π†(v⊗v) ∥ v, no condition on the 2-dim π of C(S₃) with
+    # the 1-dim part {1} is finite: the search refuses rather than miss C(S₃/ℤ₂).
+    kac = algebras["s3_function"]
+    coreps = coreps_of(kac)
+    two = next(c.index for c in coreps if c.dim == 2)
+    fusion = ci.fusion_data(kac, coreps)
+    square = tuple(it for it in fusion.isometries[two][two] if it[0] != two)
+    rows = [list(r) for r in fusion.isometries]
+    rows[two][two] = square
+    cut = ci.FusionData(fusion.coreps, tuple(map(tuple, rows)), fusion.conjugates, fusion.intertwiners)
+    monkeypatch.setattr(ci, "fusion_data", lambda kac_, coreps_: cut)
+    with pytest.raises(ValueError, match=rf"2-dim corepresentations \[{two}\] .* form a continuum"):
+        ci.enumerate_coideals(kac, coreps)
+
+
+@pytest.mark.parametrize("a", [0.3 + 0.7j, 1 / 3 + 0.2j, 2**0.5 - 0.5j])
+def test_a_triple_root_is_refined_back_onto_every_condition(a):
+    # numpy.roots gives a triple root of a cubic to about ε^(1/3), so a condition with a
+    # simple root there reads ~1e-6 > SPAN_TOL: unrefined, the line would be refused.
+    cubic = np.poly([a, a, a])[::-1]  # (z − a)³, coefficients of 1, z, z², z³
+    simple = np.poly([a, -1, 2j])[::-1]  # of the same degree, so the cubic's roots are read
+    raw = ci._roots(cubic)
+    assert len(raw) == 3 and min(ci._on_line(simple, v) for v in raw) > 100 * la.SPAN_TOL
+    (line,) = ci._common_lines([cubic, simple], "the test's conditions")
+    assert max(ci._on_line(c, line) for c in (cubic, simple)) < 1e-15
+    assert abs(line[1] / line[0] - a) < 1e-14
+    # The cubic alone reads ε on all three copies, so no step moves them together:
+    # one line or three, the search cannot tell, and it refuses.
+    split = r"distance of two candidate lines .* reads \d\.\d+e-0[5-7]"
+    with pytest.raises(ValueError, match=split):
+        ci._common_lines([cubic], "the test's conditions")
+
+
+def test_a_condition_between_the_tolerances_is_refused_not_dropped(kp8, coreps_of, monkeypatch):
+    # Noise of 1e-6 on the fusion isometries makes the conditions that vanish on kp8
+    # read between SPAN_TOL and SEARCH_GAP: the search cannot tell, so it refuses
+    # rather than keep or drop a line on a guess.
+    coreps = coreps_of(kp8)
+    fusion = ci.fusion_data(kp8, coreps)
+    rng = np.random.default_rng(5)
+    rows = tuple(
+        tuple(
+            tuple((tau, s + 1e-6 * rng.standard_normal(s.shape)) for tau, s in cell)
+            for cell in row
+        )
+        for row in fusion.isometries
+    )
+    noisy = ci.FusionData(fusion.coreps, rows, fusion.conjugates, fusion.intertwiners)
+    monkeypatch.setattr(ci, "fusion_data", lambda kac_, coreps_: noisy)
+    unreadable = r"2-dim corepresentation \d+.* reads \d\.\d+e-0[5-7], between"
+    with pytest.raises(ValueError, match=unreadable):
+        ci.enumerate_coideals(kp8, coreps)
+
+
+def test_certificates_and_unit_membership(algebras, coideals_of):
+    for coid in coideals_of(algebras["s3_function"]):
         assert coid.certificate < 1e-9
         assert coid.mm.residual(np.eye(coid.mm.ambient_dim)) < 1e-9
 
@@ -274,40 +369,54 @@ def forbid(name):
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_the_lattice_report_forms_no_matrix_units(algebras, dual_of, monkeypatch, name):
-    # The closure residuals alone certify B and B̃ as unital *-subalgebras.
-    dd = dual_of(algebras[name])
-    monkeypatch.setattr(ag, "_central_decomposition", forbid("_central_decomposition"))
-    assert ci.galois_lattice_report(dd)["passed"]
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_the_audit_matches_closures_by_jones_projection_alone(algebras, monkeypatch, name, side):
-    monkeypatch.setattr(la, "spans_match", forbid("spans_match"))
-    assert ci.enumerate_coideals_group_case(algebras[name], side=side)["complete"]
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-@pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_enumerated_coideals_are_the_subgroup_dictionary(algebras, name, side):
+def test_the_lattice_report_forms_no_matrix_units(algebras, dual_of, coreps_of, monkeypatch, name):
+    # The closure residuals alone certify B and B̃ as unital *-subalgebras.  The
+    # corepresentations come from Â's matrix units, so they are built first.
     kac = algebras[name]
-    out = ci.enumerate_coideals_group_case(kac, side=side)
+    coreps = coreps_of(kac)
+    monkeypatch.setattr(ag, "_central_decomposition", forbid("_central_decomposition"))
+    assert ci.galois_lattice_report(dual_of(kac), coreps)["passed"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_the_audit_matches_closures_by_jones_projection_alone(
+    algebras, coreps_of, monkeypatch, name, side
+):
+    kac = algebras[name]
+    coreps = coreps_of(kac)
+    monkeypatch.setattr(la, "spans_match", forbid("spans_match"))
+    assert ci.enumerate_coideals(kac, coreps, side=side)["complete"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ALGEBRA_NAMES)
+def test_enumerated_coideals_are_the_subgroup_dictionary(algebras, coreps_of, name, side):
+    # The search lists the subgroup walk's coideals, in the same order, and those
+    # are the dictionary's: C(G/H) or C(H\G) on the function side, ℂ[H] on the group side.
+    kac = algebras[name]
+    out = ci.enumerate_coideals(kac, coreps_of(kac), side=side)
+    want = subgroup_oracle(kac, side)
     assert out["complete"]
-    assert sorted(out["subgroups"]) == sorted(kac.group.subgroups())
-    for sub, coid in zip(out["subgroups"], out["coideals"]):
-        want = ag.from_span(dictionary_span(kac, sub, side), kac.dim)
-        assert coid.dim == want.dim
-        assert la.span_distance(coid.mm.onb(), want.onb()) < 1e-12
+    assert len(out["coideals"]) == len(want) == len(kac.group.subgroups())
+    for coid, (sub, oracle) in zip(out["coideals"], want):
+        assert ci._fingerprint(coid.dim, coid.projection) == ci._fingerprint(
+            oracle.dim, oracle.projection
+        )
+        assert la.frob(coid.projection - oracle.projection) < 1e-13
+        assert coid.side == side and coid.certificate < 1e-9
+        span = ag.from_span(dictionary_span(kac, sub, side), kac.dim)
+        assert coid.dim == span.dim
+        assert la.span_distance(coid.mm.onb(), span.onb()) < 1e-12
 
 
-def test_right_coideals_of_s3_functions_are_the_right_cosets(algebras):
+def test_right_coideals_of_s3_functions_are_the_right_cosets(algebras, coreps_of):
     kac = algebras["s3_function"]
-    out = ci.enumerate_coideals_group_case(kac, side="right")
+    out = ci.enumerate_coideals(kac, coreps_of(kac), side="right")
     assert out["dims"] == [1, 2, 3, 3, 3, 6]
     assert out["complete"]
     assert out["completeness_residual"] < 1e-8
-    for sub, coid in zip(out["subgroups"], out["coideals"]):
+    for (sub, _), coid in zip(subgroup_oracle(kac, "right"), out["coideals"], strict=True):
         assert coid.side == "right"
         assert coid.certificate < 1e-9
         want = ag.from_span(coset_span(kac, sub, "right"), kac.dim)
@@ -323,19 +432,15 @@ def seeded_pairs(n, seed):
     return list(pairs.values())
 
 
-def certified_audit(kac, side="left", seed=23):
-    """Reference: the enumeration with every audit closure certified.
+def certified_audit(kac, coideals, side="left", seed=23):
+    """Reference: the completeness audit of the list ``coideals`` with every audit
+    closure certified.
 
-    Each subgroup's coideal and each audit seed's closure goes through
-    :func:`coideal_closure`, so every closure gets the full certificate.
+    Each audit seed's closure goes through :func:`coideal_closure`, so every
+    closure gets the full certificate.
     """
     n = kac.dim
     unit = np.eye(n)
-    coideals = sorted(
-        (ci.coideal_closure(kac, [kac.op(unit[list(h)].sum(axis=0))], side)
-         for h in kac.group.subgroups()),
-        key=lambda c: ci._fingerprint(c.dim, ci.jones_projection(kac, c.mm)),
-    )
     projs = [ci.jones_projection(kac, c.mm) for c in coideals]
     seeds = [[unit[0] + unit[i]] for i in range(n)]
     seeds += [unit[list(pair)] for pair in seeded_pairs(n, seed)]
@@ -344,21 +449,17 @@ def certified_audit(kac, side="left", seed=23):
         closure = ci.coideal_closure(kac, [kac.op(c) for c in gens], side)
         p = ci.jones_projection(kac, closure.mm)
         worst = max(worst, min(la.frob(p - q) for q in projs))
-    return {
-        "dims": [c.dim for c in coideals],
-        "completeness_residual": worst,
-        "complete": worst < 1e-8,
-    }
+    return {"completeness_residual": worst, "complete": worst < 1e-8}
 
 
 @pytest.mark.parametrize("seed", [7, 23])
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_matched_audit_is_the_certified_audit(algebras, name, side, seed):
+def test_matched_audit_is_the_certified_audit(algebras, coreps_of, name, side, seed):
     kac = algebras[name]
-    got = ci.enumerate_coideals_group_case(kac, side=side, seed=seed)
-    want = certified_audit(kac, side, seed)
-    assert got["dims"] == want["dims"]
+    got = ci.enumerate_coideals(kac, coreps_of(kac), side=side, seed=seed)
+    want = certified_audit(kac, got["coideals"], side, seed)
+    assert got["dims"] == [c.dim for _, c in subgroup_oracle(kac, side)]
     assert got["complete"] is want["complete"] is True
     assert got["completeness_residual"] == want["completeness_residual"]
 
@@ -392,9 +493,11 @@ def certification_spy(monkeypatch):
 
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_each_listed_coideal_is_certified_once(algebras, monkeypatch, name, side):
+def test_each_listed_coideal_is_certified_once(algebras, coreps_of, monkeypatch, name, side):
+    kac = algebras[name]
+    coreps = coreps_of(kac)
     dims = certification_spy(monkeypatch)
-    out = ci.enumerate_coideals_group_case(algebras[name], side=side)
+    out = ci.enumerate_coideals(kac, coreps, side=side)
     assert out["complete"]
     assert sorted(dims) == sorted(out["dims"])
 
@@ -405,19 +508,17 @@ def test_each_listed_coideal_is_certified_once(algebras, monkeypatch, name, side
     ids=["centre", "j"],
 )
 def test_audit_certifies_and_reports_a_closure_missing_from_the_list(
-    algebras, monkeypatch, dropped, dims, residual
+    algebras, coreps_of, monkeypatch, dropped, dims, residual
 ):
-    # Without H, ℂ[H] is missing from q8's list.  The closure of H's generator
-    # b_h is ℂ[H]; it matches no listed span, even one of its dimension (⟨j⟩
-    # against ⟨i⟩ and ⟨k⟩), so it must be certified and reported.  The residual
+    # Without H's system, ℂ[H] is missing from q8's list.  The closure of H's
+    # generator b_h is ℂ[H]; it matches no listed span, even one of its dimension
+    # (⟨j⟩ against ⟨i⟩ and ⟨k⟩), so it must be certified and reported.  The residual
     # is ‖e_B − e_B′‖ = √(dim B − dim B′) for the largest listed B′ ⊂ ℂ[H].
     kac = algebras["q8_group"]
-    every = kc.GroupTable.subgroups
-    monkeypatch.setattr(
-        kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != dropped]
-    )
+    coreps = coreps_of(kac)
+    drop_system(monkeypatch, kac, coreps, dropped)
     certified = certification_spy(monkeypatch)
-    out = ci.enumerate_coideals_group_case(kac)
+    out = ci.enumerate_coideals(kac, coreps)
     assert out["dims"] == dims
     assert not out["complete"]
     assert abs(out["completeness_residual"] - residual) <= 1e-12
@@ -425,17 +526,18 @@ def test_audit_certifies_and_reports_a_closure_missing_from_the_list(
 
 
 @pytest.mark.parametrize("dropped", [(0, 1), (0, 2), (0, 3)], ids=["12", "13", "23"])
-def test_audit_reaches_the_function_side_below_the_top(algebras, monkeypatch, dropped):
+def test_audit_reaches_the_function_side_below_the_top(
+    algebras, coreps_of, monkeypatch, dropped
+):
     # On C(S₃) every point mass closes to all of C(S₃), so an audit seeded
     # with them passes whatever the list.  The closure of δ_e + δ_g with
-    # g² = e is C(G/⟨g⟩); without ⟨g⟩ in the list it matches nothing listed.
+    # g² = e is C(G/⟨g⟩); without its system, a line in the 2-dim
+    # corepresentation, it matches nothing listed.
     kac = algebras["s3_function"]
-    every = kc.GroupTable.subgroups
-    monkeypatch.setattr(
-        kc.GroupTable, "subgroups", lambda g: [h for h in every(g) if h != dropped]
-    )
+    coreps = coreps_of(kac)
+    drop_system(monkeypatch, kac, coreps, dropped)
     certified = certification_spy(monkeypatch)
-    out = ci.enumerate_coideals_group_case(kac)
+    out = ci.enumerate_coideals(kac, coreps)
     assert out["dims"] == [1, 2, 3, 3, 6]
     assert not out["complete"]
     assert abs(out["completeness_residual"] - np.sqrt(2)) <= 1e-12
@@ -448,11 +550,10 @@ def test_the_algebra_is_materialized_once(algebras):
 
 
 @pytest.mark.parametrize("name", ALGEBRA_NAMES)
-def test_subspace_system_round_trip(algebras, coreps_of, fusion_of, name):
+def test_subspace_system_round_trip(algebras, coreps_of, fusion_of, coideals_of, name):
     kac = algebras[name]
     coreps = coreps_of(kac)
-    out = ci.enumerate_coideals_group_case(kac)
-    for coid in out["coideals"]:
+    for coid in coideals_of(kac):
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
         assert sys.weighted_dim() == coid.dim
         back = ci.coideal_from_subspace_system(kac, fusion_of(kac), sys)
@@ -460,11 +561,10 @@ def test_subspace_system_round_trip(algebras, coreps_of, fusion_of, name):
         assert back.certificate < 1e-9
 
 
-def test_subspace_system_closure_certificate(algebras, coreps_of, fusion_of):
+def test_subspace_system_closure_certificate(algebras, coreps_of, fusion_of, coideals_of):
     kac = algebras["s3_function"]
     coreps = coreps_of(kac)
-    out = ci.enumerate_coideals_group_case(kac)
-    for coid in out["coideals"]:
+    for coid in coideals_of(kac):
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
         closure = ci.check_system_closure(fusion_of(kac), sys)
         assert max(
@@ -566,11 +666,10 @@ def test_lattice_dims_anti_correspond(lattice_of):
     assert pair_map == [(1, 6), (2, 3), (3, 2), (3, 2), (3, 2), (6, 1)]
 
 
-def test_tilde_lands_in_dual_and_is_right_coideal(algebras, dual_of):
+def test_tilde_lands_in_dual_and_is_right_coideal(algebras, dual_of, coideals_of):
     kac = algebras["z4_group"]
     dd = dual_of(kac)
-    out = ci.enumerate_coideals_group_case(kac)
-    for coid in out["coideals"]:
+    for coid in coideals_of(kac):
         td = ci.tilde(coid, dd)
         assert td.home == "dual"
         assert td.certificate < 1e-9
@@ -617,10 +716,10 @@ def pair_closures(kac, c):
     return [ci.coideal_closure(kac, [kac.op(back @ (unit[0] + unit[g]))]) for g in range(1, kac.dim)]
 
 
-def galois_oracle_cases(algebras, kp8, cond30_kp8):
+def galois_oracle_cases(algebras, coideals_of, kp8, cond30_kp8):
     for name in ALGEBRA_NAMES:
         kac = algebras[name]
-        for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+        for coid in coideals_of(kac):
             yield name, kac, coid
     unit = np.eye(kp8.dim)
     yield "kp8", kp8, ci.coideal_closure(kp8, [kp8.op(unit[0] + unit[1])])
@@ -628,12 +727,12 @@ def galois_oracle_cases(algebras, kp8, cond30_kp8):
         yield "cond30_kp8", cond30_kp8, coid
 
 
-def test_galois_maps_match_the_pairing_formula(algebras, kp8, cond30_kp8, dual_of):
+def test_galois_maps_match_the_pairing_formula(algebras, coideals_of, kp8, cond30_kp8, dual_of):
     """On the group fixtures' coideals, a closure in kp8, and kp8's closures of the images of
     b_e + b_g in a basis of condition number 30, where the Gram matrix of ŷ is no scaled
     identity: both maps match the pairing formula."""
     seen, dims = set(), set()
-    for name, kac, coid in galois_oracle_cases(algebras, kp8, cond30_kp8):
+    for name, kac, coid in galois_oracle_cases(algebras, coideals_of, kp8, cond30_kp8):
         seen.add(name)
         dd = dual_of(kac)
         bt = ci.tilde(coid, dd)
@@ -649,7 +748,7 @@ def test_galois_maps_match_the_pairing_formula(algebras, kp8, cond30_kp8, dual_o
 
 
 def test_tilde_over_the_dual_basis_is_the_pairing_matrix_route(
-    algebras, rotated_kp8, cond30_kp8, dual_of
+    algebras, coideals_of, rotated_kp8, cond30_kp8, dual_of
 ):
     """B̃ read off e_B is the span the pairing matrix gives, on every enumerated coideal of
     the group fixtures and on the closures of the images of kp8's b_e + b_g in a rotated
@@ -657,7 +756,7 @@ def test_tilde_over_the_dual_basis_is_the_pairing_matrix_route(
     cases = [
         (algebras[name], coid)
         for name in ALGEBRA_NAMES
-        for coid in ci.enumerate_coideals_group_case(algebras[name])["coideals"]
+        for coid in coideals_of(algebras[name])
     ]
     for kac, c in ((rotated_kp8, rotation(8, seed=0)), (cond30_kp8, COND30)):
         closures = pair_closures(kac, c)
@@ -675,20 +774,20 @@ def relative_commutant_by_commutant(mats, home, n):
     return la.intersect_spans(ag.commutant(ag.from_span(mats, n)).onb(), home)
 
 
-def relative_commutant_cases(algebras, kp8):
+def relative_commutant_cases(algebras, coideals_of, kp8):
     """Every enumerated coideal of the group fixtures, and kp8's closures of b_e + b_g."""
     for name in ALGEBRA_NAMES:
         kac = algebras[name]
-        for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+        for coid in coideals_of(kac):
             yield name, kac, coid
     unit = np.eye(kp8.dim)
     for g in range(1, kp8.dim):
         yield "kp8", kp8, ci.coideal_closure(kp8, [kp8.op(unit[0] + unit[g])])
 
 
-def test_relative_commutants_match_the_commutant_route(algebras, kp8, dual_of):
+def test_relative_commutants_match_the_commutant_route(algebras, coideals_of, kp8, dual_of):
     seen = set()
-    for name, kac, coid in relative_commutant_cases(algebras, kp8):
+    for name, kac, coid in relative_commutant_cases(algebras, coideals_of, kp8):
         seen.add(name)
         dd = dual_of(kac)
         via = ci.tilde_via_commutant(coid, dd)
@@ -719,12 +818,11 @@ def test_relative_commutant_reports_its_commutator():
     assert len(inter) == 2 and comm == 0.0
 
 
-def test_jones_projection_weight_identities(algebras, dual_of):
+def test_jones_projection_weight_identities(algebras, dual_of, coideals_of):
     for name in ("s3_function", "z4_group"):
         kac = algebras[name]
         dd = dual_of(kac)
-        out = ci.enumerate_coideals_group_case(kac)
-        for coid in out["coideals"]:
+        for coid in coideals_of(kac):
             rep = ci.jones_projection_coideal(coid, ci.tilde(coid, dd), dd)
             assert rep["dual_haar_value"] < 1e-9
             assert rep["counit_of_projected_integral"] < 1e-9
@@ -733,8 +831,11 @@ def test_jones_projection_weight_identities(algebras, dual_of):
             assert rep["dual_membership"] < 1e-9
 
 
-def test_the_lattice_report_builds_each_jones_projection_once(algebras, dual_of, monkeypatch):
+def test_the_lattice_report_builds_each_jones_projection_once(
+    algebras, dual_of, coreps_of, monkeypatch
+):
     kac = algebras["s3_function"]
+    coreps = coreps_of(kac)
     real, dims = ci.jones_projection, []
 
     def counted(kac_, mm):
@@ -742,28 +843,24 @@ def test_the_lattice_report_builds_each_jones_projection_once(algebras, dual_of,
         return real(kac_, mm)
 
     monkeypatch.setattr(ci, "jones_projection", counted)
-    report = ci.galois_lattice_report(dual_of(kac))
+    report = ci.galois_lattice_report(dual_of(kac), coreps)
     # One per coideal, and one per audit closure: b_e + b_g for each g, and
     # each unordered pair of the eight seeded draws once.
     assert len(dims) == len(report["rows"]) + kac.dim + len(seeded_pairs(kac.dim, 23))
     assert sorted(dims[: len(report["rows"])]) == sorted(report["dims"])
 
 
-def test_fingerprints_distinguish_distinct_coideals(algebras):
+def test_fingerprints_distinguish_distinct_coideals(algebras, coideals_of):
     kac = algebras["s3_function"]
-    out = ci.enumerate_coideals_group_case(kac)
-    digests = {
-        ci._digest(ci._fingerprint(c.dim, ci.jones_projection(kac, c.mm)))
-        for c in out["coideals"]
-    }
-    assert len(digests) == len(out["coideals"])
+    coideals = coideals_of(kac)
+    digests = {ci._digest(ci._fingerprint(c.dim, ci.jones_projection(kac, c.mm))) for c in coideals}
+    assert len(digests) == len(coideals)
 
 
-def test_subgroup_recovery_from_subspace_system(algebras, coreps_of):
+def test_subgroup_recovery_from_subspace_system(algebras, coreps_of, coideals_of):
     kac = algebras["s3_function"]
     coreps = coreps_of(kac)
-    out = ci.enumerate_coideals_group_case(kac)
-    for sub, coid in zip(out["subgroups"], out["coideals"]):
+    for (sub, _), coid in zip(subgroup_oracle(kac), coideals_of(kac), strict=True):
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
         recovered = subgroup_from_system(kac, coreps, sys)
         assert recovered["is_subgroup"]
@@ -826,14 +923,16 @@ def test_the_operator_coproduct_is_gone():
 
 
 @pytest.mark.parametrize("name", ["s3_function", "q8_group", "z4_function"])
-def test_coefficient_containment_matches_the_operator_leg_distance(algebras, dual_of, name):
+def test_coefficient_containment_matches_the_operator_leg_distance(
+    algebras, dual_of, coideals_of, name
+):
     """On the inputs of the leg-slice routine it replaced, the coefficient form
     of the containment is the Frobenius sum of the leg distances of the operator
     coproducts."""
     kac = algebras[name]
     dd = dual_of(kac)
     rng = np.random.default_rng(5)
-    coid = ci.enumerate_coideals_group_case(kac)["coideals"][2]
+    coid = coideals_of(kac)[2]
     homes = (
         (partial(delta_op, kac), kac.coproduct_coeffs, kac.as_mm(), coid.mm.onb()),
         (partial(delta_hat, dd.hat), partial(hat_coproduct_coeffs, dd), dd.hat.mm,
@@ -850,7 +949,9 @@ def test_coefficient_containment_matches_the_operator_leg_distance(algebras, dua
 
 
 @pytest.mark.parametrize("name", ["s3_function", "q8_group", "z4_function"])
-def test_the_containment_does_not_depend_on_the_orthonormal_basis(algebras, dual_of, name):
+def test_the_containment_does_not_depend_on_the_orthonormal_basis(
+    algebras, dual_of, coideals_of, name
+):
     """Two orthonormal bases of one span, the lattice's and a seeded unitary mix of
     it, read the same containment, on and off coideals, for A and for Â; the
     largest per-element distance, which it replaced, does depend on the basis."""
@@ -862,7 +963,7 @@ def test_the_containment_does_not_depend_on_the_orthonormal_basis(algebras, dual
     )
     rng = np.random.default_rng(3)
     off = la.orthonormalize(np.tensordot(rng.normal(size=(3, kac.dim)), kac.as_mm().onb(), 1))
-    coids = ci.enumerate_coideals_group_case(kac)["coideals"]
+    coids = coideals_of(kac)
     spans = [(c.mm.onb(), 0) for c in coids] + [(off, 0)]
     spans += [(ci.tilde(c, dd).mm.onb(), 1) for c in coids]
     spread = 0.0
@@ -895,10 +996,10 @@ def test_stacked_coproducts_match_one_at_a_time(algebras, dual_of, kp8):
 
 
 @pytest.mark.parametrize("name", ["s3_function", "s3_group", "q8_group"])
-def test_slice_containment_matches_kronecker_on_the_lattice(algebras, dual_of, name):
+def test_slice_containment_matches_kronecker_on_the_lattice(algebras, dual_of, coideals_of, name):
     kac = algebras[name]
     dd = dual_of(kac)
-    for coid in ci.enumerate_coideals_group_case(kac)["coideals"]:
+    for coid in coideals_of(kac):
         partner = ci.tilde(coid, dd).mm.onb()
         for side in ("left", "right"):
             got = slice_containment(kac, coid.mm.onb(), side)
@@ -949,12 +1050,12 @@ def test_right_cosets_of_a_non_normal_subgroup_give_a_right_coideal_only(
             slice_dual_containment(dd, dd.hat.onb, "up")
 
 
-def test_system_rederivation_is_the_projector_norm(algebras, coreps_of):
+def test_system_rederivation_is_the_projector_norm(algebras, coreps_of, coideals_of):
     kac = algebras["s3_function"]
     coreps = coreps_of(kac)
-    out = ci.enumerate_coideals_group_case(kac)
     theta = 1e-9
-    halves = [(s, c) for s, c in zip(out["subgroups"], out["coideals"]) if len(s) == 2]
+    pairs = zip(subgroup_oracle(kac), coideals_of(kac), strict=True)
+    halves = [(s, c) for (s, _), c in pairs if len(s) == 2]
     assert len(halves) == 3
     for sub, coid in halves:
         sys = ci.subspace_system_from_coideal(kac, coid, coreps)
@@ -968,3 +1069,40 @@ def test_system_rederivation_is_the_projector_norm(algebras, coreps_of):
         recovered = subgroup_from_system(kac, coreps, turned)
         assert sorted(recovered["subgroup"]) == sorted(sub)
         assert abs(recovered["system_rederivation"] - theta) <= 1e-4 * theta
+
+
+@pytest.mark.parametrize(
+    "name, checks", [("q8_group", 0), ("q8_function", 1), ("s3_function", 4)]
+)
+def test_the_search_decomposes_no_product_of_group_likes_and_checks_each_closure_once(
+    algebras, coreps_of, monkeypatch, name, checks
+):
+    # Group-likes multiply to group-likes, so only the products with a 2-dim factor
+    # are decomposed; a system with no 2-dim space is closed by construction, and
+    # every other candidate is checked once.  The cut on each line's own conditions leaves
+    # only closed candidates here: C(Q₈)'s ℂ², and C(S₃)'s ℂ² and three lines.
+    kac = algebras[name]
+    coreps = coreps_of(kac)
+    decomposed, checked = [], []
+    decompose, check_closure = cr.decompose_tensor_product, ci.check_system_closure
+    monkeypatch.setattr(
+        cr, "decompose_tensor_product",
+        lambda kac_, cs, a, b: decomposed.append((a, b)) or decompose(kac_, cs, a, b),
+    )
+    monkeypatch.setattr(
+        ci, "check_system_closure",
+        lambda fusion, sys_: checked.append(sys_.spaces) or check_closure(fusion, sys_),
+    )
+    out = ci.enumerate_coideals(kac, coreps)
+    twos = {c.index for c in coreps if c.dim == 2}
+    assert len(set(decomposed)) == len(decomposed)
+    assert set(decomposed) == {
+        (a, b)
+        for a in range(len(coreps))
+        for b in range(len(coreps))
+        if {a, b} & twos
+    }
+    assert len({tuple(s.tobytes() for s in spaces) for spaces in checked}) == len(checked)
+    assert len(checked) == checks and out["complete"]
+    if name == "q8_group":
+        assert decomposed == []

@@ -310,7 +310,8 @@ assert cr.fourier_round_trip(kp8, reps)["round_trip"] < 1e-8
 du.dual_kac(kp8)
 jn.jones_chain(jn.fixture_scaled_pair())
 print(loaded())
-ci.galois_lattice_report(du.dual_kac(kc.function_algebra(kc.symmetric_group_3())))
+dd = du.dual_kac(kc.function_algebra(kc.symmetric_group_3()))
+ci.galois_lattice_report(dd, cr.irreducible_coreps(dd.v.kac, dd.v, dd.hat))
 print("numpy.random" in sys.modules)
 jn.random_inclusion(3)
 print("numpy.random" in sys.modules)

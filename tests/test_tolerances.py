@@ -31,6 +31,7 @@ TABLE = {
     "DEFAULT_TOL": 1e-9,
     "COMMUTE_RTOL": 1e-10,
     "SPAN_TOL": 1e-8,
+    "SEARCH_GAP": 1e-4,
     "PIN_TOL": 1e-7,
     "EXTREMAL_TOL": 1e-8,
     "PROJ_CUT": 0.5,
